@@ -1,0 +1,148 @@
+/* Load-following priority cascade, compiled twin of the Python loop in
+ * simulate.py (_cascade_python).
+ *
+ * Every statement does the same IEEE double operations in the same order
+ * as the Python loop, so both kernels give bit-identical results.  That
+ * holds only when the compiler neither fuses a multiply and an add nor
+ * reassociates: build with -ffp-contract=off and without -ffast-math.
+ */
+
+/* Battery state carried from one run into the next. */
+typedef struct {
+    double soc;          /* state of charge [fraction] */
+    double cycles;       /* cycles counted so far */
+    double throughput;   /* discharged DC energy counted so far [kWh] */
+    int discharging;     /* the last battery move was a discharge */
+} cascade_state;
+
+/* Python's min(a, b, c): the first of the smallest values. */
+static double min3(double a, double b, double c)
+{
+    double m = a;
+    if (b < m)
+        m = b;
+    if (c < m)
+        m = c;
+    return m;
+}
+
+/* Run n hours from *state and leave the final state there.  res and dem are
+ * DC-bus renewable feed-in and demand; the five outputs are per hour. */
+void cascade(long n, const double *res, const double *dem,
+             double e_b_init, double eta, double soc_min, double soc_max,
+             double leak, double fade, double fade_floor,
+             int fixed_power_limit, double unit_power, double unit_energy,
+             double p_rated, double p_min, double dg_eff, int dg_may_charge,
+             int by_throughput, cascade_state *state,
+             double *p_dg_out, double *p_bs_out, double *soc_out,
+             double *dump_out, double *lost_out)
+{
+    const int has_battery = e_b_init > 0.0;
+    double soc = state->soc;
+    double cycles = state->cycles;
+    double throughput = state->throughput;
+    int last_dir = state->discharging ? 1 : -1;
+
+    for (long t = 0; t < n; t++) {
+        const double r = res[t];
+        const double d = dem[t];
+        double p_dg = 0.0;
+        double p_bs = 0.0;
+        double dump = 0.0;
+        double lost_dc = 0.0;
+        double e_c, p_lim, s;
+
+        if (has_battery) {
+            e_c = e_b_init * (1.0 - cycles * fade);
+            const double floor = fade_floor * e_b_init;
+            if (e_c < floor)
+                e_c = floor;
+            p_lim = fixed_power_limit ? unit_power
+                                      : unit_power * e_c / unit_energy;
+            s = (1.0 - leak) * soc;
+            if (s < soc_min)
+                s = soc_min;
+        } else {
+            e_c = 0.0;
+            p_lim = 0.0;
+            s = soc;
+        }
+
+        if (r >= d) {
+            double surplus = r - d;
+            if (has_battery && surplus > 0.0) {
+                const double room = (soc_max - s) * e_c / eta;
+                const double p_ch = min3(surplus, p_lim, room);
+                if (p_ch > 0.0) {
+                    p_bs = -p_ch;
+                    surplus -= p_ch;
+                }
+            }
+            dump = surplus;
+        } else {
+            double deficit = d - r;
+            if (has_battery) {
+                const double avail = (s - soc_min) * e_c / eta;
+                const double p_dis = min3(deficit, p_lim, avail);
+                if (p_dis > 0.0) {
+                    p_bs = p_dis;
+                    deficit -= p_dis;
+                }
+            }
+            if (deficit > 1e-9 && p_rated > 0.0) {
+                double want = deficit / dg_eff;
+                if (want < p_min)
+                    want = p_min;
+                if (want > p_rated)
+                    want = p_rated;
+                p_dg = want;
+                double extra = dg_eff * p_dg - deficit;
+                if (extra > 0.0) {
+                    deficit = 0.0;
+                    if (dg_may_charge && has_battery) {
+                        const double soc_now = s - p_bs * eta / e_c;
+                        const double room = (soc_max - soc_now) * e_c / eta;
+                        const double ch = min3(extra, room, p_bs + p_lim);
+                        if (ch > 0.0) {
+                            p_bs -= ch;
+                            extra -= ch;
+                        }
+                    }
+                    dump = extra;
+                } else {
+                    deficit = -extra;
+                }
+            }
+            lost_dc = deficit > 1e-12 ? deficit : 0.0;
+        }
+
+        if (has_battery) {
+            soc = s - p_bs * eta / e_c;
+            if (soc > soc_max)
+                soc = soc_max;
+            else if (soc < soc_min)
+                soc = soc_min;
+            if (p_bs > 1e-9) {
+                throughput += p_bs;
+                if (last_dir < 0 && !by_throughput)
+                    cycles += 1.0;
+                last_dir = 1;
+            } else if (p_bs < -1e-9) {
+                last_dir = -1;
+            }
+            if (by_throughput)
+                cycles = throughput * eta / e_c;
+        }
+
+        p_dg_out[t] = p_dg;
+        p_bs_out[t] = p_bs;
+        soc_out[t] = soc;
+        dump_out[t] = dump;
+        lost_out[t] = lost_dc;
+    }
+
+    state->soc = soc;
+    state->cycles = cycles;
+    state->throughput = throughput;
+    state->discharging = last_dir > 0;
+}

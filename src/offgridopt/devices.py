@@ -15,6 +15,9 @@ from .errors import InputDataError
 
 LITERS_PER_GALLON = 3.78541
 HOURS_PER_MONTH = 730.0  # average month, used to prorate self-discharge
+# Cycle fading stops at this fraction of the installed capacity, the
+# replacement threshold.
+CAPACITY_FADE_FLOOR = 0.70
 
 # Species emission factors [kg pollutant per kWh generated], diesel engine
 # and natural-gas microturbine.  CO2 dominates; the trace species are kept
@@ -303,12 +306,12 @@ def self_discharge_hourly(spec: BatterySpec) -> float:
 
 
 def battery_capacity(e_init: float, n_cycles: float, spec: BatterySpec) -> float:
-    """Usable capacity after linear cycle fading, floored at the 70 %
-    replacement threshold."""
+    """Usable capacity after linear cycle fading, floored at
+    ``CAPACITY_FADE_FLOOR`` of the installed capacity."""
     if e_init < 0:
         raise InputDataError("e_init must be >= 0")
     faded = e_init * (1.0 - n_cycles * spec.fade_per_cycle)
-    return max(faded, 0.70 * e_init)
+    return max(faded, CAPACITY_FADE_FLOOR * e_init)
 
 
 def battery_power_limit(capacity: float, spec: BatterySpec) -> float:

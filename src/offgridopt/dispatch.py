@@ -21,8 +21,8 @@ from . import economics
 from .devices import battery_power_limit, battery_step
 from .economics import ObjectiveVector, Weights
 from .errors import InputDataError
-from .simulate import (Design, SimulationContext, dispatch_cascade,
-                       renewable_feed_in)
+from .simulate import (CascadeState, Design, SimulationContext,
+                       count_transitions, dispatch_cascade, renewable_feed_in)
 from .timeseries import ClimateSeries, LoadSeries
 
 SCHEDULE_HEADER = ["hour", "p_dg", "p_bs", "soc", "p_res", "load", "dump", "lost"]
@@ -175,8 +175,7 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
     online = p_dg > CONSTRAINT_TOL
     on_hours = int(online.sum())
     energy = float(p_dg.sum())
-    starts = int(np.count_nonzero(online[1:] & ~online[:-1])) + int(online[0])
-    stops = int(np.count_nonzero(~online[1:] & online[:-1])) + int(online[-1])
+    starts, stops = count_transitions(online)
 
     c_daily = (economics.fuel_cost(gen, energy, on_hours)
                + economics.variable_om(gen, ctx.costs, on_hours, energy)
@@ -220,12 +219,10 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
 
 def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
     """The sizing simulator's load-following cascade applied to this day."""
-    p_dg, p_bs, _, _, _, _, _ = dispatch_cascade(
-        ctx.res_dc.tolist(), ctx.demand_dc.tolist(), ctx.battery,
-        ctx.battery_capacity_kwh, ctx.generator, True,
-        eta_rec=ctx.converter.eta_rec, soc_start=ctx.soc_start)
-    p_dg = np.array(p_dg)
-    p_bs = np.array(p_bs)
+    p_dg, p_bs, _, _, _, _ = dispatch_cascade(
+        ctx.res_dc, ctx.demand_dc, ctx.battery, ctx.battery_capacity_kwh,
+        ctx.generator, True, eta_rec=ctx.converter.eta_rec,
+        start=CascadeState(ctx.soc_start))
     return DispatchSchedule(p_dg, p_bs, propagate_soc(ctx, p_bs))
 
 
@@ -375,6 +372,12 @@ def optimize_day(ctx: DispatchContext, initial: DispatchSchedule | None = None,
                 best_s, best_ev = s, ev
                 base_pattern = flipped
                 improved = True
+
+    # Refining the rule-based seed can trade feasibility for a lower
+    # penalized value, so the search may end worse than the schedule it
+    # started from.  It stays out of the search so as not to change its path.
+    if _better(rb_ev, best_ev):
+        best_s, best_ev = rb.copy(), rb_ev
 
     feasible = best_ev.feasible
     msg = "" if feasible else (

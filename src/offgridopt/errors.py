@@ -34,7 +34,7 @@ class UnrecoverableGapError(InputDataError):
         self.hours = hours
 
 
-class InfeasibleBaselineError(ValueError):
+class InfeasibleBaselineError(InputDataError):
     """Baseline generator cannot cover the peak load on its own."""
 
 

@@ -9,21 +9,33 @@ leftover surplus is dumped, deficits discharge the battery, the generator
 covers what remains (semicontinuous between its minimum and rated output),
 forced generator surplus recharges the battery when the strategy allows it,
 and any final shortfall is lost load.
+
+The cascade runs in a small C kernel (``_cascade.c``) when it can be built
+and loaded, and in the equivalent Python loop otherwise; both give
+bit-identical results.  ``CASCADE_KERNEL`` names the one in use.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import hashlib
 import math
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import economics
-from .devices import (BatterySpec, ConverterSpec, GeneratorSpec, PvSpec,
-                      WindSpec, battery_power_limit, hub_wind_speed,
-                      pv_power, self_discharge_hourly, wt_power)
+from .devices import (CAPACITY_FADE_FLOOR, BatterySpec, ConverterSpec,
+                      GeneratorSpec, PvSpec, WindSpec, battery_power_limit,
+                      hub_wind_speed, pv_power, self_discharge_hourly,
+                      wt_power)
 from .economics import (BaselineMetrics, CostTable, FinancialParams,
                         ObjectiveVector, Weights, weighted_objective)
 from .errors import InputDataError
@@ -198,21 +210,55 @@ def renewable_feed_in(design: Design, climate: ClimateSeries,
     return p_pv, p_wt, res_dc
 
 
+class CascadeState(NamedTuple):
+    """Battery state carried from one cascade run into the next.
+
+    A fresh bank is fully charged and has neither cycled nor discharged, so
+    its first discharge starts a cycle.
+    """
+
+    soc: float                 # state of charge [fraction]
+    cycles: float = 0.0        # cycles counted so far
+    throughput: float = 0.0    # discharged DC energy counted so far [kWh]
+    discharging: bool = False  # the last battery move was a discharge
+
+
 def dispatch_cascade(res_dc, demand_dc, battery: BatterySpec, e_b_init: float,
                      generator: GeneratorSpec, dg_may_charge: bool,
-                     eta_rec: float, soc_start: float | None = None,
-                     cycles_start: float = 0.0,
+                     eta_rec: float, start: CascadeState | None = None,
                      cycle_counting: str = "reversal"):
     """Run the load-following priority cascade over any horizon.
 
     ``res_dc`` and ``demand_dc`` are DC-bus quantities; the generator output
-    is AC and contributes ``eta_rec`` of it to the bus.  Returns per-hour
-    lists (p_dg, p_bs, soc, dump_dc, lost_dc) plus the final (soc, cycles)
-    state, so a caller can chain day slices.
+    is AC and contributes ``eta_rec`` of it to the bus.  ``start`` is the
+    battery state before the first hour (a fresh bank when omitted).
+    Returns per-hour arrays (p_dg, p_bs, soc, dump_dc, lost_dc) plus the
+    final ``CascadeState``; passing that as ``start`` of the next slice gives
+    the same hours as one run over both slices.
     """
+    res_dc = np.ascontiguousarray(res_dc, dtype=np.float64)
+    demand_dc = np.ascontiguousarray(demand_dc, dtype=np.float64)
+    if res_dc.ndim != 1 or res_dc.shape != demand_dc.shape:
+        raise InputDataError("res_dc and demand_dc must be 1-D and equally long")
+    if cycle_counting not in ("reversal", "throughput"):
+        raise InputDataError("cycle_counting must be 'reversal' or 'throughput'")
+    if start is None:
+        start = CascadeState(battery.soc_max)
+    kernel = _cascade_python if _C_CASCADE is None else _cascade_compiled
+    return kernel(res_dc, demand_dc, battery, e_b_init, generator,
+                  dg_may_charge, eta_rec, start, cycle_counting)
+
+
+def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
+                    battery: BatterySpec, e_b_init: float,
+                    generator: GeneratorSpec, dg_may_charge: bool,
+                    eta_rec: float, start: CascadeState,
+                    cycle_counting: str):
+    """Reference cascade, one Python iteration per hour; the fallback when
+    the C kernel is unavailable."""
     n = len(res_dc)
-    res = list(res_dc)
-    dem = list(demand_dc)
+    res = res_dc.tolist()
+    dem = demand_dc.tolist()
 
     eta = battery.round_trip_eff
     soc_min = battery.soc_min
@@ -220,10 +266,10 @@ def dispatch_cascade(res_dc, demand_dc, battery: BatterySpec, e_b_init: float,
     leak = self_discharge_hourly(battery)
     fade = battery.fade_per_cycle
     has_battery = e_b_init > 0
-    soc = soc_max if soc_start is None else soc_start
-    cycles = cycles_start
-    last_dir = -1  # starts fully charged, so the first discharge is a cycle
-    throughput = 0.0
+    soc = start.soc
+    cycles = start.cycles
+    last_dir = 1 if start.discharging else -1
+    throughput = start.throughput
 
     p_rated = generator.rated_power
     p_min = generator.min_power
@@ -245,7 +291,7 @@ def dispatch_cascade(res_dc, demand_dc, battery: BatterySpec, e_b_init: float,
 
         if has_battery:
             e_c = e_b_init * (1.0 - cycles * fade)
-            floor = 0.70 * e_b_init
+            floor = CAPACITY_FADE_FLOOR * e_b_init
             if e_c < floor:
                 e_c = floor
             p_lim = battery_power_limit(e_c, battery)
@@ -318,7 +364,94 @@ def dispatch_cascade(res_dc, demand_dc, battery: BatterySpec, e_b_init: float,
         dump_l[t] = dump
         lost_l[t] = lost_dc
 
-    return p_dg_l, p_bs_l, soc_l, dump_l, lost_l, soc, cycles
+    end = CascadeState(soc, cycles, throughput, last_dir > 0)
+    return (np.array(p_dg_l), np.array(p_bs_l), np.array(soc_l),
+            np.array(dump_l), np.array(lost_l), end)
+
+
+class _CState(ctypes.Structure):
+    """``cascade_state`` of ``_cascade.c``."""
+
+    _fields_ = [("soc", ctypes.c_double), ("cycles", ctypes.c_double),
+                ("throughput", ctypes.c_double), ("discharging", ctypes.c_int)]
+
+
+_CASCADE_SOURCE = Path(__file__).with_name("_cascade.c")
+# -ffp-contract=off keeps the compiler from fusing a multiply and an add,
+# which would round differently from the Python loop.
+_CC_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _cascade_library() -> Path:
+    """Path of the compiled kernel, cached in ``__pycache__`` under a hash
+    of its source and flags; compiled with the local ``cc`` when missing.
+
+    The library is built under a temporary name and renamed into place, so
+    processes that build it at the same time never load a partial file.
+    """
+    source = _CASCADE_SOURCE.read_bytes()
+    tag = hashlib.sha256(source + " ".join(_CC_FLAGS).encode()).hexdigest()[:16]
+    cache = _CASCADE_SOURCE.parent / "__pycache__"
+    lib = cache / f"_cascade-{tag}.so"
+    if lib.exists():
+        return lib
+    cache.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache, prefix="_cascade-", suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run(["cc", *_CC_FLAGS, "-o", tmp, str(_CASCADE_SOURCE)],
+                       check=True, capture_output=True)
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+def _load_cascade():
+    """The C ``cascade`` function, or None when it cannot be built or
+    loaded (no compiler, read-only package directory)."""
+    try:
+        fn = ctypes.CDLL(str(_cascade_library())).cascade
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    array = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1,
+                                   flags="C_CONTIGUOUS")
+    c_double, c_int = ctypes.c_double, ctypes.c_int
+    fn.argtypes = ([ctypes.c_long, array, array]
+                   + [c_double] * 7 + [c_int, c_double, c_double]
+                   + [c_double] * 3 + [c_int, c_int, ctypes.POINTER(_CState)]
+                   + [array] * 5)
+    fn.restype = None
+    return fn
+
+
+_C_CASCADE = _load_cascade()
+CASCADE_KERNEL = "python" if _C_CASCADE is None else "c"
+
+
+def _cascade_compiled(res_dc: np.ndarray, demand_dc: np.ndarray,
+                      battery: BatterySpec, e_b_init: float,
+                      generator: GeneratorSpec, dg_may_charge: bool,
+                      eta_rec: float, start: CascadeState,
+                      cycle_counting: str):
+    """The cascade in the C kernel; same arguments and results as
+    ``_cascade_python``."""
+    n = len(res_dc)
+    out = [np.empty(n) for _ in range(5)]
+    state = _CState(start.soc, start.cycles, start.throughput,
+                    int(start.discharging))
+    _C_CASCADE(n, res_dc, demand_dc, e_b_init, battery.round_trip_eff,
+               battery.soc_min, battery.soc_max,
+               self_discharge_hourly(battery), battery.fade_per_cycle,
+               CAPACITY_FADE_FLOOR, int(battery.fixed_power_limit),
+               battery.rated_power_per_unit, battery.unit_energy,
+               generator.rated_power, generator.min_power, eta_rec,
+               int(dg_may_charge), int(cycle_counting == "throughput"),
+               ctypes.byref(state), *out)
+    end = CascadeState(state.soc, state.cycles, state.throughput,
+                       bool(state.discharging))
+    return (*out, end)
 
 
 def count_transitions(online) -> tuple[int, int]:
@@ -352,17 +485,13 @@ def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
         printed_curve=ctx.strategy.wt_printed_curve)
     demand_dc = load.demand / ctx.converter.eta_inv
 
-    p_dg, p_bs, soc, dump, lost_dc, _, cycles = dispatch_cascade(
-        res_dc.tolist(), demand_dc.tolist(), ctx.battery, design.e_b_init,
+    p_dg, p_bs, soc, dump, lost_dc, end = dispatch_cascade(
+        res_dc, demand_dc, ctx.battery, design.e_b_init,
         ctx.generator, ctx.strategy.dg_may_charge_battery,
         eta_rec=ctx.converter.eta_rec,
         cycle_counting=ctx.strategy.cycle_counting)
-
-    p_dg = np.array(p_dg)
-    p_bs = np.array(p_bs)
-    soc = np.array(soc)
-    dump = np.array(dump)
-    lost_ac = np.array(lost_dc) * ctx.converter.eta_inv
+    cycles = end.cycles
+    lost_ac = lost_dc * ctx.converter.eta_inv
 
     online = p_dg > 0
     starts, stops = count_transitions(online)

@@ -173,6 +173,17 @@ def test_cli_error_path_writes_error_document(tmp_path):
     assert "load-kwh" in doc["message"]
 
 
+def test_cli_infeasible_baseline_is_an_error(tmp_path):
+    cfg = tmp_path / "small_baseline.yaml"
+    cfg.write_text("baseline:\n  dg_rated_kw: 10\n")
+    code = run_cli(["simulate", "--seed", 42, "--config", cfg,
+                    "--out", tmp_path, "--design", "100,8,45.45"])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert "baseline generator" in doc["message"]
+
+
 def test_cli_bad_config_is_an_error(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("weights: [1, 1, 1, 1, 1]\n")

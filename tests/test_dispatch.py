@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from offgridopt.config import build_config, build_context
 from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
                                 PvSpec, WindSpec)
 from offgridopt.dispatch import (DispatchContext, DispatchSchedule, Scenario,
@@ -111,6 +112,20 @@ def test_optimizer_dominates_rule_based(baseline_day):
     assert len(soc) == 25
     assert soc.min() >= baseline_day.battery.soc_min - 1e-9
     assert soc.max() <= baseline_day.battery.soc_max + 1e-9
+
+
+def test_optimizer_never_worse_than_feasible_rule_based():
+    # On this day refining the rule-based seed makes it infeasible and the
+    # search ends on a feasible schedule worse than the rule-based one.
+    ctx = build_context(build_config({}), seed=289683157)
+    day = day_context(ctx, Design.from_counts(100, 8, 45.45), 51, W4,
+                      dpsp_max=0.01)
+    result = optimize_day(day, max_patterns=120, seed=468857191)
+    rb = result.rule_based_evaluation
+    assert rb.feasible and result.feasible
+    assert result.evaluation.weighted <= rb.weighted
+    again = evaluate_schedule(result.schedule, day)
+    assert again.feasible and again.weighted == result.evaluation.weighted
 
 
 def test_optimizer_respects_zero_dpsp_with_big_generator(annual_ctx):
