@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="YAML config path (defaults apply if omitted)")
         p.add_argument("--seed", type=int, required=True, help="top-level run seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker pool size")
 
     p = sub.add_parser("simulate", help="hourly annual simulation of one design")
     common(p)
@@ -307,6 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parameter", required=True, choices=sweeps.SWEEP_PARAMETERS)
     p.add_argument("--values", default=None, help="comma-separated override values")
     p.add_argument("--max-evals", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that run sweep points in parallel")
 
     p = sub.add_parser("breakeven", help="grid-extension break-even distance")
     common(p)

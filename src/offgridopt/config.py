@@ -55,7 +55,6 @@ _BATTERY_KEYS = {
     "soc_max_fraction": "soc_max",
     "self_discharge_per_month": "self_discharge_monthly",
     "round_trip_eff_fraction": "round_trip_eff",
-    "lifetime_years": "lifetime_years",
     "lifetime_cycles": "lifetime_cycles",
     "rated_power_per_unit_kw": "rated_power_per_unit",
     "unit_energy_kwh": "unit_energy",
@@ -75,17 +74,11 @@ _GENERATOR_KEYS = {
 _CONVERTER_KEYS = {
     "eta_inv_fraction": "eta_inv",
     "eta_rec_fraction": "eta_rec",
-    "rated_power_kw": "rated_power",
-    "capital_cost_usd": "capital_cost",
-    "lifetime_years": "lifetime_years",
 }
 _FINANCIAL_KEYS = {
     "nominal_rate_fraction": "nominal_rate",
     "inflation_fraction": "inflation",
     "system_lifetime_years": "system_lifetime",
-    "pv_lifetime_years": "pv_lifetime",
-    "wt_lifetime_years": "wt_lifetime",
-    "converter_lifetime_years": "converter_lifetime",
 }
 _COST_KEYS = {
     "pv_capital_usd_per_kw": "pv_capital_per_kw",
@@ -111,13 +104,19 @@ _STRATEGY_KEYS = {
     "cycle_counting": "cycle_counting",
     "wt_printed_curve": "wt_printed_curve",
 }
-_DATA_KEYS = ("climate_csv", "load_csv", "wind_correction_factor",
-              "load_variation_fraction")
-_SIZING_KEYS = ("bounds_lower", "bounds_upper", "integer_counts", "solver",
-                "max_evals", "swarm_size", "n_starts", "population")
-_DISPATCH_KEYS = ("day", "dpsp_max", "weights", "dg_rated_kw", "max_patterns")
-_BASELINE_KEYS = ("dg_rated_kw",)
-_BREAKEVEN_KEYS = ("grid_lcoe_usd_per_kwh", "extension_cost_usd_per_km")
+# config key -> value type, for the sections that are not spec dataclasses;
+# "list" is a list of numbers and "float" accepts any int or float
+_DATA_KEYS = {"climate_csv": "str | None", "load_csv": "str | None",
+              "wind_correction_factor": "float",
+              "load_variation_fraction": "float"}
+_SIZING_KEYS = {"bounds_lower": "list", "bounds_upper": "list",
+                "integer_counts": "bool", "solver": "str", "max_evals": "int",
+                "swarm_size": "int"}
+_DISPATCH_KEYS = {"day": "int", "dpsp_max": "float", "weights": "list",
+                  "dg_rated_kw": "float | None", "max_patterns": "int"}
+_BASELINE_KEYS = {"dg_rated_kw": "float"}
+_BREAKEVEN_KEYS = {"grid_lcoe_usd_per_kwh": "float",
+                   "extension_cost_usd_per_km": "float"}
 
 _TOP_LEVEL = ("seed", "data", "pv", "wind", "battery", "generator",
               "converter", "financial", "costs", "strategy", "weights",
@@ -183,17 +182,55 @@ class RunConfig:
         }
 
 
-def _check_keys(section: str, mapping: dict, allowed) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {section}.{key}")
+_KIND_NAMES = {"bool": "true or false", "str": "a string", "int": "an integer",
+               "float": "a number", "list": "a list of numbers"}
 
 
-def _build(section, mapping, keys, factory, **preset):
-    _check_keys(section, mapping, keys)
-    kwargs = dict(preset)
+def _is_number(value) -> bool:
+    """An int or float other than NaN (YAML ``.nan``); booleans are not
+    numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value == value)
+
+
+def _check_type(name: str, value, kind: str) -> None:
+    """Reject a value whose YAML type does not fit the setting's ``kind``."""
+    if kind.endswith(" | None"):
+        if value is None:
+            return
+        kind = kind[:-len(" | None")]
+    ok = {"bool": isinstance(value, bool),
+          "str": isinstance(value, str),
+          "int": _is_number(value) and isinstance(value, int),
+          "float": _is_number(value),
+          "list": isinstance(value, list) and all(map(_is_number, value))}[kind]
+    if not ok:
+        raise ConfigError(f"{name}: expected {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _section(raw: dict, section: str, kinds: dict) -> dict:
+    """The mapping of one section, its keys known and its values typed."""
+    mapping = raw.get(section)
+    if mapping is None:
+        return {}
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{section}: expected a mapping, got {mapping!r}")
     for key, value in mapping.items():
-        kwargs[keys[key]] = value
+        if key not in kinds:
+            raise ConfigError(f"unknown key {section}.{key}")
+        _check_type(f"{section}.{key}", value, kinds[key])
+    return dict(mapping)
+
+
+def _spec_kwargs(raw: dict, section: str, keys: dict, cls) -> dict:
+    """Keyword arguments for spec dataclass ``cls`` from a config section;
+    the value types come from the dataclass annotations."""
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    mapping = _section(raw, section, {k: kinds[f] for k, f in keys.items()})
+    return {keys[k]: v for k, v in mapping.items()}
+
+
+def _build(section: str, factory, kwargs: dict):
     try:
         return factory(**kwargs)
     except InputDataError as exc:
@@ -206,9 +243,9 @@ def build_config(raw: dict | None) -> RunConfig:
     for key in raw:
         if key not in _TOP_LEVEL:
             raise ConfigError(f"unknown key {key!r}")
+    _check_type("seed", raw.get("seed", 0), "int")
 
-    data = dict(raw.get("data") or {})
-    _check_keys("data", data, _DATA_KEYS)
+    data = _section(raw, "data", _DATA_KEYS)
     data.setdefault("climate_csv", None)
     data.setdefault("load_csv", None)
     data.setdefault("wind_correction_factor", datasets.WIND_CORRECTION_FACTOR)
@@ -218,36 +255,38 @@ def build_config(raw: dict | None) -> RunConfig:
     if not 0 <= data["load_variation_fraction"] < 1:
         raise ConfigError("data.load_variation_fraction must be in [0, 1)")
 
-    pv = _build("pv", dict(raw.get("pv") or {}), _PV_KEYS, PvSpec)
-    wind = _build("wind", dict(raw.get("wind") or {}), _WIND_KEYS, WindSpec)
+    pv = _build("pv", PvSpec, _spec_kwargs(raw, "pv", _PV_KEYS, PvSpec))
+    wind = _build("wind", WindSpec,
+                  _spec_kwargs(raw, "wind", _WIND_KEYS, WindSpec))
 
-    battery_raw = dict(raw.get("battery") or {})
-    chemistry = battery_raw.get("chemistry", "LI")
-    battery_factory = BatterySpec if chemistry == "LI" else lead_acid_spec
-    battery_raw.pop("chemistry", None)
-    battery = _build("battery", battery_raw, _BATTERY_KEYS, battery_factory)
+    # chemistry and kind pick the default column; the spec checks their values
+    battery_kw = _spec_kwargs(raw, "battery", _BATTERY_KEYS, BatterySpec)
+    chemistry = battery_kw.get("chemistry", "LI")
+    battery = _build("battery",
+                     BatterySpec if chemistry == "LI" else lead_acid_spec,
+                     battery_kw)
+    gen_kw = _spec_kwargs(raw, "generator", _GENERATOR_KEYS, GeneratorSpec)
+    kind = gen_kw.get("kind", "DE")
+    generator = _build("generator",
+                       GeneratorSpec if kind == "DE" else microturbine_spec,
+                       gen_kw)
 
-    gen_raw = dict(raw.get("generator") or {})
-    kind = gen_raw.get("kind", "DE")
-    gen_factory = GeneratorSpec if kind == "DE" else microturbine_spec
-    gen_raw.pop("kind", None)
-    generator = _build("generator", gen_raw, _GENERATOR_KEYS, gen_factory)
+    converter = _build("converter", ConverterSpec, _spec_kwargs(
+        raw, "converter", _CONVERTER_KEYS, ConverterSpec))
+    fin = _build("financial", FinancialParams, _spec_kwargs(
+        raw, "financial", _FINANCIAL_KEYS, FinancialParams))
 
-    converter = _build("converter", dict(raw.get("converter") or {}),
-                       _CONVERTER_KEYS, ConverterSpec)
-    fin = _build("financial", dict(raw.get("financial") or {}),
-                 _FINANCIAL_KEYS, FinancialParams)
-
-    cost_raw = dict(raw.get("costs") or {})
-    cost_factory = CostTable if kind == "DE" else microturbine_costs
+    cost_kw = _spec_kwargs(raw, "costs", _COST_KEYS, CostTable)
     if chemistry == "LA":
-        cost_raw.setdefault("bs_capital_usd_per_kwh", 255.0)
-    costs = _build("costs", cost_raw, _COST_KEYS, cost_factory)
+        cost_kw.setdefault("bs_capital_per_kwh", 255.0)
+    costs = _build("costs", CostTable if kind == "DE" else microturbine_costs,
+                   cost_kw)
 
-    strategy = _build("strategy", dict(raw.get("strategy") or {}),
-                      _STRATEGY_KEYS, StrategyConfig)
+    strategy = _build("strategy", StrategyConfig, _spec_kwargs(
+        raw, "strategy", _STRATEGY_KEYS, StrategyConfig))
 
     weights_raw = raw.get("weights", [0.2] * 5)
+    _check_type("weights", weights_raw, "list")
     try:
         weights = Weights(tuple(float(v) for v in weights_raw))
     except InputDataError as exc:
@@ -255,8 +294,7 @@ def build_config(raw: dict | None) -> RunConfig:
     if len(weights) != 5:
         raise ConfigError("weights: expected 5 entries")
 
-    sizing = dict(raw.get("sizing") or {})
-    _check_keys("sizing", sizing, _SIZING_KEYS)
+    sizing = _section(raw, "sizing", _SIZING_KEYS)
     sizing.setdefault("bounds_lower", [0.0, 0.0, 0.0])
     sizing.setdefault("bounds_upper", [100.0, 30.0, 200.0])
     sizing.setdefault("integer_counts", True)
@@ -265,9 +303,10 @@ def build_config(raw: dict | None) -> RunConfig:
     sizing.setdefault("swarm_size", 30)
     if len(sizing["bounds_lower"]) != 3 or len(sizing["bounds_upper"]) != 3:
         raise ConfigError("sizing bounds must have 3 entries")
+    if sizing["max_evals"] < 1 or sizing["swarm_size"] < 1:
+        raise ConfigError("sizing.max_evals and sizing.swarm_size must be >= 1")
 
-    dispatch = dict(raw.get("dispatch") or {})
-    _check_keys("dispatch", dispatch, _DISPATCH_KEYS)
+    dispatch = _section(raw, "dispatch", _DISPATCH_KEYS)
     dispatch.setdefault("day", 0)
     dispatch.setdefault("dpsp_max", 0.01)
     dispatch.setdefault("weights", [0.25] * 4)
@@ -280,12 +319,10 @@ def build_config(raw: dict | None) -> RunConfig:
     if len(dispatch["weights"]) != 4:
         raise ConfigError("dispatch.weights: expected 4 entries")
 
-    baseline = dict(raw.get("baseline") or {})
-    _check_keys("baseline", baseline, _BASELINE_KEYS)
+    baseline = _section(raw, "baseline", _BASELINE_KEYS)
     baseline_dg = float(baseline.get("dg_rated_kw", 16.0))
 
-    breakeven = dict(raw.get("breakeven") or {})
-    _check_keys("breakeven", breakeven, _BREAKEVEN_KEYS)
+    breakeven = _section(raw, "breakeven", _BREAKEVEN_KEYS)
     breakeven.setdefault("grid_lcoe_usd_per_kwh", 0.125)
     breakeven.setdefault("extension_cost_usd_per_km", 157470.0)
 
@@ -300,7 +337,10 @@ def build_config(raw: dict | None) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import InputDataError
 
-LITERS_PER_GALLON = 3.78541
 HOURS_PER_MONTH = 730.0  # average month, used to prorate self-discharge
 # Cycle fading stops at this fraction of the installed capacity, the
 # replacement threshold.
@@ -97,7 +96,6 @@ class BatterySpec:
     soc_max: float = 0.90
     self_discharge_monthly: float = 0.075  # fraction lost per month
     round_trip_eff: float = 0.90
-    lifetime_years: float = 15.0
     lifetime_cycles: int = 5475
     rated_power_per_unit: float = 3.68     # [kW] per storage unit
     unit_energy: float = 13.5              # [kWh] per storage unit
@@ -111,6 +109,11 @@ class BatterySpec:
             raise InputDataError("round_trip_eff must be in (0, 1]")
         if self.fade_per_cycle < 0:
             raise InputDataError("fade_per_cycle must be >= 0")
+        if not 0 <= self.self_discharge_monthly <= 1:
+            raise InputDataError("self_discharge_monthly must be in [0, 1]")
+        if self.rated_power_per_unit <= 0 or self.unit_energy <= 0:
+            raise InputDataError(
+                "rated_power_per_unit and unit_energy must be positive")
         if self.chemistry not in ("LI", "LA"):
             raise InputDataError("chemistry must be 'LI' or 'LA'")
 
@@ -123,7 +126,6 @@ def lead_acid_spec(**overrides) -> BatterySpec:
         soc_max=0.90,
         self_discharge_monthly=0.05,
         round_trip_eff=0.75,
-        lifetime_years=5.0,
         lifetime_cycles=1400,
         rated_power_per_unit=0.42,
         unit_energy=2.0,
@@ -139,6 +141,7 @@ class GeneratorSpec:
 
     The diesel fuel law is Fuel = a*P_out + b*P_rated [L/h]; the microturbine
     burns gas proportionally to output at ``mt_fuel_slope`` [MMBtu/kWh].
+    ``economics.fuel_cost`` is the one place these laws are evaluated.
     """
 
     kind: str = "DE"
@@ -184,9 +187,6 @@ class ConverterSpec:
 
     eta_inv: float = 0.90
     eta_rec: float = 0.90
-    rated_power: float = 12.52      # [kW], sized at peak load
-    capital_cost: float = 2800.0    # [$]
-    lifetime_years: float = 20.0
 
     def __post_init__(self):
         if not 0 < self.eta_inv <= 1 or not 0 < self.eta_rec <= 1:
@@ -257,8 +257,7 @@ def wt_curve_coefficients(spec: WindSpec, printed_form: bool = False):
     return a, b, c
 
 
-def wt_power(n_turbines, v_hub, spec: WindSpec, coefficients=None,
-             printed_form: bool = False):
+def wt_power(n_turbines, v_hub, spec: WindSpec, printed_form: bool = False):
     """AC output [kW] of ``n_turbines`` at hub wind speed ``v_hub``.
 
     Zero below cut-in and above cut-out, quadratic between cut-in and rated
@@ -267,9 +266,7 @@ def wt_power(n_turbines, v_hub, spec: WindSpec, coefficients=None,
     """
     if np.any(np.asarray(n_turbines) < 0):
         raise InputDataError("n_turbines must be >= 0")
-    if coefficients is None:
-        coefficients = wt_curve_coefficients(spec, printed_form=printed_form)
-    a, b, c = coefficients
+    a, b, c = wt_curve_coefficients(spec, printed_form=printed_form)
     v = np.asarray(v_hub, dtype=float)
     # the closed-form quadratic can dip fractionally below zero just past
     # cut-in for some cut-in/rated pairs; output is clamped non-negative
@@ -325,41 +322,3 @@ def battery_power_limit(capacity: float, spec: BatterySpec) -> float:
         return spec.rated_power_per_unit
     return spec.rated_power_per_unit * capacity / spec.unit_energy
 
-
-# ---------------------------------------------------------------------------
-# Backup generator
-# ---------------------------------------------------------------------------
-
-def de_fuel_liters(p_gen: float, spec: GeneratorSpec, online: bool | None = None) -> float:
-    """Diesel burn rate [L/h]: a*P_out + b*P_rated while online, 0 offline.
-
-    The b-term is charged on rated power, a standing cost whenever the
-    engine is committed regardless of output level.
-    """
-    if p_gen < 0 or p_gen > spec.rated_power + 1e-9:
-        raise InputDataError(
-            f"p_gen {p_gen} outside [0, {spec.rated_power}]")
-    if online is None:
-        online = p_gen > 0
-    if not online:
-        return 0.0
-    return spec.fuel_coeff_a * p_gen + spec.fuel_coeff_b * spec.rated_power
-
-
-def de_fuel_cost(liters: float, price_per_gal: float) -> float:
-    """Dollar cost of a diesel volume priced per US liquid gallon."""
-    if liters < 0:
-        raise InputDataError("liters must be >= 0")
-    return price_per_gal * liters / LITERS_PER_GALLON
-
-
-def mt_fuel_mmbtu(p_gen: float, spec: GeneratorSpec, online: bool | None = None) -> float:
-    """Microturbine gas consumption [MMBtu/h], proportional to output."""
-    if p_gen < 0 or p_gen > spec.rated_power + 1e-9:
-        raise InputDataError(
-            f"p_gen {p_gen} outside [0, {spec.rated_power}]")
-    if online is None:
-        online = p_gen > 0
-    if not online:
-        return 0.0
-    return spec.mt_fuel_slope * p_gen

@@ -27,6 +27,7 @@ from .timeseries import ClimateSeries, LoadSeries
 
 SCHEDULE_HEADER = ["hour", "p_dg", "p_bs", "soc", "p_res", "load", "dump", "lost"]
 CONSTRAINT_TOL = 1e-6
+REFINE_SWEEPS = 6   # coordinate-descent sweeps, each halving the step sizes
 
 
 @dataclass
@@ -42,7 +43,6 @@ class DispatchContext:
     generator: object
     converter: object
     costs: object
-    fin: object
     baseline_generator: object
     weights: Weights                # 4 entries: COE, emissions, REPG, 1-REF
     dpsp_max: float = 0.01
@@ -97,8 +97,7 @@ def day_context(ctx: SimulationContext, design: Design, day: int,
         load=ctx.load.day(day),
         pv=ctx.pv, wind=ctx.wind, battery=ctx.battery,
         generator=generator or ctx.generator, converter=ctx.converter,
-        costs=ctx.costs, fin=ctx.fin,
-        baseline_generator=ctx.baseline_generator,
+        costs=ctx.costs, baseline_generator=ctx.baseline_generator,
         weights=weights, dpsp_max=dpsp_max,
         wt_printed_curve=ctx.strategy.wt_printed_curve,
     )
@@ -233,8 +232,8 @@ def _penalized(ev: DispatchEvaluation, mu: float = 200.0) -> float:
     return ev.weighted + mu * pen
 
 
-def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext,
-                       sweeps: int = 6) -> tuple[DispatchSchedule, DispatchEvaluation]:
+def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
+                       ) -> tuple[DispatchSchedule, DispatchEvaluation]:
     """Projected coordinate descent over the hourly setpoints with the ON
     pattern held fixed."""
     gen = ctx.generator
@@ -242,7 +241,7 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext,
     best = evaluate_schedule(s, ctx)
     best_val = _penalized(best)
     p_lim = ctx.power_limit
-    for sweep in range(sweeps):
+    for sweep in range(REFINE_SWEEPS):
         scale = 0.5 ** sweep
         dg_steps = [d * scale for d in (-4.0, -1.0, 1.0, 4.0)]
         bs_steps = [d * scale for d in (-4.0, -1.0, 1.0, 4.0)]
@@ -306,9 +305,8 @@ class DispatchResult:
     message: str = ""
 
 
-def optimize_day(ctx: DispatchContext, initial: DispatchSchedule | None = None,
-                 max_patterns: int = 120, seed: int = 0,
-                 inner_sweeps: int = 6) -> DispatchResult:
+def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
+                 seed: int = 0) -> DispatchResult:
     """Optimize the next day's generator and battery schedule.
 
     The rule-based schedule is always a candidate, so the returned schedule
@@ -330,11 +328,8 @@ def optimize_day(ctx: DispatchContext, initial: DispatchSchedule | None = None,
         soc=np.zeros(25))
     guess.soc = propagate_soc(ctx, guess.p_bs)
 
-    seeds = [rb, guess]
-    if initial is not None:
-        seeds.append(initial)
     zero = DispatchSchedule(np.zeros(24), np.zeros(24), propagate_soc(ctx, np.zeros(24)))
-    seeds.append(zero)
+    seeds = [rb, guess, zero]
 
     evaluated = {}
 
@@ -342,8 +337,7 @@ def optimize_day(ctx: DispatchContext, initial: DispatchSchedule | None = None,
         key = tuple(int(b) for b in pattern)
         if key in evaluated:
             return evaluated[key]
-        refined, ev = _refine_continuous(_apply_pattern(base, pattern, ctx),
-                                         ctx, sweeps=inner_sweeps)
+        refined, ev = _refine_continuous(_apply_pattern(base, pattern, ctx), ctx)
         evaluated[key] = (refined, ev)
         return refined, ev
 
@@ -419,22 +413,19 @@ class Scenario:
 
 
 def apply_scenario(ctx: DispatchContext, scenario: Scenario) -> DispatchContext:
+    """The day under the scenario's weather and load; ``replace`` reruns
+    ``__post_init__``, so every derived quantity is recomputed."""
     climate = scenario_scale_climate(ctx.climate, scenario.irr_factor,
                                      scenario.wind_factor)
-    return DispatchContext(
-        design=ctx.design, climate=climate,
-        load=scenario.load if scenario.load is not None else ctx.load,
-        pv=ctx.pv, wind=ctx.wind, battery=ctx.battery,
-        generator=ctx.generator, converter=ctx.converter, costs=ctx.costs,
-        fin=ctx.fin, baseline_generator=ctx.baseline_generator,
-        weights=ctx.weights, dpsp_max=ctx.dpsp_max,
-        soc_start=ctx.soc_start, wt_printed_curve=ctx.wt_printed_curve)
+    load = scenario.load if scenario.load is not None else ctx.load
+    return replace(ctx, climate=climate, load=load)
 
 
 def robustness_suite(ctx: DispatchContext, scenarios: list[Scenario],
                      seed: int = 0, max_patterns: int = 120) -> list[dict]:
-    """Re-optimize the day under each scenario; failures are recorded and the
-    suite continues."""
+    """Re-optimize the day under each scenario.  A scenario whose inputs are
+    invalid (``InputDataError``) is recorded as a failed row and the suite
+    continues; any other exception propagates."""
     if not scenarios:
         raise InputDataError("at least one scenario required")
     rows = []
@@ -452,7 +443,7 @@ def robustness_suite(ctx: DispatchContext, scenarios: list[Scenario],
                 "c_daily": result.evaluation.c_daily,
                 "feasible": result.feasible,
             })
-        except Exception as exc:  # keep the suite alive per scenario
+        except InputDataError as exc:
             row.update({"feasible": False, "error": str(exc)})
         rows.append(row)
     return rows

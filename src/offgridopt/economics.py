@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import GeneratorSpec, LITERS_PER_GALLON
+from .devices import GeneratorSpec
 from .errors import InfeasibleBaselineError, InputDataError
+
+LITERS_PER_GALLON = 3.78541
 
 
 @dataclass(frozen=True)
@@ -28,9 +30,6 @@ class FinancialParams:
     nominal_rate: float = 0.09       # nominal interest/discount rate per year
     inflation: float = 0.057         # escalation rate per year
     system_lifetime: int = 25        # [years]
-    pv_lifetime: float = 25.0
-    wt_lifetime: float = 20.0
-    converter_lifetime: float = 20.0
 
     def __post_init__(self):
         if self.system_lifetime < 1:
@@ -104,7 +103,7 @@ class Weights:
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
-        if any(v < 0 or v > 1 for v in vals):
+        if not all(0 <= v <= 1 for v in vals):   # also rejects NaN
             raise InputDataError("weights must be in [0, 1]")
         if abs(sum(vals) - 1.0) > 1e-9:
             raise InputDataError(f"weights must sum to 1, got {sum(vals)}")
@@ -229,6 +228,9 @@ def fuel_cost(gen: GeneratorSpec, dg_energy_kwh: float, online_hours: float) -> 
     """Fuel bill over a horizon: output-proportional burn plus, for the
     diesel engine, the rated-power standing term accrued while the unit is
     online.  An offline generator burns nothing.
+
+    Diesel burns a*E + b*P_rated*hours litres, priced per US gallon; the
+    microturbine burns ``mt_fuel_slope``*E MMBtu, priced per MMBtu.
     """
     if dg_energy_kwh < 0 or online_hours < 0:
         raise InputDataError("energies and hours must be >= 0")

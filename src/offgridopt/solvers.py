@@ -23,6 +23,21 @@ from .errors import InputDataError
 STALL_ITERS = 50
 STALL_TOL = 1e-6
 
+# PSO inertia weight and acceleration coefficients (constriction values)
+PSO_OMEGA = 0.729
+PSO_C1 = PSO_C2 = 1.49445
+# GA crossover and per-dimension mutation probabilities
+GA_CROSSOVER_RATE = 0.8
+GA_MUTATION_RATE = 0.1
+# SA geometric cooling: start temperature, factor and steps per temperature
+SA_T_INITIAL = 1.0
+SA_COOLING = 0.95
+SA_STEPS_PER_TEMP = 20
+# pattern search: mesh tolerance and the factors applied on success/failure
+PS_MESH_TOL = 1e-6
+PS_EXPAND = 2.0
+PS_CONTRACT = 0.5
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -101,9 +116,7 @@ def _report(name, ev: _Evaluator, best_x, t0) -> SolverReport:
 
 
 def pso_minimize(objective, space: SearchSpace, swarm_size: int = 30,
-                 omega: float = 0.729, c1: float = 1.49445,
-                 c2: float = 1.49445, max_evals: int = 2000,
-                 seed: int = 0, x0=None) -> SolverReport:
+                 max_evals: int = 2000, seed: int = 0) -> SolverReport:
     """Particle swarm with inertia-weight velocity update
     v <- w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x)."""
     if max_evals < swarm_size:
@@ -115,8 +128,6 @@ def pso_minimize(objective, space: SearchSpace, swarm_size: int = 30,
     span = hi - lo
 
     x = lo + rng.uniform(size=(swarm_size, space.dim)) * span
-    if x0 is not None:
-        x[0] = np.clip(x0, lo, hi)
     v = rng.uniform(-1, 1, size=(swarm_size, space.dim)) * span * 0.1
     fx = np.array([ev(xi) for xi in x])
     pbest, fpbest = x.copy(), fx.copy()
@@ -127,7 +138,7 @@ def pso_minimize(objective, space: SearchSpace, swarm_size: int = 30,
     while not ev.exhausted and stall < STALL_ITERS:
         r1 = rng.uniform(size=(swarm_size, space.dim))
         r2 = rng.uniform(size=(swarm_size, space.dim))
-        v = omega * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)
+        v = PSO_OMEGA * v + PSO_C1 * r1 * (pbest - x) + PSO_C2 * r2 * (gbest - x)
         x = np.clip(x + v, lo, hi)
         prev_best = fgbest
         for i in range(swarm_size):
@@ -148,13 +159,10 @@ def pso_minimize(objective, space: SearchSpace, swarm_size: int = 30,
 
 
 def ga_minimize(objective, space: SearchSpace, population: int = 50,
-                crossover_rate: float = 0.8, mutation_rate: float = 0.1,
-                penalty_weight: float = 1e3, max_evals: int = 2000,
-                seed: int = 0, x0=None) -> SolverReport:
+                max_evals: int = 2000, seed: int = 0) -> SolverReport:
     """Genetic algorithm: tournament selection, blend crossover, gaussian
-    mutation.  Fitness = objective + penalty_weight * bound violation (the
-    similarity/parity term of the full fitness form is omitted; candidates
-    are clipped so the penalty is normally zero)."""
+    mutation.  Fitness is the objective itself: every candidate lies inside
+    the bounds, so no bound-violation penalty is needed."""
     if max_evals < population:
         raise InputDataError("max_evals must cover the initial population")
     t0 = time.perf_counter()
@@ -163,14 +171,8 @@ def ga_minimize(objective, space: SearchSpace, population: int = 50,
     lo, hi = space.lower, space.upper
     span = np.where(hi > lo, hi - lo, 1.0)
 
-    def fitness(xi):
-        violation = np.sum(np.maximum(lo - xi, 0) + np.maximum(xi - hi, 0))
-        return ev(np.clip(xi, lo, hi)) + penalty_weight * violation
-
     pop = lo + rng.uniform(size=(population, space.dim)) * (hi - lo)
-    if x0 is not None:
-        pop[0] = np.clip(x0, lo, hi)
-    fit = np.array([fitness(p) for p in pop])
+    fit = np.array([ev(p) for p in pop])
     best_i = int(np.argmin(fit))
     best_x, best_f = pop[best_i].copy(), fit[best_i]
 
@@ -182,19 +184,19 @@ def ga_minimize(objective, space: SearchSpace, population: int = 50,
             a = pop[i] if fit[i] <= fit[j] else pop[j]
             i, j = rng.integers(population, size=2)
             b = pop[i] if fit[i] <= fit[j] else pop[j]
-            if rng.uniform() < crossover_rate:
+            if rng.uniform() < GA_CROSSOVER_RATE:
                 alpha = rng.uniform(-0.25, 1.25, size=space.dim)
                 child = alpha * a + (1 - alpha) * b
             else:
                 child = a.copy()
-            mutate = rng.uniform(size=space.dim) < mutation_rate
+            mutate = rng.uniform(size=space.dim) < GA_MUTATION_RATE
             child = np.where(mutate, child + rng.normal(0, 0.15, space.dim) * span, child)
             children[k] = np.clip(child, lo, hi)
         prev_best = best_f
         for k in range(population):
             if ev.exhausted:
                 break
-            fk = fitness(children[k])
+            fk = ev(children[k])
             # steady-state elitism: child replaces current worst if better
             worst = int(np.argmax(fit))
             if fk < fit[worst]:
@@ -210,83 +212,57 @@ def ga_minimize(objective, space: SearchSpace, population: int = 50,
     return _report("ga", ev, best_x, t0)
 
 
-def sa_minimize(objective, space: SearchSpace, t_initial: float = 1.0,
-                cooling: float = 0.95, steps_per_temp: int = 20,
-                max_evals: int = 2000, seed: int = 0,
-                schedule: str = "geometric", x0=None) -> SolverReport:
-    """Simulated annealing: worse moves accepted with probability
-    exp(-dE/T); geometric cooling by default, the (slow) logarithmic
-    schedule behind ``schedule='log'``."""
-    if t_initial <= 0:
-        raise InputDataError("t_initial must be positive")
-    if not 0 < cooling < 1:
-        raise InputDataError("cooling factor must be in (0, 1)")
-    if schedule not in ("geometric", "log"):
-        raise InputDataError("schedule must be 'geometric' or 'log'")
+def sa_minimize(objective, space: SearchSpace, max_evals: int = 2000,
+                seed: int = 0) -> SolverReport:
+    """Simulated annealing: worse moves accepted with the Metropolis
+    probability exp(-dE/T), geometric cooling."""
     t0_clock = time.perf_counter()
     rng = np.random.default_rng(seed)
     ev = _Evaluator(objective, space, max_evals)
     lo, hi = space.lower, space.upper
     span = np.where(hi > lo, hi - lo, 1.0)
 
-    x = lo + rng.uniform(size=space.dim) * (hi - lo) if x0 is None else np.clip(x0, lo, hi)
+    x = lo + rng.uniform(size=space.dim) * (hi - lo)
     fx = ev(x)
     best_x, best_f = x.copy(), fx
-    temp = t_initial
-    outer = 0
+    temp = SA_T_INITIAL
     while not ev.exhausted:
-        outer += 1
-        for _ in range(steps_per_temp):
+        for _ in range(SA_STEPS_PER_TEMP):
             if ev.exhausted:
                 break
             cand = np.clip(x + rng.normal(0, 0.1, space.dim) * span, lo, hi)
             fc = ev(cand)
             de = fc - fx
+            # a downhill move draws no random number; seeded runs rely on it
             if de <= 0 or rng.uniform() < np.exp(-de / temp):
                 x, fx = cand, fc
                 if fx < best_f:
                     best_x, best_f = x.copy(), fx
-        if schedule == "geometric":
-            temp = cooling * temp
-        else:
-            temp = t_initial / np.log(outer + np.e)
+        temp = SA_COOLING * temp
     return _report("sa", ev, best_x, t0_clock)
 
 
-def sa_acceptance_probability(delta_e: float, temperature: float) -> float:
-    """Metropolis acceptance: 1 for downhill moves, exp(-dE/T) otherwise."""
-    if temperature <= 0:
-        raise InputDataError("temperature must be positive")
-    if delta_e <= 0:
-        return 1.0
-    return float(np.exp(-delta_e / temperature))
-
-
 def pattern_search_minimize(objective, space: SearchSpace,
-                            initial_mesh=None, mesh_tol: float = 1e-6,
-                            expand: float = 2.0, contract: float = 0.5,
-                            max_evals: int = 2000, x0=None,
+                            max_evals: int = 2000,
                             seed: int | None = None) -> SolverReport:
     """Compass (direct pattern) search: poll +/- mesh along each axis,
     expand on success, contract on failure, stop when the mesh falls below
-    tolerance.  Integer dimensions poll in whole steps and never shrink
-    below a unit mesh."""
-    if mesh_tol <= 0:
-        raise InputDataError("mesh_tol must be positive")
+    tolerance.  The first mesh is a quarter of each span; integer
+    dimensions poll in whole steps and never shrink below a unit mesh.
+    The search starts at a seeded random point, or at the box centre
+    without a seed."""
     t0 = time.perf_counter()
     ev = _Evaluator(objective, space, max_evals)
     lo, hi = space.lower, space.upper
     span = np.where(hi > lo, hi - lo, 1.0)
     integer = space.integer_mask
 
-    if x0 is not None:
-        x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    elif seed is not None:
+    if seed is not None:
         x = lo + np.random.default_rng(seed).uniform(size=space.dim) * (hi - lo)
     else:
         x = (lo + hi) / 2.0
     x = space.round_point(x)  # polls must stay on the integer lattice
-    mesh = np.asarray(initial_mesh, dtype=float) if initial_mesh is not None else span / 4.0
+    mesh = span / 4.0
     mesh = np.where(integer, np.maximum(np.round(mesh), 1.0), mesh)
     fx = ev(x)
     cont = ~integer
@@ -307,14 +283,14 @@ def pattern_search_minimize(objective, space: SearchSpace,
                     improved = True
                     break
         if improved:
-            mesh = np.where(cont, np.minimum(mesh * expand, span), mesh)
+            mesh = np.where(cont, np.minimum(mesh * PS_EXPAND, span), mesh)
             continue
-        cont_done = not np.any(cont) or np.all(mesh[cont] < mesh_tol)
+        cont_done = not np.any(cont) or np.all(mesh[cont] < PS_MESH_TOL)
         int_done = not np.any(integer) or np.all(mesh[integer] <= 1.0)
         if cont_done and int_done:
             break
-        mesh = np.where(cont, mesh * contract, mesh)
-        mesh = np.where(integer, np.maximum(np.round(mesh * contract), 1.0), mesh)
+        mesh = np.where(cont, mesh * PS_CONTRACT, mesh)
+        mesh = np.where(integer, np.maximum(np.round(mesh * PS_CONTRACT), 1.0), mesh)
     return _report("pattern_search", ev, x, t0)
 
 
@@ -341,8 +317,7 @@ def _integer_polish(ev: _Evaluator, space: SearchSpace, x, fx):
 
 
 def multistart_minimize(objective, space: SearchSpace, n_starts: int = 25,
-                        max_evals: int = 2000, seed: int = 0,
-                        x0=None) -> SolverReport:
+                        max_evals: int = 2000, seed: int = 0) -> SolverReport:
     """Uniform random restarts, each refined by a Nelder-Mead simplex
     search (bounds enforced), with an integer neighborhood polish on masked
     dimensions.  Approximates multiple-start/global search solvers."""
@@ -356,8 +331,6 @@ def multistart_minimize(objective, space: SearchSpace, n_starts: int = 25,
     per_start = max(max_evals // n_starts, 10)
 
     starts = [lo + rng.uniform(size=space.dim) * (hi - lo) for _ in range(n_starts)]
-    if x0 is not None:
-        starts[0] = np.clip(x0, lo, hi)
     best_x, best_f = None, np.inf
     for s in starts:
         if ev.exhausted:
@@ -381,21 +354,17 @@ SOLVERS = {
 
 
 def solver_benchmark(objective, space: SearchSpace, solvers=("pso", "ga", "sa", "ps", "ms"),
-                     seed: int = 0, max_evals: int = 2000,
-                     solver_params: dict | None = None) -> list[SolverReport]:
+                     seed: int = 0, max_evals: int = 2000) -> list[SolverReport]:
     """Run each solver under an identical evaluation budget and rank by the
     overall metric (runtime x best value, lower is better)."""
     if not solvers:
         raise InputDataError("at least one solver required")
-    solver_params = solver_params or {}
     reports = []
     for name in solvers:
         if name not in SOLVERS:
             raise InputDataError(f"unknown solver {name!r}; pick from {sorted(SOLVERS)}")
-        kwargs = dict(solver_params.get(name, {}))
-        kwargs.setdefault("max_evals", max_evals)
-        kwargs.setdefault("seed", seed)
-        reports.append(SOLVERS[name](objective, space, **kwargs))
+        reports.append(SOLVERS[name](objective, space, max_evals=max_evals,
+                                     seed=seed))
     reports.sort(key=lambda r: r.overall)
     return reports
 

@@ -2,9 +2,10 @@
 the sizing optimization per point, and emit trend tables.
 
 Each sweep point uses the same solver, budget and seed so differences
-between rows reflect the parameter, not solver noise.  Per-point failures
-are recorded and the sweep continues; the output always has one row per
-requested value.
+between rows reflect the parameter, not solver noise.  A point whose inputs
+are invalid (``InputDataError``) is recorded as a failed row and the sweep
+continues, so the output has one row per requested value; any other
+exception propagates.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def apply_override(ctx: SimulationContext, weights: Weights, parameter: str,
     """Return (context, weights) with one parameter overridden.
 
     Weight sweeps fix w_i = value and split the remainder equally over the
-    other four weights.
+    other four weights.  An overridden context is a new object built by
+    ``dataclasses.replace``, so it recomputes its cached baseline.
     """
     if parameter == "dg_rated":
         gen = replace(ctx.generator, rated_power=float(value))
@@ -92,15 +94,6 @@ def apply_override(ctx: SimulationContext, weights: Weights, parameter: str,
     raise InputDataError(f"unknown sweep parameter {parameter!r}")
 
 
-def _fresh_context(ctx: SimulationContext) -> SimulationContext:
-    # dataclasses.replace would keep the cached baseline; rebuild instead
-    return SimulationContext(
-        climate=ctx.climate, load=ctx.load, pv=ctx.pv, wind=ctx.wind,
-        battery=ctx.battery, generator=ctx.generator, converter=ctx.converter,
-        costs=ctx.costs, fin=ctx.fin, strategy=ctx.strategy,
-        baseline_generator=ctx.baseline_generator)
-
-
 @dataclass
 class SweepRow:
     value: float
@@ -116,7 +109,6 @@ def _sweep_point(task) -> SweepRow:
     parameter, value, ctx, weights, space, seed, max_evals, swarm_size = task
     try:
         point_ctx, point_w = apply_override(ctx, weights, parameter, value)
-        point_ctx = _fresh_context(point_ctx)
 
         def objective(x, c=point_ctx, w=point_w):
             d = Design(round(x[0]), round(x[1]), float(x[2]))
@@ -130,7 +122,7 @@ def _sweep_point(task) -> SweepRow:
         sim = simulate_year(design, point_ctx)
         return SweepRow(value, design, sim.objectives, sim.dg_online_hours,
                         sim.battery_cycles, report.best_value)
-    except Exception as exc:
+    except InputDataError as exc:
         return SweepRow(value, None, None, 0, 0.0, float("nan"),
                         status=f"failed: {exc}")
 
@@ -161,7 +153,6 @@ def objective_at_fixed_design(design: Design, overrides: dict,
     point_ctx, point_w = ctx, weights
     for parameter, value in overrides.items():
         point_ctx, point_w = apply_override(point_ctx, point_w, parameter, value)
-    point_ctx = _fresh_context(point_ctx)
     sim = simulate_year(design, point_ctx)
     return sim, weighted_objective(sim.objectives, point_w)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from offgridopt.config import (build_config, build_context, load_config,
                                save_config)
 from offgridopt.errors import ConfigError
 from offgridopt.seeding import substream_seed
+from offgridopt.simulate import Design, simulate_year
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +58,128 @@ def test_invariant_violations_name_the_field():
     with pytest.raises(ConfigError, match="battery"):
         build_config({"battery": {"soc_min_fraction": 0.95,
                                   "soc_max_fraction": 0.90}})
+
+
+# ---------------------------------------------------------------------------
+# Every component, cost, financial and strategy key changes the result
+# ---------------------------------------------------------------------------
+
+LIVE_DESIGN = Design.from_counts(100, 8, 45.45)
+LIVE_SECTIONS = ("pv", "wind", "battery", "generator", "converter",
+                 "financial", "costs", "strategy")
+MT = {"generator": {"kind": "MT"}}
+# a fixed-replacement strategy and the cycle-count one with its period set
+FIXED = {"strategy": {"battery_replacement": "fixed", "replacement_years": 10}}
+CYCLES_WITH_PERIOD = {"strategy": {"replacement_years": 10}}
+
+# section.key -> (valid non-default value, base config where the key acts)
+LIVE_VALUES = {
+    "pv.eta_ref_fraction": (0.17, {}),
+    "pv.eta_pc_fraction": (0.95, {}),
+    "pv.temp_ref_c": (20.0, {}),
+    "pv.irr_noct_kw_per_m2": (0.9, {}),
+    "pv.temp_cell_noct_c": (48.0, {}),
+    "pv.temp_amb_noct_c": (22.0, {}),
+    "pv.beta_per_c": (0.004, {}),
+    "pv.rated_power_kw": (0.3, {}),
+    "pv.collector_area_m2": (1.6, {}),
+    "wind.hub_height_m": (20.0, {}),
+    "wind.rated_power_kw": (4.0, {}),
+    "wind.cut_in_ms": (3.0, {}),
+    "wind.rated_speed_ms": (10.0, {}),
+    "wind.cut_out_ms": (16.0, {}),     # the data's hub speed peaks at 17.8 m/s
+    "wind.shear_exponent": (0.2, {}),
+    "battery.chemistry": ("LA", {}),
+    "battery.soc_min_fraction": (0.2, {}),
+    "battery.soc_max_fraction": (0.95, {}),
+    "battery.self_discharge_per_month": (0.05, {}),
+    "battery.round_trip_eff_fraction": (0.85, {}),
+    "battery.lifetime_cycles": (4000, {}),
+    "battery.rated_power_per_unit_kw": (3.0, {}),
+    "battery.unit_energy_kwh": (10.0, {}),
+    "battery.fade_per_cycle_fraction": (0.0001, {}),
+    "battery.fixed_power_limit": (True, {}),
+    "generator.kind": ("MT", {}),
+    "generator.rated_power_kw": (14.0, {}),
+    "generator.min_fraction": (0.4, {}),
+    "generator.fuel_coeff_a_l_per_kwh": (0.26, {}),
+    "generator.fuel_coeff_b_l_per_kwh": (0.09, {}),
+    "generator.mt_fuel_slope_mmbtu_per_kwh": (0.015, MT),
+    "generator.fuel_price_usd": (4.0, {}),
+    "generator.lifetime_hours": (12000.0, {}),
+    "converter.eta_inv_fraction": (0.95, {}),
+    "converter.eta_rec_fraction": (0.95, {}),
+    "financial.nominal_rate_fraction": (0.1, {}),
+    "financial.inflation_fraction": (0.05, {}),
+    "financial.system_lifetime_years": (20, {}),
+    "costs.pv_capital_usd_per_kw": (1000.0, {}),
+    "costs.wt_capital_usd_per_kw": (1400.0, {}),
+    "costs.bs_capital_usd_per_kwh": (250.0, {}),
+    "costs.dg_capital_usd_per_kw": (700.0, {}),
+    "costs.bs_replacement_fraction": (0.8, {}),
+    "costs.dg_replacement_fraction": (0.8, {}),
+    "costs.om_fix_pv_fraction_per_year": (0.02, {}),
+    "costs.om_fix_wt_fraction_per_year": (0.02, {}),
+    "costs.om_fix_bs_fraction_per_year": (0.02, {}),
+    "costs.om_fix_dg_fraction_per_year": (0.03, {}),
+    "costs.om_var_dg_usd_per_hour": (0.3, {}),
+    "costs.om_var_dg_usd_per_kwh": (0.02, MT),
+    "costs.startup_cost_usd": (1.0, {}),
+    "costs.shutdown_cost_usd": (0.5, {}),
+    "costs.converter_capital_usd": (3000.0, {}),
+    "strategy.dg_may_charge_battery": (False, {}),
+    "strategy.battery_replacement": ("fixed", CYCLES_WITH_PERIOD),
+    "strategy.replacement_years": (8.0, FIXED),
+    "strategy.cycle_counting": ("throughput", {}),
+    "strategy.wt_printed_curve": (True, {}),
+}
+
+REMOVED_KEYS = ["battery.lifetime_years", "converter.rated_power_kw",
+                "converter.capital_cost_usd", "converter.lifetime_years",
+                "financial.pv_lifetime_years", "financial.wt_lifetime_years",
+                "financial.converter_lifetime_years", "sizing.n_starts",
+                "sizing.population"]
+
+
+def _with_key(base: dict, name: str, value) -> dict:
+    section, key = name.split(".")
+    raw = {s: dict(v) for s, v in base.items()}
+    raw.setdefault(section, {})[key] = value
+    return raw
+
+
+def _outcome(raw: dict, annual_ctx):
+    """Objectives and cost breakdown of the live design under ``raw``, on
+    the climate and load of the shared ``annual_ctx`` fixture."""
+    cfg = build_config(raw)
+    ctx = dataclasses.replace(
+        annual_ctx, pv=cfg.pv, wind=cfg.wind, battery=cfg.battery,
+        generator=cfg.generator, converter=cfg.converter, costs=cfg.costs,
+        fin=cfg.fin, strategy=cfg.strategy,
+        baseline_generator=cfg.baseline_generator())
+    sim = simulate_year(LIVE_DESIGN, ctx)
+    return sim.objectives, sim.cost
+
+
+def test_liveness_table_covers_every_spec_key(default_config):
+    resolved = default_config.resolved()
+    keys = {f"{s}.{k}" for s in LIVE_SECTIONS for k in resolved[s]}
+    assert keys == set(LIVE_VALUES)
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_VALUES))
+def test_every_spec_key_changes_the_result(name, annual_ctx):
+    value, base = LIVE_VALUES[name]
+    section, key = name.split(".")
+    assert value != build_config(base).resolved()[section][key]
+    assert _outcome(_with_key(base, name, value), annual_ctx) != \
+        _outcome(base, annual_ctx)
+
+
+@pytest.mark.parametrize("name", REMOVED_KEYS)
+def test_removed_keys_are_rejected_by_name(name):
+    with pytest.raises(ConfigError, match=f"unknown key {name}"):
+        build_config(_with_key({}, name, 1))
 
 
 def test_config_round_trip(tmp_path):
@@ -182,6 +306,41 @@ def test_cli_infeasible_baseline_is_an_error(tmp_path):
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["status"] == "error"
     assert "baseline generator" in doc["message"]
+
+
+@pytest.mark.parametrize("text", [
+    "pv: 5\n",
+    "weights: abc\n",
+    "seed: x\n",
+    "pv: {eta_ref_fraction: high}\n",
+    "generator: {fuel_price_usd: '3.2'}\n",
+    "generator: {kind: de}\n",
+    "strategy: {dg_may_charge_battery: 'no'}\n",
+    "sizing: {bounds_upper: 5}\n",
+    "dispatch: {weights: [a, b, c, d]}\n",
+    "baseline: {dg_rated_kw: big}\n",
+    "converter: {rated_power_kw: 12.52}\n",
+    "sizing: {swarm_size: 0}\n",
+    "weights: [.nan, 0.25, 0.25, 0.25, 0.25]\n",
+    "costs: {pv_capital_usd_per_kw: .nan}\n",
+    "battery: {unit_energy_kwh: 0}\n",
+    "pv: {eta_ref_fraction: 0.2\n",
+])
+def test_cli_malformed_config_writes_error_document(tmp_path, text):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    code = run_cli(["simulate", "--seed", 1, "--design", "100,8,45.45",
+                    "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error" and doc["message"]
+
+
+def test_workers_flag_only_on_sweep(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--seed", 1, "--design", "10,2,20",
+                 "--workers", 2, "--out", tmp_path])
+    assert exc.value.code == 2
 
 
 def test_cli_bad_config_is_an_error(tmp_path):

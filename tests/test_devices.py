@@ -3,10 +3,10 @@ import pytest
 
 from offgridopt.devices import (BatterySpec, GeneratorSpec, PvSpec, WindSpec,
                                 battery_capacity, battery_power_limit,
-                                battery_step, de_fuel_cost, de_fuel_liters,
-                                hub_wind_speed, microturbine_spec,
-                                mt_fuel_mmbtu, pv_efficiency, pv_power,
+                                battery_step, hub_wind_speed,
+                                microturbine_spec, pv_efficiency, pv_power,
                                 wt_curve_coefficients, wt_power)
+from offgridopt.economics import LITERS_PER_GALLON, fuel_cost
 from offgridopt.errors import InputDataError
 
 
@@ -169,42 +169,49 @@ def test_battery_power_limit_modes():
 
 
 # ---------------------------------------------------------------------------
-# Backup generator
+# Backup generator fuel law (priced by economics.fuel_cost)
 # ---------------------------------------------------------------------------
 
+def de_fuel_liters(p_gen, hours=1.0, rated=16.0):
+    """Diesel litres burned at constant output ``p_gen`` for ``hours``:
+    the fuel bill at a price of one dollar per litre."""
+    spec = GeneratorSpec(rated_power=rated, fuel_price=LITERS_PER_GALLON)
+    return fuel_cost(spec, p_gen * hours, hours)
+
+
 def test_de_fuel_liters_values():
-    spec = GeneratorSpec(rated_power=16.0)
-    assert de_fuel_liters(16.0, spec) == pytest.approx(5.2392)
-    assert de_fuel_liters(4.8, spec) == pytest.approx(0.246 * 4.8 + 0.08145 * 16)
-    assert de_fuel_liters(4.8, spec) == pytest.approx(2.484, abs=1e-4)
-    assert de_fuel_liters(0.0, spec, online=False) == 0.0
+    assert de_fuel_liters(16.0) == pytest.approx(5.2392)
+    assert de_fuel_liters(4.8) == pytest.approx(0.246 * 4.8 + 0.08145 * 16)
+    assert de_fuel_liters(4.8) == pytest.approx(2.484, abs=1e-4)
+    assert de_fuel_liters(0.0, hours=0.0) == 0.0
 
 
 def test_de_fuel_liters_affine_with_idle_intercept():
-    spec = GeneratorSpec(rated_power=16.0)
-    f0 = de_fuel_liters(0.0, spec, online=True)
+    # the b*P_rated term is paid for every online hour, whatever the output
+    f0 = de_fuel_liters(0.0)
     assert f0 == pytest.approx(0.08145 * 16.0)
+    assert de_fuel_liters(0.0, hours=3.0) == pytest.approx(3.0 * f0)
     for p in (2.0, 7.5, 13.0):
-        assert de_fuel_liters(p, spec) == pytest.approx(f0 + 0.246 * p, rel=1e-12)
-
-
-def test_de_fuel_liters_rejects_over_rated():
-    with pytest.raises(InputDataError):
-        de_fuel_liters(17.0, GeneratorSpec(rated_power=16.0))
+        assert de_fuel_liters(p) == pytest.approx(f0 + 0.246 * p, rel=1e-12)
 
 
 def test_de_fuel_cost_per_gallon():
-    assert de_fuel_cost(3.78541, 3.20) == pytest.approx(3.20)
-    assert de_fuel_cost(5.2392, 3.20) == pytest.approx(4.429, abs=1e-3)
-    assert de_fuel_cost(0.0, 3.20) == 0.0
+    spec = GeneratorSpec(rated_power=16.0, fuel_price=3.20)
+    # 3.78541 L is one US gallon: a*E = 3.78541 L at E = 3.78541 / a kWh
+    assert fuel_cost(spec, 3.78541 / 0.246, 0.0) == pytest.approx(3.20)
+    assert fuel_cost(spec, 16.0, 1.0) == pytest.approx(4.429, abs=1e-3)
+    assert fuel_cost(spec, 0.0, 0.0) == 0.0
 
 
 def test_mt_fuel_consumption():
-    spec = microturbine_spec(rated_power=61.0)
-    assert mt_fuel_mmbtu(61.0, spec) == pytest.approx(0.84)
-    assert mt_fuel_mmbtu(0.0, spec, online=False) == 0.0
-    spec16 = microturbine_spec(rated_power=16.0)
-    assert mt_fuel_mmbtu(16.0, spec16) == pytest.approx(0.2203, abs=1e-4)
+    # at a price of 1 $/MMBtu the fuel bill is the gas burned in MMBtu
+    spec = microturbine_spec(rated_power=61.0, fuel_price=1.0)
+    assert fuel_cost(spec, 61.0, 1.0) == pytest.approx(0.84)
+    assert fuel_cost(spec, 0.0, 0.0) == 0.0
+    spec16 = microturbine_spec(rated_power=16.0, fuel_price=1.0)
+    assert fuel_cost(spec16, 16.0, 1.0) == pytest.approx(0.2203, abs=1e-4)
+    # no standing term: online hours cost nothing without output
+    assert fuel_cost(spec16, 0.0, 24.0) == 0.0
 
 
 def test_device_outputs_nonnegative_random_inputs():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from offgridopt import dispatch
 from offgridopt.config import build_config, build_context
 from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
                                 PvSpec, WindSpec)
@@ -10,7 +11,7 @@ from offgridopt.dispatch import (DispatchContext, DispatchSchedule, Scenario,
                                  propagate_soc, robustness_suite,
                                  rule_based_schedule, scenario_scale_climate,
                                  suite_to_csv)
-from offgridopt.economics import CostTable, FinancialParams, Weights
+from offgridopt.economics import CostTable, Weights
 from offgridopt.simulate import Design
 from offgridopt.timeseries import (ClimateSeries, LoadSeries, flatten_load,
                                    make_peaky_load)
@@ -31,8 +32,7 @@ def flat_day_ctx(load_kw, rated=16.0, e_b=0.0, res_zero=True):
         climate=climate, load=LoadSeries(np.full(24, load_kw)),
         pv=PvSpec(), wind=WindSpec(), battery=BatterySpec(),
         generator=GeneratorSpec(rated_power=rated), converter=ConverterSpec(),
-        costs=CostTable(), fin=FinancialParams(),
-        baseline_generator=GeneratorSpec(rated_power=16.0),
+        costs=CostTable(), baseline_generator=GeneratorSpec(rated_power=16.0),
         weights=W4, dpsp_max=0.01)
 
 
@@ -212,3 +212,14 @@ def test_suite_continues_past_failing_scenario(day_8kw):
         [Scenario("bad", irr_factor=-1.0), Scenario("baseline")], seed=7)
     assert rows[0]["feasible"] is False and "error" in rows[0]
     assert rows[1]["feasible"] is True
+
+
+def test_suite_programming_error_propagates(day_8kw, monkeypatch):
+    """Only invalid scenario inputs become failed rows; a bug inside a
+    scenario is raised."""
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside the scenario")
+
+    monkeypatch.setattr(dispatch, "optimize_day", broken)
+    with pytest.raises(TypeError, match="bug inside"):
+        robustness_suite(day_8kw, [Scenario("baseline")], seed=7)

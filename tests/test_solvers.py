@@ -8,8 +8,7 @@ from offgridopt.solvers import (SearchSpace, benchmark_to_csv,
                                 benchmark_to_json, dominates, ga_minimize,
                                 multistart_minimize, pareto_front,
                                 pattern_search_minimize, pso_minimize,
-                                sa_acceptance_probability, sa_minimize,
-                                solver_benchmark)
+                                sa_minimize, solver_benchmark)
 
 BOX3 = SearchSpace([-5, -5, -5], [5, 5, 5], [False] * 3)
 INT3 = SearchSpace([0, 0, 0], [9, 9, 19], [True, True, True])
@@ -88,14 +87,6 @@ def test_ga_population_of_one_still_returns_valid_report():
     report = ga_minimize(sphere, BOX3, population=1, max_evals=500, seed=5)
     assert np.isfinite(report.best_value)
     assert report.best_value == pytest.approx(sphere(report.best_point))
-
-
-def test_sa_acceptance_probability():
-    assert sa_acceptance_probability(-1.0, 0.5) == 1.0
-    assert sa_acceptance_probability(0.0, 0.5) == 1.0
-    assert sa_acceptance_probability(0.5, 1.0) == pytest.approx(np.exp(-0.5))
-    with pytest.raises(InputDataError):
-        sa_acceptance_probability(0.1, 0.0)
 
 
 def test_reports_are_in_bounds_integral_and_fresh():

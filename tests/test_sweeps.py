@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from offgridopt import sweeps
 from offgridopt.economics import equal_weights
 from offgridopt.errors import InputDataError
 from offgridopt.seeding import substream_seed
@@ -108,6 +109,20 @@ def test_sweep_keeps_row_count_with_failures(annual_ctx, default_config, tmp_pat
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("value,n_s,n_w,e_b,")
+
+
+def test_sweep_point_programming_error_propagates(annual_ctx, default_config,
+                                                  monkeypatch):
+    """Only invalid inputs become failed rows; a bug inside a point is
+    raised, not reported as a failure of that value."""
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside the sweep point")
+
+    monkeypatch.setattr(sweeps, "simulate_year", broken)
+    with pytest.raises(TypeError, match="bug inside"):
+        run_sweep(SweepSpec("bs_price", (300.0,)), annual_ctx, W,
+                  default_config.search_space(), seed=1, max_evals=120,
+                  swarm_size=10)
 
 
 @pytest.mark.slow
