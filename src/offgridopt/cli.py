@@ -29,7 +29,7 @@ def _parse_design(text: str) -> Design:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3:
         raise InputDataError("--design expects 'n_s,n_w,e_b_init'")
-    return Design(round(parts[0]), round(parts[1]), parts[2])
+    return Design(*parts)
 
 
 def _parse_weights(text: str):

@@ -257,25 +257,30 @@ def wt_curve_coefficients(spec: WindSpec, printed_form: bool = False):
     return a, b, c
 
 
-def wt_power(n_turbines, v_hub, spec: WindSpec, printed_form: bool = False):
-    """AC output [kW] of ``n_turbines`` at hub wind speed ``v_hub``.
+def wt_power_fraction(v_hub, spec: WindSpec, printed_form: bool = False):
+    """Output of one turbine as a fraction of its rated power at hub wind
+    speed ``v_hub``.
 
     Zero below cut-in and above cut-out, quadratic between cut-in and rated
-    speed, flat at rated output between rated and cut-out.  Accepts scalars
-    or arrays.
+    speed, one between rated and cut-out.  Accepts scalars or arrays.
     """
-    if np.any(np.asarray(n_turbines) < 0):
-        raise InputDataError("n_turbines must be >= 0")
     a, b, c = wt_curve_coefficients(spec, printed_form=printed_form)
     v = np.asarray(v_hub, dtype=float)
     # the closed-form quadratic can dip fractionally below zero just past
     # cut-in for some cut-in/rated pairs; output is clamped non-negative
     quad = np.maximum(a + b * v + c * v * v, 0.0)
-    frac = np.where(
+    return np.where(
         v < spec.cut_in, 0.0,
         np.where(v <= spec.rated_speed, quad,
                  np.where(v <= spec.cut_out, 1.0, 0.0)))
-    out = n_turbines * spec.rated_power * frac
+
+
+def wt_power(n_turbines, v_hub, spec: WindSpec, printed_form: bool = False):
+    """AC output [kW] of ``n_turbines`` at hub wind speed ``v_hub``: the
+    count times the rated power times ``wt_power_fraction``."""
+    if np.any(np.asarray(n_turbines) < 0):
+        raise InputDataError("n_turbines must be >= 0")
+    out = n_turbines * spec.rated_power * wt_power_fraction(v_hub, spec, printed_form)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -22,7 +22,8 @@ from .devices import battery_power_limit, battery_step
 from .economics import ObjectiveVector, Weights
 from .errors import InputDataError
 from .simulate import (CascadeState, Design, SimulationContext,
-                       count_transitions, dispatch_cascade, renewable_feed_in)
+                       count_transitions, dispatch_cascade, feed_in_profile,
+                       renewable_feed_in)
 from .timeseries import ClimateSeries, LoadSeries
 
 SCHEDULE_HEADER = ["hour", "p_dg", "p_bs", "soc", "p_res", "load", "dump", "lost"]
@@ -58,10 +59,10 @@ class DispatchContext:
             raise InputDataError("dispatch uses 4 objective weights")
         if self.soc_start is None:
             self.soc_start = self.battery.soc_max
-        _, _, res_dc = renewable_feed_in(self.design, self.climate, self.pv,
-                                         self.wind, self.converter,
-                                         printed_curve=self.wt_printed_curve)
-        self.res_dc = res_dc
+        profile = feed_in_profile(self.climate, self.pv, self.wind,
+                                  printed_curve=self.wt_printed_curve)
+        _, _, self.res_dc = renewable_feed_in(self.design, profile, self.pv,
+                                              self.wind, self.converter)
         self.demand_dc = self.load.demand / self.converter.eta_inv
         self.battery_capacity_kwh = self.design.e_b_init
         self.power_limit = (battery_power_limit(self.design.e_b_init, self.battery)
@@ -309,13 +310,19 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
                  seed: int = 0) -> DispatchResult:
     """Optimize the next day's generator and battery schedule.
 
-    The rule-based schedule is always a candidate, so the returned schedule
-    is never worse than it (when the rule-based day is feasible).  When no
-    candidate satisfies every hard constraint the best-found infeasible
-    schedule is returned with ``feasible=False`` and its residuals.
+    ``max_patterns`` caps the ON/OFF patterns refined.  The three seed
+    schedules (rule-based, a constant guess and all-off) are always
+    refined, so the cap must be at least 3.  The rule-based schedule is
+    always a candidate, so the returned schedule is never worse than it
+    (when the rule-based day is feasible).  When no candidate satisfies
+    every hard constraint the best-found infeasible schedule is returned
+    with ``feasible=False`` and its residuals.
     """
     if ctx.generator.rated_power <= 0:
         raise InputDataError("dispatch needs a generator with positive rating")
+    if max_patterns < 3:
+        raise InputDataError(
+            f"max_patterns must be >= 3 (the seed schedules), got {max_patterns}")
     rng = np.random.default_rng(seed)
     gen = ctx.generator
 

@@ -34,8 +34,8 @@ import numpy as np
 from . import economics
 from .devices import (CAPACITY_FADE_FLOOR, BatterySpec, ConverterSpec,
                       GeneratorSpec, PvSpec, WindSpec, battery_power_limit,
-                      hub_wind_speed, pv_power, self_discharge_hourly,
-                      wt_power)
+                      hub_wind_speed, pv_efficiency, self_discharge_hourly,
+                      wt_power_fraction)
 from .economics import (BaselineMetrics, CostTable, FinancialParams,
                         ObjectiveVector, Weights, weighted_objective)
 from .errors import InputDataError
@@ -56,6 +56,8 @@ class Design:
     integer_counts: bool = True
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.pv_units, self.wt_units, self.e_b_init))):
+            raise InputDataError("design components must be finite")
         if self.pv_units < 0 or self.wt_units < 0 or self.e_b_init < 0:
             raise InputDataError("design components must be >= 0")
         if self.integer_counts:
@@ -102,13 +104,16 @@ class StrategyConfig:
             raise InputDataError("cycle_counting must be 'reversal' or 'throughput'")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationContext:
     """Everything the simulator needs besides the candidate design.
 
     ``baseline_generator`` is the unit used for LCOE/emission normalization;
     it stays fixed (sized above peak load) even when the dispatch generator
     is swept, so normalized objectives remain comparable across runs.
+
+    The context is frozen because it caches what it derives from its fields;
+    ``dataclasses.replace`` makes a changed copy with an empty cache.
     """
 
     climate: ClimateSeries
@@ -125,12 +130,34 @@ class SimulationContext:
 
     def __post_init__(self):
         if self.baseline_generator is None:
-            self.baseline_generator = self.generator
+            object.__setattr__(self, "baseline_generator", self.generator)
 
     @cached_property
     def baseline(self) -> BaselineMetrics:
         return economics.baseline_metrics(self.load, self.baseline_generator,
                                           self.costs, self.fin)
+
+    @cached_property
+    def hourly_inputs(self) -> tuple["FeedInProfile", np.ndarray]:
+        """The checked, design-independent hourly inputs of ``simulate_year``:
+        the feed-in profile and the demand drawn from the DC bus [kW].
+
+        Computed on first use and kept; ``dataclasses.replace`` builds a new
+        context and therefore a new cache.  A failed check raises on every
+        use, since nothing is cached then.
+        """
+        climate, load = self.climate, self.load
+        if climate.n_hours != len(load):
+            raise InputDataError("climate and load horizons differ")
+        if climate.n_hours != 8760:
+            raise InputDataError("annual simulation needs 8760 hourly records")
+        if climate.has_missing():
+            raise InputDataError("climate series has missing values; fill gaps first")
+        if np.isnan(load.demand).any():
+            raise InputDataError("load series has missing values")
+        return (feed_in_profile(climate, self.pv, self.wind,
+                                printed_curve=self.strategy.wt_printed_curve),
+                load.demand / self.converter.eta_inv)
 
 
 @dataclass(frozen=True)
@@ -197,15 +224,33 @@ class SimResult:
                 ])
 
 
-def renewable_feed_in(design: Design, climate: ClimateSeries,
-                      pv: PvSpec, wind: WindSpec, converter: ConverterSpec,
-                      printed_curve: bool = False):
-    """Per-hour PV (DC), wind (AC) and combined DC-bus renewable power."""
-    p_pv = np.atleast_1d(pv_power(design.pv_units, climate.irradiance,
-                                  climate.temp_ambient, pv))
+class FeedInProfile(NamedTuple):
+    """Design-independent hourly factors of the renewable feed-in."""
+
+    irr: np.ndarray       # irradiance [kW/m2]
+    eta: np.ndarray       # PV cell efficiency
+    wt_frac: np.ndarray   # output of one turbine / its rated power
+
+
+def feed_in_profile(climate: ClimateSeries, pv: PvSpec, wind: WindSpec,
+                    printed_curve: bool = False) -> FeedInProfile:
+    """The feed-in factors of a climate series, shared by every design."""
     v_hub = hub_wind_speed(climate.wind_speed_ref, climate.ref_height, wind)
-    p_wt = np.atleast_1d(wt_power(design.wt_units, v_hub, wind,
-                                  printed_form=printed_curve))
+    return FeedInProfile(
+        climate.irradiance,
+        pv_efficiency(climate.irradiance, climate.temp_ambient, pv),
+        wt_power_fraction(v_hub, wind, printed_form=printed_curve))
+
+
+def renewable_feed_in(design: Design, profile: FeedInProfile, pv: PvSpec,
+                      wind: WindSpec, converter: ConverterSpec):
+    """Per-hour PV (DC), wind (AC) and combined DC-bus renewable power.
+
+    The products keep the operand order of ``pv_power`` and ``wt_power``,
+    so the result is bit-identical to theirs.
+    """
+    p_pv = design.pv_units * profile.eta * pv.collector_area * profile.irr
+    p_wt = design.wt_units * wind.rated_power * profile.wt_frac
     res_dc = p_pv + converter.eta_rec * p_wt
     return p_pv, p_wt, res_dc
 
@@ -470,20 +515,10 @@ def count_transitions(online) -> tuple[int, int]:
 
 def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
     """Simulate one year (8760 h) and compute objectives and lifecycle costs."""
-    climate, load = ctx.climate, ctx.load
-    if climate.n_hours != len(load):
-        raise InputDataError("climate and load horizons differ")
-    if climate.n_hours != 8760:
-        raise InputDataError("annual simulation needs 8760 hourly records")
-    if climate.has_missing():
-        raise InputDataError("climate series has missing values; fill gaps first")
-    if np.isnan(load.demand).any():
-        raise InputDataError("load series has missing values")
-
-    p_pv, p_wt, res_dc = renewable_feed_in(
-        design, climate, ctx.pv, ctx.wind, ctx.converter,
-        printed_curve=ctx.strategy.wt_printed_curve)
-    demand_dc = load.demand / ctx.converter.eta_inv
+    load = ctx.load
+    feed_in, demand_dc = ctx.hourly_inputs
+    p_pv, p_wt, res_dc = renewable_feed_in(design, feed_in, ctx.pv, ctx.wind,
+                                           ctx.converter)
 
     p_dg, p_bs, soc, dump, lost_dc, end = dispatch_cascade(
         res_dc, demand_dc, ctx.battery, design.e_b_init,

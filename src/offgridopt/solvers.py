@@ -394,29 +394,29 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+def _dominance(values: np.ndarray) -> np.ndarray:
+    """Matrix whose entry [i, j] is True where row i of ``values``
+    Pareto-dominates row j."""
+    a, b = values[:, None, :], values[None, :, :]
+    return np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+
+
 def _nondominated_sort(values: np.ndarray) -> list[np.ndarray]:
-    n = len(values)
-    dominated_by = [[] for _ in range(n)]
-    dom_count = np.zeros(n, dtype=int)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(values[i], values[j]):
-                dominated_by[i].append(j)
-                dom_count[j] += 1
-            elif dominates(values[j], values[i]):
-                dominated_by[j].append(i)
-                dom_count[i] += 1
+    """Fronts of ``values``, best first, each in ascending index order.
+
+    Every member of a front is dominated only by members of earlier fronts,
+    so removing a front subtracts its dominance rows from the counts.
+    """
+    dominance = _dominance(values)
+    dom_count = dominance.sum(axis=0)
+    unranked = np.ones(len(values), dtype=bool)
     fronts = []
     current = np.nonzero(dom_count == 0)[0]
     while current.size:
         fronts.append(current)
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                dom_count[j] -= 1
-                if dom_count[j] == 0:
-                    nxt.append(j)
-        current = np.array(sorted(set(nxt)), dtype=int)
+        unranked[current] = False
+        dom_count -= dominance[current].sum(axis=0)
+        current = np.nonzero(unranked & (dom_count == 0))[0]
     return fronts
 
 
@@ -429,8 +429,7 @@ def _crowding_distance(values: np.ndarray) -> np.ndarray:
         dist[order[0]] = dist[order[-1]] = np.inf
         if vmax - vmin < 1e-15:
             continue
-        for idx in range(1, n - 1):
-            dist[order[idx]] += (values[order[idx + 1], k] - values[order[idx - 1], k]) / (vmax - vmin)
+        dist[order[1:-1]] += (values[order[2:], k] - values[order[:-2], k]) / (vmax - vmin)
     return dist
 
 
@@ -484,14 +483,14 @@ def pareto_front(objectives, space: SearchSpace, population: int = 40,
         keep = np.array(keep, dtype=int)
         pop, vals = all_pop[keep], all_vals[keep]
 
-    # final strict filter: drop any dominated or duplicate member
+    # final strict filter: drop any dominated member, and any member close
+    # (np.allclose, the earlier member as reference) to an earlier kept one
     rounded = np.array([space.round_point(p) for p in pop])
-    result = []
-    for i in range(len(pop)):
-        if any(dominates(vals[j], vals[i]) for j in range(len(pop)) if j != i):
-            continue
-        if any(np.allclose(rounded[i], r) and np.allclose(vals[i], v)
-               for r, v in result):
-            continue
-        result.append((rounded[i], vals[i]))
-    return result
+    dominated = _dominance(vals).any(axis=0)
+    close = (np.isclose(rounded[:, None], rounded[None]).all(axis=2)
+             & np.isclose(vals[:, None], vals[None]).all(axis=2))
+    kept = []
+    for i in np.nonzero(~dominated)[0]:
+        if not close[i, kept].any():
+            kept.append(i)
+    return [(rounded[i], vals[i]) for i in kept]

@@ -336,6 +336,31 @@ def test_cli_malformed_config_writes_error_document(tmp_path, text):
     assert doc["status"] == "error" and doc["message"]
 
 
+def test_cli_dispatch_rejects_max_patterns_below_the_seed_schedules(tmp_path):
+    cfg = tmp_path / "few_patterns.yaml"
+    cfg.write_text("dispatch: {max_patterns: 0}\n")
+    code = run_cli(["dispatch", "--seed", 42, "--design", "100,8,45.45",
+                    "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert "max_patterns" in doc["message"]
+    assert not (tmp_path / "schedule.csv").exists()
+
+
+@pytest.mark.parametrize("design, message", [
+    ("100.6,8,45", "integer count"), ("100,7.5,45", "integer count"),
+    ("nan,8,45", "finite"), ("100,8,nan", "finite"), ("inf,8,45", "finite")])
+def test_cli_design_rejects_fractional_and_non_finite_values(tmp_path, design,
+                                                             message):
+    code = run_cli(["simulate", "--seed", 1, "--design", design,
+                    "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert message in doc["message"]
+
+
 def test_workers_flag_only_on_sweep(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["simulate", "--seed", 1, "--design", "10,2,20",

@@ -12,6 +12,7 @@ from offgridopt.dispatch import (DispatchContext, DispatchSchedule, Scenario,
                                  rule_based_schedule, scenario_scale_climate,
                                  suite_to_csv)
 from offgridopt.economics import CostTable, Weights
+from offgridopt.errors import InputDataError
 from offgridopt.simulate import Design
 from offgridopt.timeseries import (ClimateSeries, LoadSeries, flatten_load,
                                    make_peaky_load)
@@ -126,6 +127,17 @@ def test_optimizer_never_worse_than_feasible_rule_based():
     assert result.evaluation.weighted <= rb.weighted
     again = evaluate_schedule(result.schedule, day)
     assert again.feasible and again.weighted == result.evaluation.weighted
+
+
+@pytest.mark.parametrize("max_patterns", [-1, 0, 2])
+def test_optimizer_rejects_max_patterns_below_three(baseline_day, max_patterns):
+    with pytest.raises(InputDataError, match="max_patterns"):
+        optimize_day(baseline_day, max_patterns=max_patterns)
+
+
+def test_optimizer_runs_with_max_patterns_three(baseline_day):
+    result = optimize_day(baseline_day, max_patterns=3)
+    assert result.evaluation.weighted <= result.rule_based_evaluation.weighted
 
 
 def test_optimizer_respects_zero_dpsp_with_big_generator(annual_ctx):

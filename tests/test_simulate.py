@@ -2,18 +2,24 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from offgridopt.datasets import load_bundled_climate, reference_daily_load
 from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
-                                PvSpec, WindSpec)
+                                PvSpec, WindSpec, hub_wind_speed, pv_power,
+                                wt_power)
 from offgridopt.economics import (CostTable, FinancialParams, equal_weights,
                                   weighted_objective)
 from offgridopt.errors import InputDataError
 from offgridopt.simulate import (Design, SimulationContext, StrategyConfig,
                                  TRACE_HEADER, count_transitions,
-                                 hourly_power_balance_check, simulate_year,
+                                 feed_in_profile, hourly_power_balance_check,
+                                 renewable_feed_in, simulate_year,
                                  sizing_objective)
-from offgridopt.timeseries import LoadSeries, generate_annual_load
+from offgridopt.timeseries import (ClimateSeries, LoadSeries,
+                                   generate_annual_load)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +159,9 @@ def test_design_validation():
         Design(1.5, 2.0, 10.0)          # fractional count in integer mode
     with pytest.raises(InputDataError):
         Design.from_counts(-1, 0, 0)
+    for bad in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, np.nan)):
+        with pytest.raises(InputDataError, match="finite"):
+            Design(*bad, integer_counts=False)
     cont = Design.from_capacities(3.825, 14.0, 50.0, PvSpec(), WindSpec())
     assert cont.pv_units == pytest.approx(15.0)
     assert cont.wt_units == pytest.approx(4.0)
@@ -171,3 +180,93 @@ def test_battery_cycle_counting_modes(annual_ctx):
     efc = simulate_year(design, throughput).battery_cycles
     assert reversal == int(reversal) and reversal > 0
     assert efc > 0 and efc != reversal
+
+
+@st.composite
+def feed_in_cases(draw):
+    """Random PV and wind specs, climate hours and unit counts.  Some cases
+    put hub speeds above cut-out."""
+    n = draw(st.integers(1, 48))
+    pv = PvSpec(eta_ref=draw(st.floats(0.05, 0.3)),
+                eta_pc=draw(st.floats(0.8, 1.0)),
+                temp_ref=draw(st.floats(15.0, 30.0)),
+                irr_noct=draw(st.floats(0.5, 1.0)),
+                temp_cell_noct=draw(st.floats(35.0, 60.0)),
+                temp_amb_noct=draw(st.floats(15.0, 25.0)),
+                beta=draw(st.floats(0.0, 0.02)),
+                rated_power=draw(st.floats(0.1, 0.5)),
+                collector_area=draw(st.floats(0.5, 3.0)))
+    cut_in = draw(st.floats(1.0, 5.0))
+    rated_speed = draw(st.floats(cut_in + 0.5, 16.0))
+    wind = WindSpec(hub_height=draw(st.floats(5.0, 60.0)),
+                    rated_power=draw(st.floats(0.5, 50.0)),
+                    cut_in=cut_in, rated_speed=rated_speed,
+                    cut_out=draw(st.floats(rated_speed + 0.5, 30.0)),
+                    shear_exponent=draw(st.floats(0.05, 0.45)))
+    ref_height = draw(st.floats(1.0, 20.0))
+    v_ref = draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 25.0)))
+    if draw(st.booleans()):
+        scale = (wind.hub_height / ref_height) ** wind.shear_exponent
+        v_ref[draw(st.integers(0, n - 1))] = wind.cut_out / scale * draw(st.floats(1.01, 2.0))
+    climate = ClimateSeries(
+        draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.2))), v_ref,
+        draw(hnp.arrays(np.float64, n, elements=st.floats(-10.0, 50.0))),
+        ref_height)
+    integer = draw(st.booleans())
+    count = st.integers(0, 400).map(float) if integer else st.floats(0.0, 400.0)
+    design = Design(draw(count), draw(count), draw(st.floats(0.0, 300.0)),
+                    integer_counts=integer)
+    return design, climate, pv, wind, ConverterSpec(eta_rec=draw(st.floats(0.5, 1.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(feed_in_cases(), st.booleans())
+def test_cached_feed_in_equals_device_models(case, printed):
+    design, climate, pv, wind, converter = case
+    profile = feed_in_profile(climate, pv, wind, printed_curve=printed)
+    p_pv, p_wt, res_dc = renewable_feed_in(design, profile, pv, wind, converter)
+    v_hub = hub_wind_speed(climate.wind_speed_ref, climate.ref_height, wind)
+    pv_ref = pv_power(design.pv_units, climate.irradiance, climate.temp_ambient, pv)
+    wt_ref = wt_power(design.wt_units, v_hub, wind, printed_form=printed)
+    assert np.array_equal(p_pv, pv_ref)
+    assert np.array_equal(p_wt, wt_ref)
+    assert np.array_equal(res_dc, pv_ref + converter.eta_rec * wt_ref)
+
+
+def assert_same_simulation(a, b):
+    for name in ("p_pv", "p_wt", "p_res", "p_dg", "p_bs", "soc", "p_dump",
+                 "p_lost", "load"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.objectives == b.objectives and a.cost == b.cost
+
+
+@pytest.mark.parametrize("field", ["climate", "load", "pv", "wind",
+                                   "converter", "strategy"])
+def test_replaced_context_simulates_like_a_fresh_one(annual_ctx, field):
+    climate = annual_ctx.climate
+    changed = {
+        "climate": dataclasses.replace(
+            climate, irradiance=climate.irradiance * 0.8,
+            wind_speed_ref=climate.wind_speed_ref * 1.2,
+            temp_ambient=climate.temp_ambient + 5.0),
+        "load": generate_annual_load(reference_daily_load(), 0.2, seed=7),
+        "pv": dataclasses.replace(annual_ctx.pv, beta=0.006),
+        "wind": dataclasses.replace(annual_ctx.wind, cut_out=12.0),
+        "converter": ConverterSpec(eta_inv=0.8, eta_rec=0.85),
+        "strategy": dataclasses.replace(annual_ctx.strategy, wt_printed_curve=True),
+    }[field]
+    design = Design.from_counts(80, 10, 60)
+    before = simulate_year(design, annual_ctx)  # fills the context's cache
+    replaced = simulate_year(design, dataclasses.replace(annual_ctx, **{field: changed}))
+    fresh_fields = {f.name: getattr(annual_ctx, f.name)
+                    for f in dataclasses.fields(annual_ctx)}
+    fresh_fields[field] = changed
+    fresh = simulate_year(design, SimulationContext(**fresh_fields))
+    assert_same_simulation(replaced, fresh)
+    assert replaced.objectives != before.objectives
+
+
+def test_context_fields_cannot_be_reassigned(annual_ctx):
+    # the cached hourly inputs would go stale
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        annual_ctx.climate = annual_ctx.climate

@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from offgridopt.errors import InputDataError
-from offgridopt.solvers import (SearchSpace, benchmark_to_csv,
+from offgridopt.solvers import (SearchSpace, _crowding_distance,
+                                _nondominated_sort, benchmark_to_csv,
                                 benchmark_to_json, dominates, ga_minimize,
                                 multistart_minimize, pareto_front,
                                 pattern_search_minimize, pso_minimize,
@@ -153,6 +157,71 @@ def test_pareto_front_recovers_discrete_front():
                          population=16, generations=25, seed=2)
     found = sorted({int(p[0][0]) for p in front})
     assert found == [0, 1, 2, 3]
+
+
+def test_pareto_front_drops_duplicate_members():
+    # six integer points map onto two incomparable objective vectors, so
+    # the final population of eight repeats points; each survives once
+    space = SearchSpace([0], [5], [True])
+    front = pareto_front(lambda x: np.array([1.0, 2.0] if x[0] < 3 else [2.0, 1.0]),
+                         space, population=8, generations=3, seed=0)
+    assert {tuple(v) for _, v in front} == {(1.0, 2.0), (2.0, 1.0)}
+    points = [float(p[0]) for p, _ in front]
+    assert len(points) == len(set(points)) <= 6
+
+
+def reference_fronts(values):
+    """Fronts by the definition: the members no remaining member dominates,
+    removed front by front, each in ascending index order."""
+    remaining = list(range(len(values)))
+    fronts = []
+    while remaining:
+        front = [i for i in remaining
+                 if not any(dominates(values[j], values[i]) for j in remaining)]
+        fronts.append(front)
+        remaining = [i for i in remaining if i not in front]
+    return fronts
+
+
+def reference_crowding(values):
+    """NSGA-II crowding distance, one element at a time."""
+    n, m = values.shape
+    dist = np.zeros(n)
+    for k in range(m):
+        order = np.argsort(values[:, k])
+        span = values[order[-1], k] - values[order[0], k]
+        dist[order[0]] = dist[order[-1]] = np.inf
+        if span < 1e-15:
+            continue
+        for i in range(1, n - 1):
+            dist[order[i]] += (values[order[i + 1], k] - values[order[i - 1], k]) / span
+    return dist
+
+
+@st.composite
+def objective_sets(draw):
+    """1-40 points with 2-6 objectives; small integers give ties and
+    duplicates."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(2, 6))
+    elements = draw(st.sampled_from([st.integers(0, 3).map(float),
+                                     st.floats(-1e3, 1e3)]))
+    return draw(hnp.arrays(np.float64, (n, m), elements=elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(objective_sets())
+@example(np.array([[1.0, 2.0]]))
+@example(np.array([[1.0, 2.0], [1.0, 2.0]]))
+@example(np.array([[1.0, 2.0], [0.0, 3.0]]))
+@example(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 1.0]]))
+def test_sorting_matches_brute_force_reference(values):
+    fronts = _nondominated_sort(values)
+    assert [f.tolist() for f in fronts] == reference_fronts(values)
+    assert np.array_equal(_crowding_distance(values), reference_crowding(values))
+    for front in fronts:
+        assert np.array_equal(_crowding_distance(values[front]),
+                              reference_crowding(values[front]))
 
 
 # ---------------------------------------------------------------------------
