@@ -13,33 +13,21 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from offgridopt.config import build_config, build_context
-from offgridopt.economics import weighted_objective
 from offgridopt.seeding import substream_seed
-from offgridopt.simulate import Design, simulate_year
-from offgridopt.solvers import pso_minimize
+from offgridopt.simulate import simulate_year
 
 budget = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
 
-config = build_config({})
-ctx = build_context(config, seed=42)
-space = config.search_space()
-
-
-def objective(x):
-    design = Design(round(x[0]), round(x[1]), float(x[2]))
-    return weighted_objective(simulate_year(design, ctx).objectives,
-                              config.weights)
-
+config = build_config({"sizing": {"max_evals": budget}})
+problem = config.sizing_problem(build_context(config, seed=42))
 
 t0 = time.time()
-report = pso_minimize(objective, space, max_evals=budget,
-                      seed=substream_seed(42, "solver"))
+report = problem.solve(substream_seed(42, "solver"))
 print(f"PSO finished in {time.time() - t0:.0f}s after {report.evaluations} "
       f"simulated years")
 
-best = Design(round(report.best_point[0]), round(report.best_point[1]),
-              float(report.best_point[2]))
-sim = simulate_year(best, ctx)
+best = problem.design(report.best_point)
+sim = simulate_year(best, problem.ctx)
 o = sim.objectives
 print(f"\noptimal design [n_s, n_w, E_b] = "
       f"[{int(best.pv_units)}, {int(best.wt_units)}, {best.e_b_init:.2f}]")

@@ -6,31 +6,21 @@ by the overall metric (runtime x best objective, lower is better).
 
 import pathlib
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from offgridopt.config import build_config, build_context
-from offgridopt.economics import weighted_objective
 from offgridopt.seeding import substream_seed
-from offgridopt.simulate import Design, simulate_year
-from offgridopt.solvers import benchmark_to_csv, solver_benchmark
+from offgridopt.solvers import SOLVERS, benchmark_to_csv
 
 budget = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
 
-config = build_config({})
-ctx = build_context(config, seed=42)
-
-
-def objective(x):
-    design = Design(round(x[0]), round(x[1]), float(x[2]))
-    return weighted_objective(simulate_year(design, ctx).objectives,
-                              config.weights)
-
-
-reports = solver_benchmark(objective, config.search_space(),
-                           solvers=("pso", "ga", "sa", "ps", "ms"),
-                           seed=substream_seed(42, "solver"),
-                           max_evals=budget)
+config = build_config({"sizing": {"max_evals": budget}})
+problem = config.sizing_problem(build_context(config, seed=42))
+seed = substream_seed(42, "solver")
+reports = sorted((replace(problem, solver=name).solve(seed)
+                  for name in SOLVERS), key=lambda r: r.overall)
 
 print(f"{'solver':<16} {'t [s]':>8} {'min obj':>9} {'overall':>9}  best point")
 for r in reports:

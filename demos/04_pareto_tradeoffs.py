@@ -14,19 +14,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from offgridopt.config import build_config, build_context
 from offgridopt.seeding import substream_seed
-from offgridopt.simulate import Design, simulate_year
 from offgridopt.solvers import pareto_front
 
 config = build_config({})
-ctx = build_context(config, seed=42)
-
-
-def objectives(x):
-    design = Design(round(x[0]), round(x[1]), float(x[2]))
-    return simulate_year(design, ctx).objectives.as_array()
-
-
-front = pareto_front(objectives, config.search_space(),
+problem = config.sizing_problem(build_context(config, seed=42))
+front = pareto_front(problem.objectives, problem.space,
                      population=36, generations=25,
                      seed=substream_seed(42, "solver"))
 print(f"non-dominated set: {len(front)} designs\n")
@@ -37,8 +29,9 @@ labels = ["lcoe_norm", "em_norm", "dpsp", "repg", "1-ref"]
 
 for k, label in enumerate(labels):
     i = int(np.argmin(values[:, k]))
-    p, v = points[i], values[i]
-    print(f"best {label:<10}: [{int(p[0])}, {int(p[1])}, {p[2]:.1f}]  "
+    d, v = problem.design(points[i]), values[i]
+    print(f"best {label:<10}: "
+          f"[{d.pv_units:g}, {d.wt_units:g}, {d.e_b_init:.1f}]  "
           + "  ".join(f"{n}={x:.3f}" for n, x in zip(labels, v)))
 
 print("\nevery returned design is mutually non-dominated; the spread shows")

@@ -18,20 +18,19 @@ from offgridopt.sweeps import (SweepSpec, objective_at_fixed_design,
 
 budget = int(sys.argv[1]) if len(sys.argv) > 1 else 600
 
-config = build_config({})
+config = build_config({"sizing": {"max_evals": budget, "swarm_size": 20}})
 ctx = build_context(config, seed=42)
 
 spec = SweepSpec("bs_price", (50.0, 150.0, 300.0))
-rows = run_sweep(spec, ctx, config.weights, config.search_space(),
-                 seed=substream_seed(42, "solver"), max_evals=budget,
-                 swarm_size=20)
+rows = run_sweep(spec, config.sizing_problem(ctx),
+                 seed=substream_seed(42, "solver"))
 
 print("re-optimized design vs storage price [$/kWh]:")
 print(f"{'price':>6} {'n_s':>4} {'n_w':>4} {'E_b':>7} {'lcoe_n':>7} "
       f"{'cycles':>7} {'obj':>7}")
 for r in rows:
-    print(f"{r.value:>6.0f} {int(r.design.pv_units):>4} "
-          f"{int(r.design.wt_units):>4} {r.design.e_b_init:>7.1f} "
+    print(f"{r.value:>6.0f} {r.design.pv_units:>4g} "
+          f"{r.design.wt_units:>4g} {r.design.e_b_init:>7.1f} "
           f"{r.objectives.lcoe_norm:>7.3f} {r.bs_cycles:>7.0f} "
           f"{r.weighted_obj:>7.4f}")
 sweep_to_csv(rows, "sweep_bs_price.csv")

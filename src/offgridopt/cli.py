@@ -10,8 +10,10 @@ file alone) plus the CSV artifacts of the module it drives.  Exit status is
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,41 +96,25 @@ def cmd_simulate(args, config) -> dict:
     return results
 
 
-def _sizing_problem(config, seed):
-    ctx = build_context(config, seed)
-    weights = config.weights
-
-    def make_design(x):
-        # integer mode: unit counts; continuous mode: total rated kW
-        if config.sizing["integer_counts"]:
-            return Design(round(x[0]), round(x[1]), float(x[2]))
-        return Design.from_capacities(float(x[0]), float(x[1]), float(x[2]),
-                                      config.pv, config.wind)
-
-    def objective(x):
-        return weighted_objective(simulate_year(make_design(x), ctx).objectives,
-                                  weights)
-
-    return ctx, objective, config.search_space(), make_design
+def _problem(args, config):
+    """The configured sizing problem at the run seed, with the budget of
+    ``--max-evals`` when given."""
+    problem = config.sizing_problem(build_context(config, args.seed))
+    return replace(problem, max_evals=args.max_evals or problem.max_evals)
 
 
 def cmd_size(args, config) -> dict:
     if args.weights:
         config.weights = Weights(_parse_weights(args.weights))
-    ctx, objective, space, make_design = _sizing_problem(config, args.seed)
-    solver_name = args.solver or config.sizing["solver"]
-    if solver_name not in solvers.SOLVERS:
-        raise InputDataError(f"unknown solver {solver_name!r}")
-    kwargs = {"max_evals": args.max_evals or config.sizing["max_evals"],
-              "seed": substream_seed(args.seed, "solver")}
-    if solver_name == "pso":
-        kwargs["swarm_size"] = config.sizing["swarm_size"]
-    report = solvers.SOLVERS[solver_name](objective, space, **kwargs)
-    design = make_design(report.best_point)
-    sim = simulate_year(design, ctx)
+    problem = _problem(args, config)
+    if args.solver:
+        problem = replace(problem, solver=args.solver)
+    report = problem.solve(substream_seed(args.seed, "solver"))
+    design = problem.design(report.best_point)
+    sim = simulate_year(design, problem.ctx)
     # deliberately no wall-clock fields: same seed => byte-identical result
     return {
-        "solver": solver_name,
+        "solver": problem.solver,
         "best_point": [float(v) for v in report.best_point],
         "best_design": list(design.as_vector()),
         "best_value": report.best_value,
@@ -172,41 +158,31 @@ def cmd_dispatch(args, config) -> dict:
 
 
 def cmd_pareto(args, config) -> dict:
-    ctx = build_context(config, args.seed)
-    space = config.search_space()
-
-    def objectives(x):
-        design = Design(round(x[0]), round(x[1]), float(x[2]))
-        return simulate_year(design, ctx).objectives.as_array()
-
-    front = solvers.pareto_front(objectives, space,
+    problem = config.sizing_problem(build_context(config, args.seed))
+    front = solvers.pareto_front(problem.objectives, problem.space,
                                  population=args.population,
                                  generations=args.generations,
                                  seed=substream_seed(args.seed, "solver"))
-    out = Path(args.out)
-    import csv as _csv
-    with open(out / "pareto.csv", "w", newline="\n", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+    with open(Path(args.out) / "pareto.csv", "w", newline="\n",
+              encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n_s", "n_w", "e_b", "lcoe_norm", "em_norm", "dpsp",
                          "repg", "one_minus_ref"])
         for point, vals in front:
-            writer.writerow([int(point[0]), int(point[1]), f"{point[2]:.3f}"]
+            writer.writerow(problem.design(point).csv_cells()
                             + [f"{v:.6f}" for v in vals])
     return {"n_points": len(front), "pareto_csv": "pareto.csv"}
 
 
 def cmd_sweep(args, config) -> dict:
-    ctx = build_context(config, args.seed)
     if args.values:
         spec = sweeps.SweepSpec(args.parameter,
                                 tuple(float(v) for v in args.values.split(",")))
     else:
         spec = sweeps.SweepSpec.default(args.parameter)
-    rows = sweeps.run_sweep(
-        spec, ctx, config.weights, config.search_space(),
-        seed=substream_seed(args.seed, "solver"),
-        max_evals=args.max_evals or config.sizing["max_evals"],
-        swarm_size=config.sizing["swarm_size"], workers=args.workers)
+    rows = sweeps.run_sweep(spec, _problem(args, config),
+                            seed=substream_seed(args.seed, "solver"),
+                            workers=args.workers)
     out = Path(args.out)
     sweeps.sweep_to_csv(rows, out / f"sweep_{args.parameter}.csv")
     return {
@@ -244,11 +220,13 @@ def cmd_breakeven(args, config) -> dict:
 
 
 def cmd_bench(args, config) -> dict:
-    _, objective, space, _ = _sizing_problem(config, args.seed)
-    names = [s.strip() for s in args.solvers.split(",")]
-    reports = solvers.solver_benchmark(
-        objective, space, names, seed=substream_seed(args.seed, "solver"),
-        max_evals=args.max_evals or config.sizing["max_evals"])
+    """Every named solver on the configured sizing problem, ranked by the
+    overall metric (runtime x best value, lower is better)."""
+    problem = _problem(args, config)
+    seed = substream_seed(args.seed, "solver")
+    reports = sorted((replace(problem, solver=name.strip()).solve(seed)
+                      for name in args.solvers.split(",")),
+                     key=lambda r: r.overall)
     out = Path(args.out)
     solvers.benchmark_to_csv(reports, out / "benchmark.csv")
     solvers.benchmark_to_json(reports, out / "benchmark.json")

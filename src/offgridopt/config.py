@@ -22,7 +22,7 @@ from .devices import (BatterySpec, ConverterSpec, GeneratorSpec, PvSpec,
 from .economics import CostTable, FinancialParams, Weights, microturbine_costs
 from .errors import ConfigError, InputDataError
 from .seeding import substream_seed
-from .simulate import SimulationContext, StrategyConfig
+from .simulate import SimulationContext, SizingProblem, StrategyConfig
 from .solvers import SearchSpace
 from .timeseries import (generate_annual_load, read_climate_csv,
                          read_load_csv, scale_wind)
@@ -147,6 +147,13 @@ class RunConfig:
         return SearchSpace(self.sizing["bounds_lower"],
                            self.sizing["bounds_upper"],
                            [self.sizing["integer_counts"]] * 2 + [False])
+
+    def sizing_problem(self, ctx: SimulationContext) -> SizingProblem:
+        """The sizing problem on ``ctx``: this config's search space,
+        weights, solver, evaluation budget and swarm size."""
+        return SizingProblem(ctx, self.search_space(), self.weights,
+                             self.sizing["solver"], self.sizing["max_evals"],
+                             self.sizing["swarm_size"])
 
     def baseline_generator(self) -> GeneratorSpec:
         return dataclasses.replace(self.generator,

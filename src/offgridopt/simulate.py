@@ -33,12 +33,13 @@ import numpy as np
 
 from . import economics
 from .devices import (CAPACITY_FADE_FLOOR, BatterySpec, ConverterSpec,
-                      GeneratorSpec, PvSpec, WindSpec, battery_power_limit,
-                      hub_wind_speed, pv_efficiency, self_discharge_hourly,
-                      wt_power_fraction)
+                      GeneratorSpec, PvSpec, WindSpec, battery_capacity,
+                      battery_power_limit, hub_wind_speed, pv_efficiency,
+                      self_discharge_hourly, wt_power_fraction)
 from .economics import (BaselineMetrics, CostTable, FinancialParams,
                         ObjectiveVector, Weights, weighted_objective)
 from .errors import InputDataError
+from .solvers import SOLVERS, SearchSpace, SolverReport
 from .timeseries import ClimateSeries, LoadSeries
 
 TRACE_HEADER = ["hour", "p_pv", "p_wt", "p_dg", "p_bs", "soc", "p_dump",
@@ -69,12 +70,6 @@ class Design:
     def from_counts(cls, n_s: int, n_w: int, e_b_init: float) -> "Design":
         return cls(float(n_s), float(n_w), float(e_b_init), integer_counts=True)
 
-    @classmethod
-    def from_capacities(cls, pv_kw: float, wt_kw: float, e_b_init: float,
-                        pv: PvSpec, wind: WindSpec) -> "Design":
-        return cls(pv_kw / pv.rated_power, wt_kw / wind.rated_power,
-                   float(e_b_init), integer_counts=False)
-
     def pv_kw(self, pv: PvSpec) -> float:
         return self.pv_units * pv.rated_power
 
@@ -83,6 +78,12 @@ class Design:
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.pv_units, self.wt_units, self.e_b_init])
+
+    def csv_cells(self) -> list[str]:
+        """The n_s, n_w and e_b cells of a CSV row; a whole unit count
+        prints without a decimal point."""
+        return [f"{self.pv_units:.10g}", f"{self.wt_units:.10g}",
+                f"{self.e_b_init:.3f}"]
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,6 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
     soc_min = battery.soc_min
     soc_max = battery.soc_max
     leak = self_discharge_hourly(battery)
-    fade = battery.fade_per_cycle
     has_battery = e_b_init > 0
     soc = start.soc
     cycles = start.cycles
@@ -335,10 +335,7 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
         lost_dc = 0.0
 
         if has_battery:
-            e_c = e_b_init * (1.0 - cycles * fade)
-            floor = CAPACITY_FADE_FLOOR * e_b_init
-            if e_c < floor:
-                e_c = floor
+            e_c = battery_capacity(e_b_init, cycles, battery)
             p_lim = battery_power_limit(e_c, battery)
             s = (1.0 - leak) * soc
             if s < soc_min:
@@ -597,11 +594,53 @@ def _economics_summary(design, ctx, dg_energy, res_energy, gen_energy,
     return objectives, cost, emissions
 
 
-def sizing_objective(design: Design, ctx: SimulationContext,
-                     weights: Weights) -> float:
-    """Weighted scalar objective of a candidate design (lower is better)."""
-    sim = simulate_year(design, ctx)
-    return weighted_objective(sim.objectives, weights)
+@dataclass(frozen=True)
+class SizingProblem:
+    """The sizing problem: a search over [n_s, n_w, E_b] scored by the five
+    objectives, with the solver settings that minimize it.
+
+    ``size``, ``bench``, ``pareto`` and ``sweep`` all solve this one
+    problem; a sweep point is the problem with its context and weights
+    replaced.
+    """
+
+    ctx: SimulationContext
+    space: SearchSpace
+    weights: Weights
+    solver: str               # a key of ``solvers.SOLVERS``
+    max_evals: int
+    swarm_size: int           # PSO only
+
+    def __post_init__(self):
+        if self.solver not in SOLVERS:
+            raise InputDataError(f"unknown solver {self.solver!r}; "
+                                 f"pick from {sorted(SOLVERS)}")
+
+    def design(self, x) -> Design:
+        """The design of search point ``x``: an integer PV or wind dimension
+        is a unit count, a continuous one the total rated power [kW]."""
+        integer = self.space.integer_mask
+        rated = (self.ctx.pv.rated_power, self.ctx.wind.rated_power)
+        pv, wt = (round(x[i]) if integer[i] else float(x[i]) / rated[i]
+                  for i in (0, 1))
+        return Design(pv, wt, float(x[2]),
+                      integer_counts=bool(integer[0] and integer[1]))
+
+    def objective(self, x) -> float:
+        """Weighted scalar objective of a search point (lower is better)."""
+        return weighted_objective(
+            simulate_year(self.design(x), self.ctx).objectives, self.weights)
+
+    def objectives(self, x) -> np.ndarray:
+        """The five objectives of a search point, for ``pareto_front``."""
+        return simulate_year(self.design(x), self.ctx).objectives.as_array()
+
+    def solve(self, seed: int) -> SolverReport:
+        """Minimize ``objective`` with the named solver and budget."""
+        kwargs = {"max_evals": self.max_evals, "seed": seed}
+        if self.solver == "pso":
+            kwargs["swarm_size"] = self.swarm_size
+        return SOLVERS[self.solver](self.objective, self.space, **kwargs)
 
 
 def hourly_power_balance_check(sim: SimResult, converter: ConverterSpec,

@@ -1,5 +1,5 @@
 """Derivative-free global optimizers for the non-convex, non-smooth sizing
-objective, plus Pareto-front generation and a solver benchmark harness.
+objective, plus Pareto-front generation and the solver benchmark tables.
 
 All solvers share the same contract: box bounds with an optional per-
 dimension integer mask (integer dimensions are rounded at evaluation time
@@ -351,22 +351,6 @@ SOLVERS = {
     "ps": pattern_search_minimize,
     "ms": multistart_minimize,
 }
-
-
-def solver_benchmark(objective, space: SearchSpace, solvers=("pso", "ga", "sa", "ps", "ms"),
-                     seed: int = 0, max_evals: int = 2000) -> list[SolverReport]:
-    """Run each solver under an identical evaluation budget and rank by the
-    overall metric (runtime x best value, lower is better)."""
-    if not solvers:
-        raise InputDataError("at least one solver required")
-    reports = []
-    for name in solvers:
-        if name not in SOLVERS:
-            raise InputDataError(f"unknown solver {name!r}; pick from {sorted(SOLVERS)}")
-        reports.append(SOLVERS[name](objective, space, max_evals=max_evals,
-                                     seed=seed))
-    reports.sort(key=lambda r: r.overall)
-    return reports
 
 
 def benchmark_to_csv(reports: list[SolverReport], path):

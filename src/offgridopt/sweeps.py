@@ -1,11 +1,13 @@
 """Parameter sweeps: vary one parameter (or one objective weight), re-run
 the sizing optimization per point, and emit trend tables.
 
-Each sweep point uses the same solver, budget and seed so differences
-between rows reflect the parameter, not solver noise.  A point whose inputs
-are invalid (``InputDataError``) is recorded as a failed row and the sweep
-continues, so the output has one row per requested value; any other
-exception propagates.
+Each sweep point re-solves the configured sizing problem with its context
+and weights overridden: the solver, budget, swarm size, search space and
+seed are the ones ``size`` uses, so differences between rows reflect the
+parameter, not solver noise.  A point whose inputs are invalid
+(``InputDataError``) is recorded as a failed row and the sweep continues,
+so the output has one row per requested value; any other exception
+propagates.
 """
 
 from __future__ import annotations
@@ -13,12 +15,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .economics import Weights, weighted_objective
 from .errors import InputDataError
-from .simulate import Design, SimulationContext, simulate_year
-from .solvers import SearchSpace, pso_minimize
+from .simulate import Design, SimulationContext, SizingProblem, simulate_year
 
 SWEEP_PARAMETERS = ("dg_rated", "fuel_price", "nominal_rate", "inflation",
                     "bs_price", "w1", "w2", "w3", "w4", "w5")
@@ -106,20 +105,14 @@ class SweepRow:
 
 
 def _sweep_point(task) -> SweepRow:
-    parameter, value, ctx, weights, space, seed, max_evals, swarm_size = task
+    problem, parameter, value, seed = task
     try:
-        point_ctx, point_w = apply_override(ctx, weights, parameter, value)
-
-        def objective(x, c=point_ctx, w=point_w):
-            d = Design(round(x[0]), round(x[1]), float(x[2]))
-            return weighted_objective(simulate_year(d, c).objectives, w)
-
-        report = pso_minimize(objective, space, swarm_size=swarm_size,
-                              max_evals=max_evals, seed=seed)
-        design = Design(round(report.best_point[0]),
-                        round(report.best_point[1]),
-                        float(report.best_point[2]))
-        sim = simulate_year(design, point_ctx)
+        ctx, weights = apply_override(problem.ctx, problem.weights, parameter,
+                                      value)
+        point = replace(problem, ctx=ctx, weights=weights)
+        report = point.solve(seed)
+        design = point.design(report.best_point)
+        sim = simulate_year(design, ctx)
         return SweepRow(value, design, sim.objectives, sim.dg_online_hours,
                         sim.battery_cycles, report.best_value)
     except InputDataError as exc:
@@ -127,14 +120,12 @@ def _sweep_point(task) -> SweepRow:
                         status=f"failed: {exc}")
 
 
-def run_sweep(spec: SweepSpec, ctx: SimulationContext, weights: Weights,
-              space: SearchSpace, seed: int = 0, max_evals: int = 2000,
-              swarm_size: int = 30, workers: int = 1) -> list[SweepRow]:
-    """Re-optimize the sizing problem at each sweep value (same seed and
-    budget per point).  Points run in parallel when ``workers > 1``; the
+def run_sweep(spec: SweepSpec, problem: SizingProblem, seed: int = 0,
+              workers: int = 1) -> list[SweepRow]:
+    """Re-solve the sizing problem at each sweep value with its solver,
+    budget and seed.  Points run in parallel when ``workers > 1``; the
     output row order always follows ``spec.values``."""
-    tasks = [(spec.parameter, value, ctx, weights, space, seed, max_evals,
-              swarm_size) for value in spec.values]
+    tasks = [(problem, spec.parameter, value, seed) for value in spec.values]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -166,10 +157,9 @@ def sweep_to_csv(rows: list[SweepRow], path):
                 writer.writerow([r.value] + [""] * 10 + [r.status])
                 continue
             o = r.objectives
-            writer.writerow([
-                r.value, int(r.design.pv_units), int(r.design.wt_units),
-                f"{r.design.e_b_init:.3f}", f"{o.lcoe_norm:.5f}",
-                f"{o.em_norm:.5f}", f"{o.dpsp:.6f}", f"{o.repg:.5f}",
-                f"{o.one_minus_ref:.5f}", r.dg_hours, f"{r.bs_cycles:.1f}",
-                f"{r.weighted_obj:.5f}", r.status,
-            ])
+            writer.writerow([r.value, *r.design.csv_cells(),
+                             f"{o.lcoe_norm:.5f}", f"{o.em_norm:.5f}",
+                             f"{o.dpsp:.6f}", f"{o.repg:.5f}",
+                             f"{o.one_minus_ref:.5f}", r.dg_hours,
+                             f"{r.bs_cycles:.1f}", f"{r.weighted_obj:.5f}",
+                             r.status])

@@ -16,9 +16,9 @@ from offgridopt.dispatch import Scenario, day_context, optimize_day, robustness_
 from offgridopt.economics import (CostTable, FinancialParams, Weights, crf,
                                   emission_factor_sum, equal_weights,
                                   microturbine_costs, pw_recurring, real_rate,
-                                  break_even_distance, weighted_objective)
+                                  break_even_distance)
 from offgridopt.seeding import substream_seed
-from offgridopt.simulate import (Design, SimulationContext,
+from offgridopt.simulate import (Design, SimulationContext, SizingProblem,
                                  hourly_power_balance_check, simulate_year)
 from offgridopt.solvers import (SearchSpace, dominates, ga_minimize,
                                 multistart_minimize, pareto_front,
@@ -57,13 +57,9 @@ def sizing_runs(annual_ctx):
             generator=generator, converter=annual_ctx.converter, costs=costs,
             fin=annual_ctx.fin, strategy=annual_ctx.strategy)
 
-        def objective(x, c=ctx, w=w):
-            design = Design(round(x[0]), round(x[1]), float(x[2]))
-            return weighted_objective(simulate_year(design, c).objectives, w)
-
-        report = pso_minimize(objective, space, max_evals=2000, seed=SOLVER_SEED)
-        best = Design(round(report.best_point[0]), round(report.best_point[1]),
-                      float(report.best_point[2]))
+        problem = SizingProblem(ctx, space, w, "pso", 2000, 30)
+        report = problem.solve(SOLVER_SEED)
+        best = problem.design(report.best_point)
         runs[name] = (report.best_value, best, simulate_year(best, ctx))
     return runs
 
@@ -209,15 +205,13 @@ def test_criterion_10_robustness_directionality(annual_ctx):
 
 
 def test_criterion_11_pareto_integrity(annual_ctx):
-    space = SearchSpace([0, 0, 0], [100, 30, 200], [True, True, False])
-
-    def objectives(x):
-        design = Design(round(x[0]), round(x[1]), float(x[2]))
-        return simulate_year(design, annual_ctx).objectives.as_array()
+    problem = SizingProblem(
+        annual_ctx, SearchSpace([0, 0, 0], [100, 30, 200], [True, True, False]),
+        equal_weights(), "pso", 2000, 30)
 
     t0 = time.time()
-    front = pareto_front(objectives, space, population=36, generations=25,
-                         seed=SOLVER_SEED)
+    front = pareto_front(problem.objectives, problem.space, population=36,
+                         generations=25, seed=SOLVER_SEED)
     elapsed = time.time() - t0
     ok = len(front) > 0
     for i, (_, vi) in enumerate(front):

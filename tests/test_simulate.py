@@ -13,11 +13,11 @@ from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
 from offgridopt.economics import (CostTable, FinancialParams, equal_weights,
                                   weighted_objective)
 from offgridopt.errors import InputDataError
-from offgridopt.simulate import (Design, SimulationContext, StrategyConfig,
-                                 TRACE_HEADER, count_transitions,
-                                 feed_in_profile, hourly_power_balance_check,
-                                 renewable_feed_in, simulate_year,
-                                 sizing_objective)
+from offgridopt.simulate import (Design, SimulationContext, SizingProblem,
+                                 StrategyConfig, TRACE_HEADER,
+                                 count_transitions, feed_in_profile,
+                                 hourly_power_balance_check,
+                                 renewable_feed_in, simulate_year)
 from offgridopt.timeseries import (ClimateSeries, LoadSeries,
                                    generate_annual_load)
 
@@ -117,11 +117,14 @@ def test_ref_is_zero_exactly_without_renewables(annual_ctx):
     assert some.objectives.one_minus_ref < 1.0
 
 
-def test_sizing_objective_matches_simulation(annual_ctx):
+def test_sizing_problem_objective_matches_simulation(annual_ctx, default_config):
     design = Design.from_counts(60, 6, 70)
     w = equal_weights()
+    problem = SizingProblem(annual_ctx, default_config.search_space(), w,
+                            "pso", 2000, 30)
+    assert problem.design(design.as_vector()) == design
     direct = weighted_objective(simulate_year(design, annual_ctx).objectives, w)
-    assert sizing_objective(design, annual_ctx, w) == pytest.approx(direct, rel=1e-12)
+    assert problem.objective(design.as_vector()) == pytest.approx(direct, rel=1e-12)
 
 
 def test_trace_csv_has_documented_columns(annual_ctx, tmp_path):
@@ -162,9 +165,6 @@ def test_design_validation():
     for bad in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, np.nan)):
         with pytest.raises(InputDataError, match="finite"):
             Design(*bad, integer_counts=False)
-    cont = Design.from_capacities(3.825, 14.0, 50.0, PvSpec(), WindSpec())
-    assert cont.pv_units == pytest.approx(15.0)
-    assert cont.wt_units == pytest.approx(4.0)
 
 
 def test_battery_cycle_counting_modes(annual_ctx):

@@ -6,13 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from offgridopt.config import build_config
 from offgridopt.errors import InputDataError
 from offgridopt.solvers import (SearchSpace, _crowding_distance,
                                 _nondominated_sort, benchmark_to_csv,
                                 benchmark_to_json, dominates, ga_minimize,
                                 multistart_minimize, pareto_front,
                                 pattern_search_minimize, pso_minimize,
-                                sa_minimize, solver_benchmark)
+                                sa_minimize)
 
 BOX3 = SearchSpace([-5, -5, -5], [5, 5, 5], [False] * 3)
 INT3 = SearchSpace([0, 0, 0], [9, 9, 19], [True, True, True])
@@ -229,11 +230,10 @@ def test_sorting_matches_brute_force_reference(values):
 # ---------------------------------------------------------------------------
 
 def test_benchmark_overall_and_outputs(tmp_path):
-    reports = solver_benchmark(grid_objective, INT3,
-                               solvers=("pso", "ps"), seed=1, max_evals=800)
+    reports = [solver(grid_objective, INT3, max_evals=800, seed=1)
+               for solver in (pso_minimize, pattern_search_minimize)]
     for r in reports:
         assert r.overall == pytest.approx(r.runtime_s * r.best_value)
-    assert [r.overall for r in reports] == sorted(r.overall for r in reports)
     benchmark_to_csv(reports, tmp_path / "bench.csv")
     benchmark_to_json(reports, tmp_path / "bench.json")
     header = (tmp_path / "bench.csv").read_text().splitlines()[0]
@@ -247,6 +247,6 @@ def test_benchmark_same_solver_twice_gives_identical_solutions():
     assert a.best_value == b.best_value
 
 
-def test_benchmark_rejects_unknown_solver():
-    with pytest.raises(InputDataError):
-        solver_benchmark(sphere, BOX3, solvers=("nope",), seed=0)
+def test_benchmark_rejects_unknown_solver(annual_ctx):
+    with pytest.raises(InputDataError, match="unknown solver"):
+        build_config({"sizing": {"solver": "nope"}}).sizing_problem(annual_ctx)

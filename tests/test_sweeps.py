@@ -7,8 +7,7 @@ from offgridopt import sweeps
 from offgridopt.economics import equal_weights
 from offgridopt.errors import InputDataError
 from offgridopt.seeding import substream_seed
-from offgridopt.simulate import Design, simulate_year
-from offgridopt.solvers import pso_minimize
+from offgridopt.simulate import Design, SizingProblem, simulate_year
 from offgridopt.sweeps import (SweepSpec, apply_override,
                                objective_at_fixed_design, run_sweep,
                                sweep_to_csv)
@@ -82,26 +81,20 @@ def test_no_override_reproduces_sizing_run(annual_ctx, default_config):
 
 
 def test_single_point_sweep_reproduces_unswept_optimum(annual_ctx, default_config):
-    space = default_config.search_space()
+    problem = SizingProblem(annual_ctx, default_config.search_space(), W,
+                            "pso", 400, 30)
     seed = substream_seed(42, "solver")
-
-    def objective(x):
-        d = Design(round(x[0]), round(x[1]), float(x[2]))
-        sim = simulate_year(d, annual_ctx)
-        return float(np.dot(sim.objectives.as_array(), np.array(W.values)))
-
-    unswept = pso_minimize(objective, space, max_evals=400, seed=seed)
-    rows = run_sweep(SweepSpec("dg_rated", (16.0,)), annual_ctx, W, space,
-                     seed=seed, max_evals=400)
+    unswept = problem.solve(seed)
+    rows = run_sweep(SweepSpec("dg_rated", (16.0,)), problem, seed=seed)
     assert rows[0].status == "ok"
     assert rows[0].weighted_obj == pytest.approx(unswept.best_value, rel=1e-9)
     assert rows[0].design.as_vector() == pytest.approx(unswept.best_point)
 
 
 def test_sweep_keeps_row_count_with_failures(annual_ctx, default_config, tmp_path):
-    space = default_config.search_space()
-    rows = run_sweep(SweepSpec("bs_price", (-50.0, 300.0)), annual_ctx, W,
-                     space, seed=1, max_evals=120, swarm_size=10)
+    problem = SizingProblem(annual_ctx, default_config.search_space(), W,
+                            "pso", 120, 10)
+    rows = run_sweep(SweepSpec("bs_price", (-50.0, 300.0)), problem, seed=1)
     assert len(rows) == 2
     assert rows[0].status.startswith("failed") and math.isnan(rows[0].weighted_obj)
     assert rows[1].status == "ok"
@@ -120,17 +113,17 @@ def test_sweep_point_programming_error_propagates(annual_ctx, default_config,
 
     monkeypatch.setattr(sweeps, "simulate_year", broken)
     with pytest.raises(TypeError, match="bug inside"):
-        run_sweep(SweepSpec("bs_price", (300.0,)), annual_ctx, W,
-                  default_config.search_space(), seed=1, max_evals=120,
-                  swarm_size=10)
+        run_sweep(SweepSpec("bs_price", (300.0,)),
+                  SizingProblem(annual_ctx, default_config.search_space(), W,
+                                "pso", 120, 10), seed=1)
 
 
 @pytest.mark.slow
 def test_generator_rating_sweep_reliability_trend(annual_ctx, default_config):
-    space = default_config.search_space()
-    rows = run_sweep(SweepSpec.default("dg_rated"), annual_ctx, W, space,
-                     seed=substream_seed(42, "solver"), max_evals=600,
-                     swarm_size=20)
+    problem = SizingProblem(annual_ctx, default_config.search_space(), W,
+                            "pso", 600, 20)
+    rows = run_sweep(SweepSpec.default("dg_rated"), problem,
+                     seed=substream_seed(42, "solver"))
     dpsp = [r.objectives.dpsp for r in rows]
     assert all(b <= a + 1e-9 for a, b in zip(dpsp, dpsp[1:]))  # weakly decreasing
     assert dpsp[4] == 0.0 and dpsp[5] == 0.0                   # 16 and 20 kW
