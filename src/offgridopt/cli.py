@@ -5,6 +5,10 @@ Subcommands: ``simulate``, ``size``, ``dispatch``, ``pareto``, ``sweep``,
 fully resolved config and seed, so reruns are reproducible from the result
 file alone) plus the CSV artifacts of the module it drives.  Exit status is
 0 iff the result document reports success.
+
+A flag declared with ``_key_flag`` sets one config key: ``main`` merges it
+into the YAML mapping before ``build_config`` checks it, so ``result.json``
+records it.
 """
 
 from __future__ import annotations
@@ -17,25 +21,30 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from . import dispatch as dispatch_mod
 from . import economics, solvers, sweeps
-from .config import SCHEMA_VERSION, build_config, build_context, load_config
+from .config import SCHEMA_VERSION, build_config, build_context, read_mapping
 from .economics import Weights, weighted_objective
 from .errors import ConfigError, InputDataError
 from .seeding import substream_seed
 from .simulate import Design, simulate_year
 
 
+def _numbers(text: str, flag: str) -> list[float]:
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError:
+        raise InputDataError(f"{flag} expects comma-separated numbers, "
+                             f"got {text!r}") from None
+
+
 def _parse_design(text: str) -> Design:
-    parts = [float(p) for p in text.split(",")]
+    parts = _numbers(text, "--design")
     if len(parts) != 3:
         raise InputDataError("--design expects 'n_s,n_w,e_b_init'")
     return Design(*parts)
-
-
-def _parse_weights(text: str):
-    return tuple(float(p) for p in text.split(","))
 
 
 def _objective_summary(sim) -> dict:
@@ -96,19 +105,8 @@ def cmd_simulate(args, config) -> dict:
     return results
 
 
-def _problem(args, config):
-    """The configured sizing problem at the run seed, with the budget of
-    ``--max-evals`` when given."""
-    problem = config.sizing_problem(build_context(config, args.seed))
-    return replace(problem, max_evals=args.max_evals or problem.max_evals)
-
-
 def cmd_size(args, config) -> dict:
-    if args.weights:
-        config.weights = Weights(_parse_weights(args.weights))
-    problem = _problem(args, config)
-    if args.solver:
-        problem = replace(problem, solver=args.solver)
+    problem = config.sizing_problem(build_context(config, args.seed))
     report = problem.solve(substream_seed(args.seed, "solver"))
     design = problem.design(report.best_point)
     sim = simulate_year(design, problem.ctx)
@@ -126,10 +124,8 @@ def cmd_size(args, config) -> dict:
 def cmd_dispatch(args, config) -> dict:
     ctx = build_context(config, args.seed)
     design = _parse_design(args.design)
-    if args.weights:
-        config.dispatch["weights"] = [float(v) for v in _parse_weights(args.weights)]
     weights4 = Weights(tuple(config.dispatch["weights"]))
-    day = args.day if args.day is not None else config.dispatch["day"]
+    day = config.dispatch["day"]
     dctx = dispatch_mod.day_context(
         ctx, design, day, weights4, dpsp_max=config.dispatch["dpsp_max"],
         generator=config.dispatch_generator())
@@ -177,10 +173,11 @@ def cmd_pareto(args, config) -> dict:
 def cmd_sweep(args, config) -> dict:
     if args.values:
         spec = sweeps.SweepSpec(args.parameter,
-                                tuple(float(v) for v in args.values.split(",")))
+                                tuple(_numbers(args.values, "--values")))
     else:
         spec = sweeps.SweepSpec.default(args.parameter)
-    rows = sweeps.run_sweep(spec, _problem(args, config),
+    problem = config.sizing_problem(build_context(config, args.seed))
+    rows = sweeps.run_sweep(spec, problem,
                             seed=substream_seed(args.seed, "solver"),
                             workers=args.workers)
     out = Path(args.out)
@@ -222,7 +219,7 @@ def cmd_breakeven(args, config) -> dict:
 def cmd_bench(args, config) -> dict:
     """Every named solver on the configured sizing problem, ranked by the
     overall metric (runtime x best value, lower is better)."""
-    problem = _problem(args, config)
+    problem = config.sizing_problem(build_context(config, args.seed))
     seed = substream_seed(args.seed, "solver")
     reports = sorted((replace(problem, solver=name.strip()).solve(seed)
                       for name in args.solvers.split(",")),
@@ -246,6 +243,42 @@ COMMANDS = {
 }
 
 
+# argparse dest of a flag that sets a config key: this prefix, then the key
+_KEY_DEST = "config key "
+
+
+def _key_flag(p, flag: str, key: str, help: str) -> None:
+    """Declare ``flag`` as setting config key ``key`` (``section.name``, or
+    a top-level name) for this run."""
+    p.add_argument(flag, dest=_KEY_DEST + key,
+                   metavar=flag[2:].upper().replace("-", "_"),
+                   help=f"{help} (sets config key {key})")
+
+
+def _with_flags(raw: dict, args) -> dict:
+    """``raw`` with every given key flag's value at its config key, over the
+    file's value.  Flag text is read as a YAML value, a comma list as a flow
+    sequence.  A section that is not a mapping is kept as it is, for
+    ``build_config`` to reject."""
+    raw = dict(raw)
+    for dest, text in vars(args).items():
+        if not dest.startswith(_KEY_DEST) or text is None:
+            continue
+        key = dest[len(_KEY_DEST):]
+        try:
+            value = yaml.safe_load(f"[{text}]" if "," in text else text)
+        except yaml.YAMLError:
+            raise ConfigError(f"{key}: {text!r} is not a YAML value") from None
+        section, _, name = key.rpartition(".")
+        if not section:
+            raw[name] = value
+            continue
+        mapping = raw.get(section)
+        if mapping is None or isinstance(mapping, dict):
+            raw[section] = {**(mapping or {}), name: value}
+    return raw
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="offgridopt",
@@ -264,15 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("size", help="global sizing optimization")
     common(p)
-    p.add_argument("--solver", default=None, choices=sorted(solvers.SOLVERS))
-    p.add_argument("--max-evals", type=int, default=None)
-    p.add_argument("--weights", default=None, help="w1,w2,w3,w4,w5 override")
+    _key_flag(p, "--solver", "sizing.solver",
+              "one of " + ",".join(sorted(solvers.SOLVERS)))
+    _key_flag(p, "--max-evals", "sizing.max_evals", "evaluation budget")
+    _key_flag(p, "--weights", "weights", "w1,w2,w3,w4,w5")
 
     p = sub.add_parser("dispatch", help="day-ahead dispatch optimization")
     common(p)
     p.add_argument("--design", required=True, help="n_s,n_w,e_b_init")
-    p.add_argument("--day", type=int, default=None)
-    p.add_argument("--weights", default=None, help="w1,w2,w3,w4")
+    _key_flag(p, "--day", "dispatch.day", "day of the year, from 0")
+    _key_flag(p, "--weights", "dispatch.weights", "w1,w2,w3,w4")
 
     p = sub.add_parser("pareto", help="multiobjective Pareto front of the sizing problem")
     common(p)
@@ -283,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--parameter", required=True, choices=sweeps.SWEEP_PARAMETERS)
     p.add_argument("--values", default=None, help="comma-separated override values")
-    p.add_argument("--max-evals", type=int, default=None)
+    _key_flag(p, "--max-evals", "sizing.max_evals", "evaluation budget")
     p.add_argument("--workers", type=int, default=1,
                    help="processes that run sweep points in parallel")
 
@@ -296,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark solvers on the sizing problem")
     common(p)
     p.add_argument("--solvers", default="pso,ga,sa,ps,ms")
-    p.add_argument("--max-evals", type=int, default=None)
+    _key_flag(p, "--max-evals", "sizing.max_evals", "evaluation budget")
 
     return parser
 
@@ -307,7 +341,8 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = None
     try:
-        config = load_config(args.config) if args.config else build_config({})
+        raw = read_mapping(args.config) if args.config else {}
+        config = build_config(_with_flags(raw, args))
         results = COMMANDS[args.command](args, config)
         _write_result(out_dir, args.command, args.seed, config, results)
         return 0

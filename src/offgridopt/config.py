@@ -123,7 +123,7 @@ _TOP_LEVEL = ("seed", "data", "pv", "wind", "battery", "generator",
               "sizing", "dispatch", "baseline", "breakeven")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Fully resolved configuration: every spec object plus run options."""
 
@@ -342,7 +342,9 @@ def build_config(raw: dict | None) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
+def read_mapping(path) -> dict:
+    """The top-level mapping of the YAML file at ``path``, not yet
+    validated; an empty file is an empty mapping."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)
@@ -352,7 +354,11 @@ def load_config(path) -> RunConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    return build_config(raw)
+    return raw
+
+
+def load_config(path) -> RunConfig:
+    return build_config(read_mapping(path))
 
 
 def save_config(config: RunConfig, path) -> None:

@@ -92,6 +92,9 @@ def day_context(ctx: SimulationContext, design: Design, day: int,
                 weights: Weights, dpsp_max: float = 0.01,
                 generator=None) -> DispatchContext:
     """Slice day ``day`` out of an annual simulation context."""
+    n_days = len(ctx.load) // 24
+    if not 0 <= day < n_days:
+        raise InputDataError(f"day {day} is outside [0, {n_days})")
     return DispatchContext(
         design=design,
         climate=ctx.climate.slice(24 * day, 24 * (day + 1)),

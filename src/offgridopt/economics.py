@@ -379,4 +379,8 @@ def break_even_distance(tac: float, crf_value: float, annual_load_kwh: float,
     mean the grid wins at any distance."""
     if ext_cost_per_km <= 0:
         raise InputDataError("ext_cost_per_km must be positive")
+    if annual_load_kwh <= 0:
+        raise InputDataError("annual_load_kwh must be positive")
+    if tac < 0:
+        raise InputDataError("tac must be >= 0")
     return (tac - grid_lcoe * annual_load_kwh) / (ext_cost_per_km * crf_value)

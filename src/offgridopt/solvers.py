@@ -425,6 +425,8 @@ def pareto_front(objectives, space: SearchSpace, population: int = 40,
     mutually non-dominated."""
     if population < 4:
         raise InputDataError("population must be >= 4")
+    if generations < 0:
+        raise InputDataError("generations must be >= 0")
     rng = np.random.default_rng(seed)
     lo, hi = space.lower, space.upper
     span = np.where(hi > lo, hi - lo, 1.0)

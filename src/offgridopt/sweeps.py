@@ -125,6 +125,8 @@ def run_sweep(spec: SweepSpec, problem: SizingProblem, seed: int = 0,
     """Re-solve the sizing problem at each sweep value with its solver,
     budget and seed.  Points run in parallel when ``workers > 1``; the
     output row order always follows ``spec.values``."""
+    if workers < 1:
+        raise InputDataError(f"workers must be >= 1, got {workers}")
     tasks = [(problem, spec.parameter, value, seed) for value in spec.values]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

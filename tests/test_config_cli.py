@@ -361,6 +361,114 @@ def test_cli_design_rejects_fractional_and_non_finite_values(tmp_path, design,
     assert message in doc["message"]
 
 
+# Flags that set config keys.  The file sets every such key to another
+# value than its flag, and keeps the sizing budgets small.
+KEY_FLAG_FILE = {"weights": [0.2] * 5,
+                 "sizing": {"solver": "pso", "max_evals": 40, "swarm_size": 10},
+                 "dispatch": {"day": 1, "weights": [0.25] * 4}}
+DESIGN_ARGS = ["--design", "100,8,45.45"]
+SWEEP_ARGS = ["--parameter", "dg_rated", "--values", "16"]
+# command, arguments, flag, flag text, config key, value recorded for it
+KEY_FLAGS = [
+    ("size", [], "--solver", "ps", "sizing.solver", "ps"),
+    ("size", [], "--max-evals", "25", "sizing.max_evals", 25),
+    ("size", [], "--weights", "0.4,0.15,0.15,0.15,0.15", "weights",
+     [0.4, 0.15, 0.15, 0.15, 0.15]),
+    ("sweep", SWEEP_ARGS, "--max-evals", "25", "sizing.max_evals", 25),
+    ("bench", ["--solvers", "pso,ps"], "--max-evals", "25",
+     "sizing.max_evals", 25),
+    ("dispatch", DESIGN_ARGS, "--weights", "0.4,0.2,0.2,0.2",
+     "dispatch.weights", [0.4, 0.2, 0.2, 0.2]),
+    ("dispatch", DESIGN_ARGS, "--day", "364", "dispatch.day", 364),
+]
+
+
+def _config_value(config: dict, key: str):
+    for name in key.split("."):
+        config = config[name]
+    return config
+
+
+def _comparable_results(doc: dict) -> dict:
+    """The results of ``doc`` without wall-clock fields; bench rows are
+    ranked by runtime, so they are keyed by solver."""
+    results = dict(doc["results"])
+    if doc["command"] == "bench":
+        results["table"] = {
+            row["solver"]: {k: v for k, v in row.items()
+                            if k not in ("runtime_s", "overall")}
+            for row in results["table"]}
+    return results
+
+
+@pytest.mark.parametrize(
+    "command, args, flag, text, key, value", KEY_FLAGS,
+    ids=[f"{c}{f}" for c, _, f, *_ in KEY_FLAGS])
+def test_key_flag_is_recorded_and_reproduces_the_run(tmp_path, command, args,
+                                                     flag, text, key, value):
+    cfg = tmp_path / "file.yaml"
+    cfg.write_text(yaml.safe_dump(KEY_FLAG_FILE))
+    run = [command, "--seed", 7, *args]
+    assert run_cli([*run, "--config", cfg, flag, text,
+                    "--out", tmp_path / "flag"]) == 0
+    doc = json.loads((tmp_path / "flag" / "result.json").read_text())
+    assert _config_value(doc["config"], key) == value     # the flag wins
+    saved = tmp_path / "saved.yaml"
+    saved.write_text(yaml.safe_dump(doc["config"]))
+    assert run_cli([*run, "--config", saved, "--out", tmp_path / "again"]) == 0
+    again = json.loads((tmp_path / "again" / "result.json").read_text())
+    assert again["config"] == doc["config"]
+    assert _comparable_results(again) == _comparable_results(doc)
+
+
+# arguments without --seed and --out, and a part of the error message
+REJECTED = [
+    (["size", "--max-evals", "0"], "sizing.max_evals"),
+    (["size", "--max-evals", "-3", "--solver", "sa"], "sizing.max_evals"),
+    (["size", "--max-evals", "abc"], "sizing.max_evals: expected an integer"),
+    (["sweep", "--parameter", "bs_price", "--max-evals", "0"],
+     "sizing.max_evals"),
+    (["bench", "--max-evals", "abc"], "sizing.max_evals: expected an integer"),
+    (["size", "--weights", "a,b"], "weights: expected a list of numbers"),
+    (["size", "--weights", "[0.2,"], "weights: '[0.2,' is not a YAML value"),
+    (["dispatch", *DESIGN_ARGS, "--weights", "a,b"],
+     "dispatch.weights: expected a list of numbers"),
+    (["dispatch", *DESIGN_ARGS, "--day", "2.5"],
+     "dispatch.day: expected an integer"),
+    (["dispatch", *DESIGN_ARGS, "--day", "400"], "day 400 is outside [0, 365)"),
+    (["dispatch", *DESIGN_ARGS, "--day", "-1"], "day -1 is outside [0, 365)"),
+    (["size", "--solver", "nope"], "unknown solver 'nope'"),
+    (["simulate", "--design", "a,b,c"], "--design"),
+    (["sweep", "--parameter", "bs_price", "--values", "x"], "--values"),
+    (["sweep", "--parameter", "bs_price", "--workers", "0"], "workers"),
+    (["sweep", "--parameter", "bs_price", "--workers", "-2"], "workers"),
+    (["pareto", "--generations", "-1"], "generations"),
+    (["breakeven", "--tac", "-5", "--load-kwh", "0"], "annual_load_kwh"),
+    (["breakeven", "--tac", "-5", "--load-kwh", "74251"], "tac"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED,
+                         ids=[" ".join(argv) for argv, _ in REJECTED])
+def test_cli_rejects_bad_flag_values(tmp_path, argv, message):
+    code = run_cli([*argv, "--seed", 1, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert message in doc["message"]
+
+
+def test_key_flag_into_a_section_that_is_not_a_mapping(tmp_path):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("sizing: []\n")
+    code = run_cli(["size", "--seed", 1, "--config", cfg, "--max-evals", 5,
+                    "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert doc["message"] == "sizing: expected a mapping, got []"
+
+
 def test_workers_flag_only_on_sweep(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["simulate", "--seed", 1, "--design", "10,2,20",

@@ -118,7 +118,6 @@ def test_sweep_point_programming_error_propagates(annual_ctx, default_config,
                                 "pso", 120, 10), seed=1)
 
 
-@pytest.mark.slow
 def test_generator_rating_sweep_reliability_trend(annual_ctx, default_config):
     problem = SizingProblem(annual_ctx, default_config.search_space(), W,
                             "pso", 600, 20)
