@@ -17,7 +17,7 @@ from offgridopt.simulate import Design, hourly_power_balance_check, simulate_yea
 config = build_config({})                 # case-study defaults: LI + 16 kW diesel
 ctx = build_context(config, seed=42)
 
-design = Design.from_counts(n_s=100, n_w=8, e_b_init=45.45)
+design = Design(100, 8, 45.45)
 sim = simulate_year(design, ctx)
 
 print(f"design: {int(design.pv_units)} PV modules "

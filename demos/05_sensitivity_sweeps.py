@@ -36,7 +36,7 @@ for r in rows:
 sweep_to_csv(rows, "sweep_bs_price.csv")
 
 print("\nfixed-design fuel-price effect (no re-optimization):")
-design = Design.from_counts(100, 8, 45.45)
+design = Design(100, 8, 45.45)
 for price in (2.0, 3.2, 6.0, 12.0):
     sim, obj = objective_at_fixed_design(design, {"fuel_price": price}, ctx,
                                          config.weights)

@@ -25,7 +25,7 @@ weights = Weights((0.25, 0.25, 0.25, 0.25))
 seed = substream_seed(42, "solver")
 
 # a tighter 8 kW generator makes the scheduling problem interesting
-dctx = day_context(ctx, Design.from_counts(100, 7, 52.55), day=0,
+dctx = day_context(ctx, Design(100, 7, 52.55), day=0,
                    weights=weights, dpsp_max=0.01,
                    generator=GeneratorSpec(rated_power=8.0))
 
@@ -34,7 +34,7 @@ ev, rb = result.evaluation, result.rule_based_evaluation
 print("baseline day, 8 kW diesel:")
 print(f"  optimized weighted objective  {ev.weighted:.4f} "
       f"(rule-based {rb.weighted:.4f})")
-print(f"  daily cost ${ev.c_daily:.2f}, DPSP {ev.dpsp:.4f}, "
+print(f"  daily cost ${ev.c_daily:.2f}, DPSP {ev.objectives.dpsp:.4f}, "
       f"REF {1 - ev.objectives.one_minus_ref:.3f}, feasible {result.feasible}")
 result.schedule.write_csv("dispatch_schedule.csv", dctx, ev)
 print("  hourly schedule written to dispatch_schedule.csv")

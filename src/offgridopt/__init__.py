@@ -4,8 +4,7 @@ from .config import build_config, build_context, load_config, save_config
 from .devices import (BatterySpec, ConverterSpec, GeneratorSpec, PvSpec,
                       WindSpec, lead_acid_spec, microturbine_spec)
 from .dispatch import Scenario, day_context, optimize_day, robustness_suite
-from .economics import (CostTable, FinancialParams, ObjectiveVector, Weights,
-                        equal_weights)
+from .economics import CostTable, FinancialParams, ObjectiveVector, Weights
 from .simulate import (Design, SimResult, SimulationContext, SizingProblem,
                        StrategyConfig, hourly_power_balance_check,
                        simulate_year)
@@ -23,7 +22,7 @@ __all__ = [
     "PvSpec", "Scenario", "SearchSpace", "SimResult", "SimulationContext",
     "SizingProblem", "SolverReport", "StrategyConfig", "SweepSpec", "Weights",
     "WindSpec", "build_config", "build_context", "day_context",
-    "equal_weights", "ga_minimize", "hourly_power_balance_check",
+    "ga_minimize", "hourly_power_balance_check",
     "lead_acid_spec", "load_config", "microturbine_spec",
     "multistart_minimize", "objective_at_fixed_design", "optimize_day",
     "pareto_front", "pattern_search_minimize", "pso_minimize",

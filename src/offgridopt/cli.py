@@ -144,7 +144,7 @@ def cmd_dispatch(args, config) -> dict:
         "rule_based_weighted_objective": rb.weighted,
         "coe_norm": ev.objectives.lcoe_norm,
         "em_norm": ev.objectives.em_norm,
-        "dpsp": ev.dpsp,
+        "dpsp": ev.objectives.dpsp,
         "repg": ev.objectives.repg,
         "ref": 1.0 - ev.objectives.one_minus_ref,
         "c_daily_usd": ev.c_daily,
@@ -217,17 +217,23 @@ def cmd_breakeven(args, config) -> dict:
 
 
 def cmd_bench(args, config) -> dict:
-    """Every named solver on the configured sizing problem, ranked by the
-    overall metric (runtime x best value, lower is better)."""
+    """Every named solver on the configured sizing problem.  The result
+    lists each solver's outcome in ``--solvers`` order; the timed table,
+    ranked by the overall metric (runtime x best value, lower is better),
+    goes to ``benchmark.csv`` and ``benchmark.json``."""
     problem = config.sizing_problem(build_context(config, args.seed))
     seed = substream_seed(args.seed, "solver")
-    reports = sorted((replace(problem, solver=name.strip()).solve(seed)
-                      for name in args.solvers.split(",")),
-                     key=lambda r: r.overall)
+    reports = [replace(problem, solver=name.strip()).solve(seed)
+               for name in args.solvers.split(",")]
+    ranked = sorted(reports, key=lambda r: r.overall)
     out = Path(args.out)
-    solvers.benchmark_to_csv(reports, out / "benchmark.csv")
-    solvers.benchmark_to_json(reports, out / "benchmark.json")
-    return {"table": [r.as_dict() for r in reports],
+    solvers.benchmark_to_csv(ranked, out / "benchmark.csv")
+    solvers.benchmark_to_json(ranked, out / "benchmark.json")
+    # deliberately no wall-clock fields: same seed => byte-identical result
+    return {"table": [{"solver": r.solver,
+                       "best_point": [float(v) for v in r.best_point],
+                       "best_value": r.best_value,
+                       "evaluations": r.evaluations} for r in reports],
             "benchmark_csv": "benchmark.csv",
             "benchmark_json": "benchmark.json"}
 

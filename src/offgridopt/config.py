@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
 import yaml
 
 from . import datasets
@@ -370,10 +369,9 @@ def load_dataset(config: RunConfig, seed: int):
     """Assemble the (climate, annual load) pair a run simulates against."""
     if config.data["climate_csv"]:
         climate = read_climate_csv(config.data["climate_csv"])
-        climate = scale_wind(climate, config.data["wind_correction_factor"])
     else:
-        climate = datasets.load_bundled_climate(apply_wind_correction=False)
-        climate = scale_wind(climate, config.data["wind_correction_factor"])
+        climate = datasets.load_bundled_climate()
+    climate = scale_wind(climate, config.data["wind_correction_factor"])
     if config.data["load_csv"]:
         daily = read_load_csv(config.data["load_csv"])
     else:

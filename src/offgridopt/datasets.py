@@ -5,9 +5,10 @@ ships a deterministic synthetic year built to reproduce the study system's
 behavior under this package's physical component models: equatorial
 irradiance around 6 kWh/m2/day, a nocturnal-jet wind regime productive
 enough for wind to carry the system (station sensors under-read by the
-usual factor, hence the 3.70 correction applied on load), a mild tropical
-temperature cycle, and a rural village daily load profile with 12.52 kW
-evening peak, 3.21 kW night minimum and 8.48 kW mean.
+usual factor, hence the 3.70 wind correction that ``config.load_dataset``
+applies by default), a mild tropical temperature cycle, and a rural village
+daily load profile with 12.52 kW evening peak, 3.21 kW night minimum and
+8.48 kW mean.
 
 ``tools/build_bundled_data.py`` regenerates the CSVs under
 ``offgridopt/data`` from these functions; tests assert the shipped files
@@ -20,8 +21,8 @@ from importlib import resources
 
 import numpy as np
 
-from .timeseries import (ClimateSeries, LoadSeries, generate_annual_load,
-                         read_climate_csv, read_load_csv, scale_wind)
+from .timeseries import (ClimateSeries, LoadSeries, read_climate_csv,
+                         read_load_csv)
 
 WIND_CORRECTION_FACTOR = 3.70
 RAW_WIND_MEAN = 1.15            # station-level annual mean [m/s] at 1 m
@@ -125,22 +126,13 @@ def _data_path(name: str):
     return resources.files("offgridopt.data").joinpath(name)
 
 
-def load_bundled_climate(apply_wind_correction: bool = True) -> ClimateSeries:
-    """Read the shipped climate CSV; by default the 3.70 wind correction is
-    applied so the series is simulation-ready."""
+def load_bundled_climate() -> ClimateSeries:
+    """Read the shipped climate CSV, wind speeds as measured (uncorrected)."""
     with resources.as_file(_data_path(CLIMATE_FILENAME)) as path:
-        climate = read_climate_csv(path, ref_height=1.0)
-    if apply_wind_correction:
-        climate = scale_wind(climate, WIND_CORRECTION_FACTOR)
-    return climate
+        return read_climate_csv(path)
 
 
 def load_bundled_daily_load() -> LoadSeries:
     with resources.as_file(_data_path(LOAD_FILENAME)) as path:
         return read_load_csv(path)
 
-
-def bundled_annual_load(seed: int, variation: float = 0.20) -> LoadSeries:
-    """Annual load built from the bundled daily profile with day-to-day
-    +/- ``variation`` scaling (the reconstruction of the study's year)."""
-    return generate_annual_load(load_bundled_daily_load(), variation, seed)

@@ -22,13 +22,14 @@ from .devices import battery_power_limit, battery_step
 from .economics import ObjectiveVector, Weights
 from .errors import InputDataError
 from .simulate import (CascadeState, Design, SimulationContext,
-                       count_transitions, dispatch_cascade, feed_in_profile,
-                       renewable_feed_in)
-from .timeseries import ClimateSeries, LoadSeries
+                       StrategyConfig, count_transitions, dispatch_cascade,
+                       feed_in_profile, renewable_feed_in)
+from .timeseries import ClimateSeries, LoadSeries, require_complete
 
 SCHEDULE_HEADER = ["hour", "p_dg", "p_bs", "soc", "p_res", "load", "dump", "lost"]
 CONSTRAINT_TOL = 1e-6
 REFINE_SWEEPS = 6   # coordinate-descent sweeps, each halving the step sizes
+PENALTY_MU = 200.0  # weight of the constraint residuals in the search value
 
 
 @dataclass
@@ -48,11 +49,12 @@ class DispatchContext:
     weights: Weights                # 4 entries: COE, emissions, REPG, 1-REF
     dpsp_max: float = 0.01
     soc_start: float | None = None
-    wt_printed_curve: bool = False
+    strategy: StrategyConfig = StrategyConfig()  # wind curve, rule-based cascade
 
     def __post_init__(self):
         if len(self.climate) != 24 or len(self.load) != 24:
             raise InputDataError("dispatch context needs 24-hour series")
+        require_complete(self.climate, self.load)
         if not 0 <= self.dpsp_max <= 1:
             raise InputDataError("dpsp_max must be in [0, 1]")
         if len(self.weights) != 4:
@@ -60,11 +62,10 @@ class DispatchContext:
         if self.soc_start is None:
             self.soc_start = self.battery.soc_max
         profile = feed_in_profile(self.climate, self.pv, self.wind,
-                                  printed_curve=self.wt_printed_curve)
+                                  printed_curve=self.strategy.wt_printed_curve)
         _, _, self.res_dc = renewable_feed_in(self.design, profile, self.pv,
                                               self.wind, self.converter)
         self.demand_dc = self.load.demand / self.converter.eta_inv
-        self.battery_capacity_kwh = self.design.e_b_init
         self.power_limit = (battery_power_limit(self.design.e_b_init, self.battery)
                             if self.design.e_b_init > 0 else 0.0)
         self.capital = economics.initial_capital(
@@ -103,20 +104,19 @@ def day_context(ctx: SimulationContext, design: Design, day: int,
         generator=generator or ctx.generator, converter=ctx.converter,
         costs=ctx.costs, baseline_generator=ctx.baseline_generator,
         weights=weights, dpsp_max=dpsp_max,
-        wt_printed_curve=ctx.strategy.wt_printed_curve,
+        strategy=ctx.strategy,
     )
 
 
 @dataclass
 class DispatchSchedule:
+    """The decision of one day; ``evaluate_schedule`` derives the rest."""
+
     p_dg: np.ndarray      # generator setpoints, AC [kW], 24 entries
     p_bs: np.ndarray      # battery power, +discharge/-charge, DC [kW], 24
-    soc: np.ndarray       # 25 knots including end-of-day state
-    feasible: bool = True
 
     def copy(self) -> "DispatchSchedule":
-        return DispatchSchedule(self.p_dg.copy(), self.p_bs.copy(),
-                                self.soc.copy(), self.feasible)
+        return DispatchSchedule(self.p_dg.copy(), self.p_bs.copy())
 
     def write_csv(self, path, ctx: DispatchContext, evaluation=None):
         ev = evaluation or evaluate_schedule(self, ctx)
@@ -126,7 +126,7 @@ class DispatchSchedule:
             for h in range(24):
                 writer.writerow([
                     h, f"{self.p_dg[h]:.4f}", f"{self.p_bs[h]:.4f}",
-                    f"{self.soc[h]:.5f}", f"{ctx.res_dc[h]:.4f}",
+                    f"{ev.soc[h]:.5f}", f"{ctx.res_dc[h]:.4f}",
                     f"{ctx.load.demand[h]:.4f}", f"{ev.dump[h]:.4f}",
                     f"{ev.lost[h]:.4f}",
                 ])
@@ -138,11 +138,9 @@ class DispatchEvaluation:
     weighted: float                  # 4-term scalarization per the weights
     summary5: float                  # equal-weight 5-term summary metric
     c_daily: float
-    coe: float
-    dpsp: float
     dump: np.ndarray
     lost: np.ndarray
-    soc: np.ndarray
+    soc: np.ndarray                  # 25 knots including end-of-day state
     violations: dict
     feasible: bool
 
@@ -150,7 +148,7 @@ class DispatchEvaluation:
 def propagate_soc(ctx: DispatchContext, p_bs: np.ndarray) -> np.ndarray:
     soc = np.empty(25)
     soc[0] = ctx.soc_start
-    cap = ctx.battery_capacity_kwh
+    cap = ctx.design.e_b_init
     if cap <= 0:
         soc[:] = ctx.soc_start
         return soc
@@ -216,24 +214,26 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
         "dpsp": max(0.0, dpsp - ctx.dpsp_max),
     }
     feasible = all(v <= CONSTRAINT_TOL for v in violations.values())
-    return DispatchEvaluation(objectives, weighted, summary5, c_daily, coe,
-                              dpsp, dump, lost, soc, violations, feasible)
+    return DispatchEvaluation(objectives, weighted, summary5, c_daily, dump,
+                              lost, soc, violations, feasible)
 
 
 def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
-    """The sizing simulator's load-following cascade applied to this day."""
+    """The sizing simulator's load-following cascade applied to this day,
+    under the context's operating strategy."""
     p_dg, p_bs, _, _, _, _ = dispatch_cascade(
-        ctx.res_dc, ctx.demand_dc, ctx.battery, ctx.battery_capacity_kwh,
-        ctx.generator, True, eta_rec=ctx.converter.eta_rec,
-        start=CascadeState(ctx.soc_start))
-    return DispatchSchedule(p_dg, p_bs, propagate_soc(ctx, p_bs))
+        ctx.res_dc, ctx.demand_dc, ctx.battery, ctx.design.e_b_init,
+        ctx.generator, ctx.strategy.dg_may_charge_battery,
+        eta_rec=ctx.converter.eta_rec, start=CascadeState(ctx.soc_start),
+        cycle_counting=ctx.strategy.cycle_counting)
+    return DispatchSchedule(p_dg, p_bs)
 
 
-def _penalized(ev: DispatchEvaluation, mu: float = 200.0) -> float:
+def _penalized(ev: DispatchEvaluation) -> float:
     pen = (ev.violations["dg_semicontinuous"] + ev.violations["dg_rated"]
            + ev.violations["battery_power"] + 10.0 * ev.violations["soc_bounds"]
            + ev.violations["dpsp"])
-    return ev.weighted + mu * pen
+    return ev.weighted + PENALTY_MU * pen
 
 
 def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
@@ -247,40 +247,29 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
     p_lim = ctx.power_limit
     for sweep in range(REFINE_SWEEPS):
         scale = 0.5 ** sweep
-        dg_steps = [d * scale for d in (-4.0, -1.0, 1.0, 4.0)]
-        bs_steps = [d * scale for d in (-4.0, -1.0, 1.0, 4.0)]
+        steps = [d * scale for d in (-4.0, -1.0, 1.0, 4.0)]
         improved = False
         for t in range(24):
-            if s.p_dg[t] > 0:
-                for d in dg_steps:
-                    cand = float(np.clip(s.p_dg[t] + d, gen.min_power, gen.rated_power))
-                    if cand == s.p_dg[t]:
-                        continue
-                    old = s.p_dg[t]
-                    s.p_dg[t] = cand
-                    ev = evaluate_schedule(s, ctx)
-                    val = _penalized(ev)
-                    if val < best_val - 1e-12:
-                        best, best_val, improved = ev, val, True
-                    else:
-                        s.p_dg[t] = old
+            # generator steps in an ON hour, then battery steps if it can move
+            moves = ([(s.p_dg, gen.min_power, gen.rated_power)]
+                     if s.p_dg[t] > 0 else [])
             if p_lim > 0:
-                for d in bs_steps:
-                    cand = float(np.clip(s.p_bs[t] + d, -p_lim, p_lim))
-                    if cand == s.p_bs[t]:
+                moves.append((s.p_bs, -p_lim, p_lim))
+            for x, lower, upper in moves:
+                for d in steps:
+                    cand = float(np.clip(x[t] + d, lower, upper))
+                    if cand == x[t]:
                         continue
-                    old = s.p_bs[t]
-                    s.p_bs[t] = cand
+                    old = x[t]
+                    x[t] = cand
                     ev = evaluate_schedule(s, ctx)
                     val = _penalized(ev)
                     if val < best_val - 1e-12:
                         best, best_val, improved = ev, val, True
                     else:
-                        s.p_bs[t] = old
+                        x[t] = old
         if not improved:
             break
-    s.soc = propagate_soc(ctx, s.p_bs)
-    s.feasible = best.feasible
     return s, best
 
 
@@ -295,7 +284,6 @@ def _apply_pattern(s: DispatchSchedule, pattern: np.ndarray,
             out.p_dg[t] = float(np.clip(out.p_dg[t], gen.min_power, gen.rated_power))
         else:
             out.p_dg[t] = 0.0
-    out.soc = propagate_soc(ctx, out.p_bs)
     return out
 
 
@@ -334,11 +322,8 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
 
     guess = DispatchSchedule(
         p_dg=np.full(24, float(np.clip(7.0, gen.min_power, gen.rated_power))),
-        p_bs=np.full(24, min(1.0, ctx.power_limit)),
-        soc=np.zeros(25))
-    guess.soc = propagate_soc(ctx, guess.p_bs)
-
-    zero = DispatchSchedule(np.zeros(24), np.zeros(24), propagate_soc(ctx, np.zeros(24)))
+        p_bs=np.full(24, min(1.0, ctx.power_limit)))
+    zero = DispatchSchedule(np.zeros(24), np.zeros(24))
     seeds = [rb, guess, zero]
 
     evaluated = {}
@@ -387,7 +372,6 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
     msg = "" if feasible else (
         "no schedule satisfied all hard constraints; returning best found "
         f"with residuals {best_ev.violations}")
-    best_s.feasible = feasible
     return DispatchResult(best_s, best_ev, rb, rb_ev, feasible, msg)
 
 

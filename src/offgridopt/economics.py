@@ -115,10 +115,6 @@ class Weights:
         return iter(self.values)
 
 
-def equal_weights(n: int = 5) -> Weights:
-    return Weights(tuple(1.0 / n for _ in range(n)))
-
-
 # ---------------------------------------------------------------------------
 # Discounting
 # ---------------------------------------------------------------------------
@@ -328,10 +324,6 @@ def weighted_objective(obj: ObjectiveVector, weights: Weights) -> float:
 class BaselineMetrics:
     lcoe: float            # [$/kWh]
     emissions: float       # [kg/horizon]
-    emissions_per_kwh: float
-    tnpc: float
-    tac: float
-    annual_load_kwh: float
 
 
 def baseline_metrics(load, gen: GeneratorSpec, costs: CostTable,
@@ -361,15 +353,8 @@ def baseline_metrics(load, gen: GeneratorSpec, costs: CostTable,
                              fin, replacement_period)
     tnpc = capital.total + pw_recurring(c_rec, fin) + pw_rep
     tac = tnpc * crf(real_rate(fin), fin.system_lifetime)
-    em = emissions_total(energy, gen)
-    return BaselineMetrics(
-        lcoe=tac / energy,
-        emissions=em,
-        emissions_per_kwh=em / energy,
-        tnpc=tnpc,
-        tac=tac,
-        annual_load_kwh=energy,
-    )
+    return BaselineMetrics(lcoe=tac / energy,
+                           emissions=emissions_total(energy, gen))
 
 
 def break_even_distance(tac: float, crf_value: float, annual_load_kwh: float,

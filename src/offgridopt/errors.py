@@ -19,21 +19,6 @@ class ParseError(InputDataError):
         self.line = line
 
 
-class UnrecoverableGapError(InputDataError):
-    """A missing value could not be filled from any neighbor series."""
-
-    def __init__(self, field, hours):
-        hours = list(hours)
-        preview = ", ".join(str(h) for h in hours[:10])
-        if len(hours) > 10:
-            preview += ", ..."
-        super().__init__(
-            f"{field}: no neighbor has data at {len(hours)} hour(s): {preview}"
-        )
-        self.field = field
-        self.hours = hours
-
-
 class InfeasibleBaselineError(InputDataError):
     """Baseline generator cannot cover the peak load on its own."""
 

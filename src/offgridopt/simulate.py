@@ -40,7 +40,7 @@ from .economics import (BaselineMetrics, CostTable, FinancialParams,
                         ObjectiveVector, Weights, weighted_objective)
 from .errors import InputDataError
 from .solvers import SOLVERS, SearchSpace, SolverReport
-from .timeseries import ClimateSeries, LoadSeries
+from .timeseries import ClimateSeries, LoadSeries, require_complete
 
 TRACE_HEADER = ["hour", "p_pv", "p_wt", "p_dg", "p_bs", "soc", "p_dump",
                 "p_lost", "load"]
@@ -65,10 +65,6 @@ class Design:
             for name, v in (("pv_units", self.pv_units), ("wt_units", self.wt_units)):
                 if abs(v - round(v)) > 1e-9:
                     raise InputDataError(f"{name} must be an integer count, got {v}")
-
-    @classmethod
-    def from_counts(cls, n_s: int, n_w: int, e_b_init: float) -> "Design":
-        return cls(float(n_s), float(n_w), float(e_b_init), integer_counts=True)
 
     def pv_kw(self, pv: PvSpec) -> float:
         return self.pv_units * pv.rated_power
@@ -148,14 +144,11 @@ class SimulationContext:
         use, since nothing is cached then.
         """
         climate, load = self.climate, self.load
-        if climate.n_hours != len(load):
+        if len(climate) != len(load):
             raise InputDataError("climate and load horizons differ")
-        if climate.n_hours != 8760:
+        if len(climate) != 8760:
             raise InputDataError("annual simulation needs 8760 hourly records")
-        if climate.has_missing():
-            raise InputDataError("climate series has missing values; fill gaps first")
-        if np.isnan(load.demand).any():
-            raise InputDataError("load series has missing values")
+        require_complete(climate, load)
         return (feed_in_profile(climate, self.pv, self.wind,
                                 printed_curve=self.strategy.wt_printed_curve),
                 load.demand / self.converter.eta_inv)
@@ -207,15 +200,11 @@ class SimResult:
     cost: CostBreakdown
     emissions_kg: float
 
-    @property
-    def n_hours(self) -> int:
-        return len(self.load)
-
     def write_trace_csv(self, path):
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(TRACE_HEADER)
-            for h in range(self.n_hours):
+            for h in range(len(self.load)):
                 writer.writerow([
                     h,
                     f"{self.p_pv[h]:.6f}", f"{self.p_wt[h]:.6f}",

@@ -243,24 +243,19 @@ def sa_minimize(objective, space: SearchSpace, max_evals: int = 2000,
 
 
 def pattern_search_minimize(objective, space: SearchSpace,
-                            max_evals: int = 2000,
-                            seed: int | None = None) -> SolverReport:
+                            max_evals: int = 2000, seed: int = 0) -> SolverReport:
     """Compass (direct pattern) search: poll +/- mesh along each axis,
     expand on success, contract on failure, stop when the mesh falls below
     tolerance.  The first mesh is a quarter of each span; integer
     dimensions poll in whole steps and never shrink below a unit mesh.
-    The search starts at a seeded random point, or at the box centre
-    without a seed."""
+    The search starts at a seeded random point."""
     t0 = time.perf_counter()
     ev = _Evaluator(objective, space, max_evals)
     lo, hi = space.lower, space.upper
     span = np.where(hi > lo, hi - lo, 1.0)
     integer = space.integer_mask
 
-    if seed is not None:
-        x = lo + np.random.default_rng(seed).uniform(size=space.dim) * (hi - lo)
-    else:
-        x = (lo + hi) / 2.0
+    x = lo + np.random.default_rng(seed).uniform(size=space.dim) * (hi - lo)
     x = space.round_point(x)  # polls must stay on the integer lattice
     mesh = span / 4.0
     mesh = np.where(integer, np.maximum(np.round(mesh), 1.0), mesh)

@@ -1,4 +1,4 @@
-"""Hourly climate and load series: CSV ingestion, gap filling and synthesis.
+"""Hourly climate and load series: CSV ingestion, checks and synthesis.
 
 Climate CSV schema (header required): ``timestamp,ghi_kw_m2,wind_ms,temp_c``
 with ISO-8601 timestamps, dot-decimal numbers and empty cells for missing
@@ -14,7 +14,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import InputDataError, ParseError, SchemaError, UnrecoverableGapError
+from .errors import InputDataError, ParseError, SchemaError
 
 CLIMATE_HEADER = ["timestamp", "ghi_kw_m2", "wind_ms", "temp_c"]
 LOAD_HEADER = ["hour", "load_kw"]
@@ -48,17 +48,6 @@ class ClimateSeries:
 
     def __len__(self):
         return len(self.irradiance)
-
-    @property
-    def n_hours(self) -> int:
-        return len(self.irradiance)
-
-    def has_missing(self) -> bool:
-        return bool(
-            np.isnan(self.irradiance).any()
-            or np.isnan(self.wind_speed_ref).any()
-            or np.isnan(self.temp_ambient).any()
-        )
 
     def slice(self, start: int, stop: int) -> "ClimateSeries":
         return ClimateSeries(
@@ -95,6 +84,19 @@ class LoadSeries:
         return LoadSeries(self.demand[24 * d:24 * (d + 1)].copy())
 
 
+def require_complete(climate: ClimateSeries, load: LoadSeries) -> None:
+    """Raise ``InputDataError`` naming the CSV column and the first hour of
+    the first missing value in the hourly inputs of a simulation."""
+    columns = (("ghi_kw_m2", climate.irradiance),
+               ("wind_ms", climate.wind_speed_ref),
+               ("temp_c", climate.temp_ambient), ("load_kw", load.demand))
+    for column, values in columns:
+        missing = np.flatnonzero(np.isnan(values))
+        if missing.size:
+            raise InputDataError(f"{column} is missing at hour {missing[0]} "
+                                 f"of {len(values)}; every hour needs a value")
+
+
 def _parse_cell(text: str, column: str, line: int) -> float:
     text = text.strip()
     if text == "":
@@ -105,11 +107,11 @@ def _parse_cell(text: str, column: str, line: int) -> float:
         raise ParseError(f"non-numeric value {text!r} in column {column!r}", line=line) from None
 
 
-def read_climate_csv(path, ref_height: float = 1.0) -> ClimateSeries:
+def read_climate_csv(path) -> ClimateSeries:
     """Load an hourly climate CSV (see module docstring for the schema).
 
     Rows must be in timestamp order; empty cells become NaN (missing) rather
-    than being silently zeroed.
+    than being silently zeroed.  Wind speeds are read as measured at 1 m.
     """
     irr, wind, temp = [], [], []
     prev_ts = None
@@ -147,7 +149,7 @@ def read_climate_csv(path, ref_height: float = 1.0) -> ClimateSeries:
             irr.append(g)
             wind.append(w)
             temp.append(t)
-    return ClimateSeries(np.array(irr), np.array(wind), np.array(temp), ref_height)
+    return ClimateSeries(np.array(irr), np.array(wind), np.array(temp))
 
 
 def read_load_csv(path) -> LoadSeries:
@@ -182,7 +184,7 @@ def write_climate_csv(path, series: ClimateSeries, start="2018-01-01T00:00"):
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CLIMATE_HEADER)
-        for h in range(series.n_hours):
+        for h in range(len(series)):
             ts = t0 + timedelta(hours=h)
             cells = [ts.isoformat(timespec="minutes")]
             for arr in (series.irradiance, series.wind_speed_ref, series.temp_ambient):
@@ -197,39 +199,6 @@ def write_load_csv(path, series: LoadSeries):
         writer.writerow(LOAD_HEADER)
         for h, v in enumerate(series.demand):
             writer.writerow([h, f"{v:.4f}"])
-
-
-def fill_gaps_by_neighbor_average(primary: ClimateSeries,
-                                  neighbors: list[ClimateSeries]) -> ClimateSeries:
-    """Replace each missing primary value with the arithmetic mean of the
-    non-missing neighbor values at that hour.
-
-    Raises UnrecoverableGapError when an hour is missing in the primary and in
-    every neighbor.  Idempotent: a complete series passes through unchanged.
-    """
-    n = primary.n_hours
-    for nb in neighbors:
-        if nb.n_hours != n:
-            raise InputDataError("neighbor series length differs from primary")
-
-    filled = {}
-    for field in ("irradiance", "wind_speed_ref", "temp_ambient"):
-        base = getattr(primary, field).copy()
-        missing = np.isnan(base)
-        if missing.any():
-            if not neighbors:
-                raise UnrecoverableGapError(field, np.nonzero(missing)[0])
-            stack = np.vstack([getattr(nb, field) for nb in neighbors])
-            with np.errstate(invalid="ignore"):
-                counts = (~np.isnan(stack)).sum(axis=0)
-                sums = np.nansum(stack, axis=0)
-            dead = missing & (counts == 0)
-            if dead.any():
-                raise UnrecoverableGapError(field, np.nonzero(dead)[0])
-            base[missing] = sums[missing] / counts[missing]
-        filled[field] = base
-    return ClimateSeries(filled["irradiance"], filled["wind_speed_ref"],
-                         filled["temp_ambient"], primary.ref_height)
 
 
 def scale_wind(series: ClimateSeries, factor: float) -> ClimateSeries:
@@ -255,16 +224,6 @@ def generate_annual_load(daily: LoadSeries, variation: float, seed: int) -> Load
     factors = np.concatenate([[1.0], rng.uniform(1 - variation, 1 + variation, 364)])
     demand = (factors[:, None] * daily.demand[None, :]).ravel()
     return LoadSeries(demand)
-
-
-def empirical_village_load(hours: int) -> LoadSeries:
-    """Empirical rural village demand curve, P = exp(sin(0.3409
-    - sin(0.68039 t) - 0.16801 t)) [kW] evaluated at t = 0 .. hours-1."""
-    if hours < 1:
-        raise InputDataError("hours must be >= 1")
-    t = np.arange(hours, dtype=float)
-    p = np.exp(np.sin(0.3409 - np.sin(0.68039 * t) - 0.16801 * t))
-    return LoadSeries(p)
 
 
 def make_peaky_load(base: LoadSeries, amplitude: float, seed: int) -> LoadSeries:

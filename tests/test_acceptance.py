@@ -14,7 +14,7 @@ from offgridopt.devices import (BatterySpec, GeneratorSpec, WindSpec,
                                 wt_curve_coefficients)
 from offgridopt.dispatch import Scenario, day_context, optimize_day, robustness_suite
 from offgridopt.economics import (CostTable, FinancialParams, Weights, crf,
-                                  emission_factor_sum, equal_weights,
+                                  emission_factor_sum,
                                   microturbine_costs, pw_recurring, real_rate,
                                   break_even_distance)
 from offgridopt.seeding import substream_seed
@@ -38,7 +38,7 @@ def report(n, label, passed):
 @pytest.fixture(scope="module")
 def sizing_runs(annual_ctx):
     """Equal-weight PSO sizing for all four technology combinations."""
-    w = equal_weights()
+    w = Weights((0.2,) * 5)
     space = SearchSpace([0, 0, 0], [100, 30, 200], [True, True, False])
     combos = {
         "LI+DE": (BatterySpec(), GeneratorSpec(rated_power=16.0), CostTable()),
@@ -111,9 +111,9 @@ def test_criterion_5_simulator_feasibility_suite(annual_ctx):
     t0 = time.time()
     ok = True
     for _ in range(200):
-        design = Design.from_counts(int(rng.integers(0, 101)),
-                                    int(rng.integers(0, 31)),
-                                    float(rng.uniform(0, 200)))
+        design = Design(int(rng.integers(0, 101)),
+                        int(rng.integers(0, 31)),
+                        float(rng.uniform(0, 200)))
         rated = float(rng.choice([0.0, 4.0, 8.0, 12.0, 16.0, 20.0]))
         ctx = SimulationContext(
             climate=annual_ctx.climate, load=annual_ctx.load,
@@ -172,13 +172,13 @@ def test_criterion_8_discounting_oracle():
 
 
 def test_criterion_9_dispatch_dominance(annual_ctx):
-    ctx = day_context(annual_ctx, Design.from_counts(100, 8, 45.45), 0,
+    ctx = day_context(annual_ctx, Design(100, 8, 45.45), 0,
                       Weights((0.25,) * 4), dpsp_max=0.01)
     result = optimize_day(ctx, seed=SOLVER_SEED)
     ev = result.evaluation
     ok = (result.feasible
           and ev.weighted <= result.rule_based_evaluation.weighted + 1e-12
-          and ev.dpsp <= 0.01 + 1e-12
+          and ev.objectives.dpsp <= 0.01 + 1e-12
           and len(ev.soc) == 25
           and ev.soc.min() >= ctx.battery.soc_min - 1e-9
           and ev.soc.max() <= ctx.battery.soc_max + 1e-9
@@ -187,7 +187,7 @@ def test_criterion_9_dispatch_dominance(annual_ctx):
 
 
 def test_criterion_10_robustness_directionality(annual_ctx):
-    ctx = day_context(annual_ctx, Design.from_counts(100, 7, 52.55), 0,
+    ctx = day_context(annual_ctx, Design(100, 7, 52.55), 0,
                       Weights((0.25,) * 4), dpsp_max=0.01,
                       generator=GeneratorSpec(rated_power=8.0))
     scenarios = [
@@ -207,7 +207,7 @@ def test_criterion_10_robustness_directionality(annual_ctx):
 def test_criterion_11_pareto_integrity(annual_ctx):
     problem = SizingProblem(
         annual_ctx, SearchSpace([0, 0, 0], [100, 30, 200], [True, True, False]),
-        equal_weights(), "pso", 2000, 30)
+        Weights((0.2,) * 5), "pso", 2000, 30)
 
     t0 = time.time()
     front = pareto_front(problem.objectives, problem.space, population=36,

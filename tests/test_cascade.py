@@ -135,7 +135,7 @@ def test_simulate_year_is_identical_on_the_python_fallback(annual_ctx, monkeypat
                                                            strategy):
     ctx = dataclasses.replace(
         annual_ctx, strategy=dataclasses.replace(annual_ctx.strategy, **strategy))
-    design = Design.from_counts(60, 6, 60)
+    design = Design(60, 6, 60)
     active = simulate_year(design, ctx)
     monkeypatch.setattr(simulate, "_C_CASCADE", None)
     _same_sim(active, simulate_year(design, ctx))

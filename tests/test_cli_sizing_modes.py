@@ -94,7 +94,8 @@ def test_bench_pso_row_equals_size_with_configured_swarm(tmp_path):
                     "--out", tmp_path / "size"]) == 0
     table = json.loads((tmp_path / "bench" / "result.json").read_text())["results"]["table"]
     size = json.loads((tmp_path / "size" / "result.json").read_text())["results"]
-    assert [r["overall"] for r in table] == sorted(r["overall"] for r in table)
+    ranked = json.loads((tmp_path / "bench" / "benchmark.json").read_text())
+    assert [r["overall"] for r in ranked] == sorted(r["overall"] for r in ranked)
     [pso] = [r for r in table if r["solver"] == "pso"]
     assert pso["best_point"] == size["best_point"]
     assert pso["best_value"] == size["best_value"]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 import yaml
@@ -9,6 +10,7 @@ import yaml
 from offgridopt.cli import main
 from offgridopt.config import (build_config, build_context, load_config,
                                save_config)
+from offgridopt.datasets import CLIMATE_FILENAME
 from offgridopt.errors import ConfigError
 from offgridopt.seeding import substream_seed
 from offgridopt.simulate import Design, simulate_year
@@ -64,7 +66,7 @@ def test_invariant_violations_name_the_field():
 # Every component, cost, financial and strategy key changes the result
 # ---------------------------------------------------------------------------
 
-LIVE_DESIGN = Design.from_counts(100, 8, 45.45)
+LIVE_DESIGN = Design(100, 8, 45.45)
 LIVE_SECTIONS = ("pv", "wind", "battery", "generator", "converter",
                  "financial", "costs", "strategy")
 MT = {"generator": {"kind": "MT"}}
@@ -209,7 +211,7 @@ def test_substreams_are_deterministic_and_distinct():
 
 def test_build_context_uses_bundled_dataset(default_config):
     ctx = build_context(default_config, seed=1)
-    assert ctx.climate.n_hours == 8760
+    assert len(ctx.climate) == 8760
     assert len(ctx.load) == 8760
     assert ctx.baseline_generator.rated_power == 16.0
 
@@ -271,12 +273,23 @@ def test_cli_bench_table(tmp_path):
                     "--max-evals", 150, "--out", tmp_path]) == 0
     doc = json.loads((tmp_path / "result.json").read_text())
     table = doc["results"]["table"]
-    assert len(table) == 2
+    assert [row["solver"] for row in table] == ["pso", "pattern_search"]
     for row in table:
+        assert set(row) == {"solver", "best_point", "best_value", "evaluations"}
+    ranked = json.loads((tmp_path / "benchmark.json").read_text())
+    assert len(ranked) == 2
+    for row in ranked:
         assert row["overall"] == pytest.approx(
             row["runtime_s"] * row["best_value"], rel=1e-9)
     assert (tmp_path / "benchmark.csv").exists()
-    assert (tmp_path / "benchmark.json").exists()
+
+
+def test_cli_bench_result_is_reproducible(tmp_path):
+    for out in ("a", "b"):
+        assert run_cli(["bench", "--seed", 42, "--max-evals", 60,
+                        "--out", tmp_path / out]) == 0
+    assert ((tmp_path / "a" / "result.json").read_bytes()
+            == (tmp_path / "b" / "result.json").read_bytes())
 
 
 def test_cli_sweep_writes_table(tmp_path):
@@ -306,6 +319,27 @@ def test_cli_infeasible_baseline_is_an_error(tmp_path):
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["status"] == "error"
     assert "baseline generator" in doc["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["dispatch", "--day", "4"]])
+def test_cli_rejects_climate_with_a_missing_value(tmp_path, command):
+    """An empty wind cell at hour 100 (day 4) is an error, not calm air."""
+    lines = (resources.files("offgridopt.data")
+             .joinpath(CLIMATE_FILENAME).read_text().splitlines())
+    cells = lines[1 + 100].split(",")
+    cells[2] = ""
+    lines[1 + 100] = ",".join(cells)
+    csv_path = tmp_path / "gap.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "gap.yaml"
+    cfg.write_text(yaml.safe_dump({"data": {"climate_csv": str(csv_path)}}))
+    code = run_cli([*command, "--seed", 42, "--design", "100,8,45.45",
+                    "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert "wind_ms" in doc["message"]
 
 
 @pytest.mark.parametrize("text", [
@@ -389,18 +423,6 @@ def _config_value(config: dict, key: str):
     return config
 
 
-def _comparable_results(doc: dict) -> dict:
-    """The results of ``doc`` without wall-clock fields; bench rows are
-    ranked by runtime, so they are keyed by solver."""
-    results = dict(doc["results"])
-    if doc["command"] == "bench":
-        results["table"] = {
-            row["solver"]: {k: v for k, v in row.items()
-                            if k not in ("runtime_s", "overall")}
-            for row in results["table"]}
-    return results
-
-
 @pytest.mark.parametrize(
     "command, args, flag, text, key, value", KEY_FLAGS,
     ids=[f"{c}{f}" for c, _, f, *_ in KEY_FLAGS])
@@ -418,7 +440,7 @@ def test_key_flag_is_recorded_and_reproduces_the_run(tmp_path, command, args,
     assert run_cli([*run, "--config", saved, "--out", tmp_path / "again"]) == 0
     again = json.loads((tmp_path / "again" / "result.json").read_text())
     assert again["config"] == doc["config"]
-    assert _comparable_results(again) == _comparable_results(doc)
+    assert again["results"] == doc["results"]
 
 
 # arguments without --seed and --out, and a part of the error message

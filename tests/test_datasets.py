@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from offgridopt.datasets import (RAW_WIND_MEAN, WIND_CORRECTION_FACTOR,
-                                 bundled_annual_load, load_bundled_climate,
+                                 load_bundled_climate,
                                  load_bundled_daily_load,
                                  reference_daily_load,
                                  synthesize_timbila_climate)
+from offgridopt.timeseries import generate_annual_load, scale_wind
 
 
 def test_daily_profile_summary_statistics():
@@ -23,9 +24,9 @@ def test_bundled_daily_load_matches_generator():
 
 
 def test_bundled_climate_matches_generator():
-    shipped = load_bundled_climate(apply_wind_correction=False)
+    shipped = load_bundled_climate()
     generated = synthesize_timbila_climate()
-    assert shipped.n_hours == 8760
+    assert len(shipped) == 8760
     np.testing.assert_allclose(shipped.irradiance, generated.irradiance, atol=1e-4)
     np.testing.assert_allclose(shipped.wind_speed_ref, generated.wind_speed_ref,
                                atol=1e-4)
@@ -34,20 +35,22 @@ def test_bundled_climate_matches_generator():
 
 
 def test_bundled_climate_statistics():
-    raw = load_bundled_climate(apply_wind_correction=False)
+    raw = load_bundled_climate()
     assert raw.wind_speed_ref.mean() == pytest.approx(RAW_WIND_MEAN, abs=1e-3)
-    corrected = load_bundled_climate()
+    corrected = scale_wind(raw, WIND_CORRECTION_FACTOR)
     assert corrected.wind_speed_ref.mean() == pytest.approx(
         RAW_WIND_MEAN * WIND_CORRECTION_FACTOR, abs=1e-2)
     daily_ghi = raw.irradiance.sum() / 365.0
     assert 4.5 <= daily_ghi <= 6.5
-    assert not raw.has_missing()
+    assert not np.isnan([raw.irradiance, raw.wind_speed_ref,
+                         raw.temp_ambient]).any()
 
 
 def test_bundled_annual_load_is_seeded():
-    a = bundled_annual_load(seed=5)
-    b = bundled_annual_load(seed=5)
-    c = bundled_annual_load(seed=6)
+    daily = load_bundled_daily_load()
+    a = generate_annual_load(daily, 0.2, seed=5)
+    b = generate_annual_load(daily, 0.2, seed=5)
+    c = generate_annual_load(daily, 0.2, seed=6)
     np.testing.assert_array_equal(a.demand, b.demand)
     assert not np.array_equal(a.demand, c.demand)
     assert len(a) == 8760

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,19 +10,18 @@ from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
 from offgridopt.dispatch import (DispatchContext, DispatchSchedule, Scenario,
                                  SCHEDULE_HEADER, day_context,
                                  evaluate_schedule, optimize_day,
-                                 propagate_soc, robustness_suite,
-                                 rule_based_schedule, scenario_scale_climate,
-                                 suite_to_csv)
+                                 robustness_suite, rule_based_schedule,
+                                 scenario_scale_climate, suite_to_csv)
 from offgridopt.economics import CostTable, Weights
 from offgridopt.errors import InputDataError
-from offgridopt.simulate import Design
+from offgridopt.simulate import CascadeState, Design, dispatch_cascade
 from offgridopt.timeseries import (ClimateSeries, LoadSeries, flatten_load,
                                    make_peaky_load)
 
 W4 = Weights((0.25, 0.25, 0.25, 0.25))
 
 # the sizing optimum for the default system re-run with an 8 kW generator
-RESIZED_8KW = Design.from_counts(100, 7, 52.55)
+RESIZED_8KW = Design(100, 7, 52.55)
 
 
 def flat_day_ctx(load_kw, rated=16.0, e_b=0.0, res_zero=True):
@@ -29,7 +30,7 @@ def flat_day_ctx(load_kw, rated=16.0, e_b=0.0, res_zero=True):
     wind = np.zeros(24)
     climate = ClimateSeries(irr, wind, np.full(24, 25.0), 1.0)
     return DispatchContext(
-        design=Design.from_counts(0, 0, e_b),
+        design=Design(0, 0, e_b),
         climate=climate, load=LoadSeries(np.full(24, load_kw)),
         pv=PvSpec(), wind=WindSpec(), battery=BatterySpec(),
         generator=GeneratorSpec(rated_power=rated), converter=ConverterSpec(),
@@ -39,7 +40,7 @@ def flat_day_ctx(load_kw, rated=16.0, e_b=0.0, res_zero=True):
 
 @pytest.fixture(scope="module")
 def baseline_day(annual_ctx):
-    return day_context(annual_ctx, Design.from_counts(100, 8, 45.45), 0, W4,
+    return day_context(annual_ctx, Design(100, 8, 45.45), 0, W4,
                        dpsp_max=0.01)
 
 
@@ -55,10 +56,9 @@ def day_8kw(annual_ctx):
 
 def test_zero_schedule_zero_res_loses_everything():
     ctx = flat_day_ctx(5.0)
-    schedule = DispatchSchedule(np.zeros(24), np.zeros(24),
-                                propagate_soc(ctx, np.zeros(24)))
+    schedule = DispatchSchedule(np.zeros(24), np.zeros(24))
     ev = evaluate_schedule(schedule, ctx)
-    assert ev.dpsp == pytest.approx(1.0)
+    assert ev.objectives.dpsp == pytest.approx(1.0)
     # nothing dispatched: the daily cost is the prorated fixed O&M alone
     from offgridopt.economics import fixed_om
     assert ev.c_daily == pytest.approx(fixed_om(ctx.capital, ctx.costs) / 365.0)
@@ -69,19 +69,18 @@ def test_generator_at_rated_meets_flat_load_exactly():
     rated = 10.0
     load = rated * conv.eta_rec * conv.eta_inv  # what rated output serves
     ctx = flat_day_ctx(load, rated=rated)
-    schedule = DispatchSchedule(np.full(24, rated), np.zeros(24),
-                                propagate_soc(ctx, np.zeros(24)))
+    schedule = DispatchSchedule(np.full(24, rated), np.zeros(24))
     ev = evaluate_schedule(schedule, ctx)
     assert ev.objectives.one_minus_ref == pytest.approx(1.0)  # REF = 0
     assert float(ev.dump.sum()) == pytest.approx(0.0, abs=1e-9)
-    assert ev.dpsp == pytest.approx(0.0, abs=1e-12)
+    assert ev.objectives.dpsp == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_hour_minicase_cost_hand_computed():
     ctx = flat_day_ctx(5.0, rated=16.0)
     p_dg = np.zeros(24)
     p_dg[5], p_dg[6] = 6.0, 8.0
-    schedule = DispatchSchedule(p_dg, np.zeros(24), propagate_soc(ctx, np.zeros(24)))
+    schedule = DispatchSchedule(p_dg, np.zeros(24))
     ev = evaluate_schedule(schedule, ctx)
     liters = 0.246 * (6.0 + 8.0) + 0.08145 * 16.0 * 2
     fuel = 3.20 * liters / 3.78541
@@ -100,6 +99,27 @@ def test_schedule_csv_columns(baseline_day, tmp_path):
     assert len(lines) == 25
 
 
+def test_rule_based_schedule_follows_the_strategy(annual_ctx):
+    """Without generator charging the rule-based day is the cascade's day
+    without it; on day 0 the setting changes the battery schedule."""
+    strategy = dataclasses.replace(annual_ctx.strategy,
+                                   dg_may_charge_battery=False)
+    day = day_context(dataclasses.replace(annual_ctx, strategy=strategy),
+                      Design(100, 8, 45.45), 0, W4)
+
+    def cascade(dg_may_charge):
+        return dispatch_cascade(day.res_dc, day.demand_dc, day.battery,
+                                day.design.e_b_init, day.generator,
+                                dg_may_charge, eta_rec=day.converter.eta_rec,
+                                start=CascadeState(day.soc_start))
+
+    p_dg, p_bs, *_ = cascade(False)
+    assert not np.array_equal(p_bs, cascade(True)[1])
+    schedule = rule_based_schedule(day)
+    np.testing.assert_array_equal(schedule.p_dg, p_dg)
+    np.testing.assert_array_equal(schedule.p_bs, p_bs)
+
+
 # ---------------------------------------------------------------------------
 # optimize_day
 # ---------------------------------------------------------------------------
@@ -108,7 +128,7 @@ def test_optimizer_dominates_rule_based(baseline_day):
     result = optimize_day(baseline_day, seed=7)
     assert result.feasible
     assert result.evaluation.weighted <= result.rule_based_evaluation.weighted + 1e-12
-    assert result.evaluation.dpsp <= baseline_day.dpsp_max + 1e-9
+    assert result.evaluation.objectives.dpsp <= baseline_day.dpsp_max + 1e-9
     soc = result.evaluation.soc
     assert len(soc) == 25
     assert soc.min() >= baseline_day.battery.soc_min - 1e-9
@@ -119,7 +139,7 @@ def test_optimizer_never_worse_than_feasible_rule_based():
     # On this day refining the rule-based seed makes it infeasible and the
     # search ends on a feasible schedule worse than the rule-based one.
     ctx = build_context(build_config({}), seed=289683157)
-    day = day_context(ctx, Design.from_counts(100, 8, 45.45), 51, W4,
+    day = day_context(ctx, Design(100, 8, 45.45), 51, W4,
                       dpsp_max=0.01)
     result = optimize_day(day, max_patterns=120, seed=468857191)
     rb = result.rule_based_evaluation
@@ -141,12 +161,12 @@ def test_optimizer_runs_with_max_patterns_three(baseline_day):
 
 
 def test_optimizer_respects_zero_dpsp_with_big_generator(annual_ctx):
-    ctx = day_context(annual_ctx, Design.from_counts(0, 0, 0), 0, W4,
+    ctx = day_context(annual_ctx, Design(0, 0, 0), 0, W4,
                       dpsp_max=0.0,
                       generator=GeneratorSpec(rated_power=20.0))
     result = optimize_day(ctx, seed=1)
     assert result.feasible
-    assert result.evaluation.dpsp == 0.0
+    assert result.evaluation.objectives.dpsp == 0.0
 
 
 def test_optimizer_reports_infeasibility():
@@ -171,7 +191,7 @@ def test_small_generator_day_keeps_renewable_share(day_8kw):
     o = result.evaluation.objectives
     assert 1.0 - o.one_minus_ref >= 0.75
     assert 0.0 < o.lcoe_norm <= 0.85
-    assert result.evaluation.dpsp <= 0.01 + 1e-9
+    assert result.evaluation.objectives.dpsp <= 0.01 + 1e-9
 
 
 # ---------------------------------------------------------------------------

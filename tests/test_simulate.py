@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from offgridopt.datasets import load_bundled_climate, reference_daily_load
+from offgridopt.datasets import (WIND_CORRECTION_FACTOR, load_bundled_climate,
+                                 reference_daily_load)
 from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
                                 PvSpec, WindSpec, hub_wind_speed, pv_power,
                                 wt_power)
-from offgridopt.economics import (CostTable, FinancialParams, equal_weights,
+from offgridopt.economics import (CostTable, FinancialParams, Weights,
                                   weighted_objective)
 from offgridopt.errors import InputDataError
 from offgridopt.simulate import (Design, SimulationContext, SizingProblem,
@@ -19,14 +20,14 @@ from offgridopt.simulate import (Design, SimulationContext, SizingProblem,
                                  hourly_power_balance_check,
                                  renewable_feed_in, simulate_year)
 from offgridopt.timeseries import (ClimateSeries, LoadSeries,
-                                   generate_annual_load)
+                                   generate_annual_load, scale_wind)
 
 
 @pytest.fixture(scope="module")
 def flat_year_ctx():
     """Default system on the bundled climate with a variation-free load
     (peak exactly 12.52 kW), for contracts that reason about the peak."""
-    climate = load_bundled_climate()
+    climate = scale_wind(load_bundled_climate(), WIND_CORRECTION_FACTOR)
     load = generate_annual_load(reference_daily_load(), 0.0, seed=0)
     return SimulationContext(
         climate=climate, load=load, pv=PvSpec(), wind=WindSpec(),
@@ -46,19 +47,19 @@ def with_generator(ctx, rated):
 
 def test_generator_only_system_meets_flat_year(flat_year_ctx):
     # 16 kW * eta_rec covers the 12.52 kW peak seen through the converter
-    sim = simulate_year(Design.from_counts(0, 0, 0), flat_year_ctx)
+    sim = simulate_year(Design(0, 0, 0), flat_year_ctx)
     assert sim.objectives.dpsp == 0.0
     assert sim.objectives.one_minus_ref == 1.0  # REF = 0
 
 
 def test_nothing_generates_means_everything_lost(flat_year_ctx):
     ctx = with_generator(flat_year_ctx, 0.0)
-    sim = simulate_year(Design.from_counts(0, 0, 0), ctx)
+    sim = simulate_year(Design(0, 0, 0), ctx)
     assert sim.objectives.dpsp == pytest.approx(1.0)
 
 
 def test_power_balance_holds_and_detector_fires(annual_ctx):
-    sim = simulate_year(Design.from_counts(40, 5, 60), annual_ctx)
+    sim = simulate_year(Design(40, 5, 60), annual_ctx)
     ok, bad = hourly_power_balance_check(sim, annual_ctx.converter)
     assert ok and bad == []
     sim.p_dump[1234] += 1.0
@@ -70,9 +71,9 @@ def test_random_designs_satisfy_hard_invariants(annual_ctx):
     rng = np.random.default_rng(21)
     battery = annual_ctx.battery
     for _ in range(30):
-        design = Design.from_counts(int(rng.integers(0, 101)),
-                                    int(rng.integers(0, 31)),
-                                    float(rng.uniform(0, 200)))
+        design = Design(int(rng.integers(0, 101)),
+                        int(rng.integers(0, 31)),
+                        float(rng.uniform(0, 200)))
         sim = simulate_year(design, annual_ctx)
         assert hourly_power_balance_check(sim, annual_ctx.converter)[0]
         assert sim.soc.min() >= battery.soc_min - 1e-9
@@ -94,32 +95,32 @@ def test_generator_charging_toggle_never_decreases_dump(annual_ctx):
         strategy=dataclasses.replace(base.strategy, dg_may_charge_battery=False),
         baseline_generator=base.baseline_generator)
     for _ in range(5):
-        design = Design.from_counts(int(rng.integers(0, 50)),
-                                    int(rng.integers(0, 6)),
-                                    float(rng.uniform(10, 120)))
+        design = Design(int(rng.integers(0, 50)),
+                        int(rng.integers(0, 6)),
+                        float(rng.uniform(10, 120)))
         with_charge = simulate_year(design, base).dump_kwh
         without = simulate_year(design, no_charge).dump_kwh
         assert without >= with_charge - 1e-9
 
 
 def test_simulation_is_deterministic(annual_ctx):
-    a = simulate_year(Design.from_counts(50, 6, 80), annual_ctx)
-    b = simulate_year(Design.from_counts(50, 6, 80), annual_ctx)
+    a = simulate_year(Design(50, 6, 80), annual_ctx)
+    b = simulate_year(Design(50, 6, 80), annual_ctx)
     np.testing.assert_array_equal(a.p_bs, b.p_bs)
     np.testing.assert_array_equal(a.soc, b.soc)
     assert a.cost.tnpc == b.cost.tnpc
 
 
 def test_ref_is_zero_exactly_without_renewables(annual_ctx):
-    none = simulate_year(Design.from_counts(0, 0, 50), annual_ctx)
+    none = simulate_year(Design(0, 0, 50), annual_ctx)
     assert none.objectives.one_minus_ref == 1.0
-    some = simulate_year(Design.from_counts(1, 0, 0), annual_ctx)
+    some = simulate_year(Design(1, 0, 0), annual_ctx)
     assert some.objectives.one_minus_ref < 1.0
 
 
 def test_sizing_problem_objective_matches_simulation(annual_ctx, default_config):
-    design = Design.from_counts(60, 6, 70)
-    w = equal_weights()
+    design = Design(60, 6, 70)
+    w = Weights((0.2,) * 5)
     problem = SizingProblem(annual_ctx, default_config.search_space(), w,
                             "pso", 2000, 30)
     assert problem.design(design.as_vector()) == design
@@ -128,7 +129,7 @@ def test_sizing_problem_objective_matches_simulation(annual_ctx, default_config)
 
 
 def test_trace_csv_has_documented_columns(annual_ctx, tmp_path):
-    sim = simulate_year(Design.from_counts(10, 2, 20), annual_ctx)
+    sim = simulate_year(Design(10, 2, 20), annual_ctx)
     path = tmp_path / "trace.csv"
     sim.write_trace_csv(path)
     header = path.read_text().splitlines()[0].split(",")
@@ -146,8 +147,8 @@ def test_nan_input_rejected(flat_year_ctx):
         converter=flat_year_ctx.converter, costs=flat_year_ctx.costs,
         fin=flat_year_ctx.fin, strategy=flat_year_ctx.strategy,
         baseline_generator=flat_year_ctx.baseline_generator)
-    with pytest.raises(InputDataError):
-        simulate_year(Design.from_counts(10, 2, 20), broken)
+    with pytest.raises(InputDataError, match="load_kw is missing at hour 100"):
+        simulate_year(Design(10, 2, 20), broken)
 
 
 def test_count_transitions_cases():
@@ -161,7 +162,7 @@ def test_design_validation():
     with pytest.raises(InputDataError):
         Design(1.5, 2.0, 10.0)          # fractional count in integer mode
     with pytest.raises(InputDataError):
-        Design.from_counts(-1, 0, 0)
+        Design(-1, 0, 0)
     for bad in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, np.nan)):
         with pytest.raises(InputDataError, match="finite"):
             Design(*bad, integer_counts=False)
@@ -175,7 +176,7 @@ def test_battery_cycle_counting_modes(annual_ctx):
         costs=annual_ctx.costs, fin=annual_ctx.fin,
         strategy=dataclasses.replace(annual_ctx.strategy, cycle_counting="throughput"),
         baseline_generator=annual_ctx.baseline_generator)
-    design = Design.from_counts(60, 6, 60)
+    design = Design(60, 6, 60)
     reversal = simulate_year(design, annual_ctx).battery_cycles
     efc = simulate_year(design, throughput).battery_cycles
     assert reversal == int(reversal) and reversal > 0
@@ -255,7 +256,7 @@ def test_replaced_context_simulates_like_a_fresh_one(annual_ctx, field):
         "converter": ConverterSpec(eta_inv=0.8, eta_rec=0.85),
         "strategy": dataclasses.replace(annual_ctx.strategy, wt_printed_curve=True),
     }[field]
-    design = Design.from_counts(80, 10, 60)
+    design = Design(80, 10, 60)
     before = simulate_year(design, annual_ctx)  # fills the context's cache
     replaced = simulate_year(design, dataclasses.replace(annual_ctx, **{field: changed}))
     fresh_fields = {f.name: getattr(annual_ctx, f.name)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from offgridopt import sweeps
-from offgridopt.economics import equal_weights
+from offgridopt.economics import Weights
 from offgridopt.errors import InputDataError
 from offgridopt.seeding import substream_seed
 from offgridopt.simulate import Design, SizingProblem, simulate_year
@@ -12,8 +12,8 @@ from offgridopt.sweeps import (SweepSpec, apply_override,
                                objective_at_fixed_design, run_sweep,
                                sweep_to_csv)
 
-DESIGN = Design.from_counts(100, 8, 45.45)
-W = equal_weights()
+DESIGN = Design(100, 8, 45.45)
+W = Weights((0.2,) * 5)
 
 
 def test_sweep_spec_validation():
@@ -66,7 +66,7 @@ def test_fixed_design_emissions_invariant_to_prices(annual_ctx):
 
 
 def test_fixed_design_bs_price_noop_without_battery(annual_ctx):
-    design = Design.from_counts(40, 6, 0.0)
+    design = Design(40, 6, 0.0)
     base, _ = objective_at_fixed_design(design, {}, annual_ctx, W)
     cheap, _ = objective_at_fixed_design(design, {"bs_price": 50.0}, annual_ctx, W)
     assert cheap.cost.lcoe == pytest.approx(base.cost.lcoe, rel=1e-12)

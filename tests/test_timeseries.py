@@ -3,11 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from offgridopt.errors import (InputDataError, ParseError, SchemaError,
-                               UnrecoverableGapError)
+from offgridopt.errors import InputDataError, ParseError, SchemaError
 from offgridopt.timeseries import (ClimateSeries, LoadSeries,
-                                   empirical_village_load,
-                                   fill_gaps_by_neighbor_average,
                                    flatten_load, generate_annual_load,
                                    make_peaky_load, read_climate_csv,
                                    read_load_csv, scale_wind,
@@ -32,7 +29,7 @@ def test_read_climate_csv_roundtrip(tmp_path):
     path = tmp_path / "climate.csv"
     write_climate_csv(path, original)
     loaded = read_climate_csv(path)
-    assert loaded.n_hours == 48
+    assert len(loaded) == 48
     np.testing.assert_allclose(loaded.irradiance, original.irradiance, atol=1e-4)
     np.testing.assert_allclose(loaded.wind_speed_ref, original.wind_speed_ref, atol=1e-4)
 
@@ -40,7 +37,7 @@ def test_read_climate_csv_roundtrip(tmp_path):
 def test_read_climate_csv_accepts_daily_slice(tmp_path):
     path = tmp_path / "day.csv"
     write_climate_csv(path, climate(np.zeros(24), np.ones(24)))
-    assert read_climate_csv(path).n_hours == 24
+    assert len(read_climate_csv(path)) == 24
 
 
 def test_read_climate_csv_reports_bad_cell_line(tmp_path):
@@ -88,53 +85,6 @@ def test_read_load_csv_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Gap filling
-# ---------------------------------------------------------------------------
-
-def test_fill_gaps_mean_of_two_neighbors():
-    primary = climate([0.1] * 6, [1, 1, 1, 1, 1, np.nan])
-    n1 = climate([0.1] * 6, [2.0] * 6)
-    n2 = climate([0.1] * 6, [4.0] * 6)
-    filled = fill_gaps_by_neighbor_average(primary, [n1, n2])
-    assert filled.wind_speed_ref[5] == pytest.approx(3.0)
-
-
-def test_fill_gaps_complete_series_is_identity():
-    primary = climate([0.1, 0.2], [1.0, 2.0])
-    filled = fill_gaps_by_neighbor_average(primary, [climate([9, 9], [9, 9])])
-    np.testing.assert_array_equal(filled.wind_speed_ref, primary.wind_speed_ref)
-    np.testing.assert_array_equal(filled.irradiance, primary.irradiance)
-
-
-def test_fill_gaps_skips_missing_neighbors():
-    primary = climate([0.1], [np.nan])
-    neighbors = [climate([0.1], [np.nan]), climate([0.1], [1.0]),
-                 climate([0.1], [2.0]), climate([0.1], [3.0])]
-    filled = fill_gaps_by_neighbor_average(primary, neighbors)
-    assert filled.wind_speed_ref[0] == pytest.approx(2.0)
-
-
-def test_fill_gaps_unrecoverable_hour_is_reported():
-    primary = climate([0.1, 0.1], [1.0, np.nan])
-    with pytest.raises(UnrecoverableGapError) as err:
-        fill_gaps_by_neighbor_average(primary, [climate([0.1, 0.1], [2.0, np.nan])])
-    assert err.value.hours == [1]
-
-
-def test_fill_gaps_is_idempotent():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        wind = rng.uniform(0, 8, 50)
-        wind[rng.uniform(size=50) < 0.3] = np.nan
-        primary = climate(rng.uniform(0, 1, 50), wind)
-        neighbors = [climate(rng.uniform(0, 1, 50), rng.uniform(0, 8, 50))
-                     for _ in range(3)]
-        once = fill_gaps_by_neighbor_average(primary, neighbors)
-        twice = fill_gaps_by_neighbor_average(once, neighbors)
-        np.testing.assert_array_equal(once.wind_speed_ref, twice.wind_speed_ref)
-
-
-# ---------------------------------------------------------------------------
 # Wind correction
 # ---------------------------------------------------------------------------
 
@@ -158,15 +108,6 @@ def test_scale_wind_identity_and_multiply():
 def test_scale_wind_rejects_nonpositive_factor():
     with pytest.raises(InputDataError):
         scale_wind(climate([0], [1.0]), 0.0)
-
-
-def test_scale_wind_commutes_with_fill_gaps():
-    primary = climate([0.1, 0.1, 0.1], [1.0, np.nan, 3.0])
-    neighbors = [climate([0.1] * 3, [2.0, 4.0, 2.0])]
-    a = scale_wind(fill_gaps_by_neighbor_average(primary, neighbors), 3.7)
-    b = fill_gaps_by_neighbor_average(
-        scale_wind(primary, 3.7), [scale_wind(n, 3.7) for n in neighbors])
-    np.testing.assert_allclose(a.wind_speed_ref, b.wind_speed_ref, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +153,6 @@ def test_generate_annual_load_is_deterministic():
 def test_generate_annual_load_rejects_bad_variation():
     with pytest.raises(InputDataError):
         generate_annual_load(daily_profile(), 1.0, seed=0)
-
-
-def test_empirical_village_load_first_hours():
-    series = empirical_village_load(48)
-    # t = 0 term: exp(sin(0.3409))
-    assert series.demand[0] == pytest.approx(math.exp(math.sin(0.3409)), rel=1e-12)
-    assert series.demand[0] == pytest.approx(1.397, abs=1e-3)
-    assert len(series) == 48
-    assert (series.demand > 0).all()
 
 
 def test_make_peaky_load_bounds_and_determinism():

@@ -20,7 +20,7 @@ def main():
 
     climate = synthesize_timbila_climate()
     write_climate_csv(data_dir / CLIMATE_FILENAME, climate, start="2018-01-01T00:00")
-    print(f"wrote {data_dir / CLIMATE_FILENAME} ({climate.n_hours} rows, "
+    print(f"wrote {data_dir / CLIMATE_FILENAME} ({len(climate)} rows, "
           f"mean wind {climate.wind_speed_ref.mean():.4f} m/s, "
           f"mean daily GHI {climate.irradiance.sum() / 365:.2f} kWh/m2)")
 
