@@ -27,21 +27,28 @@ static double min3(double a, double b, double c)
 }
 
 /* Run n hours from *state and leave the final state there.  res and dem are
- * DC-bus renewable feed-in and demand; the five outputs are per hour. */
+ * DC-bus renewable feed-in and demand.  out is a row-major (5, n) block that
+ * receives the per-hour p_dg, p_bs, soc, dump and lost rows.  counts
+ * receives the generator's online hours, starts and stops: the unit starts
+ * the horizon off, and a final stop is counted when it is still online in
+ * the last hour. */
 void cascade(long n, const double *res, const double *dem,
              double e_b_init, double eta, double soc_min, double soc_max,
              double leak, double fade, double fade_floor,
              int fixed_power_limit, double unit_power, double unit_energy,
              double p_rated, double p_min, double dg_eff, int dg_may_charge,
-             int by_throughput, cascade_state *state,
-             double *p_dg_out, double *p_bs_out, double *soc_out,
-             double *dump_out, double *lost_out)
+             int by_throughput, cascade_state *state, double *out,
+             long *counts)
 {
     const int has_battery = e_b_init > 0.0;
     double soc = state->soc;
     double cycles = state->cycles;
     double throughput = state->throughput;
     int last_dir = state->discharging ? 1 : -1;
+    double *p_dg_out = out, *p_bs_out = out + n, *soc_out = out + 2 * n;
+    double *dump_out = out + 3 * n, *lost_out = out + 4 * n;
+    long online = 0, starts = 0, stops = 0;
+    int was_on = 0;
 
     for (long t = 0; t < n; t++) {
         const double r = res[t];
@@ -139,10 +146,19 @@ void cascade(long n, const double *res, const double *dem,
         soc_out[t] = soc;
         dump_out[t] = dump;
         lost_out[t] = lost_dc;
+
+        const int on = p_dg > 0.0;
+        online += on;
+        starts += on && !was_on;
+        stops += was_on && !on;
+        was_on = on;
     }
 
     state->soc = soc;
     state->cycles = cycles;
     state->throughput = throughput;
     state->discharging = last_dir > 0;
+    counts[0] = online;
+    counts[1] = starts;
+    counts[2] = stops + was_on;
 }

@@ -221,7 +221,7 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
 def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
     """The sizing simulator's load-following cascade applied to this day,
     under the context's operating strategy."""
-    p_dg, p_bs, _, _, _, _ = dispatch_cascade(
+    p_dg, p_bs, *_ = dispatch_cascade(
         ctx.res_dc, ctx.demand_dc, ctx.battery, ctx.design.e_b_init,
         ctx.generator, ctx.strategy.dg_may_charge_battery,
         eta_rec=ctx.converter.eta_rec, start=CascadeState(ctx.soc_start),

@@ -135,9 +135,10 @@ class SimulationContext:
                                           self.costs, self.fin)
 
     @cached_property
-    def hourly_inputs(self) -> tuple["FeedInProfile", np.ndarray]:
-        """The checked, design-independent hourly inputs of ``simulate_year``:
-        the feed-in profile and the demand drawn from the DC bus [kW].
+    def hourly_inputs(self) -> tuple["FeedInProfile", np.ndarray, float]:
+        """The checked, design-independent inputs of ``simulate_year``: the
+        feed-in profile, the demand drawn from the DC bus [kW] and the
+        annual load [kWh].
 
         Computed on first use and kept; ``dataclasses.replace`` builds a new
         context and therefore a new cache.  A failed check raises on every
@@ -151,7 +152,7 @@ class SimulationContext:
         require_complete(climate, load)
         return (feed_in_profile(climate, self.pv, self.wind,
                                 printed_curve=self.strategy.wt_printed_curve),
-                load.demand / self.converter.eta_inv)
+                load.demand / self.converter.eta_inv, load.total_kwh)
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ class SimResult:
     soc: np.ndarray           # state of charge [fraction]
     p_dump: np.ndarray        # curtailed power, DC [kW]
     p_lost: np.ndarray        # unserved load, AC [kW]
-    load: np.ndarray          # demand, AC [kW]
+    load: np.ndarray          # demand, AC [kW]; the context's own array
     dg_online_hours: int
     dg_starts: int
     dg_stops: int
@@ -237,11 +238,15 @@ def renewable_feed_in(design: Design, profile: FeedInProfile, pv: PvSpec,
     """Per-hour PV (DC), wind (AC) and combined DC-bus renewable power.
 
     The products keep the operand order of ``pv_power`` and ``wt_power``,
-    so the result is bit-identical to theirs.
+    so the result is bit-identical to theirs.  They are formed in place, so
+    a call allocates its three results and no temporaries.
     """
-    p_pv = design.pv_units * profile.eta * pv.collector_area * profile.irr
+    p_pv = design.pv_units * profile.eta
+    p_pv *= pv.collector_area
+    p_pv *= profile.irr
     p_wt = design.wt_units * wind.rated_power * profile.wt_frac
-    res_dc = p_pv + converter.eta_rec * p_wt
+    res_dc = converter.eta_rec * p_wt
+    res_dc += p_pv
     return p_pv, p_wt, res_dc
 
 
@@ -267,9 +272,11 @@ def dispatch_cascade(res_dc, demand_dc, battery: BatterySpec, e_b_init: float,
     ``res_dc`` and ``demand_dc`` are DC-bus quantities; the generator output
     is AC and contributes ``eta_rec`` of it to the bus.  ``start`` is the
     battery state before the first hour (a fresh bank when omitted).
-    Returns per-hour arrays (p_dg, p_bs, soc, dump_dc, lost_dc) plus the
-    final ``CascadeState``; passing that as ``start`` of the next slice gives
-    the same hours as one run over both slices.
+    Returns per-hour arrays (p_dg, p_bs, soc, dump_dc, lost_dc), which are
+    the rows of one fresh (5, n) block, the final ``CascadeState`` and the
+    generator's (online hours, starts, stops) as ``count_transitions``
+    counts them for ``p_dg > 0``.  Passing the final state as ``start`` of
+    the next slice gives the same hours as one run over both slices.
     """
     res_dc = np.ascontiguousarray(res_dc, dtype=np.float64)
     demand_dc = np.ascontiguousarray(demand_dc, dtype=np.float64)
@@ -308,6 +315,8 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
     p_rated = generator.rated_power
     p_min = generator.min_power
     dg_eff = eta_rec
+    online = starts = stops = 0
+    was_on = False
 
     p_dg_l = [0.0] * n
     p_bs_l = [0.0] * n
@@ -395,9 +404,15 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
         dump_l[t] = dump
         lost_l[t] = lost_dc
 
+        on = p_dg > 0.0
+        online += on
+        starts += on and not was_on
+        stops += was_on and not on
+        was_on = on
+
     end = CascadeState(soc, cycles, throughput, last_dir > 0)
-    return (np.array(p_dg_l), np.array(p_bs_l), np.array(soc_l),
-            np.array(dump_l), np.array(lost_l), end)
+    block = np.array([p_dg_l, p_bs_l, soc_l, dump_l, lost_l])
+    return (*block, end, (online, starts, stops + was_on))
 
 
 class _CState(ctypes.Structure):
@@ -446,13 +461,13 @@ def _load_cascade():
         fn = ctypes.CDLL(str(_cascade_library())).cascade
     except (OSError, subprocess.CalledProcessError):
         return None
-    array = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1,
-                                   flags="C_CONTIGUOUS")
-    c_double, c_int = ctypes.c_double, ctypes.c_int
-    fn.argtypes = ([ctypes.c_long, array, array]
+    # Arrays go in as raw addresses: the callers make them C-contiguous
+    # float64, so checking each one on every call would only cost time.
+    c_double, c_int, address = ctypes.c_double, ctypes.c_int, ctypes.c_void_p
+    fn.argtypes = ([ctypes.c_long, address, address]
                    + [c_double] * 7 + [c_int, c_double, c_double]
                    + [c_double] * 3 + [c_int, c_int, ctypes.POINTER(_CState)]
-                   + [array] * 5)
+                   + [address, ctypes.POINTER(ctypes.c_long)])
     fn.restype = None
     return fn
 
@@ -467,22 +482,24 @@ def _cascade_compiled(res_dc: np.ndarray, demand_dc: np.ndarray,
                       eta_rec: float, start: CascadeState,
                       cycle_counting: str):
     """The cascade in the C kernel; same arguments and results as
-    ``_cascade_python``."""
+    ``_cascade_python``.  ``res_dc`` and ``demand_dc`` must be C-contiguous
+    float64 arrays, as ``dispatch_cascade`` makes them."""
     n = len(res_dc)
-    out = [np.empty(n) for _ in range(5)]
+    out = np.empty((5, n))
+    counts = (ctypes.c_long * 3)()
     state = _CState(start.soc, start.cycles, start.throughput,
                     int(start.discharging))
-    _C_CASCADE(n, res_dc, demand_dc, e_b_init, battery.round_trip_eff,
-               battery.soc_min, battery.soc_max,
+    _C_CASCADE(n, res_dc.ctypes.data, demand_dc.ctypes.data, e_b_init,
+               battery.round_trip_eff, battery.soc_min, battery.soc_max,
                self_discharge_hourly(battery), battery.fade_per_cycle,
                CAPACITY_FADE_FLOOR, int(battery.fixed_power_limit),
                battery.rated_power_per_unit, battery.unit_energy,
                generator.rated_power, generator.min_power, eta_rec,
                int(dg_may_charge), int(cycle_counting == "throughput"),
-               ctypes.byref(state), *out)
+               ctypes.byref(state), out.ctypes.data, counts)
     end = CascadeState(state.soc, state.cycles, state.throughput,
                        bool(state.discharging))
-    return (*out, end)
+    return (*out, end, tuple(counts))
 
 
 def count_transitions(online) -> tuple[int, int]:
@@ -501,37 +518,31 @@ def count_transitions(online) -> tuple[int, int]:
 
 def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
     """Simulate one year (8760 h) and compute objectives and lifecycle costs."""
-    load = ctx.load
-    feed_in, demand_dc = ctx.hourly_inputs
+    feed_in, demand_dc, load_kwh = ctx.hourly_inputs
     p_pv, p_wt, res_dc = renewable_feed_in(design, feed_in, ctx.pv, ctx.wind,
                                            ctx.converter)
 
-    p_dg, p_bs, soc, dump, lost_dc, end = dispatch_cascade(
-        res_dc, demand_dc, ctx.battery, design.e_b_init,
-        ctx.generator, ctx.strategy.dg_may_charge_battery,
-        eta_rec=ctx.converter.eta_rec,
-        cycle_counting=ctx.strategy.cycle_counting)
+    p_dg, p_bs, soc, dump, lost, end, (online_hours, starts, stops) = \
+        dispatch_cascade(res_dc, demand_dc, ctx.battery, design.e_b_init,
+                         ctx.generator, ctx.strategy.dg_may_charge_battery,
+                         eta_rec=ctx.converter.eta_rec,
+                         cycle_counting=ctx.strategy.cycle_counting)
     cycles = end.cycles
-    lost_ac = lost_dc * ctx.converter.eta_inv
+    lost *= ctx.converter.eta_inv    # unserved load on the customer (AC) side
 
-    online = p_dg > 0
-    starts, stops = count_transitions(online)
-
-    dg_energy = float(p_dg.sum())
+    # The five hourly rows are views of one block: one reduction sums them.
+    dg_energy, _, _, dump_kwh, lost_kwh = p_dg.base.sum(axis=1).tolist()
     res_energy = float(res_dc.sum())
     gen_energy = res_energy + ctx.converter.eta_rec * dg_energy
-    dump_kwh = float(dump.sum())
-    lost_kwh = float(lost_ac.sum())
-    load_kwh = float(load.demand.sum())
 
     objectives, cost, emissions = _economics_summary(
         design, ctx, dg_energy, res_energy, gen_energy, dump_kwh, lost_kwh,
-        load_kwh, int(online.sum()), starts, stops, cycles)
+        load_kwh, online_hours, starts, stops, cycles)
 
     return SimResult(
         p_pv=p_pv, p_wt=p_wt, p_res=res_dc, p_dg=p_dg, p_bs=p_bs, soc=soc,
-        p_dump=dump, p_lost=lost_ac, load=load.demand.copy(),
-        dg_online_hours=int(online.sum()), dg_starts=starts, dg_stops=stops,
+        p_dump=dump, p_lost=lost, load=ctx.load.demand,
+        dg_online_hours=online_hours, dg_starts=starts, dg_stops=stops,
         battery_cycles=cycles, dg_energy_kwh=dg_energy,
         res_energy_kwh=res_energy, dump_kwh=dump_kwh, lost_kwh=lost_kwh,
         load_kwh=load_kwh, objectives=objectives, cost=cost,

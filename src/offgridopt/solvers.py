@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InputDataError
 
@@ -316,6 +315,10 @@ def multistart_minimize(objective, space: SearchSpace, n_starts: int = 25,
     """Uniform random restarts, each refined by a Nelder-Mead simplex
     search (bounds enforced), with an integer neighborhood polish on masked
     dimensions.  Approximates multiple-start/global search solvers."""
+    # Imported here, not at the top: scipy.optimize takes about 0.6 s and
+    # 40 MB to load, and no other solver needs it.
+    from scipy.optimize import minimize
+
     if n_starts < 1:
         raise InputDataError("n_starts must be >= 1")
     t0 = time.perf_counter()

@@ -15,8 +15,8 @@ from offgridopt import simulate
 from offgridopt.devices import (BatterySpec, GeneratorSpec, lead_acid_spec,
                                 microturbine_spec)
 from offgridopt.simulate import (CascadeState, Design, _cascade_compiled,
-                                 _cascade_python, dispatch_cascade,
-                                 simulate_year)
+                                 _cascade_python, count_transitions,
+                                 dispatch_cascade, simulate_year)
 
 needs_compiled = pytest.mark.skipif(simulate._C_CASCADE is None,
                                     reason="the C kernel could not be built")
@@ -61,7 +61,7 @@ def assert_same_run(a, b):
 
 
 def assert_invariants(case, out):
-    p_dg, p_bs, soc, dump, lost, _ = out
+    p_dg, p_bs, soc, dump, lost = out[:5]
     battery, gen = case["battery"], case["generator"]
     balance = (case["res_dc"] + case["eta_rec"] * p_dg + p_bs
                - case["demand_dc"] - dump + lost)
@@ -83,6 +83,21 @@ def test_compiled_kernel_equals_python_loop_and_keeps_invariants(case):
     compiled = _cascade_compiled(**case)
     assert_same_run(compiled, _cascade_python(**case))
     assert_invariants(case, compiled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cascade_cases())
+def test_kernels_count_generator_hours_starts_and_stops(case):
+    """Both kernels count (online hours, starts, stops) of ``p_dg > 0`` as
+    ``count_transitions`` does."""
+    runs = [_cascade_python(**case)]
+    if simulate._C_CASCADE is not None:
+        runs.append(_cascade_compiled(**case))
+    for run in runs:
+        online = run[0] > 0
+        assert run[6] == (int(online.sum()), *count_transitions(online))
+        assert all(type(n) is int for n in run[6])
+    assert runs[-1][6] == runs[0][6]
 
 
 @settings(max_examples=100, deadline=None)

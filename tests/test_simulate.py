@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from offgridopt import simulate
 from offgridopt.datasets import (WIND_CORRECTION_FACTOR, load_bundled_climate,
                                  reference_daily_load)
 from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
@@ -149,6 +152,37 @@ def test_nan_input_rejected(flat_year_ctx):
         baseline_generator=flat_year_ctx.baseline_generator)
     with pytest.raises(InputDataError, match="load_kw is missing at hour 100"):
         simulate_year(Design(10, 2, 20), broken)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the process's minor page faults (Linux)")
+@pytest.mark.skipif(simulate.CASCADE_KERNEL != "c",
+                    reason="the Python fallback builds its rows as lists")
+def test_simulate_year_does_not_regrow_the_heap(run_python):
+    """Warm ``simulate_year`` calls reuse the memory of the ones before.
+
+    Without scipy loaded, glibc keeps its default heap-trim threshold, so a
+    call that frees many separate hourly arrays returns the heap top to the
+    system and the next call faults it back in (about 120 minor faults per
+    call).  One (5, n) output block, whose first free raises that
+    threshold, and feed-in products formed in place avoid that."""
+    out = run_python(textwrap.dedent("""
+        import resource, sys
+        from offgridopt.config import build_config, build_context
+        from offgridopt.simulate import Design, simulate_year
+
+        ctx = build_context(build_config({}))
+        design = Design(100, 8, 45.45)
+        for _ in range(50):
+            simulate_year(design, ctx)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(300):
+            simulate_year(design, ctx)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+        print((after - before) / 300)
+    """))
+    assert float(out) < 5
 
 
 def test_count_transitions_cases():

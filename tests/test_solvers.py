@@ -1,4 +1,6 @@
+import ast
 import itertools
+import textwrap
 
 import numpy as np
 import pytest
@@ -74,6 +76,35 @@ def test_multistart_finds_global_basin():
                                  max_evals=8000, seed=3)
     assert report.best_point[0] == pytest.approx(3.0, abs=1e-3)
     assert report.best_point[1] == pytest.approx(3.0, abs=1e-3)
+
+
+def test_scipy_optimize_is_loaded_only_by_multistart(run_python):
+    """Importing the package, its CLI and a PSO sizing run load no part of
+    scipy; the Nelder-Mead restarts of ``multistart_minimize`` load
+    ``scipy.optimize`` when they first run."""
+    out = run_python(textwrap.dedent("""
+        import sys
+        import numpy as np
+        import offgridopt, offgridopt.cli
+        from offgridopt import build_config, build_context
+        from offgridopt.simulate import SizingProblem
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        cfg = build_config({})
+        SizingProblem(build_context(cfg), cfg.search_space(), cfg.weights,
+                      "pso", 200, 30).solve(seed=1)
+        before = scipy_modules()
+        offgridopt.multistart_minimize(
+            lambda x: float(np.sum(x ** 2)),
+            offgridopt.SearchSpace([-1, -1], [1, 1], [False, False]),
+            n_starts=2, max_evals=40)
+        print(repr((before, "scipy.optimize" in sys.modules)))
+    """))
+    before, after = ast.literal_eval(out.strip().splitlines()[-1])
+    assert before == []
+    assert after
 
 
 def test_multistart_single_start_is_local_search():
