@@ -36,7 +36,7 @@ print(f"  optimized weighted objective  {ev.weighted:.4f} "
       f"(rule-based {rb.weighted:.4f})")
 print(f"  daily cost ${ev.c_daily:.2f}, DPSP {ev.objectives.dpsp:.4f}, "
       f"REF {1 - ev.objectives.one_minus_ref:.3f}, feasible {result.feasible}")
-result.schedule.write_csv("dispatch_schedule.csv", dctx, ev)
+result.schedule.write_csv("dispatch_schedule.csv", dctx)
 print("  hourly schedule written to dispatch_schedule.csv")
 
 scenarios = [

@@ -133,7 +133,7 @@ def cmd_dispatch(args, config) -> dict:
         dctx, seed=substream_seed(args.seed, "solver"),
         max_patterns=config.dispatch["max_patterns"])
     out = Path(args.out)
-    result.schedule.write_csv(out / "schedule.csv", dctx, result.evaluation)
+    result.schedule.write_csv(out / "schedule.csv", dctx)
     ev, rb = result.evaluation, result.rule_based_evaluation
     return {
         "day": day,

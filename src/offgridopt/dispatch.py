@@ -14,11 +14,16 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
 from . import economics
-from .devices import battery_power_limit, battery_step
+# perfbench/run.py counts calls through ``dispatch.battery_step``;
+# ``propagate_soc`` is its hourly form.
+from .devices import battery_power_limit, battery_step  # noqa: F401
+from .devices import self_discharge_hourly
 from .economics import ObjectiveVector, Weights
 from .errors import InputDataError
 from .simulate import (CascadeState, Design, SimulationContext,
@@ -71,22 +76,26 @@ class DispatchContext:
         self.capital = economics.initial_capital(
             self.design.pv_kw(self.pv), self.design.wt_kw(self.wind),
             self.design.e_b_init, self.generator.rated_power, self.costs)
-        self._baseline = None
+        # What every schedule of the day shares, computed once for the scorer.
+        self.res_hourly = self.res_dc.tolist()
+        self.demand_hourly = self.demand_dc.tolist()
+        self.load_kwh = self.load.total_kwh
+        self.res_kwh = float(self.res_dc.sum())
+        self.weight_array = np.array(self.weights.values)
+        self.daily_fixed_om = economics.fixed_om(self.capital, self.costs) / 365.0
+        self.daily_baseline = self._daily_baseline()
 
-    @property
-    def daily_baseline(self):
+    def _daily_baseline(self) -> tuple[float, float]:
         """COE and emissions of the baseline generator serving the whole day
         by itself (online 24 h, one startup and one shutdown)."""
-        if self._baseline is None:
-            gen = self.baseline_generator
-            energy = self.load.total_kwh
-            c = (economics.fuel_cost(gen, energy, 24.0)
-                 + economics.variable_om(gen, self.costs, 24.0, energy)
-                 + self.costs.startup_cost + self.costs.shutdown_cost
-                 + self.costs.om_fix_dg * self.costs.dg_capital_per_kw
-                 * gen.rated_power / 365.0)
-            self._baseline = (c / energy, economics.emissions_total(energy, gen))
-        return self._baseline
+        gen = self.baseline_generator
+        energy = self.load_kwh
+        c = (economics.fuel_cost(gen, energy, 24.0)
+             + economics.variable_om(gen, self.costs, 24.0, energy)
+             + self.costs.startup_cost + self.costs.shutdown_cost
+             + self.costs.om_fix_dg * self.costs.dg_capital_per_kw
+             * gen.rated_power / 365.0)
+        return c / energy, economics.emissions_total(energy, gen)
 
 
 def day_context(ctx: SimulationContext, design: Design, day: int,
@@ -108,9 +117,10 @@ def day_context(ctx: SimulationContext, design: Design, day: int,
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class DispatchSchedule:
-    """The decision of one day; ``evaluate_schedule`` derives the rest."""
+    """The decision of one day; ``evaluate_schedule`` scores it and
+    ``day_trace`` gives its hours."""
 
     p_dg: np.ndarray      # generator setpoints, AC [kW], 24 entries
     p_bs: np.ndarray      # battery power, +discharge/-charge, DC [kW], 24
@@ -118,43 +128,67 @@ class DispatchSchedule:
     def copy(self) -> "DispatchSchedule":
         return DispatchSchedule(self.p_dg.copy(), self.p_bs.copy())
 
-    def write_csv(self, path, ctx: DispatchContext, evaluation=None):
-        ev = evaluation or evaluate_schedule(self, ctx)
+    def write_csv(self, path, ctx: DispatchContext):
+        trace = day_trace(self, ctx)
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(SCHEDULE_HEADER)
             for h in range(24):
                 writer.writerow([
                     h, f"{self.p_dg[h]:.4f}", f"{self.p_bs[h]:.4f}",
-                    f"{ev.soc[h]:.5f}", f"{ctx.res_dc[h]:.4f}",
-                    f"{ctx.load.demand[h]:.4f}", f"{ev.dump[h]:.4f}",
-                    f"{ev.lost[h]:.4f}",
+                    f"{trace.soc[h]:.5f}", f"{ctx.res_dc[h]:.4f}",
+                    f"{ctx.load.demand[h]:.4f}", f"{trace.dump[h]:.4f}",
+                    f"{trace.lost[h]:.4f}",
                 ])
 
 
-@dataclass
+@dataclass(slots=True)
 class DispatchEvaluation:
+    """The numbers ``evaluate_schedule`` reports for one schedule."""
+
     objectives: ObjectiveVector      # (coe_norm, em_norm, repg, 1-ref) + dpsp
     weighted: float                  # 4-term scalarization per the weights
-    summary5: float                  # equal-weight 5-term summary metric
     c_daily: float
-    dump: np.ndarray
-    lost: np.ndarray
-    soc: np.ndarray                  # 25 knots including end-of-day state
     violations: dict
     feasible: bool
 
+    @property
+    def summary5(self) -> float:
+        """Equal-weight 5-term summary metric."""
+        return float(np.mean(self.objectives.as_array()))
 
-def propagate_soc(ctx: DispatchContext, p_bs: np.ndarray) -> np.ndarray:
-    soc = np.empty(25)
-    soc[0] = ctx.soc_start
+
+class DayTrace(NamedTuple):
+    """The hours of a schedule."""
+
+    soc: np.ndarray       # 25 knots including the end-of-day state
+    dump: np.ndarray      # surplus on the DC bus [kW]
+    lost: np.ndarray      # load not served, AC [kW]
+
+
+def propagate_soc(ctx: DispatchContext, p_bs) -> list[float]:
+    """The 25 SOC knots of a day: ``battery_step`` with ``dt = 1``, hour by
+    hour, with its constants computed once (the same float operations)."""
+    soc = ctx.soc_start
     cap = ctx.design.e_b_init
     if cap <= 0:
-        soc[:] = ctx.soc_start
-        return soc
-    for t in range(24):
-        soc[t + 1] = battery_step(soc[t], float(p_bs[t]), 1.0, cap, ctx.battery)
-    return soc
+        return [soc] * 25
+    keep = 1.0 - self_discharge_hourly(ctx.battery)
+    eta = ctx.battery.round_trip_eff
+    out = [soc]
+    for p in p_bs:
+        soc = keep * soc - p * eta / cap
+        out.append(soc)
+    return out
+
+
+def day_sum(hours) -> float:
+    """``np.sum`` of a day's 24 hourly values, bit for bit: numpy adds them
+    in eight interleaved partial sums, combines those pairwise and adds the
+    total to 0.0."""
+    r0, r1, r2, r3, r4, r5, r6, r7 = map(add, map(add, hours[:8], hours[8:16]),
+                                         hours[16:24])
+    return 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
 
 
 def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEvaluation:
@@ -163,70 +197,86 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
     SOC is re-propagated from the schedule's battery powers; dump and lost
     load are the positive/negative parts of the DC-bus balance residual.
     Infeasibility is reported through ``violations``, never raised.
+
+    The hours are scored in one pass on Python floats with the float
+    operations of the numpy formulation in ``day_trace``; sums are taken in
+    ``np.sum``'s order and maxima are exact, so every value equals the one
+    numpy gives bit for bit.
     """
     gen = ctx.generator
-    p_dg = np.asarray(s.p_dg, dtype=float)
-    p_bs = np.asarray(s.p_bs, dtype=float)
+    p_dg = np.asarray(s.p_dg, dtype=float).tolist()
+    p_bs = np.asarray(s.p_bs, dtype=float).tolist()
     soc = propagate_soc(ctx, p_bs)
+    eta_rec = ctx.converter.eta_rec
+    eta_inv = ctx.converter.eta_inv
+    p_min = gen.min_power
 
-    net = ctx.res_dc + ctx.converter.eta_rec * p_dg + p_bs - ctx.demand_dc
-    dump = np.maximum(net, 0.0)
-    lost = np.maximum(-net, 0.0) * ctx.converter.eta_inv
+    dump, lost, online = [], [], []
+    semicont = 0.0
+    for p, b, r, d in zip(p_dg, p_bs, ctx.res_hourly, ctx.demand_hourly):
+        net = r + eta_rec * p + b - d
+        dump.append(net if net > 0.0 else 0.0)
+        lost.append(-net * eta_inv if net < 0.0 else 0.0)
+        on = p > CONSTRAINT_TOL
+        online.append(on)
+        if on and p_min - p > semicont:
+            semicont = p_min - p
 
-    online = p_dg > CONSTRAINT_TOL
-    on_hours = int(online.sum())
-    energy = float(p_dg.sum())
+    on_hours = sum(online)
+    energy = day_sum(p_dg)
     starts, stops = count_transitions(online)
-
     c_daily = (economics.fuel_cost(gen, energy, on_hours)
                + economics.variable_om(gen, ctx.costs, on_hours, energy)
                + ctx.costs.startup_cost * starts + ctx.costs.shutdown_cost * stops
-               + economics.fixed_om(ctx.capital, ctx.costs) / 365.0)
+               + ctx.daily_fixed_om)
 
-    load_kwh = ctx.load.total_kwh
-    coe = c_daily / load_kwh
+    load_kwh = ctx.load_kwh
     coe_base, em_base = ctx.daily_baseline
-    emissions = economics.emissions_total(energy, gen)
-    gen_dc = float(ctx.res_dc.sum()) + ctx.converter.eta_rec * energy
-    dpsp = float(lost.sum()) / load_kwh
-    repg = economics.metrics_repg(float(dump.sum()), gen_dc)
-    ref = economics.metrics_ref(float(ctx.res_dc.sum()), gen_dc)
-
+    gen_dc = ctx.res_kwh + eta_rec * energy
+    dpsp = day_sum(lost) / load_kwh
+    repg = economics.metrics_repg(day_sum(dump), gen_dc)
+    ref = economics.metrics_ref(ctx.res_kwh, gen_dc)
     objectives = ObjectiveVector(
-        lcoe_norm=coe / coe_base, em_norm=emissions / em_base,
+        lcoe_norm=c_daily / load_kwh / coe_base,
+        em_norm=economics.emissions_total(energy, gen) / em_base,
         dpsp=dpsp, repg=repg, one_minus_ref=1.0 - ref)
-    weighted = float(np.dot(np.array(ctx.weights.values),
+    weighted = float(np.dot(ctx.weight_array,
                             [objectives.lcoe_norm, objectives.em_norm,
                              objectives.repg, objectives.one_minus_ref]))
-    summary5 = float(np.mean([objectives.lcoe_norm, objectives.em_norm, dpsp,
-                              objectives.repg, objectives.one_minus_ref]))
 
-    semicont = np.maximum(0.0, np.where(online, gen.min_power - p_dg, 0.0))
-    over_rated = np.maximum(0.0, p_dg - gen.rated_power)
-    over_power = np.maximum(0.0, np.abs(p_bs) - ctx.power_limit)
-    soc_low = np.maximum(0.0, ctx.battery.soc_min - soc)
-    soc_high = np.maximum(0.0, soc - ctx.battery.soc_max)
+    # x -> x - c rounds monotonically, so each excess is the extreme value's.
     violations = {
-        "dg_semicontinuous": float(semicont.max()),
-        "dg_rated": float(over_rated.max()),
-        "battery_power": float(over_power.max()),
-        "soc_bounds": float(max(soc_low.max(), soc_high.max())),
+        "dg_semicontinuous": semicont,
+        "dg_rated": max(0.0, max(p_dg) - gen.rated_power),
+        "battery_power": max(0.0, max(map(abs, p_bs)) - ctx.power_limit),
+        "soc_bounds": max(0.0, ctx.battery.soc_min - min(soc),
+                          max(soc) - ctx.battery.soc_max),
         "dpsp": max(0.0, dpsp - ctx.dpsp_max),
     }
     feasible = all(v <= CONSTRAINT_TOL for v in violations.values())
-    return DispatchEvaluation(objectives, weighted, summary5, c_daily, dump,
-                              lost, soc, violations, feasible)
+    return DispatchEvaluation(objectives, weighted, c_daily, violations, feasible)
+
+
+def day_trace(s: DispatchSchedule, ctx: DispatchContext) -> DayTrace:
+    """The schedule's hourly SOC knots, dump and lost load."""
+    p_dg = np.asarray(s.p_dg, dtype=float)
+    p_bs = np.asarray(s.p_bs, dtype=float)
+    net = ctx.res_dc + ctx.converter.eta_rec * p_dg + p_bs - ctx.demand_dc
+    return DayTrace(np.array(propagate_soc(ctx, p_bs.tolist())),
+                    np.maximum(net, 0.0),
+                    np.maximum(-net, 0.0) * ctx.converter.eta_inv)
 
 
 def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
     """The sizing simulator's load-following cascade applied to this day,
-    under the context's operating strategy."""
+    under the context's operating strategy.  The rows are copied out of the
+    cascade's output block, so the schedule does not keep the block alive."""
     p_dg, p_bs, *_ = dispatch_cascade(
         ctx.res_dc, ctx.demand_dc, ctx.battery, ctx.design.e_b_init,
         ctx.generator, ctx.strategy.dg_may_charge_battery,
         eta_rec=ctx.converter.eta_rec, start=CascadeState(ctx.soc_start),
         cycle_counting=ctx.strategy.cycle_counting)
-    return DispatchSchedule(p_dg, p_bs)
+    return DispatchSchedule(p_dg.copy(), p_bs.copy())
 
 
 def _penalized(ev: DispatchEvaluation) -> float:
@@ -257,7 +307,7 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
                 moves.append((s.p_bs, -p_lim, p_lim))
             for x, lower, upper in moves:
                 for d in steps:
-                    cand = float(np.clip(x[t] + d, lower, upper))
+                    cand = min(max(x[t] + d, lower), upper)
                     if cand == x[t]:
                         continue
                     old = x[t]
@@ -281,13 +331,13 @@ def _apply_pattern(s: DispatchSchedule, pattern: np.ndarray,
         if pattern[t]:
             if out.p_dg[t] <= 0:
                 out.p_dg[t] = gen.min_power if gen.min_power > 0 else min(1.0, gen.rated_power)
-            out.p_dg[t] = float(np.clip(out.p_dg[t], gen.min_power, gen.rated_power))
+            out.p_dg[t] = min(max(out.p_dg[t], gen.min_power), gen.rated_power)
         else:
             out.p_dg[t] = 0.0
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class DispatchResult:
     schedule: DispatchSchedule
     evaluation: DispatchEvaluation
@@ -321,7 +371,7 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
     rb_ev = evaluate_schedule(rb, ctx)
 
     guess = DispatchSchedule(
-        p_dg=np.full(24, float(np.clip(7.0, gen.min_power, gen.rated_power))),
+        p_dg=np.full(24, min(max(7.0, gen.min_power), gen.rated_power)),
         p_bs=np.full(24, min(1.0, ctx.power_limit)))
     zero = DispatchSchedule(np.zeros(24), np.zeros(24))
     seeds = [rb, guess, zero]

@@ -26,6 +26,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from operator import gt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -299,8 +300,8 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
     """Reference cascade, one Python iteration per hour; the fallback when
     the C kernel is unavailable."""
     n = len(res_dc)
-    res = res_dc.tolist()
-    dem = demand_dc.tolist()
+    res = memoryview(res_dc)
+    dem = memoryview(demand_dc)
 
     eta = battery.round_trip_eff
     soc_min = battery.soc_min
@@ -318,11 +319,12 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
     online = starts = stops = 0
     was_on = False
 
-    p_dg_l = [0.0] * n
-    p_bs_l = [0.0] * n
-    soc_l = [0.0] * n
-    dump_l = [0.0] * n
-    lost_l = [0.0] * n
+    # The hours are read from the inputs and written into the output block
+    # in place: lists of n floats would make a megabyte of float objects per
+    # annual call, which the allocator returns to the system and faults
+    # back in on the next call.
+    block = np.empty((5, n))
+    p_dg_out, p_bs_out, soc_out, dump_out, lost_out = map(memoryview, block)
 
     for t in range(n):
         r = res[t]
@@ -398,11 +400,11 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
             if cycle_counting == "throughput":
                 cycles = throughput * eta / e_c
 
-        p_dg_l[t] = p_dg
-        p_bs_l[t] = p_bs
-        soc_l[t] = soc
-        dump_l[t] = dump
-        lost_l[t] = lost_dc
+        p_dg_out[t] = p_dg
+        p_bs_out[t] = p_bs
+        soc_out[t] = soc
+        dump_out[t] = dump
+        lost_out[t] = lost_dc
 
         on = p_dg > 0.0
         online += on
@@ -411,7 +413,6 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
         was_on = on
 
     end = CascadeState(soc, cycles, throughput, last_dir > 0)
-    block = np.array([p_dg_l, p_bs_l, soc_l, dump_l, lost_l])
     return (*block, end, (online, starts, stops + was_on))
 
 
@@ -506,14 +507,12 @@ def count_transitions(online) -> tuple[int, int]:
     """Startup/shutdown counts for an on/off trace.
 
     The unit starts the horizon off, and a final shutdown is charged when it
-    is still online in the last hour (the horizon ends with the unit off).
+    is still online in the last hour (the horizon ends with the unit off),
+    so every start has its shutdown.
     """
-    online = np.asarray(online, dtype=bool)
-    if online.size == 0:
-        return 0, 0
-    starts = int(np.count_nonzero(online[1:] & ~online[:-1])) + int(online[0])
-    stops = int(np.count_nonzero(~online[1:] & online[:-1])) + int(online[-1])
-    return starts, stops
+    # an hour starts the unit when it is on and the hour before was off
+    starts = int(sum(map(gt, online, [False, *online])))
+    return starts, starts
 
 
 def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:

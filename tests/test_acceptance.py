@@ -12,7 +12,8 @@ import pytest
 from offgridopt.devices import (BatterySpec, GeneratorSpec, WindSpec,
                                 lead_acid_spec, microturbine_spec,
                                 wt_curve_coefficients)
-from offgridopt.dispatch import Scenario, day_context, optimize_day, robustness_suite
+from offgridopt.dispatch import (Scenario, day_context, day_trace, optimize_day,
+                                 robustness_suite)
 from offgridopt.economics import (CostTable, FinancialParams, Weights, crf,
                                   emission_factor_sum,
                                   microturbine_costs, pw_recurring, real_rate,
@@ -176,12 +177,13 @@ def test_criterion_9_dispatch_dominance(annual_ctx):
                       Weights((0.25,) * 4), dpsp_max=0.01)
     result = optimize_day(ctx, seed=SOLVER_SEED)
     ev = result.evaluation
+    soc = day_trace(result.schedule, ctx).soc
     ok = (result.feasible
           and ev.weighted <= result.rule_based_evaluation.weighted + 1e-12
           and ev.objectives.dpsp <= 0.01 + 1e-12
-          and len(ev.soc) == 25
-          and ev.soc.min() >= ctx.battery.soc_min - 1e-9
-          and ev.soc.max() <= ctx.battery.soc_max + 1e-9
+          and len(soc) == 25
+          and soc.min() >= ctx.battery.soc_min - 1e-9
+          and soc.max() <= ctx.battery.soc_max + 1e-9
           and all(v <= 1e-6 for v in ev.violations.values()))
     report(9, "dispatch dominance and feasibility", ok)
 

@@ -8,7 +8,7 @@ from offgridopt.config import build_config, build_context
 from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
                                 PvSpec, WindSpec)
 from offgridopt.dispatch import (DispatchContext, DispatchSchedule, Scenario,
-                                 SCHEDULE_HEADER, day_context,
+                                 SCHEDULE_HEADER, day_context, day_trace,
                                  evaluate_schedule, optimize_day,
                                  robustness_suite, rule_based_schedule,
                                  scenario_scale_climate, suite_to_csv)
@@ -72,7 +72,7 @@ def test_generator_at_rated_meets_flat_load_exactly():
     schedule = DispatchSchedule(np.full(24, rated), np.zeros(24))
     ev = evaluate_schedule(schedule, ctx)
     assert ev.objectives.one_minus_ref == pytest.approx(1.0)  # REF = 0
-    assert float(ev.dump.sum()) == pytest.approx(0.0, abs=1e-9)
+    assert float(day_trace(schedule, ctx).dump.sum()) == pytest.approx(0.0, abs=1e-9)
     assert ev.objectives.dpsp == pytest.approx(0.0, abs=1e-12)
 
 
@@ -129,7 +129,7 @@ def test_optimizer_dominates_rule_based(baseline_day):
     assert result.feasible
     assert result.evaluation.weighted <= result.rule_based_evaluation.weighted + 1e-12
     assert result.evaluation.objectives.dpsp <= baseline_day.dpsp_max + 1e-9
-    soc = result.evaluation.soc
+    soc = day_trace(result.schedule, baseline_day).soc
     assert len(soc) == 25
     assert soc.min() >= baseline_day.battery.soc_min - 1e-9
     assert soc.max() <= baseline_day.battery.soc_max + 1e-9

@@ -1,0 +1,230 @@
+"""The day-schedule scorer: bit for bit against the numpy formulation it
+replaced, on random and infeasible schedules, and pinned ``optimize_day``
+results on fixed days."""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from offgridopt import economics
+from offgridopt.config import build_config, build_context
+from offgridopt.devices import battery_step
+from offgridopt.dispatch import (CONSTRAINT_TOL, DispatchSchedule, day_context,
+                                 day_sum, day_trace, evaluate_schedule,
+                                 optimize_day, rule_based_schedule)
+from offgridopt.economics import ObjectiveVector, Weights
+from offgridopt.seeding import substream_seed
+from offgridopt.simulate import Design
+
+RUN_SEED = 42
+W4 = Weights((0.25, 0.25, 0.25, 0.25))
+VARIANTS = {
+    "LI-DE": {},
+    "LA-MT-no-charge": {"battery": {"chemistry": "LA"}, "generator": {"kind": "MT"},
+                        "strategy": {"dg_may_charge_battery": False}},
+    "LA-DE": {"battery": {"chemistry": "LA"}},
+    "LI-MT-min0": {"generator": {"kind": "MT", "min_fraction": 0.0}},
+    "LI-DE-min0": {"generator": {"min_fraction": 0.0}},
+}
+
+
+@pytest.fixture(scope="module")
+def contexts():
+    return {name: build_context(build_config(raw), seed=RUN_SEED)
+            for name, raw in VARIANTS.items()}
+
+
+# ---------------------------------------------------------------------------
+# The numpy formulation the scorer replaced, kept as the reference
+# ---------------------------------------------------------------------------
+
+def reference_soc(ctx, p_bs):
+    soc = np.empty(25)
+    soc[0] = ctx.soc_start
+    cap = ctx.design.e_b_init
+    if cap <= 0:
+        soc[:] = ctx.soc_start
+        return soc
+    for t in range(24):
+        soc[t + 1] = battery_step(soc[t], float(p_bs[t]), 1.0, cap, ctx.battery)
+    return soc
+
+
+def reference_evaluate(s, ctx):
+    """Objectives, residuals and hours of a schedule, one numpy call per
+    quantity."""
+    gen = ctx.generator
+    p_dg = np.asarray(s.p_dg, dtype=float)
+    p_bs = np.asarray(s.p_bs, dtype=float)
+    soc = reference_soc(ctx, p_bs)
+
+    net = ctx.res_dc + ctx.converter.eta_rec * p_dg + p_bs - ctx.demand_dc
+    dump = np.maximum(net, 0.0)
+    lost = np.maximum(-net, 0.0) * ctx.converter.eta_inv
+
+    online = p_dg > CONSTRAINT_TOL
+    on_hours = int(online.sum())
+    energy = float(p_dg.sum())
+    starts = int(np.count_nonzero(online[1:] & ~online[:-1])) + int(online[0])
+    stops = int(np.count_nonzero(~online[1:] & online[:-1])) + int(online[-1])
+
+    c_daily = (economics.fuel_cost(gen, energy, on_hours)
+               + economics.variable_om(gen, ctx.costs, on_hours, energy)
+               + ctx.costs.startup_cost * starts + ctx.costs.shutdown_cost * stops
+               + economics.fixed_om(ctx.capital, ctx.costs) / 365.0)
+
+    load_kwh = ctx.load.total_kwh
+    coe = c_daily / load_kwh
+    coe_base, em_base = ctx.daily_baseline
+    emissions = economics.emissions_total(energy, gen)
+    gen_dc = float(ctx.res_dc.sum()) + ctx.converter.eta_rec * energy
+    dpsp = float(lost.sum()) / load_kwh
+    repg = economics.metrics_repg(float(dump.sum()), gen_dc)
+    ref = economics.metrics_ref(float(ctx.res_dc.sum()), gen_dc)
+
+    objectives = ObjectiveVector(
+        lcoe_norm=coe / coe_base, em_norm=emissions / em_base,
+        dpsp=dpsp, repg=repg, one_minus_ref=1.0 - ref)
+    weighted = float(np.dot(np.array(ctx.weights.values),
+                            [objectives.lcoe_norm, objectives.em_norm,
+                             objectives.repg, objectives.one_minus_ref]))
+    summary5 = float(np.mean([objectives.lcoe_norm, objectives.em_norm, dpsp,
+                              objectives.repg, objectives.one_minus_ref]))
+
+    semicont = np.maximum(0.0, np.where(online, gen.min_power - p_dg, 0.0))
+    over_rated = np.maximum(0.0, p_dg - gen.rated_power)
+    over_power = np.maximum(0.0, np.abs(p_bs) - ctx.power_limit)
+    soc_low = np.maximum(0.0, ctx.battery.soc_min - soc)
+    soc_high = np.maximum(0.0, soc - ctx.battery.soc_max)
+    violations = {
+        "dg_semicontinuous": float(semicont.max()),
+        "dg_rated": float(over_rated.max()),
+        "battery_power": float(over_power.max()),
+        "soc_bounds": float(max(soc_low.max(), soc_high.max())),
+        "dpsp": max(0.0, dpsp - ctx.dpsp_max),
+    }
+    feasible = all(v <= CONSTRAINT_TOL for v in violations.values())
+    return dict(objectives=objectives, weighted=weighted, summary5=summary5,
+                c_daily=c_daily, violations=violations, feasible=feasible,
+                soc=soc, dump=dump, lost=lost)
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
+
+
+# ---------------------------------------------------------------------------
+# Scorer against the reference
+# ---------------------------------------------------------------------------
+
+HOUR_DG = st.sampled_from([0.0, 1e-6, 2e-6]) | st.floats(0.0, 20.0)
+HOUR_BS = st.just(0.0) | st.floats(-20.0, 20.0)
+
+
+@st.composite
+def scored_days(draw, contexts):
+    """A day of one configuration (with or without a battery) and a
+    schedule: random hours, or the rule-based schedule with a few hours
+    overwritten, so that feasible and infeasible schedules both occur."""
+    annual = contexts[draw(st.sampled_from(sorted(VARIANTS)))]
+    e_b = draw(st.sampled_from([0.0, 45.45, 150.0]))
+    ctx = day_context(annual, Design(100, 8, e_b), draw(st.integers(0, 364)), W4,
+                      dpsp_max=draw(st.sampled_from([0.0, 0.01, 0.2])))
+    if draw(st.booleans()):
+        p_dg = draw(st.lists(HOUR_DG, min_size=24, max_size=24))
+        p_bs = draw(st.lists(HOUR_BS, min_size=24, max_size=24))
+    else:
+        rule = rule_based_schedule(ctx)
+        p_dg, p_bs = rule.p_dg.tolist(), rule.p_bs.tolist()
+        for _ in range(draw(st.integers(0, 3))):
+            h = draw(st.integers(0, 23))
+            p_dg[h] = draw(HOUR_DG)
+            p_bs[h] = draw(HOUR_BS)
+    return ctx, DispatchSchedule(np.array(p_dg), np.array(p_bs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_scorer_equals_the_numpy_reference_bit_for_bit(contexts, data):
+    ctx, schedule = data.draw(scored_days(contexts))
+    ev = evaluate_schedule(schedule, ctx)
+    ref = reference_evaluate(schedule, ctx)
+    assert bits(ev.weighted) == bits(ref["weighted"])
+    assert bits(ev.summary5) == bits(ref["summary5"])
+    assert bits(ev.c_daily) == bits(ref["c_daily"])
+    for name in ("lcoe_norm", "em_norm", "dpsp", "repg", "one_minus_ref"):
+        assert bits(getattr(ev.objectives, name)) == bits(getattr(ref["objectives"], name))
+    assert list(ev.violations) == list(ref["violations"])
+    assert {k: bits(v) for k, v in ev.violations.items()} == \
+        {k: bits(v) for k, v in ref["violations"].items()}
+    assert ev.feasible is ref["feasible"]
+
+    trace = day_trace(schedule, ctx)
+    for name in ("soc", "dump", "lost"):
+        assert getattr(trace, name).tobytes() == ref[name].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0]),
+                min_size=24, max_size=24))
+def test_day_sum_is_np_sum(hours):
+    assert bits(day_sum(hours)) == bits(np.sum(np.array(hours)))
+
+
+def test_day_sum_keeps_the_sum_order_of_np_sum():
+    """Values whose sum depends on the order of the additions."""
+    hours = [1e16, 1.0, -1e16, 1.0] * 6
+    in_turn = 0.0
+    for h in hours:
+        in_turn += h
+    assert bits(day_sum(hours)) == bits(np.sum(np.array(hours)))
+    assert day_sum(hours) != in_turn
+
+
+# ---------------------------------------------------------------------------
+# Pinned optimize_day results
+# ---------------------------------------------------------------------------
+
+# weighted.hex(), feasible and the SHA-256 of p_dg.tobytes() + p_bs.tobytes()
+# of optimize_day on design 100,8,45.45 at run seed 42, as the dispatch
+# command runs it.
+PINNED = {
+    ("LI-DE", 0): ("0x1.3f27e4c384852p-4", True,
+                   "440b2a855a5c0a33809893b1bb917df62b81911b7468cdee4ac8ab95a5ff52c4"),
+    ("LI-DE", 51): ("0x1.08bed63441d98p-2", True,
+                    "1290905ef298e88f1a55497adea9547c972b32965f8ce0181e5bbdc4e575ee63"),
+    ("LI-DE", 150): ("0x1.ebe15e5ce23f5p-5", True,
+                     "525f19bd939fb00d27cf02708660f919a345d804cf18eb7b6c1bd95ef0e9e9f6"),
+    ("LI-DE", 300): ("0x1.bb2b34460a282p-4", True,
+                     "59dc56ec500b5a7f600d9c86c6c8468f2a07f90a11a40d6a4dac1ee5f8e5712c"),
+    ("LA-MT-no-charge", 0): (
+        "0x1.4eaae0358bbc8p-2", True,
+        "c9722b20031bbd1fad1f8c3bc3de66b25ac73169552fa3cd1b31aab7fec66f22"),
+    ("LA-MT-no-charge", 51): (
+        "0x1.af10ab01c4262p-2", True,
+        "479761ec680df9f29f3d0302802c026b95591a9c976647066c03140b7366d9bb"),
+    ("LA-MT-no-charge", 150): (
+        "0x1.05a29f5d712e0p-2", True,
+        "23e2cf30aeb26cdaff14545c31844cb5b034dc3fec148734fa5c779ffa2f914b"),
+    ("LA-MT-no-charge", 300): (
+        "0x1.0560ed880bd30p-2", True,
+        "c4c298892f2f55040e53faf3a27509ace6611c76e09c4e1d6997f7b974208fa2"),
+}
+
+
+@pytest.mark.parametrize("variant, day", sorted(PINNED))
+def test_optimize_day_is_pinned(contexts, variant, day):
+    config = build_config(VARIANTS[variant])
+    ctx = day_context(contexts[variant], Design(100, 8, 45.45), day,
+                      Weights(tuple(config.dispatch["weights"])),
+                      dpsp_max=config.dispatch["dpsp_max"],
+                      generator=config.dispatch_generator())
+    result = optimize_day(ctx, max_patterns=config.dispatch["max_patterns"],
+                          seed=substream_seed(RUN_SEED, "solver"))
+    schedule = hashlib.sha256(result.schedule.p_dg.tobytes()
+                              + result.schedule.p_bs.tobytes()).hexdigest()
+    assert (result.evaluation.weighted.hex(), result.feasible, schedule) == \
+        PINNED[variant, day]
