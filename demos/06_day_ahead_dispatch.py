@@ -45,11 +45,11 @@ scenarios = [
     Scenario("low_wind", wind_factor=0.1),
     Scenario("low_both", irr_factor=0.1, wind_factor=0.1),
     Scenario("peaky_load",
-             load=make_peaky_load(dctx.load, 0.30,
+             load=make_peaky_load(dctx.sim.load, 0.30,
                                   substream_seed(42, "peaky-load"))),
-    Scenario("flat_shifted", load=flatten_load(dctx.load, dctx.res_dc, 0.0)),
+    Scenario("flat_shifted", load=flatten_load(dctx.sim.load, dctx.res_dc, 0.0)),
     Scenario("flat_plus_curtail",
-             load=flatten_load(dctx.load, dctx.res_dc, 0.10)),
+             load=flatten_load(dctx.sim.load, dctx.res_dc, 0.10)),
 ]
 rows = robustness_suite(dctx, scenarios, seed=seed)
 

@@ -29,9 +29,9 @@ static double min3(double a, double b, double c)
 /* Run n hours from *state and leave the final state there.  res and dem are
  * DC-bus renewable feed-in and demand.  out is a row-major (5, n) block that
  * receives the per-hour p_dg, p_bs, soc, dump and lost rows.  counts
- * receives the generator's online hours, starts and stops: the unit starts
- * the horizon off, and a final stop is counted when it is still online in
- * the last hour. */
+ * receives the generator's online hours and starts: the unit starts the
+ * horizon off, so an hour starts it when it is on and the hour before was
+ * off.  Every start has its stop (count_transitions in simulate.py). */
 void cascade(long n, const double *res, const double *dem,
              double e_b_init, double eta, double soc_min, double soc_max,
              double leak, double fade, double fade_floor,
@@ -47,7 +47,7 @@ void cascade(long n, const double *res, const double *dem,
     int last_dir = state->discharging ? 1 : -1;
     double *p_dg_out = out, *p_bs_out = out + n, *soc_out = out + 2 * n;
     double *dump_out = out + 3 * n, *lost_out = out + 4 * n;
-    long online = 0, starts = 0, stops = 0;
+    long online = 0, starts = 0;
     int was_on = 0;
 
     for (long t = 0; t < n; t++) {
@@ -150,7 +150,6 @@ void cascade(long n, const double *res, const double *dem,
         const int on = p_dg > 0.0;
         online += on;
         starts += on && !was_on;
-        stops += was_on && !on;
         was_on = on;
     }
 
@@ -160,5 +159,4 @@ void cascade(long n, const double *res, const double *dem,
     state->discharging = last_dir > 0;
     counts[0] = online;
     counts[1] = starts;
-    counts[2] = stops + was_on;
 }

@@ -53,7 +53,8 @@ def _objective_summary(sim) -> dict:
         "lcoe_norm": o.lcoe_norm, "em_norm": o.em_norm, "dpsp": o.dpsp,
         "repg": o.repg, "one_minus_ref": o.one_minus_ref,
         "dg_online_hours": sim.dg_online_hours,
-        "dg_starts": sim.dg_starts, "dg_stops": sim.dg_stops,
+        # every start has its shutdown
+        "dg_starts": sim.dg_starts, "dg_stops": sim.dg_starts,
         "battery_cycles": sim.battery_cycles,
         "dg_energy_kwh": sim.dg_energy_kwh,
         "res_energy_kwh": sim.res_energy_kwh,
@@ -63,14 +64,14 @@ def _objective_summary(sim) -> dict:
     }
 
 
-def _write_result(out_dir: Path, command: str, seed: int, config, results: dict,
+def _write_result(out_dir: Path, command: str, config, results: dict,
                   status: str = "ok", message: str = "") -> Path:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "status": status,
         "message": message,
-        "seed": seed,
+        "seed": config.seed if config is not None else None,
         "config": config.resolved() if config is not None else None,
         "results": results,
     }
@@ -91,7 +92,7 @@ def _json_default(value):
 
 
 def cmd_simulate(args, config) -> dict:
-    ctx = build_context(config, args.seed)
+    ctx = build_context(config)
     design = _parse_design(args.design)
     sim = simulate_year(design, ctx)
     results = {
@@ -106,8 +107,8 @@ def cmd_simulate(args, config) -> dict:
 
 
 def cmd_size(args, config) -> dict:
-    problem = config.sizing_problem(build_context(config, args.seed))
-    report = problem.solve(substream_seed(args.seed, "solver"))
+    problem = config.sizing_problem(build_context(config))
+    report = problem.solve(substream_seed(config.seed, "solver"))
     design = problem.design(report.best_point)
     sim = simulate_year(design, problem.ctx)
     # deliberately no wall-clock fields: same seed => byte-identical result
@@ -122,7 +123,7 @@ def cmd_size(args, config) -> dict:
 
 
 def cmd_dispatch(args, config) -> dict:
-    ctx = build_context(config, args.seed)
+    ctx = build_context(config)
     design = _parse_design(args.design)
     weights4 = Weights(tuple(config.dispatch["weights"]))
     day = config.dispatch["day"]
@@ -130,7 +131,7 @@ def cmd_dispatch(args, config) -> dict:
         ctx, design, day, weights4, dpsp_max=config.dispatch["dpsp_max"],
         generator=config.dispatch_generator())
     result = dispatch_mod.optimize_day(
-        dctx, seed=substream_seed(args.seed, "solver"),
+        dctx, seed=substream_seed(config.seed, "solver"),
         max_patterns=config.dispatch["max_patterns"])
     out = Path(args.out)
     result.schedule.write_csv(out / "schedule.csv", dctx)
@@ -154,11 +155,11 @@ def cmd_dispatch(args, config) -> dict:
 
 
 def cmd_pareto(args, config) -> dict:
-    problem = config.sizing_problem(build_context(config, args.seed))
+    problem = config.sizing_problem(build_context(config))
     front = solvers.pareto_front(problem.objectives, problem.space,
                                  population=args.population,
                                  generations=args.generations,
-                                 seed=substream_seed(args.seed, "solver"))
+                                 seed=substream_seed(config.seed, "solver"))
     with open(Path(args.out) / "pareto.csv", "w", newline="\n",
               encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -176,9 +177,9 @@ def cmd_sweep(args, config) -> dict:
                                 tuple(_numbers(args.values, "--values")))
     else:
         spec = sweeps.SweepSpec.default(args.parameter)
-    problem = config.sizing_problem(build_context(config, args.seed))
+    problem = config.sizing_problem(build_context(config))
     rows = sweeps.run_sweep(spec, problem,
-                            seed=substream_seed(args.seed, "solver"),
+                            seed=substream_seed(config.seed, "solver"),
                             workers=args.workers)
     out = Path(args.out)
     sweeps.sweep_to_csv(rows, out / f"sweep_{args.parameter}.csv")
@@ -192,8 +193,7 @@ def cmd_sweep(args, config) -> dict:
 
 
 def cmd_breakeven(args, config) -> dict:
-    crf_value = economics.crf(economics.real_rate(config.fin),
-                              config.fin.system_lifetime)
+    crf_value = economics.system_crf(config.fin)
     extra = {}
     if args.tac is not None:
         tac, load_kwh = args.tac, args.load_kwh
@@ -202,7 +202,7 @@ def cmd_breakeven(args, config) -> dict:
     else:
         if not args.design:
             raise InputDataError("breakeven needs --tac/--load-kwh or --design")
-        ctx = build_context(config, args.seed)
+        ctx = build_context(config)
         sim = simulate_year(_parse_design(args.design), ctx)
         tac, load_kwh = sim.cost.tac, sim.load_kwh
         extra["cost_breakdown"] = sim.cost.as_dict()
@@ -221,8 +221,8 @@ def cmd_bench(args, config) -> dict:
     lists each solver's outcome in ``--solvers`` order; the timed table,
     ranked by the overall metric (runtime x best value, lower is better),
     goes to ``benchmark.csv`` and ``benchmark.json``."""
-    problem = config.sizing_problem(build_context(config, args.seed))
-    seed = substream_seed(args.seed, "solver")
+    problem = config.sizing_problem(build_context(config))
+    seed = substream_seed(config.seed, "solver")
     reports = [replace(problem, solver=name.strip()).solve(seed)
                for name in args.solvers.split(",")]
     ranked = sorted(reports, key=lambda r: r.overall)
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None, help="YAML config path (defaults apply if omitted)")
-        p.add_argument("--seed", type=int, required=True, help="top-level run seed")
+        _key_flag(p, "--seed", "seed", "top-level run seed")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("simulate", help="hourly annual simulation of one design")
@@ -350,10 +350,10 @@ def main(argv=None) -> int:
         raw = read_mapping(args.config) if args.config else {}
         config = build_config(_with_flags(raw, args))
         results = COMMANDS[args.command](args, config)
-        _write_result(out_dir, args.command, args.seed, config, results)
+        _write_result(out_dir, args.command, config, results)
         return 0
     except (InputDataError, ConfigError, OSError) as exc:
-        _write_result(out_dir, args.command, args.seed, config, {},
+        _write_result(out_dir, args.command, config, {},
                       status="error", message=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,9 +27,8 @@ from .devices import self_discharge_hourly
 from .economics import ObjectiveVector, Weights
 from .errors import InputDataError
 from .simulate import (CascadeState, Design, SimulationContext,
-                       StrategyConfig, count_transitions, dispatch_cascade,
-                       feed_in_profile, renewable_feed_in)
-from .timeseries import ClimateSeries, LoadSeries, require_complete
+                       count_transitions, dispatch_cascade, renewable_feed_in)
+from .timeseries import ClimateSeries, LoadSeries
 
 SCHEDULE_HEADER = ["hour", "p_dg", "p_bs", "soc", "p_res", "load", "dump", "lost"]
 CONSTRAINT_TOL = 1e-6
@@ -39,61 +38,50 @@ PENALTY_MU = 200.0  # weight of the constraint residuals in the search value
 
 @dataclass
 class DispatchContext:
-    """Fixed system + one day of climate/load for the dispatch problem."""
+    """A sized system on one day: ``sim`` is the simulation context of the
+    day's 24 hours, which ``day_context`` slices out of the year."""
 
     design: Design
-    climate: ClimateSeries          # 24 hours
-    load: LoadSeries                # 24 hours
-    pv: object
-    wind: object
-    battery: object
-    generator: object
-    converter: object
-    costs: object
-    baseline_generator: object
+    sim: SimulationContext
     weights: Weights                # 4 entries: COE, emissions, REPG, 1-REF
     dpsp_max: float = 0.01
     soc_start: float | None = None
-    strategy: StrategyConfig = StrategyConfig()  # wind curve, rule-based cascade
 
     def __post_init__(self):
-        if len(self.climate) != 24 or len(self.load) != 24:
+        sim = self.sim
+        if len(sim.load) != 24:
             raise InputDataError("dispatch context needs 24-hour series")
-        require_complete(self.climate, self.load)
         if not 0 <= self.dpsp_max <= 1:
             raise InputDataError("dpsp_max must be in [0, 1]")
         if len(self.weights) != 4:
             raise InputDataError("dispatch uses 4 objective weights")
         if self.soc_start is None:
-            self.soc_start = self.battery.soc_max
-        profile = feed_in_profile(self.climate, self.pv, self.wind,
-                                  printed_curve=self.strategy.wt_printed_curve)
-        _, _, self.res_dc = renewable_feed_in(self.design, profile, self.pv,
-                                              self.wind, self.converter)
-        self.demand_dc = self.load.demand / self.converter.eta_inv
-        self.power_limit = (battery_power_limit(self.design.e_b_init, self.battery)
+            self.soc_start = sim.battery.soc_max
+        feed_in, self.demand_dc, self.load_kwh = sim.hourly_inputs
+        _, _, self.res_dc = renewable_feed_in(self.design, feed_in, sim.pv,
+                                              sim.wind, sim.converter)
+        self.power_limit = (battery_power_limit(self.design.e_b_init, sim.battery)
                             if self.design.e_b_init > 0 else 0.0)
         self.capital = economics.initial_capital(
-            self.design.pv_kw(self.pv), self.design.wt_kw(self.wind),
-            self.design.e_b_init, self.generator.rated_power, self.costs)
+            self.design.pv_kw(sim.pv), self.design.wt_kw(sim.wind),
+            self.design.e_b_init, sim.generator.rated_power, sim.costs)
         # What every schedule of the day shares, computed once for the scorer.
         self.res_hourly = self.res_dc.tolist()
         self.demand_hourly = self.demand_dc.tolist()
-        self.load_kwh = self.load.total_kwh
         self.res_kwh = float(self.res_dc.sum())
         self.weight_array = np.array(self.weights.values)
-        self.daily_fixed_om = economics.fixed_om(self.capital, self.costs) / 365.0
+        self.daily_fixed_om = economics.fixed_om(self.capital, sim.costs) / 365.0
         self.daily_baseline = self._daily_baseline()
 
     def _daily_baseline(self) -> tuple[float, float]:
         """COE and emissions of the baseline generator serving the whole day
         by itself (online 24 h, one startup and one shutdown)."""
-        gen = self.baseline_generator
+        gen, costs = self.sim.baseline_generator, self.sim.costs
         energy = self.load_kwh
         c = (economics.fuel_cost(gen, energy, 24.0)
-             + economics.variable_om(gen, self.costs, 24.0, energy)
-             + self.costs.startup_cost + self.costs.shutdown_cost
-             + self.costs.om_fix_dg * self.costs.dg_capital_per_kw
+             + economics.variable_om(gen, costs, 24.0, energy)
+             + costs.startup_cost + costs.shutdown_cost
+             + costs.om_fix_dg * costs.dg_capital_per_kw
              * gen.rated_power / 365.0)
         return c / energy, economics.emissions_total(energy, gen)
 
@@ -101,20 +89,14 @@ class DispatchContext:
 def day_context(ctx: SimulationContext, design: Design, day: int,
                 weights: Weights, dpsp_max: float = 0.01,
                 generator=None) -> DispatchContext:
-    """Slice day ``day`` out of an annual simulation context."""
+    """Slice day ``day`` out of an annual simulation context, optionally
+    with another dispatch generator; the baseline generator stays."""
     n_days = len(ctx.load) // 24
     if not 0 <= day < n_days:
         raise InputDataError(f"day {day} is outside [0, {n_days})")
-    return DispatchContext(
-        design=design,
-        climate=ctx.climate.slice(24 * day, 24 * (day + 1)),
-        load=ctx.load.day(day),
-        pv=ctx.pv, wind=ctx.wind, battery=ctx.battery,
-        generator=generator or ctx.generator, converter=ctx.converter,
-        costs=ctx.costs, baseline_generator=ctx.baseline_generator,
-        weights=weights, dpsp_max=dpsp_max,
-        strategy=ctx.strategy,
-    )
+    sim = replace(ctx, climate=ctx.climate.slice(24 * day, 24 * (day + 1)),
+                  load=ctx.load.day(day), generator=generator or ctx.generator)
+    return DispatchContext(design, sim, weights, dpsp_max)
 
 
 @dataclass(slots=True)
@@ -137,7 +119,7 @@ class DispatchSchedule:
                 writer.writerow([
                     h, f"{self.p_dg[h]:.4f}", f"{self.p_bs[h]:.4f}",
                     f"{trace.soc[h]:.5f}", f"{ctx.res_dc[h]:.4f}",
-                    f"{ctx.load.demand[h]:.4f}", f"{trace.dump[h]:.4f}",
+                    f"{ctx.sim.load.demand[h]:.4f}", f"{trace.dump[h]:.4f}",
                     f"{trace.lost[h]:.4f}",
                 ])
 
@@ -173,8 +155,9 @@ def propagate_soc(ctx: DispatchContext, p_bs) -> list[float]:
     cap = ctx.design.e_b_init
     if cap <= 0:
         return [soc] * 25
-    keep = 1.0 - self_discharge_hourly(ctx.battery)
-    eta = ctx.battery.round_trip_eff
+    battery = ctx.sim.battery
+    keep = 1.0 - self_discharge_hourly(battery)
+    eta = battery.round_trip_eff
     out = [soc]
     for p in p_bs:
         soc = keep * soc - p * eta / cap
@@ -203,12 +186,13 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
     ``np.sum``'s order and maxima are exact, so every value equals the one
     numpy gives bit for bit.
     """
-    gen = ctx.generator
+    sim = ctx.sim
+    gen, costs, battery = sim.generator, sim.costs, sim.battery
     p_dg = np.asarray(s.p_dg, dtype=float).tolist()
     p_bs = np.asarray(s.p_bs, dtype=float).tolist()
     soc = propagate_soc(ctx, p_bs)
-    eta_rec = ctx.converter.eta_rec
-    eta_inv = ctx.converter.eta_inv
+    eta_rec = sim.converter.eta_rec
+    eta_inv = sim.converter.eta_inv
     p_min = gen.min_power
 
     dump, lost, online = [], [], []
@@ -224,10 +208,10 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
 
     on_hours = sum(online)
     energy = day_sum(p_dg)
-    starts, stops = count_transitions(online)
+    starts = count_transitions(online)   # every start has its shutdown
     c_daily = (economics.fuel_cost(gen, energy, on_hours)
-               + economics.variable_om(gen, ctx.costs, on_hours, energy)
-               + ctx.costs.startup_cost * starts + ctx.costs.shutdown_cost * stops
+               + economics.variable_om(gen, costs, on_hours, energy)
+               + costs.startup_cost * starts + costs.shutdown_cost * starts
                + ctx.daily_fixed_om)
 
     load_kwh = ctx.load_kwh
@@ -249,8 +233,8 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
         "dg_semicontinuous": semicont,
         "dg_rated": max(0.0, max(p_dg) - gen.rated_power),
         "battery_power": max(0.0, max(map(abs, p_bs)) - ctx.power_limit),
-        "soc_bounds": max(0.0, ctx.battery.soc_min - min(soc),
-                          max(soc) - ctx.battery.soc_max),
+        "soc_bounds": max(0.0, battery.soc_min - min(soc),
+                          max(soc) - battery.soc_max),
         "dpsp": max(0.0, dpsp - ctx.dpsp_max),
     }
     feasible = all(v <= CONSTRAINT_TOL for v in violations.values())
@@ -261,21 +245,23 @@ def day_trace(s: DispatchSchedule, ctx: DispatchContext) -> DayTrace:
     """The schedule's hourly SOC knots, dump and lost load."""
     p_dg = np.asarray(s.p_dg, dtype=float)
     p_bs = np.asarray(s.p_bs, dtype=float)
-    net = ctx.res_dc + ctx.converter.eta_rec * p_dg + p_bs - ctx.demand_dc
+    converter = ctx.sim.converter
+    net = ctx.res_dc + converter.eta_rec * p_dg + p_bs - ctx.demand_dc
     return DayTrace(np.array(propagate_soc(ctx, p_bs.tolist())),
                     np.maximum(net, 0.0),
-                    np.maximum(-net, 0.0) * ctx.converter.eta_inv)
+                    np.maximum(-net, 0.0) * converter.eta_inv)
 
 
 def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
     """The sizing simulator's load-following cascade applied to this day,
     under the context's operating strategy.  The rows are copied out of the
     cascade's output block, so the schedule does not keep the block alive."""
+    sim = ctx.sim
     p_dg, p_bs, *_ = dispatch_cascade(
-        ctx.res_dc, ctx.demand_dc, ctx.battery, ctx.design.e_b_init,
-        ctx.generator, ctx.strategy.dg_may_charge_battery,
-        eta_rec=ctx.converter.eta_rec, start=CascadeState(ctx.soc_start),
-        cycle_counting=ctx.strategy.cycle_counting)
+        ctx.res_dc, ctx.demand_dc, sim.battery, ctx.design.e_b_init,
+        sim.generator, sim.strategy.dg_may_charge_battery,
+        eta_rec=sim.converter.eta_rec, start=CascadeState(ctx.soc_start),
+        cycle_counting=sim.strategy.cycle_counting)
     return DispatchSchedule(p_dg.copy(), p_bs.copy())
 
 
@@ -290,7 +276,7 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
                        ) -> tuple[DispatchSchedule, DispatchEvaluation]:
     """Projected coordinate descent over the hourly setpoints with the ON
     pattern held fixed."""
-    gen = ctx.generator
+    gen = ctx.sim.generator
     s = s.copy()
     best = evaluate_schedule(s, ctx)
     best_val = _penalized(best)
@@ -325,7 +311,7 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
 
 def _apply_pattern(s: DispatchSchedule, pattern: np.ndarray,
                    ctx: DispatchContext) -> DispatchSchedule:
-    gen = ctx.generator
+    gen = ctx.sim.generator
     out = s.copy()
     for t in range(24):
         if pattern[t]:
@@ -359,13 +345,13 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
     every hard constraint the best-found infeasible schedule is returned
     with ``feasible=False`` and its residuals.
     """
-    if ctx.generator.rated_power <= 0:
+    gen = ctx.sim.generator
+    if gen.rated_power <= 0:
         raise InputDataError("dispatch needs a generator with positive rating")
     if max_patterns < 3:
         raise InputDataError(
             f"max_patterns must be >= 3 (the seed schedules), got {max_patterns}")
     rng = np.random.default_rng(seed)
-    gen = ctx.generator
 
     rb = rule_based_schedule(ctx)
     rb_ev = evaluate_schedule(rb, ctx)
@@ -459,10 +445,11 @@ class Scenario:
 def apply_scenario(ctx: DispatchContext, scenario: Scenario) -> DispatchContext:
     """The day under the scenario's weather and load; ``replace`` reruns
     ``__post_init__``, so every derived quantity is recomputed."""
-    climate = scenario_scale_climate(ctx.climate, scenario.irr_factor,
+    sim = ctx.sim
+    climate = scenario_scale_climate(sim.climate, scenario.irr_factor,
                                      scenario.wind_factor)
-    load = scenario.load if scenario.load is not None else ctx.load
-    return replace(ctx, climate=climate, load=load)
+    load = scenario.load if scenario.load is not None else sim.load
+    return replace(ctx, sim=replace(sim, climate=climate, load=load))
 
 
 def robustness_suite(ctx: DispatchContext, scenarios: list[Scenario],

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,6 +138,11 @@ def crf(r: float, years: int) -> float:
     return r * g / (g - 1.0)
 
 
+def system_crf(fin: FinancialParams) -> float:
+    """The system's capital recovery factor: real rate, system lifetime."""
+    return crf(real_rate(fin), fin.system_lifetime)
+
+
 def _geometric_pw(cost: float, ratio: float, terms: float) -> float:
     """Present worth of `terms` payments growing/discounting by `ratio`:
     cost * sum_{t=1..terms} ratio^t, with the ratio -> 1 limit cost*terms."""
@@ -252,13 +258,14 @@ def fixed_om(capital: CapitalBreakdown, costs: CostTable) -> float:
 
 def annual_recurring(capital: CapitalBreakdown, gen: GeneratorSpec,
                      costs: CostTable, dg_energy_kwh: float,
-                     dg_online_hours: float, dg_starts: int, dg_stops: int) -> float:
-    """Year-1 recurring cost: fixed O&M + variable O&M + fuel + switching."""
+                     dg_online_hours: float, dg_starts: int) -> float:
+    """Year-1 recurring cost: fixed O&M + variable O&M + fuel + switching.
+    Every start has its shutdown (see ``simulate.count_transitions``)."""
     return (fixed_om(capital, costs)
             + variable_om(gen, costs, dg_online_hours, dg_energy_kwh)
             + fuel_cost(gen, dg_energy_kwh, dg_online_hours)
             + costs.startup_cost * dg_starts
-            + costs.shutdown_cost * dg_stops)
+            + costs.shutdown_cost * dg_starts)
 
 
 def lcoe(tnpc: float, crf_value: float, annual_load_kwh: float) -> float:
@@ -266,6 +273,41 @@ def lcoe(tnpc: float, crf_value: float, annual_load_kwh: float) -> float:
     if annual_load_kwh <= 0:
         raise InputDataError("annual_load_kwh must be positive")
     return tnpc * crf_value / annual_load_kwh
+
+
+class LifecycleCost(NamedTuple):
+    """The lifecycle cost of a system over its lifetime [$]."""
+
+    annual_recurring: float   # year-1 recurring cost
+    pw_recurring: float       # present worth of the recurring costs
+    pw_nonrecurring: float    # present worth of the replacements
+    tnpc: float               # total net present cost
+    tac: float                # total annualized cost
+    lcoe: float               # levelized cost of energy [$/kWh]
+
+
+def lifecycle_cost(capital: CapitalBreakdown, gen: GeneratorSpec,
+                   costs: CostTable, fin: FinancialParams,
+                   dg_energy_kwh: float, dg_online_hours: float,
+                   dg_starts: int, bs_period: float,
+                   annual_load_kwh: float) -> LifecycleCost:
+    """Year-1 recurring cost through replacements, TNPC and TAC to LCOE.
+
+    The battery is replaced every ``bs_period`` years and the generator
+    after its lifetime hours; an infinite period books no replacement.
+    """
+    c_rec = annual_recurring(capital, gen, costs, dg_energy_kwh,
+                             dg_online_hours, dg_starts)
+    dg_period = (gen.lifetime_hours / dg_online_hours
+                 if dg_online_hours > 0 else math.inf)
+    pw_rec = pw_recurring(c_rec, fin)
+    pw_nonrec = (
+        pw_nonrecurring(costs.bs_replacement_fraction * capital.bs, fin, bs_period)
+        + pw_nonrecurring(costs.dg_replacement_fraction * capital.dg, fin, dg_period))
+    tnpc = capital.total + pw_rec + pw_nonrec
+    crf_value = system_crf(fin)
+    return LifecycleCost(c_rec, pw_rec, pw_nonrec, tnpc, tnpc * crf_value,
+                         lcoe(tnpc, crf_value, annual_load_kwh))
 
 
 def emission_factor_sum(gen: GeneratorSpec) -> float:
@@ -331,30 +373,20 @@ def baseline_metrics(load, gen: GeneratorSpec, costs: CostTable,
     """Metrics for the same community powered by the backup generator alone.
 
     The generator runs around the clock meeting the entire load directly on
-    the AC side (no converter, no storage); startup and shutdown are paid
-    once each over the horizon.  Requires the rated power to cover the peak.
+    the AC side: no converter, no battery, online every hour and started
+    once over the horizon of ``load`` (a ``LoadSeries``).  Requires the
+    rated power to cover the peak.
     """
-    demand = np.asarray(load.demand if hasattr(load, "demand") else load, dtype=float)
-    peak = float(demand.max())
+    peak = load.peak_kw
     if gen.rated_power < peak:
         raise InfeasibleBaselineError(
             f"baseline generator {gen.rated_power} kW cannot cover peak load {peak:.2f} kW")
-    hours = len(demand)
-    energy = float(demand.sum())
-
+    energy = load.total_kwh
     capital = initial_capital(0.0, 0.0, 0.0, gen.rated_power, costs,
                               include_converter=False)
-    c_rec = (costs.om_fix_dg * capital.dg
-             + variable_om(gen, costs, hours, energy)
-             + fuel_cost(gen, energy, hours)
-             + costs.startup_cost + costs.shutdown_cost)
-    replacement_period = gen.lifetime_hours / hours
-    pw_rep = pw_nonrecurring(costs.dg_replacement_fraction * capital.dg,
-                             fin, replacement_period)
-    tnpc = capital.total + pw_recurring(c_rec, fin) + pw_rep
-    tac = tnpc * crf(real_rate(fin), fin.system_lifetime)
-    return BaselineMetrics(lcoe=tac / energy,
-                           emissions=emissions_total(energy, gen))
+    cost = lifecycle_cost(capital, gen, costs, fin, energy, len(load), 1,
+                          math.inf, energy)
+    return BaselineMetrics(lcoe=cost.lcoe, emissions=emissions_total(energy, gen))
 
 
 def break_even_distance(tac: float, crf_value: float, annual_load_kwh: float,

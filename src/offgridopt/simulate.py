@@ -137,9 +137,11 @@ class SimulationContext:
 
     @cached_property
     def hourly_inputs(self) -> tuple["FeedInProfile", np.ndarray, float]:
-        """The checked, design-independent inputs of ``simulate_year``: the
-        feed-in profile, the demand drawn from the DC bus [kW] and the
-        annual load [kWh].
+        """The checked, design-independent inputs of the context's horizon,
+        the year of ``simulate_year`` or the day of a ``DispatchContext``:
+        the feed-in profile, the demand drawn from the DC bus [kW] and the
+        load [kWh].  The climate and load must cover the same hours, have
+        no missing values and a load that does not sum to zero.
 
         Computed on first use and kept; ``dataclasses.replace`` builds a new
         context and therefore a new cache.  A failed check raises on every
@@ -148,12 +150,13 @@ class SimulationContext:
         climate, load = self.climate, self.load
         if len(climate) != len(load):
             raise InputDataError("climate and load horizons differ")
-        if len(climate) != 8760:
-            raise InputDataError("annual simulation needs 8760 hourly records")
         require_complete(climate, load)
+        load_kwh = load.total_kwh
+        if load_kwh <= 0:
+            raise InputDataError("the load sums to zero over the horizon")
         return (feed_in_profile(climate, self.pv, self.wind,
                                 printed_curve=self.strategy.wt_printed_curve),
-                load.demand / self.converter.eta_inv, load.total_kwh)
+                load.demand / self.converter.eta_inv, load_kwh)
 
 
 @dataclass(frozen=True)
@@ -190,8 +193,7 @@ class SimResult:
     p_lost: np.ndarray        # unserved load, AC [kW]
     load: np.ndarray          # demand, AC [kW]; the context's own array
     dg_online_hours: int
-    dg_starts: int
-    dg_stops: int
+    dg_starts: int            # each start has its shutdown
     battery_cycles: float
     dg_energy_kwh: float
     res_energy_kwh: float
@@ -275,8 +277,8 @@ def dispatch_cascade(res_dc, demand_dc, battery: BatterySpec, e_b_init: float,
     battery state before the first hour (a fresh bank when omitted).
     Returns per-hour arrays (p_dg, p_bs, soc, dump_dc, lost_dc), which are
     the rows of one fresh (5, n) block, the final ``CascadeState`` and the
-    generator's (online hours, starts, stops) as ``count_transitions``
-    counts them for ``p_dg > 0``.  Passing the final state as ``start`` of
+    generator's (online hours, starts) for ``p_dg > 0``, starts as
+    ``count_transitions`` counts them.  Passing the final state as ``start`` of
     the next slice gives the same hours as one run over both slices.
     """
     res_dc = np.ascontiguousarray(res_dc, dtype=np.float64)
@@ -316,7 +318,7 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
     p_rated = generator.rated_power
     p_min = generator.min_power
     dg_eff = eta_rec
-    online = starts = stops = 0
+    online = starts = 0
     was_on = False
 
     # The hours are read from the inputs and written into the output block
@@ -409,11 +411,10 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
         on = p_dg > 0.0
         online += on
         starts += on and not was_on
-        stops += was_on and not on
         was_on = on
 
     end = CascadeState(soc, cycles, throughput, last_dir > 0)
-    return (*block, end, (online, starts, stops + was_on))
+    return (*block, end, (online, starts))
 
 
 class _CState(ctypes.Structure):
@@ -487,7 +488,7 @@ def _cascade_compiled(res_dc: np.ndarray, demand_dc: np.ndarray,
     float64 arrays, as ``dispatch_cascade`` makes them."""
     n = len(res_dc)
     out = np.empty((5, n))
-    counts = (ctypes.c_long * 3)()
+    counts = (ctypes.c_long * 2)()
     state = _CState(start.soc, start.cycles, start.throughput,
                     int(start.discharging))
     _C_CASCADE(n, res_dc.ctypes.data, demand_dc.ctypes.data, e_b_init,
@@ -503,27 +504,29 @@ def _cascade_compiled(res_dc: np.ndarray, demand_dc: np.ndarray,
     return (*out, end, tuple(counts))
 
 
-def count_transitions(online) -> tuple[int, int]:
-    """Startup/shutdown counts for an on/off trace.
+def count_transitions(online) -> int:
+    """Startups of an on/off trace, which also count its shutdowns.
 
     The unit starts the horizon off, and a final shutdown is charged when it
     is still online in the last hour (the horizon ends with the unit off),
     so every start has its shutdown.
     """
     # an hour starts the unit when it is on and the hour before was off
-    starts = int(sum(map(gt, online, [False, *online])))
-    return starts, starts
+    return int(sum(map(gt, online, [False, *online])))
 
 
 def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
     """Simulate one year (8760 h) and compute objectives and lifecycle costs."""
+    if len(ctx.load) != 8760:
+        raise InputDataError("annual simulation needs 8760 hourly records")
     feed_in, demand_dc, load_kwh = ctx.hourly_inputs
     p_pv, p_wt, res_dc = renewable_feed_in(design, feed_in, ctx.pv, ctx.wind,
                                            ctx.converter)
 
-    p_dg, p_bs, soc, dump, lost, end, (online_hours, starts, stops) = \
+    gen = ctx.generator
+    p_dg, p_bs, soc, dump, lost, end, (online_hours, starts) = \
         dispatch_cascade(res_dc, demand_dc, ctx.battery, design.e_b_init,
-                         ctx.generator, ctx.strategy.dg_may_charge_battery,
+                         gen, ctx.strategy.dg_may_charge_battery,
                          eta_rec=ctx.converter.eta_rec,
                          cycle_counting=ctx.strategy.cycle_counting)
     cycles = end.cycles
@@ -534,63 +537,36 @@ def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
     res_energy = float(res_dc.sum())
     gen_energy = res_energy + ctx.converter.eta_rec * dg_energy
 
-    objectives, cost, emissions = _economics_summary(
-        design, ctx, dg_energy, res_energy, gen_energy, dump_kwh, lost_kwh,
-        load_kwh, online_hours, starts, stops, cycles)
-
-    return SimResult(
-        p_pv=p_pv, p_wt=p_wt, p_res=res_dc, p_dg=p_dg, p_bs=p_bs, soc=soc,
-        p_dump=dump, p_lost=lost, load=ctx.load.demand,
-        dg_online_hours=online_hours, dg_starts=starts, dg_stops=stops,
-        battery_cycles=cycles, dg_energy_kwh=dg_energy,
-        res_energy_kwh=res_energy, dump_kwh=dump_kwh, lost_kwh=lost_kwh,
-        load_kwh=load_kwh, objectives=objectives, cost=cost,
-        emissions_kg=emissions,
-    )
-
-
-def _economics_summary(design, ctx, dg_energy, res_energy, gen_energy,
-                       dump_kwh, lost_kwh, load_kwh, online_hours, starts,
-                       stops, cycles):
-    costs, fin, gen = ctx.costs, ctx.fin, ctx.generator
     capital = economics.initial_capital(
         design.pv_kw(ctx.pv), design.wt_kw(ctx.wind), design.e_b_init,
-        gen.rated_power, costs, include_converter=True)
-    c_rec = economics.annual_recurring(
-        capital, gen, costs, dg_energy, online_hours, starts, stops)
-
+        gen.rated_power, ctx.costs)
     if ctx.strategy.battery_replacement == "fixed":
         bs_period = ctx.strategy.replacement_years
     else:
         bs_period = (ctx.battery.lifetime_cycles / cycles) if cycles > 0 else math.inf
-    dg_period = (gen.lifetime_hours / online_hours) if online_hours > 0 else math.inf
-
-    pw_rec = economics.pw_recurring(c_rec, fin)
-    pw_nonrec = (
-        economics.pw_nonrecurring(costs.bs_replacement_fraction * capital.bs, fin, bs_period)
-        + economics.pw_nonrecurring(costs.dg_replacement_fraction * capital.dg, fin, dg_period))
-    tnpc = capital.total + pw_rec + pw_nonrec
-    crf_value = economics.crf(economics.real_rate(fin), fin.system_lifetime)
-    tac = tnpc * crf_value
-    lcoe_value = economics.lcoe(tnpc, crf_value, load_kwh)
+    life = economics.lifecycle_cost(capital, gen, ctx.costs, ctx.fin, dg_energy,
+                                    online_hours, starts, bs_period, load_kwh)
     emissions = economics.emissions_total(dg_energy, gen)
-
     baseline = ctx.baseline
-    objectives = ObjectiveVector(
-        lcoe_norm=lcoe_value / baseline.lcoe,
-        em_norm=emissions / baseline.emissions,
-        dpsp=economics.metrics_dpsp(lost_kwh, load_kwh),
-        repg=economics.metrics_repg(dump_kwh, gen_energy),
-        one_minus_ref=1.0 - economics.metrics_ref(res_energy, gen_energy),
+
+    return SimResult(
+        p_pv=p_pv, p_wt=p_wt, p_res=res_dc, p_dg=p_dg, p_bs=p_bs, soc=soc,
+        p_dump=dump, p_lost=lost, load=ctx.load.demand,
+        dg_online_hours=online_hours, dg_starts=starts, battery_cycles=cycles,
+        dg_energy_kwh=dg_energy, res_energy_kwh=res_energy, dump_kwh=dump_kwh,
+        lost_kwh=lost_kwh, load_kwh=load_kwh,
+        objectives=ObjectiveVector(
+            lcoe_norm=life.lcoe / baseline.lcoe,
+            em_norm=emissions / baseline.emissions,
+            dpsp=economics.metrics_dpsp(lost_kwh, load_kwh),
+            repg=economics.metrics_repg(dump_kwh, gen_energy),
+            one_minus_ref=1.0 - economics.metrics_ref(res_energy, gen_energy)),
+        # ``LifecycleCost``'s fields are CostBreakdown's next six, in order
+        cost=CostBreakdown(capital.pv, capital.wt, capital.bs, capital.dg,
+                           capital.converter, *life, baseline_lcoe=baseline.lcoe,
+                           baseline_emissions=baseline.emissions),
+        emissions_kg=emissions,
     )
-    cost = CostBreakdown(
-        capital_pv=capital.pv, capital_wt=capital.wt, capital_bs=capital.bs,
-        capital_dg=capital.dg, capital_converter=capital.converter,
-        annual_recurring=c_rec, pw_recurring=pw_rec,
-        pw_nonrecurring=pw_nonrec, tnpc=tnpc, tac=tac, lcoe=lcoe_value,
-        baseline_lcoe=baseline.lcoe, baseline_emissions=baseline.emissions,
-    )
-    return objectives, cost, emissions
 
 
 @dataclass(frozen=True)

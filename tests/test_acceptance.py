@@ -182,8 +182,8 @@ def test_criterion_9_dispatch_dominance(annual_ctx):
           and ev.weighted <= result.rule_based_evaluation.weighted + 1e-12
           and ev.objectives.dpsp <= 0.01 + 1e-12
           and len(soc) == 25
-          and soc.min() >= ctx.battery.soc_min - 1e-9
-          and soc.max() <= ctx.battery.soc_max + 1e-9
+          and soc.min() >= ctx.sim.battery.soc_min - 1e-9
+          and soc.max() <= ctx.sim.battery.soc_max + 1e-9
           and all(v <= 1e-6 for v in ev.violations.values()))
     report(9, "dispatch dominance and feasibility", ok)
 
@@ -195,9 +195,9 @@ def test_criterion_10_robustness_directionality(annual_ctx):
     scenarios = [
         Scenario("baseline"),
         Scenario("low_wind", wind_factor=0.1),
-        Scenario("peaky", load=make_peaky_load(ctx.load, 0.30,
+        Scenario("peaky", load=make_peaky_load(ctx.sim.load, 0.30,
                                                substream_seed(RUN_SEED, "peaky-load"))),
-        Scenario("flat_shift", load=flatten_load(ctx.load, ctx.res_dc, 0.0)),
+        Scenario("flat_shift", load=flatten_load(ctx.sim.load, ctx.res_dc, 0.0)),
     ]
     rows = {r["scenario"]: r for r in robustness_suite(ctx, scenarios,
                                                        seed=SOLVER_SEED)}

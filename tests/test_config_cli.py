@@ -342,6 +342,38 @@ def test_cli_rejects_climate_with_a_missing_value(tmp_path, command):
     assert "wind_ms" in doc["message"]
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["dispatch"]])
+def test_cli_rejects_a_load_that_sums_to_zero(tmp_path, command):
+    csv_path = tmp_path / "zero.csv"
+    csv_path.write_text("hour,load_kw\n" + "".join(f"{h},0\n" for h in range(24)))
+    cfg = tmp_path / "zero.yaml"
+    cfg.write_text(yaml.safe_dump({"data": {"load_csv": str(csv_path)}}))
+    code = run_cli([*command, "--seed", 42, "--design", "100,8,45.45",
+                    "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert "load sums to zero" in doc["message"]
+
+
+def test_the_config_seed_drives_the_run(tmp_path):
+    """``--seed`` sets the config key ``seed``: the file's seed runs like the
+    flag, the flag wins over the file, and result.json records one seed."""
+    cfg = tmp_path / "seed.yaml"
+    cfg.write_text("seed: 7\n")
+    run = ["simulate", "--design", "100,8,45.45"]
+    assert run_cli([*run, "--config", cfg, "--out", tmp_path / "file"]) == 0
+    assert run_cli([*run, "--seed", 7, "--out", tmp_path / "flag"]) == 0
+    assert run_cli([*run, "--seed", 42, "--config", cfg,
+                    "--out", tmp_path / "over"]) == 0
+    file, flag, over = (json.loads((tmp_path / d / "result.json").read_text())
+                        for d in ("file", "flag", "over"))
+    assert file["results"] == flag["results"]
+    assert file["seed"] == file["config"]["seed"] == 7
+    assert over["seed"] == over["config"]["seed"] == 42
+    assert over["results"] != file["results"]
+
+
 @pytest.mark.parametrize("text", [
     "pv: 5\n",
     "weights: abc\n",
@@ -363,7 +395,8 @@ def test_cli_rejects_climate_with_a_missing_value(tmp_path, command):
 def test_cli_malformed_config_writes_error_document(tmp_path, text):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
-    code = run_cli(["simulate", "--seed", 1, "--design", "100,8,45.45",
+    # no --seed: the flag would win over the file's seed key
+    code = run_cli(["simulate", "--design", "100,8,45.45",
                     "--config", cfg, "--out", tmp_path])
     assert code == 2
     doc = json.loads((tmp_path / "result.json").read_text())

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offgridopt import dispatch
 from offgridopt.config import build_config, build_context
@@ -12,9 +14,11 @@ from offgridopt.dispatch import (DispatchContext, DispatchSchedule, Scenario,
                                  evaluate_schedule, optimize_day,
                                  robustness_suite, rule_based_schedule,
                                  scenario_scale_climate, suite_to_csv)
-from offgridopt.economics import CostTable, Weights
+from offgridopt.economics import CostTable, FinancialParams, Weights
 from offgridopt.errors import InputDataError
-from offgridopt.simulate import CascadeState, Design, dispatch_cascade
+from offgridopt.simulate import (CascadeState, Design, SimulationContext,
+                                 StrategyConfig, dispatch_cascade,
+                                 renewable_feed_in)
 from offgridopt.timeseries import (ClimateSeries, LoadSeries, flatten_load,
                                    make_peaky_load)
 
@@ -29,13 +33,13 @@ def flat_day_ctx(load_kw, rated=16.0, e_b=0.0, res_zero=True):
     irr = np.zeros(24)
     wind = np.zeros(24)
     climate = ClimateSeries(irr, wind, np.full(24, 25.0), 1.0)
-    return DispatchContext(
-        design=Design(0, 0, e_b),
+    sim = SimulationContext(
         climate=climate, load=LoadSeries(np.full(24, load_kw)),
         pv=PvSpec(), wind=WindSpec(), battery=BatterySpec(),
         generator=GeneratorSpec(rated_power=rated), converter=ConverterSpec(),
-        costs=CostTable(), baseline_generator=GeneratorSpec(rated_power=16.0),
-        weights=W4, dpsp_max=0.01)
+        costs=CostTable(), fin=FinancialParams(), strategy=StrategyConfig(),
+        baseline_generator=GeneratorSpec(rated_power=16.0))
+    return DispatchContext(Design(0, 0, e_b), sim, W4, dpsp_max=0.01)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +55,38 @@ def day_8kw(annual_ctx):
 
 
 # ---------------------------------------------------------------------------
+# The day context
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_day_inputs_are_the_hours_of_the_year(annual_ctx, data):
+    """A day's feed-in and DC demand are its 24 hours of the year's, bit for
+    bit, for random days and designs."""
+    annual = annual_ctx
+    if data.draw(st.booleans()):
+        annual = dataclasses.replace(
+            annual, strategy=StrategyConfig(wt_printed_curve=True))
+    integer = data.draw(st.booleans())
+    count = st.integers(0, 150).map(float) if integer else st.floats(0.0, 150.0)
+    design = Design(data.draw(count), data.draw(count),
+                    data.draw(st.floats(0.0, 200.0)), integer_counts=integer)
+    day = data.draw(st.integers(0, 364))
+    feed_in, demand_dc, _ = annual.hourly_inputs
+    _, _, res_dc = renewable_feed_in(design, feed_in, annual.pv, annual.wind,
+                                     annual.converter)
+    ctx = day_context(annual, design, day, W4)
+    hours = slice(24 * day, 24 * (day + 1))
+    assert ctx.res_dc.tobytes() == res_dc[hours].tobytes()
+    assert ctx.demand_dc.tobytes() == demand_dc[hours].tobytes()
+
+
+def test_zero_load_day_is_an_input_error():
+    with pytest.raises(InputDataError, match="load sums to zero"):
+        flat_day_ctx(0.0)
+
+
+# ---------------------------------------------------------------------------
 # evaluate_schedule
 # ---------------------------------------------------------------------------
 
@@ -61,7 +97,7 @@ def test_zero_schedule_zero_res_loses_everything():
     assert ev.objectives.dpsp == pytest.approx(1.0)
     # nothing dispatched: the daily cost is the prorated fixed O&M alone
     from offgridopt.economics import fixed_om
-    assert ev.c_daily == pytest.approx(fixed_om(ctx.capital, ctx.costs) / 365.0)
+    assert ev.c_daily == pytest.approx(fixed_om(ctx.capital, ctx.sim.costs) / 365.0)
 
 
 def test_generator_at_rated_meets_flat_load_exactly():
@@ -86,7 +122,7 @@ def test_two_hour_minicase_cost_hand_computed():
     fuel = 3.20 * liters / 3.78541
     from offgridopt.economics import fixed_om
     expected = (fuel + 0.24 * 2 + 0.45 + 0.23
-                + fixed_om(ctx.capital, ctx.costs) / 365.0)
+                + fixed_om(ctx.capital, ctx.sim.costs) / 365.0)
     assert ev.c_daily == pytest.approx(expected, rel=1e-12)
 
 
@@ -108,9 +144,9 @@ def test_rule_based_schedule_follows_the_strategy(annual_ctx):
                       Design(100, 8, 45.45), 0, W4)
 
     def cascade(dg_may_charge):
-        return dispatch_cascade(day.res_dc, day.demand_dc, day.battery,
-                                day.design.e_b_init, day.generator,
-                                dg_may_charge, eta_rec=day.converter.eta_rec,
+        return dispatch_cascade(day.res_dc, day.demand_dc, day.sim.battery,
+                                day.design.e_b_init, day.sim.generator,
+                                dg_may_charge, eta_rec=day.sim.converter.eta_rec,
                                 start=CascadeState(day.soc_start))
 
     p_dg, p_bs, *_ = cascade(False)
@@ -131,8 +167,8 @@ def test_optimizer_dominates_rule_based(baseline_day):
     assert result.evaluation.objectives.dpsp <= baseline_day.dpsp_max + 1e-9
     soc = day_trace(result.schedule, baseline_day).soc
     assert len(soc) == 25
-    assert soc.min() >= baseline_day.battery.soc_min - 1e-9
-    assert soc.max() <= baseline_day.battery.soc_max + 1e-9
+    assert soc.min() >= baseline_day.sim.battery.soc_min - 1e-9
+    assert soc.max() <= baseline_day.sim.battery.soc_max + 1e-9
 
 
 def test_optimizer_never_worse_than_feasible_rule_based():
@@ -199,7 +235,7 @@ def test_small_generator_day_keeps_renewable_share(day_8kw):
 # ---------------------------------------------------------------------------
 
 def test_scenario_scaling_cases(baseline_day):
-    day = baseline_day.climate
+    day = baseline_day.sim.climate
     same = scenario_scale_climate(day, 1.0, 1.0)
     np.testing.assert_array_equal(same.irradiance, day.irradiance)
     np.testing.assert_array_equal(same.wind_speed_ref, day.wind_speed_ref)
@@ -221,19 +257,19 @@ def test_robustness_directional_findings(day_8kw, tmp_path):
     scenarios = [
         Scenario("baseline"),
         Scenario("low_wind", wind_factor=0.1),
-        Scenario("peaky", load=make_peaky_load(day_8kw.load, 0.30, seed=3)),
+        Scenario("peaky", load=make_peaky_load(day_8kw.sim.load, 0.30, seed=3)),
         Scenario("flat_shift",
-                 load=flatten_load(day_8kw.load, day_8kw.res_dc, 0.0)),
+                 load=flatten_load(day_8kw.sim.load, day_8kw.res_dc, 0.0)),
         Scenario("flat_shift_curtail",
-                 load=flatten_load(day_8kw.load, day_8kw.res_dc, 0.10)),
+                 load=flatten_load(day_8kw.sim.load, day_8kw.res_dc, 0.10)),
     ]
     rows = robustness_suite(day_8kw, scenarios, seed=7)
     by_name = {r["scenario"]: r for r in rows}
     assert by_name["low_wind"]["ref"] < by_name["baseline"]["ref"]
     assert by_name["flat_shift"]["summary_obj"] < by_name["peaky"]["summary_obj"]
     # curtailed-day demand is 90 % of the shifted day
-    curtailed = flatten_load(day_8kw.load, day_8kw.res_dc, 0.10)
-    assert curtailed.total_kwh == pytest.approx(0.9 * day_8kw.load.total_kwh, rel=1e-3)
+    curtailed = flatten_load(day_8kw.sim.load, day_8kw.res_dc, 0.10)
+    assert curtailed.total_kwh == pytest.approx(0.9 * day_8kw.sim.load.total_kwh, rel=1e-3)
     suite_to_csv(rows, tmp_path / "suite.csv")
     assert (tmp_path / "suite.csv").read_text().startswith("scenario,")
 
@@ -244,6 +280,13 @@ def test_suite_continues_past_failing_scenario(day_8kw):
         [Scenario("bad", irr_factor=-1.0), Scenario("baseline")], seed=7)
     assert rows[0]["feasible"] is False and "error" in rows[0]
     assert rows[1]["feasible"] is True
+
+
+def test_suite_records_a_zero_load_scenario_as_failed(day_8kw):
+    rows = robustness_suite(
+        day_8kw, [Scenario("no_load", load=LoadSeries(np.zeros(24)))], seed=7)
+    assert rows[0]["feasible"] is False
+    assert "load sums to zero" in rows[0]["error"]
 
 
 def test_suite_programming_error_propagates(day_8kw, monkeypatch):

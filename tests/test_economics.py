@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from offgridopt import economics
+from offgridopt.config import build_config, build_context
 from offgridopt.devices import GeneratorSpec, microturbine_spec
 from offgridopt.economics import (CostTable, FinancialParams, ObjectiveVector,
                                   Weights, adjusted_rate, annual_recurring,
@@ -14,6 +15,7 @@ from offgridopt.economics import (CostTable, FinancialParams, ObjectiveVector,
                                   metrics_repg, pw_nonrecurring, pw_recurring,
                                   real_rate, weighted_objective)
 from offgridopt.errors import InfeasibleBaselineError, InputDataError
+from offgridopt.simulate import Design, simulate_year
 
 FIN = FinancialParams()  # i = 9 %, f = 5.7 %, 25 years
 EQUAL = Weights((0.2,) * 5)
@@ -128,7 +130,7 @@ def test_annual_recurring_offline_generator_is_fixed_om_only():
     gen = GeneratorSpec(rated_power=16.0)
     cap = initial_capital(3.825, 14.0, 106.53, 16.0, costs)
     c = annual_recurring(cap, gen, costs, dg_energy_kwh=0.0,
-                         dg_online_hours=0, dg_starts=0, dg_stops=0)
+                         dg_online_hours=0, dg_starts=0)
     assert c == pytest.approx(fixed_om(cap, costs))
 
 
@@ -137,7 +139,7 @@ def test_annual_recurring_counts_fuel_om_and_switching():
     gen = GeneratorSpec(rated_power=16.0)
     cap = initial_capital(0.0, 0.0, 0.0, 16.0, costs, include_converter=False)
     c = annual_recurring(cap, gen, costs, dg_energy_kwh=100.0,
-                         dg_online_hours=10, dg_starts=2, dg_stops=2)
+                         dg_online_hours=10, dg_starts=2)
     fuel = 3.20 * (0.246 * 100.0 + 0.08145 * 16.0 * 10) / 3.78541
     expected = (0.02 * cap.dg + 0.24 * 10 + fuel + 2 * 0.45 + 2 * 0.23)
     assert c == pytest.approx(expected, rel=1e-12)
@@ -238,6 +240,35 @@ def test_baseline_rejects_undersized_generator(annual_ctx):
     with pytest.raises(InfeasibleBaselineError):
         baseline_metrics(annual_ctx.load, GeneratorSpec(rated_power=8.0),
                          CostTable(), FIN)
+
+
+# baseline (lcoe, emissions) and the tnpc, tac and lcoe of design 100,8,45.45
+# at run seed 42, as float.hex(); the annual and the baseline lifecycle
+# costs are one computation, which must keep these bits.
+LIFECYCLE_PINS = {
+    "default": ({}, ("0x1.fd6391a834dccp-2", "0x1.8748c8040bd8ap+15",
+                     "0x1.fdfaf33c5707ap+17", "0x1.dafd090bc0c43p+13",
+                     "0x1.a5175f570a86fp-3")),
+    "LA-MT": ({"battery": {"chemistry": "LA"}, "generator": {"kind": "MT"}},
+              ("0x1.5de3d7e72ad13p-2", "0x1.7a901fcce8813p+15",
+               "0x1.7587cfea58346p+18", "0x1.5be6aac976c36p+14",
+               "0x1.346cb10f6f4eep-2")),
+    "fixed-replacement": (
+        {"strategy": {"battery_replacement": "fixed", "replacement_years": 10}},
+        ("0x1.fd6391a834dccp-2", "0x1.8748c8040bd8ap+15",
+         "0x1.d53ba8b1cfd1cp+17", "0x1.b5097a69228aep+13",
+         "0x1.83723e4942c49p-3")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFECYCLE_PINS))
+def test_baseline_and_annual_lifecycle_cost_are_pinned(name):
+    raw, pinned = LIFECYCLE_PINS[name]
+    ctx = build_context(build_config(raw), seed=42)
+    cost = simulate_year(Design(100, 8, 45.45), ctx).cost
+    got = (ctx.baseline.lcoe, ctx.baseline.emissions, cost.tnpc, cost.tac,
+           cost.lcoe)
+    assert tuple(v.hex() for v in got) == pinned
 
 
 # ---------------------------------------------------------------------------

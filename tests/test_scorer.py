@@ -49,21 +49,21 @@ def reference_soc(ctx, p_bs):
         soc[:] = ctx.soc_start
         return soc
     for t in range(24):
-        soc[t + 1] = battery_step(soc[t], float(p_bs[t]), 1.0, cap, ctx.battery)
+        soc[t + 1] = battery_step(soc[t], float(p_bs[t]), 1.0, cap, ctx.sim.battery)
     return soc
 
 
 def reference_evaluate(s, ctx):
     """Objectives, residuals and hours of a schedule, one numpy call per
     quantity."""
-    gen = ctx.generator
+    gen, costs, converter = ctx.sim.generator, ctx.sim.costs, ctx.sim.converter
     p_dg = np.asarray(s.p_dg, dtype=float)
     p_bs = np.asarray(s.p_bs, dtype=float)
     soc = reference_soc(ctx, p_bs)
 
-    net = ctx.res_dc + ctx.converter.eta_rec * p_dg + p_bs - ctx.demand_dc
+    net = ctx.res_dc + converter.eta_rec * p_dg + p_bs - ctx.demand_dc
     dump = np.maximum(net, 0.0)
-    lost = np.maximum(-net, 0.0) * ctx.converter.eta_inv
+    lost = np.maximum(-net, 0.0) * converter.eta_inv
 
     online = p_dg > CONSTRAINT_TOL
     on_hours = int(online.sum())
@@ -72,15 +72,15 @@ def reference_evaluate(s, ctx):
     stops = int(np.count_nonzero(~online[1:] & online[:-1])) + int(online[-1])
 
     c_daily = (economics.fuel_cost(gen, energy, on_hours)
-               + economics.variable_om(gen, ctx.costs, on_hours, energy)
-               + ctx.costs.startup_cost * starts + ctx.costs.shutdown_cost * stops
-               + economics.fixed_om(ctx.capital, ctx.costs) / 365.0)
+               + economics.variable_om(gen, costs, on_hours, energy)
+               + costs.startup_cost * starts + costs.shutdown_cost * stops
+               + economics.fixed_om(ctx.capital, costs) / 365.0)
 
-    load_kwh = ctx.load.total_kwh
+    load_kwh = ctx.sim.load.total_kwh
     coe = c_daily / load_kwh
     coe_base, em_base = ctx.daily_baseline
     emissions = economics.emissions_total(energy, gen)
-    gen_dc = float(ctx.res_dc.sum()) + ctx.converter.eta_rec * energy
+    gen_dc = float(ctx.res_dc.sum()) + converter.eta_rec * energy
     dpsp = float(lost.sum()) / load_kwh
     repg = economics.metrics_repg(float(dump.sum()), gen_dc)
     ref = economics.metrics_ref(float(ctx.res_dc.sum()), gen_dc)
@@ -97,8 +97,8 @@ def reference_evaluate(s, ctx):
     semicont = np.maximum(0.0, np.where(online, gen.min_power - p_dg, 0.0))
     over_rated = np.maximum(0.0, p_dg - gen.rated_power)
     over_power = np.maximum(0.0, np.abs(p_bs) - ctx.power_limit)
-    soc_low = np.maximum(0.0, ctx.battery.soc_min - soc)
-    soc_high = np.maximum(0.0, soc - ctx.battery.soc_max)
+    soc_low = np.maximum(0.0, ctx.sim.battery.soc_min - soc)
+    soc_high = np.maximum(0.0, soc - ctx.sim.battery.soc_max)
     violations = {
         "dg_semicontinuous": float(semicont.max()),
         "dg_rated": float(over_rated.max()),
