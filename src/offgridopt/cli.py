@@ -14,7 +14,6 @@ records it.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -30,6 +29,7 @@ from .economics import Weights, weighted_objective
 from .errors import ConfigError, InputDataError
 from .seeding import substream_seed
 from .simulate import Design, simulate_year
+from .timeseries import write_csv
 
 
 def _numbers(text: str, flag: str) -> list[float]:
@@ -137,6 +137,7 @@ def cmd_dispatch(args, config) -> dict:
     result.schedule.write_csv(out / "schedule.csv", dctx)
     ev, rb = result.evaluation, result.rule_based_evaluation
     return {
+        "design": list(design.as_vector()),
         "day": day,
         "feasible": result.feasible,
         "message": result.message,
@@ -160,15 +161,13 @@ def cmd_pareto(args, config) -> dict:
                                  population=args.population,
                                  generations=args.generations,
                                  seed=substream_seed(config.seed, "solver"))
-    with open(Path(args.out) / "pareto.csv", "w", newline="\n",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n_s", "n_w", "e_b", "lcoe_norm", "em_norm", "dpsp",
-                         "repg", "one_minus_ref"])
-        for point, vals in front:
-            writer.writerow(problem.design(point).csv_cells()
-                            + [f"{v:.6f}" for v in vals])
-    return {"n_points": len(front), "pareto_csv": "pareto.csv"}
+    write_csv(Path(args.out) / "pareto.csv",
+              ["n_s", "n_w", "e_b", "lcoe_norm", "em_norm", "dpsp", "repg",
+               "one_minus_ref"],
+              (problem.design(point).csv_cells() + [f"{v:.6f}" for v in vals]
+               for point, vals in front))
+    return {"n_points": len(front), "pareto_csv": "pareto.csv",
+            "population": args.population, "generations": args.generations}
 
 
 def cmd_sweep(args, config) -> dict:
@@ -202,10 +201,11 @@ def cmd_breakeven(args, config) -> dict:
     else:
         if not args.design:
             raise InputDataError("breakeven needs --tac/--load-kwh or --design")
-        ctx = build_context(config)
-        sim = simulate_year(_parse_design(args.design), ctx)
+        design = _parse_design(args.design)
+        sim = simulate_year(design, build_context(config))
         tac, load_kwh = sim.cost.tac, sim.load_kwh
-        extra["cost_breakdown"] = sim.cost.as_dict()
+        extra = {"design": list(design.as_vector()),
+                 "cost_breakdown": sim.cost.as_dict()}
     bed = economics.break_even_distance(
         tac, crf_value, load_kwh,
         config.breakeven["grid_lcoe_usd_per_kwh"],
@@ -262,10 +262,9 @@ def _key_flag(p, flag: str, key: str, help: str) -> None:
 
 
 def _with_flags(raw: dict, args) -> dict:
-    """``raw`` with every given key flag's value at its config key, over the
-    file's value.  Flag text is read as a YAML value, a comma list as a flow
-    sequence.  A section that is not a mapping is kept as it is, for
-    ``build_config`` to reject."""
+    """``raw``, a mapping that ``build_config`` accepts, with every given key
+    flag's value at its config key, over the file's value.  Flag text is read
+    as a YAML value, a comma list as a flow sequence."""
     raw = dict(raw)
     for dest, text in vars(args).items():
         if not dest.startswith(_KEY_DEST) or text is None:
@@ -279,9 +278,7 @@ def _with_flags(raw: dict, args) -> dict:
         if not section:
             raw[name] = value
             continue
-        mapping = raw.get(section)
-        if mapping is None or isinstance(mapping, dict):
-            raw[section] = {**(mapping or {}), name: value}
+        raw[section] = {**(raw.get(section) or {}), name: value}
     return raw
 
 
@@ -348,6 +345,7 @@ def main(argv=None) -> int:
     config = None
     try:
         raw = read_mapping(args.config) if args.config else {}
+        build_config(raw)   # a flag must not hide an invalid value in the file
         config = build_config(_with_flags(raw, args))
         results = COMMANDS[args.command](args, config)
         _write_result(out_dir, args.command, config, results)

@@ -116,6 +116,8 @@ class BatterySpec:
                 "rated_power_per_unit and unit_energy must be positive")
         if self.chemistry not in ("LI", "LA"):
             raise InputDataError("chemistry must be 'LI' or 'LA'")
+        if self.lifetime_cycles <= 0:
+            raise InputDataError("lifetime_cycles must be positive")
 
 
 def lead_acid_spec(**overrides) -> BatterySpec:
@@ -163,6 +165,11 @@ class GeneratorSpec:
             raise InputDataError("min_fraction must be in [0, 1)")
         if any(v < 0 for v in self.emission_factors.values()):
             raise InputDataError("emission factors must be >= 0")
+        for name in ("fuel_coeff_a", "fuel_coeff_b", "mt_fuel_slope", "fuel_price"):
+            if getattr(self, name) < 0:
+                raise InputDataError(f"{name} must be >= 0")
+        if self.lifetime_hours <= 0:
+            raise InputDataError("lifetime_hours must be positive")
 
     @property
     def min_power(self) -> float:

@@ -12,7 +12,6 @@ projected coordinate descent with an exact penalty on the DPSP constraint.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from operator import add
 from typing import NamedTuple
@@ -24,11 +23,11 @@ from . import economics
 # ``propagate_soc`` is its hourly form.
 from .devices import battery_power_limit, battery_step  # noqa: F401
 from .devices import self_discharge_hourly
-from .economics import ObjectiveVector, Weights
+from .economics import BaselineMetrics, ObjectiveVector, Weights
 from .errors import InputDataError
 from .simulate import (CascadeState, Design, SimulationContext,
                        count_transitions, dispatch_cascade, renewable_feed_in)
-from .timeseries import ClimateSeries, LoadSeries
+from .timeseries import ClimateSeries, LoadSeries, write_csv
 
 SCHEDULE_HEADER = ["hour", "p_dg", "p_bs", "soc", "p_res", "load", "dump", "lost"]
 CONSTRAINT_TOL = 1e-6
@@ -73,17 +72,15 @@ class DispatchContext:
         self.daily_fixed_om = economics.fixed_om(self.capital, sim.costs) / 365.0
         self.daily_baseline = self._daily_baseline()
 
-    def _daily_baseline(self) -> tuple[float, float]:
+    def _daily_baseline(self) -> BaselineMetrics:
         """COE and emissions of the baseline generator serving the whole day
         by itself (online 24 h, one startup and one shutdown)."""
         gen, costs = self.sim.baseline_generator, self.sim.costs
         energy = self.load_kwh
-        c = (economics.fuel_cost(gen, energy, 24.0)
-             + economics.variable_om(gen, costs, 24.0, energy)
-             + costs.startup_cost + costs.shutdown_cost
+        c = (economics.operating_cost(gen, costs, energy, 24.0, 1)
              + costs.om_fix_dg * costs.dg_capital_per_kw
              * gen.rated_power / 365.0)
-        return c / energy, economics.emissions_total(energy, gen)
+        return BaselineMetrics(c / energy, economics.emissions_total(energy, gen))
 
 
 def day_context(ctx: SimulationContext, design: Design, day: int,
@@ -112,16 +109,11 @@ class DispatchSchedule:
 
     def write_csv(self, path, ctx: DispatchContext):
         trace = day_trace(self, ctx)
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SCHEDULE_HEADER)
-            for h in range(24):
-                writer.writerow([
-                    h, f"{self.p_dg[h]:.4f}", f"{self.p_bs[h]:.4f}",
-                    f"{trace.soc[h]:.5f}", f"{ctx.res_dc[h]:.4f}",
-                    f"{ctx.sim.load.demand[h]:.4f}", f"{trace.dump[h]:.4f}",
-                    f"{trace.lost[h]:.4f}",
-                ])
+        write_csv(path, SCHEDULE_HEADER, (
+            [h, f"{self.p_dg[h]:.4f}", f"{self.p_bs[h]:.4f}",
+             f"{trace.soc[h]:.5f}", f"{ctx.res_dc[h]:.4f}",
+             f"{ctx.sim.load.demand[h]:.4f}", f"{trace.dump[h]:.4f}",
+             f"{trace.lost[h]:.4f}"] for h in range(24)))
 
 
 @dataclass(slots=True)
@@ -174,27 +166,13 @@ def day_sum(hours) -> float:
     return 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
 
 
-def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEvaluation:
-    """Cost, objectives and constraint residuals of a candidate schedule.
-
-    SOC is re-propagated from the schedule's battery powers; dump and lost
-    load are the positive/negative parts of the DC-bus balance residual.
-    Infeasibility is reported through ``violations``, never raised.
-
-    The hours are scored in one pass on Python floats with the float
-    operations of the numpy formulation in ``day_trace``; sums are taken in
-    ``np.sum``'s order and maxima are exact, so every value equals the one
-    numpy gives bit for bit.
-    """
-    sim = ctx.sim
-    gen, costs, battery = sim.generator, sim.costs, sim.battery
-    p_dg = np.asarray(s.p_dg, dtype=float).tolist()
-    p_bs = np.asarray(s.p_bs, dtype=float).tolist()
-    soc = propagate_soc(ctx, p_bs)
-    eta_rec = sim.converter.eta_rec
-    eta_inv = sim.converter.eta_inv
-    p_min = gen.min_power
-
+def _day_hours(ctx: DispatchContext, p_dg: list[float], p_bs: list[float]):
+    """One pass over the hours of a schedule: its SOC knots, dump and lost
+    load (the positive and negative parts of the DC-bus balance residual),
+    generator online flags and largest shortfall below the minimum output
+    in an online hour."""
+    converter, p_min = ctx.sim.converter, ctx.sim.generator.min_power
+    eta_rec, eta_inv = converter.eta_rec, converter.eta_inv
     dump, lost, online = [], [], []
     semicont = 0.0
     for p, b, r, d in zip(p_dg, p_bs, ctx.res_hourly, ctx.demand_hourly):
@@ -205,25 +183,32 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
         online.append(on)
         if on and p_min - p > semicont:
             semicont = p_min - p
+    return propagate_soc(ctx, p_bs), dump, lost, online, semicont
 
-    on_hours = sum(online)
+
+def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEvaluation:
+    """Cost, objectives and constraint residuals of a candidate schedule.
+    Infeasibility is reported through ``violations``, never raised.
+
+    The hours are scored on Python floats with the float operations of the
+    numpy formulation that ``tests/test_scorer.py`` keeps as reference; sums
+    are taken in ``np.sum``'s order and maxima are exact, so every value
+    equals the one numpy gives bit for bit.
+    """
+    sim = ctx.sim
+    gen, battery = sim.generator, sim.battery
+    p_dg = np.asarray(s.p_dg, dtype=float).tolist()
+    p_bs = np.asarray(s.p_bs, dtype=float).tolist()
+    soc, dump, lost, online, semicont = _day_hours(ctx, p_dg, p_bs)
+
     energy = day_sum(p_dg)
-    starts = count_transitions(online)   # every start has its shutdown
-    c_daily = (economics.fuel_cost(gen, energy, on_hours)
-               + economics.variable_om(gen, costs, on_hours, energy)
-               + costs.startup_cost * starts + costs.shutdown_cost * starts
+    c_daily = (economics.operating_cost(gen, sim.costs, energy, sum(online),
+                                        count_transitions(online))
                + ctx.daily_fixed_om)
-
-    load_kwh = ctx.load_kwh
-    coe_base, em_base = ctx.daily_baseline
-    gen_dc = ctx.res_kwh + eta_rec * energy
-    dpsp = day_sum(lost) / load_kwh
-    repg = economics.metrics_repg(day_sum(dump), gen_dc)
-    ref = economics.metrics_ref(ctx.res_kwh, gen_dc)
-    objectives = ObjectiveVector(
-        lcoe_norm=c_daily / load_kwh / coe_base,
-        em_norm=economics.emissions_total(energy, gen) / em_base,
-        dpsp=dpsp, repg=repg, one_minus_ref=1.0 - ref)
+    objectives = economics.objective_vector(
+        c_daily / ctx.load_kwh, economics.emissions_total(energy, gen),
+        ctx.daily_baseline, day_sum(lost), ctx.load_kwh, day_sum(dump),
+        ctx.res_kwh, energy, sim.converter.eta_rec)
     weighted = float(np.dot(ctx.weight_array,
                             [objectives.lcoe_norm, objectives.em_norm,
                              objectives.repg, objectives.one_minus_ref]))
@@ -235,7 +220,7 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
         "battery_power": max(0.0, max(map(abs, p_bs)) - ctx.power_limit),
         "soc_bounds": max(0.0, battery.soc_min - min(soc),
                           max(soc) - battery.soc_max),
-        "dpsp": max(0.0, dpsp - ctx.dpsp_max),
+        "dpsp": max(0.0, objectives.dpsp - ctx.dpsp_max),
     }
     feasible = all(v <= CONSTRAINT_TOL for v in violations.values())
     return DispatchEvaluation(objectives, weighted, c_daily, violations, feasible)
@@ -243,13 +228,10 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
 
 def day_trace(s: DispatchSchedule, ctx: DispatchContext) -> DayTrace:
     """The schedule's hourly SOC knots, dump and lost load."""
-    p_dg = np.asarray(s.p_dg, dtype=float)
-    p_bs = np.asarray(s.p_bs, dtype=float)
-    converter = ctx.sim.converter
-    net = ctx.res_dc + converter.eta_rec * p_dg + p_bs - ctx.demand_dc
-    return DayTrace(np.array(propagate_soc(ctx, p_bs.tolist())),
-                    np.maximum(net, 0.0),
-                    np.maximum(-net, 0.0) * converter.eta_inv)
+    soc, dump, lost, _, _ = _day_hours(
+        ctx, np.asarray(s.p_dg, dtype=float).tolist(),
+        np.asarray(s.p_bs, dtype=float).tolist())
+    return DayTrace(np.array(soc), np.array(dump), np.array(lost))
 
 
 def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
@@ -483,9 +465,4 @@ def robustness_suite(ctx: DispatchContext, scenarios: list[Scenario],
 def suite_to_csv(rows: list[dict], path):
     fields = ["scenario", "weighted_obj", "summary_obj", "coe_norm", "em_norm",
               "dpsp", "repg", "ref", "c_daily", "feasible", "error"]
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n",
-                                extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(path, fields, ([row.get(f, "") for f in fields] for row in rows))

@@ -256,11 +256,21 @@ def fixed_om(capital: CapitalBreakdown, costs: CostTable) -> float:
             + costs.om_fix_bs * capital.bs + costs.om_fix_dg * capital.dg)
 
 
+def operating_cost(gen: GeneratorSpec, costs: CostTable, dg_energy_kwh: float,
+                   online_hours: float, starts: int) -> float:
+    """Generator operating cost over a horizon: fuel + variable O&M +
+    switching, summed in that order.  Every start has its shutdown."""
+    return (fuel_cost(gen, dg_energy_kwh, online_hours)
+            + variable_om(gen, costs, online_hours, dg_energy_kwh)
+            + costs.startup_cost * starts + costs.shutdown_cost * starts)
+
+
 def annual_recurring(capital: CapitalBreakdown, gen: GeneratorSpec,
                      costs: CostTable, dg_energy_kwh: float,
                      dg_online_hours: float, dg_starts: int) -> float:
-    """Year-1 recurring cost: fixed O&M + variable O&M + fuel + switching.
-    Every start has its shutdown (see ``simulate.count_transitions``)."""
+    """Year-1 recurring cost: fixed O&M + variable O&M + fuel + switching,
+    in this order (``size``'s output bytes depend on it).  Every start has
+    its shutdown (see ``simulate.count_transitions``)."""
     return (fixed_om(capital, costs)
             + variable_om(gen, costs, dg_online_hours, dg_energy_kwh)
             + fuel_cost(gen, dg_energy_kwh, dg_online_hours)
@@ -349,6 +359,20 @@ def metrics_ref(renewable_kwh: float, generated_kwh: float) -> float:
     return renewable_kwh / generated_kwh
 
 
+def objective_vector(coe: float, emissions: float, baseline: BaselineMetrics,
+                     lost_kwh: float, load_kwh: float, dump_kwh: float,
+                     res_kwh: float, dg_kwh: float, eta_rec: float) -> ObjectiveVector:
+    """The five objectives from a horizon's totals: the cost per kWh and the
+    emissions relative to the baseline's, and the lost load, dump and
+    renewable shares, of the DC-side generation res + eta_rec * E_dg."""
+    generated = res_kwh + eta_rec * dg_kwh
+    return ObjectiveVector(
+        lcoe_norm=coe / baseline.lcoe, em_norm=emissions / baseline.emissions,
+        dpsp=metrics_dpsp(lost_kwh, load_kwh),
+        repg=metrics_repg(dump_kwh, generated),
+        one_minus_ref=1.0 - metrics_ref(res_kwh, generated))
+
+
 def weighted_objective(obj: ObjectiveVector, weights: Weights) -> float:
     """Scalarized objective sum(w_i * component_i)."""
     comps = obj.as_array()
@@ -362,8 +386,7 @@ def weighted_objective(obj: ObjectiveVector, weights: Weights) -> float:
 # Generator-only baseline used to normalize LCOE and emissions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BaselineMetrics:
+class BaselineMetrics(NamedTuple):
     lcoe: float            # [$/kWh]
     emissions: float       # [kg/horizon]
 

@@ -17,7 +17,6 @@ bit-identical results.  ``CASCADE_KERNEL`` names the one in use.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import hashlib
 import math
@@ -41,7 +40,8 @@ from .economics import (BaselineMetrics, CostTable, FinancialParams,
                         ObjectiveVector, Weights, weighted_objective)
 from .errors import InputDataError
 from .solvers import SOLVERS, SearchSpace, SolverReport
-from .timeseries import ClimateSeries, LoadSeries, require_complete
+from .timeseries import (ClimateSeries, LoadSeries, require_complete,
+                         write_csv)
 
 TRACE_HEADER = ["hour", "p_pv", "p_wt", "p_dg", "p_bs", "soc", "p_dump",
                 "p_lost", "load"]
@@ -205,17 +205,10 @@ class SimResult:
     emissions_kg: float
 
     def write_trace_csv(self, path):
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TRACE_HEADER)
-            for h in range(len(self.load)):
-                writer.writerow([
-                    h,
-                    f"{self.p_pv[h]:.6f}", f"{self.p_wt[h]:.6f}",
-                    f"{self.p_dg[h]:.6f}", f"{self.p_bs[h]:.6f}",
-                    f"{self.soc[h]:.6f}", f"{self.p_dump[h]:.6f}",
-                    f"{self.p_lost[h]:.6f}", f"{self.load[h]:.6f}",
-                ])
+        hours = zip(self.p_pv, self.p_wt, self.p_dg, self.p_bs, self.soc,
+                    self.p_dump, self.p_lost, self.load)
+        write_csv(path, TRACE_HEADER, ([h, *(f"{v:.6f}" for v in values)]
+                                       for h, values in enumerate(hours)))
 
 
 class FeedInProfile(NamedTuple):
@@ -535,7 +528,6 @@ def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
     # The five hourly rows are views of one block: one reduction sums them.
     dg_energy, _, _, dump_kwh, lost_kwh = p_dg.base.sum(axis=1).tolist()
     res_energy = float(res_dc.sum())
-    gen_energy = res_energy + ctx.converter.eta_rec * dg_energy
 
     capital = economics.initial_capital(
         design.pv_kw(ctx.pv), design.wt_kw(ctx.wind), design.e_b_init,
@@ -555,12 +547,9 @@ def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
         dg_online_hours=online_hours, dg_starts=starts, battery_cycles=cycles,
         dg_energy_kwh=dg_energy, res_energy_kwh=res_energy, dump_kwh=dump_kwh,
         lost_kwh=lost_kwh, load_kwh=load_kwh,
-        objectives=ObjectiveVector(
-            lcoe_norm=life.lcoe / baseline.lcoe,
-            em_norm=emissions / baseline.emissions,
-            dpsp=economics.metrics_dpsp(lost_kwh, load_kwh),
-            repg=economics.metrics_repg(dump_kwh, gen_energy),
-            one_minus_ref=1.0 - economics.metrics_ref(res_energy, gen_energy)),
+        objectives=economics.objective_vector(
+            life.lcoe, emissions, baseline, lost_kwh, load_kwh, dump_kwh,
+            res_energy, dg_energy, ctx.converter.eta_rec),
         # ``LifecycleCost``'s fields are CostBreakdown's next six, in order
         cost=CostBreakdown(capital.pv, capital.wt, capital.bs, capital.dg,
                            capital.converter, *life, baseline_lcoe=baseline.lcoe,

@@ -10,7 +10,6 @@ value is always a fresh re-evaluation of the reported best point.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDataError
+from .timeseries import write_csv
 
 STALL_ITERS = 50
 STALL_TOL = 1e-6
@@ -352,13 +352,10 @@ SOLVERS = {
 
 
 def benchmark_to_csv(reports: list[SolverReport], path):
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["solver", "runtime_s", "min_obj", "overall", "best_point"])
-        for r in reports:
-            writer.writerow([r.solver, f"{r.runtime_s:.4f}", f"{r.best_value:.6f}",
-                             f"{r.overall:.4f}",
-                             " ".join(f"{v:g}" for v in r.best_point)])
+    write_csv(path, ["solver", "runtime_s", "min_obj", "overall", "best_point"],
+              ([r.solver, f"{r.runtime_s:.4f}", f"{r.best_value:.6f}",
+                f"{r.overall:.4f}", " ".join(f"{v:g}" for v in r.best_point)]
+               for r in reports))
 
 
 def benchmark_to_json(reports: list[SolverReport], path):

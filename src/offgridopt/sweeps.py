@@ -12,12 +12,12 @@ propagates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 from .economics import Weights, weighted_objective
 from .errors import InputDataError
 from .simulate import Design, SimulationContext, SizingProblem, simulate_year
+from .timeseries import write_csv
 
 SWEEP_PARAMETERS = ("dg_rated", "fuel_price", "nominal_rate", "inflation",
                     "bs_price", "w1", "w2", "w3", "w4", "w5")
@@ -150,18 +150,15 @@ def objective_at_fixed_design(design: Design, overrides: dict,
     return sim, weighted_objective(sim.objectives, point_w)
 
 
+def _sweep_cells(r: SweepRow) -> list:
+    if r.design is None:
+        return [r.value] + [""] * 10 + [r.status]
+    o = r.objectives
+    return [r.value, *r.design.csv_cells(), f"{o.lcoe_norm:.5f}",
+            f"{o.em_norm:.5f}", f"{o.dpsp:.6f}", f"{o.repg:.5f}",
+            f"{o.one_minus_ref:.5f}", r.dg_hours, f"{r.bs_cycles:.1f}",
+            f"{r.weighted_obj:.5f}", r.status]
+
+
 def sweep_to_csv(rows: list[SweepRow], path):
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER)
-        for r in rows:
-            if r.design is None:
-                writer.writerow([r.value] + [""] * 10 + [r.status])
-                continue
-            o = r.objectives
-            writer.writerow([r.value, *r.design.csv_cells(),
-                             f"{o.lcoe_norm:.5f}", f"{o.em_norm:.5f}",
-                             f"{o.dpsp:.6f}", f"{o.repg:.5f}",
-                             f"{o.one_minus_ref:.5f}", r.dg_hours,
-                             f"{r.bs_cycles:.1f}", f"{r.weighted_obj:.5f}",
-                             r.status])
+    write_csv(path, SWEEP_CSV_HEADER, map(_sweep_cells, rows))

@@ -1,4 +1,5 @@
-"""Hourly climate and load series: CSV ingestion, checks and synthesis.
+"""Hourly climate and load series: CSV ingestion, checks and synthesis,
+and the CSV format of every file the package writes.
 
 Climate CSV schema (header required): ``timestamp,ghi_kw_m2,wind_ms,temp_c``
 with ISO-8601 timestamps, dot-decimal numbers and empty cells for missing
@@ -107,6 +108,26 @@ def _parse_cell(text: str, column: str, line: int) -> float:
         raise ParseError(f"non-numeric value {text!r} in column {column!r}", line=line) from None
 
 
+def _data_rows(path, header: list[str]):
+    """The line numbers and cells of the non-empty data rows of a CSV file
+    that starts with ``header`` and whose rows all have its columns."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None:
+            raise SchemaError(f"{path}: empty file")
+        if [h.strip() for h in found] != header:
+            raise SchemaError(f"{path}: expected header {','.join(header)!r}, "
+                              f"got {','.join(found)!r}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaError(f"{path}: line {line_no}: expected "
+                                  f"{len(header)} columns, got {len(row)}")
+            yield line_no, row
+
+
 def read_climate_csv(path) -> ClimateSeries:
     """Load an hourly climate CSV (see module docstring for the schema).
 
@@ -115,90 +136,57 @@ def read_climate_csv(path) -> ClimateSeries:
     """
     irr, wind, temp = [], [], []
     prev_ts = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for line_no, row in _data_rows(path, CLIMATE_HEADER):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != CLIMATE_HEADER:
-            raise SchemaError(
-                f"{path}: expected header {','.join(CLIMATE_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CLIMATE_HEADER):
-                raise SchemaError(
-                    f"{path}: line {line_no}: expected {len(CLIMATE_HEADER)} "
-                    f"columns, got {len(row)}"
-                )
-            try:
-                ts = datetime.fromisoformat(row[0].strip())
-            except ValueError:
-                raise ParseError(f"bad timestamp {row[0]!r}", line=line_no) from None
-            if prev_ts is not None and ts <= prev_ts:
-                raise ParseError(f"timestamp {row[0]!r} not increasing", line=line_no)
-            prev_ts = ts
-            g = _parse_cell(row[1], "ghi_kw_m2", line_no)
-            w = _parse_cell(row[2], "wind_ms", line_no)
-            t = _parse_cell(row[3], "temp_c", line_no)
-            if (not np.isnan(g) and g < 0) or (not np.isnan(w) and w < 0):
-                raise ParseError("negative irradiance or wind speed", line=line_no)
-            irr.append(g)
-            wind.append(w)
-            temp.append(t)
+            ts = datetime.fromisoformat(row[0].strip())
+        except ValueError:
+            raise ParseError(f"bad timestamp {row[0]!r}", line=line_no) from None
+        if prev_ts is not None and ts <= prev_ts:
+            raise ParseError(f"timestamp {row[0]!r} not increasing", line=line_no)
+        prev_ts = ts
+        g = _parse_cell(row[1], "ghi_kw_m2", line_no)
+        w = _parse_cell(row[2], "wind_ms", line_no)
+        t = _parse_cell(row[3], "temp_c", line_no)
+        if (not np.isnan(g) and g < 0) or (not np.isnan(w) and w < 0):
+            raise ParseError("negative irradiance or wind speed", line=line_no)
+        irr.append(g)
+        wind.append(w)
+        temp.append(t)
     return ClimateSeries(np.array(irr), np.array(wind), np.array(temp))
 
 
 def read_load_csv(path) -> LoadSeries:
     """Load an hourly demand CSV with header ``hour,load_kw``."""
-    demand = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != LOAD_HEADER:
-            raise SchemaError(
-                f"{path}: expected header {','.join(LOAD_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"{path}: line {line_no}: expected 2 columns")
-            demand.append(_parse_cell(row[1], "load_kw", line_no))
-    arr = np.array(demand)
+    arr = np.array([_parse_cell(row[1], "load_kw", line_no)
+                    for line_no, row in _data_rows(path, LOAD_HEADER)])
     if np.isnan(arr).any():
         raise ParseError("load file contains missing values")
     return LoadSeries(arr)
 
 
-def write_climate_csv(path, series: ClimateSeries, start="2018-01-01T00:00"):
-    """Write a ClimateSeries back to the documented CSV schema (UTF-8, LF)."""
-    t0 = datetime.fromisoformat(start)
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV in the one format of every
+    CSV the package writes: UTF-8 with LF line ends on every platform, so a
+    rerun reproduces the file byte for byte."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CLIMATE_HEADER)
-        for h in range(len(series)):
-            ts = t0 + timedelta(hours=h)
-            cells = [ts.isoformat(timespec="minutes")]
-            for arr in (series.irradiance, series.wind_speed_ref, series.temp_ambient):
-                v = arr[h]
-                cells.append("" if np.isnan(v) else f"{v:.4f}")
-            writer.writerow(cells)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_climate_csv(path, series: ClimateSeries, start="2018-01-01T00:00"):
+    """Write a ClimateSeries back to the documented CSV schema."""
+    t0 = datetime.fromisoformat(start)
+    columns = (series.irradiance, series.wind_speed_ref, series.temp_ambient)
+    write_csv(path, CLIMATE_HEADER, (
+        [(t0 + timedelta(hours=h)).isoformat(timespec="minutes"),
+         *("" if np.isnan(v) else f"{v:.4f}" for v in values)]
+        for h, values in enumerate(zip(*columns))))
 
 
 def write_load_csv(path, series: LoadSeries):
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LOAD_HEADER)
-        for h, v in enumerate(series.demand):
-            writer.writerow([h, f"{v:.4f}"])
+    write_csv(path, LOAD_HEADER,
+              ([h, f"{v:.4f}"] for h, v in enumerate(series.demand)))
 
 
 def scale_wind(series: ClimateSeries, factor: float) -> ClimateSeries:

@@ -62,6 +62,22 @@ def test_invariant_violations_name_the_field():
                                   "soc_max_fraction": 0.90}})
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("generator", "fuel_price_usd", -0.01, "fuel_price must be >= 0"),
+    ("generator", "fuel_coeff_a_l_per_kwh", -0.001, "fuel_coeff_a must be >= 0"),
+    ("generator", "fuel_coeff_b_l_per_kwh", -0.001, "fuel_coeff_b must be >= 0"),
+    ("generator", "mt_fuel_slope_mmbtu_per_kwh", -1.0, "mt_fuel_slope must be >= 0"),
+    ("generator", "lifetime_hours", 0.0, "lifetime_hours must be positive"),
+    ("generator", "lifetime_hours", -5.0, "lifetime_hours must be positive"),
+    ("battery", "lifetime_cycles", 0, "lifetime_cycles must be positive"),
+    ("battery", "lifetime_cycles", -10, "lifetime_cycles must be positive"),
+])
+def test_out_of_range_device_values_name_section_and_field(section, key,
+                                                           value, message):
+    with pytest.raises(ConfigError, match=f"^{section}: {message}$"):
+        build_config({section: {key: value}})
+
+
 # ---------------------------------------------------------------------------
 # Every component, cost, financial and strategy key changes the result
 # ---------------------------------------------------------------------------
@@ -268,6 +284,24 @@ def test_cli_dispatch_writes_schedule(tmp_path):
     assert len(lines) == 25
 
 
+def test_result_records_the_run_arguments_outside_the_config(tmp_path):
+    """result.json alone reruns a run: the arguments that are no config key
+    are in its results."""
+    runs = {"pareto": ["--population", 4, "--generations", 1],
+            "dispatch": ["--design", "100,8,45.45"],
+            "breakeven": ["--design", "100,8,45.45"]}
+    for command, args in runs.items():
+        assert run_cli([command, "--seed", 3, *args,
+                        "--out", tmp_path / command]) == 0
+    results = {command: json.loads((tmp_path / command / "result.json")
+                                   .read_text())["results"]
+               for command in runs}
+    assert (results["pareto"]["population"],
+            results["pareto"]["generations"]) == (4, 1)
+    assert results["dispatch"]["design"] == [100.0, 8.0, 45.45]
+    assert results["breakeven"]["design"] == [100.0, 8.0, 45.45]
+
+
 def test_cli_bench_table(tmp_path):
     assert run_cli(["bench", "--seed", 42, "--solvers", "pso,ps",
                     "--max-evals", 150, "--out", tmp_path]) == 0
@@ -395,9 +429,22 @@ def test_the_config_seed_drives_the_run(tmp_path):
 def test_cli_malformed_config_writes_error_document(tmp_path, text):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
-    # no --seed: the flag would win over the file's seed key
     code = run_cli(["simulate", "--design", "100,8,45.45",
                     "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error" and doc["message"]
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    (["simulate", "--design", "100,8,45.45"], ["--seed", 1], "seed: x\n"),
+    (["size"], ["--max-evals", 60], "sizing: {max_evals: 0}\n"),
+], ids=["seed", "max-evals"])
+def test_cli_key_flag_does_not_hide_an_invalid_file_value(tmp_path, command,
+                                                          flag, text):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    code = run_cli([*command, *flag, "--config", cfg, "--out", tmp_path])
     assert code == 2
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["status"] == "error" and doc["message"]
