@@ -1,11 +1,17 @@
-/* Load-following priority cascade, compiled twin of the Python loop in
- * simulate.py (_cascade_python).
+/* Compiled twins of two Python loops:
+ *   cascade    the load-following priority cascade (_cascade_python in
+ *              simulate.py);
+ *   day_hours  the pass over the 24 hours of a dispatch schedule
+ *              (_day_hours in dispatch.py).
  *
  * Every statement does the same IEEE double operations in the same order
  * as the Python loop, so both kernels give bit-identical results.  That
  * holds only when the compiler neither fuses a multiply and an add nor
  * reassociates: build with -ffp-contract=off and without -ffast-math.
  */
+
+#include <math.h>
+#include <string.h>
 
 /* Battery state carried from one run into the next. */
 typedef struct {
@@ -159,4 +165,100 @@ void cascade(long n, const double *res, const double *dem,
     state->discharging = last_dir > 0;
     counts[0] = online;
     counts[1] = starts;
+}
+
+
+/* The inputs that every schedule of one dispatch day shares. */
+typedef struct {
+    double res[24];      /* DC-bus renewable feed-in [kW] */
+    double dem[24];      /* DC-bus demand [kW] */
+    double eta_rec;      /* rectifier efficiency of the generator output */
+    double eta_inv;      /* inverter efficiency, DC shortfall to AC load */
+    double p_min;        /* generator minimum output [kW] */
+    double tol;          /* an hour is online when its p_dg exceeds this */
+    double soc_start;    /* SOC before the first hour */
+    double cap;          /* battery capacity [kWh]; none when <= 0 */
+    double keep;         /* 1 - hourly self-discharge */
+    double eta;          /* battery round-trip efficiency */
+} day_inputs;
+
+/* What the hours of a schedule add up to (DayHours in dispatch.py). */
+typedef struct {
+    double energy;       /* sum of p_dg [kWh] */
+    double dump;         /* sum of the DC-bus surplus [kWh] */
+    double lost;         /* sum of the AC load not served [kWh] */
+    long online;         /* online hours */
+    long starts;         /* generator starts */
+    double semicont;     /* largest shortfall below p_min in an online hour */
+    double p_dg_max;     /* largest p_dg */
+    double p_bs_max;     /* largest |p_bs| */
+    double soc_min;      /* smallest of the 25 SOC knots */
+    double soc_max;      /* largest of the 25 SOC knots */
+} day_totals;
+
+/* np.sum of 24 values (day_sum in dispatch.py): eight interleaved partial
+ * sums, combined pairwise, the total added to 0.0. */
+static double day_sum(const double *h)
+{
+    double r[8];
+    for (int i = 0; i < 8; i++)
+        r[i] = (h[i] + h[i + 8]) + h[i + 16];
+    return 0.0 + (((r[0] + r[1]) + (r[2] + r[3]))
+                  + ((r[4] + r[5]) + (r[6] + r[7])));
+}
+
+/* One pass over the 24 hours of a schedule, a row-major (2, 24) block of
+ * p_dg and p_bs.  Maxima and minima are Python's max and min: the first of
+ * the extreme values.  When rows is not NULL it receives the 25 SOC knots,
+ * then the 24 dump and the 24 lost-load hours. */
+day_totals day_hours(const double *schedule, const day_inputs *day,
+                     double *rows)
+{
+    const double *p_dg = schedule, *p_bs = schedule + 24;
+    double soc[25], dump[24], lost[24];
+    day_totals out = {0};
+    int was_on = 0;
+
+    out.p_dg_max = p_dg[0];
+    out.p_bs_max = fabs(p_bs[0]);
+    for (int t = 0; t < 24; t++) {
+        const double p = p_dg[t];
+        const double net = day->res[t] + day->eta_rec * p + p_bs[t]
+                           - day->dem[t];
+        dump[t] = net > 0.0 ? net : 0.0;
+        lost[t] = net < 0.0 ? -net * day->eta_inv : 0.0;
+        const int on = p > day->tol;
+        out.online += on;
+        out.starts += on && !was_on;
+        was_on = on;
+        if (on && day->p_min - p > out.semicont)
+            out.semicont = day->p_min - p;
+        if (p > out.p_dg_max)
+            out.p_dg_max = p;
+        if (fabs(p_bs[t]) > out.p_bs_max)
+            out.p_bs_max = fabs(p_bs[t]);
+    }
+
+    /* propagate_soc in dispatch.py: battery_step with dt = 1 */
+    soc[0] = day->soc_start;
+    for (int t = 0; t < 24; t++)
+        soc[t + 1] = day->cap <= 0.0 ? soc[t]
+                     : day->keep * soc[t] - p_bs[t] * day->eta / day->cap;
+    out.soc_min = out.soc_max = soc[0];
+    for (int t = 1; t < 25; t++) {
+        if (soc[t] < out.soc_min)
+            out.soc_min = soc[t];
+        if (soc[t] > out.soc_max)
+            out.soc_max = soc[t];
+    }
+
+    out.energy = day_sum(p_dg);
+    out.dump = day_sum(dump);
+    out.lost = day_sum(lost);
+    if (rows) {
+        memcpy(rows, soc, sizeof soc);
+        memcpy(rows + 25, dump, sizeof dump);
+        memcpy(rows + 49, lost, sizeof lost);
+    }
+    return out;
 }

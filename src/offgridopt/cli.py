@@ -198,7 +198,11 @@ def cmd_breakeven(args, config) -> dict:
         tac, load_kwh = args.tac, args.load_kwh
         if load_kwh is None:
             raise InputDataError("--load-kwh is required with --tac")
+        if args.design is not None:
+            raise InputDataError("--design cannot be given with --tac")
     else:
+        if args.load_kwh is not None:
+            raise InputDataError("--load-kwh needs --tac")
         if not args.design:
             raise InputDataError("breakeven needs --tac/--load-kwh or --design")
         design = _parse_design(args.design)

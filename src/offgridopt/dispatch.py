@@ -12,6 +12,7 @@ projected coordinate descent with an exact penalty on the DPSP constraint.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, replace
 from operator import add
 from typing import NamedTuple
@@ -25,14 +26,18 @@ from .devices import battery_power_limit, battery_step  # noqa: F401
 from .devices import self_discharge_hourly
 from .economics import BaselineMetrics, ObjectiveVector, Weights
 from .errors import InputDataError
-from .simulate import (CascadeState, Design, SimulationContext,
-                       count_transitions, dispatch_cascade, renewable_feed_in)
+from .simulate import (_C_LIBRARY, CascadeState, Design, SimulationContext,
+                       _CDayInputs, count_transitions, dispatch_cascade,
+                       renewable_feed_in)
 from .timeseries import ClimateSeries, LoadSeries, write_csv
 
 SCHEDULE_HEADER = ["hour", "p_dg", "p_bs", "soc", "p_res", "load", "dump", "lost"]
 CONSTRAINT_TOL = 1e-6
 REFINE_SWEEPS = 6   # coordinate-descent sweeps, each halving the step sizes
 PENALTY_MU = 200.0  # weight of the constraint residuals in the search value
+
+# The compiled twin of ``_day_hours``; None when the kernels are not built.
+_C_DAY_HOURS = None if _C_LIBRARY is None else _C_LIBRARY.day_hours
 
 
 @dataclass
@@ -71,6 +76,14 @@ class DispatchContext:
         self.weight_array = np.array(self.weights.values)
         self.daily_fixed_om = economics.fixed_om(self.capital, sim.costs) / 365.0
         self.daily_baseline = self._daily_baseline()
+        battery = sim.battery
+        self.day_inputs = _CDayInputs(
+            (ctypes.c_double * 24)(*self.res_hourly),
+            (ctypes.c_double * 24)(*self.demand_hourly),
+            sim.converter.eta_rec, sim.converter.eta_inv,
+            sim.generator.min_power, CONSTRAINT_TOL, self.soc_start,
+            self.design.e_b_init, 1.0 - self_discharge_hourly(battery),
+            battery.round_trip_eff)
 
     def _daily_baseline(self) -> BaselineMetrics:
         """COE and emissions of the baseline generator serving the whole day
@@ -96,16 +109,45 @@ def day_context(ctx: SimulationContext, design: Design, day: int,
     return DispatchContext(design, sim, weights, dpsp_max)
 
 
-@dataclass(slots=True)
 class DispatchSchedule:
     """The decision of one day; ``evaluate_schedule`` scores it and
-    ``day_trace`` gives its hours."""
+    ``day_trace`` gives its hours.
 
-    p_dg: np.ndarray      # generator setpoints, AC [kW], 24 entries
-    p_bs: np.ndarray      # battery power, +discharge/-charge, DC [kW], 24
+    ``p_dg`` (generator setpoints, AC [kW]) and ``p_bs`` (battery power,
+    +discharge/-charge, DC [kW]) are copied into the two rows of one
+    C-contiguous (2, 24) float64 block, which the day kernel reads by
+    address.  The rows change in place but cannot be rebound, and hours of
+    any other length are rejected, so the kernel never reads past the block.
+    """
+
+    __slots__ = ("_rows", "_address")
+
+    def __init__(self, p_dg, p_bs):
+        rows = np.empty((2, 24))
+        for row, hours, name in zip(rows, (p_dg, p_bs), ("p_dg", "p_bs")):
+            hours = np.asarray(hours, dtype=float)
+            if hours.shape != (24,):
+                raise InputDataError(
+                    f"{name} must hold 24 hours, got shape {hours.shape}")
+            row[:] = hours
+        # ``rows.ctypes`` would leave objects behind for as long as the
+        # block lives, and a kept result holds two schedules.
+        self._rows, self._address = rows, rows.__array_interface__["data"][0]
+
+    @property
+    def p_dg(self) -> np.ndarray:
+        return self._rows[0]
+
+    @property
+    def p_bs(self) -> np.ndarray:
+        return self._rows[1]
+
+    def __reduce__(self):
+        # A copy or an unpickled schedule gets a block, and address, of its own.
+        return DispatchSchedule, (self.p_dg, self.p_bs)
 
     def copy(self) -> "DispatchSchedule":
-        return DispatchSchedule(self.p_dg.copy(), self.p_bs.copy())
+        return DispatchSchedule(self.p_dg, self.p_bs)
 
     def write_csv(self, path, ctx: DispatchContext):
         trace = day_trace(self, ctx)
@@ -166,11 +208,32 @@ def day_sum(hours) -> float:
     return 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
 
 
-def _day_hours(ctx: DispatchContext, p_dg: list[float], p_bs: list[float]):
-    """One pass over the hours of a schedule: its SOC knots, dump and lost
+class DayHours(NamedTuple):
+    """What the hours of a schedule add up to."""
+
+    energy: float         # generator output [kWh]
+    dump: float           # surplus on the DC bus [kWh]
+    lost: float           # load not served, AC [kWh]
+    online: int           # hours with the generator online
+    starts: int           # generator starts (``count_transitions``)
+    semicont: float       # largest shortfall below the minimum output
+    p_dg_max: float       # largest generator setpoint
+    p_bs_max: float       # largest battery power magnitude
+    soc_min: float        # smallest of the 25 SOC knots
+    soc_max: float        # largest of the 25 SOC knots
+
+
+def _day_hours(ctx: DispatchContext, s: DispatchSchedule,
+               rows: np.ndarray | None = None) -> DayHours:
+    """One pass over the hours of a schedule: the SOC knots, dump and lost
     load (the positive and negative parts of the DC-bus balance residual),
-    generator online flags and largest shortfall below the minimum output
-    in an online hour."""
+    generator online flags and shortfall below the minimum output in an
+    online hour, reduced to a ``DayHours``.  Sums are taken in ``np.sum``'s
+    order and extremes are Python's ``max`` and ``min``.  When ``rows`` is
+    given it receives the 25 SOC knots, then the 24 dump and lost hours.
+
+    The twin of, and fallback for, ``day_hours`` in ``_cascade.c``."""
+    p_dg, p_bs = s._rows.tolist()
     converter, p_min = ctx.sim.converter, ctx.sim.generator.min_power
     eta_rec, eta_inv = converter.eta_rec, converter.eta_inv
     dump, lost, online = [], [], []
@@ -183,31 +246,35 @@ def _day_hours(ctx: DispatchContext, p_dg: list[float], p_bs: list[float]):
         online.append(on)
         if on and p_min - p > semicont:
             semicont = p_min - p
-    return propagate_soc(ctx, p_bs), dump, lost, online, semicont
+    soc = propagate_soc(ctx, p_bs)
+    if rows is not None:
+        rows[:25], rows[25:49], rows[49:] = soc, dump, lost
+    return DayHours(day_sum(p_dg), day_sum(dump), day_sum(lost), sum(online),
+                    count_transitions(online), semicont, max(p_dg),
+                    max(map(abs, p_bs)), min(soc), max(soc))
 
 
 def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEvaluation:
     """Cost, objectives and constraint residuals of a candidate schedule.
     Infeasibility is reported through ``violations``, never raised.
 
-    The hours are scored on Python floats with the float operations of the
-    numpy formulation that ``tests/test_scorer.py`` keeps as reference; sums
-    are taken in ``np.sum``'s order and maxima are exact, so every value
-    equals the one numpy gives bit for bit.
+    The hours are reduced in the C kernel, or in its Python twin
+    ``_day_hours``, with the float operations of the numpy formulation that
+    ``tests/test_scorer.py`` keeps as reference, so every value equals the
+    one numpy gives bit for bit.  Prices and objectives are computed here.
     """
     sim = ctx.sim
     gen, battery = sim.generator, sim.battery
-    p_dg = np.asarray(s.p_dg, dtype=float).tolist()
-    p_bs = np.asarray(s.p_bs, dtype=float).tolist()
-    soc, dump, lost, online, semicont = _day_hours(ctx, p_dg, p_bs)
+    h = (_day_hours(ctx, s) if _C_DAY_HOURS is None
+         else _C_DAY_HOURS(s._address, ctx.day_inputs, None))
 
-    energy = day_sum(p_dg)
-    c_daily = (economics.operating_cost(gen, sim.costs, energy, sum(online),
-                                        count_transitions(online))
+    energy = h.energy
+    c_daily = (economics.operating_cost(gen, sim.costs, energy, h.online,
+                                        h.starts)
                + ctx.daily_fixed_om)
     objectives = economics.objective_vector(
         c_daily / ctx.load_kwh, economics.emissions_total(energy, gen),
-        ctx.daily_baseline, day_sum(lost), ctx.load_kwh, day_sum(dump),
+        ctx.daily_baseline, h.lost, ctx.load_kwh, h.dump,
         ctx.res_kwh, energy, sim.converter.eta_rec)
     weighted = float(np.dot(ctx.weight_array,
                             [objectives.lcoe_norm, objectives.em_norm,
@@ -215,11 +282,11 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
 
     # x -> x - c rounds monotonically, so each excess is the extreme value's.
     violations = {
-        "dg_semicontinuous": semicont,
-        "dg_rated": max(0.0, max(p_dg) - gen.rated_power),
-        "battery_power": max(0.0, max(map(abs, p_bs)) - ctx.power_limit),
-        "soc_bounds": max(0.0, battery.soc_min - min(soc),
-                          max(soc) - battery.soc_max),
+        "dg_semicontinuous": h.semicont,
+        "dg_rated": max(0.0, h.p_dg_max - gen.rated_power),
+        "battery_power": max(0.0, h.p_bs_max - ctx.power_limit),
+        "soc_bounds": max(0.0, battery.soc_min - h.soc_min,
+                          h.soc_max - battery.soc_max),
         "dpsp": max(0.0, objectives.dpsp - ctx.dpsp_max),
     }
     feasible = all(v <= CONSTRAINT_TOL for v in violations.values())
@@ -228,10 +295,13 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
 
 def day_trace(s: DispatchSchedule, ctx: DispatchContext) -> DayTrace:
     """The schedule's hourly SOC knots, dump and lost load."""
-    soc, dump, lost, _, _ = _day_hours(
-        ctx, np.asarray(s.p_dg, dtype=float).tolist(),
-        np.asarray(s.p_bs, dtype=float).tolist())
-    return DayTrace(np.array(soc), np.array(dump), np.array(lost))
+    rows = np.empty(73)
+    if _C_DAY_HOURS is None:
+        _day_hours(ctx, s, rows)
+    else:
+        _C_DAY_HOURS(s._address, ctx.day_inputs,
+                     rows.__array_interface__["data"][0])
+    return DayTrace(rows[:25], rows[25:49], rows[49:])
 
 
 def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
@@ -244,7 +314,7 @@ def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
         sim.generator, sim.strategy.dg_may_charge_battery,
         eta_rec=sim.converter.eta_rec, start=CascadeState(ctx.soc_start),
         cycle_counting=sim.strategy.cycle_counting)
-    return DispatchSchedule(p_dg.copy(), p_bs.copy())
+    return DispatchSchedule(p_dg, p_bs)
 
 
 def _penalized(ev: DispatchEvaluation) -> float:
@@ -260,6 +330,7 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
     pattern held fixed."""
     gen = ctx.sim.generator
     s = s.copy()
+    p_dg, p_bs = s.p_dg, s.p_bs
     best = evaluate_schedule(s, ctx)
     best_val = _penalized(best)
     p_lim = ctx.power_limit
@@ -269,10 +340,10 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
         improved = False
         for t in range(24):
             # generator steps in an ON hour, then battery steps if it can move
-            moves = ([(s.p_dg, gen.min_power, gen.rated_power)]
-                     if s.p_dg[t] > 0 else [])
+            moves = ([(p_dg, gen.min_power, gen.rated_power)]
+                     if p_dg[t] > 0 else [])
             if p_lim > 0:
-                moves.append((s.p_bs, -p_lim, p_lim))
+                moves.append((p_bs, -p_lim, p_lim))
             for x, lower, upper in moves:
                 for d in steps:
                     cand = min(max(x[t] + d, lower), upper)
@@ -295,13 +366,14 @@ def _apply_pattern(s: DispatchSchedule, pattern: np.ndarray,
                    ctx: DispatchContext) -> DispatchSchedule:
     gen = ctx.sim.generator
     out = s.copy()
+    p_dg = out.p_dg
     for t in range(24):
         if pattern[t]:
-            if out.p_dg[t] <= 0:
-                out.p_dg[t] = gen.min_power if gen.min_power > 0 else min(1.0, gen.rated_power)
-            out.p_dg[t] = min(max(out.p_dg[t], gen.min_power), gen.rated_power)
+            if p_dg[t] <= 0:
+                p_dg[t] = gen.min_power if gen.min_power > 0 else min(1.0, gen.rated_power)
+            p_dg[t] = min(max(p_dg[t], gen.min_power), gen.rated_power)
         else:
-            out.p_dg[t] = 0.0
+            p_dg[t] = 0.0
     return out
 
 

@@ -12,7 +12,8 @@ and any final shortfall is lost load.
 
 The cascade runs in a small C kernel (``_cascade.c``) when it can be built
 and loaded, and in the equivalent Python loop otherwise; both give
-bit-identical results.  ``CASCADE_KERNEL`` names the one in use.
+bit-identical results.  ``CASCADE_KERNEL`` names the one in use.  The same
+library holds ``day_hours``, which ``dispatch`` scores schedules with.
 """
 
 from __future__ import annotations
@@ -417,6 +418,26 @@ class _CState(ctypes.Structure):
                 ("throughput", ctypes.c_double), ("discharging", ctypes.c_int)]
 
 
+class _CDayInputs(ctypes.Structure):
+    """``day_inputs`` of ``_cascade.c``: what every schedule of a dispatch
+    day shares, which ``DispatchContext`` fills once."""
+
+    _fields_ = ([("res", ctypes.c_double * 24), ("dem", ctypes.c_double * 24)]
+                + [(name, ctypes.c_double) for name in (
+                    "eta_rec", "eta_inv", "p_min", "tol", "soc_start", "cap",
+                    "keep", "eta")])
+
+
+class _CDayTotals(ctypes.Structure):
+    """``day_totals`` of ``_cascade.c``, with the fields of
+    ``dispatch.DayHours``."""
+
+    _fields_ = ([(name, ctypes.c_double) for name in ("energy", "dump", "lost")]
+                + [("online", ctypes.c_long), ("starts", ctypes.c_long)]
+                + [(name, ctypes.c_double) for name in (
+                    "semicont", "p_dg_max", "p_bs_max", "soc_min", "soc_max")])
+
+
 _CASCADE_SOURCE = Path(__file__).with_name("_cascade.c")
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add,
 # which would round differently from the Python loop.
@@ -424,8 +445,8 @@ _CC_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def _cascade_library() -> Path:
-    """Path of the compiled kernel, cached in ``__pycache__`` under a hash
-    of its source and flags; compiled with the local ``cc`` when missing.
+    """Path of the compiled kernels, cached in ``__pycache__`` under a hash
+    of their source and flags; compiled with the local ``cc`` when missing.
 
     The library is built under a temporary name and renamed into place, so
     processes that build it at the same time never load a partial file.
@@ -450,25 +471,30 @@ def _cascade_library() -> Path:
 
 
 def _load_cascade():
-    """The C ``cascade`` function, or None when it cannot be built or
-    loaded (no compiler, read-only package directory)."""
+    """The compiled kernels' library with the signatures of ``cascade`` and
+    ``day_hours`` set, or None when it cannot be built or loaded (no
+    compiler, read-only package directory)."""
     try:
-        fn = ctypes.CDLL(str(_cascade_library())).cascade
+        lib = ctypes.CDLL(str(_cascade_library()))
     except (OSError, subprocess.CalledProcessError):
         return None
     # Arrays go in as raw addresses: the callers make them C-contiguous
     # float64, so checking each one on every call would only cost time.
     c_double, c_int, address = ctypes.c_double, ctypes.c_int, ctypes.c_void_p
-    fn.argtypes = ([ctypes.c_long, address, address]
-                   + [c_double] * 7 + [c_int, c_double, c_double]
-                   + [c_double] * 3 + [c_int, c_int, ctypes.POINTER(_CState)]
-                   + [address, ctypes.POINTER(ctypes.c_long)])
-    fn.restype = None
-    return fn
+    lib.cascade.argtypes = ([ctypes.c_long, address, address]
+                            + [c_double] * 7 + [c_int, c_double, c_double]
+                            + [c_double] * 3
+                            + [c_int, c_int, ctypes.POINTER(_CState)]
+                            + [address, ctypes.POINTER(ctypes.c_long)])
+    lib.cascade.restype = None
+    lib.day_hours.argtypes = [address, ctypes.POINTER(_CDayInputs), address]
+    lib.day_hours.restype = _CDayTotals
+    return lib
 
 
-_C_CASCADE = _load_cascade()
-CASCADE_KERNEL = "python" if _C_CASCADE is None else "c"
+_C_LIBRARY = _load_cascade()
+_C_CASCADE = None if _C_LIBRARY is None else _C_LIBRARY.cascade
+CASCADE_KERNEL = "python" if _C_LIBRARY is None else "c"
 
 
 def _cascade_compiled(res_dc: np.ndarray, demand_dc: np.ndarray,

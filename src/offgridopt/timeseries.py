@@ -156,9 +156,19 @@ def read_climate_csv(path) -> ClimateSeries:
 
 
 def read_load_csv(path) -> LoadSeries:
-    """Load an hourly demand CSV with header ``hour,load_kw``."""
-    arr = np.array([_parse_cell(row[1], "load_kw", line_no)
-                    for line_no, row in _data_rows(path, LOAD_HEADER)])
+    """Load an hourly demand CSV with header ``hour,load_kw``.  The hours
+    are the integers 0, 1, 2, ... in order, as ``write_load_csv`` writes
+    them."""
+    demand = []
+    for line_no, row in _data_rows(path, LOAD_HEADER):
+        try:
+            hour = int(row[0])
+        except ValueError:
+            raise ParseError(f"non-integer hour {row[0]!r}", line=line_no) from None
+        if hour != len(demand):
+            raise ParseError(f"expected hour {len(demand)}, got {hour}", line=line_no)
+        demand.append(_parse_cell(row[1], "load_kw", line_no))
+    arr = np.array(demand)
     if np.isnan(arr).any():
         raise ParseError("load file contains missing values")
     return LoadSeries(arr)

@@ -390,6 +390,19 @@ def test_cli_rejects_a_load_that_sums_to_zero(tmp_path, command):
     assert "load sums to zero" in doc["message"]
 
 
+def test_cli_rejects_a_load_file_with_a_bad_hour(tmp_path):
+    csv_path = tmp_path / "load.csv"
+    csv_path.write_text("hour,load_kw\n" + "x,5\n" * 24)
+    cfg = tmp_path / "load.yaml"
+    cfg.write_text(yaml.safe_dump({"data": {"load_csv": str(csv_path)}}))
+    code = run_cli(["simulate", "--seed", 42, "--design", "100,8,45.45",
+                    "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert doc["message"] == "line 2: non-integer hour 'x'"
+
+
 def test_the_config_seed_drives_the_run(tmp_path):
     """``--seed`` sets the config key ``seed``: the file's seed runs like the
     flag, the flag wins over the file, and result.json records one seed."""
@@ -547,6 +560,9 @@ REJECTED = [
     (["pareto", "--generations", "-1"], "generations"),
     (["breakeven", "--tac", "-5", "--load-kwh", "0"], "annual_load_kwh"),
     (["breakeven", "--tac", "-5", "--load-kwh", "74251"], "tac"),
+    (["breakeven", "--tac", "17097", "--load-kwh", "74251", *DESIGN_ARGS],
+     "--design cannot be given with --tac"),
+    (["breakeven", "--load-kwh", "74251", *DESIGN_ARGS], "--load-kwh needs --tac"),
 ]
 
 

@@ -1,21 +1,26 @@
 """The day-schedule scorer: bit for bit against the numpy formulation it
-replaced, on random and infeasible schedules, and pinned ``optimize_day``
-results on fixed days."""
+replaced, on random and infeasible schedules, the C day kernel bit for bit
+against its Python twin, and pinned ``optimize_day`` results on fixed days
+with either kernel."""
 
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offgridopt import economics
+from offgridopt import dispatch, economics, simulate
 from offgridopt.config import build_config, build_context
 from offgridopt.devices import battery_step
-from offgridopt.dispatch import (CONSTRAINT_TOL, DispatchSchedule, day_context,
-                                 day_sum, day_trace, evaluate_schedule,
-                                 optimize_day, rule_based_schedule)
+from offgridopt.dispatch import (CONSTRAINT_TOL, DayHours, DispatchSchedule,
+                                 _day_hours, day_context, day_sum, day_trace,
+                                 evaluate_schedule, optimize_day,
+                                 rule_based_schedule)
 from offgridopt.economics import ObjectiveVector, Weights
+from offgridopt.errors import InputDataError
 from offgridopt.seeding import substream_seed
 from offgridopt.simulate import Design
 
@@ -125,7 +130,7 @@ HOUR_BS = st.just(0.0) | st.floats(-20.0, 20.0)
 
 
 @st.composite
-def scored_days(draw, contexts):
+def scored_days(draw, contexts, hour_dg=HOUR_DG, hour_bs=HOUR_BS):
     """A day of one configuration (with or without a battery) and a
     schedule: random hours, or the rule-based schedule with a few hours
     overwritten, so that feasible and infeasible schedules both occur."""
@@ -134,15 +139,15 @@ def scored_days(draw, contexts):
     ctx = day_context(annual, Design(100, 8, e_b), draw(st.integers(0, 364)), W4,
                       dpsp_max=draw(st.sampled_from([0.0, 0.01, 0.2])))
     if draw(st.booleans()):
-        p_dg = draw(st.lists(HOUR_DG, min_size=24, max_size=24))
-        p_bs = draw(st.lists(HOUR_BS, min_size=24, max_size=24))
+        p_dg = draw(st.lists(hour_dg, min_size=24, max_size=24))
+        p_bs = draw(st.lists(hour_bs, min_size=24, max_size=24))
     else:
         rule = rule_based_schedule(ctx)
         p_dg, p_bs = rule.p_dg.tolist(), rule.p_bs.tolist()
         for _ in range(draw(st.integers(0, 3))):
             h = draw(st.integers(0, 23))
-            p_dg[h] = draw(HOUR_DG)
-            p_bs[h] = draw(HOUR_BS)
+            p_dg[h] = draw(hour_dg)
+            p_bs[h] = draw(hour_bs)
     return ctx, DispatchSchedule(np.array(p_dg), np.array(p_bs))
 
 
@@ -167,8 +172,71 @@ def test_scorer_equals_the_numpy_reference_bit_for_bit(contexts, data):
         assert getattr(trace, name).tobytes() == ref[name].tobytes()
 
 
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+# Days of signed zeros: the sign of a tied extreme or of a zero sum depends
+# on the order of the comparisons and additions.
+ZERO_DAY = (st.lists(SIGNED_ZERO, min_size=24, max_size=24)
+            | SIGNED_ZERO.map(lambda zero: [zero] * 24))
+
+
+def exact(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.skipif(dispatch._C_DAY_HOURS is None,
+                    reason="the C kernel could not be built")
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_compiled_day_hours_equals_the_python_twin_bit_for_bit(contexts, data):
+    assert [name for name, _ in simulate._CDayTotals._fields_] == list(DayHours._fields)
+    ctx, schedule = data.draw(scored_days(contexts, HOUR_DG | SIGNED_ZERO,
+                                          HOUR_BS | SIGNED_ZERO))
+    if data.draw(st.booleans()):
+        schedule = DispatchSchedule(data.draw(ZERO_DAY), data.draw(ZERO_DAY))
+    compiled_rows, twin_rows = np.empty(73), np.empty(73)
+    compiled = dispatch._C_DAY_HOURS(schedule._address, ctx.day_inputs,
+                                     compiled_rows.ctypes.data)
+    twin = _day_hours(ctx, schedule, twin_rows)
+    assert [exact(getattr(compiled, name)) for name in DayHours._fields] == \
+        [exact(value) for value in twin]
+    assert compiled_rows.tobytes() == twin_rows.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("hours", [23, 25])
+def test_scoring_rejects_a_schedule_of_other_than_24_hours(contexts, monkeypatch,
+                                                           kernel, hours):
+    """The C kernel reads 2 x 24 numbers from a schedule's block: a schedule
+    of another length cannot be made, and its rows cannot be rebound, so
+    neither kernel is reached."""
+    if kernel == "python":
+        monkeypatch.setattr(dispatch, "_C_DAY_HOURS", None)
+    elif dispatch._C_DAY_HOURS is None:
+        pytest.skip("the C kernel could not be built")
+    ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 0, W4)
+    for p_dg, p_bs in ((np.ones(hours), np.ones(24)), (np.ones(24), np.ones(hours))):
+        with pytest.raises(InputDataError, match="must hold 24 hours"):
+            evaluate_schedule(DispatchSchedule(p_dg, p_bs), ctx)
+        with pytest.raises(InputDataError, match="must hold 24 hours"):
+            day_trace(DispatchSchedule(p_dg, p_bs), ctx)
+    schedule = DispatchSchedule(np.ones(24), np.ones(24))
+    with pytest.raises(AttributeError):
+        schedule.p_dg = np.ones(hours)
+
+
+def test_a_copied_schedule_has_a_block_of_its_own(contexts):
+    ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 51, W4)
+    schedule = rule_based_schedule(ctx)
+    for twin in (schedule.copy(), copy.deepcopy(schedule),
+                 pickle.loads(pickle.dumps(schedule))):
+        assert twin._address != schedule._address
+        assert evaluate_schedule(twin, ctx) == evaluate_schedule(schedule, ctx)
+        twin.p_dg[:] = 0.0
+        assert schedule.p_dg.any()
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0]),
+@given(st.lists(st.floats(-1e300, 1e300) | SIGNED_ZERO,
                 min_size=24, max_size=24))
 def test_day_sum_is_np_sum(hours):
     assert bits(day_sum(hours)) == bits(np.sum(np.array(hours)))
@@ -215,8 +283,7 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("variant, day", sorted(PINNED))
-def test_optimize_day_is_pinned(contexts, variant, day):
+def pinned_result(contexts, variant, day):
     config = build_config(VARIANTS[variant])
     ctx = day_context(contexts[variant], Design(100, 8, 45.45), day,
                       Weights(tuple(config.dispatch["weights"])),
@@ -226,5 +293,16 @@ def test_optimize_day_is_pinned(contexts, variant, day):
                           seed=substream_seed(RUN_SEED, "solver"))
     schedule = hashlib.sha256(result.schedule.p_dg.tobytes()
                               + result.schedule.p_bs.tobytes()).hexdigest()
-    assert (result.evaluation.weighted.hex(), result.feasible, schedule) == \
-        PINNED[variant, day]
+    return result.evaluation.weighted.hex(), result.feasible, schedule
+
+
+@pytest.mark.parametrize("variant, day", sorted(PINNED))
+def test_optimize_day_is_pinned(contexts, variant, day):
+    assert pinned_result(contexts, variant, day) == PINNED[variant, day]
+
+
+@pytest.mark.parametrize("variant, day", sorted(PINNED))
+def test_optimize_day_is_pinned_on_the_python_fallback(contexts, monkeypatch,
+                                                       variant, day):
+    monkeypatch.setattr(dispatch, "_C_DAY_HOURS", None)
+    assert pinned_result(contexts, variant, day) == PINNED[variant, day]

@@ -84,6 +84,19 @@ def test_read_load_csv_roundtrip(tmp_path):
     assert loaded.demand[0] == pytest.approx(3.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("hours, message", [
+    (["0", "1", "2.5"], "line 4: non-integer hour '2.5'"),
+    (["0", "1", "1"], "line 4: expected hour 2, got 1"),
+    (["0", "2", "1"], "line 3: expected hour 1, got 2"),
+], ids=["non-integer", "repeated", "out-of-order"])
+def test_read_load_csv_requires_the_hours_in_order(tmp_path, hours, message):
+    path = tmp_path / "load.csv"
+    path.write_text("hour,load_kw\n" + "".join(f"{h},5\n" for h in hours))
+    with pytest.raises(ParseError) as exc:
+        read_load_csv(path)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Wind correction
 # ---------------------------------------------------------------------------
