@@ -1,8 +1,10 @@
-/* Compiled twins of two Python loops:
+/* Compiled twins of two Python loops, loaded by kernels.py, which also
+ * defines the ctypes twins of the structs below:
  *   cascade    the load-following priority cascade (_cascade_python in
  *              simulate.py);
  *   day_hours  the pass over the 24 hours of a dispatch schedule
- *              (_day_hours in dispatch.py).
+ *              (_day_hours in dispatch.py, with propagate_soc and day_sum
+ *              there).
  *
  * Every statement does the same IEEE double operations in the same order
  * as the Python loop, so both kernels give bit-identical results.  That
@@ -182,7 +184,7 @@ typedef struct {
     double eta;          /* battery round-trip efficiency */
 } day_inputs;
 
-/* What the hours of a schedule add up to (DayHours in dispatch.py). */
+/* What the hours of a schedule add up to. */
 typedef struct {
     double energy;       /* sum of p_dg [kWh] */
     double dump;         /* sum of the DC-bus surplus [kWh] */

@@ -18,16 +18,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import economics
+from . import economics, kernels
 # perfbench/run.py counts calls through ``dispatch.battery_step``;
 # ``propagate_soc`` is its hourly form.
 from .devices import battery_power_limit, battery_step  # noqa: F401
 from .devices import self_discharge_hourly
 from .economics import BaselineMetrics, ObjectiveVector, Weights
 from .errors import InputDataError
-from .simulate import (_C_LIBRARY, CascadeState, Design, SimulationContext,
-                       _CDayInputs, count_transitions, dispatch_cascade,
-                       renewable_feed_in)
+from .simulate import (CascadeState, Design, SimulationContext,
+                       count_transitions, dispatch_cascade, renewable_feed_in)
 from .timeseries import ClimateSeries, LoadSeries, write_csv
 
 SCHEDULE_HEADER = ["hour", "p_dg", "p_bs", "soc", "p_res", "load", "dump", "lost"]
@@ -35,23 +34,22 @@ CONSTRAINT_TOL = 1e-6
 REFINE_SWEEPS = 6   # coordinate-descent sweeps, each halving the step sizes
 PENALTY_MU = 200.0  # weight of the constraint residuals in the search value
 
-# The compiled twin of ``_day_hours``; None when the kernels are not built.
-_C_DAY_HOURS = None if _C_LIBRARY is None else _C_LIBRARY.day_hours
 
-
-@dataclass
+@dataclass(frozen=True)
 class DispatchContext:
     """A sized system on one day: ``sim`` is the simulation context of the
-    day's 24 hours, which ``day_context`` slices out of the year."""
+    day's 24 hours, which ``day_context`` slices out of the year.  Frozen,
+    since what its schedules share is derived once (``day_inputs`` feeds
+    both scorers); ``dataclasses.replace`` makes a changed day."""
 
     design: Design
     sim: SimulationContext
     weights: Weights                # 4 entries: COE, emissions, REPG, 1-REF
     dpsp_max: float = 0.01
-    soc_start: float | None = None
+    soc_start: float | None = None  # the battery's soc_max when omitted
 
     def __post_init__(self):
-        sim = self.sim
+        sim, design, battery = self.sim, self.design, self.sim.battery
         if len(sim.load) != 24:
             raise InputDataError("dispatch context needs 24-hour series")
         if not 0 <= self.dpsp_max <= 1:
@@ -59,39 +57,44 @@ class DispatchContext:
         if len(self.weights) != 4:
             raise InputDataError("dispatch uses 4 objective weights")
         if self.soc_start is None:
-            self.soc_start = sim.battery.soc_max
-        feed_in, self.demand_dc, self.load_kwh = sim.hourly_inputs
-        _, _, self.res_dc = renewable_feed_in(self.design, feed_in, sim.pv,
-                                              sim.wind, sim.converter)
-        self.power_limit = (battery_power_limit(self.design.e_b_init, sim.battery)
-                            if self.design.e_b_init > 0 else 0.0)
-        self.capital = economics.initial_capital(
-            self.design.pv_kw(sim.pv), self.design.wt_kw(sim.wind),
-            self.design.e_b_init, sim.generator.rated_power, sim.costs)
-        # What every schedule of the day shares, computed once for the scorer.
-        self.res_hourly = self.res_dc.tolist()
-        self.demand_hourly = self.demand_dc.tolist()
-        self.res_kwh = float(self.res_dc.sum())
-        self.weight_array = np.array(self.weights.values)
-        self.daily_fixed_om = economics.fixed_om(self.capital, sim.costs) / 365.0
-        self.daily_baseline = self._daily_baseline()
-        battery = sim.battery
-        self.day_inputs = _CDayInputs(
-            tuple(self.res_hourly), tuple(self.demand_hourly),
-            sim.converter.eta_rec, sim.converter.eta_inv,
-            sim.generator.min_power, CONSTRAINT_TOL, self.soc_start,
-            self.design.e_b_init, 1.0 - self_discharge_hourly(battery),
-            battery.round_trip_eff)
+            object.__setattr__(self, "soc_start", battery.soc_max)
+        if not battery.soc_min <= self.soc_start <= battery.soc_max:
+            raise InputDataError(
+                f"soc_start must be in the battery's [soc_min, soc_max] = "
+                f"[{battery.soc_min}, {battery.soc_max}], got {self.soc_start}")
+        feed_in, demand_dc, load_kwh = sim.hourly_inputs
+        _, _, res_dc = renewable_feed_in(design, feed_in, sim.pv, sim.wind,
+                                         sim.converter)
+        capital = economics.initial_capital(
+            design.pv_kw(sim.pv), design.wt_kw(sim.wind), design.e_b_init,
+            sim.generator.rated_power, sim.costs)
+        # As the fields are set: updating vars(self) slowed every later read.
+        for name, value in dict(
+            demand_dc=demand_dc, load_kwh=load_kwh, res_dc=res_dc,
+            power_limit=(battery_power_limit(design.e_b_init, battery)
+                         if design.e_b_init > 0 else 0.0),
+            capital=capital, res_kwh=float(res_dc.sum()),
+            weight_array=np.array(self.weights.values),
+            daily_fixed_om=economics.fixed_om(capital, sim.costs) / 365.0,
+            daily_baseline=_daily_baseline(sim, load_kwh),
+            day_inputs=kernels.DayInputs(
+                tuple(res_dc.tolist()), tuple(demand_dc.tolist()),
+                sim.converter.eta_rec, sim.converter.eta_inv,
+                sim.generator.min_power, CONSTRAINT_TOL, self.soc_start,
+                design.e_b_init, 1.0 - self_discharge_hourly(battery),
+                battery.round_trip_eff)).items():
+            object.__setattr__(self, name, value)
 
-    def _daily_baseline(self) -> BaselineMetrics:
-        """COE and emissions of the baseline generator serving the whole day
-        by itself (online 24 h, one startup and one shutdown)."""
-        gen, costs = self.sim.baseline_generator, self.sim.costs
-        energy = self.load_kwh
-        c = (economics.operating_cost(gen, costs, energy, 24.0, 1)
-             + costs.om_fix_dg * costs.dg_capital_per_kw
-             * gen.rated_power / 365.0)
-        return BaselineMetrics(c / energy, economics.emissions_total(energy, gen))
+
+def _daily_baseline(sim: SimulationContext, energy: float) -> BaselineMetrics:
+    """COE and emissions of the baseline generator serving the whole day
+    (``energy`` [kWh]) by itself: online 24 h, one startup and one
+    shutdown."""
+    gen, costs = sim.baseline_generator, sim.costs
+    c = (economics.operating_cost(gen, costs, energy, 24.0, 1)
+         + costs.om_fix_dg * costs.dg_capital_per_kw
+         * gen.rated_power / 365.0)
+    return BaselineMetrics(c / energy, economics.emissions_total(energy, gen))
 
 
 def day_context(ctx: SimulationContext, design: Design, day: int,
@@ -182,14 +185,11 @@ class DayTrace(NamedTuple):
 
 def propagate_soc(ctx: DispatchContext, p_bs) -> list[float]:
     """The 25 SOC knots of a day: ``battery_step`` with ``dt = 1``, hour by
-    hour, with its constants computed once (the same float operations)."""
-    soc = ctx.soc_start
-    cap = ctx.design.e_b_init
+    hour, with the constants of ``ctx.day_inputs`` (the same float steps)."""
+    day = ctx.day_inputs
+    soc, cap, keep, eta = day.soc_start, day.cap, day.keep, day.eta
     if cap <= 0:
         return [soc] * 25
-    battery = ctx.sim.battery
-    keep = 1.0 - self_discharge_hourly(battery)
-    eta = battery.round_trip_eff
     out = [soc]
     for p in p_bs:
         soc = keep * soc - p * eta / cap
@@ -206,50 +206,37 @@ def day_sum(hours) -> float:
     return 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
 
 
-class DayHours(NamedTuple):
-    """What the hours of a schedule add up to."""
-
-    energy: float         # generator output [kWh]
-    dump: float           # surplus on the DC bus [kWh]
-    lost: float           # load not served, AC [kWh]
-    online: int           # hours with the generator online
-    starts: int           # generator starts (``count_transitions``)
-    semicont: float       # largest shortfall below the minimum output
-    p_dg_max: float       # largest generator setpoint
-    p_bs_max: float       # largest battery power magnitude
-    soc_min: float        # smallest of the 25 SOC knots
-    soc_max: float        # largest of the 25 SOC knots
-
-
 def _day_hours(ctx: DispatchContext, s: DispatchSchedule,
-               rows: np.ndarray | None = None) -> DayHours:
+               rows: np.ndarray | None = None) -> kernels.DayTotals:
     """One pass over the hours of a schedule: the SOC knots, dump and lost
     load (the positive and negative parts of the DC-bus balance residual),
     generator online flags and shortfall below the minimum output in an
-    online hour, reduced to a ``DayHours``.  Sums are taken in ``np.sum``'s
+    online hour, reduced to a ``DayTotals``.  Sums are taken in ``np.sum``'s
     order and extremes are Python's ``max`` and ``min``.  When ``rows`` is
     given it receives the 25 SOC knots, then the 24 dump and lost hours.
 
-    The twin of, and fallback for, ``day_hours`` in ``_cascade.c``."""
+    The twin of, and fallback for, ``kernels.day_hours``; both read the
+    day from ``ctx.day_inputs``."""
+    day = ctx.day_inputs
     p_dg, p_bs = s._rows.tolist()
-    converter, p_min = ctx.sim.converter, ctx.sim.generator.min_power
-    eta_rec, eta_inv = converter.eta_rec, converter.eta_inv
+    eta_rec, eta_inv, p_min, tol = day.eta_rec, day.eta_inv, day.p_min, day.tol
     dump, lost, online = [], [], []
     semicont = 0.0
-    for p, b, r, d in zip(p_dg, p_bs, ctx.res_hourly, ctx.demand_hourly):
+    for p, b, r, d in zip(p_dg, p_bs, day.res, day.dem):
         net = r + eta_rec * p + b - d
         dump.append(net if net > 0.0 else 0.0)
         lost.append(-net * eta_inv if net < 0.0 else 0.0)
-        on = p > CONSTRAINT_TOL
+        on = p > tol
         online.append(on)
         if on and p_min - p > semicont:
             semicont = p_min - p
     soc = propagate_soc(ctx, p_bs)
     if rows is not None:
         rows[:25], rows[25:49], rows[49:] = soc, dump, lost
-    return DayHours(day_sum(p_dg), day_sum(dump), day_sum(lost), sum(online),
-                    count_transitions(online), semicont, max(p_dg),
-                    max(map(abs, p_bs)), min(soc), max(soc))
+    return kernels.DayTotals(
+        day_sum(p_dg), day_sum(dump), day_sum(lost), sum(online),
+        count_transitions(online), semicont, max(p_dg), max(map(abs, p_bs)),
+        min(soc), max(soc))
 
 
 def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEvaluation:
@@ -263,8 +250,8 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
     """
     sim = ctx.sim
     gen, battery = sim.generator, sim.battery
-    h = (_day_hours(ctx, s) if _C_DAY_HOURS is None
-         else _C_DAY_HOURS(s._address, ctx.day_inputs, None))
+    h = (kernels.day_hours(s._address, ctx.day_inputs, None)
+         if kernels.KERNEL == "c" else _day_hours(ctx, s))
 
     energy = h.energy
     c_daily = (economics.operating_cost(gen, sim.costs, energy, h.online,
@@ -294,11 +281,11 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
 def day_trace(s: DispatchSchedule, ctx: DispatchContext) -> DayTrace:
     """The schedule's hourly SOC knots, dump and lost load."""
     rows = np.empty(73)
-    if _C_DAY_HOURS is None:
-        _day_hours(ctx, s, rows)
+    if kernels.KERNEL == "c":
+        kernels.day_hours(s._address, ctx.day_inputs,
+                          rows.__array_interface__["data"][0])
     else:
-        _C_DAY_HOURS(s._address, ctx.day_inputs,
-                     rows.__array_interface__["data"][0])
+        _day_hours(ctx, s, rows)
     return DayTrace(rows[:25], rows[25:49], rows[49:])
 
 

@@ -9,7 +9,6 @@ import numpy as np
 STREAMS = {
     "load-gen": 1,
     "solver": 2,
-    "scenario": 3,
     "peaky-load": 4,
 }
 

@@ -10,36 +10,30 @@ covers what remains (semicontinuous between its minimum and rated output),
 forced generator surplus recharges the battery when the strategy allows it,
 and any final shortfall is lost load.
 
-The cascade runs in a small C kernel (``_cascade.c``) when it can be built
-and loaded, and in the equivalent Python loop otherwise; both give
-bit-identical results.  ``CASCADE_KERNEL`` names the one in use.  The same
-library holds ``day_hours``, which ``dispatch`` scores schedules with.
+The cascade runs in the C kernel ``kernels.cascade`` when it can be built
+and loaded, and in its Python twin ``_cascade_python`` otherwise; both give
+bit-identical results.  ``kernels.KERNEL`` names the one in use.
 """
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import math
-import os
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from operator import gt
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import economics
-from .devices import (CAPACITY_FADE_FLOOR, BatterySpec, ConverterSpec,
-                      GeneratorSpec, PvSpec, WindSpec, battery_capacity,
-                      battery_power_limit, hub_wind_speed, pv_efficiency,
-                      self_discharge_hourly, wt_power_fraction)
+from . import economics, kernels
+from .devices import (BatterySpec, ConverterSpec, GeneratorSpec, PvSpec,
+                      WindSpec, battery_capacity, battery_power_limit,
+                      hub_wind_speed, pv_efficiency, self_discharge_hourly,
+                      wt_power_fraction)
 from .economics import (BaselineMetrics, CostTable, FinancialParams,
                         ObjectiveVector, Weights, weighted_objective)
 from .errors import InputDataError
+from .kernels import CascadeState
 from .solvers import SOLVERS, SearchSpace, SolverReport
 from .timeseries import (ClimateSeries, LoadSeries, require_complete,
                          write_csv)
@@ -90,15 +84,22 @@ class StrategyConfig:
 
     dg_may_charge_battery: bool = True
     battery_replacement: str = "cycles"    # "cycles" or "fixed"
-    replacement_years: float | None = None  # required for "fixed"
+    replacement_years: float | None = None  # "fixed" only, and required there
     cycle_counting: str = "reversal"       # "reversal" or "throughput"
     wt_printed_curve: bool = False         # legacy power-curve coefficients
 
     def __post_init__(self):
         if self.battery_replacement not in ("cycles", "fixed"):
             raise InputDataError("battery_replacement must be 'cycles' or 'fixed'")
-        if self.battery_replacement == "fixed" and not self.replacement_years:
-            raise InputDataError("fixed battery replacement needs replacement_years")
+        if self.battery_replacement == "fixed":
+            if self.replacement_years is None:
+                raise InputDataError("fixed battery replacement needs replacement_years")
+            if not self.replacement_years > 0:
+                raise InputDataError(f"replacement_years must be positive, "
+                                     f"got {self.replacement_years}")
+        elif self.replacement_years is not None:
+            raise InputDataError("replacement_years applies only to "
+                                 "battery_replacement 'fixed'")
         if self.cycle_counting not in ("reversal", "throughput"):
             raise InputDataError("cycle_counting must be 'reversal' or 'throughput'")
 
@@ -247,19 +248,6 @@ def renewable_feed_in(design: Design, profile: FeedInProfile, pv: PvSpec,
     return p_pv, p_wt, res_dc
 
 
-class CascadeState(NamedTuple):
-    """Battery state carried from one cascade run into the next.
-
-    A fresh bank is fully charged and has neither cycled nor discharged, so
-    its first discharge starts a cycle.
-    """
-
-    soc: float                 # state of charge [fraction]
-    cycles: float = 0.0        # cycles counted so far
-    throughput: float = 0.0    # discharged DC energy counted so far [kWh]
-    discharging: bool = False  # the last battery move was a discharge
-
-
 def dispatch_cascade(res_dc, demand_dc, battery: BatterySpec, e_b_init: float,
                      generator: GeneratorSpec, dg_may_charge: bool,
                      eta_rec: float, start: CascadeState | None = None,
@@ -283,7 +271,7 @@ def dispatch_cascade(res_dc, demand_dc, battery: BatterySpec, e_b_init: float,
         raise InputDataError("cycle_counting must be 'reversal' or 'throughput'")
     if start is None:
         start = CascadeState(battery.soc_max)
-    kernel = _cascade_python if _C_CASCADE is None else _cascade_compiled
+    kernel = kernels.cascade if kernels.KERNEL == "c" else _cascade_python
     return kernel(res_dc, demand_dc, battery, e_b_init, generator,
                   dg_may_charge, eta_rec, start, cycle_counting)
 
@@ -293,8 +281,8 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
                     generator: GeneratorSpec, dg_may_charge: bool,
                     eta_rec: float, start: CascadeState,
                     cycle_counting: str):
-    """Reference cascade, one Python iteration per hour; the fallback when
-    the C kernel is unavailable."""
+    """Reference cascade, one Python iteration per hour: the twin of
+    ``kernels.cascade`` and the fallback when the C kernel is unavailable."""
     n = len(res_dc)
     res = memoryview(res_dc)
     dem = memoryview(demand_dc)
@@ -409,118 +397,6 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
 
     end = CascadeState(soc, cycles, throughput, last_dir > 0)
     return (*block, end, (online, starts))
-
-
-class _CState(ctypes.Structure):
-    """``cascade_state`` of ``_cascade.c``."""
-
-    _fields_ = [("soc", ctypes.c_double), ("cycles", ctypes.c_double),
-                ("throughput", ctypes.c_double), ("discharging", ctypes.c_int)]
-
-
-class _CDayInputs(ctypes.Structure):
-    """``day_inputs`` of ``_cascade.c``: what every schedule of a dispatch
-    day shares, which ``DispatchContext`` fills once."""
-
-    _fields_ = ([("res", ctypes.c_double * 24), ("dem", ctypes.c_double * 24)]
-                + [(name, ctypes.c_double) for name in (
-                    "eta_rec", "eta_inv", "p_min", "tol", "soc_start", "cap",
-                    "keep", "eta")])
-
-
-class _CDayTotals(ctypes.Structure):
-    """``day_totals`` of ``_cascade.c``, with the fields of
-    ``dispatch.DayHours``."""
-
-    _fields_ = ([(name, ctypes.c_double) for name in ("energy", "dump", "lost")]
-                + [("online", ctypes.c_long), ("starts", ctypes.c_long)]
-                + [(name, ctypes.c_double) for name in (
-                    "semicont", "p_dg_max", "p_bs_max", "soc_min", "soc_max")])
-
-
-_CASCADE_SOURCE = Path(__file__).with_name("_cascade.c")
-# -ffp-contract=off keeps the compiler from fusing a multiply and an add,
-# which would round differently from the Python loop.
-_CC_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
-
-def _cascade_library() -> Path:
-    """Path of the compiled kernels, cached in ``__pycache__`` under a hash
-    of their source and flags; compiled with the local ``cc`` when missing.
-
-    The library is built under a temporary name and renamed into place, so
-    processes that build it at the same time never load a partial file.
-    """
-    source = _CASCADE_SOURCE.read_bytes()
-    tag = hashlib.sha256(source + " ".join(_CC_FLAGS).encode()).hexdigest()[:16]
-    cache = _CASCADE_SOURCE.parent / "__pycache__"
-    lib = cache / f"_cascade-{tag}.so"
-    if lib.exists():
-        return lib
-    cache.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache, prefix="_cascade-", suffix=".tmp")
-    os.close(fd)
-    try:
-        subprocess.run(["cc", *_CC_FLAGS, "-o", tmp, str(_CASCADE_SOURCE)],
-                       check=True, capture_output=True)
-        os.replace(tmp, lib)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return lib
-
-
-def _load_cascade():
-    """The compiled kernels' library with the signatures of ``cascade`` and
-    ``day_hours`` set, or None when it cannot be built or loaded (no
-    compiler, read-only package directory)."""
-    try:
-        lib = ctypes.CDLL(str(_cascade_library()))
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    # Arrays go in as raw addresses: the callers make them C-contiguous
-    # float64, so checking each one on every call would only cost time.
-    c_double, c_int, address = ctypes.c_double, ctypes.c_int, ctypes.c_void_p
-    lib.cascade.argtypes = ([ctypes.c_long, address, address]
-                            + [c_double] * 7 + [c_int, c_double, c_double]
-                            + [c_double] * 3
-                            + [c_int, c_int, ctypes.POINTER(_CState)]
-                            + [address, ctypes.POINTER(ctypes.c_long)])
-    lib.cascade.restype = None
-    lib.day_hours.argtypes = [address, ctypes.POINTER(_CDayInputs), address]
-    lib.day_hours.restype = _CDayTotals
-    return lib
-
-
-_C_LIBRARY = _load_cascade()
-_C_CASCADE = None if _C_LIBRARY is None else _C_LIBRARY.cascade
-CASCADE_KERNEL = "python" if _C_LIBRARY is None else "c"
-
-
-def _cascade_compiled(res_dc: np.ndarray, demand_dc: np.ndarray,
-                      battery: BatterySpec, e_b_init: float,
-                      generator: GeneratorSpec, dg_may_charge: bool,
-                      eta_rec: float, start: CascadeState,
-                      cycle_counting: str):
-    """The cascade in the C kernel; same arguments and results as
-    ``_cascade_python``.  ``res_dc`` and ``demand_dc`` must be C-contiguous
-    float64 arrays, as ``dispatch_cascade`` makes them."""
-    n = len(res_dc)
-    out = np.empty((5, n))
-    counts = (ctypes.c_long * 2)()
-    state = _CState(start.soc, start.cycles, start.throughput,
-                    int(start.discharging))
-    _C_CASCADE(n, res_dc.ctypes.data, demand_dc.ctypes.data, e_b_init,
-               battery.round_trip_eff, battery.soc_min, battery.soc_max,
-               self_discharge_hourly(battery), battery.fade_per_cycle,
-               CAPACITY_FADE_FLOOR, int(battery.fixed_power_limit),
-               battery.rated_power_per_unit, battery.unit_energy,
-               generator.rated_power, generator.min_power, eta_rec,
-               int(dg_may_charge), int(cycle_counting == "throughput"),
-               ctypes.byref(state), out.ctypes.data, counts)
-    end = CascadeState(state.soc, state.cycles, state.throughput,
-                       bool(state.discharging))
-    return (*out, end, tuple(counts))
 
 
 def count_transitions(online) -> int:

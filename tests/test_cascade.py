@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from offgridopt import simulate
+from offgridopt import kernels
 from offgridopt.devices import (BatterySpec, GeneratorSpec, lead_acid_spec,
                                 microturbine_spec)
-from offgridopt.simulate import (CascadeState, Design, _cascade_compiled,
-                                 _cascade_python, count_transitions,
-                                 dispatch_cascade, simulate_year)
+from offgridopt.simulate import (CascadeState, Design, _cascade_python,
+                                 count_transitions, dispatch_cascade,
+                                 simulate_year)
 
-needs_compiled = pytest.mark.skipif(simulate._C_CASCADE is None,
+needs_compiled = pytest.mark.skipif(kernels.KERNEL != "c",
                                     reason="the C kernel could not be built")
 
 POWER = st.floats(0.0, 40.0)  # kW on the DC bus
@@ -80,7 +80,7 @@ def assert_invariants(case, out):
 @settings(max_examples=300, deadline=None)
 @given(cascade_cases())
 def test_compiled_kernel_equals_python_loop_and_keeps_invariants(case):
-    compiled = _cascade_compiled(**case)
+    compiled = kernels.cascade(**case)
     assert_same_run(compiled, _cascade_python(**case))
     assert_invariants(case, compiled)
 
@@ -91,8 +91,8 @@ def test_kernels_count_generator_online_hours_and_starts(case):
     """Both kernels count (online hours, starts) of ``p_dg > 0`` as
     ``count_transitions`` does."""
     runs = [_cascade_python(**case)]
-    if simulate._C_CASCADE is not None:
-        runs.append(_cascade_compiled(**case))
+    if kernels.KERNEL == "c":
+        runs.append(kernels.cascade(**case))
     for run in runs:
         online = run[0] > 0
         assert run[6] == (int(online.sum()), count_transitions(online))
@@ -152,28 +152,28 @@ def test_simulate_year_is_identical_on_the_python_fallback(annual_ctx, monkeypat
         annual_ctx, strategy=dataclasses.replace(annual_ctx.strategy, **strategy))
     design = Design(60, 6, 60)
     active = simulate_year(design, ctx)
-    monkeypatch.setattr(simulate, "_C_CASCADE", None)
+    monkeypatch.setattr(kernels, "KERNEL", "python")
     _same_sim(active, simulate_year(design, ctx))
 
 
 def test_kernel_build_falls_back_without_a_compiler(tmp_path, monkeypatch):
     source = tmp_path / "_cascade.c"
-    shutil.copy(simulate._CASCADE_SOURCE, source)
-    monkeypatch.setattr(simulate, "_CASCADE_SOURCE", source)
+    shutil.copy(kernels._CASCADE_SOURCE, source)
+    monkeypatch.setattr(kernels, "_CASCADE_SOURCE", source)
     monkeypatch.setenv("PATH", str(tmp_path))
-    assert simulate._load_cascade() is None
+    assert kernels._load_cascade() is None
     assert list((tmp_path / "__pycache__").iterdir()) == []
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernel_is_built_once_into_the_bytecode_cache(tmp_path, monkeypatch):
     source = tmp_path / "_cascade.c"
-    shutil.copy(simulate._CASCADE_SOURCE, source)
-    monkeypatch.setattr(simulate, "_CASCADE_SOURCE", source)
-    lib = simulate._cascade_library()
+    shutil.copy(kernels._CASCADE_SOURCE, source)
+    monkeypatch.setattr(kernels, "_CASCADE_SOURCE", source)
+    lib = kernels._cascade_library()
     assert lib.parent == tmp_path / "__pycache__" and lib.name.endswith(".so")
     built = lib.stat().st_mtime_ns
-    assert simulate._cascade_library() == lib
+    assert kernels._cascade_library() == lib
     assert lib.stat().st_mtime_ns == built
     assert [p.name for p in lib.parent.iterdir()] == [lib.name]
-    assert simulate._load_cascade() is not None
+    assert kernels._load_cascade() is not None

@@ -78,6 +78,24 @@ def test_out_of_range_device_values_name_section_and_field(section, key,
         build_config({section: {key: value}})
 
 
+@pytest.mark.parametrize("strategy, message", [
+    ({"replacement_years": 3},
+     "replacement_years applies only to battery_replacement 'fixed'"),
+    ({"battery_replacement": "cycles", "replacement_years": 10},
+     "replacement_years applies only to battery_replacement 'fixed'"),
+    ({"battery_replacement": "fixed", "replacement_years": -4},
+     "replacement_years must be positive, got -4"),
+    ({"battery_replacement": "fixed", "replacement_years": 0},
+     "replacement_years must be positive, got 0"),
+], ids=["cycles-by-default", "cycles", "negative", "zero"])
+def test_replacement_years_needs_fixed_replacement_and_a_positive_value(
+        strategy, message):
+    """A period under cycle-counted replacement would have no effect, and a
+    non-positive one would fail only at the first simulation."""
+    with pytest.raises(ConfigError, match=f"^strategy: {message}$"):
+        build_config({"strategy": strategy})
+
+
 # ---------------------------------------------------------------------------
 # Every component, cost, financial and strategy key changes the result
 # ---------------------------------------------------------------------------
@@ -86,9 +104,9 @@ LIVE_DESIGN = Design(100, 8, 45.45)
 LIVE_SECTIONS = ("pv", "wind", "battery", "generator", "converter",
                  "financial", "costs", "strategy")
 MT = {"generator": {"kind": "MT"}}
-# a fixed-replacement strategy and the cycle-count one with its period set
 FIXED = {"strategy": {"battery_replacement": "fixed", "replacement_years": 10}}
-CYCLES_WITH_PERIOD = {"strategy": {"replacement_years": 10}}
+# section.key -> the key and value that must be set with its new value
+COMPANIONS = {"strategy.battery_replacement": ("strategy.replacement_years", 10)}
 
 # section.key -> (valid non-default value, base config where the key acts)
 LIVE_VALUES = {
@@ -146,7 +164,7 @@ LIVE_VALUES = {
     "costs.shutdown_cost_usd": (0.5, {}),
     "costs.converter_capital_usd": (3000.0, {}),
     "strategy.dg_may_charge_battery": (False, {}),
-    "strategy.battery_replacement": ("fixed", CYCLES_WITH_PERIOD),
+    "strategy.battery_replacement": ("fixed", {}),
     "strategy.replacement_years": (8.0, FIXED),
     "strategy.cycle_counting": ("throughput", {}),
     "strategy.wt_printed_curve": (True, {}),
@@ -190,8 +208,10 @@ def test_every_spec_key_changes_the_result(name, annual_ctx):
     value, base = LIVE_VALUES[name]
     section, key = name.split(".")
     assert value != build_config(base).resolved()[section][key]
-    assert _outcome(_with_key(base, name, value), annual_ctx) != \
-        _outcome(base, annual_ctx)
+    changed = _with_key(base, name, value)
+    if name in COMPANIONS:
+        changed = _with_key(changed, *COMPANIONS[name])
+    assert _outcome(changed, annual_ctx) != _outcome(base, annual_ctx)
 
 
 @pytest.mark.parametrize("name", REMOVED_KEYS)

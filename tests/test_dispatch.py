@@ -86,6 +86,22 @@ def test_zero_load_day_is_an_input_error():
         flat_day_ctx(0.0)
 
 
+@pytest.mark.parametrize("soc_start", [float("nan"), float("inf"), 0.0999, 0.9001])
+def test_soc_start_outside_the_battery_window_is_an_input_error(baseline_day,
+                                                               soc_start):
+    """The default window is [0.1, 0.9].  A NaN start would pass every SOC
+    bound, since every comparison with NaN is false."""
+    with pytest.raises(InputDataError, match=r"soc_start must be in .*\[0\.1, 0\.9\]"):
+        dataclasses.replace(baseline_day, soc_start=soc_start)
+
+
+def test_soc_start_may_sit_on_either_end_of_the_window(baseline_day):
+    for soc_start in (0.1, 0.9):
+        day = dataclasses.replace(baseline_day, soc_start=soc_start)
+        assert day.day_inputs.soc_start == soc_start
+        assert day_trace(rule_based_schedule(day), day).soc[0] == soc_start
+
+
 # ---------------------------------------------------------------------------
 # evaluate_schedule
 # ---------------------------------------------------------------------------

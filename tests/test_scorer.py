@@ -4,6 +4,7 @@ against its Python twin, and pinned ``optimize_day`` results on fixed days
 with either kernel."""
 
 import copy
+import dataclasses
 import hashlib
 import pickle
 
@@ -12,15 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offgridopt import dispatch, economics, simulate
+from offgridopt import economics, kernels
 from offgridopt.config import build_config, build_context
 from offgridopt.devices import battery_step
-from offgridopt.dispatch import (CONSTRAINT_TOL, DayHours, DispatchSchedule,
-                                 _day_hours, day_context, day_sum, day_trace,
+from offgridopt.dispatch import (CONSTRAINT_TOL, DispatchSchedule, _day_hours,
+                                 day_context, day_sum, day_trace,
                                  evaluate_schedule, optimize_day,
                                  rule_based_schedule)
 from offgridopt.economics import ObjectiveVector, Weights
 from offgridopt.errors import InputDataError
+from offgridopt.kernels import DayTotals
 from offgridopt.seeding import substream_seed
 from offgridopt.simulate import Design
 
@@ -131,13 +133,18 @@ HOUR_BS = st.just(0.0) | st.floats(-20.0, 20.0)
 
 @st.composite
 def scored_days(draw, contexts, hour_dg=HOUR_DG, hour_bs=HOUR_BS):
-    """A day of one configuration (with or without a battery) and a
-    schedule: random hours, or the rule-based schedule with a few hours
-    overwritten, so that feasible and infeasible schedules both occur."""
+    """A day of one configuration (with or without a battery, from any SOC
+    in the battery's window) and a schedule: random hours, or the rule-based
+    schedule with a few hours overwritten, so that feasible and infeasible
+    schedules both occur."""
     annual = contexts[draw(st.sampled_from(sorted(VARIANTS)))]
     e_b = draw(st.sampled_from([0.0, 45.45, 150.0]))
     ctx = day_context(annual, Design(100, 8, e_b), draw(st.integers(0, 364)), W4,
                       dpsp_max=draw(st.sampled_from([0.0, 0.01, 0.2])))
+    battery = annual.battery
+    ctx = dataclasses.replace(ctx, soc_start=draw(
+        st.sampled_from([battery.soc_min, battery.soc_max])
+        | st.floats(battery.soc_min, battery.soc_max)))
     if draw(st.booleans()):
         p_dg = draw(st.lists(hour_dg, min_size=24, max_size=24))
         p_bs = draw(st.lists(hour_bs, min_size=24, max_size=24))
@@ -172,6 +179,39 @@ def test_scorer_equals_the_numpy_reference_bit_for_bit(contexts, data):
         assert getattr(trace, name).tobytes() == ref[name].tobytes()
 
 
+def test_a_dispatch_day_cannot_be_changed_in_place(contexts):
+    """Both scorers read the day from ``day_inputs``, derived once: a day
+    changed in place would leave it behind."""
+    day = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 10, W4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        day.soc_start = 0.2
+
+
+@pytest.mark.skipif(kernels.KERNEL != "c",
+                    reason="the C kernel could not be built")
+def test_a_replaced_start_scores_alike_on_both_kernels(contexts, monkeypatch):
+    """A day replaced with another starting SOC is scored from that SOC by
+    either kernel, and both agree bit for bit."""
+    day = dataclasses.replace(
+        day_context(contexts["LI-DE"], Design(100, 8, 45.45), 10, W4),
+        soc_start=0.2)
+
+    def scored(schedule):
+        ev = evaluate_schedule(schedule, day)
+        return (bits(ev.weighted), bits(ev.c_daily), ev.feasible,
+                ev.objectives.as_array().tobytes(),
+                [bits(v) for v in ev.violations.values()],
+                [hours.tobytes() for hours in day_trace(schedule, day)])
+
+    schedule = rule_based_schedule(day)
+    compiled = scored(schedule)
+    monkeypatch.setattr(kernels, "KERNEL", "python")
+    assert rule_based_schedule(day).p_bs.tobytes() == schedule.p_bs.tobytes()
+    assert scored(schedule) == compiled
+    assert day_trace(schedule, day).soc[0] == 0.2
+    assert evaluate_schedule(schedule, day).violations["soc_bounds"] < 1e-4
+
+
 SIGNED_ZERO = st.sampled_from([0.0, -0.0])
 # Days of signed zeros: the sign of a tied extreme or of a zero sum depends
 # on the order of the comparisons and additions.
@@ -183,22 +223,22 @@ def exact(value):
     return value.hex() if isinstance(value, float) else value
 
 
-@pytest.mark.skipif(dispatch._C_DAY_HOURS is None,
+@pytest.mark.skipif(kernels.KERNEL != "c",
                     reason="the C kernel could not be built")
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_compiled_day_hours_equals_the_python_twin_bit_for_bit(contexts, data):
-    assert [name for name, _ in simulate._CDayTotals._fields_] == list(DayHours._fields)
     ctx, schedule = data.draw(scored_days(contexts, HOUR_DG | SIGNED_ZERO,
                                           HOUR_BS | SIGNED_ZERO))
     if data.draw(st.booleans()):
         schedule = DispatchSchedule(data.draw(ZERO_DAY), data.draw(ZERO_DAY))
     compiled_rows, twin_rows = np.empty(73), np.empty(73)
-    compiled = dispatch._C_DAY_HOURS(schedule._address, ctx.day_inputs,
-                                     compiled_rows.ctypes.data)
+    compiled = kernels.day_hours(schedule._address, ctx.day_inputs,
+                                 compiled_rows.ctypes.data)
     twin = _day_hours(ctx, schedule, twin_rows)
-    assert [exact(getattr(compiled, name)) for name in DayHours._fields] == \
-        [exact(value) for value in twin]
+    fields = [name for name, _ in DayTotals._fields_]
+    assert [exact(getattr(compiled, name)) for name in fields] == \
+        [exact(getattr(twin, name)) for name in fields]
     assert compiled_rows.tobytes() == twin_rows.tobytes()
 
 
@@ -210,8 +250,8 @@ def test_scoring_rejects_a_schedule_of_other_than_24_hours(contexts, monkeypatch
     of another length cannot be made, and its rows cannot be rebound, so
     neither kernel is reached."""
     if kernel == "python":
-        monkeypatch.setattr(dispatch, "_C_DAY_HOURS", None)
-    elif dispatch._C_DAY_HOURS is None:
+        monkeypatch.setattr(kernels, "KERNEL", "python")
+    elif kernels.KERNEL != "c":
         pytest.skip("the C kernel could not be built")
     ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 0, W4)
     for p_dg, p_bs in ((np.ones(hours), np.ones(24)), (np.ones(24), np.ones(hours))):
@@ -304,5 +344,5 @@ def test_optimize_day_is_pinned(contexts, variant, day):
 @pytest.mark.parametrize("variant, day", sorted(PINNED))
 def test_optimize_day_is_pinned_on_the_python_fallback(contexts, monkeypatch,
                                                        variant, day):
-    monkeypatch.setattr(dispatch, "_C_DAY_HOURS", None)
+    monkeypatch.setattr(kernels, "KERNEL", "python")
     assert pinned_result(contexts, variant, day) == PINNED[variant, day]

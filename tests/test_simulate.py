@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from offgridopt import simulate
+from offgridopt import kernels
 from offgridopt.datasets import (WIND_CORRECTION_FACTOR, load_bundled_climate,
                                  reference_daily_load)
 from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
@@ -156,7 +156,7 @@ def test_nan_input_rejected(flat_year_ctx):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts the process's minor page faults (Linux)")
-@pytest.mark.skipif(simulate.CASCADE_KERNEL != "c",
+@pytest.mark.skipif(kernels.KERNEL != "c",
                     reason="the Python fallback builds its rows as lists")
 def test_simulate_year_does_not_regrow_the_heap(run_python):
     """Warm ``simulate_year`` calls reuse the memory of the ones before.
@@ -193,11 +193,11 @@ def test_python_fallback_does_not_regrow_the_heap(run_python):
     scipy is not loaded."""
     out = run_python(textwrap.dedent("""
         import resource, sys
-        from offgridopt import simulate
+        from offgridopt import kernels
         from offgridopt.config import build_config, build_context
         from offgridopt.simulate import Design, simulate_year
 
-        simulate._C_CASCADE = None
+        kernels.KERNEL = "python"
         ctx = build_context(build_config({}))
         design = Design(100, 8, 45.45)
         for _ in range(5):
