@@ -6,13 +6,16 @@
  *              (_day_hours in dispatch.py, with propagate_soc and day_sum
  *              there).
  *
- * Every statement does the same IEEE double operations in the same order
- * as the Python loop, so both kernels give bit-identical results.  That
+ * Both kernels give bit-identical results.  Every operation the C code
+ * performs is the one the Python loop performs, with the same IEEE double
+ * operands in the same order.  The C code skips an operation only where a
+ * comment next to it shows that the result cannot change any output.  That
  * holds only when the compiler neither fuses a multiply and an add nor
  * reassociates: build with -ffp-contract=off and without -ffast-math.
  */
 
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 /* Battery state carried from one run into the next. */
@@ -32,6 +35,53 @@ static double min3(double a, double b, double c)
     if (c < m)
         m = c;
     return m;
+}
+
+/* min3(want, p_lim, x / eta) for x = (soc_max - s) * e_c, the room left to
+ * charge, or x = (s - soc_min) * e_c, the energy left to discharge, with
+ * the division skipped when it cannot change the result.
+ *
+ * When 0 < eta <= 1 (eta_exact) and x >= m > 0, where m is what min3 holds
+ * after its first two operands, the exact quotient x / eta is at least x;
+ * rounding to nearest is monotone and x is a double, so the rounded
+ * quotient is at least x >= m.  min3 replaces m only on a strict "<", so it
+ * returns m, bit for bit.  When x >= m but m <= 0, the result is at most
+ * m <= 0 either way, and the callers use it only when it is > 0.  Any
+ * compare with a NaN is false, so a NaN x or m takes the division. */
+static double min3_by_eta(double want, double p_lim, double x, double eta,
+                          int eta_exact)
+{
+    double m = want;
+    if (p_lim < m)
+        m = p_lim;
+    if (eta_exact && x >= m)
+        return m;
+    const double room = x / eta;
+    if (room < m)
+        m = room;
+    return m;
+}
+
+/* The clamped SOC after an hour that starts at s and moves p_bs [kW] into
+ * (p_bs < 0) or out of a bank of capacity e_c [kWh]. */
+static double soc_after(double s, double p_bs, double e_c, double eta,
+                        double soc_min, double soc_max)
+{
+    double soc = s - p_bs * eta / e_c;
+    if (soc > soc_max)
+        soc = soc_max;
+    else if (soc < soc_min)
+        soc = soc_min;
+    return soc;
+}
+
+/* The bits of a double: equal bits mean the same double, so a key compared
+ * this way tells -0.0 from +0.0, and a NaN matches only the same NaN. */
+static uint64_t bits(double x)
+{
+    uint64_t u;
+    memcpy(&u, &x, sizeof u);
+    return u;
 }
 
 /* Run n hours from *state and leave the final state there.  res and dem are
@@ -57,6 +107,22 @@ void cascade(long n, const double *res, const double *dem,
     double *dump_out = out + 3 * n, *lost_out = out + 4 * n;
     long online = 0, starts = 0;
     int was_on = 0;
+    /* See min3_by_eta. */
+    const int eta_exact = eta > 0.0 && eta <= 1.0;
+    /* The inputs (s, p_bs, e_c) of the last SOC update computed, and its
+     * result, which starts as the update of (soc_max, 0, 1).  soc_after is
+     * a function of its inputs and of this call's constants, so inputs with
+     * the same bits give the same SOC, bit for bit, and the memo may stand
+     * in for the update.  Bits, not "==", decide, so no case rests on the
+     * sign of a zero.  p_bs is never -0.0 here: it is 0.0, -p_ch or p_dis
+     * with p_ch, p_dis > 0, or p_dis - ch, which is +0.0 when it is zero.
+     * A p_bs of -0.0 would give the SOC of +0.0 for every s but -0.0, whose
+     * s - 0.0 * eta / e_c is -0.0 while s - (-0.0) * eta / e_c is +0.0.
+     * When the bank sits full or empty the inputs repeat, and a compare the
+     * branch predictor gets right takes the place of a multiply, a division
+     * and the clamps on the chain from one hour's SOC to the next. */
+    uint64_t memo_s = bits(soc_max), memo_p = bits(0.0), memo_e = bits(1.0);
+    double memo_soc = soc_after(soc_max, 0.0, 1.0, eta, soc_min, soc_max);
 
     for (long t = 0; t < n; t++) {
         const double r = res[t];
@@ -86,8 +152,8 @@ void cascade(long n, const double *res, const double *dem,
         if (r >= d) {
             double surplus = r - d;
             if (has_battery && surplus > 0.0) {
-                const double room = (soc_max - s) * e_c / eta;
-                const double p_ch = min3(surplus, p_lim, room);
+                const double p_ch = min3_by_eta(
+                    surplus, p_lim, (soc_max - s) * e_c, eta, eta_exact);
                 if (p_ch > 0.0) {
                     p_bs = -p_ch;
                     surplus -= p_ch;
@@ -97,8 +163,8 @@ void cascade(long n, const double *res, const double *dem,
         } else {
             double deficit = d - r;
             if (has_battery) {
-                const double avail = (s - soc_min) * e_c / eta;
-                const double p_dis = min3(deficit, p_lim, avail);
+                const double p_dis = min3_by_eta(
+                    deficit, p_lim, (s - soc_min) * e_c, eta, eta_exact);
                 if (p_dis > 0.0) {
                     p_bs = p_dis;
                     deficit -= p_dis;
@@ -132,11 +198,16 @@ void cascade(long n, const double *res, const double *dem,
         }
 
         if (has_battery) {
-            soc = s - p_bs * eta / e_c;
-            if (soc > soc_max)
-                soc = soc_max;
-            else if (soc < soc_min)
-                soc = soc_min;
+            if (bits(s) == memo_s && bits(p_bs) == memo_p
+                && bits(e_c) == memo_e) {
+                soc = memo_soc;
+            } else {
+                soc = soc_after(s, p_bs, e_c, eta, soc_min, soc_max);
+                memo_s = bits(s);
+                memo_p = bits(p_bs);
+                memo_e = bits(e_c);
+                memo_soc = soc;
+            }
             if (p_bs > 1e-9) {
                 throughput += p_bs;
                 if (last_dir < 0 && !by_throughput)

@@ -123,11 +123,13 @@ def _sweep_point(task) -> SweepRow:
 def run_sweep(spec: SweepSpec, problem: SizingProblem, seed: int = 0,
               workers: int = 1) -> list[SweepRow]:
     """Re-solve the sizing problem at each sweep value with its solver,
-    budget and seed.  Points run in parallel when ``workers > 1``; the
-    output row order always follows ``spec.values``."""
+    budget and seed.  Points run in ``min(workers, points)`` processes when
+    that is more than one, since the pool starts all its processes at once;
+    the output row order always follows ``spec.values``."""
     if workers < 1:
         raise InputDataError(f"workers must be >= 1, got {workers}")
     tasks = [(problem, spec.parameter, value, seed) for value in spec.values]
+    workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -4,6 +4,8 @@ through the carried battery state, and the fallback to the Python loop."""
 
 import dataclasses
 import shutil
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from offgridopt import kernels
-from offgridopt.devices import (BatterySpec, GeneratorSpec, lead_acid_spec,
-                                microturbine_spec)
+from offgridopt.config import build_config, build_context
+from offgridopt.devices import (CAPACITY_FADE_FLOOR, BatterySpec,
+                                GeneratorSpec, battery_capacity,
+                                lead_acid_spec, microturbine_spec,
+                                self_discharge_hourly)
 from offgridopt.simulate import (CascadeState, Design, _cascade_python,
                                  count_transitions, dispatch_cascade,
-                                 simulate_year)
+                                 renewable_feed_in, simulate_year)
 
 needs_compiled = pytest.mark.skipif(kernels.KERNEL != "c",
                                     reason="the C kernel could not be built")
@@ -25,39 +30,81 @@ POWER = st.floats(0.0, 40.0)  # kW on the DC bus
 
 
 @st.composite
-def cascade_cases(draw, max_hours=72):
-    """Random horizon, battery, generator, strategy and start state."""
+def random_hours(draw, max_hours=72):
+    """DC-bus feed-in and demand drawn hour by hour."""
     n = draw(st.integers(1, max_hours))
-    res = draw(hnp.arrays(np.float64, n, elements=POWER))
-    dem = draw(hnp.arrays(np.float64, n, elements=POWER))
-    soc_min = draw(st.floats(0.0, 0.6))
+    return (draw(hnp.arrays(np.float64, n, elements=POWER)),
+            draw(hnp.arrays(np.float64, n, elements=POWER)))
+
+
+@st.composite
+def stretched_hours(draw):
+    """Feed-in and demand in stretches of surplus hours and of deficit hours,
+    long enough to charge a bank of up to 60 kWh full or to drain it empty
+    and to keep it there.  A stretch's margin over the demand (or the
+    demand's over the feed-in) is one value or varies hour by hour."""
+    res, dem = [], []
+    surplus = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 5))):
+        hours = draw(st.integers(1, 48))
+        base = np.full(hours, draw(POWER))
+        margin = draw(st.floats(0.0, 20.0).map(lambda v: np.full(hours, v))
+                      | hnp.arrays(np.float64, hours,
+                                   elements=st.floats(0.0, 20.0)))
+        res.append(base + margin if surplus else base)
+        dem.append(base if surplus else base + margin)
+        surplus = not surplus
+    return np.concatenate(res), np.concatenate(dem)
+
+
+@st.composite
+def cascade_cases(draw, hours=random_hours(),
+                  e_b=st.just(0.0) | st.floats(0.5, 300.0)):
+    """Random horizon, battery, generator, strategy and start state.  The
+    bank may be lossless (round-trip efficiency 1.0), may go down to an SOC
+    of 0 and may start faded to the capacity floor."""
+    res, dem = draw(hours)
+    soc_min = draw(st.just(0.0) | st.floats(0.0, 0.6))
     soc_max = draw(st.floats(soc_min + 0.05, 1.0))
+    fade = draw(st.sampled_from([0.0, 5.5e-5, 2.14e-4, 0.01]))
     battery = (lead_acid_spec if draw(st.booleans()) else BatterySpec)(
         soc_min=soc_min, soc_max=soc_max,
-        round_trip_eff=draw(st.floats(0.5, 1.0)),
-        self_discharge_monthly=draw(st.floats(0.0, 0.2)),
-        fade_per_cycle=draw(st.sampled_from([0.0, 5.5e-5, 2.14e-4, 0.01])),
-        fixed_power_limit=draw(st.booleans()))
+        round_trip_eff=draw(st.just(1.0) | st.floats(0.5, 1.0)),
+        self_discharge_monthly=draw(st.just(0.0) | st.floats(0.0, 0.2)),
+        fade_per_cycle=fade, fixed_power_limit=draw(st.booleans()))
     generator = (microturbine_spec if draw(st.booleans()) else GeneratorSpec)(
         rated_power=draw(st.just(0.0) | st.floats(0.5, 30.0)),
         min_fraction=draw(st.floats(0.0, 0.9)))
+    # the fade that takes the bank to its capacity floor, and a little more
+    to_floor = [] if fade == 0.0 else [(1.0 - CAPACITY_FADE_FLOOR) / fade,
+                                       1.01 * (1.0 - CAPACITY_FADE_FLOOR) / fade]
     start = CascadeState(
         soc=draw(st.floats(soc_min, soc_max)),
-        cycles=draw(st.just(0.0) | st.floats(0.0, 6000.0)),
+        cycles=draw(st.sampled_from([0.0, *to_floor]) | st.floats(0.0, 6000.0)),
         throughput=draw(st.just(0.0) | st.floats(0.0, 1e4)),
         discharging=draw(st.booleans()))
     return dict(
         res_dc=res, demand_dc=dem, battery=battery,
-        e_b_init=draw(st.just(0.0) | st.floats(0.5, 300.0)),
+        e_b_init=draw(e_b),
         generator=generator, dg_may_charge=draw(st.booleans()),
         eta_rec=draw(st.floats(0.5, 1.0)), start=start,
         cycle_counting=draw(st.sampled_from(["reversal", "throughput"])))
 
 
+# a bank of at most 60 kWh on stretched hours
+HELD_BANKS = cascade_cases(hours=stretched_hours(), e_b=st.floats(0.5, 60.0))
+
+
+def run_bits(run):
+    """A cascade run as bytes: its five hourly rows and its final state, and
+    its counts when it has them, so that equal runs are equal bit for bit
+    (-0.0 is not 0.0)."""
+    rows = np.stack(run[:5]).tobytes()
+    return rows, struct.pack("3d?", *run[5]), *run[6:]
+
+
 def assert_same_run(a, b):
-    for x, y in zip(a[:5], b[:5]):
-        assert np.array_equal(x, y)
-    assert a[5] == b[5]
+    assert run_bits(a) == run_bits(b)
 
 
 def assert_invariants(case, out):
@@ -77,12 +124,130 @@ def assert_invariants(case, out):
 
 
 @needs_compiled
-@settings(max_examples=300, deadline=None)
-@given(cascade_cases())
+@settings(max_examples=400, deadline=None)
+@given(cascade_cases() | HELD_BANKS)
 def test_compiled_kernel_equals_python_loop_and_keeps_invariants(case):
+    """Random hours, and stretches that pin the bank at ``soc_max`` and at
+    ``soc_min``, where the compiled kernel reuses its last SOC update and
+    skips the divisions that cannot bind."""
     compiled = kernels.cascade(**case)
     assert_same_run(compiled, _cascade_python(**case))
     assert_invariants(case, compiled)
+
+
+def hour_energies(case, state):
+    """The room left to charge and the energy left to discharge [kWh] at the
+    start of the hour that starts from ``state``: the ``x`` that the cascade
+    divides by the round-trip efficiency."""
+    battery = case["battery"]
+    e_c = battery_capacity(case["e_b_init"], state.cycles, battery)
+    s = (1.0 - self_discharge_hourly(battery)) * state.soc
+    if s < battery.soc_min:
+        s = battery.soc_min
+    return (battery.soc_max - s) * e_c, (s - battery.soc_min) * e_c
+
+
+@needs_compiled
+@settings(max_examples=150, deadline=None)
+@given(HELD_BANKS, st.data())
+def test_compiled_kernel_equals_python_loop_on_a_tie_with_the_room(case, data):
+    """One hour's surplus (or deficit) equals the room left to charge (or
+    the energy left to discharge) exactly, the edge of the skipped
+    division."""
+    k = data.draw(st.integers(0, len(case["res_dc"]) - 1))
+    before = _cascade_python(**{**case, "res_dc": case["res_dc"][:k],
+                                "demand_dc": case["demand_dc"][:k]})
+    room, energy = hour_energies(case, before[5])
+    res, dem = case["res_dc"].copy(), case["demand_dc"].copy()
+    if data.draw(st.booleans()):
+        res[k], dem[k] = room, 0.0
+    else:
+        res[k], dem[k] = 0.0, energy
+    case = {**case, "res_dc": res, "demand_dc": dem}
+    assert_same_run(kernels.cascade(**case), _cascade_python(**case))
+
+
+@needs_compiled
+@settings(max_examples=50, deadline=None)
+@given(HELD_BANKS,
+       st.floats(1.0, 2.0, exclude_min=True))
+def test_compiled_kernel_equals_python_loop_for_an_efficiency_above_one(case,
+                                                                        eta):
+    """``BatterySpec`` rejects such a bank, but the kernel does not rely on
+    that: the divisions it may skip are exact to skip only up to 1."""
+    fields = dataclasses.asdict(case["battery"])
+    case["battery"] = SimpleNamespace(**{**fields, "round_trip_eff": eta})
+    assert_same_run(kernels.cascade(**case), _cascade_python(**case))
+
+
+@needs_compiled
+@pytest.mark.parametrize("charge", [True, False])
+@pytest.mark.parametrize("eta", [1.0, 0.9])
+def test_compiled_kernel_equals_python_loop_on_a_tie_with_the_power_limit(
+        charge, eta):
+    """The bank's fixed power limit equals the room left to charge (or the
+    energy left to discharge) in the first hour."""
+    case = dict(res_dc=np.zeros(3), demand_dc=np.zeros(3),
+                battery=BatterySpec(round_trip_eff=eta), e_b_init=20.0,
+                generator=GeneratorSpec(), dg_may_charge=True, eta_rec=0.9,
+                start=CascadeState(0.5), cycle_counting="reversal")
+    room, energy = hour_energies(case, case["start"])
+    limit = room if charge else energy
+    case["battery"] = BatterySpec(round_trip_eff=eta, fixed_power_limit=True,
+                                  rated_power_per_unit=limit)
+    (case["res_dc"] if charge else case["demand_dc"])[:] = 2.0 * limit
+    compiled = kernels.cascade(**case)
+    assert_same_run(compiled, _cascade_python(**case))
+    assert abs(compiled[1][0]) == limit
+
+
+@needs_compiled
+@pytest.mark.parametrize("soc_min", [0.0, -0.0])
+def test_compiled_kernel_keeps_the_sign_of_a_zero_soc(soc_min):
+    """A bank that starts at an SOC of -0.0 or 0.0 with ``soc_min`` 0 and
+    idles, charges, drains and idles again: the zeros keep their signs."""
+    battery = BatterySpec(soc_min=soc_min, self_discharge_monthly=0.0)
+    res = np.array([1.0, 1.0, 3.0, 0.0, 0.0, 1.0, 1.0])
+    dem = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 1.0, 1.0])
+    for start in (-0.0, 0.0):
+        case = dict(res_dc=res, demand_dc=dem, battery=battery, e_b_init=10.0,
+                    generator=GeneratorSpec(rated_power=0.0),
+                    dg_may_charge=False, eta_rec=0.9,
+                    start=CascadeState(start), cycle_counting="reversal")
+        compiled = kernels.cascade(**case)
+        assert_same_run(compiled, _cascade_python(**case))
+        assert struct.pack("d", compiled[2][0]) == struct.pack("d", start)
+
+
+ANNUAL_VARIANTS = {
+    "default": {},
+    "LA": {"battery": {"chemistry": "LA"}},
+    "MT": {"generator": {"kind": "MT"}},
+    "throughput, no generator charging": {
+        "strategy": {"cycle_counting": "throughput",
+                     "dg_may_charge_battery": False}},
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("variant", ANNUAL_VARIANTS)
+def test_compiled_kernel_equals_python_loop_over_a_year(variant):
+    """Random designs of the sizing box, a whole year each."""
+    ctx = build_context(build_config(ANNUAL_VARIANTS[variant]), seed=42)
+    feed_in, demand_dc, _ = ctx.hourly_inputs
+    rng = np.random.default_rng(sum(map(ord, variant)))
+    for pv, wt, e_b in zip(rng.integers(0, 101, 6), rng.integers(0, 31, 6),
+                           [0.0, *rng.uniform(0.0, 200.0, 5)]):
+        design = Design(int(pv), int(wt), float(e_b))
+        res_dc = renewable_feed_in(design, feed_in, ctx.pv, ctx.wind,
+                                   ctx.converter)[2]
+        case = dict(res_dc=res_dc, demand_dc=demand_dc, battery=ctx.battery,
+                    e_b_init=design.e_b_init, generator=ctx.generator,
+                    dg_may_charge=ctx.strategy.dg_may_charge_battery,
+                    eta_rec=ctx.converter.eta_rec,
+                    start=CascadeState(ctx.battery.soc_max),
+                    cycle_counting=ctx.strategy.cycle_counting)
+        assert_same_run(kernels.cascade(**case), _cascade_python(**case))
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,7 +277,7 @@ def test_active_kernel_keeps_invariants_and_chains_exactly(case, data):
                                  "demand_dc": case["demand_dc"][split:],
                                  "start": first[5]})
     joined = [np.concatenate([a, b]) for a, b in zip(first[:5], second[:5])]
-    assert_same_run(whole, (*joined, second[5]))
+    assert_same_run(whole[:6], (*joined, second[5]))
 
 
 def test_default_start_is_a_fresh_full_bank():

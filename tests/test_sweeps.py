@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -116,6 +117,36 @@ def test_sweep_point_programming_error_propagates(annual_ctx, default_config,
         run_sweep(SweepSpec("bs_price", (300.0,)),
                   SizingProblem(annual_ctx, default_config.search_space(), W,
                                 "pso", 120, 10), seed=1)
+
+
+@pytest.mark.parametrize("workers, points, started", [
+    (64, 2, 2), (2, 3, 2), (3, 3, 3), (8, 1, 0), (1, 3, 0)])
+def test_sweep_starts_no_more_processes_than_points(monkeypatch, workers,
+                                                    points, started):
+    """The pool starts all its processes on the first submit, so the sweep
+    asks for at most one per point, and for none when it runs one point or
+    one worker.  The stand-in pool runs the points in this process."""
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(sweeps, "_sweep_point", lambda task: task[2])
+    values = tuple(100.0 * (i + 1) for i in range(points))
+    rows = run_sweep(SweepSpec("bs_price", values), None, workers=workers)
+    assert rows == list(values)
+    assert pools == ([started] if started else [])
 
 
 def test_generator_rating_sweep_reliability_trend(annual_ctx, default_config):
