@@ -123,6 +123,17 @@ void cascade(long n, const double *res, const double *dem,
      * and the clamps on the chain from one hour's SOC to the next. */
     uint64_t memo_s = bits(soc_max), memo_p = bits(0.0), memo_e = bits(1.0);
     double memo_soc = soc_after(soc_max, 0.0, 1.0, eta, soc_min, soc_max);
+    /* The inputs (throughput, e_c) of the last throughput cycle count
+     * computed, and its result, which starts as the count of (0, 1).  The
+     * count throughput * eta / e_c is a function of its inputs and of this
+     * call's eta, so inputs with the same bits give the same count, bit for
+     * bit, and the memo may stand in for it.  The throughput moves only in
+     * a discharging hour and e_c only in the hour after the count moved,
+     * so in the other hours a predicted compare takes the place of a
+     * multiply and a division on the chain from one hour's cycles to the
+     * next hour's e_c. */
+    uint64_t count_t = bits(0.0), count_e = bits(1.0);
+    double count = 0.0 * eta / 1.0;
 
     for (long t = 0; t < n; t++) {
         const double r = res[t];
@@ -216,8 +227,14 @@ void cascade(long n, const double *res, const double *dem,
             } else if (p_bs < -1e-9) {
                 last_dir = -1;
             }
-            if (by_throughput)
-                cycles = throughput * eta / e_c;
+            if (by_throughput) {
+                if (bits(throughput) != count_t || bits(e_c) != count_e) {
+                    count = throughput * eta / e_c;
+                    count_t = bits(throughput);
+                    count_e = bits(e_c);
+                }
+                cycles = count;
+            }
         }
 
         p_dg_out[t] = p_dg;

@@ -33,6 +33,8 @@ SCHEDULE_HEADER = ["hour", "p_dg", "p_bs", "soc", "p_res", "load", "dump", "lost
 CONSTRAINT_TOL = 1e-6
 REFINE_SWEEPS = 6   # coordinate-descent sweeps, each halving the step sizes
 PENALTY_MU = 200.0  # weight of the constraint residuals in the search value
+VIOLATIONS = ("dg_semicontinuous", "dg_rated", "battery_power", "soc_bounds",
+              "dpsp")
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,7 @@ class DispatchContext:
                          if design.e_b_init > 0 else 0.0),
             capital=capital, res_kwh=float(res_dc.sum()),
             weight_array=np.array(self.weights.values),
+            dot_operands=np.empty(4),   # the scorer's np.dot operand
             daily_fixed_om=economics.fixed_om(capital, sim.costs) / 365.0,
             daily_baseline=_daily_baseline(sim, load_kwh),
             day_inputs=kernels.DayInputs(
@@ -119,6 +122,7 @@ class DispatchSchedule:
     C-contiguous (2, 24) float64 block, which the day kernel reads by
     address.  The rows change in place but cannot be rebound, and hours of
     any other length are rejected, so the kernel never reads past the block.
+    Non-finite hours and a negative generator hour are rejected too.
     """
 
     __slots__ = ("_rows", "_address")
@@ -131,6 +135,13 @@ class DispatchSchedule:
                 raise InputDataError(
                     f"{name} must hold 24 hours, got shape {hours.shape}")
             row[:] = hours
+        # The scorer cannot judge these: a NaN compares false with every
+        # bound, and a negative output escapes the generator's residuals.
+        if not np.isfinite(rows).all():
+            name = "p_dg" if not np.isfinite(rows[0]).all() else "p_bs"
+            raise InputDataError(f"{name} must hold finite hours")
+        if rows[0].min() < 0.0:   # -0.0 is not below 0.0
+            raise InputDataError("p_dg must hold hours >= 0")
         # Through the array interface, not ``rows.ctypes``: with the latter
         # a kept result measured about 300 B more per day (tracemalloc).
         self._rows, self._address = rows, rows.__array_interface__["data"][0]
@@ -166,8 +177,14 @@ class DispatchEvaluation:
     objectives: ObjectiveVector      # (coe_norm, em_norm, repg, 1-ref) + dpsp
     weighted: float                  # 4-term scalarization per the weights
     c_daily: float
-    violations: dict
+    residuals: tuple                 # the constraint residuals, VIOLATIONS order
     feasible: bool
+    search_value: float              # weighted + PENALTY_MU * the residuals
+
+    @property
+    def violations(self) -> dict:
+        """The constraint residuals by name."""
+        return dict(zip(VIOLATIONS, self.residuals))
 
     @property
     def summary5(self) -> float:
@@ -246,7 +263,8 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
     The hours are reduced in the C kernel, or in its Python twin
     ``_day_hours``, with the float operations of the numpy formulation that
     ``tests/test_scorer.py`` keeps as reference, so every value equals the
-    one numpy gives bit for bit.  Prices and objectives are computed here.
+    one numpy gives bit for bit.  Prices and objectives are computed here,
+    and the search value the dispatch search compares, once per schedule.
     """
     sim = ctx.sim
     gen, battery = sim.generator, sim.battery
@@ -261,21 +279,32 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEval
         c_daily / ctx.load_kwh, economics.emissions_total(energy, gen),
         ctx.daily_baseline, h.lost, ctx.load_kwh, h.dump,
         ctx.res_kwh, energy, sim.converter.eta_rec)
-    weighted = float(np.dot(ctx.weight_array,
-                            [objectives.lcoe_norm, objectives.em_norm,
-                             objectives.repg, objectives.one_minus_ref]))
+    lcoe_norm, em_norm, dpsp, repg, one_minus_ref = objectives
+    operands = ctx.dot_operands
+    operands[0], operands[1], operands[2], operands[3] = (
+        lcoe_norm, em_norm, repg, one_minus_ref)
+    weighted = float(np.dot(ctx.weight_array, operands))
 
-    # x -> x - c rounds monotonically, so each excess is the extreme value's.
-    violations = {
-        "dg_semicontinuous": h.semicont,
-        "dg_rated": max(0.0, h.p_dg_max - gen.rated_power),
-        "battery_power": max(0.0, h.p_bs_max - ctx.power_limit),
-        "soc_bounds": max(0.0, battery.soc_min - h.soc_min,
-                          h.soc_max - battery.soc_max),
-        "dpsp": max(0.0, objectives.dpsp - ctx.dpsp_max),
-    }
-    feasible = all(v <= CONSTRAINT_TOL for v in violations.values())
-    return DispatchEvaluation(objectives, weighted, c_daily, violations, feasible)
+    # Each residual is max(0.0, excess) written out: Python's max keeps the
+    # first of the largest, so 0.0 unless an excess is above it (a NaN
+    # excess is not).  x -> x - c rounds monotonically, so each excess is
+    # the extreme value's.
+    semi = h.semicont
+    rated = h.p_dg_max - gen.rated_power
+    rated = rated if rated > 0.0 else 0.0
+    power = h.p_bs_max - ctx.power_limit
+    power = power if power > 0.0 else 0.0
+    low, high = battery.soc_min - h.soc_min, h.soc_max - battery.soc_max
+    soc = low if low > 0.0 else 0.0
+    soc = high if high > soc else soc
+    over = dpsp - ctx.dpsp_max
+    over = over if over > 0.0 else 0.0
+    tol = CONSTRAINT_TOL
+    return DispatchEvaluation(
+        objectives, weighted, c_daily, (semi, rated, power, soc, over),
+        semi <= tol and rated <= tol and power <= tol and soc <= tol
+        and over <= tol,
+        weighted + PENALTY_MU * (semi + rated + power + 10.0 * soc + over))
 
 
 def day_trace(s: DispatchSchedule, ctx: DispatchContext) -> DayTrace:
@@ -302,22 +331,17 @@ def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
     return DispatchSchedule(p_dg, p_bs)
 
 
-def _penalized(ev: DispatchEvaluation) -> float:
-    pen = (ev.violations["dg_semicontinuous"] + ev.violations["dg_rated"]
-           + ev.violations["battery_power"] + 10.0 * ev.violations["soc_bounds"]
-           + ev.violations["dpsp"])
-    return ev.weighted + PENALTY_MU * pen
-
-
 def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
                        ) -> tuple[DispatchSchedule, DispatchEvaluation]:
-    """Projected coordinate descent over the hourly setpoints with the ON
-    pattern held fixed."""
+    """Projected coordinate descent over the hourly setpoints of ``s``, in
+    place, with the ON pattern held fixed.  The setpoints are held as
+    Python floats, whose steps and clamps round as numpy's do, and each
+    candidate is written into the schedule's block for the scorer."""
     gen = ctx.sim.generator
-    s = s.copy()
-    p_dg, p_bs = s.p_dg, s.p_bs
+    dg_row, bs_row = s.p_dg, s.p_bs
+    dg, bs = s._rows.tolist()
     best = evaluate_schedule(s, ctx)
-    best_val = _penalized(best)
+    best_val = best.search_value
     p_lim = ctx.power_limit
     for sweep in range(REFINE_SWEEPS):
         scale = 0.5 ** sweep
@@ -325,23 +349,25 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
         improved = False
         for t in range(24):
             # generator steps in an ON hour, then battery steps if it can move
-            moves = ([(p_dg, gen.min_power, gen.rated_power)]
-                     if p_dg[t] > 0 else [])
+            moves = ([(dg, dg_row, gen.min_power, gen.rated_power)]
+                     if dg[t] > 0 else [])
             if p_lim > 0:
-                moves.append((p_bs, -p_lim, p_lim))
-            for x, lower, upper in moves:
+                moves.append((bs, bs_row, -p_lim, p_lim))
+            for x, row, lower, upper in moves:
                 for d in steps:
-                    cand = min(max(x[t] + d, lower), upper)
+                    # min(max(x[t] + d, lower), upper), written out
+                    cand = x[t] + d
+                    cand = lower if lower > cand else cand
+                    cand = upper if upper < cand else cand
                     if cand == x[t]:
                         continue
-                    old = x[t]
-                    x[t] = cand
+                    row[t] = cand
                     ev = evaluate_schedule(s, ctx)
-                    val = _penalized(ev)
-                    if val < best_val - 1e-12:
-                        best, best_val, improved = ev, val, True
+                    if ev.search_value < best_val - 1e-12:
+                        best, best_val, improved = ev, ev.search_value, True
+                        x[t] = cand
                     else:
-                        x[t] = old
+                        row[t] = x[t]
         if not improved:
             break
     return s, best
@@ -350,8 +376,7 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
 def _apply_pattern(s: DispatchSchedule, pattern: np.ndarray,
                    ctx: DispatchContext) -> DispatchSchedule:
     gen = ctx.sim.generator
-    out = s.copy()
-    p_dg = out.p_dg
+    p_dg = s.p_dg.tolist()
     for t in range(24):
         if pattern[t]:
             if p_dg[t] <= 0:
@@ -359,7 +384,7 @@ def _apply_pattern(s: DispatchSchedule, pattern: np.ndarray,
             p_dg[t] = min(max(p_dg[t], gen.min_power), gen.rated_power)
         else:
             p_dg[t] = 0.0
-    return out
+    return DispatchSchedule(p_dg, s.p_bs)
 
 
 @dataclass(slots=True)
@@ -457,7 +482,7 @@ def _better(ev: DispatchEvaluation, incumbent: DispatchEvaluation | None) -> boo
         return ev.feasible
     if ev.feasible:
         return ev.weighted < incumbent.weighted
-    return _penalized(ev) < _penalized(incumbent)
+    return ev.search_value < incumbent.search_value
 
 
 # ---------------------------------------------------------------------------

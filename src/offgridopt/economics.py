@@ -76,8 +76,7 @@ def microturbine_costs(**overrides) -> CostTable:
     return CostTable(**params)
 
 
-@dataclass(frozen=True)
-class ObjectiveVector:
+class ObjectiveVector(NamedTuple):
     """The five sizing objectives, each nominally in [0, 1].
 
     Values above 1 (a design worse than the generator-only baseline) are
@@ -91,8 +90,7 @@ class ObjectiveVector:
     one_minus_ref: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.lcoe_norm, self.em_norm, self.dpsp,
-                         self.repg, self.one_minus_ref])
+        return np.array(self)
 
 
 @dataclass(frozen=True)
@@ -367,10 +365,9 @@ def objective_vector(coe: float, emissions: float, baseline: BaselineMetrics,
     renewable shares, of the DC-side generation res + eta_rec * E_dg."""
     generated = res_kwh + eta_rec * dg_kwh
     return ObjectiveVector(
-        lcoe_norm=coe / baseline.lcoe, em_norm=emissions / baseline.emissions,
-        dpsp=metrics_dpsp(lost_kwh, load_kwh),
-        repg=metrics_repg(dump_kwh, generated),
-        one_minus_ref=1.0 - metrics_ref(res_kwh, generated))
+        coe / baseline.lcoe, emissions / baseline.emissions,
+        metrics_dpsp(lost_kwh, load_kwh), metrics_repg(dump_kwh, generated),
+        1.0 - metrics_ref(res_kwh, generated))
 
 
 def weighted_objective(obj: ObjectiveVector, weights: Weights) -> float:

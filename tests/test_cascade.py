@@ -59,10 +59,13 @@ def stretched_hours(draw):
 
 @st.composite
 def cascade_cases(draw, hours=random_hours(),
-                  e_b=st.just(0.0) | st.floats(0.5, 300.0)):
+                  e_b=st.just(0.0) | st.floats(0.5, 300.0),
+                  counting=st.sampled_from(["reversal", "throughput"]),
+                  counted_start=False):
     """Random horizon, battery, generator, strategy and start state.  The
     bank may be lossless (round-trip efficiency 1.0), may go down to an SOC
-    of 0 and may start faded to the capacity floor."""
+    of 0 and may start faded to the capacity floor.  With ``counted_start``
+    the bank starts with throughput and cycles counted, neither zero."""
     res, dem = draw(hours)
     soc_min = draw(st.just(0.0) | st.floats(0.0, 0.6))
     soc_max = draw(st.floats(soc_min + 0.05, 1.0))
@@ -78,21 +81,28 @@ def cascade_cases(draw, hours=random_hours(),
     # the fade that takes the bank to its capacity floor, and a little more
     to_floor = [] if fade == 0.0 else [(1.0 - CAPACITY_FADE_FLOOR) / fade,
                                        1.01 * (1.0 - CAPACITY_FADE_FLOOR) / fade]
+    low = 1.0 if counted_start else 0.0
     start = CascadeState(
         soc=draw(st.floats(soc_min, soc_max)),
-        cycles=draw(st.sampled_from([0.0, *to_floor]) | st.floats(0.0, 6000.0)),
-        throughput=draw(st.just(0.0) | st.floats(0.0, 1e4)),
+        cycles=draw(st.sampled_from([low, *to_floor]) | st.floats(low, 6000.0)),
+        throughput=draw(st.just(low) | st.floats(low, 1e4)),
         discharging=draw(st.booleans()))
     return dict(
         res_dc=res, demand_dc=dem, battery=battery,
         e_b_init=draw(e_b),
         generator=generator, dg_may_charge=draw(st.booleans()),
         eta_rec=draw(st.floats(0.5, 1.0)), start=start,
-        cycle_counting=draw(st.sampled_from(["reversal", "throughput"])))
+        cycle_counting=draw(counting))
 
 
 # a bank of at most 60 kWh on stretched hours
 HELD_BANKS = cascade_cases(hours=stretched_hours(), e_b=st.floats(0.5, 60.0))
+# the same, counting cycles by throughput from a bank that has cycled: the
+# compiled kernel reuses its last count while (throughput, e_c) repeat
+HELD_THROUGHPUT = cascade_cases(hours=stretched_hours(),
+                                e_b=st.floats(0.5, 60.0),
+                                counting=st.just("throughput"),
+                                counted_start=True)
 
 
 def run_bits(run):
@@ -124,12 +134,12 @@ def assert_invariants(case, out):
 
 
 @needs_compiled
-@settings(max_examples=400, deadline=None)
-@given(cascade_cases() | HELD_BANKS)
+@settings(max_examples=500, deadline=None)
+@given(cascade_cases() | HELD_BANKS | HELD_THROUGHPUT)
 def test_compiled_kernel_equals_python_loop_and_keeps_invariants(case):
     """Random hours, and stretches that pin the bank at ``soc_max`` and at
     ``soc_min``, where the compiled kernel reuses its last SOC update and
-    skips the divisions that cannot bind."""
+    throughput cycle count and skips the divisions that cannot bind."""
     compiled = kernels.cascade(**case)
     assert_same_run(compiled, _cascade_python(**case))
     assert_invariants(case, compiled)
@@ -149,7 +159,7 @@ def hour_energies(case, state):
 
 @needs_compiled
 @settings(max_examples=150, deadline=None)
-@given(HELD_BANKS, st.data())
+@given(HELD_BANKS | HELD_THROUGHPUT, st.data())
 def test_compiled_kernel_equals_python_loop_on_a_tie_with_the_room(case, data):
     """One hour's surplus (or deficit) equals the room left to charge (or
     the energy left to discharge) exactly, the edge of the skipped
@@ -169,7 +179,7 @@ def test_compiled_kernel_equals_python_loop_on_a_tie_with_the_room(case, data):
 
 @needs_compiled
 @settings(max_examples=50, deadline=None)
-@given(HELD_BANKS,
+@given(HELD_BANKS | HELD_THROUGHPUT,
        st.floats(1.0, 2.0, exclude_min=True))
 def test_compiled_kernel_equals_python_loop_for_an_efficiency_above_one(case,
                                                                         eta):

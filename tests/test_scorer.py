@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offgridopt import economics, kernels
+from offgridopt import dispatch, economics, kernels
 from offgridopt.config import build_config, build_context
 from offgridopt.devices import battery_step
 from offgridopt.dispatch import (CONSTRAINT_TOL, DispatchSchedule, _day_hours,
@@ -114,9 +114,13 @@ def reference_evaluate(s, ctx):
         "dpsp": max(0.0, dpsp - ctx.dpsp_max),
     }
     feasible = all(v <= CONSTRAINT_TOL for v in violations.values())
+    search_value = weighted + 200.0 * (
+        violations["dg_semicontinuous"] + violations["dg_rated"]
+        + violations["battery_power"] + 10.0 * violations["soc_bounds"]
+        + violations["dpsp"])
     return dict(objectives=objectives, weighted=weighted, summary5=summary5,
                 c_daily=c_daily, violations=violations, feasible=feasible,
-                soc=soc, dump=dump, lost=lost)
+                search_value=search_value, soc=soc, dump=dump, lost=lost)
 
 
 def bits(x: float) -> str:
@@ -165,6 +169,7 @@ def test_scorer_equals_the_numpy_reference_bit_for_bit(contexts, data):
     ev = evaluate_schedule(schedule, ctx)
     ref = reference_evaluate(schedule, ctx)
     assert bits(ev.weighted) == bits(ref["weighted"])
+    assert bits(ev.search_value) == bits(ref["search_value"])
     assert bits(ev.summary5) == bits(ref["summary5"])
     assert bits(ev.c_daily) == bits(ref["c_daily"])
     for name in ("lcoe_norm", "em_norm", "dpsp", "repg", "one_minus_ref"):
@@ -264,6 +269,35 @@ def test_scoring_rejects_a_schedule_of_other_than_24_hours(contexts, monkeypatch
         schedule.p_dg = np.ones(hours)
 
 
+@pytest.mark.parametrize("row, value", [
+    ("p_dg", np.nan), ("p_dg", np.inf), ("p_dg", -np.inf), ("p_dg", -1e-9),
+    ("p_bs", np.nan), ("p_bs", np.inf), ("p_bs", -np.inf)])
+def test_a_schedule_the_scorer_cannot_judge_is_an_input_error(contexts, row,
+                                                              value):
+    """A NaN hour compares false with every bound, so it scored feasible,
+    and a negative generator hour left no generator residual."""
+    ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 10, W4)
+    rule = rule_based_schedule(ctx)
+    hours = {"p_dg": rule.p_dg.copy(), "p_bs": rule.p_bs.copy()}
+    hours[row][5] = value
+    with pytest.raises(InputDataError, match=row):
+        DispatchSchedule(hours["p_dg"], hours["p_bs"])
+
+
+def test_a_negative_hour_of_an_all_off_day_is_an_input_error():
+    """Such a day used to reach the fuel bill, which raised, although the
+    scorer reports infeasibility and never raises it."""
+    with pytest.raises(InputDataError, match="p_dg must hold hours >= 0"):
+        DispatchSchedule(np.r_[np.zeros(23), -1.0], np.zeros(24))
+
+
+def test_a_schedule_keeps_signed_zeros(contexts):
+    ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 10, W4)
+    schedule = DispatchSchedule(np.full(24, -0.0), np.full(24, -0.0))
+    assert schedule._rows.tobytes() == np.full((2, 24), -0.0).tobytes()
+    assert evaluate_schedule(schedule, ctx).violations["dg_rated"] == 0.0
+
+
 def test_a_copied_schedule_has_a_block_of_its_own(contexts):
     ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 51, W4)
     schedule = rule_based_schedule(ctx)
@@ -296,34 +330,53 @@ def test_day_sum_keeps_the_sum_order_of_np_sum():
 # Pinned optimize_day results
 # ---------------------------------------------------------------------------
 
-# weighted.hex(), feasible and the SHA-256 of p_dg.tobytes() + p_bs.tobytes()
-# of optimize_day on design 100,8,45.45 at run seed 42, as the dispatch
-# command runs it.
+# weighted.hex(), feasible, the SHA-256 of p_dg.tobytes() + p_bs.tobytes()
+# and the number of evaluate_schedule calls of optimize_day on design
+# 100,8,45.45 at run seed 42, as the dispatch command runs it.  The count
+# holds the search to the candidates it scored when it was recorded.
 PINNED = {
     ("LI-DE", 0): ("0x1.3f27e4c384852p-4", True,
-                   "440b2a855a5c0a33809893b1bb917df62b81911b7468cdee4ac8ab95a5ff52c4"),
+                   "440b2a855a5c0a33809893b1bb917df62b81911b7468cdee4ac8ab95a5ff52c4",
+                   4126),
     ("LI-DE", 51): ("0x1.08bed63441d98p-2", True,
-                    "1290905ef298e88f1a55497adea9547c972b32965f8ce0181e5bbdc4e575ee63"),
+                    "1290905ef298e88f1a55497adea9547c972b32965f8ce0181e5bbdc4e575ee63",
+                    12182),
     ("LI-DE", 150): ("0x1.ebe15e5ce23f5p-5", True,
-                     "525f19bd939fb00d27cf02708660f919a345d804cf18eb7b6c1bd95ef0e9e9f6"),
+                     "525f19bd939fb00d27cf02708660f919a345d804cf18eb7b6c1bd95ef0e9e9f6",
+                     6542),
     ("LI-DE", 300): ("0x1.bb2b34460a282p-4", True,
-                     "59dc56ec500b5a7f600d9c86c6c8468f2a07f90a11a40d6a4dac1ee5f8e5712c"),
+                     "59dc56ec500b5a7f600d9c86c6c8468f2a07f90a11a40d6a4dac1ee5f8e5712c",
+                     2787),
     ("LA-MT-no-charge", 0): (
         "0x1.4eaae0358bbc8p-2", True,
-        "c9722b20031bbd1fad1f8c3bc3de66b25ac73169552fa3cd1b31aab7fec66f22"),
+        "c9722b20031bbd1fad1f8c3bc3de66b25ac73169552fa3cd1b31aab7fec66f22",
+        27212),
     ("LA-MT-no-charge", 51): (
         "0x1.af10ab01c4262p-2", True,
-        "479761ec680df9f29f3d0302802c026b95591a9c976647066c03140b7366d9bb"),
+        "479761ec680df9f29f3d0302802c026b95591a9c976647066c03140b7366d9bb",
+        29703),
     ("LA-MT-no-charge", 150): (
         "0x1.05a29f5d712e0p-2", True,
-        "23e2cf30aeb26cdaff14545c31844cb5b034dc3fec148734fa5c779ffa2f914b"),
+        "23e2cf30aeb26cdaff14545c31844cb5b034dc3fec148734fa5c779ffa2f914b",
+        15295),
     ("LA-MT-no-charge", 300): (
         "0x1.0560ed880bd30p-2", True,
-        "c4c298892f2f55040e53faf3a27509ace6611c76e09c4e1d6997f7b974208fa2"),
+        "c4c298892f2f55040e53faf3a27509ace6611c76e09c4e1d6997f7b974208fa2",
+        2787),
 }
 
 
-def pinned_result(contexts, variant, day):
+def pinned_result(contexts, monkeypatch, variant, day):
+    """The pinned numbers of a day, counting the scorer's calls through the
+    module attribute the search calls it by."""
+    calls = []
+    score = dispatch.evaluate_schedule
+
+    def counted(s, ctx):
+        calls.append(None)
+        return score(s, ctx)
+
+    monkeypatch.setattr(dispatch, "evaluate_schedule", counted)
     config = build_config(VARIANTS[variant])
     ctx = day_context(contexts[variant], Design(100, 8, 45.45), day,
                       Weights(tuple(config.dispatch["weights"])),
@@ -333,16 +386,17 @@ def pinned_result(contexts, variant, day):
                           seed=substream_seed(RUN_SEED, "solver"))
     schedule = hashlib.sha256(result.schedule.p_dg.tobytes()
                               + result.schedule.p_bs.tobytes()).hexdigest()
-    return result.evaluation.weighted.hex(), result.feasible, schedule
+    return (result.evaluation.weighted.hex(), result.feasible, schedule,
+            len(calls))
 
 
 @pytest.mark.parametrize("variant, day", sorted(PINNED))
-def test_optimize_day_is_pinned(contexts, variant, day):
-    assert pinned_result(contexts, variant, day) == PINNED[variant, day]
+def test_optimize_day_is_pinned(contexts, monkeypatch, variant, day):
+    assert pinned_result(contexts, monkeypatch, variant, day) == PINNED[variant, day]
 
 
 @pytest.mark.parametrize("variant, day", sorted(PINNED))
 def test_optimize_day_is_pinned_on_the_python_fallback(contexts, monkeypatch,
                                                        variant, day):
     monkeypatch.setattr(kernels, "KERNEL", "python")
-    assert pinned_result(contexts, variant, day) == PINNED[variant, day]
+    assert pinned_result(contexts, monkeypatch, variant, day) == PINNED[variant, day]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from offgridopt import kernels
+from offgridopt.config import build_config, build_context
 from offgridopt.datasets import (WIND_CORRECTION_FACTOR, load_bundled_climate,
                                  reference_daily_load)
 from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
@@ -243,6 +244,43 @@ def test_battery_cycle_counting_modes(annual_ctx):
     efc = simulate_year(design, throughput).battery_cycles
     assert reversal == int(reversal) and reversal > 0
     assert efc > 0 and efc != reversal
+
+
+# The benchmark's pareto-variants system: LA battery, MT generator,
+# throughput cycle counting and no generator charging.
+VARIANT_BRANCHES = {"battery": {"chemistry": "LA"}, "generator": {"kind": "MT"},
+                    "strategy": {"cycle_counting": "throughput",
+                                 "dg_may_charge_battery": False}}
+# objectives.hex() and battery_cycles.hex() of simulate_year at seed 42
+PINNED_YEARS = {
+    (100, 8, 45.45): (("0x1.3594a1cf263e6p-1", "0x1.10852d4a33f1ap-3",
+                       "0x0.0p+0", "0x1.e7c85d850a863p-3",
+                       "0x1.503d73b6be1d8p-4"), "0x1.686438918d8c3p+6"),
+    (60, 12, 120.0): (("0x1.64cb93724fc0ap-1", "0x1.d6dc6fc8e9003p-4",
+                       "0x0.0p+0", "0x1.413485de37cdfp-2",
+                       "0x1.058faa3a65c00p-4"), "0x1.0e44a31b3ae6ap+6"),
+    (30, 4, 200.0): (("0x1.119bfefb04012p+0", "0x1.5935229104680p-1",
+                      "0x1.145fd387f9321p-18", "0x1.903f1d6aef947p-5",
+                      "0x1.0a376a385ca9ap-1"), "0x1.05fd47f35fa49p+3"),
+}
+
+
+@pytest.fixture(scope="module")
+def variant_ctx():
+    return build_context(build_config(VARIANT_BRANCHES), seed=42)
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("design", sorted(PINNED_YEARS))
+def test_simulate_year_is_pinned_on_the_variant_branches(variant_ctx, monkeypatch,
+                                                         kernel, design):
+    if kernel == "python":
+        monkeypatch.setattr(kernels, "KERNEL", "python")
+    elif kernels.KERNEL != "c":
+        pytest.skip("the C kernel could not be built")
+    sim = simulate_year(Design(*design), variant_ctx)
+    assert (tuple(v.hex() for v in sim.objectives),
+            sim.battery_cycles.hex()) == PINNED_YEARS[design]
 
 
 @st.composite
