@@ -1,13 +1,14 @@
-/* Compiled twins of two Python loops, loaded by kernels.py, which also
- * defines the ctypes twins of the structs below:
+/* Compiled twins of Python code, loaded by kernels.py, which also defines
+ * the ctypes twins of the structs below:
  *   cascade    the load-following priority cascade (_cascade_python in
- *              simulate.py);
+ *              simulate.py); over a year it also forms the renewable
+ *              feed-in and the annual sums (_year_python there);
  *   day_hours  the pass over the 24 hours of a dispatch schedule
  *              (_day_hours in dispatch.py, with propagate_soc and day_sum
  *              there).
  *
  * Both kernels give bit-identical results.  Every operation the C code
- * performs is the one the Python loop performs, with the same IEEE double
+ * performs is the one the Python code performs, with the same IEEE double
  * operands in the same order.  The C code skips an operation only where a
  * comment next to it shows that the result cannot change any output.  That
  * holds only when the compiler neither fuses a multiply and an add nor
@@ -84,31 +85,151 @@ static uint64_t bits(double x)
     return u;
 }
 
-/* Run n hours from *state and leave the final state there.  res and dem are
- * DC-bus renewable feed-in and demand.  out is a row-major (5, n) block that
- * receives the per-hour p_dg, p_bs, soc, dump and lost rows.  counts
- * receives the generator's online hours and starts: the unit starts the
- * horizon off, so an hour starts it when it is on and the hour before was
- * off.  Every start has its stop (count_transitions in simulate.py). */
-void cascade(long n, const double *res, const double *dem,
-             double e_b_init, double eta, double soc_min, double soc_max,
-             double leak, double fade, double fade_floor,
-             int fixed_power_limit, double unit_power, double unit_energy,
-             double p_rated, double p_min, double dg_eff, int dg_may_charge,
-             int by_throughput, cascade_state *state, double *out,
-             long *counts)
+/* What a run reads besides the design and the start state: the horizon,
+ * the hourly inputs and the constants of the battery, the generator and
+ * the converter.  The arrays are read by address and stay the caller's.
+ * A SimulationContext fills one record for its year (year_inputs in
+ * simulate.py); a run over given feed-in (kernels.cascade) fills one per
+ * call. */
+typedef struct {
+    long n;                 /* hours */
+    const double *res;      /* DC-bus renewable feed-in [kW], or NULL: formed
+                               from the design and the three factors below */
+    const double *dem;      /* DC-bus demand [kW] */
+    const double *irr;      /* irradiance [kW/m2] */
+    const double *pv_eta;   /* PV cell efficiency */
+    const double *wt_frac;  /* output of one turbine / its rated power */
+    double pv_area;         /* collector area of one PV unit [m2] */
+    double wt_rated;        /* rated power of one turbine [kW] */
+    double eta_rec;         /* rectifier efficiency of wind and generator */
+    double eta_inv;         /* the lost load's factor: inverter efficiency,
+                               or 1 to keep it on the DC bus */
+    double eta;             /* battery round-trip efficiency */
+    double soc_min;
+    double soc_max;
+    double leak;            /* hourly self-discharge */
+    double fade;            /* capacity lost per cycle [fraction] */
+    double fade_floor;      /* capacity where fading stops [fraction] */
+    double unit_power;      /* power limit of one battery unit [kW] */
+    double unit_energy;     /* energy of one battery unit [kWh] */
+    double p_rated;         /* generator rated output [kW] */
+    double p_min;           /* generator minimum output when online [kW] */
+    int fixed_power_limit;  /* the power limit does not fade */
+    int dg_may_charge;      /* forced generator surplus charges the bank */
+    int by_throughput;      /* count cycles by throughput, not reversals */
+} cascade_inputs;
+
+/* What the hours of a run add up to. */
+typedef struct {
+    double energy;          /* sum of p_dg [kWh] */
+    double dump;            /* sum of the dump row [kWh] */
+    double lost;            /* sum of the lost row [kWh] */
+    double res;             /* sum of the feed-in [kWh] */
+    long online;            /* generator online hours */
+    long starts;            /* generator starts */
+} cascade_totals;
+
+/* numpy's pairwise summation of n contiguous doubles (pairwise_sum in its
+ * add loop), for n <= 128: fewer than 8 values are added in order to -0.0;
+ * more go into eight interleaved partial sums, combined pairwise, and the
+ * values left over are added in order. */
+static inline double block_sum(const double *a, long n)
 {
+    if (n < 8) {
+        double s = -0.0;
+        for (long i = 0; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    double r[8];
+    long i;
+    for (int j = 0; j < 8; j++)
+        r[j] = a[j];
+    for (i = 8; i < n - n % 8; i += 8)
+        for (int j = 0; j < 8; j++)
+            r[j] += a[i + j];
+    double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        s += a[i];
+    return s;
+}
+
+/* The same for any n: a stretch longer than 128 is split at half its
+ * length rounded down to a multiple of 8. */
+static double pairwise(const double *a, long n)
+{
+    if (n <= 128)
+        return block_sum(a, n);
+    long half = n / 2;
+    half -= half % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
+/* np.sum of n contiguous doubles, bit for bit: the pairwise sum added to
+ * the reduction's start value 0.0. */
+static inline double np_sum(const double *a, long n)
+{
+    return 0.0 + (n <= 128 ? block_sum(a, n) : pairwise(a, n));
+}
+
+/* Run in->n hours from *state, leave the final state there and return the
+ * totals.  Without in->res the feed-in is formed from the design's unit
+ * counts, as renewable_feed_in forms it, and out is a row-major (8, n)
+ * block that receives the per-hour p_pv, p_wt, feed-in, p_dg, p_bs, soc,
+ * dump and lost rows; with in->res, out is a (5, n) block of the last
+ * five.  The generator's online hours and starts count p_dg > 0: the unit
+ * starts the horizon off, so an hour starts it when it is on and the hour
+ * before was off.  Every start has its stop (count_transitions in
+ * simulate.py).  Each sum is np.sum's of its row. */
+cascade_totals cascade(const cascade_inputs *in, double pv_units,
+                       double wt_units, double e_b_init, cascade_state *state,
+                       double *out)
+{
+    /* The constants as locals: read through in, they would be loaded again
+     * after every store to out, which may alias them as far as the
+     * compiler knows. */
+    const long n = in->n;
+    const double *const res = in->res, *const dem = in->dem;
+    const double *const irr = in->irr, *const pv_eta = in->pv_eta;
+    const double *const wt_frac = in->wt_frac;
+    const double pv_area = in->pv_area, eta_rec = in->eta_rec;
+    const double eta_inv = in->eta_inv, eta = in->eta;
+    const double soc_min = in->soc_min, soc_max = in->soc_max;
+    const double leak = in->leak, fade = in->fade;
+    const double fade_floor = in->fade_floor;
+    const double unit_power = in->unit_power, unit_energy = in->unit_energy;
+    const double p_rated = in->p_rated, p_min = in->p_min, dg_eff = eta_rec;
+    const int fixed_power_limit = in->fixed_power_limit;
+    const int dg_may_charge = in->dg_may_charge;
+    const int by_throughput = in->by_throughput;
+    /* renewable_feed_in's product n_w * rated, a Python float */
+    const double wt_kw = wt_units * in->wt_rated;
+
     const int has_battery = e_b_init > 0.0;
     double soc = state->soc;
     double cycles = state->cycles;
     double throughput = state->throughput;
     int last_dir = state->discharging ? 1 : -1;
-    double *p_dg_out = out, *p_bs_out = out + n, *soc_out = out + 2 * n;
-    double *dump_out = out + 3 * n, *lost_out = out + 4 * n;
+    double *const p_pv_out = out, *const p_wt_out = out + n;
+    double *const res_out = out + 2 * n;
+    double *const p_dg_out = res ? out : out + 3 * n;
+    double *const p_bs_out = p_dg_out + n, *const soc_out = p_dg_out + 2 * n;
+    double *const dump_out = p_dg_out + 3 * n;
+    double *const lost_out = p_dg_out + 4 * n;
     long online = 0, starts = 0;
     int was_on = 0;
     /* See min3_by_eta. */
     const int eta_exact = eta > 0.0 && eta <= 1.0;
+    /* The faded capacity e_c and the power limit p_lim, and the bits of
+     * the cycle count they were computed from, which start as the
+     * complement of the start count's bits, so the first hour computes
+     * them.  Both are functions of the cycle count and of this call's
+     * constants, so a count with the same bits gives the same e_c and
+     * p_lim, bit for bit, and they are computed again only when the bits
+     * of the count change.  Counting reversals, the count moves only in
+     * the hour a discharge starts. */
+    uint64_t faded_at = ~bits(cycles);
+    double e_c = 0.0, p_lim = 0.0;
     /* The inputs (s, p_bs, e_c) of the last SOC update computed, and its
      * result, which starts as the update of (soc_max, 0, 1).  soc_after is
      * a function of its inputs and of this call's constants, so inputs with
@@ -136,27 +257,39 @@ void cascade(long n, const double *res, const double *dem,
     double count = 0.0 * eta / 1.0;
 
     for (long t = 0; t < n; t++) {
-        const double r = res[t];
+        double r;
+        if (res) {
+            r = res[t];
+        } else {
+            /* renewable_feed_in: ((n_s * eta) * area) * irr,
+             * (n_w * rated) * frac and eta_rec * p_wt + p_pv */
+            const double p_pv = pv_units * pv_eta[t] * pv_area * irr[t];
+            const double p_wt = wt_kw * wt_frac[t];
+            r = eta_rec * p_wt + p_pv;
+            p_pv_out[t] = p_pv;
+            p_wt_out[t] = p_wt;
+            res_out[t] = r;
+        }
         const double d = dem[t];
         double p_dg = 0.0;
         double p_bs = 0.0;
         double dump = 0.0;
         double lost_dc = 0.0;
-        double e_c, p_lim, s;
+        double s;
 
         if (has_battery) {
-            e_c = e_b_init * (1.0 - cycles * fade);
-            const double floor = fade_floor * e_b_init;
-            if (e_c < floor)
-                e_c = floor;
-            p_lim = fixed_power_limit ? unit_power
-                                      : unit_power * e_c / unit_energy;
+            if (bits(cycles) != faded_at) {
+                e_c = e_b_init * (1.0 - cycles * fade);
+                if (e_c < fade_floor * e_b_init)
+                    e_c = fade_floor * e_b_init;
+                p_lim = fixed_power_limit ? unit_power
+                                          : unit_power * e_c / unit_energy;
+                faded_at = bits(cycles);
+            }
             s = (1.0 - leak) * soc;
             if (s < soc_min)
                 s = soc_min;
         } else {
-            e_c = 0.0;
-            p_lim = 0.0;
             s = soc;
         }
 
@@ -241,7 +374,10 @@ void cascade(long n, const double *res, const double *dem,
         p_bs_out[t] = p_bs;
         soc_out[t] = soc;
         dump_out[t] = dump;
-        lost_out[t] = lost_dc;
+        /* simulate_year's lost *= eta_inv.  With eta_inv 1 the product is
+         * lost_dc itself: x * 1.0 is x for every double but a NaN, and
+         * lost_dc is never NaN (a NaN deficit fails the compare). */
+        lost_out[t] = lost_dc * eta_inv;
 
         const int on = p_dg > 0.0;
         online += on;
@@ -253,8 +389,10 @@ void cascade(long n, const double *res, const double *dem,
     state->cycles = cycles;
     state->throughput = throughput;
     state->discharging = last_dir > 0;
-    counts[0] = online;
-    counts[1] = starts;
+    cascade_totals totals = {
+        np_sum(p_dg_out, n), np_sum(dump_out, n), np_sum(lost_out, n),
+        np_sum(res ? res : res_out, n), online, starts};
+    return totals;
 }
 
 
@@ -285,17 +423,6 @@ typedef struct {
     double soc_min;      /* smallest of the 25 SOC knots */
     double soc_max;      /* largest of the 25 SOC knots */
 } day_totals;
-
-/* np.sum of 24 values (day_sum in dispatch.py): eight interleaved partial
- * sums, combined pairwise, the total added to 0.0. */
-static double day_sum(const double *h)
-{
-    double r[8];
-    for (int i = 0; i < 8; i++)
-        r[i] = (h[i] + h[i + 8]) + h[i + 16];
-    return 0.0 + (((r[0] + r[1]) + (r[2] + r[3]))
-                  + ((r[4] + r[5]) + (r[6] + r[7])));
-}
 
 /* One pass over the 24 hours of a schedule, a row-major (2, 24) block of
  * p_dg and p_bs.  Maxima and minima are Python's max and min: the first of
@@ -342,9 +469,10 @@ day_totals day_hours(const double *schedule, const day_inputs *day,
             out.soc_max = soc[t];
     }
 
-    out.energy = day_sum(p_dg);
-    out.dump = day_sum(dump);
-    out.lost = day_sum(lost);
+    /* np.sum of 24 values: day_sum in dispatch.py */
+    out.energy = np_sum(p_dg, 24);
+    out.dump = np_sum(dump, 24);
+    out.lost = np_sum(lost, 24);
     if (rows) {
         memcpy(rows, soc, sizeof soc);
         memcpy(rows + 25, dump, sizeof dump);

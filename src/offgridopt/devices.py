@@ -8,6 +8,8 @@ annual simulator can call them millions of times from any thread.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -144,6 +146,9 @@ class GeneratorSpec:
     The diesel fuel law is Fuel = a*P_out + b*P_rated [L/h]; the microturbine
     burns gas proportionally to output at ``mt_fuel_slope`` [MMBtu/kWh].
     ``economics.fuel_cost`` is the one place these laws are evaluated.
+
+    ``emission_factors`` is a read-only copy of the mapping given, so the
+    sum derived from it once (``emission_factor_total``) cannot go stale.
     """
 
     kind: str = "DE"
@@ -163,8 +168,10 @@ class GeneratorSpec:
             raise InputDataError("rated_power must be >= 0")
         if not 0 <= self.min_fraction < 1:
             raise InputDataError("min_fraction must be in [0, 1)")
-        if any(v < 0 for v in self.emission_factors.values()):
+        factors = MappingProxyType(dict(self.emission_factors))
+        if any(v < 0 for v in factors.values()):
             raise InputDataError("emission factors must be >= 0")
+        object.__setattr__(self, "emission_factors", factors)
         for name in ("fuel_coeff_a", "fuel_coeff_b", "mt_fuel_slope", "fuel_price"):
             if getattr(self, name) < 0:
                 raise InputDataError(f"{name} must be >= 0")
@@ -174,6 +181,22 @@ class GeneratorSpec:
     @property
     def min_power(self) -> float:
         return self.min_fraction * self.rated_power
+
+    @cached_property
+    def emission_factor_total(self) -> float:
+        """``economics.emission_factor_sum`` of this generator, derived on
+        first use and kept."""
+        from .economics import emission_factor_sum  # economics imports devices
+        return emission_factor_sum(self)
+
+    def __getstate__(self):
+        # A mappingproxy does not pickle: the factors travel as a dict and
+        # are read-only again once loaded.
+        return {**vars(self), "emission_factors": dict(self.emission_factors)}
+
+    def __setstate__(self, state):
+        vars(self).update(state, emission_factors=MappingProxyType(
+            state["emission_factors"]))
 
 
 def microturbine_spec(**overrides) -> GeneratorSpec:

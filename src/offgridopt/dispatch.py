@@ -120,9 +120,11 @@ class DispatchSchedule:
     ``p_dg`` (generator setpoints, AC [kW]) and ``p_bs`` (battery power,
     +discharge/-charge, DC [kW]) are copied into the two rows of one
     C-contiguous (2, 24) float64 block, which the day kernel reads by
-    address.  The rows change in place but cannot be rebound, and hours of
-    any other length are rejected, so the kernel never reads past the block.
-    Non-finite hours and a negative generator hour are rejected too.
+    address.  The rows cannot be rebound, and hours of any other length are
+    rejected, so the kernel never reads past the block.  Non-finite hours
+    and a negative generator hour are rejected too, and ``p_dg`` and
+    ``p_bs`` are read-only views, so no such hour gets in later; only the
+    dispatch search writes its candidates into the block.
     """
 
     __slots__ = ("_rows", "_address")
@@ -148,11 +150,15 @@ class DispatchSchedule:
 
     @property
     def p_dg(self) -> np.ndarray:
-        return self._rows[0]
+        row = self._rows[0]
+        row.flags.writeable = False
+        return row
 
     @property
     def p_bs(self) -> np.ndarray:
-        return self._rows[1]
+        row = self._rows[1]
+        row.flags.writeable = False
+        return row
 
     def __reduce__(self):
         # A copy or an unpickled schedule gets a block, and address, of its own.
@@ -338,7 +344,7 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
     Python floats, whose steps and clamps round as numpy's do, and each
     candidate is written into the schedule's block for the scorer."""
     gen = ctx.sim.generator
-    dg_row, bs_row = s.p_dg, s.p_bs
+    dg_row, bs_row = s._rows
     dg, bs = s._rows.tolist()
     best = evaluate_schedule(s, ctx)
     best_val = best.search_value

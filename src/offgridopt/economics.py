@@ -327,7 +327,7 @@ def emissions_total(dg_energy_kwh: float, gen: GeneratorSpec) -> float:
     """Total emissions [kg] from the generator's energy over a horizon."""
     if dg_energy_kwh < 0:
         raise InputDataError("dg_energy_kwh must be >= 0")
-    return emission_factor_sum(gen) * dg_energy_kwh
+    return gen.emission_factor_total * dg_energy_kwh
 
 
 # ---------------------------------------------------------------------------

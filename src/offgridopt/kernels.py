@@ -1,8 +1,9 @@
 """The compiled kernels of ``_cascade.c`` and the records they exchange:
-``cascade``, twin of ``simulate._cascade_python``, and ``day_hours``, twin
-of ``dispatch._day_hours``.  The twins give bit-identical results and run
-in their place when the library cannot be built or loaded.  ``KERNEL``
-names the side in use, ``"c"`` or ``"python"``."""
+``cascade``, twin of ``simulate._cascade_python``, ``run``, which over a
+year is the twin of ``simulate._year_python``, and ``day_hours``, twin of
+``dispatch._day_hours``.  The twins give bit-identical results and run in
+their place when the library cannot be built or loaded.  ``KERNEL`` names
+the side in use, ``"c"`` or ``"python"``."""
 
 import ctypes
 import hashlib
@@ -36,6 +37,67 @@ class _CState(ctypes.Structure):
 
     _fields_ = [("soc", ctypes.c_double), ("cycles", ctypes.c_double),
                 ("throughput", ctypes.c_double), ("discharging", ctypes.c_int)]
+
+
+class CascadeInputs(ctypes.Structure):
+    """``cascade_inputs`` of ``_cascade.c``: what a cascade run reads besides
+    the design and the start state.  The C side holds the addresses of its
+    arrays; ``cascade_inputs`` keeps the arrays themselves on the record, so
+    they live as long as it."""
+
+    _fields_ = ([("n", ctypes.c_long)]
+                + [(name, ctypes.c_void_p) for name in (
+                    "res", "dem", "irr", "pv_eta", "wt_frac")]
+                + [(name, ctypes.c_double) for name in (
+                    "pv_area", "wt_rated", "eta_rec", "eta_inv", "eta",
+                    "soc_min", "soc_max", "leak", "fade", "fade_floor",
+                    "unit_power", "unit_energy", "p_rated", "p_min")]
+                + [(name, ctypes.c_int) for name in (
+                    "fixed_power_limit", "dg_may_charge", "by_throughput")])
+
+
+class CascadeTotals(ctypes.Structure):
+    """``cascade_totals`` of ``_cascade.c``: what the hours of a run add up
+    to, each sum ``np.sum``'s of its row, as both twins of an annual run
+    return it."""
+
+    _fields_ = ([(name, ctypes.c_double) for name in (
+                    "energy", "dump", "lost", "res")]
+                + [("online", ctypes.c_long), ("starts", ctypes.c_long)])
+
+
+def _address(a: np.ndarray | None):
+    return None if a is None else a.__array_interface__["data"][0]
+
+
+def cascade_inputs(demand_dc: np.ndarray, battery: BatterySpec,
+                   generator: GeneratorSpec, dg_may_charge: bool,
+                   eta_rec: float, cycle_counting: str, *,
+                   res_dc: np.ndarray | None = None, profile=None,
+                   pv_area: float = 0.0, wt_rated: float = 0.0,
+                   eta_inv: float = 1.0) -> CascadeInputs:
+    """The record of a run over ``demand_dc`` and either the feed-in
+    ``res_dc`` or the ``simulate.FeedInProfile`` ``profile``, which the
+    kernel turns into feed-in with ``pv_area`` and ``wt_rated``.  The arrays
+    must be C-contiguous float64 arrays of one length.  ``eta_inv`` scales
+    the lost load; 1 keeps it on the DC bus."""
+    irr, pv_eta, wt_frac = (None,) * 3 if profile is None else profile
+    arrays = (res_dc, demand_dc, irr, pv_eta, wt_frac)
+    for a in arrays:
+        if a is not None and (a.dtype != np.float64 or a.shape != demand_dc.shape
+                              or a.ndim != 1 or not a.flags.c_contiguous):
+            raise ValueError("the cascade reads 1-D C-contiguous float64 "
+                             "arrays of one length")
+    record = CascadeInputs(
+        len(demand_dc), *map(_address, arrays), pv_area, wt_rated, eta_rec,
+        eta_inv, battery.round_trip_eff, battery.soc_min, battery.soc_max,
+        self_discharge_hourly(battery), battery.fade_per_cycle,
+        CAPACITY_FADE_FLOOR, battery.rated_power_per_unit,
+        battery.unit_energy, generator.rated_power, generator.min_power,
+        int(battery.fixed_power_limit), int(dg_may_charge),
+        int(cycle_counting == "throughput"))
+    record.arrays = arrays
+    return record
 
 
 class DayInputs(ctypes.Structure):
@@ -98,15 +160,13 @@ def _load_cascade():
         lib = ctypes.CDLL(str(_cascade_library()))
     except (OSError, subprocess.CalledProcessError):
         return None
-    # Arrays go in as raw addresses: the callers make them C-contiguous
-    # float64, so checking each one on every call would only cost time.
-    c_double, c_int, address = ctypes.c_double, ctypes.c_int, ctypes.c_void_p
-    lib.cascade.argtypes = ([ctypes.c_long, address, address]
-                            + [c_double] * 7 + [c_int, c_double, c_double]
-                            + [c_double] * 3
-                            + [c_int, c_int, ctypes.POINTER(_CState)]
-                            + [address, ctypes.POINTER(ctypes.c_long)])
-    lib.cascade.restype = None
+    # Arrays go in as raw addresses: the input arrays through a record,
+    # checked once when it is built, and the output block, which the
+    # wrapper allocates, as it is.
+    c_double, address = ctypes.c_double, ctypes.c_void_p
+    lib.cascade.argtypes = [ctypes.POINTER(CascadeInputs), c_double, c_double,
+                            c_double, ctypes.POINTER(_CState), address]
+    lib.cascade.restype = CascadeTotals
     lib.day_hours.argtypes = [address, ctypes.POINTER(DayInputs), address]
     lib.day_hours.restype = DayTotals
     return lib
@@ -118,25 +178,32 @@ KERNEL = "python" if _LIBRARY is None else "c"
 day_hours = None if _LIBRARY is None else _LIBRARY.day_hours
 
 
+def run(inputs: CascadeInputs, pv_units: float, wt_units: float,
+        e_b_init: float, start: CascadeState):
+    """A cascade run in C: its hourly block, the final ``CascadeState`` and
+    the ``CascadeTotals``.  When ``inputs`` holds a feed-in profile the
+    kernel forms the feed-in of ``pv_units`` and ``wt_units``, and the block
+    has eight rows: p_pv, p_wt, feed-in, p_dg, p_bs, soc, dump and the lost
+    load scaled by ``eta_inv``; when it holds the feed-in, the block has the
+    last five.  The twin of the eight-row run is ``simulate._year_python``.
+    """
+    out = np.empty((5 if inputs.res else 8, inputs.n))
+    state = _CState(start.soc, start.cycles, start.throughput,
+                    int(start.discharging))
+    totals = _LIBRARY.cascade(inputs, pv_units, wt_units, e_b_init, state,
+                              out.__array_interface__["data"][0])
+    end = CascadeState(state.soc, state.cycles, state.throughput,
+                       bool(state.discharging))
+    return out, end, totals
+
+
 def cascade(res_dc: np.ndarray, demand_dc: np.ndarray, battery: BatterySpec,
             e_b_init: float, generator: GeneratorSpec, dg_may_charge: bool,
             eta_rec: float, start: CascadeState, cycle_counting: str):
-    """The cascade in C, with the arguments and results of its twin.
-    ``res_dc`` and ``demand_dc`` must be C-contiguous float64 arrays, as
-    ``simulate.dispatch_cascade`` makes them."""
-    n = len(res_dc)
-    out = np.empty((5, n))
-    counts = (ctypes.c_long * 2)()
-    state = _CState(start.soc, start.cycles, start.throughput,
-                    int(start.discharging))
-    _LIBRARY.cascade(n, res_dc.ctypes.data, demand_dc.ctypes.data, e_b_init,
-                     battery.round_trip_eff, battery.soc_min, battery.soc_max,
-                     self_discharge_hourly(battery), battery.fade_per_cycle,
-                     CAPACITY_FADE_FLOOR, int(battery.fixed_power_limit),
-                     battery.rated_power_per_unit, battery.unit_energy,
-                     generator.rated_power, generator.min_power, eta_rec,
-                     int(dg_may_charge), int(cycle_counting == "throughput"),
-                     ctypes.byref(state), out.ctypes.data, counts)
-    end = CascadeState(state.soc, state.cycles, state.throughput,
-                       bool(state.discharging))
-    return (*out, end, tuple(counts))
+    """The cascade in C over the feed-in ``res_dc``, with the arguments and
+    results of its twin.  ``res_dc`` and ``demand_dc`` must be C-contiguous
+    float64 arrays, as ``simulate.dispatch_cascade`` makes them."""
+    inputs = cascade_inputs(demand_dc, battery, generator, dg_may_charge,
+                            eta_rec, cycle_counting, res_dc=res_dc)
+    out, end, totals = run(inputs, 0.0, 0.0, e_b_init, start)
+    return (*out, end, (totals.online, totals.starts))

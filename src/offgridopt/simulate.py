@@ -12,7 +12,10 @@ and any final shortfall is lost load.
 
 The cascade runs in the C kernel ``kernels.cascade`` when it can be built
 and loaded, and in its Python twin ``_cascade_python`` otherwise; both give
-bit-identical results.  ``kernels.KERNEL`` names the one in use.
+bit-identical results.  ``kernels.KERNEL`` names the one in use.  A year of
+``simulate_year`` is one call of ``kernels.run``, which also forms the
+feed-in and the annual sums; its twin ``_year_python`` composes
+``renewable_feed_in``, ``_cascade_python`` and numpy's sums.
 """
 
 from __future__ import annotations
@@ -113,7 +116,9 @@ class SimulationContext:
     is swept, so normalized objectives remain comparable across runs.
 
     The context is frozen because it caches what it derives from its fields;
-    ``dataclasses.replace`` makes a changed copy with an empty cache.
+    ``dataclasses.replace`` makes a changed copy with an empty cache.  A
+    pickled context leaves ``year_inputs`` behind, so an unpickled one
+    builds its own.
     """
 
     climate: ClimateSeries
@@ -159,6 +164,26 @@ class SimulationContext:
         return (feed_in_profile(climate, self.pv, self.wind,
                                 printed_curve=self.strategy.wt_printed_curve),
                 load.demand / self.converter.eta_inv, load_kwh)
+
+    @cached_property
+    def year_inputs(self) -> kernels.CascadeInputs:
+        """The record ``kernels.run`` reads for a year: the addresses of the
+        arrays of ``hourly_inputs`` and the constants of the context's
+        devices and strategy.  Built on first use and never pickled: its
+        addresses mean nothing in another process."""
+        feed_in, demand_dc, _ = self.hourly_inputs
+        strategy, converter = self.strategy, self.converter
+        return kernels.cascade_inputs(
+            demand_dc, self.battery, self.generator,
+            strategy.dg_may_charge_battery, converter.eta_rec,
+            strategy.cycle_counting, profile=feed_in,
+            pv_area=self.pv.collector_area, wt_rated=self.wind.rated_power,
+            eta_inv=converter.eta_inv)
+
+    def __getstate__(self):
+        state = dict(vars(self))
+        state.pop("year_inputs", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -223,12 +248,13 @@ class FeedInProfile(NamedTuple):
 
 def feed_in_profile(climate: ClimateSeries, pv: PvSpec, wind: WindSpec,
                     printed_curve: bool = False) -> FeedInProfile:
-    """The feed-in factors of a climate series, shared by every design."""
+    """The feed-in factors of a climate series, shared by every design, as
+    C-contiguous arrays, which the compiled kernel reads by address."""
     v_hub = hub_wind_speed(climate.wind_speed_ref, climate.ref_height, wind)
-    return FeedInProfile(
+    return FeedInProfile(*map(np.ascontiguousarray, (
         climate.irradiance,
         pv_efficiency(climate.irradiance, climate.temp_ambient, pv),
-        wt_power_fraction(v_hub, wind, printed_form=printed_curve))
+        wt_power_fraction(v_hub, wind, printed_form=printed_curve))))
 
 
 def renewable_feed_in(design: Design, profile: FeedInProfile, pv: PvSpec,
@@ -410,27 +436,44 @@ def count_transitions(online) -> int:
     return int(sum(map(gt, online, [False, *online])))
 
 
+def _year_python(design: Design, ctx: SimulationContext):
+    """The twin of an annual ``kernels.run`` and its fallback: the feed-in of
+    ``renewable_feed_in``, the cascade of ``_cascade_python`` from a fresh
+    bank, the lost load scaled to the customer (AC) side and numpy's sums.
+    Returns the eight hourly rows, the final ``CascadeState`` and the
+    ``kernels.CascadeTotals``."""
+    feed_in, demand_dc, _ = ctx.hourly_inputs
+    p_pv, p_wt, res_dc = renewable_feed_in(design, feed_in, ctx.pv, ctx.wind,
+                                           ctx.converter)
+    p_dg, p_bs, soc, dump, lost, end, (online, starts) = _cascade_python(
+        res_dc, demand_dc, ctx.battery, design.e_b_init, ctx.generator,
+        ctx.strategy.dg_may_charge_battery, ctx.converter.eta_rec,
+        CascadeState(ctx.battery.soc_max), ctx.strategy.cycle_counting)
+    lost *= ctx.converter.eta_inv
+    # The five hourly rows are views of one block: one reduction sums them.
+    energy, _, _, dump_kwh, lost_kwh = p_dg.base.sum(axis=1).tolist()
+    totals = kernels.CascadeTotals(energy, dump_kwh, lost_kwh,
+                                   float(res_dc.sum()), online, starts)
+    return (p_pv, p_wt, res_dc, p_dg, p_bs, soc, dump, lost), end, totals
+
+
 def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
     """Simulate one year (8760 h) and compute objectives and lifecycle costs."""
     if len(ctx.load) != 8760:
         raise InputDataError("annual simulation needs 8760 hourly records")
-    feed_in, demand_dc, load_kwh = ctx.hourly_inputs
-    p_pv, p_wt, res_dc = renewable_feed_in(design, feed_in, ctx.pv, ctx.wind,
-                                           ctx.converter)
+    load_kwh = ctx.hourly_inputs[2]
+    if kernels.KERNEL == "c":
+        rows, end, totals = kernels.run(
+            ctx.year_inputs, design.pv_units, design.wt_units,
+            design.e_b_init, CascadeState(ctx.battery.soc_max))
+    else:
+        rows, end, totals = _year_python(design, ctx)
+    p_pv, p_wt, res_dc, p_dg, p_bs, soc, dump, lost = rows
+    cycles = end.cycles
+    dg_energy, dump_kwh, lost_kwh = totals.energy, totals.dump, totals.lost
+    online_hours, starts = totals.online, totals.starts
 
     gen = ctx.generator
-    p_dg, p_bs, soc, dump, lost, end, (online_hours, starts) = \
-        dispatch_cascade(res_dc, demand_dc, ctx.battery, design.e_b_init,
-                         gen, ctx.strategy.dg_may_charge_battery,
-                         eta_rec=ctx.converter.eta_rec,
-                         cycle_counting=ctx.strategy.cycle_counting)
-    cycles = end.cycles
-    lost *= ctx.converter.eta_inv    # unserved load on the customer (AC) side
-
-    # The five hourly rows are views of one block: one reduction sums them.
-    dg_energy, _, _, dump_kwh, lost_kwh = p_dg.base.sum(axis=1).tolist()
-    res_energy = float(res_dc.sum())
-
     capital = economics.initial_capital(
         design.pv_kw(ctx.pv), design.wt_kw(ctx.wind), design.e_b_init,
         gen.rated_power, ctx.costs)
@@ -447,11 +490,11 @@ def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
         p_pv=p_pv, p_wt=p_wt, p_res=res_dc, p_dg=p_dg, p_bs=p_bs, soc=soc,
         p_dump=dump, p_lost=lost, load=ctx.load.demand,
         dg_online_hours=online_hours, dg_starts=starts, battery_cycles=cycles,
-        dg_energy_kwh=dg_energy, res_energy_kwh=res_energy, dump_kwh=dump_kwh,
-        lost_kwh=lost_kwh, load_kwh=load_kwh,
+        dg_energy_kwh=dg_energy, res_energy_kwh=totals.res,
+        dump_kwh=dump_kwh, lost_kwh=lost_kwh, load_kwh=load_kwh,
         objectives=economics.objective_vector(
             life.lcoe, emissions, baseline, lost_kwh, load_kwh, dump_kwh,
-            res_energy, dg_energy, ctx.converter.eta_rec),
+            totals.res, dg_energy, ctx.converter.eta_rec),
         # ``LifecycleCost``'s fields are CostBreakdown's next six, in order
         cost=CostBreakdown(capital.pv, capital.wt, capital.bs, capital.dg,
                            capital.converter, *life, baseline_lcoe=baseline.lcoe,

@@ -61,9 +61,10 @@ class SearchSpace:
         return len(self.lower)
 
     def round_point(self, x: np.ndarray) -> np.ndarray:
-        x = np.clip(x, self.lower, self.upper)
-        out = x.copy()
-        out[self.integer_mask] = np.round(out[self.integer_mask])
+        """``x`` clipped to the box with its integer dimensions rounded: a
+        fresh array of one point, or of a (K, d) generation of points."""
+        out = np.clip(x, self.lower, self.upper)
+        out[..., self.integer_mask] = np.round(out[..., self.integer_mask])
         return out
 
 
@@ -103,9 +104,19 @@ class _Evaluator:
     def exhausted(self) -> bool:
         return self.count >= self.max_evals
 
+    def generation(self, xs) -> list[float]:
+        """The values of the rows of a (K, d) generation, rounded in one
+        call and scored in order until the budget runs out: one value per
+        row scored."""
+        points = self.space.round_point(np.asarray(xs, dtype=float))
+        values = []
+        for x in points[:max(self.max_evals - self.count, 0)]:
+            self.count += 1
+            values.append(float(self.objective(x)))
+        return values
+
     def __call__(self, x) -> float:
-        self.count += 1
-        return float(self.objective(self.space.round_point(np.asarray(x, dtype=float))))
+        return self.generation(np.asarray(x, dtype=float)[None])[0]
 
 
 def _report(name, ev: _Evaluator, best_x, t0) -> SolverReport:
@@ -128,7 +139,7 @@ def pso_minimize(objective, space: SearchSpace, swarm_size: int = 30,
 
     x = lo + rng.uniform(size=(swarm_size, space.dim)) * span
     v = rng.uniform(-1, 1, size=(swarm_size, space.dim)) * span * 0.1
-    fx = np.array([ev(xi) for xi in x])
+    fx = np.array(ev.generation(x))
     pbest, fpbest = x.copy(), fx.copy()
     g = int(np.argmin(fpbest))
     gbest, fgbest = pbest[g].copy(), fpbest[g]
@@ -140,10 +151,7 @@ def pso_minimize(objective, space: SearchSpace, swarm_size: int = 30,
         v = PSO_OMEGA * v + PSO_C1 * r1 * (pbest - x) + PSO_C2 * r2 * (gbest - x)
         x = np.clip(x + v, lo, hi)
         prev_best = fgbest
-        for i in range(swarm_size):
-            if ev.exhausted:
-                break
-            fi = ev(x[i])
+        for i, fi in enumerate(ev.generation(x)):
             if fi < fpbest[i]:
                 fpbest[i] = fi
                 pbest[i] = x[i].copy()
@@ -171,7 +179,7 @@ def ga_minimize(objective, space: SearchSpace, population: int = 50,
     span = np.where(hi > lo, hi - lo, 1.0)
 
     pop = lo + rng.uniform(size=(population, space.dim)) * (hi - lo)
-    fit = np.array([ev(p) for p in pop])
+    fit = np.array(ev.generation(pop))
     best_i = int(np.argmin(fit))
     best_x, best_f = pop[best_i].copy(), fit[best_i]
 
@@ -192,10 +200,7 @@ def ga_minimize(objective, space: SearchSpace, population: int = 50,
             child = np.where(mutate, child + rng.normal(0, 0.15, space.dim) * span, child)
             children[k] = np.clip(child, lo, hi)
         prev_best = best_f
-        for k in range(population):
-            if ev.exhausted:
-                break
-            fk = ev(children[k])
+        for k, fk in enumerate(ev.generation(children)):
             # steady-state elitism: child replaces current worst if better
             worst = int(np.argmax(fit))
             if fk < fit[worst]:
@@ -426,14 +431,17 @@ def pareto_front(objectives, space: SearchSpace, population: int = 40,
     lo, hi = space.lower, space.upper
     span = np.where(hi > lo, hi - lo, 1.0)
 
-    def evaluate(x):
-        vals = np.asarray(objectives(space.round_point(x)), dtype=float)
-        if vals.ndim != 1 or len(vals) < 2:
-            raise InputDataError("objectives must return a vector of >= 2 values")
-        return vals
+    def evaluate(generation):
+        rows = []
+        for x in space.round_point(generation):
+            vals = np.asarray(objectives(x), dtype=float)
+            if vals.ndim != 1 or len(vals) < 2:
+                raise InputDataError("objectives must return a vector of >= 2 values")
+            rows.append(vals)
+        return np.array(rows)
 
     pop = lo + rng.uniform(size=(population, space.dim)) * (hi - lo)
-    vals = np.array([evaluate(p) for p in pop])
+    vals = evaluate(pop)
 
     for _ in range(generations):
         children = np.empty_like(pop)
@@ -447,7 +455,7 @@ def pareto_front(objectives, space: SearchSpace, population: int = 40,
             mutate = rng.uniform(size=space.dim) < 0.2
             child = np.where(mutate, child + rng.normal(0, 0.1, space.dim) * span, child)
             children[k] = np.clip(child, lo, hi)
-        child_vals = np.array([evaluate(c) for c in children])
+        child_vals = evaluate(children)
 
         all_pop = np.vstack([pop, children])
         all_vals = np.vstack([vals, child_vals])
@@ -466,7 +474,7 @@ def pareto_front(objectives, space: SearchSpace, population: int = 40,
 
     # final strict filter: drop any dominated member, and any member close
     # (np.allclose, the earlier member as reference) to an earlier kept one
-    rounded = np.array([space.round_point(p) for p in pop])
+    rounded = space.round_point(pop)
     dominated = _dominance(vals).any(axis=0)
     close = (np.isclose(rounded[:, None], rounded[None]).all(axis=2)
              & np.isclose(vals[:, None], vals[None]).all(axis=2))

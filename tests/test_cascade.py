@@ -1,6 +1,8 @@
 """The load-following cascade kernels: the compiled kernel against the
-Python reference loop on random specs, the cascade's invariants, chaining
-through the carried battery state, and the fallback to the Python loop."""
+Python reference loop on random specs, the compiled year (feed-in, cascade
+and sums in one call) against its Python composition, the kernel's sums
+against ``np.sum``, the cascade's invariants, chaining through the carried
+battery state, and the fallback to the Python loop."""
 
 import dataclasses
 import shutil
@@ -16,12 +18,16 @@ from hypothesis.extra import numpy as hnp
 from offgridopt import kernels
 from offgridopt.config import build_config, build_context
 from offgridopt.devices import (CAPACITY_FADE_FLOOR, BatterySpec,
-                                GeneratorSpec, battery_capacity,
-                                lead_acid_spec, microturbine_spec,
-                                self_discharge_hourly)
-from offgridopt.simulate import (CascadeState, Design, _cascade_python,
-                                 count_transitions, dispatch_cascade,
-                                 renewable_feed_in, simulate_year)
+                                ConverterSpec, GeneratorSpec, PvSpec,
+                                WindSpec, battery_capacity, lead_acid_spec,
+                                microturbine_spec, self_discharge_hourly)
+from offgridopt.economics import CostTable, FinancialParams
+from offgridopt.simulate import (CascadeState, Design, SimulationContext,
+                                 StrategyConfig, _cascade_python,
+                                 _year_python, count_transitions,
+                                 dispatch_cascade, renewable_feed_in,
+                                 simulate_year)
+from offgridopt.timeseries import ClimateSeries, LoadSeries
 
 needs_compiled = pytest.mark.skipif(kernels.KERNEL != "c",
                                     reason="the C kernel could not be built")
@@ -258,6 +264,115 @@ def test_compiled_kernel_equals_python_loop_over_a_year(variant):
                     start=CascadeState(ctx.battery.soc_max),
                     cycle_counting=ctx.strategy.cycle_counting)
         assert_same_run(kernels.cascade(**case), _cascade_python(**case))
+
+
+@st.composite
+def year_cases(draw, hours=random_hours() | stretched_hours()):
+    """A context over random climate hours, whose load is the demand of a
+    ``cascade_cases`` draw and whose battery, generator, rectifier and
+    strategy are that draw's, with random PV and wind units and a design
+    that may have no PV, no wind or no battery."""
+    case = draw(cascade_cases(hours=hours))
+    load = case["demand_dc"]
+    n = len(load)
+    if not load.sum() > 0.0:
+        load = load + 1.0
+    climate = ClimateSeries(
+        draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.2))),
+        draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 30.0))),
+        draw(hnp.arrays(np.float64, n, elements=st.floats(-10.0, 50.0))),
+        draw(st.floats(1.0, 20.0)))
+    ctx = SimulationContext(
+        climate, LoadSeries(load),
+        PvSpec(collector_area=draw(st.floats(0.5, 3.0))),
+        WindSpec(rated_power=draw(st.floats(0.5, 50.0))),
+        case["battery"], case["generator"],
+        ConverterSpec(eta_inv=draw(st.floats(0.5, 1.0)),
+                      eta_rec=case["eta_rec"]),
+        CostTable(), FinancialParams(),
+        StrategyConfig(dg_may_charge_battery=case["dg_may_charge"],
+                       cycle_counting=case["cycle_counting"]))
+    units = st.just(0) | st.integers(0, 60)
+    return ctx, Design(draw(units), draw(units), case["e_b_init"])
+
+
+def totals_bits(totals):
+    return struct.pack("4d2q", totals.energy, totals.dump, totals.lost,
+                       totals.res, totals.online, totals.starts)
+
+
+def assert_same_year(ctx, design):
+    """The compiled run of a design over the context's hours equals its
+    Python composition bit for bit: the eight rows, the final state and
+    the totals."""
+    rows, end, totals = kernels.run(
+        ctx.year_inputs, design.pv_units, design.wt_units, design.e_b_init,
+        CascadeState(ctx.battery.soc_max))
+    py_rows, py_end, py_totals = _year_python(design, ctx)
+    assert rows.tobytes() == np.stack(py_rows).tobytes()
+    assert struct.pack("3d?", *end) == struct.pack("3d?", *py_end)
+    assert totals_bits(totals) == totals_bits(py_totals)
+
+
+@needs_compiled
+@settings(max_examples=300, deadline=None)
+@given(year_cases())
+def test_compiled_year_equals_its_python_composition(case):
+    """Feed-in, cascade, lost load on the AC side and the sums in one
+    compiled call against ``renewable_feed_in``, ``_cascade_python`` and
+    numpy."""
+    assert_same_year(*case)
+
+
+def sum_in_kernel(values):
+    """The kernel's total of a feed-in row: np.sum's, by its definition."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    inputs = kernels.cascade_inputs(
+        np.zeros(len(values)), BatterySpec(), GeneratorSpec(rated_power=0.0),
+        False, 0.9, "reversal", res_dc=values)
+    return kernels.run(inputs, 0.0, 0.0, 0.0, CascadeState(1.0))[2].res
+
+
+def same_double(a, b):
+    return bits(a) == bits(b) or (np.isnan(a) and np.isnan(b))
+
+
+def bits(x):
+    return struct.pack("d", x)
+
+
+@needs_compiled
+def test_kernel_sum_is_np_sum():
+    """numpy sums pairwise in blocks of up to 128 values.  Every length up
+    to 300 and the lengths of a year and of a leap year, on values whose sum
+    depends on the order of the additions, signed zeros, infinities and
+    NaN."""
+    rng = np.random.default_rng(8760)
+    for n in (*range(1, 301), 8760, 8784):
+        spread = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        cancelling = np.resize([1e16, 1.0, -1e16, 1.0, 3.5e-7], n)
+        zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        special = rng.choice([np.inf, -np.inf, np.nan, -0.0, 0.0, 1.0], n)
+        for values in (spread, cancelling, -cancelling, zeros,
+                       np.full(n, -0.0),
+                       np.where(rng.random(n) < 0.1, special, spread),
+                       np.where(rng.random(n) < 0.01, special, cancelling)):
+            with np.errstate(invalid="ignore"):   # inf + -inf
+                expected = np.sum(values)
+            assert same_double(sum_in_kernel(values), expected), n
+
+
+@needs_compiled
+@pytest.mark.parametrize("variant", ANNUAL_VARIANTS)
+def test_compiled_year_equals_its_python_composition_over_a_year(variant):
+    """Random designs of the sizing box, with and without PV, wind or a
+    battery, a whole year each."""
+    ctx = build_context(build_config(ANNUAL_VARIANTS[variant]), seed=7919)
+    rng = np.random.default_rng(sum(map(ord, variant)))
+    for pv, wt, e_b in zip([0, *rng.integers(0, 101, 3)],
+                           [*rng.integers(0, 31, 2), 0, 5],
+                           [*rng.uniform(0.0, 200.0, 3), 0.0]):
+        assert_same_year(ctx, Design(int(pv), int(wt), float(e_b)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -158,6 +159,21 @@ def test_lcoe_reference_value_and_scaling():
 # ---------------------------------------------------------------------------
 # Emissions
 # ---------------------------------------------------------------------------
+
+def test_emission_factors_cannot_change_after_construction():
+    """The generator keeps a read-only copy of its factors, so the sum it
+    derives once cannot go stale, also after a pickle round trip."""
+    factors = dict(GeneratorSpec().emission_factors)
+    gen = GeneratorSpec(emission_factors=factors)
+    total = gen.emission_factor_total
+    factors["CO2"] = 10.0
+    for spec in (gen, pickle.loads(pickle.dumps(gen))):
+        with pytest.raises(TypeError):
+            spec.emission_factors["CO2"] = 10.0
+        assert spec == gen
+        assert spec.emission_factor_total == total == emission_factor_sum(spec)
+        assert emissions_total(3.0, spec) == total * 3.0
+
 
 def test_emission_factor_sums():
     de = emission_factor_sum(GeneratorSpec())

@@ -298,6 +298,18 @@ def test_a_schedule_keeps_signed_zeros(contexts):
     assert evaluate_schedule(schedule, ctx).violations["dg_rated"] == 0.0
 
 
+@pytest.mark.parametrize("row", ["p_dg", "p_bs"])
+def test_a_schedule_s_rows_are_read_only(contexts, row):
+    """A NaN written into a row after construction reached the scorer,
+    which called the day feasible."""
+    ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 10, W4)
+    schedule = rule_based_schedule(ctx)
+    scored = evaluate_schedule(schedule, ctx)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(schedule, row)[5] = np.nan
+    assert evaluate_schedule(schedule, ctx) == scored
+
+
 def test_a_copied_schedule_has_a_block_of_its_own(contexts):
     ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 51, W4)
     schedule = rule_based_schedule(ctx)
@@ -305,7 +317,7 @@ def test_a_copied_schedule_has_a_block_of_its_own(contexts):
                  pickle.loads(pickle.dumps(schedule))):
         assert twin._address != schedule._address
         assert evaluate_schedule(twin, ctx) == evaluate_schedule(schedule, ctx)
-        twin.p_dg[:] = 0.0
+        twin._rows[0] = 0.0
         assert schedule.p_dg.any()
 
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import sys
 import textwrap
 
@@ -165,8 +167,8 @@ def test_simulate_year_does_not_regrow_the_heap(run_python):
     Without scipy loaded, glibc keeps its default heap-trim threshold, so a
     call that frees many separate hourly arrays returns the heap top to the
     system and the next call faults it back in (about 120 minor faults per
-    call).  One (5, n) output block, whose first free raises that
-    threshold, and feed-in products formed in place avoid that."""
+    call).  One (8, n) output block per call, whose first free raises that
+    threshold, avoids that."""
     out = run_python(textwrap.dedent("""
         import resource, sys
         from offgridopt.config import build_config, build_context
@@ -365,6 +367,23 @@ def test_replaced_context_simulates_like_a_fresh_one(annual_ctx, field):
     fresh = simulate_year(design, SimulationContext(**fresh_fields))
     assert_same_simulation(replaced, fresh)
     assert replaced.objectives != before.objectives
+
+
+@pytest.mark.parametrize("clone", [lambda ctx: pickle.loads(pickle.dumps(ctx)),
+                                   copy.deepcopy])
+def test_a_used_context_travels_without_its_kernel_record(annual_ctx, clone):
+    """The compiled year kernel's record holds the addresses of the
+    context's arrays; a copy builds its own from its own arrays."""
+    design = Design(100, 8, 45.45)
+    used = simulate_year(design, annual_ctx)
+    if kernels.KERNEL == "c":
+        assert "year_inputs" in vars(annual_ctx)
+    twin = clone(annual_ctx)
+    assert "year_inputs" not in vars(twin)
+    assert_same_simulation(simulate_year(design, twin), used)
+    if kernels.KERNEL == "c":
+        assert twin.year_inputs.dem != annual_ctx.year_inputs.dem
+        assert twin.year_inputs.dem == twin.hourly_inputs[1].ctypes.data
 
 
 def test_context_fields_cannot_be_reassigned(annual_ctx):

@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 from offgridopt.config import build_config
 from offgridopt.errors import InputDataError
 from offgridopt.solvers import (SearchSpace, _crowding_distance,
-                                _nondominated_sort, benchmark_to_csv,
+                                _Evaluator, _nondominated_sort,
+                                benchmark_to_csv,
                                 benchmark_to_json, dominates, ga_minimize,
                                 multistart_minimize, pareto_front,
                                 pattern_search_minimize, pso_minimize,
@@ -154,6 +155,24 @@ def test_incumbent_monotone_in_budget():
 # ---------------------------------------------------------------------------
 # Pareto front
 # ---------------------------------------------------------------------------
+
+def test_a_generation_is_rounded_at_once_and_scored_until_the_budget_ends():
+    space = SearchSpace([0, 0], [10, 1], [True, False])
+    seen = []
+
+    def objective(x):
+        seen.append(x.tolist())
+        return x.sum()
+
+    ev = _Evaluator(objective, space, max_evals=4)
+    generation = np.array([[1.4, 0.25], [2.6, 0.5], [11.0, -1.0]])
+    assert ev.generation(generation) == [1.25, 3.5, 10.0]
+    assert seen == [space.round_point(x).tolist() for x in generation]
+    assert ev.generation(generation) == [1.25]
+    assert ev.exhausted and ev.count == 4
+    assert ev.generation(generation) == []
+    assert len(seen) == 4
+
 
 def test_dominates_definition():
     assert dominates(np.array([1.0, 2.0]), np.array([1.0, 3.0]))

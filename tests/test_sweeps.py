@@ -149,6 +149,19 @@ def test_sweep_starts_no_more_processes_than_points(monkeypatch, workers,
     assert pools == ([started] if started else [])
 
 
+def test_a_sweep_in_two_processes_equals_one_in_this_process(annual_ctx,
+                                                             default_config):
+    """The workers receive a pickled context that this process has already
+    simulated with, and build their own compiled-kernel records."""
+    simulate_year(DESIGN, annual_ctx)
+    problem = SizingProblem(annual_ctx, default_config.search_space(), W,
+                            "pso", 60, 10)
+    spec = SweepSpec("fuel_price", (2.0, 4.0))
+    here = run_sweep(spec, problem, seed=3)
+    assert run_sweep(spec, problem, seed=3, workers=2) == here
+    assert [r.status for r in here] == ["ok", "ok"]
+
+
 def test_generator_rating_sweep_reliability_trend(annual_ctx, default_config):
     problem = SizingProblem(annual_ctx, default_config.search_space(), W,
                             "pso", 600, 20)
