@@ -3,9 +3,11 @@
  *   cascade    the load-following priority cascade (_cascade_python in
  *              simulate.py); over a year it also forms the renewable
  *              feed-in and the annual sums (_year_python there);
- *   day_hours  the pass over the 24 hours of a dispatch schedule
- *              (_day_hours in dispatch.py, with propagate_soc and day_sum
- *              there).
+ *   day_hours  the pass over the 24 hours of a dispatch schedule and the
+ *              constraint residuals and penalty it leaves (_day_hours in
+ *              dispatch.py, with propagate_soc and day_sum there); the
+ *              dispatch search rejects a candidate on the penalty before
+ *              it prices it, and prices stay in Python.
  *
  * Both kernels give bit-identical results.  Every operation the C code
  * performs is the one the Python code performs, with the same IEEE double
@@ -408,26 +410,43 @@ typedef struct {
     double cap;          /* battery capacity [kWh]; none when <= 0 */
     double keep;         /* 1 - hourly self-discharge */
     double eta;          /* battery round-trip efficiency */
+    double p_rated;      /* generator rated output [kW] */
+    double p_lim;        /* battery power limit [kW]; 0 without a battery */
+    double soc_min;      /* the SOC window */
+    double soc_max;
+    double load_kwh;     /* the day's load [kWh], > 0 */
+    double dpsp_max;     /* the largest lost-load share allowed */
+    double mu;           /* weight of the residuals in the search value */
 } day_inputs;
 
-/* What the hours of a schedule add up to. */
+/* What the hours of a schedule add up to, and the constraint residuals
+ * they leave, each max(0, excess) and 0 when the excess is NaN. */
 typedef struct {
     double energy;       /* sum of p_dg [kWh] */
     double dump;         /* sum of the DC-bus surplus [kWh] */
     double lost;         /* sum of the AC load not served [kWh] */
     long online;         /* online hours */
     long starts;         /* generator starts */
-    double semicont;     /* largest shortfall below p_min in an online hour */
-    double p_dg_max;     /* largest p_dg */
-    double p_bs_max;     /* largest |p_bs| */
-    double soc_min;      /* smallest of the 25 SOC knots */
-    double soc_max;      /* largest of the 25 SOC knots */
+    double semi;         /* largest shortfall below p_min in an online hour */
+    double rated;        /* largest p_dg above p_rated */
+    double power;        /* largest |p_bs| above p_lim */
+    double soc;          /* largest SOC knot outside the window */
+    double over;         /* lost-load share above dpsp_max */
+    double penalty;      /* mu * (semi + rated + power + 10 soc + over) */
 } day_totals;
+
+/* x if x > 0, else 0.0: Python's max(0.0, x), which keeps the first of
+ * the largest, so 0.0 unless x is above it (a NaN x is not). */
+static inline double excess(double x)
+{
+    return x > 0.0 ? x : 0.0;
+}
 
 /* One pass over the 24 hours of a schedule, a row-major (2, 24) block of
  * p_dg and p_bs.  Maxima and minima are Python's max and min: the first of
- * the extreme values.  When rows is not NULL it receives the 25 SOC knots,
- * then the 24 dump and the 24 lost-load hours. */
+ * the extreme values.  x -> x - c rounds monotonically, so the excess of
+ * an extreme value is the largest excess.  When rows is not NULL it
+ * receives the 25 SOC knots, then the 24 dump and the 24 lost-load hours. */
 day_totals day_hours(const double *schedule, const day_inputs *day,
                      double *rows)
 {
@@ -436,8 +455,8 @@ day_totals day_hours(const double *schedule, const day_inputs *day,
     day_totals out = {0};
     int was_on = 0;
 
-    out.p_dg_max = p_dg[0];
-    out.p_bs_max = fabs(p_bs[0]);
+    double p_dg_max = p_dg[0];
+    double p_bs_max = fabs(p_bs[0]);
     for (int t = 0; t < 24; t++) {
         const double p = p_dg[t];
         const double net = day->res[t] + day->eta_rec * p + p_bs[t]
@@ -448,12 +467,12 @@ day_totals day_hours(const double *schedule, const day_inputs *day,
         out.online += on;
         out.starts += on && !was_on;
         was_on = on;
-        if (on && day->p_min - p > out.semicont)
-            out.semicont = day->p_min - p;
-        if (p > out.p_dg_max)
-            out.p_dg_max = p;
-        if (fabs(p_bs[t]) > out.p_bs_max)
-            out.p_bs_max = fabs(p_bs[t]);
+        if (on && day->p_min - p > out.semi)
+            out.semi = day->p_min - p;
+        if (p > p_dg_max)
+            p_dg_max = p;
+        if (fabs(p_bs[t]) > p_bs_max)
+            p_bs_max = fabs(p_bs[t]);
     }
 
     /* propagate_soc in dispatch.py: battery_step with dt = 1 */
@@ -461,18 +480,29 @@ day_totals day_hours(const double *schedule, const day_inputs *day,
     for (int t = 0; t < 24; t++)
         soc[t + 1] = day->cap <= 0.0 ? soc[t]
                      : day->keep * soc[t] - p_bs[t] * day->eta / day->cap;
-    out.soc_min = out.soc_max = soc[0];
+    double soc_lo = soc[0], soc_hi = soc[0];
     for (int t = 1; t < 25; t++) {
-        if (soc[t] < out.soc_min)
-            out.soc_min = soc[t];
-        if (soc[t] > out.soc_max)
-            out.soc_max = soc[t];
+        if (soc[t] < soc_lo)
+            soc_lo = soc[t];
+        if (soc[t] > soc_hi)
+            soc_hi = soc[t];
     }
 
     /* np.sum of 24 values: day_sum in dispatch.py */
     out.energy = np_sum(p_dg, 24);
     out.dump = np_sum(dump, 24);
     out.lost = np_sum(lost, 24);
+
+    out.rated = excess(p_dg_max - day->p_rated);
+    out.power = excess(p_bs_max - day->p_lim);
+    const double high = soc_hi - day->soc_max;
+    out.soc = excess(day->soc_min - soc_lo);
+    if (high > out.soc)
+        out.soc = high;
+    /* the DPSP, lost / load as economics.metrics_dpsp divides */
+    out.over = excess(out.lost / day->load_kwh - day->dpsp_max);
+    out.penalty = day->mu * (out.semi + out.rated + out.power
+                             + 10.0 * out.soc + out.over);
     if (rows) {
         memcpy(rows, soc, sizeof soc);
         memcpy(rows + 25, dump, sizeof dump);

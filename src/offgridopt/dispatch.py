@@ -7,12 +7,21 @@ safe window for all 25 knot points, and the daily lost-load share must stay
 under ``dpsp_max``.  The search is two-level: the 24-bit generator ON/OFF
 pattern is explored by seeded hill-climbing warm-started from the rule-based
 schedule, and the continuous setpoints inside a pattern are refined by
-projected coordinate descent with an exact penalty on the DPSP constraint.
+projected coordinate descent with an exact penalty on the constraint
+residuals.
+
+A candidate costs one pass over its hours, in the C day kernel or its
+Python twin, which also returns the residuals and the penalty.  The search
+prices a candidate only when its penalty alone does not already rule it
+out; prices and objectives stay in Python (``evaluate_schedule``), and a
+context keeps the price of the last (energy, online hours, starts) it
+priced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import add
 from typing import NamedTuple
 
@@ -72,12 +81,13 @@ class DispatchContext:
             sim.generator.rated_power, sim.costs)
         # As the fields are set: updating vars(self) slowed every later read.
         for name, value in dict(
-            demand_dc=demand_dc, load_kwh=load_kwh, res_dc=res_dc,
-            power_limit=(battery_power_limit(design.e_b_init, battery)
-                         if design.e_b_init > 0 else 0.0),
+            demand_dc=demand_dc, res_dc=res_dc,
             capital=capital, res_kwh=float(res_dc.sum()),
             weight_array=np.array(self.weights.values),
-            dot_operands=np.empty(4),   # the scorer's np.dot operand
+            dot_operands=np.empty(4),   # the weighting's operand
+            # the (energy, online, starts) last priced and its
+            # (c_daily, emissions); see evaluate_schedule
+            price_memo=[None, None],
             daily_fixed_om=economics.fixed_om(capital, sim.costs) / 365.0,
             daily_baseline=_daily_baseline(sim, load_kwh),
             day_inputs=kernels.DayInputs(
@@ -85,19 +95,24 @@ class DispatchContext:
                 sim.converter.eta_rec, sim.converter.eta_inv,
                 sim.generator.min_power, CONSTRAINT_TOL, self.soc_start,
                 design.e_b_init, 1.0 - self_discharge_hourly(battery),
-                battery.round_trip_eff)).items():
+                battery.round_trip_eff, sim.generator.rated_power,
+                (battery_power_limit(design.e_b_init, battery)
+                 if design.e_b_init > 0 else 0.0),
+                battery.soc_min, battery.soc_max, load_kwh, self.dpsp_max,
+                PENALTY_MU)).items():
             object.__setattr__(self, name, value)
 
 
 def _daily_baseline(sim: SimulationContext, energy: float) -> BaselineMetrics:
     """COE and emissions of the baseline generator serving the whole day
     (``energy`` [kWh]) by itself: online 24 h, one startup and one
-    shutdown."""
+    shutdown.  Both must be > 0, as the objectives divide by them."""
     gen, costs = sim.baseline_generator, sim.costs
     c = (economics.operating_cost(gen, costs, energy, 24.0, 1)
          + costs.om_fix_dg * costs.dg_capital_per_kw
          * gen.rated_power / 365.0)
-    return BaselineMetrics(c / energy, economics.emissions_total(energy, gen))
+    return economics.positive_baseline(
+        "daily", c / energy, economics.emissions_total(energy, gen))
 
 
 def day_context(ctx: SimulationContext, design: Design, day: int,
@@ -185,7 +200,7 @@ class DispatchEvaluation:
     c_daily: float
     residuals: tuple                 # the constraint residuals, VIOLATIONS order
     feasible: bool
-    search_value: float              # weighted + PENALTY_MU * the residuals
+    search_value: float              # weighted + the residuals' penalty
 
     @property
     def violations(self) -> dict:
@@ -234,9 +249,10 @@ def _day_hours(ctx: DispatchContext, s: DispatchSchedule,
     """One pass over the hours of a schedule: the SOC knots, dump and lost
     load (the positive and negative parts of the DC-bus balance residual),
     generator online flags and shortfall below the minimum output in an
-    online hour, reduced to a ``DayTotals``.  Sums are taken in ``np.sum``'s
-    order and extremes are Python's ``max`` and ``min``.  When ``rows`` is
-    given it receives the 25 SOC knots, then the 24 dump and lost hours.
+    online hour, reduced to a ``DayTotals`` with the constraint residuals
+    and the penalty.  Sums are taken in ``np.sum``'s order and extremes are
+    Python's ``max`` and ``min``.  When ``rows`` is given it receives the
+    25 SOC knots, then the 24 dump and lost hours.
 
     The twin of, and fallback for, ``kernels.day_hours``; both read the
     day from ``ctx.day_inputs``."""
@@ -244,73 +260,98 @@ def _day_hours(ctx: DispatchContext, s: DispatchSchedule,
     p_dg, p_bs = s._rows.tolist()
     eta_rec, eta_inv, p_min, tol = day.eta_rec, day.eta_inv, day.p_min, day.tol
     dump, lost, online = [], [], []
-    semicont = 0.0
+    semi = 0.0
     for p, b, r, d in zip(p_dg, p_bs, day.res, day.dem):
         net = r + eta_rec * p + b - d
         dump.append(net if net > 0.0 else 0.0)
         lost.append(-net * eta_inv if net < 0.0 else 0.0)
         on = p > tol
         online.append(on)
-        if on and p_min - p > semicont:
-            semicont = p_min - p
-    soc = propagate_soc(ctx, p_bs)
+        if on and p_min - p > semi:
+            semi = p_min - p
+    knots = propagate_soc(ctx, p_bs)
     if rows is not None:
-        rows[:25], rows[25:49], rows[49:] = soc, dump, lost
-    return kernels.DayTotals(
-        day_sum(p_dg), day_sum(dump), day_sum(lost), sum(online),
-        count_transitions(online), semicont, max(p_dg), max(map(abs, p_bs)),
-        min(soc), max(soc))
-
-
-def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext) -> DispatchEvaluation:
-    """Cost, objectives and constraint residuals of a candidate schedule.
-    Infeasibility is reported through ``violations``, never raised.
-
-    The hours are reduced in the C kernel, or in its Python twin
-    ``_day_hours``, with the float operations of the numpy formulation that
-    ``tests/test_scorer.py`` keeps as reference, so every value equals the
-    one numpy gives bit for bit.  Prices and objectives are computed here,
-    and the search value the dispatch search compares, once per schedule.
-    """
-    sim = ctx.sim
-    gen, battery = sim.generator, sim.battery
-    h = (kernels.day_hours(s._address, ctx.day_inputs, None)
-         if kernels.KERNEL == "c" else _day_hours(ctx, s))
-
-    energy = h.energy
-    c_daily = (economics.operating_cost(gen, sim.costs, energy, h.online,
-                                        h.starts)
-               + ctx.daily_fixed_om)
-    objectives = economics.objective_vector(
-        c_daily / ctx.load_kwh, economics.emissions_total(energy, gen),
-        ctx.daily_baseline, h.lost, ctx.load_kwh, h.dump,
-        ctx.res_kwh, energy, sim.converter.eta_rec)
-    lcoe_norm, em_norm, dpsp, repg, one_minus_ref = objectives
-    operands = ctx.dot_operands
-    operands[0], operands[1], operands[2], operands[3] = (
-        lcoe_norm, em_norm, repg, one_minus_ref)
-    weighted = float(np.dot(ctx.weight_array, operands))
-
+        rows[:25], rows[25:49], rows[49:] = knots, dump, lost
+    lost_kwh = day_sum(lost)
     # Each residual is max(0.0, excess) written out: Python's max keeps the
     # first of the largest, so 0.0 unless an excess is above it (a NaN
     # excess is not).  x -> x - c rounds monotonically, so each excess is
     # the extreme value's.
-    semi = h.semicont
-    rated = h.p_dg_max - gen.rated_power
+    rated = max(p_dg) - day.p_rated
     rated = rated if rated > 0.0 else 0.0
-    power = h.p_bs_max - ctx.power_limit
+    power = max(map(abs, p_bs)) - day.p_lim
     power = power if power > 0.0 else 0.0
-    low, high = battery.soc_min - h.soc_min, h.soc_max - battery.soc_max
+    low, high = day.soc_min - min(knots), max(knots) - day.soc_max
     soc = low if low > 0.0 else 0.0
     soc = high if high > soc else soc
-    over = dpsp - ctx.dpsp_max
+    over = economics.metrics_dpsp(lost_kwh, day.load_kwh) - day.dpsp_max
     over = over if over > 0.0 else 0.0
+    return kernels.DayTotals(
+        day_sum(p_dg), day_sum(dump), lost_kwh, sum(online),
+        count_transitions(online), semi, rated, power, soc, over,
+        day.mu * (semi + rated + power + 10.0 * soc + over))
+
+
+def _hours_pass(s: DispatchSchedule, ctx: DispatchContext):
+    """A call without arguments that reduces the hours of ``s``, as they
+    stand when it is made, with the kernel in use."""
+    if kernels.KERNEL == "c":
+        return partial(kernels.day_hours, s._address, ctx.day_inputs, None)
+    return partial(_day_hours, ctx, s)
+
+
+def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext,
+                      hours: kernels.DayTotals | None = None
+                      ) -> DispatchEvaluation:
+    """Cost, objectives and constraint residuals of a candidate schedule.
+    Infeasibility is reported through ``violations``, never raised.
+
+    The hours pass, then pricing.  The hours are reduced in the C kernel,
+    or in its Python twin ``_day_hours``, with the float operations of the
+    numpy formulation that ``tests/test_scorer.py`` keeps as reference, so
+    every value equals the one numpy gives bit for bit; the pass also
+    gives the residuals and the penalty.  Prices, objectives and the
+    search value, ``weighted + penalty``, are computed here.  ``hours``
+    is the search's own pass over ``s``, when it has one, so that it
+    prices a candidate without a second pass.
+    """
+    h = _hours_pass(s, ctx)() if hours is None else hours
+    sim = ctx.sim
+    gen, day = sim.generator, ctx.day_inputs
+    energy, online, starts = h.energy, h.online, h.starts
+    # The operating cost and the emissions depend on the schedule through
+    # (energy, online, starts) alone, and most candidates the search prices
+    # repeat the last one's.  Compared with "==", a key matches only the
+    # same bits: energy is a sum added to 0.0, so never -0.0, and a sum of
+    # finite hours >= 0, so never NaN; the other two are ints.
+    key, memo = (energy, online, starts), ctx.price_memo
+    if memo[0] == key:
+        c_daily, emissions = memo[1]
+    else:
+        c_daily = (economics.operating_cost(gen, sim.costs, energy, online,
+                                            starts)
+                   + ctx.daily_fixed_om)
+        emissions = economics.emissions_total(energy, gen)
+        memo[0], memo[1] = key, (c_daily, emissions)
+    load_kwh = day.load_kwh
+    objectives = economics.objective_vector(
+        c_daily / load_kwh, emissions, ctx.daily_baseline, h.lost, load_kwh,
+        h.dump, ctx.res_kwh, energy, sim.converter.eta_rec)
+    lcoe_norm, em_norm, dpsp, repg, one_minus_ref = objectives
+    operands = ctx.dot_operands
+    operands[0], operands[1], operands[2], operands[3] = (
+        lcoe_norm, em_norm, repg, one_minus_ref)
+    # ndarray.dot is np.dot's matrix product without the dispatcher.
+    weighted = float(ctx.weight_array.dot(operands))
+
+    semi, rated, power, soc, over = residuals = (
+        h.semi, h.rated, h.power, h.soc, h.over)
     tol = CONSTRAINT_TOL
     return DispatchEvaluation(
-        objectives, weighted, c_daily, (semi, rated, power, soc, over),
+        objectives, weighted, c_daily, residuals,
         semi <= tol and rated <= tol and power <= tol and soc <= tol
         and over <= tol,
-        weighted + PENALTY_MU * (semi + rated + power + 10.0 * soc + over))
+        weighted + h.penalty)
 
 
 def day_trace(s: DispatchSchedule, ctx: DispatchContext) -> DayTrace:
@@ -342,13 +383,15 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
     """Projected coordinate descent over the hourly setpoints of ``s``, in
     place, with the ON pattern held fixed.  The setpoints are held as
     Python floats, whose steps and clamps round as numpy's do, and each
-    candidate is written into the schedule's block for the scorer."""
+    candidate is written into the schedule's block for the hours pass.
+    A candidate is priced only when its penalty leaves it a chance."""
     gen = ctx.sim.generator
     dg_row, bs_row = s._rows
     dg, bs = s._rows.tolist()
     best = evaluate_schedule(s, ctx)
-    best_val = best.search_value
-    p_lim = ctx.power_limit
+    bar = best.search_value - 1e-12
+    p_lim = ctx.day_inputs.p_lim
+    hours = _hours_pass(s, ctx)
     for sweep in range(REFINE_SWEEPS):
         scale = 0.5 ** sweep
         steps = [d * scale for d in (-4.0, -1.0, 1.0, 4.0)]
@@ -368,9 +411,24 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
                     if cand == x[t]:
                         continue
                     row[t] = cand
-                    ev = evaluate_schedule(s, ctx)
-                    if ev.search_value < best_val - 1e-12:
-                        best, best_val, improved = ev, ev.search_value, True
+                    h = hours()
+                    # The search value is weighted + penalty, rounded, and
+                    # weighted >= 0: the weights lie in [0, 1] and every
+                    # weighted objective is >= 0 (costs, prices and
+                    # emission factors are >= 0, p_dg >= 0, the baselines
+                    # are > 0, and 1 - ref >= 0).  Rounding is monotone, so
+                    # the search value is >= the penalty, and a penalty >=
+                    # bar rules the candidate out as its search value
+                    # would.  A NaN weighted makes the search value NaN,
+                    # which the acceptance below rejects too; a NaN
+                    # penalty or bar fails this compare, and the candidate
+                    # is priced as before.
+                    if h.penalty >= bar:
+                        row[t] = x[t]
+                        continue
+                    ev = evaluate_schedule(s, ctx, h)
+                    if ev.search_value < bar:
+                        best, bar, improved = ev, ev.search_value - 1e-12, True
                         x[t] = cand
                     else:
                         row[t] = x[t]
@@ -428,7 +486,7 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
 
     guess = DispatchSchedule(
         p_dg=np.full(24, min(max(7.0, gen.min_power), gen.rated_power)),
-        p_bs=np.full(24, min(1.0, ctx.power_limit)))
+        p_bs=np.full(24, min(1.0, ctx.day_inputs.p_lim)))
     zero = DispatchSchedule(np.zeros(24), np.zeros(24))
     seeds = [rb, guess, zero]
 

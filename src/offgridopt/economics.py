@@ -388,6 +388,21 @@ class BaselineMetrics(NamedTuple):
     emissions: float       # [kg/horizon]
 
 
+def positive_baseline(horizon: str, lcoe: float,
+                      emissions: float) -> BaselineMetrics:
+    """The baseline of an ``"annual"`` or a ``"daily"`` horizon, whose cost
+    of energy and emissions must both be > 0: the normalized objectives
+    divide by them, and the dispatch search relies on every objective being
+    >= 0."""
+    cost = {"annual": "LCOE", "daily": "COE"}[horizon]
+    for name, value in ((cost, lcoe), ("emissions", emissions)):
+        if not value > 0:   # also rejects NaN
+            raise InfeasibleBaselineError(
+                f"{horizon} baseline {name} is {value!r}, not > 0; the "
+                "objectives are normalized by it")
+    return BaselineMetrics(lcoe, emissions)
+
+
 def baseline_metrics(load, gen: GeneratorSpec, costs: CostTable,
                      fin: FinancialParams) -> BaselineMetrics:
     """Metrics for the same community powered by the backup generator alone.
@@ -395,7 +410,7 @@ def baseline_metrics(load, gen: GeneratorSpec, costs: CostTable,
     The generator runs around the clock meeting the entire load directly on
     the AC side: no converter, no battery, online every hour and started
     once over the horizon of ``load`` (a ``LoadSeries``).  Requires the
-    rated power to cover the peak.
+    rated power to cover the peak, and a positive LCOE and emissions.
     """
     peak = load.peak_kw
     if gen.rated_power < peak:
@@ -406,7 +421,7 @@ def baseline_metrics(load, gen: GeneratorSpec, costs: CostTable,
                               include_converter=False)
     cost = lifecycle_cost(capital, gen, costs, fin, energy, len(load), 1,
                           math.inf, energy)
-    return BaselineMetrics(lcoe=cost.lcoe, emissions=emissions_total(energy, gen))
+    return positive_baseline("annual", cost.lcoe, emissions_total(energy, gen))
 
 
 def break_even_distance(tac: float, crf_value: float, annual_load_kwh: float,

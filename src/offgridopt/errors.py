@@ -20,7 +20,9 @@ class ParseError(InputDataError):
 
 
 class InfeasibleBaselineError(InputDataError):
-    """Baseline generator cannot cover the peak load on its own."""
+    """The generator-only baseline cannot normalize the objectives: its
+    generator cannot cover the peak load on its own, or its cost of energy
+    or its emissions are not positive."""
 
 
 class ConfigError(ValueError):

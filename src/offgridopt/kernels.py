@@ -102,22 +102,28 @@ def cascade_inputs(demand_dc: np.ndarray, battery: BatterySpec,
 
 class DayInputs(ctypes.Structure):
     """``day_inputs`` of ``_cascade.c``: what every schedule of a dispatch
-    day shares, which ``DispatchContext`` fills once for both twins."""
+    day shares, which ``DispatchContext`` fills once for both twins.  It is
+    the one home of the day's constraint limits (generator rating, battery
+    power limit, SOC window, ``dpsp_max``), its load and the penalty
+    weight ``mu``."""
 
     _fields_ = ([("res", ctypes.c_double * 24), ("dem", ctypes.c_double * 24)]
                 + [(name, ctypes.c_double) for name in (
                     "eta_rec", "eta_inv", "p_min", "tol", "soc_start", "cap",
-                    "keep", "eta")])
+                    "keep", "eta", "p_rated", "p_lim", "soc_min", "soc_max",
+                    "load_kwh", "dpsp_max", "mu")])
 
 
 class DayTotals(ctypes.Structure):
     """``day_totals`` of ``_cascade.c``: what the hours of a schedule add up
-    to, as both twins return it."""
+    to, the five constraint residuals (``dispatch.VIOLATIONS`` order) and
+    the penalty ``mu * (semi + rated + power + 10 soc + over)``, as both
+    twins return them."""
 
     _fields_ = ([(name, ctypes.c_double) for name in ("energy", "dump", "lost")]
                 + [("online", ctypes.c_long), ("starts", ctypes.c_long)]
                 + [(name, ctypes.c_double) for name in (
-                    "semicont", "p_dg_max", "p_bs_max", "soc_min", "soc_max")])
+                    "semi", "rated", "power", "soc", "over", "penalty")])
 
 
 _CASCADE_SOURCE = Path(__file__).with_name("_cascade.c")

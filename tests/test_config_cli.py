@@ -375,6 +375,33 @@ def test_cli_infeasible_baseline_is_an_error(tmp_path):
     assert "baseline generator" in doc["message"]
 
 
+# A generator that costs nothing to run: the day's baseline cost of energy
+# is 0; with no capital cost either, so is the annual baseline's.
+FREE_TO_RUN = {"om_var_dg_usd_per_hour": 0, "om_var_dg_usd_per_kwh": 0,
+               "startup_cost_usd": 0, "shutdown_cost_usd": 0,
+               "om_fix_dg_fraction_per_year": 0}
+
+
+@pytest.mark.parametrize("command, capital, message", [
+    (["size", "--max-evals", "30"], 0, "annual baseline LCOE is 0.0"),
+    (["dispatch", "--design", "100,8,45.45"], 0, "daily baseline COE is 0.0"),
+    (["dispatch", "--design", "100,8,45.45"], 781.25,
+     "daily baseline COE is 0.0")])
+def test_cli_zero_cost_baseline_is_an_error(tmp_path, command, capital,
+                                            message):
+    """The objectives divide by the baseline; a zero one raised
+    ZeroDivisionError (exit 1, a traceback)."""
+    cfg = tmp_path / "free.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "generator": {"fuel_price_usd": 0},
+        "costs": {**FREE_TO_RUN, "dg_capital_usd_per_kw": capital}}))
+    code = run_cli([*command, "--seed", 42, "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert message in doc["message"]
+
+
 @pytest.mark.parametrize("command", [
     ["simulate"], ["dispatch", "--day", "4"]])
 def test_cli_rejects_climate_with_a_missing_value(tmp_path, command):

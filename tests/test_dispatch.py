@@ -15,7 +15,7 @@ from offgridopt.dispatch import (DispatchContext, DispatchSchedule, Scenario,
                                  robustness_suite, rule_based_schedule,
                                  scenario_scale_climate, suite_to_csv)
 from offgridopt.economics import CostTable, FinancialParams, Weights
-from offgridopt.errors import InputDataError
+from offgridopt.errors import InfeasibleBaselineError, InputDataError
 from offgridopt.simulate import (CascadeState, Design, SimulationContext,
                                  StrategyConfig, dispatch_cascade,
                                  renewable_feed_in)
@@ -79,6 +79,22 @@ def test_day_inputs_are_the_hours_of_the_year(annual_ctx, data):
     hours = slice(24 * day, 24 * (day + 1))
     assert ctx.res_dc.tobytes() == res_dc[hours].tobytes()
     assert ctx.demand_dc.tobytes() == demand_dc[hours].tobytes()
+
+
+@pytest.mark.parametrize("baseline, costs, name", [
+    (GeneratorSpec(fuel_price=0.0),
+     CostTable(om_fix_dg=0.0, om_var_dg_per_hour=0.0, startup_cost=0.0,
+               shutdown_cost=0.0), "COE"),
+    (GeneratorSpec(emission_factors={}), CostTable(), "emissions")])
+def test_a_day_with_a_zero_cost_or_emissions_baseline_is_infeasible(
+        annual_ctx, baseline, costs, name):
+    """The day's objectives divide by both, and the search's rejection on
+    the penalty relies on every objective being >= 0."""
+    sim = dataclasses.replace(annual_ctx, costs=costs,
+                              baseline_generator=baseline)
+    with pytest.raises(InfeasibleBaselineError,
+                       match=f"daily baseline {name} is 0.0, not > 0"):
+        day_context(sim, Design(100, 8, 45.45), 10, W4)
 
 
 def test_zero_load_day_is_an_input_error():

@@ -258,6 +258,27 @@ def test_baseline_rejects_undersized_generator(annual_ctx):
                          CostTable(), FIN)
 
 
+# a generator that costs nothing to run: no fuel bill, O&M or switching cost
+FREE_TO_RUN = dict(om_fix_dg=0.0, om_var_dg_per_hour=0.0,
+                   om_var_dg_per_kwh=0.0, startup_cost=0.0, shutdown_cost=0.0)
+
+
+@pytest.mark.parametrize("gen, costs, name", [
+    (GeneratorSpec(fuel_price=0.0),
+     CostTable(dg_capital_per_kw=0.0, **FREE_TO_RUN), "LCOE"),
+    (microturbine_spec(fuel_price=0.0),
+     economics.microturbine_costs(dg_capital_per_kw=0.0, **FREE_TO_RUN),
+     "LCOE"),
+    (GeneratorSpec(emission_factors={}), CostTable(), "emissions")])
+def test_baseline_rejects_a_zero_cost_or_emissions(annual_ctx, gen, costs,
+                                                   name):
+    """The objectives divide by both; a zero one raised ZeroDivisionError
+    in the first evaluation."""
+    with pytest.raises(InfeasibleBaselineError,
+                       match=f"annual baseline {name} is 0.0, not > 0"):
+        baseline_metrics(annual_ctx.load, gen, costs, FIN)
+
+
 # baseline (lcoe, emissions) and the tnpc, tac and lcoe of design 100,8,45.45
 # at run seed 42, as float.hex(); the annual and the baseline lifecycle
 # costs are one computation, which must keep these bits.

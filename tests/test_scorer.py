@@ -1,7 +1,8 @@
 """The day-schedule scorer: bit for bit against the numpy formulation it
 replaced, on random and infeasible schedules, the C day kernel bit for bit
-against its Python twin, and pinned ``optimize_day`` results on fixed days
-with either kernel."""
+against its Python twin, the search's penalty-first rejection and price
+memo, and pinned ``optimize_day`` results on fixed days with either
+kernel."""
 
 import copy
 import dataclasses
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from offgridopt import dispatch, economics, kernels
 from offgridopt.config import build_config, build_context
-from offgridopt.devices import battery_step
+from offgridopt.devices import battery_power_limit, battery_step
 from offgridopt.dispatch import (CONSTRAINT_TOL, DispatchSchedule, _day_hours,
                                  day_context, day_sum, day_trace,
                                  evaluate_schedule, optimize_day,
@@ -103,7 +104,9 @@ def reference_evaluate(s, ctx):
 
     semicont = np.maximum(0.0, np.where(online, gen.min_power - p_dg, 0.0))
     over_rated = np.maximum(0.0, p_dg - gen.rated_power)
-    over_power = np.maximum(0.0, np.abs(p_bs) - ctx.power_limit)
+    e_b = ctx.design.e_b_init
+    power_limit = battery_power_limit(e_b, ctx.sim.battery) if e_b > 0 else 0.0
+    over_power = np.maximum(0.0, np.abs(p_bs) - power_limit)
     soc_low = np.maximum(0.0, ctx.sim.battery.soc_min - soc)
     soc_high = np.maximum(0.0, soc - ctx.sim.battery.soc_max)
     violations = {
@@ -247,6 +250,80 @@ def test_compiled_day_hours_equals_the_python_twin_bit_for_bit(contexts, data):
     assert compiled_rows.tobytes() == twin_rows.tobytes()
 
 
+# Thresholds of the search's compare: any float, NaN and the infinities
+# included, the signed zeros, and values at and next to the candidate's own.
+THRESHOLD = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_rejecting_a_candidate_on_its_penalty_is_sound(contexts, data):
+    """The search value is weighted + penalty, bit for bit, and never below
+    the penalty, so no threshold rejects on the penalty a candidate whose
+    search value it would accept; on both kernels."""
+    ctx, schedule = data.draw(scored_days(contexts))
+    kernel = data.draw(st.sampled_from(["c", "python"] if kernels.KERNEL == "c"
+                                       else ["python"]))
+    h = (kernels.day_hours(schedule._address, ctx.day_inputs, None)
+         if kernel == "c" else _day_hours(ctx, schedule))
+    ev = evaluate_schedule(schedule, ctx, h)
+    assert bits(ev.search_value) == bits(ev.weighted + h.penalty)
+    assert ev.search_value >= h.penalty
+    near = [ev.search_value, h.penalty,
+            np.nextafter(ev.search_value, np.inf) + 1e-12,
+            np.nextafter(h.penalty, -np.inf) + 1e-12]
+    for b in data.draw(st.lists(THRESHOLD, max_size=4)) + near:
+        bar = b - 1e-12
+        assert not (h.penalty >= bar and ev.search_value < bar)
+
+
+def scored_bits(ev):
+    return (bits(ev.weighted), bits(ev.search_value), bits(ev.c_daily),
+            ev.feasible, [bits(v) for v in ev.objectives],
+            [bits(v) for v in ev.residuals])
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+def test_the_price_memo_is_never_stale(contexts, monkeypatch, kernel):
+    """Schedules whose (energy, online hours, starts) repeat the last one's,
+    and schedules whose key differs, scored in turn on one context: each
+    scores as on a fresh context, bit for bit."""
+    if kernel == "python":
+        monkeypatch.setattr(kernels, "KERNEL", "python")
+    elif kernels.KERNEL != "c":
+        pytest.skip("the C kernel could not be built")
+    ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 51, W4)
+    rule = rule_based_schedule(ctx)
+    p_dg, p_bs = rule.p_dg.copy(), rule.p_bs.copy()
+    on = np.flatnonzero(p_dg > CONSTRAINT_TOL)
+    assert on.size >= 2
+    moved_bs = p_bs.copy()
+    moved_bs[3] += 0.5                  # same key, other lost load and dump
+    more = p_dg.copy()
+    more[on[0]] += 0.25                 # other energy
+    # Hours t and t + 8 are added first in np.sum's lane t, so swapping
+    # them keeps the energy's bits and moves the hours online.
+    t = next(t for t in range(8) if (p_dg[t] > 0) != (p_dg[t + 8] > 0))
+    shifted = p_dg.copy()
+    shifted[[t, t + 8]] = p_dg[[t + 8, t]]
+    off = p_dg.copy()
+    off[on[1]] = 0.0                    # fewer hours online and other starts
+    schedules = [DispatchSchedule(*rows) for rows in (
+        (p_dg, p_bs), (p_dg, moved_bs), (more, p_bs), (p_dg, p_bs),
+        (shifted, p_bs), (p_dg, moved_bs), (off, moved_bs), (off, p_bs),
+        (p_dg, p_bs))]
+    keys = []
+    for schedule in schedules:
+        ev = evaluate_schedule(schedule, ctx)
+        fresh = evaluate_schedule(schedule, dataclasses.replace(ctx))
+        assert scored_bits(ev) == scored_bits(fresh)
+        h = _day_hours(ctx, schedule)
+        keys.append((h.energy, h.online, h.starts))
+    assert keys[0] == keys[1] == keys[3] == keys[8]
+    assert keys[4][0] == keys[0][0] and keys[4] != keys[0]
+    assert len(set(keys)) == 4
+
+
 @pytest.mark.parametrize("kernel", ["c", "python"])
 @pytest.mark.parametrize("hours", [23, 25])
 def test_scoring_rejects_a_schedule_of_other_than_24_hours(contexts, monkeypatch,
@@ -342,53 +419,67 @@ def test_day_sum_keeps_the_sum_order_of_np_sum():
 # Pinned optimize_day results
 # ---------------------------------------------------------------------------
 
-# weighted.hex(), feasible, the SHA-256 of p_dg.tobytes() + p_bs.tobytes()
-# and the number of evaluate_schedule calls of optimize_day on design
-# 100,8,45.45 at run seed 42, as the dispatch command runs it.  The count
-# holds the search to the candidates it scored when it was recorded.
+# weighted.hex(), feasible, the SHA-256 of p_dg.tobytes() + p_bs.tobytes(),
+# the number of hours passes and the number of candidates priced by
+# optimize_day on design 100,8,45.45 at run seed 42, as the dispatch command
+# runs it.  The hours passes (one per candidate, and one per evaluate_schedule
+# call made without the search's own pass) hold the search to the candidates
+# it scores; the priced count holds the rejection on the penalty to what it
+# skips.
 PINNED = {
     ("LI-DE", 0): ("0x1.3f27e4c384852p-4", True,
                    "440b2a855a5c0a33809893b1bb917df62b81911b7468cdee4ac8ab95a5ff52c4",
-                   4126),
+                   4126, 1404),
     ("LI-DE", 51): ("0x1.08bed63441d98p-2", True,
                     "1290905ef298e88f1a55497adea9547c972b32965f8ce0181e5bbdc4e575ee63",
-                    12182),
+                    12182, 6074),
     ("LI-DE", 150): ("0x1.ebe15e5ce23f5p-5", True,
                      "525f19bd939fb00d27cf02708660f919a345d804cf18eb7b6c1bd95ef0e9e9f6",
-                     6542),
+                     6542, 4258),
     ("LI-DE", 300): ("0x1.bb2b34460a282p-4", True,
                      "59dc56ec500b5a7f600d9c86c6c8468f2a07f90a11a40d6a4dac1ee5f8e5712c",
-                     2787),
+                     2787, 1488),
     ("LA-MT-no-charge", 0): (
         "0x1.4eaae0358bbc8p-2", True,
         "c9722b20031bbd1fad1f8c3bc3de66b25ac73169552fa3cd1b31aab7fec66f22",
-        27212),
+        27212, 14179),
     ("LA-MT-no-charge", 51): (
         "0x1.af10ab01c4262p-2", True,
         "479761ec680df9f29f3d0302802c026b95591a9c976647066c03140b7366d9bb",
-        29703),
+        29703, 18211),
     ("LA-MT-no-charge", 150): (
         "0x1.05a29f5d712e0p-2", True,
         "23e2cf30aeb26cdaff14545c31844cb5b034dc3fec148734fa5c779ffa2f914b",
-        15295),
+        15295, 9206),
     ("LA-MT-no-charge", 300): (
         "0x1.0560ed880bd30p-2", True,
         "c4c298892f2f55040e53faf3a27509ace6611c76e09c4e1d6997f7b974208fa2",
-        2787),
+        2787, 1485),
 }
 
 
 def pinned_result(contexts, monkeypatch, variant, day):
-    """The pinned numbers of a day, counting the scorer's calls through the
-    module attribute the search calls it by."""
-    calls = []
-    score = dispatch.evaluate_schedule
+    """The pinned numbers of a day, counting the hours passes of the kernel
+    in use and the scorer's calls given the search's own hours, through the
+    module attributes the search calls them by."""
+    passes, priced = [], []
+    if kernels.KERNEL == "c":
+        module, name = kernels, "day_hours"
+    else:
+        module, name = dispatch, "_day_hours"
+    day_hours, score = getattr(module, name), dispatch.evaluate_schedule
 
-    def counted(s, ctx):
-        calls.append(None)
-        return score(s, ctx)
+    def counted_pass(*args):
+        passes.append(None)
+        return day_hours(*args)
 
-    monkeypatch.setattr(dispatch, "evaluate_schedule", counted)
+    def counted_score(s, ctx, hours=None):
+        if hours is not None:
+            priced.append(None)
+        return score(s, ctx, hours)
+
+    monkeypatch.setattr(module, name, counted_pass)
+    monkeypatch.setattr(dispatch, "evaluate_schedule", counted_score)
     config = build_config(VARIANTS[variant])
     ctx = day_context(contexts[variant], Design(100, 8, 45.45), day,
                       Weights(tuple(config.dispatch["weights"])),
@@ -399,7 +490,7 @@ def pinned_result(contexts, monkeypatch, variant, day):
     schedule = hashlib.sha256(result.schedule.p_dg.tobytes()
                               + result.schedule.p_bs.tobytes()).hexdigest()
     return (result.evaluation.weighted.hex(), result.feasible, schedule,
-            len(calls))
+            len(passes), len(priced))
 
 
 @pytest.mark.parametrize("variant, day", sorted(PINNED))
