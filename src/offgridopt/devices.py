@@ -164,18 +164,18 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in ("DE", "MT"):
             raise InputDataError("generator kind must be 'DE' or 'MT'")
-        if self.rated_power < 0:
+        if not self.rated_power >= 0:   # also rejects NaN, as below
             raise InputDataError("rated_power must be >= 0")
         if not 0 <= self.min_fraction < 1:
             raise InputDataError("min_fraction must be in [0, 1)")
         factors = MappingProxyType(dict(self.emission_factors))
-        if any(v < 0 for v in factors.values()):
+        if not all(v >= 0 for v in factors.values()):
             raise InputDataError("emission factors must be >= 0")
         object.__setattr__(self, "emission_factors", factors)
         for name in ("fuel_coeff_a", "fuel_coeff_b", "mt_fuel_slope", "fuel_price"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise InputDataError(f"{name} must be >= 0")
-        if self.lifetime_hours <= 0:
+        if not self.lifetime_hours > 0:
             raise InputDataError("lifetime_hours must be positive")
 
     @property

@@ -83,8 +83,6 @@ class DispatchContext:
         for name, value in dict(
             demand_dc=demand_dc, res_dc=res_dc,
             capital=capital, res_kwh=float(res_dc.sum()),
-            weight_array=np.array(self.weights.values),
-            dot_operands=np.empty(4),   # the weighting's operand
             # the (energy, online, starts) last priced and its
             # (c_daily, emissions); see evaluate_schedule
             price_memo=[None, None],
@@ -338,11 +336,8 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext,
         c_daily / load_kwh, emissions, ctx.daily_baseline, h.lost, load_kwh,
         h.dump, ctx.res_kwh, energy, sim.converter.eta_rec)
     lcoe_norm, em_norm, dpsp, repg, one_minus_ref = objectives
-    operands = ctx.dot_operands
-    operands[0], operands[1], operands[2], operands[3] = (
-        lcoe_norm, em_norm, repg, one_minus_ref)
-    # ndarray.dot is np.dot's matrix product without the dispatcher.
-    weighted = float(ctx.weight_array.dot(operands))
+    weighted = economics.weighted_objective(
+        (lcoe_norm, em_norm, repg, one_minus_ref), ctx.weights)
 
     semi, rated, power, soc, over = residuals = (
         h.semi, h.rated, h.power, h.soc, h.over)
@@ -413,16 +408,18 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
                     row[t] = cand
                     h = hours()
                     # The search value is weighted + penalty, rounded, and
-                    # weighted >= 0: the weights lie in [0, 1] and every
-                    # weighted objective is >= 0 (costs, prices and
-                    # emission factors are >= 0, p_dg >= 0, the baselines
-                    # are > 0, and 1 - ref >= 0).  Rounding is monotone, so
-                    # the search value is >= the penalty, and a penalty >=
-                    # bar rules the candidate out as its search value
-                    # would.  A NaN weighted makes the search value NaN,
-                    # which the acceptance below rejects too; a NaN
-                    # penalty or bar fails this compare, and the candidate
-                    # is priced as before.
+                    # weighted >= 0: weighted_objective adds to 0.0 the
+                    # products of weights in [0, 1] and objectives >= 0
+                    # (costs, prices and emission factors are >= 0, p_dg
+                    # >= 0, the baselines are > 0, and 1 - ref >= 0), and
+                    # each product and partial sum of such operands rounds
+                    # to >= 0.  Rounding is monotone, so the search value
+                    # is >= the penalty, and a penalty >= bar rules the
+                    # candidate out as its search value would.  A NaN
+                    # weighted makes the search value NaN, which the
+                    # acceptance below rejects too; a NaN penalty or bar
+                    # fails this compare, and the candidate is priced as
+                    # before.
                     if h.penalty >= bar:
                         row[t] = x[t]
                         continue

@@ -63,7 +63,7 @@ class CostTable:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:   # also rejects NaN
                 raise InputDataError(f"CostTable.{name} must be >= 0")
 
 
@@ -109,9 +109,6 @@ class Weights:
 
     def __len__(self):
         return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +367,18 @@ def objective_vector(coe: float, emissions: float, baseline: BaselineMetrics,
         1.0 - metrics_ref(res_kwh, generated))
 
 
-def weighted_objective(obj: ObjectiveVector, weights: Weights) -> float:
-    """Scalarized objective sum(w_i * component_i)."""
-    comps = obj.as_array()
-    if len(weights) != len(comps):
+def weighted_objective(values, weights: Weights) -> float:
+    """The one weighting, of sizing's ``ObjectiveVector`` or dispatch's four
+    objectives: ``total = 0.0``, then ``total += w_i * v_i`` from left to
+    right in Python, each product rounded on its own: no fused multiply-add,
+    no BLAS dot, and not ``sum``, which compensates from Python 3.12."""
+    if len(weights) != len(values):
         raise InputDataError(
-            f"expected {len(comps)} weights, got {len(weights)}")
-    return float(np.dot(comps, np.array(weights.values)))
+            f"expected {len(values)} weights, got {len(weights)}")
+    total = 0.0
+    for w, v in zip(weights.values, values):
+        total += w * v
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
+import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from offgridopt import economics
 from offgridopt.config import build_config, build_context
 from offgridopt.devices import GeneratorSpec, microturbine_spec
+from offgridopt.dispatch import (day_context, evaluate_schedule, optimize_day,
+                                 rule_based_schedule)
 from offgridopt.economics import (CostTable, FinancialParams, ObjectiveVector,
                                   Weights, adjusted_rate, annual_recurring,
                                   baseline_metrics, break_even_distance, crf,
@@ -222,6 +228,68 @@ def test_weighted_objective_monotone_in_components():
     assert weighted_objective(bumped, w) > weighted_objective(base, w)
 
 
+def stated_order(values, weights) -> float:
+    """The stated weighting with exact arithmetic: each product, then each
+    partial sum from 0.0, left to right, rounded to nearest on its own."""
+    total = 0.0
+    for w, v in zip(weights, values):
+        product = float(Fraction(w) * Fraction(v))
+        total = float(Fraction(total) + Fraction(product))
+    return total
+
+
+def fused_chain(values, weights) -> float:
+    """The same chain with each product added exactly, a fused multiply-add
+    per term, as a BLAS dot kernel may compute it."""
+    total = 0.0
+    for w, v in zip(weights, values):
+        total = float(Fraction(total) + Fraction(w) * Fraction(v))
+    return total
+
+
+@st.composite
+def weighted_rows(draw):
+    """Random 4- or 5-vectors (an ``ObjectiveVector`` for 5) and weights."""
+    n = draw(st.sampled_from([4, 5]))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+               .filter(lambda r: sum(r) > 0))
+    total = sum(raw)
+    weights = Weights(tuple(r / total for r in raw))
+    values = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+    return (ObjectiveVector(*values) if n == 5 else tuple(values)), weights
+
+
+@given(weighted_rows())
+def test_weighted_objective_is_the_stated_order_bit_for_bit(row):
+    values, weights = row
+    got = weighted_objective(values, weights)
+    assert type(got) is float
+    assert got.hex() == stated_order(values, weights.values).hex()
+
+
+def test_weighted_objective_rounds_each_product_on_its_own():
+    """A row on which the fused chain (0.18) and the stated order differ."""
+    obj = ObjectiveVector(0.5, 0.1, 0.1, 0.1, 0.1)
+    assert fused_chain(obj, EQUAL.values) == 0.18
+    assert stated_order(obj, EQUAL.values) == 0.18000000000000005
+    assert weighted_objective(obj, EQUAL) == 0.18000000000000005
+
+
+def test_dispatch_weights_through_weighted_objective(annual_ctx):
+    """Under unequal weights, a scored schedule's ``weighted`` is
+    ``weighted_objective`` of its four objectives, bit for bit."""
+    w = Weights((0.3, 0.1, 0.35, 0.25))
+    for day in (10, 100, 200, 300):
+        ctx = day_context(annual_ctx, Design(100, 8, 45.45), day, w)
+        for s in (rule_based_schedule(ctx),
+                  optimize_day(ctx, max_patterns=8).schedule):
+            ev = evaluate_schedule(s, ctx)
+            o = ev.objectives
+            four = (o.lcoe_norm, o.em_norm, o.repg, o.one_minus_ref)
+            assert ev.weighted.hex() == weighted_objective(four, w).hex()
+            assert ev.weighted.hex() == stated_order(four, w.values).hex()
+
+
 def test_weights_validation():
     with pytest.raises(InputDataError):
         Weights((0.5, 0.5, 0.5, 0.0, 0.0))
@@ -229,6 +297,22 @@ def test_weights_validation():
         Weights((0.5, 0.6, -0.1, 0.0, 0.0))
     with pytest.raises(InputDataError):
         weighted_objective(ObjectiveVector(0, 0, 0, 0, 0), Weights((0.5, 0.5)))
+
+
+SPEC_FIELDS = ([(CostTable, f.name) for f in dataclasses.fields(CostTable)]
+               + [(GeneratorSpec, f.name) for f in dataclasses.fields(GeneratorSpec)
+                  if f.name != "kind"])
+
+
+@pytest.mark.parametrize("spec, name", SPEC_FIELDS,
+                         ids=[f"{spec.__name__}.{name}" for spec, name in SPEC_FIELDS])
+def test_a_nan_spec_field_is_an_input_error(spec, name):
+    """A NaN fails every ordered compare, so each check is written to fail
+    on it; a NaN fuel price once scored a day feasible with weighted NaN."""
+    nan = float("nan")
+    value = {"CO2": nan} if name == "emission_factors" else nan
+    with pytest.raises(InputDataError):
+        spec(**{name: value})
 
 
 # ---------------------------------------------------------------------------

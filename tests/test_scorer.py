@@ -96,9 +96,12 @@ def reference_evaluate(s, ctx):
     objectives = ObjectiveVector(
         lcoe_norm=coe / coe_base, em_norm=emissions / em_base,
         dpsp=dpsp, repg=repg, one_minus_ref=1.0 - ref)
-    weighted = float(np.dot(np.array(ctx.weights.values),
-                            [objectives.lcoe_norm, objectives.em_norm,
-                             objectives.repg, objectives.one_minus_ref]))
+    # the stated weighting: products added to 0.0 from left to right
+    weighted = 0.0
+    for w, v in zip(ctx.weights.values,
+                    [objectives.lcoe_norm, objectives.em_norm,
+                     objectives.repg, objectives.one_minus_ref]):
+        weighted += w * v
     summary5 = float(np.mean([objectives.lcoe_norm, objectives.em_norm, dpsp,
                               objectives.repg, objectives.one_minus_ref]))
 
@@ -136,17 +139,22 @@ def bits(x: float) -> str:
 
 HOUR_DG = st.sampled_from([0.0, 1e-6, 2e-6]) | st.floats(0.0, 20.0)
 HOUR_BS = st.just(0.0) | st.floats(-20.0, 20.0)
+# equal weights, whose products are exact, and unequal ones
+WEIGHTS4 = (st.sampled_from([W4, Weights((0.3, 0.1, 0.35, 0.25))])
+            | st.lists(st.integers(0, 100), min_size=4, max_size=4)
+            .filter(any).map(lambda k: Weights(tuple(x / sum(k) for x in k))))
 
 
 @st.composite
 def scored_days(draw, contexts, hour_dg=HOUR_DG, hour_bs=HOUR_BS):
     """A day of one configuration (with or without a battery, from any SOC
-    in the battery's window) and a schedule: random hours, or the rule-based
-    schedule with a few hours overwritten, so that feasible and infeasible
-    schedules both occur."""
+    in the battery's window, under equal or unequal weights) and a
+    schedule: random hours, or the rule-based schedule with a few hours
+    overwritten, so that feasible and infeasible schedules both occur."""
     annual = contexts[draw(st.sampled_from(sorted(VARIANTS)))]
     e_b = draw(st.sampled_from([0.0, 45.45, 150.0]))
-    ctx = day_context(annual, Design(100, 8, e_b), draw(st.integers(0, 364)), W4,
+    ctx = day_context(annual, Design(100, 8, e_b), draw(st.integers(0, 364)),
+                      draw(WEIGHTS4),
                       dpsp_max=draw(st.sampled_from([0.0, 0.01, 0.2])))
     battery = annual.battery
     ctx = dataclasses.replace(ctx, soc_start=draw(
