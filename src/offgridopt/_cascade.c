@@ -1,20 +1,23 @@
-/* Compiled twins of Python code, loaded by kernels.py, which also defines
- * the ctypes twins of the structs below:
- *   cascade    the load-following priority cascade (_cascade_python in
- *              simulate.py); over a year it also forms the renewable
- *              feed-in and the annual sums (_year_python there);
+/* The package's compiled kernels, its only implementation of them: the
+ * package needs a C compiler, and kernels.py builds this file with cc and
+ * loads it on import.  kernels.py also defines the ctypes twins of the
+ * structs below.
+ *   cascade    the load-following priority cascade; over a year it also
+ *              forms the renewable feed-in and the annual sums;
  *   day_hours  the pass over the 24 hours of a dispatch schedule and the
- *              constraint residuals and penalty it leaves (_day_hours in
- *              dispatch.py, with propagate_soc and day_sum there); the
- *              dispatch search rejects a candidate on the penalty before
- *              it prices it, and prices stay in Python.
+ *              constraint residuals and penalty it leaves; the dispatch
+ *              search rejects a candidate on the penalty before it prices
+ *              it, and prices stay in Python.
  *
- * Both kernels give bit-identical results.  Every operation the C code
- * performs is the one the Python code performs, with the same IEEE double
- * operands in the same order.  The C code skips an operation only where a
- * comment next to it shows that the result cannot change any output.  That
- * holds only when the compiler neither fuses a multiply and an add nor
- * reassociates: build with -ffp-contract=off and without -ffast-math.
+ * Each kernel has a Python oracle in tests/reference.py, which the tests
+ * compare with it bit for bit: _cascade_python and _year_python for
+ * cascade, _day_hours (with dispatch.propagate_soc and day_sum) for
+ * day_hours.  Every operation the C code performs is the one the oracle
+ * performs, with the same IEEE double operands in the same order.  The C
+ * code skips an operation only where a comment next to it shows that the
+ * result cannot change any output.  That holds only when the compiler
+ * neither fuses a multiply and an add nor reassociates: build with
+ * -ffp-contract=off and without -ffast-math.
  */
 
 #include <math.h>
@@ -182,7 +185,7 @@ static inline double np_sum(const double *a, long n)
  * five.  The generator's online hours and starts count p_dg > 0: the unit
  * starts the horizon off, so an hour starts it when it is on and the hour
  * before was off.  Every start has its stop (count_transitions in
- * simulate.py).  Each sum is np.sum's of its row. */
+ * tests/reference.py).  Each sum is np.sum's of its row. */
 cascade_totals cascade(const cascade_inputs *in, double pv_units,
                        double wt_units, double e_b_init, cascade_state *state,
                        double *out)
@@ -488,7 +491,7 @@ day_totals day_hours(const double *schedule, const day_inputs *day,
             soc_hi = soc[t];
     }
 
-    /* np.sum of 24 values: day_sum in dispatch.py */
+    /* np.sum of 24 values: day_sum in tests/reference.py */
     out.energy = np_sum(p_dg, 24);
     out.dump = np_sum(dump, 24);
     out.lost = np_sum(lost, 24);

@@ -11,6 +11,7 @@ rejected by name; all nested invariants are validated on load.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 
 import yaml
@@ -193,10 +194,11 @@ _KIND_NAMES = {"bool": "true or false", "str": "a string", "int": "an integer",
 
 
 def _is_number(value) -> bool:
-    """An int or float other than NaN (YAML ``.nan``); booleans are not
-    numbers here."""
+    """An int or float within the finite float range: not NaN (YAML
+    ``.nan``), not +-inf (``.inf``, ``-.inf``) and no integer too large to
+    convert to a float; booleans are not numbers here."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and value == value)
+            and abs(value) <= sys.float_info.max)
 
 
 def _check_type(name: str, value, kind: str) -> None:

@@ -17,7 +17,8 @@ from .errors import InputDataError
 
 HOURS_PER_MONTH = 730.0  # average month, used to prorate self-discharge
 # Cycle fading stops at this fraction of the installed capacity, the
-# replacement threshold.
+# replacement threshold.  The cascade kernel in _cascade.c fades the bank
+# (its oracle is battery_capacity in tests/reference.py).
 CAPACITY_FADE_FLOOR = 0.70
 
 # Species emission factors [kg pollutant per kWh generated], diesel engine
@@ -335,15 +336,6 @@ def battery_step(soc: float, p_bs: float, dt: float, capacity: float,
 def self_discharge_hourly(spec: BatterySpec) -> float:
     """Monthly self-discharge prorated to an hourly leak rate."""
     return spec.self_discharge_monthly / HOURS_PER_MONTH
-
-
-def battery_capacity(e_init: float, n_cycles: float, spec: BatterySpec) -> float:
-    """Usable capacity after linear cycle fading, floored at
-    ``CAPACITY_FADE_FLOOR`` of the installed capacity."""
-    if e_init < 0:
-        raise InputDataError("e_init must be >= 0")
-    faded = e_init * (1.0 - n_cycles * spec.fade_per_cycle)
-    return max(faded, CAPACITY_FADE_FLOOR * e_init)
 
 
 def battery_power_limit(capacity: float, spec: BatterySpec) -> float:

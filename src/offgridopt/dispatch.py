@@ -10,32 +10,34 @@ schedule, and the continuous setpoints inside a pattern are refined by
 projected coordinate descent with an exact penalty on the constraint
 residuals.
 
-A candidate costs one pass over its hours, in the C day kernel or its
-Python twin, which also returns the residuals and the penalty.  The search
-prices a candidate only when its penalty alone does not already rule it
-out; prices and objectives stay in Python (``evaluate_schedule``), and a
-context keeps the price of the last (energy, online hours, starts) it
-priced.
+A candidate costs one pass over its hours in the C day kernel
+``kernels.day_hours``, which also returns the residuals and the penalty;
+the package needs a C compiler to build it (see ``kernels``).  Its Python
+oracle, ``_day_hours``, lives in ``tests/reference.py`` and takes its SOC
+knots from ``propagate_soc``; the tests compare the two bit for bit.  The
+search prices a candidate only when its penalty alone does not already
+rule it out; prices and objectives stay in Python (``evaluate_schedule``),
+and a context keeps the price of the last (energy, online hours, starts)
+it priced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
 from . import economics, kernels
-# perfbench/run.py counts calls through ``dispatch.battery_step``;
-# ``propagate_soc`` is its hourly form.
+# perfbench/run.py binds ``dispatch.battery_step`` in trace mode, so the
+# name stays; ``propagate_soc`` is its hourly form.
 from .devices import battery_power_limit, battery_step  # noqa: F401
 from .devices import self_discharge_hourly
 from .economics import BaselineMetrics, ObjectiveVector, Weights
 from .errors import InputDataError
 from .simulate import (CascadeState, Design, SimulationContext,
-                       count_transitions, dispatch_cascade, renewable_feed_in)
+                       dispatch_cascade, renewable_feed_in)
 from .timeseries import ClimateSeries, LoadSeries, write_csv
 
 SCHEDULE_HEADER = ["hour", "p_dg", "p_bs", "soc", "p_res", "load", "dump", "lost"]
@@ -50,8 +52,8 @@ VIOLATIONS = ("dg_semicontinuous", "dg_rated", "battery_power", "soc_bounds",
 class DispatchContext:
     """A sized system on one day: ``sim`` is the simulation context of the
     day's 24 hours, which ``day_context`` slices out of the year.  Frozen,
-    since what its schedules share is derived once (``day_inputs`` feeds
-    both scorers); ``dataclasses.replace`` makes a changed day."""
+    since what its schedules share is derived once (``day_inputs``, which
+    the day kernel reads); ``dataclasses.replace`` makes a changed day."""
 
     design: Design
     sim: SimulationContext
@@ -219,10 +221,12 @@ class DayTrace(NamedTuple):
     lost: np.ndarray      # load not served, AC [kW]
 
 
-def propagate_soc(ctx: DispatchContext, p_bs) -> list[float]:
+# perfbench/run.py binds ``dispatch.propagate_soc`` in trace mode, and the
+# day kernel's oracle in tests/reference.py takes its SOC knots from here.
+def propagate_soc(day: kernels.DayInputs, p_bs) -> list[float]:
     """The 25 SOC knots of a day: ``battery_step`` with ``dt = 1``, hour by
-    hour, with the constants of ``ctx.day_inputs`` (the same float steps)."""
-    day = ctx.day_inputs
+    hour, with the constants of the day's ``DayInputs`` (the same float
+    steps)."""
     soc, cap, keep, eta = day.soc_start, day.cap, day.keep, day.eta
     if cap <= 0:
         return [soc] * 25
@@ -233,87 +237,23 @@ def propagate_soc(ctx: DispatchContext, p_bs) -> list[float]:
     return out
 
 
-def day_sum(hours) -> float:
-    """``np.sum`` of a day's 24 hourly values, bit for bit: numpy adds them
-    in eight interleaved partial sums, combines those pairwise and adds the
-    total to 0.0."""
-    r0, r1, r2, r3, r4, r5, r6, r7 = map(add, map(add, hours[:8], hours[8:16]),
-                                         hours[16:24])
-    return 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
-
-
-def _day_hours(ctx: DispatchContext, s: DispatchSchedule,
-               rows: np.ndarray | None = None) -> kernels.DayTotals:
-    """One pass over the hours of a schedule: the SOC knots, dump and lost
-    load (the positive and negative parts of the DC-bus balance residual),
-    generator online flags and shortfall below the minimum output in an
-    online hour, reduced to a ``DayTotals`` with the constraint residuals
-    and the penalty.  Sums are taken in ``np.sum``'s order and extremes are
-    Python's ``max`` and ``min``.  When ``rows`` is given it receives the
-    25 SOC knots, then the 24 dump and lost hours.
-
-    The twin of, and fallback for, ``kernels.day_hours``; both read the
-    day from ``ctx.day_inputs``."""
-    day = ctx.day_inputs
-    p_dg, p_bs = s._rows.tolist()
-    eta_rec, eta_inv, p_min, tol = day.eta_rec, day.eta_inv, day.p_min, day.tol
-    dump, lost, online = [], [], []
-    semi = 0.0
-    for p, b, r, d in zip(p_dg, p_bs, day.res, day.dem):
-        net = r + eta_rec * p + b - d
-        dump.append(net if net > 0.0 else 0.0)
-        lost.append(-net * eta_inv if net < 0.0 else 0.0)
-        on = p > tol
-        online.append(on)
-        if on and p_min - p > semi:
-            semi = p_min - p
-    knots = propagate_soc(ctx, p_bs)
-    if rows is not None:
-        rows[:25], rows[25:49], rows[49:] = knots, dump, lost
-    lost_kwh = day_sum(lost)
-    # Each residual is max(0.0, excess) written out: Python's max keeps the
-    # first of the largest, so 0.0 unless an excess is above it (a NaN
-    # excess is not).  x -> x - c rounds monotonically, so each excess is
-    # the extreme value's.
-    rated = max(p_dg) - day.p_rated
-    rated = rated if rated > 0.0 else 0.0
-    power = max(map(abs, p_bs)) - day.p_lim
-    power = power if power > 0.0 else 0.0
-    low, high = day.soc_min - min(knots), max(knots) - day.soc_max
-    soc = low if low > 0.0 else 0.0
-    soc = high if high > soc else soc
-    over = economics.metrics_dpsp(lost_kwh, day.load_kwh) - day.dpsp_max
-    over = over if over > 0.0 else 0.0
-    return kernels.DayTotals(
-        day_sum(p_dg), day_sum(dump), lost_kwh, sum(online),
-        count_transitions(online), semi, rated, power, soc, over,
-        day.mu * (semi + rated + power + 10.0 * soc + over))
-
-
-def _hours_pass(s: DispatchSchedule, ctx: DispatchContext):
-    """A call without arguments that reduces the hours of ``s``, as they
-    stand when it is made, with the kernel in use."""
-    if kernels.KERNEL == "c":
-        return partial(kernels.day_hours, s._address, ctx.day_inputs, None)
-    return partial(_day_hours, ctx, s)
-
-
 def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext,
                       hours: kernels.DayTotals | None = None
                       ) -> DispatchEvaluation:
     """Cost, objectives and constraint residuals of a candidate schedule.
     Infeasibility is reported through ``violations``, never raised.
 
-    The hours pass, then pricing.  The hours are reduced in the C kernel,
-    or in its Python twin ``_day_hours``, with the float operations of the
-    numpy formulation that ``tests/test_scorer.py`` keeps as reference, so
-    every value equals the one numpy gives bit for bit; the pass also
-    gives the residuals and the penalty.  Prices, objectives and the
-    search value, ``weighted + penalty``, are computed here.  ``hours``
-    is the search's own pass over ``s``, when it has one, so that it
-    prices a candidate without a second pass.
+    The hours pass, then pricing.  The hours are reduced in the C kernel
+    ``kernels.day_hours`` with the float operations of the numpy
+    formulation that ``tests/test_scorer.py`` keeps as reference, so every
+    value equals the one numpy gives bit for bit; the pass also gives the
+    residuals and the penalty.  Prices, objectives and the search value,
+    ``weighted + penalty``, are computed here.  ``hours`` is the search's
+    own pass over ``s``, when it has one, so that it prices a candidate
+    without a second pass.
     """
-    h = _hours_pass(s, ctx)() if hours is None else hours
+    h = (kernels.day_hours(s._address, ctx.day_inputs, None) if hours is None
+         else hours)
     sim = ctx.sim
     gen, day = sim.generator, ctx.day_inputs
     energy, online, starts = h.energy, h.online, h.starts
@@ -352,11 +292,8 @@ def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext,
 def day_trace(s: DispatchSchedule, ctx: DispatchContext) -> DayTrace:
     """The schedule's hourly SOC knots, dump and lost load."""
     rows = np.empty(73)
-    if kernels.KERNEL == "c":
-        kernels.day_hours(s._address, ctx.day_inputs,
-                          rows.__array_interface__["data"][0])
-    else:
-        _day_hours(ctx, s, rows)
+    kernels.day_hours(s._address, ctx.day_inputs,
+                      rows.__array_interface__["data"][0])
     return DayTrace(rows[:25], rows[25:49], rows[49:])
 
 
@@ -386,7 +323,7 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
     best = evaluate_schedule(s, ctx)
     bar = best.search_value - 1e-12
     p_lim = ctx.day_inputs.p_lim
-    hours = _hours_pass(s, ctx)
+    hours = partial(kernels.day_hours, s._address, ctx.day_inputs, None)
     for sweep in range(REFINE_SWEEPS):
         scale = 0.5 ** sweep
         steps = [d * scale for d in (-4.0, -1.0, 1.0, 4.0)]
@@ -452,7 +389,6 @@ def _apply_pattern(s: DispatchSchedule, pattern: np.ndarray,
 class DispatchResult:
     schedule: DispatchSchedule
     evaluation: DispatchEvaluation
-    rule_based: DispatchSchedule
     rule_based_evaluation: DispatchEvaluation
     feasible: bool
     message: str = ""
@@ -533,7 +469,7 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
     msg = "" if feasible else (
         "no schedule satisfied all hard constraints; returning best found "
         f"with residuals {best_ev.violations}")
-    return DispatchResult(best_s, best_ev, rb, rb_ev, feasible, msg)
+    return DispatchResult(best_s, best_ev, rb_ev, feasible, msg)
 
 
 def _better(ev: DispatchEvaluation, incumbent: DispatchEvaluation | None) -> bool:

@@ -265,7 +265,9 @@ def annual_recurring(capital: CapitalBreakdown, gen: GeneratorSpec,
                      dg_online_hours: float, dg_starts: int) -> float:
     """Year-1 recurring cost: fixed O&M + variable O&M + fuel + switching,
     in this order (``size``'s output bytes depend on it).  Every start has
-    its shutdown (see ``simulate.count_transitions``)."""
+    its shutdown: the cascade kernel counts a unit that starts and ends the
+    horizon off (``count_transitions``, its oracle, is in
+    ``tests/reference.py``)."""
     return (fixed_om(capital, costs)
             + variable_om(gen, costs, dg_online_hours, dg_energy_kwh)
             + fuel_cost(gen, dg_energy_kwh, dg_online_hours)

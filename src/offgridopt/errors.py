@@ -27,3 +27,11 @@ class InfeasibleBaselineError(InputDataError):
 
 class ConfigError(ValueError):
     """Run configuration is malformed or violates an invariant."""
+
+
+class KernelUnavailableError(OSError):
+    """The compiled kernels of ``_cascade.c`` could not be built or loaded:
+    no C compiler ``cc`` on ``PATH``, a compile error, a source that cannot
+    be read, a package directory the library cannot be written to, or a
+    library that does not load.  The message names which.  The package has no other implementation of its
+    kernels, so every call of one raises this."""

@@ -1,9 +1,14 @@
 """The compiled kernels of ``_cascade.c`` and the records they exchange:
-``cascade``, twin of ``simulate._cascade_python``, ``run``, which over a
-year is the twin of ``simulate._year_python``, and ``day_hours``, twin of
-``dispatch._day_hours``.  The twins give bit-identical results and run in
-their place when the library cannot be built or loaded.  ``KERNEL`` names
-the side in use, ``"c"`` or ``"python"``."""
+``cascade``, the load-following cascade over a given feed-in, ``run``,
+which over a year also forms the feed-in and the annual sums, and
+``day_hours``, the pass over the hours of a dispatch schedule.
+
+They are the package's only implementation of these computations, so the
+package needs a C compiler: the library is built with ``cc`` and loaded
+when this module is imported.  When that fails the import still succeeds,
+and every kernel call raises ``errors.KernelUnavailableError``, which
+names the reason.  The tests keep a Python oracle of each kernel in
+``tests/reference.py`` and compare the two bit for bit."""
 
 import ctypes
 import hashlib
@@ -17,6 +22,7 @@ import numpy as np
 
 from .devices import (CAPACITY_FADE_FLOOR, BatterySpec, GeneratorSpec,
                       self_discharge_hourly)
+from .errors import KernelUnavailableError
 
 
 class CascadeState(NamedTuple):
@@ -58,8 +64,7 @@ class CascadeInputs(ctypes.Structure):
 
 class CascadeTotals(ctypes.Structure):
     """``cascade_totals`` of ``_cascade.c``: what the hours of a run add up
-    to, each sum ``np.sum``'s of its row, as both twins of an annual run
-    return it."""
+    to, each sum ``np.sum``'s of its row."""
 
     _fields_ = ([(name, ctypes.c_double) for name in (
                     "energy", "dump", "lost", "res")]
@@ -102,10 +107,9 @@ def cascade_inputs(demand_dc: np.ndarray, battery: BatterySpec,
 
 class DayInputs(ctypes.Structure):
     """``day_inputs`` of ``_cascade.c``: what every schedule of a dispatch
-    day shares, which ``DispatchContext`` fills once for both twins.  It is
-    the one home of the day's constraint limits (generator rating, battery
-    power limit, SOC window, ``dpsp_max``), its load and the penalty
-    weight ``mu``."""
+    day shares, which ``DispatchContext`` fills once.  It is the one home
+    of the day's constraint limits (generator rating, battery power limit,
+    SOC window, ``dpsp_max``), its load and the penalty weight ``mu``."""
 
     _fields_ = ([("res", ctypes.c_double * 24), ("dem", ctypes.c_double * 24)]
                 + [(name, ctypes.c_double) for name in (
@@ -117,8 +121,7 @@ class DayInputs(ctypes.Structure):
 class DayTotals(ctypes.Structure):
     """``day_totals`` of ``_cascade.c``: what the hours of a schedule add up
     to, the five constraint residuals (``dispatch.VIOLATIONS`` order) and
-    the penalty ``mu * (semi + rated + power + 10 soc + over)``, as both
-    twins return them."""
+    the penalty ``mu * (semi + rated + power + 10 soc + over)``."""
 
     _fields_ = ([(name, ctypes.c_double) for name in ("energy", "dump", "lost")]
                 + [("online", ctypes.c_long), ("starts", ctypes.c_long)]
@@ -128,7 +131,7 @@ class DayTotals(ctypes.Structure):
 
 _CASCADE_SOURCE = Path(__file__).with_name("_cascade.c")
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add,
-# which would round differently from the Python loop.
+# which would round differently from the Python oracle.
 _CC_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
@@ -138,19 +141,37 @@ def _cascade_library() -> Path:
 
     The library is built under a temporary name and renamed into place, so
     processes that build it at the same time never load a partial file.
+    Raises ``KernelUnavailableError`` when it cannot be built.
     """
-    source = _CASCADE_SOURCE.read_bytes()
+    try:
+        source = _CASCADE_SOURCE.read_bytes()
+    except OSError as exc:
+        raise KernelUnavailableError(
+            f"the kernels' source cannot be read: {exc}") from None
     tag = hashlib.sha256(source + " ".join(_CC_FLAGS).encode()).hexdigest()[:16]
     cache = _CASCADE_SOURCE.parent / "__pycache__"
     lib = cache / f"_cascade-{tag}.so"
     if lib.exists():
         return lib
-    cache.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache, prefix="_cascade-", suffix=".tmp")
+    try:
+        cache.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache, prefix="_cascade-", suffix=".tmp")
+    except OSError as exc:
+        raise KernelUnavailableError(
+            f"the compiled kernels cannot be built in {cache}: {exc}") from None
     os.close(fd)
     try:
-        subprocess.run(["cc", *_CC_FLAGS, "-o", tmp, str(_CASCADE_SOURCE)],
-                       check=True, capture_output=True)
+        try:
+            subprocess.run(["cc", *_CC_FLAGS, "-o", tmp, str(_CASCADE_SOURCE)],
+                           check=True, capture_output=True, text=True)
+        except FileNotFoundError:
+            raise KernelUnavailableError(
+                "offgridopt needs a C compiler to build its kernels, and cc "
+                "is not on PATH") from None
+        except subprocess.CalledProcessError as exc:
+            raise KernelUnavailableError(
+                f"cc could not compile {_CASCADE_SOURCE.name}: "
+                f"{exc.stderr.strip()}") from None
         os.replace(tmp, lib)
     finally:
         if os.path.exists(tmp):
@@ -158,14 +179,16 @@ def _cascade_library() -> Path:
     return lib
 
 
-def _load_cascade():
+def _load_cascade() -> ctypes.CDLL:
     """The compiled kernels' library with the signatures of ``cascade`` and
-    ``day_hours`` set, or None when it cannot be built or loaded (no
-    compiler, read-only package directory)."""
+    ``day_hours`` set.  Raises ``KernelUnavailableError`` when it cannot be
+    built or loaded."""
+    lib = _cascade_library()
     try:
-        lib = ctypes.CDLL(str(_cascade_library()))
-    except (OSError, subprocess.CalledProcessError):
-        return None
+        lib = ctypes.CDLL(str(lib))
+    except OSError as exc:
+        raise KernelUnavailableError(
+            f"the compiled kernels' library {lib} does not load: {exc}") from None
     # Arrays go in as raw addresses: the input arrays through a record,
     # checked once when it is built, and the output block, which the
     # wrapper allocates, as it is.
@@ -178,10 +201,25 @@ def _load_cascade():
     return lib
 
 
-_LIBRARY = _load_cascade()
-KERNEL = "python" if _LIBRARY is None else "c"
+class _Unavailable:
+    """Stands in for a library that could not be built or loaded: each of
+    its kernels raises ``KernelUnavailableError`` with the reason."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+    def __getattr__(self, name):
+        def kernel(*args):
+            raise KernelUnavailableError(self.reason)
+        return kernel
+
+
+try:
+    _LIBRARY = _load_cascade()
+except KernelUnavailableError as exc:
+    _LIBRARY = _Unavailable(str(exc))
 # Called unwrapped: a Python wrapper would cost more than the C function.
-day_hours = None if _LIBRARY is None else _LIBRARY.day_hours
+day_hours = _LIBRARY.day_hours
 
 
 def run(inputs: CascadeInputs, pv_units: float, wt_units: float,
@@ -191,7 +229,7 @@ def run(inputs: CascadeInputs, pv_units: float, wt_units: float,
     kernel forms the feed-in of ``pv_units`` and ``wt_units``, and the block
     has eight rows: p_pv, p_wt, feed-in, p_dg, p_bs, soc, dump and the lost
     load scaled by ``eta_inv``; when it holds the feed-in, the block has the
-    last five.  The twin of the eight-row run is ``simulate._year_python``.
+    last five.
     """
     out = np.empty((5 if inputs.res else 8, inputs.n))
     state = _CState(start.soc, start.cycles, start.throughput,
@@ -207,8 +245,9 @@ def cascade(res_dc: np.ndarray, demand_dc: np.ndarray, battery: BatterySpec,
             e_b_init: float, generator: GeneratorSpec, dg_may_charge: bool,
             eta_rec: float, start: CascadeState, cycle_counting: str):
     """The cascade in C over the feed-in ``res_dc``, with the arguments and
-    results of its twin.  ``res_dc`` and ``demand_dc`` must be C-contiguous
-    float64 arrays, as ``simulate.dispatch_cascade`` makes them."""
+    results of ``simulate.dispatch_cascade``.  ``res_dc`` and ``demand_dc``
+    must be C-contiguous float64 arrays, as ``dispatch_cascade`` makes
+    them."""
     inputs = cascade_inputs(demand_dc, battery, generator, dg_may_charge,
                             eta_rec, cycle_counting, res_dc=res_dc)
     out, end, totals = run(inputs, 0.0, 0.0, e_b_init, start)

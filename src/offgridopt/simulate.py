@@ -10,12 +10,13 @@ covers what remains (semicontinuous between its minimum and rated output),
 forced generator surplus recharges the battery when the strategy allows it,
 and any final shortfall is lost load.
 
-The cascade runs in the C kernel ``kernels.cascade`` when it can be built
-and loaded, and in its Python twin ``_cascade_python`` otherwise; both give
-bit-identical results.  ``kernels.KERNEL`` names the one in use.  A year of
+The cascade runs in the C kernel ``kernels.cascade``, and a year of
 ``simulate_year`` is one call of ``kernels.run``, which also forms the
-feed-in and the annual sums; its twin ``_year_python`` composes
-``renewable_feed_in``, ``_cascade_python`` and numpy's sums.
+feed-in and the annual sums; the package needs a C compiler to build them
+(see ``kernels``).  Their Python oracles, ``_cascade_python`` and
+``_year_python`` (``renewable_feed_in``, the cascade and numpy's sums),
+live in ``tests/reference.py``, where the tests compare them with the
+kernels bit for bit.
 """
 
 from __future__ import annotations
@@ -23,16 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import gt
 from typing import NamedTuple
 
 import numpy as np
 
 from . import economics, kernels
 from .devices import (BatterySpec, ConverterSpec, GeneratorSpec, PvSpec,
-                      WindSpec, battery_capacity, battery_power_limit,
-                      hub_wind_speed, pv_efficiency, self_discharge_hourly,
+                      WindSpec, hub_wind_speed, pv_efficiency,
                       wt_power_fraction)
+# perfbench/run.py binds ``simulate.battery_power_limit`` in trace mode, so
+# the name stays although the cascade computes the limit in C.
+from .devices import battery_power_limit  # noqa: F401
 from .economics import (BaselineMetrics, CostTable, FinancialParams,
                         ObjectiveVector, Weights, weighted_objective)
 from .errors import InputDataError
@@ -285,9 +287,10 @@ def dispatch_cascade(res_dc, demand_dc, battery: BatterySpec, e_b_init: float,
     battery state before the first hour (a fresh bank when omitted).
     Returns per-hour arrays (p_dg, p_bs, soc, dump_dc, lost_dc), which are
     the rows of one fresh (5, n) block, the final ``CascadeState`` and the
-    generator's (online hours, starts) for ``p_dg > 0``, starts as
-    ``count_transitions`` counts them.  Passing the final state as ``start`` of
-    the next slice gives the same hours as one run over both slices.
+    generator's (online hours, starts) for ``p_dg > 0``; the unit starts and
+    ends the horizon off, so every start has its shutdown.  Passing the
+    final state as ``start`` of the next slice gives the same hours as one
+    run over both slices.
     """
     res_dc = np.ascontiguousarray(res_dc, dtype=np.float64)
     demand_dc = np.ascontiguousarray(demand_dc, dtype=np.float64)
@@ -297,164 +300,8 @@ def dispatch_cascade(res_dc, demand_dc, battery: BatterySpec, e_b_init: float,
         raise InputDataError("cycle_counting must be 'reversal' or 'throughput'")
     if start is None:
         start = CascadeState(battery.soc_max)
-    kernel = kernels.cascade if kernels.KERNEL == "c" else _cascade_python
-    return kernel(res_dc, demand_dc, battery, e_b_init, generator,
-                  dg_may_charge, eta_rec, start, cycle_counting)
-
-
-def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
-                    battery: BatterySpec, e_b_init: float,
-                    generator: GeneratorSpec, dg_may_charge: bool,
-                    eta_rec: float, start: CascadeState,
-                    cycle_counting: str):
-    """Reference cascade, one Python iteration per hour: the twin of
-    ``kernels.cascade`` and the fallback when the C kernel is unavailable."""
-    n = len(res_dc)
-    res = memoryview(res_dc)
-    dem = memoryview(demand_dc)
-
-    eta = battery.round_trip_eff
-    soc_min = battery.soc_min
-    soc_max = battery.soc_max
-    leak = self_discharge_hourly(battery)
-    has_battery = e_b_init > 0
-    soc = start.soc
-    cycles = start.cycles
-    last_dir = 1 if start.discharging else -1
-    throughput = start.throughput
-
-    p_rated = generator.rated_power
-    p_min = generator.min_power
-    dg_eff = eta_rec
-    online = starts = 0
-    was_on = False
-
-    # The hours are read from the inputs and written into the output block
-    # in place: lists of n floats would make a megabyte of float objects per
-    # annual call, which the allocator returns to the system and faults
-    # back in on the next call.
-    block = np.empty((5, n))
-    p_dg_out, p_bs_out, soc_out, dump_out, lost_out = map(memoryview, block)
-
-    for t in range(n):
-        r = res[t]
-        d = dem[t]
-        p_dg = 0.0
-        p_bs = 0.0
-        dump = 0.0
-        lost_dc = 0.0
-
-        if has_battery:
-            e_c = battery_capacity(e_b_init, cycles, battery)
-            p_lim = battery_power_limit(e_c, battery)
-            s = (1.0 - leak) * soc
-            if s < soc_min:
-                s = soc_min
-        else:
-            e_c = 0.0
-            p_lim = 0.0
-            s = soc
-
-        if r >= d:
-            surplus = r - d
-            if has_battery and surplus > 0.0:
-                room = (soc_max - s) * e_c / eta
-                p_ch = min(surplus, p_lim, room)
-                if p_ch > 0.0:
-                    p_bs = -p_ch
-                    surplus -= p_ch
-            dump = surplus
-        else:
-            deficit = d - r
-            if has_battery:
-                avail = (s - soc_min) * e_c / eta
-                p_dis = min(deficit, p_lim, avail)
-                if p_dis > 0.0:
-                    p_bs = p_dis
-                    deficit -= p_dis
-            if deficit > 1e-9 and p_rated > 0.0:
-                want = deficit / dg_eff
-                if want < p_min:
-                    want = p_min
-                if want > p_rated:
-                    want = p_rated
-                p_dg = want
-                extra = dg_eff * p_dg - deficit
-                if extra > 0.0:
-                    deficit = 0.0
-                    if dg_may_charge and has_battery:
-                        soc_now = s - p_bs * eta / e_c
-                        room = (soc_max - soc_now) * e_c / eta
-                        ch = min(extra, room, p_bs + p_lim)
-                        if ch > 0.0:
-                            p_bs -= ch
-                            extra -= ch
-                    dump = extra
-                else:
-                    deficit = -extra
-            lost_dc = deficit if deficit > 1e-12 else 0.0
-
-        if has_battery:
-            soc = s - p_bs * eta / e_c
-            if soc > soc_max:
-                soc = soc_max
-            elif soc < soc_min:
-                soc = soc_min
-            if p_bs > 1e-9:
-                throughput += p_bs
-                if last_dir < 0 and cycle_counting == "reversal":
-                    cycles += 1
-                last_dir = 1
-            elif p_bs < -1e-9:
-                last_dir = -1
-            if cycle_counting == "throughput":
-                cycles = throughput * eta / e_c
-
-        p_dg_out[t] = p_dg
-        p_bs_out[t] = p_bs
-        soc_out[t] = soc
-        dump_out[t] = dump
-        lost_out[t] = lost_dc
-
-        on = p_dg > 0.0
-        online += on
-        starts += on and not was_on
-        was_on = on
-
-    end = CascadeState(soc, cycles, throughput, last_dir > 0)
-    return (*block, end, (online, starts))
-
-
-def count_transitions(online) -> int:
-    """Startups of an on/off trace, which also count its shutdowns.
-
-    The unit starts the horizon off, and a final shutdown is charged when it
-    is still online in the last hour (the horizon ends with the unit off),
-    so every start has its shutdown.
-    """
-    # an hour starts the unit when it is on and the hour before was off
-    return int(sum(map(gt, online, [False, *online])))
-
-
-def _year_python(design: Design, ctx: SimulationContext):
-    """The twin of an annual ``kernels.run`` and its fallback: the feed-in of
-    ``renewable_feed_in``, the cascade of ``_cascade_python`` from a fresh
-    bank, the lost load scaled to the customer (AC) side and numpy's sums.
-    Returns the eight hourly rows, the final ``CascadeState`` and the
-    ``kernels.CascadeTotals``."""
-    feed_in, demand_dc, _ = ctx.hourly_inputs
-    p_pv, p_wt, res_dc = renewable_feed_in(design, feed_in, ctx.pv, ctx.wind,
-                                           ctx.converter)
-    p_dg, p_bs, soc, dump, lost, end, (online, starts) = _cascade_python(
-        res_dc, demand_dc, ctx.battery, design.e_b_init, ctx.generator,
-        ctx.strategy.dg_may_charge_battery, ctx.converter.eta_rec,
-        CascadeState(ctx.battery.soc_max), ctx.strategy.cycle_counting)
-    lost *= ctx.converter.eta_inv
-    # The five hourly rows are views of one block: one reduction sums them.
-    energy, _, _, dump_kwh, lost_kwh = p_dg.base.sum(axis=1).tolist()
-    totals = kernels.CascadeTotals(energy, dump_kwh, lost_kwh,
-                                   float(res_dc.sum()), online, starts)
-    return (p_pv, p_wt, res_dc, p_dg, p_bs, soc, dump, lost), end, totals
+    return kernels.cascade(res_dc, demand_dc, battery, e_b_init, generator,
+                           dg_may_charge, eta_rec, start, cycle_counting)
 
 
 def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
@@ -462,12 +309,9 @@ def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
     if len(ctx.load) != 8760:
         raise InputDataError("annual simulation needs 8760 hourly records")
     load_kwh = ctx.hourly_inputs[2]
-    if kernels.KERNEL == "c":
-        rows, end, totals = kernels.run(
-            ctx.year_inputs, design.pv_units, design.wt_units,
-            design.e_b_init, CascadeState(ctx.battery.soc_max))
-    else:
-        rows, end, totals = _year_python(design, ctx)
+    rows, end, totals = kernels.run(
+        ctx.year_inputs, design.pv_units, design.wt_units, design.e_b_init,
+        CascadeState(ctx.battery.soc_max))
     p_pv, p_wt, res_dc, p_dg, p_bs, soc, dump, lost = rows
     cycles = end.cycles
     dg_energy, dump_kwh, lost_kwh = totals.energy, totals.dump, totals.lost

@@ -1,9 +1,10 @@
-"""The load-following cascade kernels: the compiled kernel against the
-Python reference loop on random specs, the compiled year (feed-in, cascade
-and sums in one call) against its Python composition, the kernel's sums
-against ``np.sum``, the cascade's invariants, chaining through the carried
-battery state, and the fallback to the Python loop."""
+"""The load-following cascade kernels: the compiled kernel against its
+Python oracle on random specs, the compiled year (feed-in, cascade and sums
+in one call) against its Python composition, the kernel's sums against
+``np.sum``, the cascade's invariants, chaining through the carried battery
+state, and building and loading the library."""
 
+import ctypes
 import dataclasses
 import shutil
 import struct
@@ -15,22 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from reference import (_cascade_python, _year_python, battery_capacity,
+                       count_transitions, year_run)
+
 from offgridopt import kernels
 from offgridopt.config import build_config, build_context
 from offgridopt.devices import (CAPACITY_FADE_FLOOR, BatterySpec,
                                 ConverterSpec, GeneratorSpec, PvSpec,
-                                WindSpec, battery_capacity, lead_acid_spec,
-                                microturbine_spec, self_discharge_hourly)
+                                WindSpec, lead_acid_spec, microturbine_spec,
+                                self_discharge_hourly)
 from offgridopt.economics import CostTable, FinancialParams
+from offgridopt.errors import KernelUnavailableError
 from offgridopt.simulate import (CascadeState, Design, SimulationContext,
-                                 StrategyConfig, _cascade_python,
-                                 _year_python, count_transitions,
-                                 dispatch_cascade, renewable_feed_in,
-                                 simulate_year)
+                                 StrategyConfig, dispatch_cascade,
+                                 renewable_feed_in, simulate_year)
 from offgridopt.timeseries import ClimateSeries, LoadSeries
-
-needs_compiled = pytest.mark.skipif(kernels.KERNEL != "c",
-                                    reason="the C kernel could not be built")
 
 POWER = st.floats(0.0, 40.0)  # kW on the DC bus
 
@@ -139,7 +139,6 @@ def assert_invariants(case, out):
     assert np.all(p_dg[~on] == 0.0)
 
 
-@needs_compiled
 @settings(max_examples=500, deadline=None)
 @given(cascade_cases() | HELD_BANKS | HELD_THROUGHPUT)
 def test_compiled_kernel_equals_python_loop_and_keeps_invariants(case):
@@ -163,7 +162,6 @@ def hour_energies(case, state):
     return (battery.soc_max - s) * e_c, (s - battery.soc_min) * e_c
 
 
-@needs_compiled
 @settings(max_examples=150, deadline=None)
 @given(HELD_BANKS | HELD_THROUGHPUT, st.data())
 def test_compiled_kernel_equals_python_loop_on_a_tie_with_the_room(case, data):
@@ -183,7 +181,6 @@ def test_compiled_kernel_equals_python_loop_on_a_tie_with_the_room(case, data):
     assert_same_run(kernels.cascade(**case), _cascade_python(**case))
 
 
-@needs_compiled
 @settings(max_examples=50, deadline=None)
 @given(HELD_BANKS | HELD_THROUGHPUT,
        st.floats(1.0, 2.0, exclude_min=True))
@@ -196,7 +193,6 @@ def test_compiled_kernel_equals_python_loop_for_an_efficiency_above_one(case,
     assert_same_run(kernels.cascade(**case), _cascade_python(**case))
 
 
-@needs_compiled
 @pytest.mark.parametrize("charge", [True, False])
 @pytest.mark.parametrize("eta", [1.0, 0.9])
 def test_compiled_kernel_equals_python_loop_on_a_tie_with_the_power_limit(
@@ -217,7 +213,6 @@ def test_compiled_kernel_equals_python_loop_on_a_tie_with_the_power_limit(
     assert abs(compiled[1][0]) == limit
 
 
-@needs_compiled
 @pytest.mark.parametrize("soc_min", [0.0, -0.0])
 def test_compiled_kernel_keeps_the_sign_of_a_zero_soc(soc_min):
     """A bank that starts at an SOC of -0.0 or 0.0 with ``soc_min`` 0 and
@@ -245,7 +240,6 @@ ANNUAL_VARIANTS = {
 }
 
 
-@needs_compiled
 @pytest.mark.parametrize("variant", ANNUAL_VARIANTS)
 def test_compiled_kernel_equals_python_loop_over_a_year(variant):
     """Random designs of the sizing box, a whole year each."""
@@ -314,7 +308,6 @@ def assert_same_year(ctx, design):
     assert totals_bits(totals) == totals_bits(py_totals)
 
 
-@needs_compiled
 @settings(max_examples=300, deadline=None)
 @given(year_cases())
 def test_compiled_year_equals_its_python_composition(case):
@@ -341,7 +334,6 @@ def bits(x):
     return struct.pack("d", x)
 
 
-@needs_compiled
 def test_kernel_sum_is_np_sum():
     """numpy sums pairwise in blocks of up to 128 values.  Every length up
     to 300 and the lengths of a year and of a leap year, on values whose sum
@@ -362,7 +354,6 @@ def test_kernel_sum_is_np_sum():
             assert same_double(sum_in_kernel(values), expected), n
 
 
-@needs_compiled
 @pytest.mark.parametrize("variant", ANNUAL_VARIANTS)
 def test_compiled_year_equals_its_python_composition_over_a_year(variant):
     """Random designs of the sizing box, with and without PV, wind or a
@@ -378,11 +369,9 @@ def test_compiled_year_equals_its_python_composition_over_a_year(variant):
 @settings(max_examples=200, deadline=None)
 @given(cascade_cases())
 def test_kernels_count_generator_online_hours_and_starts(case):
-    """Both kernels count (online hours, starts) of ``p_dg > 0`` as
-    ``count_transitions`` does."""
-    runs = [_cascade_python(**case)]
-    if kernels.KERNEL == "c":
-        runs.append(kernels.cascade(**case))
+    """The kernel and its oracle count (online hours, starts) of
+    ``p_dg > 0`` as ``count_transitions`` does."""
+    runs = [_cascade_python(**case), kernels.cascade(**case)]
     for run in runs:
         online = run[0] > 0
         assert run[6] == (int(online.sum()), count_transitions(online))
@@ -438,21 +427,68 @@ def _same_sim(a, b):
 ])
 def test_simulate_year_is_identical_on_the_python_fallback(annual_ctx, monkeypatch,
                                                            strategy):
+    """The whole ``SimResult`` of the compiled year against the one built on
+    the year's oracle in the kernel's place."""
     ctx = dataclasses.replace(
         annual_ctx, strategy=dataclasses.replace(annual_ctx.strategy, **strategy))
     design = Design(60, 6, 60)
-    active = simulate_year(design, ctx)
-    monkeypatch.setattr(kernels, "KERNEL", "python")
-    _same_sim(active, simulate_year(design, ctx))
+    compiled = simulate_year(design, ctx)
+    monkeypatch.setattr(kernels, "run", year_run(ctx))
+    _same_sim(compiled, simulate_year(design, ctx))
 
 
-def test_kernel_build_falls_back_without_a_compiler(tmp_path, monkeypatch):
+def copied_source(tmp_path, monkeypatch, text=None):
+    """Point the kernels at a copy of their source in ``tmp_path``, or at
+    ``text`` there, so that nothing is cached yet."""
     source = tmp_path / "_cascade.c"
-    shutil.copy(kernels._CASCADE_SOURCE, source)
+    if text is None:
+        shutil.copy(kernels._CASCADE_SOURCE, source)
+    else:
+        source.write_text(text)
     monkeypatch.setattr(kernels, "_CASCADE_SOURCE", source)
+    return source
+
+
+def test_kernel_build_without_a_compiler_raises_the_documented_error(
+        tmp_path, monkeypatch):
+    copied_source(tmp_path, monkeypatch)
     monkeypatch.setenv("PATH", str(tmp_path))
-    assert kernels._load_cascade() is None
+    with pytest.raises(KernelUnavailableError, match="cc is not on PATH"):
+        kernels._load_cascade()
     assert list((tmp_path / "__pycache__").iterdir()) == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_build_reports_a_compile_error(tmp_path, monkeypatch):
+    copied_source(tmp_path, monkeypatch, "this is not C;\n")
+    with pytest.raises(KernelUnavailableError,
+                       match="cc could not compile _cascade.c: .*error"):
+        kernels._load_cascade()
+    assert list((tmp_path / "__pycache__").iterdir()) == []
+
+
+def test_kernel_build_reports_a_missing_source(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernels, "_CASCADE_SOURCE", tmp_path / "_cascade.c")
+    with pytest.raises(KernelUnavailableError, match="source cannot be read"):
+        kernels._load_cascade()
+
+
+def test_kernel_load_reports_a_library_that_does_not_load(tmp_path,
+                                                          monkeypatch):
+    broken = tmp_path / "_cascade-broken.so"
+    broken.write_bytes(b"not a shared library")
+    monkeypatch.setattr(kernels, "_cascade_library", lambda: broken)
+    with pytest.raises(KernelUnavailableError, match="does not load"):
+        kernels._load_cascade()
+
+
+def test_every_kernel_of_an_unavailable_library_raises_its_reason():
+    """What the package binds when the library cannot be built or loaded."""
+    library = kernels._Unavailable("no compiler here")
+    for kernel in (library.cascade, library.day_hours):
+        with pytest.raises(KernelUnavailableError, match="no compiler here"):
+            kernel(None, None, None)
+    assert issubclass(KernelUnavailableError, OSError)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -466,4 +502,4 @@ def test_kernel_is_built_once_into_the_bytecode_cache(tmp_path, monkeypatch):
     assert kernels._cascade_library() == lib
     assert lib.stat().st_mtime_ns == built
     assert [p.name for p in lib.parent.iterdir()] == [lib.name]
-    assert kernels._load_cascade() is not None
+    assert isinstance(kernels._load_cascade(), ctypes.CDLL)

@@ -1,12 +1,17 @@
 import dataclasses
 import json
+import os
+import shutil
 import subprocess
 import sys
+import textwrap
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
 
+import offgridopt
 from offgridopt.cli import main
 from offgridopt.config import (build_config, build_context, load_config,
                                save_config)
@@ -260,6 +265,41 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def test_cli_without_a_usable_kernel_library_writes_the_error_document(
+        tmp_path):
+    """A copy of the package that has never been built, imported where no
+    C compiler is on PATH: the import succeeds, and ``size`` and
+    ``dispatch`` each exit 2 with the error document naming the reason."""
+    package = Path(offgridopt.__file__).parent
+    shutil.copytree(package, tmp_path / "pkg" / "offgridopt",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "bin").mkdir()
+    code = textwrap.dedent("""
+        import sys
+        import offgridopt
+        from offgridopt.cli import main
+        assert offgridopt.__file__.startswith(sys.argv[1])
+        out = sys.argv[1]
+        print(main(["size", "--max-evals", "30", "--seed", "42",
+                    "--out", out + "/size"]),
+              main(["dispatch", "--design", "100,8,45.45", "--seed", "42",
+                    "--out", out + "/dispatch"]))
+    """)
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+        text=True, timeout=300,
+        env={**os.environ, "PATH": str(tmp_path / "bin"),
+             "PYTHONPATH": str(tmp_path / "pkg")})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2", "2"]
+    for command in ("size", "dispatch"):
+        doc = json.loads((tmp_path / command / "result.json").read_text())
+        assert doc["status"] == "error"
+        assert "cc is not on PATH" in doc["message"]
+    assert not list((tmp_path / "pkg" / "offgridopt" / "__pycache__")
+                    .glob("_cascade*"))
+
+
 def test_cli_breakeven_reference_inputs(tmp_path):
     code = run_cli(["breakeven", "--seed", 1, "--out", tmp_path,
                     "--tac", 17097, "--load-kwh", 74251])
@@ -494,6 +534,29 @@ def test_cli_malformed_config_writes_error_document(tmp_path, text):
     assert code == 2
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["status"] == "error" and doc["message"]
+
+
+@pytest.mark.parametrize("text, key", [
+    ("generator: {fuel_price_usd: .inf}\n", "generator.fuel_price_usd"),
+    ("pv: {temp_ref_c: .inf}\n", "pv.temp_ref_c"),
+    ("pv: {temp_ref_c: -.inf}\n", "pv.temp_ref_c"),
+    ("battery: {fade_per_cycle_fraction: .inf}\n",
+     "battery.fade_per_cycle_fraction"),
+    ("generator: {fuel_price_usd: 1%s}\n" % ("0" * 400),
+     "generator.fuel_price_usd"),
+], ids=["fuel_price", "temp_ref", "temp_ref_negative", "fade", "huge_int"])
+def test_cli_size_rejects_an_infinite_config_value(tmp_path, text, key):
+    """The infinities sized to "status": "ok", the first two with a NaN
+    best_value; an integer too large for a float raised OverflowError
+    (exit 1, a traceback)."""
+    cfg = tmp_path / "infinite.yaml"
+    cfg.write_text(text)
+    code = run_cli(["size", "--seed", 1, "--max-evals", 60, "--config", cfg,
+                    "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert f"{key}: expected a number" in doc["message"]
 
 
 @pytest.mark.parametrize("command, flag, text", [

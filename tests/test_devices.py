@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from reference import battery_capacity
 
 from offgridopt.devices import (BatterySpec, GeneratorSpec, PvSpec, WindSpec,
-                                battery_capacity, battery_power_limit,
-                                battery_step, hub_wind_speed,
-                                microturbine_spec, pv_efficiency, pv_power,
+                                battery_power_limit, battery_step,
+                                hub_wind_speed, microturbine_spec,
+                                pv_efficiency, pv_power,
                                 wt_curve_coefficients, wt_power)
 from offgridopt.economics import LITERS_PER_GALLON, fuel_cost
 from offgridopt.errors import InputDataError

@@ -1,8 +1,8 @@
 """The day-schedule scorer: bit for bit against the numpy formulation it
 replaced, on random and infeasible schedules, the C day kernel bit for bit
-against its Python twin, the search's penalty-first rejection and price
-memo, and pinned ``optimize_day`` results on fixed days with either
-kernel."""
+against its Python oracle, the search's penalty-first rejection and price
+memo, and pinned ``optimize_day`` results on fixed days, on the kernels
+and on their oracles in the kernels' place."""
 
 import copy
 import dataclasses
@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import _cascade_python, _day_hours, day_hours, day_sum
 
 from offgridopt import dispatch, economics, kernels
 from offgridopt.config import build_config, build_context
 from offgridopt.devices import battery_power_limit, battery_step
-from offgridopt.dispatch import (CONSTRAINT_TOL, DispatchSchedule, _day_hours,
-                                 day_context, day_sum, day_trace,
-                                 evaluate_schedule, optimize_day,
-                                 rule_based_schedule)
+from offgridopt.dispatch import (CONSTRAINT_TOL, DispatchSchedule,
+                                 day_context, day_trace, evaluate_schedule,
+                                 optimize_day, rule_based_schedule)
 from offgridopt.economics import ObjectiveVector, Weights
 from offgridopt.errors import InputDataError
 from offgridopt.kernels import DayTotals
@@ -133,6 +133,13 @@ def bits(x: float) -> str:
     return float(x).hex()
 
 
+def use_the_oracles(monkeypatch):
+    """Put the Python oracles of the cascade and of the day pass in the
+    compiled kernels' place, where the package calls them."""
+    monkeypatch.setattr(kernels, "cascade", _cascade_python)
+    monkeypatch.setattr(kernels, "day_hours", day_hours)
+
+
 # ---------------------------------------------------------------------------
 # Scorer against the reference
 # ---------------------------------------------------------------------------
@@ -196,18 +203,17 @@ def test_scorer_equals_the_numpy_reference_bit_for_bit(contexts, data):
 
 
 def test_a_dispatch_day_cannot_be_changed_in_place(contexts):
-    """Both scorers read the day from ``day_inputs``, derived once: a day
-    changed in place would leave it behind."""
+    """The day kernel and its oracle read the day from ``day_inputs``,
+    derived once: a day changed in place would leave it behind."""
     day = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 10, W4)
     with pytest.raises(dataclasses.FrozenInstanceError):
         day.soc_start = 0.2
 
 
-@pytest.mark.skipif(kernels.KERNEL != "c",
-                    reason="the C kernel could not be built")
 def test_a_replaced_start_scores_alike_on_both_kernels(contexts, monkeypatch):
     """A day replaced with another starting SOC is scored from that SOC by
-    either kernel, and both agree bit for bit."""
+    the kernels and by their oracles in the kernels' place, and both agree
+    bit for bit."""
     day = dataclasses.replace(
         day_context(contexts["LI-DE"], Design(100, 8, 45.45), 10, W4),
         soc_start=0.2)
@@ -221,7 +227,7 @@ def test_a_replaced_start_scores_alike_on_both_kernels(contexts, monkeypatch):
 
     schedule = rule_based_schedule(day)
     compiled = scored(schedule)
-    monkeypatch.setattr(kernels, "KERNEL", "python")
+    use_the_oracles(monkeypatch)
     assert rule_based_schedule(day).p_bs.tobytes() == schedule.p_bs.tobytes()
     assert scored(schedule) == compiled
     assert day_trace(schedule, day).soc[0] == 0.2
@@ -239,8 +245,6 @@ def exact(value):
     return value.hex() if isinstance(value, float) else value
 
 
-@pytest.mark.skipif(kernels.KERNEL != "c",
-                    reason="the C kernel could not be built")
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_compiled_day_hours_equals_the_python_twin_bit_for_bit(contexts, data):
@@ -251,7 +255,7 @@ def test_compiled_day_hours_equals_the_python_twin_bit_for_bit(contexts, data):
     compiled_rows, twin_rows = np.empty(73), np.empty(73)
     compiled = kernels.day_hours(schedule._address, ctx.day_inputs,
                                  compiled_rows.ctypes.data)
-    twin = _day_hours(ctx, schedule, twin_rows)
+    twin = _day_hours(ctx.day_inputs, schedule._rows, twin_rows)
     fields = [name for name, _ in DayTotals._fields_]
     assert [exact(getattr(compiled, name)) for name in fields] == \
         [exact(getattr(twin, name)) for name in fields]
@@ -268,12 +272,10 @@ THRESHOLD = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
 def test_rejecting_a_candidate_on_its_penalty_is_sound(contexts, data):
     """The search value is weighted + penalty, bit for bit, and never below
     the penalty, so no threshold rejects on the penalty a candidate whose
-    search value it would accept; on both kernels."""
+    search value it would accept; on the kernel and on its oracle."""
     ctx, schedule = data.draw(scored_days(contexts))
-    kernel = data.draw(st.sampled_from(["c", "python"] if kernels.KERNEL == "c"
-                                       else ["python"]))
-    h = (kernels.day_hours(schedule._address, ctx.day_inputs, None)
-         if kernel == "c" else _day_hours(ctx, schedule))
+    kernel = data.draw(st.sampled_from([kernels.day_hours, day_hours]))
+    h = kernel(schedule._address, ctx.day_inputs, None)
     ev = evaluate_schedule(schedule, ctx, h)
     assert bits(ev.search_value) == bits(ev.weighted + h.penalty)
     assert ev.search_value >= h.penalty
@@ -297,9 +299,7 @@ def test_the_price_memo_is_never_stale(contexts, monkeypatch, kernel):
     and schedules whose key differs, scored in turn on one context: each
     scores as on a fresh context, bit for bit."""
     if kernel == "python":
-        monkeypatch.setattr(kernels, "KERNEL", "python")
-    elif kernels.KERNEL != "c":
-        pytest.skip("the C kernel could not be built")
+        use_the_oracles(monkeypatch)
     ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 51, W4)
     rule = rule_based_schedule(ctx)
     p_dg, p_bs = rule.p_dg.copy(), rule.p_bs.copy()
@@ -325,7 +325,7 @@ def test_the_price_memo_is_never_stale(contexts, monkeypatch, kernel):
         ev = evaluate_schedule(schedule, ctx)
         fresh = evaluate_schedule(schedule, dataclasses.replace(ctx))
         assert scored_bits(ev) == scored_bits(fresh)
-        h = _day_hours(ctx, schedule)
+        h = _day_hours(ctx.day_inputs, schedule._rows)
         keys.append((h.energy, h.online, h.starts))
     assert keys[0] == keys[1] == keys[3] == keys[8]
     assert keys[4][0] == keys[0][0] and keys[4] != keys[0]
@@ -338,11 +338,9 @@ def test_scoring_rejects_a_schedule_of_other_than_24_hours(contexts, monkeypatch
                                                            kernel, hours):
     """The C kernel reads 2 x 24 numbers from a schedule's block: a schedule
     of another length cannot be made, and its rows cannot be rebound, so
-    neither kernel is reached."""
+    neither the kernel nor its oracle is reached."""
     if kernel == "python":
-        monkeypatch.setattr(kernels, "KERNEL", "python")
-    elif kernels.KERNEL != "c":
-        pytest.skip("the C kernel could not be built")
+        use_the_oracles(monkeypatch)
     ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 0, W4)
     for p_dg, p_bs in ((np.ones(hours), np.ones(24)), (np.ones(24), np.ones(hours))):
         with pytest.raises(InputDataError, match="must hold 24 hours"):
@@ -467,26 +465,22 @@ PINNED = {
 
 
 def pinned_result(contexts, monkeypatch, variant, day):
-    """The pinned numbers of a day, counting the hours passes of the kernel
-    in use and the scorer's calls given the search's own hours, through the
-    module attributes the search calls them by."""
+    """The pinned numbers of a day, counting the hours passes of the day
+    kernel in place and the scorer's calls given the search's own hours,
+    through the module attributes the search calls them by."""
     passes, priced = [], []
-    if kernels.KERNEL == "c":
-        module, name = kernels, "day_hours"
-    else:
-        module, name = dispatch, "_day_hours"
-    day_hours, score = getattr(module, name), dispatch.evaluate_schedule
+    hours_pass, score = kernels.day_hours, dispatch.evaluate_schedule
 
     def counted_pass(*args):
         passes.append(None)
-        return day_hours(*args)
+        return hours_pass(*args)
 
     def counted_score(s, ctx, hours=None):
         if hours is not None:
             priced.append(None)
         return score(s, ctx, hours)
 
-    monkeypatch.setattr(module, name, counted_pass)
+    monkeypatch.setattr(kernels, "day_hours", counted_pass)
     monkeypatch.setattr(dispatch, "evaluate_schedule", counted_score)
     config = build_config(VARIANTS[variant])
     ctx = day_context(contexts[variant], Design(100, 8, 45.45), day,
@@ -509,5 +503,6 @@ def test_optimize_day_is_pinned(contexts, monkeypatch, variant, day):
 @pytest.mark.parametrize("variant, day", sorted(PINNED))
 def test_optimize_day_is_pinned_on_the_python_fallback(contexts, monkeypatch,
                                                        variant, day):
-    monkeypatch.setattr(kernels, "KERNEL", "python")
+    """The same numbers with the oracles in the kernels' place."""
+    use_the_oracles(monkeypatch)
     assert pinned_result(contexts, monkeypatch, variant, day) == PINNED[variant, day]

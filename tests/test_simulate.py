@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from reference import count_transitions, year_run
 
 from offgridopt import kernels
 from offgridopt.config import build_config, build_context
@@ -22,8 +23,7 @@ from offgridopt.economics import (CostTable, FinancialParams, Weights,
 from offgridopt.errors import InputDataError
 from offgridopt.simulate import (Design, SimulationContext, SizingProblem,
                                  StrategyConfig, TRACE_HEADER,
-                                 count_transitions, feed_in_profile,
-                                 hourly_power_balance_check,
+                                 feed_in_profile, hourly_power_balance_check,
                                  renewable_feed_in, simulate_year)
 from offgridopt.timeseries import (ClimateSeries, LoadSeries,
                                    generate_annual_load, scale_wind)
@@ -159,8 +159,6 @@ def test_nan_input_rejected(flat_year_ctx):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts the process's minor page faults (Linux)")
-@pytest.mark.skipif(kernels.KERNEL != "c",
-                    reason="the Python fallback builds its rows as lists")
 def test_simulate_year_does_not_regrow_the_heap(run_python):
     """Warm ``simulate_year`` calls reuse the memory of the ones before.
 
@@ -184,33 +182,6 @@ def test_simulate_year_does_not_regrow_the_heap(run_python):
         after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
         print((after - before) / 300)
-    """))
-    assert float(out) < 5
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="counts the process's minor page faults (Linux)")
-def test_python_fallback_does_not_regrow_the_heap(run_python):
-    """The Python cascade writes its hours into its output block: five lists
-    of 8760 floats per call made about 190 minor faults per call when
-    scipy is not loaded."""
-    out = run_python(textwrap.dedent("""
-        import resource, sys
-        from offgridopt import kernels
-        from offgridopt.config import build_config, build_context
-        from offgridopt.simulate import Design, simulate_year
-
-        kernels.KERNEL = "python"
-        ctx = build_context(build_config({}))
-        design = Design(100, 8, 45.45)
-        for _ in range(5):
-            simulate_year(design, ctx)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(20):
-            simulate_year(design, ctx)
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
-        print((after - before) / 20)
     """))
     assert float(out) < 5
 
@@ -276,10 +247,9 @@ def variant_ctx():
 @pytest.mark.parametrize("design", sorted(PINNED_YEARS))
 def test_simulate_year_is_pinned_on_the_variant_branches(variant_ctx, monkeypatch,
                                                          kernel, design):
+    """On the compiled year, and on its oracle in the kernel's place."""
     if kernel == "python":
-        monkeypatch.setattr(kernels, "KERNEL", "python")
-    elif kernels.KERNEL != "c":
-        pytest.skip("the C kernel could not be built")
+        monkeypatch.setattr(kernels, "run", year_run(variant_ctx))
     sim = simulate_year(Design(*design), variant_ctx)
     assert (tuple(v.hex() for v in sim.objectives),
             sim.battery_cycles.hex()) == PINNED_YEARS[design]
@@ -376,14 +346,12 @@ def test_a_used_context_travels_without_its_kernel_record(annual_ctx, clone):
     context's arrays; a copy builds its own from its own arrays."""
     design = Design(100, 8, 45.45)
     used = simulate_year(design, annual_ctx)
-    if kernels.KERNEL == "c":
-        assert "year_inputs" in vars(annual_ctx)
+    assert "year_inputs" in vars(annual_ctx)
     twin = clone(annual_ctx)
     assert "year_inputs" not in vars(twin)
     assert_same_simulation(simulate_year(design, twin), used)
-    if kernels.KERNEL == "c":
-        assert twin.year_inputs.dem != annual_ctx.year_inputs.dem
-        assert twin.year_inputs.dem == twin.hourly_inputs[1].ctypes.data
+    assert twin.year_inputs.dem != annual_ctx.year_inputs.dem
+    assert twin.year_inputs.dem == twin.hourly_inputs[1].ctypes.data
 
 
 def test_context_fields_cannot_be_reassigned(annual_ctx):
