@@ -2,17 +2,17 @@
  * package needs a C compiler, and kernels.py builds this file with cc and
  * loads it on import.  kernels.py also defines the ctypes twins of the
  * structs below.
- *   cascade    the load-following priority cascade; over a year it also
- *              forms the renewable feed-in and the annual sums;
+ *   cascade    the load-following priority cascade over any horizon, a
+ *              year or a dispatch day: it forms the renewable feed-in from
+ *              the design and the hourly profile and sums the hours;
  *   day_hours  the pass over the 24 hours of a dispatch schedule and the
  *              constraint residuals and penalty it leaves; the dispatch
  *              search rejects a candidate on the penalty before it prices
  *              it, and prices stay in Python.
  *
  * Each kernel has a Python oracle in tests/reference.py, which the tests
- * compare with it bit for bit: _cascade_python and _year_python for
- * cascade, _day_hours (with dispatch.propagate_soc and day_sum) for
- * day_hours.  Every operation the C code performs is the one the oracle
+ * compare with it bit for bit: _run_python for cascade, _day_hours (with
+ * dispatch.propagate_soc and day_sum) for day_hours.  Every operation the C code performs is the one the oracle
  * performs, with the same IEEE double operands in the same order.  The C
  * code skips an operation only where a comment next to it shows that the
  * result cannot change any output.  That holds only when the compiler
@@ -93,13 +93,10 @@ static uint64_t bits(double x)
 /* What a run reads besides the design and the start state: the horizon,
  * the hourly inputs and the constants of the battery, the generator and
  * the converter.  The arrays are read by address and stay the caller's.
- * A SimulationContext fills one record for its year (year_inputs in
- * simulate.py); a run over given feed-in (kernels.cascade) fills one per
- * call. */
+ * A SimulationContext fills one record for its horizon (year_inputs in
+ * simulate.py). */
 typedef struct {
     long n;                 /* hours */
-    const double *res;      /* DC-bus renewable feed-in [kW], or NULL: formed
-                               from the design and the three factors below */
     const double *dem;      /* DC-bus demand [kW] */
     const double *irr;      /* irradiance [kW/m2] */
     const double *pv_eta;   /* PV cell efficiency */
@@ -107,8 +104,7 @@ typedef struct {
     double pv_area;         /* collector area of one PV unit [m2] */
     double wt_rated;        /* rated power of one turbine [kW] */
     double eta_rec;         /* rectifier efficiency of wind and generator */
-    double eta_inv;         /* the lost load's factor: inverter efficiency,
-                               or 1 to keep it on the DC bus */
+    double eta_inv;         /* inverter efficiency, DC shortfall to AC load */
     double eta;             /* battery round-trip efficiency */
     double soc_min;
     double soc_max;
@@ -178,13 +174,12 @@ static inline double np_sum(const double *a, long n)
 }
 
 /* Run in->n hours from *state, leave the final state there and return the
- * totals.  Without in->res the feed-in is formed from the design's unit
- * counts, as renewable_feed_in forms it, and out is a row-major (8, n)
- * block that receives the per-hour p_pv, p_wt, feed-in, p_dg, p_bs, soc,
- * dump and lost rows; with in->res, out is a (5, n) block of the last
- * five.  The generator's online hours and starts count p_dg > 0: the unit
- * starts the horizon off, so an hour starts it when it is on and the hour
- * before was off.  Every start has its stop (count_transitions in
+ * totals.  The feed-in is formed from the design's unit counts, as
+ * renewable_feed_in forms it, and out is a row-major (8, n) block that
+ * receives the per-hour p_pv, p_wt, feed-in, p_dg, p_bs, soc, dump and
+ * lost rows.  The generator's online hours and starts count p_dg > 0: the
+ * unit starts the horizon off, so an hour starts it when it is on and the
+ * hour before was off.  Every start has its stop (count_transitions in
  * tests/reference.py).  Each sum is np.sum's of its row. */
 cascade_totals cascade(const cascade_inputs *in, double pv_units,
                        double wt_units, double e_b_init, cascade_state *state,
@@ -194,7 +189,7 @@ cascade_totals cascade(const cascade_inputs *in, double pv_units,
      * after every store to out, which may alias them as far as the
      * compiler knows. */
     const long n = in->n;
-    const double *const res = in->res, *const dem = in->dem;
+    const double *const dem = in->dem;
     const double *const irr = in->irr, *const pv_eta = in->pv_eta;
     const double *const wt_frac = in->wt_frac;
     const double pv_area = in->pv_area, eta_rec = in->eta_rec;
@@ -217,10 +212,9 @@ cascade_totals cascade(const cascade_inputs *in, double pv_units,
     int last_dir = state->discharging ? 1 : -1;
     double *const p_pv_out = out, *const p_wt_out = out + n;
     double *const res_out = out + 2 * n;
-    double *const p_dg_out = res ? out : out + 3 * n;
-    double *const p_bs_out = p_dg_out + n, *const soc_out = p_dg_out + 2 * n;
-    double *const dump_out = p_dg_out + 3 * n;
-    double *const lost_out = p_dg_out + 4 * n;
+    double *const p_dg_out = out + 3 * n, *const p_bs_out = out + 4 * n;
+    double *const soc_out = out + 5 * n, *const dump_out = out + 6 * n;
+    double *const lost_out = out + 7 * n;
     long online = 0, starts = 0;
     int was_on = 0;
     /* See min3_by_eta. */
@@ -262,19 +256,14 @@ cascade_totals cascade(const cascade_inputs *in, double pv_units,
     double count = 0.0 * eta / 1.0;
 
     for (long t = 0; t < n; t++) {
-        double r;
-        if (res) {
-            r = res[t];
-        } else {
-            /* renewable_feed_in: ((n_s * eta) * area) * irr,
-             * (n_w * rated) * frac and eta_rec * p_wt + p_pv */
-            const double p_pv = pv_units * pv_eta[t] * pv_area * irr[t];
-            const double p_wt = wt_kw * wt_frac[t];
-            r = eta_rec * p_wt + p_pv;
-            p_pv_out[t] = p_pv;
-            p_wt_out[t] = p_wt;
-            res_out[t] = r;
-        }
+        /* renewable_feed_in: ((n_s * eta) * area) * irr,
+         * (n_w * rated) * frac and eta_rec * p_wt + p_pv */
+        const double p_pv = pv_units * pv_eta[t] * pv_area * irr[t];
+        const double p_wt = wt_kw * wt_frac[t];
+        const double r = eta_rec * p_wt + p_pv;
+        p_pv_out[t] = p_pv;
+        p_wt_out[t] = p_wt;
+        res_out[t] = r;
         const double d = dem[t];
         double p_dg = 0.0;
         double p_bs = 0.0;
@@ -379,9 +368,6 @@ cascade_totals cascade(const cascade_inputs *in, double pv_units,
         p_bs_out[t] = p_bs;
         soc_out[t] = soc;
         dump_out[t] = dump;
-        /* simulate_year's lost *= eta_inv.  With eta_inv 1 the product is
-         * lost_dc itself: x * 1.0 is x for every double but a NaN, and
-         * lost_dc is never NaN (a NaN deficit fails the compare). */
         lost_out[t] = lost_dc * eta_inv;
 
         const int on = p_dg > 0.0;
@@ -396,7 +382,7 @@ cascade_totals cascade(const cascade_inputs *in, double pv_units,
     state->discharging = last_dir > 0;
     cascade_totals totals = {
         np_sum(p_dg_out, n), np_sum(dump_out, n), np_sum(lost_out, n),
-        np_sum(res ? res : res_out, n), online, starts};
+        np_sum(res_out, n), online, starts};
     return totals;
 }
 

@@ -7,6 +7,8 @@ annual simulator can call them millions of times from any thread.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -46,6 +48,22 @@ MT_EMISSION_FACTORS = {
 }
 
 
+def require_finite(spec) -> None:
+    """Raise ``InputDataError`` naming the class and the field of the first
+    float field of the dataclass ``spec`` that is NaN or infinite, the
+    values of a mapping field included.  Every compare with a NaN is false
+    and an infinity passes a one-sided bound, so the range checks of a spec
+    let both through."""
+    for name in spec.__dataclass_fields__:
+        value = getattr(spec, name)
+        entries = value.items() if isinstance(value, Mapping) else [(None, value)]
+        for key, v in entries:
+            if isinstance(v, float) and not math.isfinite(v):
+                where = name if key is None else f"{name}[{key!r}]"
+                raise InputDataError(
+                    f"{type(spec).__name__}.{where} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class PvSpec:
     """Monocrystalline PV module parameters (defaults: 255 Wp module)."""
@@ -61,6 +79,7 @@ class PvSpec:
     collector_area: float = 1.4602  # collector area per module [m2]
 
     def __post_init__(self):
+        require_finite(self)
         if not 0 < self.eta_ref <= 1 or not 0 < self.eta_pc <= 1:
             raise InputDataError("PV efficiencies must be in (0, 1]")
         if self.beta < 0:
@@ -82,6 +101,7 @@ class WindSpec:
     shear_exponent: float = 0.14    # power-law exponent for height scaling
 
     def __post_init__(self):
+        require_finite(self)
         if not 0 < self.cut_in < self.rated_speed < self.cut_out:
             raise InputDataError("need 0 < cut_in < rated_speed < cut_out")
         if not 0 < self.shear_exponent < 0.5:
@@ -106,6 +126,7 @@ class BatterySpec:
     fixed_power_limit: bool = False        # cap at rated_power_per_unit if True
 
     def __post_init__(self):
+        require_finite(self)
         if not 0 <= self.soc_min < self.soc_max <= 1:
             raise InputDataError("need 0 <= soc_min < soc_max <= 1")
         if not 0 < self.round_trip_eff <= 1:
@@ -163,6 +184,7 @@ class GeneratorSpec:
     emission_factors: dict = field(default_factory=lambda: dict(DE_EMISSION_FACTORS))
 
     def __post_init__(self):
+        require_finite(self)
         if self.kind not in ("DE", "MT"):
             raise InputDataError("generator kind must be 'DE' or 'MT'")
         if not self.rated_power >= 0:   # also rejects NaN, as below

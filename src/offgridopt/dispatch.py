@@ -8,7 +8,9 @@ under ``dpsp_max``.  The search is two-level: the 24-bit generator ON/OFF
 pattern is explored by seeded hill-climbing warm-started from the rule-based
 schedule, and the continuous setpoints inside a pattern are refined by
 projected coordinate descent with an exact penalty on the constraint
-residuals.
+residuals.  The rule-based schedule is the sizing simulator's cascade on
+the day: ``simulate.dispatch_cascade`` over the day's context, the one
+compiled call of the cascade that ``simulate_year`` also makes.
 
 A candidate costs one pass over its hours in the C day kernel
 ``kernels.day_hours``, which also returns the residuals and the penalty;
@@ -83,8 +85,7 @@ class DispatchContext:
             sim.generator.rated_power, sim.costs)
         # As the fields are set: updating vars(self) slowed every later read.
         for name, value in dict(
-            demand_dc=demand_dc, res_dc=res_dc,
-            capital=capital, res_kwh=float(res_dc.sum()),
+            res_dc=res_dc, capital=capital, res_kwh=float(res_dc.sum()),
             # the (energy, online, starts) last priced and its
             # (c_daily, emissions); see evaluate_schedule
             price_memo=[None, None],
@@ -299,15 +300,12 @@ def day_trace(s: DispatchSchedule, ctx: DispatchContext) -> DayTrace:
 
 def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
     """The sizing simulator's load-following cascade applied to this day,
-    under the context's operating strategy.  The rows are copied out of the
-    cascade's output block, so the schedule does not keep the block alive."""
-    sim = ctx.sim
-    p_dg, p_bs, *_ = dispatch_cascade(
-        ctx.res_dc, ctx.demand_dc, sim.battery, ctx.design.e_b_init,
-        sim.generator, sim.strategy.dg_may_charge_battery,
-        eta_rec=sim.converter.eta_rec, start=CascadeState(ctx.soc_start),
-        cycle_counting=sim.strategy.cycle_counting)
-    return DispatchSchedule(p_dg, p_bs)
+    under the context's operating strategy, from the day's starting SOC.
+    The p_dg and p_bs rows are copied out of the cascade's output block, so
+    the schedule does not keep the block alive."""
+    rows, _, _ = dispatch_cascade(ctx.design, ctx.sim,
+                                  CascadeState(ctx.soc_start))
+    return DispatchSchedule(rows[3], rows[4])
 
 
 def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext

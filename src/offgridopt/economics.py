@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .devices import GeneratorSpec
+from .devices import GeneratorSpec, require_finite
 from .errors import InfeasibleBaselineError, InputDataError
 
 LITERS_PER_GALLON = 3.78541
@@ -62,8 +62,9 @@ class CostTable:
     converter_capital: float = 2800.0
 
     def __post_init__(self):
+        require_finite(self)
         for name in self.__dataclass_fields__:
-            if not getattr(self, name) >= 0:   # also rejects NaN
+            if not getattr(self, name) >= 0:
                 raise InputDataError(f"CostTable.{name} must be >= 0")
 
 

@@ -1,7 +1,7 @@
 """The compiled kernels of ``_cascade.c`` and the records they exchange:
-``cascade``, the load-following cascade over a given feed-in, ``run``,
-which over a year also forms the feed-in and the annual sums, and
-``day_hours``, the pass over the hours of a dispatch schedule.
+``run``, the load-following cascade over any horizon, which also forms
+the renewable feed-in and sums the hours, and ``day_hours``, the pass
+over the hours of a dispatch schedule.
 
 They are the package's only implementation of these computations, so the
 package needs a C compiler: the library is built with ``cc`` and loaded
@@ -53,7 +53,7 @@ class CascadeInputs(ctypes.Structure):
 
     _fields_ = ([("n", ctypes.c_long)]
                 + [(name, ctypes.c_void_p) for name in (
-                    "res", "dem", "irr", "pv_eta", "wt_frac")]
+                    "dem", "irr", "pv_eta", "wt_frac")]
                 + [(name, ctypes.c_double) for name in (
                     "pv_area", "wt_rated", "eta_rec", "eta_inv", "eta",
                     "soc_min", "soc_max", "leak", "fade", "fade_floor",
@@ -71,34 +71,29 @@ class CascadeTotals(ctypes.Structure):
                 + [("online", ctypes.c_long), ("starts", ctypes.c_long)])
 
 
-def _address(a: np.ndarray | None):
-    return None if a is None else a.__array_interface__["data"][0]
-
-
 def cascade_inputs(demand_dc: np.ndarray, battery: BatterySpec,
                    generator: GeneratorSpec, dg_may_charge: bool,
-                   eta_rec: float, cycle_counting: str, *,
-                   res_dc: np.ndarray | None = None, profile=None,
-                   pv_area: float = 0.0, wt_rated: float = 0.0,
-                   eta_inv: float = 1.0) -> CascadeInputs:
-    """The record of a run over ``demand_dc`` and either the feed-in
-    ``res_dc`` or the ``simulate.FeedInProfile`` ``profile``, which the
-    kernel turns into feed-in with ``pv_area`` and ``wt_rated``.  The arrays
-    must be C-contiguous float64 arrays of one length.  ``eta_inv`` scales
-    the lost load; 1 keeps it on the DC bus."""
-    irr, pv_eta, wt_frac = (None,) * 3 if profile is None else profile
-    arrays = (res_dc, demand_dc, irr, pv_eta, wt_frac)
+                   eta_rec: float, cycle_counting: str, *, profile,
+                   pv_area: float, wt_rated: float,
+                   eta_inv: float) -> CascadeInputs:
+    """The record of a run over ``demand_dc`` and the
+    ``simulate.FeedInProfile`` ``profile``, which the kernel turns into
+    feed-in with ``pv_area`` and ``wt_rated``.  The arrays must be
+    C-contiguous float64 arrays of one length.  ``eta_inv`` scales the lost
+    load to the customer (AC) side."""
+    arrays = (demand_dc, *profile)
     for a in arrays:
-        if a is not None and (a.dtype != np.float64 or a.shape != demand_dc.shape
-                              or a.ndim != 1 or not a.flags.c_contiguous):
+        if (a.dtype != np.float64 or a.shape != demand_dc.shape
+                or a.ndim != 1 or not a.flags.c_contiguous):
             raise ValueError("the cascade reads 1-D C-contiguous float64 "
                              "arrays of one length")
     record = CascadeInputs(
-        len(demand_dc), *map(_address, arrays), pv_area, wt_rated, eta_rec,
-        eta_inv, battery.round_trip_eff, battery.soc_min, battery.soc_max,
-        self_discharge_hourly(battery), battery.fade_per_cycle,
-        CAPACITY_FADE_FLOOR, battery.rated_power_per_unit,
-        battery.unit_energy, generator.rated_power, generator.min_power,
+        len(demand_dc), *(a.__array_interface__["data"][0] for a in arrays),
+        pv_area, wt_rated, eta_rec, eta_inv, battery.round_trip_eff,
+        battery.soc_min, battery.soc_max, self_discharge_hourly(battery),
+        battery.fade_per_cycle, CAPACITY_FADE_FLOOR,
+        battery.rated_power_per_unit, battery.unit_energy,
+        generator.rated_power, generator.min_power,
         int(battery.fixed_power_limit), int(dg_may_charge),
         int(cycle_counting == "throughput"))
     record.arrays = arrays
@@ -225,13 +220,12 @@ day_hours = _LIBRARY.day_hours
 def run(inputs: CascadeInputs, pv_units: float, wt_units: float,
         e_b_init: float, start: CascadeState):
     """A cascade run in C: its hourly block, the final ``CascadeState`` and
-    the ``CascadeTotals``.  When ``inputs`` holds a feed-in profile the
-    kernel forms the feed-in of ``pv_units`` and ``wt_units``, and the block
-    has eight rows: p_pv, p_wt, feed-in, p_dg, p_bs, soc, dump and the lost
-    load scaled by ``eta_inv``; when it holds the feed-in, the block has the
-    last five.
+    the ``CascadeTotals``.  The kernel forms the feed-in of ``pv_units`` and
+    ``wt_units`` from the profile of ``inputs``, and the block has eight
+    rows: p_pv, p_wt, feed-in, p_dg, p_bs, soc, dump and the lost load
+    scaled by ``eta_inv``.
     """
-    out = np.empty((5 if inputs.res else 8, inputs.n))
+    out = np.empty((8, inputs.n))
     state = _CState(start.soc, start.cycles, start.throughput,
                     int(start.discharging))
     totals = _LIBRARY.cascade(inputs, pv_units, wt_units, e_b_init, state,
@@ -240,15 +234,3 @@ def run(inputs: CascadeInputs, pv_units: float, wt_units: float,
                        bool(state.discharging))
     return out, end, totals
 
-
-def cascade(res_dc: np.ndarray, demand_dc: np.ndarray, battery: BatterySpec,
-            e_b_init: float, generator: GeneratorSpec, dg_may_charge: bool,
-            eta_rec: float, start: CascadeState, cycle_counting: str):
-    """The cascade in C over the feed-in ``res_dc``, with the arguments and
-    results of ``simulate.dispatch_cascade``.  ``res_dc`` and ``demand_dc``
-    must be C-contiguous float64 arrays, as ``dispatch_cascade`` makes
-    them."""
-    inputs = cascade_inputs(demand_dc, battery, generator, dg_may_charge,
-                            eta_rec, cycle_counting, res_dc=res_dc)
-    out, end, totals = run(inputs, 0.0, 0.0, e_b_init, start)
-    return (*out, end, (totals.online, totals.starts))

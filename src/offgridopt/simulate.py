@@ -10,13 +10,14 @@ covers what remains (semicontinuous between its minimum and rated output),
 forced generator surplus recharges the battery when the strategy allows it,
 and any final shortfall is lost load.
 
-The cascade runs in the C kernel ``kernels.cascade``, and a year of
-``simulate_year`` is one call of ``kernels.run``, which also forms the
-feed-in and the annual sums; the package needs a C compiler to build them
-(see ``kernels``).  Their Python oracles, ``_cascade_python`` and
-``_year_python`` (``renewable_feed_in``, the cascade and numpy's sums),
-live in ``tests/reference.py``, where the tests compare them with the
-kernels bit for bit.
+The cascade runs in the C kernel ``kernels.run``, which also forms the
+feed-in and sums the hours; the package needs a C compiler to build it
+(see ``kernels``).  ``dispatch_cascade`` is its one call: a year of
+``simulate_year`` and the rule-based day of ``dispatch`` each run it over
+their context's ``year_inputs``.  Its Python oracle, ``_run_python``
+(``renewable_feed_in``, the cascade and numpy's sums), lives in
+``tests/reference.py``, where the tests compare it with the kernel bit for
+bit.
 """
 
 from __future__ import annotations
@@ -169,10 +170,11 @@ class SimulationContext:
 
     @cached_property
     def year_inputs(self) -> kernels.CascadeInputs:
-        """The record ``kernels.run`` reads for a year: the addresses of the
-        arrays of ``hourly_inputs`` and the constants of the context's
-        devices and strategy.  Built on first use and never pickled: its
-        addresses mean nothing in another process."""
+        """The record ``kernels.run`` reads for the context's horizon, any
+        horizon (a year or a dispatch day): the addresses of the arrays of
+        ``hourly_inputs`` and the constants of the context's devices and
+        strategy.  Built on first use and never pickled: its addresses mean
+        nothing in another process."""
         feed_in, demand_dc, _ = self.hourly_inputs
         strategy, converter = self.strategy, self.converter
         return kernels.cascade_inputs(
@@ -276,32 +278,20 @@ def renewable_feed_in(design: Design, profile: FeedInProfile, pv: PvSpec,
     return p_pv, p_wt, res_dc
 
 
-def dispatch_cascade(res_dc, demand_dc, battery: BatterySpec, e_b_init: float,
-                     generator: GeneratorSpec, dg_may_charge: bool,
-                     eta_rec: float, start: CascadeState | None = None,
-                     cycle_counting: str = "reversal"):
-    """Run the load-following priority cascade over any horizon.
+def dispatch_cascade(design: Design, ctx: SimulationContext,
+                     start: CascadeState):
+    """Run the load-following priority cascade of ``design`` over the
+    horizon of ``ctx``, a year or a dispatch day, from the battery state
+    ``start``: one ``kernels.run`` over ``ctx.year_inputs``.
 
-    ``res_dc`` and ``demand_dc`` are DC-bus quantities; the generator output
-    is AC and contributes ``eta_rec`` of it to the bus.  ``start`` is the
-    battery state before the first hour (a fresh bank when omitted).
-    Returns per-hour arrays (p_dg, p_bs, soc, dump_dc, lost_dc), which are
-    the rows of one fresh (5, n) block, the final ``CascadeState`` and the
-    generator's (online hours, starts) for ``p_dg > 0``; the unit starts and
-    ends the horizon off, so every start has its shutdown.  Passing the
-    final state as ``start`` of the next slice gives the same hours as one
-    run over both slices.
+    Returns the fresh (8, n) block of hourly rows (p_pv, p_wt, the DC-bus
+    feed-in, p_dg, p_bs, soc, dump and the lost load on the AC side), the
+    final ``CascadeState`` and the ``kernels.CascadeTotals``, whose
+    generator online hours and starts count ``p_dg > 0``; the unit starts
+    and ends the horizon off, so every start has its shutdown.
     """
-    res_dc = np.ascontiguousarray(res_dc, dtype=np.float64)
-    demand_dc = np.ascontiguousarray(demand_dc, dtype=np.float64)
-    if res_dc.ndim != 1 or res_dc.shape != demand_dc.shape:
-        raise InputDataError("res_dc and demand_dc must be 1-D and equally long")
-    if cycle_counting not in ("reversal", "throughput"):
-        raise InputDataError("cycle_counting must be 'reversal' or 'throughput'")
-    if start is None:
-        start = CascadeState(battery.soc_max)
-    return kernels.cascade(res_dc, demand_dc, battery, e_b_init, generator,
-                           dg_may_charge, eta_rec, start, cycle_counting)
+    return kernels.run(ctx.year_inputs, design.pv_units, design.wt_units,
+                       design.e_b_init, start)
 
 
 def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
@@ -309,9 +299,8 @@ def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
     if len(ctx.load) != 8760:
         raise InputDataError("annual simulation needs 8760 hourly records")
     load_kwh = ctx.hourly_inputs[2]
-    rows, end, totals = kernels.run(
-        ctx.year_inputs, design.pv_units, design.wt_units, design.e_b_init,
-        CascadeState(ctx.battery.soc_max))
+    rows, end, totals = dispatch_cascade(design, ctx,
+                                         CascadeState(ctx.battery.soc_max))
     p_pv, p_wt, res_dc, p_dg, p_bs, soc, dump, lost = rows
     cycles = end.cycles
     dg_energy, dump_kwh, lost_kwh = totals.energy, totals.dump, totals.lost

@@ -10,6 +10,7 @@ internally as NaN, never as a numeric sentinel.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 
@@ -99,13 +100,17 @@ def require_complete(climate: ClimateSeries, load: LoadSeries) -> None:
 
 
 def _parse_cell(text: str, column: str, line: int) -> float:
+    """The number in a CSV cell; an empty cell is missing (NaN)."""
     text = text.strip()
     if text == "":
         return float("nan")
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"non-numeric value {text!r} in column {column!r}", line=line) from None
+    if math.isinf(value):
+        raise ParseError(f"infinite value {text!r} in column {column!r}", line=line)
+    return value
 
 
 def _data_rows(path, header: list[str]):

@@ -3,32 +3,34 @@
 The package runs the kernels only; these are the loops they replaced, kept
 here so that the tests can compare the two bit for bit:
 
-- ``_cascade_python``, with the arguments and results of
-  ``kernels.cascade``, and ``battery_capacity``, its capacity fade;
-- ``_year_python``, the annual ``kernels.run``: ``renewable_feed_in``, the
-  cascade from a fresh bank and numpy's sums;
+- ``_run_python``, ``kernels.run`` over any horizon, with its arguments
+  and results: ``renewable_feed_in``, the cascade hour by hour, with
+  ``battery_capacity`` for its capacity fade, and numpy's sums;
+- ``cascade`` and ``_cascade_python``, ``kernels.run`` and its oracle over
+  a given DC-bus feed-in (``_given_feed_in``), with the arguments of the
+  cascade's hypothesis cases;
 - ``_day_hours``, ``kernels.day_hours`` over a schedule's (2, 24) block,
   with its SOC knots from ``dispatch.propagate_soc`` and its sums from
   ``day_sum``;
 - ``count_transitions``, how the kernels count a generator's starts.
 
-``day_hours`` and ``year_run`` take the arguments of the compiled calls,
+``_run_python`` and ``day_hours`` take the arguments of the compiled calls,
 so that a test can put an oracle in a kernel's place.
 """
 
 import ctypes
 from operator import add, gt
+from types import SimpleNamespace
 
 import numpy as np
 
 from offgridopt import economics, kernels
 from offgridopt.devices import (CAPACITY_FADE_FLOOR, BatterySpec,
-                                GeneratorSpec, battery_power_limit,
-                                self_discharge_hourly)
+                                GeneratorSpec, battery_power_limit)
 from offgridopt.dispatch import propagate_soc
 from offgridopt.errors import InputDataError
 from offgridopt.kernels import CascadeState
-from offgridopt.simulate import Design, SimulationContext, renewable_feed_in
+from offgridopt.simulate import Design, FeedInProfile, renewable_feed_in
 
 
 def battery_capacity(e_init: float, n_cycles: float, spec: BatterySpec) -> float:
@@ -51,35 +53,50 @@ def count_transitions(online) -> int:
     return int(sum(map(gt, online, [False, *online])))
 
 
-def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
-                    battery: BatterySpec, e_b_init: float,
-                    generator: GeneratorSpec, dg_may_charge: bool,
-                    eta_rec: float, start: CascadeState,
-                    cycle_counting: str):
-    """The cascade, one Python iteration per hour: the oracle of
-    ``kernels.cascade``."""
-    n = len(res_dc)
-    res = memoryview(res_dc)
+def _run_python(inputs: kernels.CascadeInputs, pv_units: float,
+                wt_units: float, e_b_init: float, start: CascadeState):
+    """The oracle of ``kernels.run``, with its arguments and results: the
+    feed-in of ``renewable_feed_in`` from the record's profile, the cascade
+    one Python iteration per hour, the lost load scaled to the customer
+    (AC) side and numpy's sums.  Returns the (8, n) block of hourly rows,
+    the final ``CascadeState`` and the ``kernels.CascadeTotals``."""
+    demand_dc, *profile = inputs.arrays
+    n = len(demand_dc)
+    block = np.empty((8, n))
+    block[:3] = renewable_feed_in(
+        Design(pv_units, wt_units, e_b_init, integer_counts=False),
+        FeedInProfile(*profile), SimpleNamespace(collector_area=inputs.pv_area),
+        SimpleNamespace(rated_power=inputs.wt_rated),
+        SimpleNamespace(eta_rec=inputs.eta_rec))
+    res = memoryview(block[2])
     dem = memoryview(demand_dc)
+    # the bank as battery_capacity and battery_power_limit read it
+    battery = SimpleNamespace(
+        fade_per_cycle=inputs.fade, rated_power_per_unit=inputs.unit_power,
+        unit_energy=inputs.unit_energy,
+        fixed_power_limit=bool(inputs.fixed_power_limit))
+    assert inputs.fade_floor == CAPACITY_FADE_FLOOR
 
-    eta = battery.round_trip_eff
-    soc_min = battery.soc_min
-    soc_max = battery.soc_max
-    leak = self_discharge_hourly(battery)
+    eta = inputs.eta
+    soc_min = inputs.soc_min
+    soc_max = inputs.soc_max
+    leak = inputs.leak
     has_battery = e_b_init > 0
     soc = start.soc
     cycles = start.cycles
     last_dir = 1 if start.discharging else -1
     throughput = start.throughput
 
-    p_rated = generator.rated_power
-    p_min = generator.min_power
-    dg_eff = eta_rec
+    p_rated = inputs.p_rated
+    p_min = inputs.p_min
+    dg_eff = inputs.eta_rec
+    dg_may_charge = inputs.dg_may_charge
+    by_throughput = inputs.by_throughput
     online = starts = 0
     was_on = False
 
-    block = np.empty((5, n))
-    p_dg_out, p_bs_out, soc_out, dump_out, lost_out = map(memoryview, block)
+    p_dg_out, p_bs_out, soc_out, dump_out, lost_out = map(memoryview,
+                                                          block[3:])
 
     for t in range(n):
         r = res[t]
@@ -147,12 +164,12 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
                 soc = soc_min
             if p_bs > 1e-9:
                 throughput += p_bs
-                if last_dir < 0 and cycle_counting == "reversal":
+                if last_dir < 0 and not by_throughput:
                     cycles += 1
                 last_dir = 1
             elif p_bs < -1e-9:
                 last_dir = -1
-            if cycle_counting == "throughput":
+            if by_throughput:
                 cycles = throughput * eta / e_c
 
         p_dg_out[t] = p_dg
@@ -166,40 +183,45 @@ def _cascade_python(res_dc: np.ndarray, demand_dc: np.ndarray,
         starts += on and not was_on
         was_on = on
 
+    block[7] *= inputs.eta_inv
     end = CascadeState(soc, cycles, throughput, last_dir > 0)
-    return (*block, end, (online, starts))
+    # The rows are one block: one reduction sums them.
+    _, _, res_kwh, energy, _, _, dump_kwh, lost_kwh = block.sum(axis=1).tolist()
+    return block, end, kernels.CascadeTotals(energy, dump_kwh, lost_kwh,
+                                             res_kwh, online, starts)
 
 
-def _year_python(design: Design, ctx: SimulationContext):
-    """The oracle of an annual ``kernels.run``: the feed-in of
-    ``renewable_feed_in``, the cascade of ``_cascade_python`` from a fresh
-    bank, the lost load scaled to the customer (AC) side and numpy's sums.
-    Returns the eight hourly rows, the final ``CascadeState`` and the
-    ``kernels.CascadeTotals``."""
-    feed_in, demand_dc, _ = ctx.hourly_inputs
-    p_pv, p_wt, res_dc = renewable_feed_in(design, feed_in, ctx.pv, ctx.wind,
-                                           ctx.converter)
-    p_dg, p_bs, soc, dump, lost, end, (online, starts) = _cascade_python(
-        res_dc, demand_dc, ctx.battery, design.e_b_init, ctx.generator,
-        ctx.strategy.dg_may_charge_battery, ctx.converter.eta_rec,
-        CascadeState(ctx.battery.soc_max), ctx.strategy.cycle_counting)
-    lost *= ctx.converter.eta_inv
-    # The five hourly rows are views of one block: one reduction sums them.
-    energy, _, _, dump_kwh, lost_kwh = p_dg.base.sum(axis=1).tolist()
-    totals = kernels.CascadeTotals(energy, dump_kwh, lost_kwh,
-                                   float(res_dc.sum()), online, starts)
-    return (p_pv, p_wt, res_dc, p_dg, p_bs, soc, dump, lost), end, totals
+def _given_feed_in(run, res_dc: np.ndarray, demand_dc: np.ndarray,
+                   battery: BatterySpec, e_b_init: float,
+                   generator: GeneratorSpec, dg_may_charge: bool,
+                   eta_rec: float, start: CascadeState, cycle_counting: str):
+    """A run of ``run`` (``kernels.run`` or ``_run_python``) over the
+    DC-bus feed-in ``res_dc``: it passes the feed-in as the irradiance, with
+    cell efficiency 1, collector area 1, one PV unit, no wind and
+    ``eta_inv`` 1.  Then p_pv is ``1.0 * 1.0 * 1.0 * r``, the wind adds
+    ``eta_rec * 0.0``, which is 0.0, and the lost load is multiplied by 1.0,
+    so the run sees ``res_dc`` itself for every finite feed-in >= +0.0
+    (0.0 + -0.0 would be +0.0).  Returns the hourly rows p_dg, p_bs, soc,
+    dump and lost load (DC), the final ``CascadeState`` and the generator's
+    (online hours, starts)."""
+    assert np.isfinite(res_dc).all() and not np.signbit(res_dc).any()
+    n = len(res_dc)
+    inputs = kernels.cascade_inputs(
+        demand_dc, battery, generator, dg_may_charge, eta_rec, cycle_counting,
+        profile=FeedInProfile(res_dc, np.ones(n), np.zeros(n)), pv_area=1.0,
+        wt_rated=0.0, eta_inv=1.0)
+    rows, end, totals = run(inputs, 1.0, 0.0, e_b_init, start)
+    return (*rows[3:], end, (totals.online, totals.starts))
 
 
-def year_run(ctx: SimulationContext):
-    """``_year_python`` over the year of ``ctx`` with the arguments of
-    ``kernels.run``, as ``simulate_year`` calls it."""
-    def run(inputs, pv_units, wt_units, e_b_init, start):
-        assert inputs is ctx.year_inputs
-        assert start == CascadeState(ctx.battery.soc_max)
-        return _year_python(Design(pv_units, wt_units, e_b_init,
-                                   integer_counts=False), ctx)
-    return run
+def cascade(**case):
+    """The compiled cascade over a given feed-in (``_given_feed_in``)."""
+    return _given_feed_in(kernels.run, **case)
+
+
+def _cascade_python(**case):
+    """The oracle of ``cascade``: ``_run_python`` over the given feed-in."""
+    return _given_feed_in(_run_python, **case)
 
 
 def day_sum(hours) -> float:

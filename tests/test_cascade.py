@@ -1,11 +1,13 @@
-"""The load-following cascade kernels: the compiled kernel against its
-Python oracle on random specs, the compiled year (feed-in, cascade and sums
-in one call) against its Python composition, the kernel's sums against
-``np.sum``, the cascade's invariants, chaining through the carried battery
-state, and building and loading the library."""
+"""The load-following cascade kernel: the compiled run against its Python
+oracle on random specs, over a given feed-in and over random climates
+(feed-in, cascade and sums in one call), the record a context fills, the
+kernel's sums against ``np.sum``, the cascade's invariants, chaining
+through the carried battery state, and building and loading the
+library."""
 
 import ctypes
 import dataclasses
+import operator
 import shutil
 import struct
 from types import SimpleNamespace
@@ -16,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference import (_cascade_python, _year_python, battery_capacity,
-                       count_transitions, year_run)
+from reference import (_cascade_python, _run_python, battery_capacity,
+                       cascade, count_transitions)
 
 from offgridopt import kernels
 from offgridopt.config import build_config, build_context
@@ -26,9 +28,9 @@ from offgridopt.devices import (CAPACITY_FADE_FLOOR, BatterySpec,
                                 WindSpec, lead_acid_spec, microturbine_spec,
                                 self_discharge_hourly)
 from offgridopt.economics import CostTable, FinancialParams
-from offgridopt.errors import KernelUnavailableError
-from offgridopt.simulate import (CascadeState, Design, SimulationContext,
-                                 StrategyConfig, dispatch_cascade,
+from offgridopt.errors import InputDataError, KernelUnavailableError
+from offgridopt.simulate import (CascadeState, Design, FeedInProfile,
+                                 SimulationContext, StrategyConfig,
                                  renewable_feed_in, simulate_year)
 from offgridopt.timeseries import ClimateSeries, LoadSeries
 
@@ -145,7 +147,7 @@ def test_compiled_kernel_equals_python_loop_and_keeps_invariants(case):
     """Random hours, and stretches that pin the bank at ``soc_max`` and at
     ``soc_min``, where the compiled kernel reuses its last SOC update and
     throughput cycle count and skips the divisions that cannot bind."""
-    compiled = kernels.cascade(**case)
+    compiled = cascade(**case)
     assert_same_run(compiled, _cascade_python(**case))
     assert_invariants(case, compiled)
 
@@ -178,7 +180,7 @@ def test_compiled_kernel_equals_python_loop_on_a_tie_with_the_room(case, data):
     else:
         res[k], dem[k] = 0.0, energy
     case = {**case, "res_dc": res, "demand_dc": dem}
-    assert_same_run(kernels.cascade(**case), _cascade_python(**case))
+    assert_same_run(cascade(**case), _cascade_python(**case))
 
 
 @settings(max_examples=50, deadline=None)
@@ -190,7 +192,7 @@ def test_compiled_kernel_equals_python_loop_for_an_efficiency_above_one(case,
     that: the divisions it may skip are exact to skip only up to 1."""
     fields = dataclasses.asdict(case["battery"])
     case["battery"] = SimpleNamespace(**{**fields, "round_trip_eff": eta})
-    assert_same_run(kernels.cascade(**case), _cascade_python(**case))
+    assert_same_run(cascade(**case), _cascade_python(**case))
 
 
 @pytest.mark.parametrize("charge", [True, False])
@@ -208,7 +210,7 @@ def test_compiled_kernel_equals_python_loop_on_a_tie_with_the_power_limit(
     case["battery"] = BatterySpec(round_trip_eff=eta, fixed_power_limit=True,
                                   rated_power_per_unit=limit)
     (case["res_dc"] if charge else case["demand_dc"])[:] = 2.0 * limit
-    compiled = kernels.cascade(**case)
+    compiled = cascade(**case)
     assert_same_run(compiled, _cascade_python(**case))
     assert abs(compiled[1][0]) == limit
 
@@ -225,7 +227,7 @@ def test_compiled_kernel_keeps_the_sign_of_a_zero_soc(soc_min):
                     generator=GeneratorSpec(rated_power=0.0),
                     dg_may_charge=False, eta_rec=0.9,
                     start=CascadeState(start), cycle_counting="reversal")
-        compiled = kernels.cascade(**case)
+        compiled = cascade(**case)
         assert_same_run(compiled, _cascade_python(**case))
         assert struct.pack("d", compiled[2][0]) == struct.pack("d", start)
 
@@ -257,7 +259,7 @@ def test_compiled_kernel_equals_python_loop_over_a_year(variant):
                     eta_rec=ctx.converter.eta_rec,
                     start=CascadeState(ctx.battery.soc_max),
                     cycle_counting=ctx.strategy.cycle_counting)
-        assert_same_run(kernels.cascade(**case), _cascade_python(**case))
+        assert_same_run(cascade(**case), _cascade_python(**case))
 
 
 @st.composite
@@ -299,11 +301,11 @@ def assert_same_year(ctx, design):
     """The compiled run of a design over the context's hours equals its
     Python composition bit for bit: the eight rows, the final state and
     the totals."""
-    rows, end, totals = kernels.run(
-        ctx.year_inputs, design.pv_units, design.wt_units, design.e_b_init,
-        CascadeState(ctx.battery.soc_max))
-    py_rows, py_end, py_totals = _year_python(design, ctx)
-    assert rows.tobytes() == np.stack(py_rows).tobytes()
+    args = (ctx.year_inputs, design.pv_units, design.wt_units,
+            design.e_b_init, CascadeState(ctx.battery.soc_max))
+    rows, end, totals = kernels.run(*args)
+    py_rows, py_end, py_totals = _run_python(*args)
+    assert rows.tobytes() == py_rows.tobytes()
     assert struct.pack("3d?", *end) == struct.pack("3d?", *py_end)
     assert totals_bits(totals) == totals_bits(py_totals)
 
@@ -312,18 +314,25 @@ def assert_same_year(ctx, design):
 @given(year_cases())
 def test_compiled_year_equals_its_python_composition(case):
     """Feed-in, cascade, lost load on the AC side and the sums in one
-    compiled call against ``renewable_feed_in``, ``_cascade_python`` and
+    compiled call against ``renewable_feed_in``, the oracle's hour loop and
     numpy."""
     assert_same_year(*case)
 
 
 def sum_in_kernel(values):
-    """The kernel's total of a feed-in row: np.sum's, by its definition."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    """The kernel's total of a feed-in row: np.sum's, by its definition.
+    The feed-in row is ``values`` itself, signed zeros, infinities and NaN
+    included: one PV unit of efficiency 1 and area 1 gives p_pv =
+    ``1.0 * 1.0 * 1.0 * v``, which is ``v``, and -0.0 wind units give a
+    wind term of -0.0, and ``-0.0 + v`` is ``v`` for every double."""
+    n = len(values)
     inputs = kernels.cascade_inputs(
-        np.zeros(len(values)), BatterySpec(), GeneratorSpec(rated_power=0.0),
-        False, 0.9, "reversal", res_dc=values)
-    return kernels.run(inputs, 0.0, 0.0, 0.0, CascadeState(1.0))[2].res
+        np.zeros(n), BatterySpec(), GeneratorSpec(rated_power=0.0), False,
+        0.9, "reversal", profile=FeedInProfile(values, np.ones(n), np.ones(n)),
+        pv_area=1.0, wt_rated=1.0, eta_inv=1.0)
+    rows, _, totals = kernels.run(inputs, 1.0, -0.0, 0.0, CascadeState(1.0))
+    assert rows[2].tobytes() == values.tobytes()
+    return totals.res
 
 
 def same_double(a, b):
@@ -371,7 +380,7 @@ def test_compiled_year_equals_its_python_composition_over_a_year(variant):
 def test_kernels_count_generator_online_hours_and_starts(case):
     """The kernel and its oracle count (online hours, starts) of
     ``p_dg > 0`` as ``count_transitions`` does."""
-    runs = [_cascade_python(**case), kernels.cascade(**case)]
+    runs = [_cascade_python(**case), cascade(**case)]
     for run in runs:
         online = run[0] > 0
         assert run[6] == (int(online.sum()), count_transitions(online))
@@ -382,34 +391,69 @@ def test_kernels_count_generator_online_hours_and_starts(case):
 @settings(max_examples=100, deadline=None)
 @given(cascade_cases(), st.data())
 def test_active_kernel_keeps_invariants_and_chains_exactly(case, data):
-    whole = dispatch_cascade(**case)
+    whole = cascade(**case)
     assert_invariants(case, whole)
     split = data.draw(st.integers(0, len(case["res_dc"])))
-    first = dispatch_cascade(**{**case, "res_dc": case["res_dc"][:split],
-                                "demand_dc": case["demand_dc"][:split]})
-    second = dispatch_cascade(**{**case, "res_dc": case["res_dc"][split:],
-                                 "demand_dc": case["demand_dc"][split:],
-                                 "start": first[5]})
+    first = cascade(**{**case, "res_dc": case["res_dc"][:split],
+                       "demand_dc": case["demand_dc"][:split]})
+    second = cascade(**{**case, "res_dc": case["res_dc"][split:],
+                        "demand_dc": case["demand_dc"][split:],
+                        "start": first[5]})
     joined = [np.concatenate([a, b]) for a, b in zip(first[:5], second[:5])]
     assert_same_run(whole[:6], (*joined, second[5]))
 
 
 def test_default_start_is_a_fresh_full_bank():
-    out = dispatch_cascade([0.0], [1.0], BatterySpec(), 50.0, GeneratorSpec(),
-                           True, 0.9)
-    full = dispatch_cascade([0.0], [1.0], BatterySpec(), 50.0, GeneratorSpec(),
-                            True, 0.9, start=CascadeState(0.9))
+    """A ``CascadeState`` of an SOC alone, the start ``simulate_year`` runs
+    a year from, is a bank that has neither cycled nor discharged: its
+    first discharge starts a cycle."""
+    case = dict(res_dc=np.zeros(1), demand_dc=np.ones(1),
+                battery=BatterySpec(), e_b_init=50.0,
+                generator=GeneratorSpec(), dg_may_charge=True, eta_rec=0.9,
+                start=CascadeState(0.9), cycle_counting="reversal")
+    out = cascade(**case)
+    full = cascade(**{**case, "start": CascadeState(0.9, 0.0, 0.0, False)})
     assert_same_run(out, full)
     assert out[5].cycles == 1.0 and out[5].discharging
 
 
 def test_cascade_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        dispatch_cascade([1.0, 2.0], [1.0], BatterySpec(), 10.0, GeneratorSpec(),
-                         True, 0.9)
-    with pytest.raises(ValueError):
-        dispatch_cascade([1.0], [1.0], BatterySpec(), 10.0, GeneratorSpec(),
-                         True, 0.9, cycle_counting="rainflow")
+    """The kernel's record takes arrays of one length only, and the
+    strategy counts cycles by reversal or by throughput."""
+    with pytest.raises(ValueError, match="arrays of one length"):
+        kernels.cascade_inputs(
+            np.ones(1), BatterySpec(), GeneratorSpec(), True, 0.9, "reversal",
+            profile=FeedInProfile(np.ones(2), np.ones(2), np.ones(2)),
+            pv_area=1.0, wt_rated=1.0, eta_inv=1.0)
+    with pytest.raises(InputDataError, match="cycle_counting"):
+        StrategyConfig(cycle_counting="rainflow")
+
+
+@pytest.mark.parametrize("variant", ANNUAL_VARIANTS)
+def test_a_context_s_record_holds_its_devices_constants(variant):
+    """The record the kernel and its oracle both read carries the context's
+    hourly inputs and the constants of its devices and strategy."""
+    ctx = build_context(build_config(ANNUAL_VARIANTS[variant]), seed=42)
+    feed_in, demand_dc, _ = ctx.hourly_inputs
+    battery, generator, strategy = ctx.battery, ctx.generator, ctx.strategy
+    record = ctx.year_inputs
+    assert all(map(operator.is_, record.arrays, (demand_dc, *feed_in)))
+    assert [record.dem, record.irr, record.pv_eta, record.wt_frac] == [
+        a.ctypes.data for a in record.arrays]
+    assert record.n == 8760
+    expected = dict(
+        pv_area=ctx.pv.collector_area, wt_rated=ctx.wind.rated_power,
+        eta_rec=ctx.converter.eta_rec, eta_inv=ctx.converter.eta_inv,
+        eta=battery.round_trip_eff, soc_min=battery.soc_min,
+        soc_max=battery.soc_max, leak=self_discharge_hourly(battery),
+        fade=battery.fade_per_cycle, fade_floor=CAPACITY_FADE_FLOOR,
+        unit_power=battery.rated_power_per_unit,
+        unit_energy=battery.unit_energy, p_rated=generator.rated_power,
+        p_min=generator.min_power,
+        fixed_power_limit=battery.fixed_power_limit,
+        dg_may_charge=strategy.dg_may_charge_battery,
+        by_throughput=strategy.cycle_counting == "throughput")
+    assert {name: getattr(record, name) for name in expected} == expected
 
 
 def _same_sim(a, b):
@@ -433,7 +477,7 @@ def test_simulate_year_is_identical_on_the_python_fallback(annual_ctx, monkeypat
         annual_ctx, strategy=dataclasses.replace(annual_ctx.strategy, **strategy))
     design = Design(60, 6, 60)
     compiled = simulate_year(design, ctx)
-    monkeypatch.setattr(kernels, "run", year_run(ctx))
+    monkeypatch.setattr(kernels, "run", _run_python)
     _same_sim(compiled, simulate_year(design, ctx))
 
 

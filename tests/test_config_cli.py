@@ -463,6 +463,30 @@ def test_cli_rejects_climate_with_a_missing_value(tmp_path, command):
     assert "wind_ms" in doc["message"]
 
 
+@pytest.mark.parametrize("column, index, text", [
+    ("ghi_kw_m2", 1, "inf"), ("temp_c", 3, "-inf")])
+def test_cli_rejects_climate_with_an_infinite_value(tmp_path, column, index,
+                                                    text):
+    """An infinite cell at hour 12 made ``simulate`` exit 0 with
+    ``"status": "ok"`` and write REPG and 1-REF as bare NaN."""
+    lines = (resources.files("offgridopt.data")
+             .joinpath(CLIMATE_FILENAME).read_text().splitlines())
+    cells = lines[1 + 12].split(",")
+    cells[index] = text
+    lines[1 + 12] = ",".join(cells)
+    csv_path = tmp_path / "inf.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "inf.yaml"
+    cfg.write_text(yaml.safe_dump({"data": {"climate_csv": str(csv_path)}}))
+    code = run_cli(["simulate", "--seed", 42, "--design", "100,8,45.45",
+                    "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert doc["message"] == (f"line 14: infinite value {text!r} in column "
+                              f"{column!r}")
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["dispatch"]])
 def test_cli_rejects_a_load_that_sums_to_zero(tmp_path, command):
     csv_path = tmp_path / "zero.csv"

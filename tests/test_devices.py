@@ -1,14 +1,49 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from reference import battery_capacity
 
-from offgridopt.devices import (BatterySpec, GeneratorSpec, PvSpec, WindSpec,
+from offgridopt.devices import (DE_EMISSION_FACTORS, BatterySpec,
+                                GeneratorSpec, PvSpec, WindSpec,
                                 battery_power_limit, battery_step,
                                 hub_wind_speed, microturbine_spec,
                                 pv_efficiency, pv_power,
                                 wt_curve_coefficients, wt_power)
-from offgridopt.economics import LITERS_PER_GALLON, fuel_cost
+from offgridopt.economics import LITERS_PER_GALLON, CostTable, fuel_cost
 from offgridopt.errors import InputDataError
+
+
+# ---------------------------------------------------------------------------
+# Specs
+# ---------------------------------------------------------------------------
+
+# every float field of the specs, and the generator's emission factors
+FLOAT_FIELDS = [(spec, f.name)
+                for spec in (PvSpec, WindSpec, BatterySpec, GeneratorSpec,
+                             CostTable)
+                for f in dataclasses.fields(spec) if f.type == "float"]
+FLOAT_FIELDS.append((GeneratorSpec, "emission_factors"))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("spec, name", FLOAT_FIELDS,
+                         ids=[f"{spec.__name__}.{name}"
+                              for spec, name in FLOAT_FIELDS])
+def test_a_non_finite_spec_field_is_an_input_error_naming_it(spec, name,
+                                                             value):
+    """Range checks let a NaN (every compare with it is false) or an
+    infinity (past a one-sided bound) through; the specs reject both by
+    name, so no NaN or infinite objective comes out of a run."""
+    field = name
+    if name == "emission_factors":
+        value = {**DE_EMISSION_FACTORS, "NOx": value}
+        field = r"emission_factors\['NOx'\]"
+    with pytest.raises(InputDataError,
+                       match=rf"^{spec.__name__}\.{field} must be finite"):
+        spec(**{name: value})
 
 
 # ---------------------------------------------------------------------------

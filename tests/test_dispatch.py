@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import _cascade_python, cascade
 
 from offgridopt import dispatch
 from offgridopt.config import build_config, build_context
@@ -17,8 +18,7 @@ from offgridopt.dispatch import (DispatchContext, DispatchSchedule, Scenario,
 from offgridopt.economics import CostTable, FinancialParams, Weights
 from offgridopt.errors import InfeasibleBaselineError, InputDataError
 from offgridopt.simulate import (CascadeState, Design, SimulationContext,
-                                 StrategyConfig, dispatch_cascade,
-                                 renewable_feed_in)
+                                 StrategyConfig, renewable_feed_in)
 from offgridopt.timeseries import (ClimateSeries, LoadSeries, flatten_load,
                                    make_peaky_load)
 
@@ -78,7 +78,7 @@ def test_day_inputs_are_the_hours_of_the_year(annual_ctx, data):
     ctx = day_context(annual, design, day, W4)
     hours = slice(24 * day, 24 * (day + 1))
     assert ctx.res_dc.tobytes() == res_dc[hours].tobytes()
-    assert ctx.demand_dc.tobytes() == demand_dc[hours].tobytes()
+    assert ctx.sim.hourly_inputs[1].tobytes() == demand_dc[hours].tobytes()
 
 
 @pytest.mark.parametrize("baseline, costs, name", [
@@ -175,17 +175,67 @@ def test_rule_based_schedule_follows_the_strategy(annual_ctx):
     day = day_context(dataclasses.replace(annual_ctx, strategy=strategy),
                       Design(100, 8, 45.45), 0, W4)
 
-    def cascade(dg_may_charge):
-        return dispatch_cascade(day.res_dc, day.demand_dc, day.sim.battery,
-                                day.design.e_b_init, day.sim.generator,
-                                dg_may_charge, eta_rec=day.sim.converter.eta_rec,
-                                start=CascadeState(day.soc_start))
+    def day_run(dg_may_charge):
+        return cascade(
+            res_dc=day.res_dc, demand_dc=day.sim.hourly_inputs[1],
+            battery=day.sim.battery, e_b_init=day.design.e_b_init,
+            generator=day.sim.generator, dg_may_charge=dg_may_charge,
+            eta_rec=day.sim.converter.eta_rec,
+            start=CascadeState(day.soc_start), cycle_counting="reversal")
 
-    p_dg, p_bs, *_ = cascade(False)
-    assert not np.array_equal(p_bs, cascade(True)[1])
+    p_dg, p_bs, *_ = day_run(False)
+    assert not np.array_equal(p_bs, day_run(True)[1])
     schedule = rule_based_schedule(day)
     np.testing.assert_array_equal(schedule.p_dg, p_dg)
     np.testing.assert_array_equal(schedule.p_bs, p_bs)
+
+
+RULE_VARIANTS = {
+    "default": {},
+    "LA": {"battery": {"chemistry": "LA"}},
+    "MT": {"generator": {"kind": "MT"}},
+    "throughput, no generator charging": {
+        "strategy": {"cycle_counting": "throughput",
+                     "dg_may_charge_battery": False}},
+}
+
+
+@pytest.fixture(scope="module")
+def rule_contexts():
+    return {name: build_context(build_config(raw), seed=42)
+            for name, raw in RULE_VARIANTS.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rule_based_schedule_is_the_cascade_oracle_of_the_day(rule_contexts,
+                                                               data):
+    """The rule-based day, a run of the compiled cascade over the day's
+    context, equals the cascade's oracle over the day's feed-in and DC
+    demand from the day's starting SOC, bit for bit: random days, designs
+    (fractional unit counts and no battery among them), starting SOCs and
+    strategies."""
+    annual = rule_contexts[data.draw(st.sampled_from(sorted(RULE_VARIANTS)))]
+    integer = data.draw(st.booleans())
+    count = st.integers(0, 150).map(float) if integer else st.floats(0.0, 150.0)
+    design = Design(data.draw(count), data.draw(count),
+                    data.draw(st.just(0.0) | st.floats(0.0, 200.0)),
+                    integer_counts=integer)
+    battery, strategy = annual.battery, annual.strategy
+    day = dataclasses.replace(
+        day_context(annual, design, data.draw(st.integers(0, 364)), W4),
+        soc_start=data.draw(st.sampled_from([battery.soc_min, battery.soc_max])
+                            | st.floats(battery.soc_min, battery.soc_max)))
+    p_dg, p_bs, *_ = _cascade_python(
+        res_dc=day.res_dc, demand_dc=day.sim.hourly_inputs[1],
+        battery=battery, e_b_init=design.e_b_init,
+        generator=day.sim.generator,
+        dg_may_charge=strategy.dg_may_charge_battery,
+        eta_rec=day.sim.converter.eta_rec, start=CascadeState(day.soc_start),
+        cycle_counting=strategy.cycle_counting)
+    schedule = rule_based_schedule(day)
+    assert schedule.p_dg.tobytes() == p_dg.tobytes()
+    assert schedule.p_bs.tobytes() == p_bs.tobytes()
 
 
 # ---------------------------------------------------------------------------

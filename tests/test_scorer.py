@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import _cascade_python, _day_hours, day_hours, day_sum
+from reference import _day_hours, _run_python, day_hours, day_sum
 
 from offgridopt import dispatch, economics, kernels
 from offgridopt.config import build_config, build_context
@@ -69,7 +69,8 @@ def reference_evaluate(s, ctx):
     p_bs = np.asarray(s.p_bs, dtype=float)
     soc = reference_soc(ctx, p_bs)
 
-    net = ctx.res_dc + converter.eta_rec * p_dg + p_bs - ctx.demand_dc
+    net = (ctx.res_dc + converter.eta_rec * p_dg + p_bs
+           - ctx.sim.hourly_inputs[1])
     dump = np.maximum(net, 0.0)
     lost = np.maximum(-net, 0.0) * converter.eta_inv
 
@@ -134,9 +135,9 @@ def bits(x: float) -> str:
 
 
 def use_the_oracles(monkeypatch):
-    """Put the Python oracles of the cascade and of the day pass in the
+    """Put the Python oracles of the cascade run and of the day pass in the
     compiled kernels' place, where the package calls them."""
-    monkeypatch.setattr(kernels, "cascade", _cascade_python)
+    monkeypatch.setattr(kernels, "run", _run_python)
     monkeypatch.setattr(kernels, "day_hours", day_hours)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from reference import count_transitions, year_run
+from reference import _run_python, count_transitions
 
 from offgridopt import kernels
 from offgridopt.config import build_config, build_context
@@ -249,7 +249,7 @@ def test_simulate_year_is_pinned_on_the_variant_branches(variant_ctx, monkeypatc
                                                          kernel, design):
     """On the compiled year, and on its oracle in the kernel's place."""
     if kernel == "python":
-        monkeypatch.setattr(kernels, "run", year_run(variant_ctx))
+        monkeypatch.setattr(kernels, "run", _run_python)
     sim = simulate_year(Design(*design), variant_ctx)
     assert (tuple(v.hex() for v in sim.objectives),
             sim.battery_cycles.hex()) == PINNED_YEARS[design]
