@@ -6,18 +6,22 @@
  *              year or a dispatch day: it forms the renewable feed-in from
  *              the design and the hourly profile and sums the hours;
  *   day_hours  the pass over the 24 hours of a dispatch schedule and the
- *              constraint residuals and penalty it leaves; the dispatch
- *              search rejects a candidate on the penalty before it prices
- *              it, and prices stay in Python.
+ *              constraint residuals and penalty it leaves;
+ *   day_score  day_hours, then the schedule's price, objectives and search
+ *              value: one call scores a dispatch candidate.
  *
- * Each kernel has a Python oracle in tests/reference.py, which the tests
- * compare with it bit for bit: _run_python for cascade, _day_hours (with
- * dispatch.propagate_soc and day_sum) for day_hours.  Every operation the C code performs is the one the oracle
- * performs, with the same IEEE double operands in the same order.  The C
- * code skips an operation only where a comment next to it shows that the
- * result cannot change any output.  That holds only when the compiler
- * neither fuses a multiply and an add nor reassociates: build with
- * -ffp-contract=off and without -ffast-math.
+ * day_score transcribes the pricing of economics.py (operating_cost,
+ * emissions_total, objective_vector, weighted_objective), as cascade
+ * transcribes simulate.renewable_feed_in.  Each kernel has a Python oracle
+ * in tests/reference.py, which the tests compare with it bit for bit:
+ * _run_python for cascade, _day_hours (with dispatch.propagate_soc and
+ * day_sum) for day_hours, and day_score, which prices with economics
+ * itself, for day_score.  Every operation the C code performs is the one
+ * the oracle performs, with the same IEEE double operands in the same
+ * order.  The C code skips an operation only where a comment next to it
+ * shows that the result cannot change any output.  That holds only when
+ * the compiler neither fuses a multiply and an add nor reassociates: build
+ * with -ffp-contract=off and without -ffast-math.
  */
 
 #include <math.h>
@@ -387,7 +391,8 @@ cascade_totals cascade(const cascade_inputs *in, double pv_units,
 }
 
 
-/* The inputs that every schedule of one dispatch day shares. */
+/* The inputs that every schedule of one dispatch day shares: its hours,
+ * its constraint limits and the constants that price a schedule. */
 typedef struct {
     double res[24];      /* DC-bus renewable feed-in [kW] */
     double dem[24];      /* DC-bus demand [kW] */
@@ -406,6 +411,22 @@ typedef struct {
     double load_kwh;     /* the day's load [kWh], > 0 */
     double dpsp_max;     /* the largest lost-load share allowed */
     double mu;           /* weight of the residuals in the search value */
+    double fuel_price;   /* [$/gal diesel] or [$/MMBtu gas] */
+    double fuel_a;       /* diesel burn on output [L/kWh] */
+    double fuel_b;       /* diesel burn on rated power [L/kWh] */
+    double gallon;       /* litres per US gallon */
+    double mt_slope;     /* microturbine burn on output [MMBtu/kWh] */
+    double om_hour;      /* diesel variable O&M [$/h online] */
+    double om_kwh;       /* microturbine variable O&M [$/kWh] */
+    double startup;      /* [$] per start */
+    double shutdown;     /* [$] per stop; every start has its stop */
+    double fixed_om;     /* the day's share of the annual fixed O&M [$] */
+    double emission;     /* kg of pollutants per kWh of generator output */
+    double base_coe;     /* the daily baseline's cost of energy [$/kWh] */
+    double base_em;      /* the daily baseline's emissions [kg] */
+    double res_kwh;      /* the day's DC-bus renewable feed-in [kWh] */
+    double w[4];         /* weights of COE, emissions, REPG and 1 - REF */
+    int diesel;          /* a diesel engine (DE), else a microturbine (MT) */
 } day_inputs;
 
 /* What the hours of a schedule add up to, and the constraint residuals
@@ -498,4 +519,78 @@ day_totals day_hours(const double *schedule, const day_inputs *day,
         memcpy(rows + 49, lost, sizeof lost);
     }
     return out;
+}
+
+
+/* What day_score reports of a schedule: its five objectives, the weighted
+ * sum of four, the day's cost, the five residuals of day_totals and the
+ * search value. */
+typedef struct {
+    double lcoe_norm;    /* cost of energy / the baseline's */
+    double em_norm;      /* emissions / the baseline's */
+    double dpsp;         /* lost-load share */
+    double repg;         /* dump share of the DC-side generation */
+    double one_minus_ref;
+    double weighted;     /* weighted sum of COE, emissions, REPG, 1 - REF */
+    double c_daily;      /* operating cost plus the daily fixed O&M [$] */
+    double semi, rated, power, soc, over;
+    double search_value; /* weighted + penalty */
+} day_evaluation;
+
+/* The search value of a schedule (see day_hours): its hours pass, then its
+ * price in economics.py's operand order.  When out is not NULL it also
+ * receives the evaluation.
+ *   c_daily    operating_cost + fixed_om: fuel, variable O&M, startup *
+ *              starts and shutdown * starts, added in that order;
+ *   objectives objective_vector, with 0 for REPG and REF when the DC-side
+ *              generation is <= 0 (a NaN generation divides);
+ *   weighted   weighted_objective: 0.0, then += w[i] * v[i] left to right. */
+double day_score(const double *schedule, const day_inputs *day,
+                 day_evaluation *out)
+{
+    const day_totals h = day_hours(schedule, day, NULL);
+    /* Python multiplies its int counts as doubles, exactly. */
+    const double e = h.energy, online = (double)h.online;
+    const double starts = (double)h.starts;
+    double fuel, vom;
+    if (day->diesel) {
+        fuel = day->fuel_price * (day->fuel_a * e
+                                  + day->fuel_b * day->p_rated * online)
+               / day->gallon;
+        vom = day->om_hour * online;
+    } else {
+        fuel = day->fuel_price * day->mt_slope * e;
+        vom = day->om_kwh * e;
+    }
+    const double c_daily = fuel + vom + day->startup * starts
+                           + day->shutdown * starts + day->fixed_om;
+    const double emissions = day->emission * e;
+    const double generated = day->res_kwh + day->eta_rec * e;
+    const double lcoe_norm = c_daily / day->load_kwh / day->base_coe;
+    const double em_norm = emissions / day->base_em;
+    const double repg = generated <= 0.0 ? 0.0 : h.dump / generated;
+    const double one_minus_ref =
+        1.0 - (generated <= 0.0 ? 0.0 : day->res_kwh / generated);
+    double weighted = 0.0;
+    weighted += day->w[0] * lcoe_norm;
+    weighted += day->w[1] * em_norm;
+    weighted += day->w[2] * repg;
+    weighted += day->w[3] * one_minus_ref;
+    const double value = weighted + h.penalty;
+    if (out) {
+        out->lcoe_norm = lcoe_norm;
+        out->em_norm = em_norm;
+        out->dpsp = h.lost / day->load_kwh;
+        out->repg = repg;
+        out->one_minus_ref = one_minus_ref;
+        out->weighted = weighted;
+        out->c_daily = c_daily;
+        out->semi = h.semi;
+        out->rated = h.rated;
+        out->power = h.power;
+        out->soc = h.soc;
+        out->over = h.over;
+        out->search_value = value;
+    }
+    return value;
 }

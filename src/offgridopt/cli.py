@@ -4,7 +4,8 @@ Subcommands: ``simulate``, ``size``, ``dispatch``, ``pareto``, ``sweep``,
 ``breakeven``, ``bench``.  Every run writes ``result.json`` (embedding the
 fully resolved config and seed, so reruns are reproducible from the result
 file alone) plus the CSV artifacts of the module it drives.  Exit status is
-0 iff the result document reports success.
+0 iff the result document reports success; results that hold a NaN or an
+infinity are an error.
 
 A flag declared with ``_key_flag`` sets one config key: ``main`` merges it
 into the YAML mapping before ``build_config`` checks it, so ``result.json``
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -81,6 +83,21 @@ def _write_result(out_dir: Path, command: str, config, results: dict,
         json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
     return path
+
+
+def _require_finite(value, where: str = "results") -> None:
+    """Raise ``InputDataError`` naming the first number in ``value`` (a
+    command's results) that is NaN or infinite: a run that computed one
+    has not succeeded, whatever its inputs."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{where}.{key}")
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{where}[{i}]")
+    elif (isinstance(value, (float, np.floating))
+          and not math.isfinite(value)):
+        raise InputDataError(f"{where} is {value}, not a finite number")
 
 
 def _json_default(value):
@@ -186,7 +203,9 @@ def cmd_sweep(args, config) -> dict:
         "parameter": args.parameter,
         "values": list(spec.values),
         "statuses": [r.status for r in rows],
-        "weighted_obj": [r.weighted_obj for r in rows],
+        # a failed point has no objective
+        "weighted_obj": [None if r.design is None else r.weighted_obj
+                         for r in rows],
         "sweep_csv": f"sweep_{args.parameter}.csv",
     }
 
@@ -352,6 +371,7 @@ def main(argv=None) -> int:
         build_config(raw)   # a flag must not hide an invalid value in the file
         config = build_config(_with_flags(raw, args))
         results = COMMANDS[args.command](args, config)
+        _require_finite(results)
         _write_result(out_dir, args.command, config, results)
         return 0
     except (InputDataError, ConfigError, OSError) as exc:

@@ -167,7 +167,9 @@ class GeneratorSpec:
 
     The diesel fuel law is Fuel = a*P_out + b*P_rated [L/h]; the microturbine
     burns gas proportionally to output at ``mt_fuel_slope`` [MMBtu/kWh].
-    ``economics.fuel_cost`` is the one place these laws are evaluated.
+    ``economics.fuel_cost`` defines these laws.  The dispatch day kernel
+    (``day_score`` in ``_cascade.c``) transcribes them with the same
+    operands in the same order, and a test compares the two bit for bit.
 
     ``emission_factors`` is a read-only copy of the mapping given, so the
     sum derived from it once (``emission_factor_total``) cannot go stale.

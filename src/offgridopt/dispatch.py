@@ -12,19 +12,20 @@ residuals.  The rule-based schedule is the sizing simulator's cascade on
 the day: ``simulate.dispatch_cascade`` over the day's context, the one
 compiled call of the cascade that ``simulate_year`` also makes.
 
-A candidate costs one pass over its hours in the C day kernel
-``kernels.day_hours``, which also returns the residuals and the penalty;
-the package needs a C compiler to build it (see ``kernels``).  Its Python
-oracle, ``_day_hours``, lives in ``tests/reference.py`` and takes its SOC
-knots from ``propagate_soc``; the tests compare the two bit for bit.  The
-search prices a candidate only when its penalty alone does not already
-rule it out; prices and objectives stay in Python (``evaluate_schedule``),
-and a context keeps the price of the last (energy, online hours, starts)
-it priced.
+A candidate costs one call of the C day kernel ``kernels.day_score``: the
+pass over its hours (``kernels.day_hours``), which gives the residuals and
+the penalty, then its price, objectives and search value, in the operand
+order of ``economics``.  The package needs a C compiler to build it (see
+``kernels``).  Its Python oracle, ``day_score`` in ``tests/reference.py``,
+runs ``_day_hours``, which takes its SOC knots from ``propagate_soc``, and
+prices with ``economics`` itself; the tests compare the two bit for bit.
+The search loops, over the setpoints and over the ON patterns, stay in
+Python.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
@@ -55,7 +56,8 @@ class DispatchContext:
     """A sized system on one day: ``sim`` is the simulation context of the
     day's 24 hours, which ``day_context`` slices out of the year.  Frozen,
     since what its schedules share is derived once (``day_inputs``, which
-    the day kernel reads); ``dataclasses.replace`` makes a changed day."""
+    the day kernel reads, and the day's feed-in ``res_dc``);
+    ``dataclasses.replace`` makes a changed day."""
 
     design: Design
     sim: SimulationContext
@@ -80,28 +82,33 @@ class DispatchContext:
         feed_in, demand_dc, load_kwh = sim.hourly_inputs
         _, _, res_dc = renewable_feed_in(design, feed_in, sim.pv, sim.wind,
                                          sim.converter)
+        gen, costs = sim.generator, sim.costs
         capital = economics.initial_capital(
             design.pv_kw(sim.pv), design.wt_kw(sim.wind), design.e_b_init,
-            sim.generator.rated_power, sim.costs)
+            gen.rated_power, costs)
+        baseline = _daily_baseline(sim, load_kwh)
+        day_inputs = kernels.DayInputs(
+            tuple(res_dc.tolist()), tuple(demand_dc.tolist()),
+            eta_rec=sim.converter.eta_rec, eta_inv=sim.converter.eta_inv,
+            p_min=gen.min_power, tol=CONSTRAINT_TOL, soc_start=self.soc_start,
+            cap=design.e_b_init, keep=1.0 - self_discharge_hourly(battery),
+            eta=battery.round_trip_eff, p_rated=gen.rated_power,
+            p_lim=(battery_power_limit(design.e_b_init, battery)
+                   if design.e_b_init > 0 else 0.0),
+            soc_min=battery.soc_min, soc_max=battery.soc_max,
+            load_kwh=load_kwh, dpsp_max=self.dpsp_max, mu=PENALTY_MU,
+            fuel_price=gen.fuel_price, fuel_a=gen.fuel_coeff_a,
+            fuel_b=gen.fuel_coeff_b, gallon=economics.LITERS_PER_GALLON,
+            mt_slope=gen.mt_fuel_slope, om_hour=costs.om_var_dg_per_hour,
+            om_kwh=costs.om_var_dg_per_kwh, startup=costs.startup_cost,
+            shutdown=costs.shutdown_cost,
+            fixed_om=economics.fixed_om(capital, costs) / 365.0,
+            emission=gen.emission_factor_total, base_coe=baseline.lcoe,
+            base_em=baseline.emissions, res_kwh=float(res_dc.sum()),
+            w=self.weights.values, diesel=gen.kind == "DE")
         # As the fields are set: updating vars(self) slowed every later read.
-        for name, value in dict(
-            res_dc=res_dc, capital=capital, res_kwh=float(res_dc.sum()),
-            # the (energy, online, starts) last priced and its
-            # (c_daily, emissions); see evaluate_schedule
-            price_memo=[None, None],
-            daily_fixed_om=economics.fixed_om(capital, sim.costs) / 365.0,
-            daily_baseline=_daily_baseline(sim, load_kwh),
-            day_inputs=kernels.DayInputs(
-                tuple(res_dc.tolist()), tuple(demand_dc.tolist()),
-                sim.converter.eta_rec, sim.converter.eta_inv,
-                sim.generator.min_power, CONSTRAINT_TOL, self.soc_start,
-                design.e_b_init, 1.0 - self_discharge_hourly(battery),
-                battery.round_trip_eff, sim.generator.rated_power,
-                (battery_power_limit(design.e_b_init, battery)
-                 if design.e_b_init > 0 else 0.0),
-                battery.soc_min, battery.soc_max, load_kwh, self.dpsp_max,
-                PENALTY_MU)).items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "res_dc", res_dc)
+        object.__setattr__(self, "day_inputs", day_inputs)
 
 
 def _daily_baseline(sim: SimulationContext, energy: float) -> BaselineMetrics:
@@ -192,16 +199,27 @@ class DispatchSchedule:
              f"{trace.lost[h]:.4f}"] for h in range(24)))
 
 
-@dataclass(slots=True)
-class DispatchEvaluation:
-    """The numbers ``evaluate_schedule`` reports for one schedule."""
+class DispatchEvaluation(kernels.DayEvaluation):
+    """The numbers ``evaluate_schedule`` reports for one schedule, a record
+    the day kernel fills: the five objectives, ``weighted`` (the 4-term
+    scalarization per the weights), ``c_daily``, the five constraint
+    residuals (``semi``, ``rated``, ``power``, ``soc``, ``over``) and
+    ``search_value`` (weighted + the residuals' penalty)."""
 
-    objectives: ObjectiveVector      # (coe_norm, em_norm, repg, 1-ref) + dpsp
-    weighted: float                  # 4-term scalarization per the weights
-    c_daily: float
-    residuals: tuple                 # the constraint residuals, VIOLATIONS order
-    feasible: bool
-    search_value: float              # weighted + the residuals' penalty
+    @property
+    def objectives(self) -> ObjectiveVector:
+        return ObjectiveVector(self.lcoe_norm, self.em_norm, self.dpsp,
+                               self.repg, self.one_minus_ref)
+
+    @property
+    def residuals(self) -> tuple:
+        """The constraint residuals, ``VIOLATIONS`` order."""
+        return self.semi, self.rated, self.power, self.soc, self.over
+
+    @property
+    def feasible(self) -> bool:
+        """Every residual is within ``CONSTRAINT_TOL`` (a NaN is not)."""
+        return all(r <= CONSTRAINT_TOL for r in self.residuals)
 
     @property
     def violations(self) -> dict:
@@ -238,56 +256,22 @@ def propagate_soc(day: kernels.DayInputs, p_bs) -> list[float]:
     return out
 
 
-def evaluate_schedule(s: DispatchSchedule, ctx: DispatchContext,
-                      hours: kernels.DayTotals | None = None
-                      ) -> DispatchEvaluation:
+def evaluate_schedule(s: DispatchSchedule,
+                      ctx: DispatchContext) -> DispatchEvaluation:
     """Cost, objectives and constraint residuals of a candidate schedule.
     Infeasibility is reported through ``violations``, never raised.
 
-    The hours pass, then pricing.  The hours are reduced in the C kernel
-    ``kernels.day_hours`` with the float operations of the numpy
-    formulation that ``tests/test_scorer.py`` keeps as reference, so every
-    value equals the one numpy gives bit for bit; the pass also gives the
-    residuals and the penalty.  Prices, objectives and the search value,
-    ``weighted + penalty``, are computed here.  ``hours`` is the search's
-    own pass over ``s``, when it has one, so that it prices a candidate
-    without a second pass.
+    One call of the C kernel ``kernels.day_score``.  It reduces the hours
+    with the float operations of the numpy formulation that
+    ``tests/test_scorer.py`` keeps as reference, and prices them with those
+    of ``economics`` (``operating_cost`` plus the daily fixed O&M,
+    ``emissions_total``, ``objective_vector`` and ``weighted_objective``),
+    so every value equals the one numpy and ``economics`` give, bit for
+    bit.  The search value is ``weighted + penalty``.
     """
-    h = (kernels.day_hours(s._address, ctx.day_inputs, None) if hours is None
-         else hours)
-    sim = ctx.sim
-    gen, day = sim.generator, ctx.day_inputs
-    energy, online, starts = h.energy, h.online, h.starts
-    # The operating cost and the emissions depend on the schedule through
-    # (energy, online, starts) alone, and most candidates the search prices
-    # repeat the last one's.  Compared with "==", a key matches only the
-    # same bits: energy is a sum added to 0.0, so never -0.0, and a sum of
-    # finite hours >= 0, so never NaN; the other two are ints.
-    key, memo = (energy, online, starts), ctx.price_memo
-    if memo[0] == key:
-        c_daily, emissions = memo[1]
-    else:
-        c_daily = (economics.operating_cost(gen, sim.costs, energy, online,
-                                            starts)
-                   + ctx.daily_fixed_om)
-        emissions = economics.emissions_total(energy, gen)
-        memo[0], memo[1] = key, (c_daily, emissions)
-    load_kwh = day.load_kwh
-    objectives = economics.objective_vector(
-        c_daily / load_kwh, emissions, ctx.daily_baseline, h.lost, load_kwh,
-        h.dump, ctx.res_kwh, energy, sim.converter.eta_rec)
-    lcoe_norm, em_norm, dpsp, repg, one_minus_ref = objectives
-    weighted = economics.weighted_objective(
-        (lcoe_norm, em_norm, repg, one_minus_ref), ctx.weights)
-
-    semi, rated, power, soc, over = residuals = (
-        h.semi, h.rated, h.power, h.soc, h.over)
-    tol = CONSTRAINT_TOL
-    return DispatchEvaluation(
-        objectives, weighted, c_daily, residuals,
-        semi <= tol and rated <= tol and power <= tol and soc <= tol
-        and over <= tol,
-        weighted + h.penalty)
+    ev = DispatchEvaluation()
+    kernels.day_score(s._address, ctx.day_inputs, ev)
+    return ev
 
 
 def day_trace(s: DispatchSchedule, ctx: DispatchContext) -> DayTrace:
@@ -313,15 +297,15 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
     """Projected coordinate descent over the hourly setpoints of ``s``, in
     place, with the ON pattern held fixed.  The setpoints are held as
     Python floats, whose steps and clamps round as numpy's do, and each
-    candidate is written into the schedule's block for the hours pass.
-    A candidate is priced only when its penalty leaves it a chance."""
+    candidate is written into the schedule's block and scored by one call
+    of the day kernel, which returns its search value.  The refined
+    schedule is evaluated once, at the end."""
     gen = ctx.sim.generator
     dg_row, bs_row = s._rows
     dg, bs = s._rows.tolist()
-    best = evaluate_schedule(s, ctx)
-    bar = best.search_value - 1e-12
+    score = partial(kernels.day_score, s._address, ctx.day_inputs, None)
+    bar = score() - 1e-12
     p_lim = ctx.day_inputs.p_lim
-    hours = partial(kernels.day_hours, s._address, ctx.day_inputs, None)
     for sweep in range(REFINE_SWEEPS):
         scale = 0.5 ** sweep
         steps = [d * scale for d in (-4.0, -1.0, 1.0, 4.0)]
@@ -341,32 +325,15 @@ def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
                     if cand == x[t]:
                         continue
                     row[t] = cand
-                    h = hours()
-                    # The search value is weighted + penalty, rounded, and
-                    # weighted >= 0: weighted_objective adds to 0.0 the
-                    # products of weights in [0, 1] and objectives >= 0
-                    # (costs, prices and emission factors are >= 0, p_dg
-                    # >= 0, the baselines are > 0, and 1 - ref >= 0), and
-                    # each product and partial sum of such operands rounds
-                    # to >= 0.  Rounding is monotone, so the search value
-                    # is >= the penalty, and a penalty >= bar rules the
-                    # candidate out as its search value would.  A NaN
-                    # weighted makes the search value NaN, which the
-                    # acceptance below rejects too; a NaN penalty or bar
-                    # fails this compare, and the candidate is priced as
-                    # before.
-                    if h.penalty >= bar:
-                        row[t] = x[t]
-                        continue
-                    ev = evaluate_schedule(s, ctx, h)
-                    if ev.search_value < bar:
-                        best, bar, improved = ev, ev.search_value - 1e-12, True
+                    value = score()
+                    if value < bar:
+                        bar, improved = value - 1e-12, True
                         x[t] = cand
                     else:
                         row[t] = x[t]
         if not improved:
             break
-    return s, best
+    return s, evaluate_schedule(s, ctx)
 
 
 def _apply_pattern(s: DispatchSchedule, pattern: np.ndarray,
@@ -383,13 +350,34 @@ def _apply_pattern(s: DispatchSchedule, pattern: np.ndarray,
     return DispatchSchedule(p_dg, s.p_bs)
 
 
-@dataclass(slots=True)
-class DispatchResult:
-    schedule: DispatchSchedule
-    evaluation: DispatchEvaluation
-    rule_based_evaluation: DispatchEvaluation
-    feasible: bool
-    message: str = ""
+class DispatchResult(ctypes.Structure):
+    """What ``optimize_day`` returns, one flat record: the chosen schedule's
+    2 x 24 hours (``p_dg``, then ``p_bs``), its evaluation and the
+    rule-based schedule's.  ``optimize_day`` copies their bytes in; a
+    record assigned to a field would also leave a keep-alive dict on the
+    result, which a caller that keeps many days pays for."""
+
+    _fields_ = [("hours", ctypes.c_double * 48),
+                ("evaluation", DispatchEvaluation),
+                ("rule_based_evaluation", DispatchEvaluation)]
+
+    @property
+    def schedule(self) -> DispatchSchedule:
+        """The chosen schedule, rebuilt from the record's hours."""
+        p_dg, p_bs = np.frombuffer(self.hours).reshape(2, 24)
+        return DispatchSchedule(p_dg, p_bs)
+
+    @property
+    def feasible(self) -> bool:
+        return self.evaluation.feasible
+
+    @property
+    def message(self) -> str:
+        """Empty when the schedule is feasible; else why it is returned."""
+        if self.feasible:
+            return ""
+        return ("no schedule satisfied all hard constraints; returning best "
+                f"found with residuals {self.evaluation.violations}")
 
 
 def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
@@ -461,13 +449,9 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
     # penalized value, so the search may end worse than the schedule it
     # started from.  It stays out of the search so as not to change its path.
     if _better(rb_ev, best_ev):
-        best_s, best_ev = rb.copy(), rb_ev
-
-    feasible = best_ev.feasible
-    msg = "" if feasible else (
-        "no schedule satisfied all hard constraints; returning best found "
-        f"with residuals {best_ev.violations}")
-    return DispatchResult(best_s, best_ev, rb_ev, feasible, msg)
+        best_s, best_ev = rb, rb_ev
+    return DispatchResult.from_buffer_copy(
+        best_s._rows.tobytes() + bytes(best_ev) + bytes(rb_ev))
 
 
 def _better(ev: DispatchEvaluation, incumbent: DispatchEvaluation | None) -> bool:

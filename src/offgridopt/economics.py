@@ -374,7 +374,9 @@ def weighted_objective(values, weights: Weights) -> float:
     """The one weighting, of sizing's ``ObjectiveVector`` or dispatch's four
     objectives: ``total = 0.0``, then ``total += w_i * v_i`` from left to
     right in Python, each product rounded on its own: no fused multiply-add,
-    no BLAS dot, and not ``sum``, which compensates from Python 3.12."""
+    no BLAS dot, and not ``sum``, which compensates from Python 3.12.  The
+    dispatch day kernel (``day_score`` in ``_cascade.c``) transcribes this
+    order, as it transcribes ``operating_cost`` and ``objective_vector``."""
     if len(weights) != len(values):
         raise InputDataError(
             f"expected {len(values)} weights, got {len(weights)}")
@@ -397,8 +399,7 @@ def positive_baseline(horizon: str, lcoe: float,
                       emissions: float) -> BaselineMetrics:
     """The baseline of an ``"annual"`` or a ``"daily"`` horizon, whose cost
     of energy and emissions must both be > 0: the normalized objectives
-    divide by them, and the dispatch search relies on every objective being
-    >= 0."""
+    divide by them."""
     cost = {"annual": "LCOE", "daily": "COE"}[horizon]
     for name, value in ((cost, lcoe), ("emissions", emissions)):
         if not value > 0:   # also rejects NaN

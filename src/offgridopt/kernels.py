@@ -1,7 +1,8 @@
 """The compiled kernels of ``_cascade.c`` and the records they exchange:
 ``run``, the load-following cascade over any horizon, which also forms
-the renewable feed-in and sums the hours, and ``day_hours``, the pass
-over the hours of a dispatch schedule.
+the renewable feed-in and sums the hours, ``day_hours``, the pass over the
+hours of a dispatch schedule, and ``day_score``, that pass and the
+schedule's price, objectives and search value in one call.
 
 They are the package's only implementation of these computations, so the
 package needs a C compiler: the library is built with ``cc`` and loaded
@@ -103,14 +104,21 @@ def cascade_inputs(demand_dc: np.ndarray, battery: BatterySpec,
 class DayInputs(ctypes.Structure):
     """``day_inputs`` of ``_cascade.c``: what every schedule of a dispatch
     day shares, which ``DispatchContext`` fills once.  It is the one home
-    of the day's constraint limits (generator rating, battery power limit,
-    SOC window, ``dpsp_max``), its load and the penalty weight ``mu``."""
+    of the day's constants: its constraint limits (generator rating,
+    battery power limit, SOC window, ``dpsp_max``), its load, the penalty
+    weight ``mu``, and what prices a schedule (the generator kind, the fuel
+    and O&M coefficients, the daily fixed O&M, the baselines, the day's
+    feed-in ``res_kwh`` and the four weights)."""
 
     _fields_ = ([("res", ctypes.c_double * 24), ("dem", ctypes.c_double * 24)]
                 + [(name, ctypes.c_double) for name in (
                     "eta_rec", "eta_inv", "p_min", "tol", "soc_start", "cap",
                     "keep", "eta", "p_rated", "p_lim", "soc_min", "soc_max",
-                    "load_kwh", "dpsp_max", "mu")])
+                    "load_kwh", "dpsp_max", "mu", "fuel_price", "fuel_a",
+                    "fuel_b", "gallon", "mt_slope", "om_hour", "om_kwh",
+                    "startup", "shutdown", "fixed_om", "emission", "base_coe",
+                    "base_em", "res_kwh")]
+                + [("w", ctypes.c_double * 4), ("diesel", ctypes.c_int)])
 
 
 class DayTotals(ctypes.Structure):
@@ -122,6 +130,15 @@ class DayTotals(ctypes.Structure):
                 + [("online", ctypes.c_long), ("starts", ctypes.c_long)]
                 + [(name, ctypes.c_double) for name in (
                     "semi", "rated", "power", "soc", "over", "penalty")])
+
+
+class DayEvaluation(ctypes.Structure):
+    """``day_evaluation`` of ``_cascade.c``: what ``day_score`` reports of a
+    schedule, 13 numbers (``dispatch.DispatchEvaluation`` reads them)."""
+
+    _fields_ = [(name, ctypes.c_double) for name in (
+        "lcoe_norm", "em_norm", "dpsp", "repg", "one_minus_ref", "weighted",
+        "c_daily", "semi", "rated", "power", "soc", "over", "search_value")]
 
 
 _CASCADE_SOURCE = Path(__file__).with_name("_cascade.c")
@@ -175,9 +192,9 @@ def _cascade_library() -> Path:
 
 
 def _load_cascade() -> ctypes.CDLL:
-    """The compiled kernels' library with the signatures of ``cascade`` and
-    ``day_hours`` set.  Raises ``KernelUnavailableError`` when it cannot be
-    built or loaded."""
+    """The compiled kernels' library with the signatures of ``cascade``,
+    ``day_hours`` and ``day_score`` set.  Raises ``KernelUnavailableError``
+    when it cannot be built or loaded."""
     lib = _cascade_library()
     try:
         lib = ctypes.CDLL(str(lib))
@@ -193,6 +210,9 @@ def _load_cascade() -> ctypes.CDLL:
     lib.cascade.restype = CascadeTotals
     lib.day_hours.argtypes = [address, ctypes.POINTER(DayInputs), address]
     lib.day_hours.restype = DayTotals
+    lib.day_score.argtypes = [address, ctypes.POINTER(DayInputs),
+                              ctypes.POINTER(DayEvaluation)]
+    lib.day_score.restype = c_double
     return lib
 
 
@@ -215,6 +235,7 @@ except KernelUnavailableError as exc:
     _LIBRARY = _Unavailable(str(exc))
 # Called unwrapped: a Python wrapper would cost more than the C function.
 day_hours = _LIBRARY.day_hours
+day_score = _LIBRARY.day_score
 
 
 def run(inputs: CascadeInputs, pv_units: float, wt_units: float,

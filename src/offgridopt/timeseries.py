@@ -88,15 +88,19 @@ class LoadSeries:
 
 def require_complete(climate: ClimateSeries, load: LoadSeries) -> None:
     """Raise ``InputDataError`` naming the CSV column and the first hour of
-    the first missing value in the hourly inputs of a simulation."""
+    the first missing (NaN) or infinite value in the hourly inputs of a
+    simulation, column by column."""
     columns = (("ghi_kw_m2", climate.irradiance),
                ("wind_ms", climate.wind_speed_ref),
                ("temp_c", climate.temp_ambient), ("load_kw", load.demand))
     for column, values in columns:
-        missing = np.flatnonzero(np.isnan(values))
-        if missing.size:
-            raise InputDataError(f"{column} is missing at hour {missing[0]} "
-                                 f"of {len(values)}; every hour needs a value")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            hour = bad[0]
+            what = "missing" if np.isnan(values[hour]) else f"{values[hour]}"
+            raise InputDataError(f"{column} is {what} at hour {hour} of "
+                                 f"{len(values)}; every hour needs a finite "
+                                 "value")
 
 
 def _parse_cell(text: str, column: str, line: int) -> float:

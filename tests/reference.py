@@ -12,10 +12,12 @@ here so that the tests can compare the two bit for bit:
 - ``_day_hours``, ``kernels.day_hours`` over a schedule's (2, 24) block,
   with its SOC knots from ``dispatch.propagate_soc`` and its sums from
   ``day_sum``;
+- ``day_score``, ``kernels.day_score``: ``day_hours``, then the price,
+  objectives and search value computed by ``economics`` itself;
 - ``count_transitions``, how the kernels count a generator's starts.
 
-``_run_python`` and ``day_hours`` take the arguments of the compiled calls,
-so that a test can put an oracle in a kernel's place.
+``_run_python``, ``day_hours`` and ``day_score`` take the arguments of the
+compiled calls, so that a test can put an oracle in a kernel's place.
 """
 
 import ctypes
@@ -292,3 +294,40 @@ def day_hours(address: int, day: kernels.DayInputs,
     output rows, or None."""
     return _day_hours(day, _doubles(address, 48).reshape(2, 24),
                       None if out is None else _doubles(out, 73))
+
+
+def day_score(address: int, day: kernels.DayInputs,
+              out: kernels.DayEvaluation | None) -> float:
+    """The oracle of ``kernels.day_score``, with its arguments: the hours
+    pass of ``day_hours``, priced by ``economics`` from the constants of
+    ``day`` (``operating_cost`` plus the daily fixed O&M,
+    ``emissions_total``, ``objective_vector`` and ``weighted_objective``).
+    Returns the search value, ``weighted + penalty``, and fills ``out``
+    when it is given."""
+    h = day_hours(address, day, None)
+    gen = SimpleNamespace(
+        kind="DE" if day.diesel else "MT", rated_power=day.p_rated,
+        fuel_price=day.fuel_price, fuel_coeff_a=day.fuel_a,
+        fuel_coeff_b=day.fuel_b, mt_fuel_slope=day.mt_slope,
+        emission_factor_total=day.emission)
+    costs = SimpleNamespace(
+        om_var_dg_per_hour=day.om_hour, om_var_dg_per_kwh=day.om_kwh,
+        startup_cost=day.startup, shutdown_cost=day.shutdown)
+    c_daily = (economics.operating_cost(gen, costs, h.energy, h.online,
+                                        h.starts) + day.fixed_om)
+    objectives = economics.objective_vector(
+        c_daily / day.load_kwh, economics.emissions_total(h.energy, gen),
+        economics.BaselineMetrics(day.base_coe, day.base_em), h.lost,
+        day.load_kwh, h.dump, day.res_kwh, h.energy, day.eta_rec)
+    lcoe_norm, em_norm, dpsp, repg, one_minus_ref = objectives
+    weighted = economics.weighted_objective(
+        (lcoe_norm, em_norm, repg, one_minus_ref),
+        economics.Weights(tuple(day.w)))
+    value = weighted + h.penalty
+    if out is not None:
+        for name, v in zip(
+                (name for name, _ in kernels.DayEvaluation._fields_),
+                (*objectives, weighted, c_daily, h.semi, h.rated, h.power,
+                 h.soc, h.over, value)):
+            setattr(out, name, v)
+    return value

@@ -10,15 +10,22 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import offgridopt
+from offgridopt import cli
+from offgridopt import config as config_mod
 from offgridopt.cli import main
 from offgridopt.config import (build_config, build_context, load_config,
                                save_config)
 from offgridopt.datasets import CLIMATE_FILENAME
+from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
+                                PvSpec, WindSpec)
+from offgridopt.economics import CostTable, FinancialParams
 from offgridopt.errors import ConfigError
 from offgridopt.seeding import substream_seed
-from offgridopt.simulate import Design, simulate_year
+from offgridopt.simulate import Design, StrategyConfig, simulate_year
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +588,94 @@ def test_cli_size_rejects_an_infinite_config_value(tmp_path, text, key):
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["status"] == "error"
     assert f"{key}: expected a number" in doc["message"]
+
+
+def numeric_config_keys():
+    """(section, key, kind) of every numeric config key, from the schema
+    tables of ``offgridopt.config``; the section is None for a top-level
+    key.  ``kind`` is "int", "float" or "list" (a list of numbers)."""
+    specs = {"pv": (config_mod._PV_KEYS, PvSpec),
+             "wind": (config_mod._WIND_KEYS, WindSpec),
+             "battery": (config_mod._BATTERY_KEYS, BatterySpec),
+             "generator": (config_mod._GENERATOR_KEYS, GeneratorSpec),
+             "converter": (config_mod._CONVERTER_KEYS, ConverterSpec),
+             "financial": (config_mod._FINANCIAL_KEYS, FinancialParams),
+             "costs": (config_mod._COST_KEYS, CostTable),
+             "strategy": (config_mod._STRATEGY_KEYS, StrategyConfig)}
+    kinds = {"data": config_mod._DATA_KEYS, "sizing": config_mod._SIZING_KEYS,
+             "dispatch": config_mod._DISPATCH_KEYS,
+             "baseline": config_mod._BASELINE_KEYS,
+             "breakeven": config_mod._BREAKEVEN_KEYS}
+    for section, (keys, cls) in specs.items():
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        kinds[section] = {key: types[field] for key, field in keys.items()}
+    out = [(None, "seed", "int"), (None, "weights", "list")]
+    for section, table in kinds.items():
+        for key, kind in table.items():
+            kind = kind.removesuffix(" | None")
+            if kind in ("int", "float", "list"):
+                out.append((section, key, kind))
+    return out
+
+
+NUMERIC_KEYS = numeric_config_keys()
+NOT_A_FLOAT = st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                               10 ** 400])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(NUMERIC_KEYS), NOT_A_FLOAT, st.integers(0, 4))
+def test_a_non_finite_config_value_is_a_config_error_naming_its_key(
+        entry, value, position):
+    """NaN, +-inf or an integer beyond the float range in any numeric key
+    (in a list, at any of its entries) is a ``ConfigError`` that names the
+    key."""
+    section, key, kind = entry
+    name = key if section is None else f"{section}.{key}"
+    if kind == "list":
+        default = build_config({}).resolved()
+        good = default[key] if section is None else default[section][key]
+        good = list(good)
+        good[position % len(good)] = value
+        value = good
+    raw = {key: value} if section is None else {section: {key: value}}
+    with pytest.raises(ConfigError) as error:
+        build_config(raw)
+    assert str(error.value).startswith(f"{name}: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--design", "100,8,45.45"], ["size", "--max-evals", 60]])
+def test_cli_never_reports_a_non_finite_result_as_ok(tmp_path, monkeypatch,
+                                                    command):
+    """A NaN objective used to be written with ``"status": "ok"``."""
+    real = cli.simulate_year
+
+    def nan_repg(design, ctx):
+        sim = real(design, ctx)
+        return dataclasses.replace(
+            sim, objectives=sim.objectives._replace(repg=float("nan")))
+
+    monkeypatch.setattr(cli, "simulate_year", nan_repg)
+    code = run_cli([*command, "--seed", 42, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error" and doc["results"] == {}
+    assert doc["message"].endswith(" is nan, not a finite number")
+    assert doc["message"].startswith("results.")
+
+
+def test_cli_sweep_writes_a_failed_point_without_an_objective(tmp_path):
+    """A failed point's objective is null, not NaN, so the sweep still
+    succeeds."""
+    code = run_cli(["sweep", "--seed", 42, "--parameter", "bs_price",
+                    "--values=-50,300", "--max-evals", 60,
+                    "--out", tmp_path])
+    assert code == 0
+    results = json.loads((tmp_path / "result.json").read_text())["results"]
+    assert results["statuses"][0].startswith("failed")
+    assert results["weighted_obj"][0] is None
+    assert results["weighted_obj"][1] > 0
 
 
 @pytest.mark.parametrize("command, flag, text", [

@@ -15,7 +15,8 @@ from offgridopt.dispatch import (DispatchContext, DispatchSchedule, Scenario,
                                  evaluate_schedule, optimize_day,
                                  robustness_suite, rule_based_schedule,
                                  scenario_scale_climate, suite_to_csv)
-from offgridopt.economics import CostTable, FinancialParams, Weights
+from offgridopt.economics import (CostTable, FinancialParams, Weights,
+                                  fixed_om, initial_capital)
 from offgridopt.errors import InfeasibleBaselineError, InputDataError
 from offgridopt.simulate import (CascadeState, Design, SimulationContext,
                                  StrategyConfig, renewable_feed_in)
@@ -40,6 +41,15 @@ def flat_day_ctx(load_kw, rated=16.0, e_b=0.0, res_zero=True):
         costs=CostTable(), fin=FinancialParams(), strategy=StrategyConfig(),
         baseline_generator=GeneratorSpec(rated_power=16.0))
     return DispatchContext(Design(0, 0, e_b), sim, W4, dpsp_max=0.01)
+
+
+def daily_fixed_om(ctx):
+    """The day's share of the system's annual fixed O&M."""
+    design, sim = ctx.design, ctx.sim
+    capital = initial_capital(design.pv_kw(sim.pv), design.wt_kw(sim.wind),
+                              design.e_b_init, sim.generator.rated_power,
+                              sim.costs)
+    return fixed_om(capital, sim.costs) / 365.0
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +138,7 @@ def test_zero_schedule_zero_res_loses_everything():
     ev = evaluate_schedule(schedule, ctx)
     assert ev.objectives.dpsp == pytest.approx(1.0)
     # nothing dispatched: the daily cost is the prorated fixed O&M alone
-    from offgridopt.economics import fixed_om
-    assert ev.c_daily == pytest.approx(fixed_om(ctx.capital, ctx.sim.costs) / 365.0)
+    assert ev.c_daily == pytest.approx(daily_fixed_om(ctx))
 
 
 def test_generator_at_rated_meets_flat_load_exactly():
@@ -152,9 +161,7 @@ def test_two_hour_minicase_cost_hand_computed():
     ev = evaluate_schedule(schedule, ctx)
     liters = 0.246 * (6.0 + 8.0) + 0.08145 * 16.0 * 2
     fuel = 3.20 * liters / 3.78541
-    from offgridopt.economics import fixed_om
-    expected = (fuel + 0.24 * 2 + 0.45 + 0.23
-                + fixed_om(ctx.capital, ctx.sim.costs) / 365.0)
+    expected = fuel + 0.24 * 2 + 0.45 + 0.23 + daily_fixed_om(ctx)
     assert ev.c_daily == pytest.approx(expected, rel=1e-12)
 
 

@@ -1,8 +1,7 @@
 """The day-schedule scorer: bit for bit against the numpy formulation it
-replaced, on random and infeasible schedules, the C day kernel bit for bit
-against its Python oracle, the search's penalty-first rejection and price
-memo, and pinned ``optimize_day`` results on fixed days, on the kernels
-and on their oracles in the kernels' place."""
+replaced, on random and infeasible schedules, the C day kernels bit for bit
+against their Python oracles, and pinned ``optimize_day`` results on fixed
+days, on the kernels and on their oracles in the kernels' place."""
 
 import copy
 import dataclasses
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import _day_hours, _run_python, day_hours, day_sum
+from reference import _day_hours, _run_python, day_hours, day_score, day_sum
 
 from offgridopt import dispatch, economics, kernels
 from offgridopt.config import build_config, build_context
@@ -23,7 +22,7 @@ from offgridopt.dispatch import (CONSTRAINT_TOL, DispatchSchedule,
                                  optimize_day, rule_based_schedule)
 from offgridopt.economics import ObjectiveVector, Weights
 from offgridopt.errors import InputDataError
-from offgridopt.kernels import DayTotals
+from offgridopt.kernels import DayEvaluation, DayInputs, DayTotals
 from offgridopt.seeding import substream_seed
 from offgridopt.simulate import Design
 
@@ -80,14 +79,18 @@ def reference_evaluate(s, ctx):
     starts = int(np.count_nonzero(online[1:] & ~online[:-1])) + int(online[0])
     stops = int(np.count_nonzero(~online[1:] & online[:-1])) + int(online[-1])
 
+    design, sim = ctx.design, ctx.sim
+    capital = economics.initial_capital(
+        design.pv_kw(sim.pv), design.wt_kw(sim.wind), design.e_b_init,
+        gen.rated_power, costs)
     c_daily = (economics.fuel_cost(gen, energy, on_hours)
                + economics.variable_om(gen, costs, on_hours, energy)
                + costs.startup_cost * starts + costs.shutdown_cost * stops
-               + economics.fixed_om(ctx.capital, costs) / 365.0)
+               + economics.fixed_om(capital, costs) / 365.0)
 
     load_kwh = ctx.sim.load.total_kwh
     coe = c_daily / load_kwh
-    coe_base, em_base = ctx.daily_baseline
+    coe_base, em_base = dispatch._daily_baseline(sim, load_kwh)
     emissions = economics.emissions_total(energy, gen)
     gen_dc = float(ctx.res_dc.sum()) + converter.eta_rec * energy
     dpsp = float(lost.sum()) / load_kwh
@@ -135,10 +138,12 @@ def bits(x: float) -> str:
 
 
 def use_the_oracles(monkeypatch):
-    """Put the Python oracles of the cascade run and of the day pass in the
-    compiled kernels' place, where the package calls them."""
+    """Put the Python oracles of the cascade run, of the day pass and of the
+    day's score in the compiled kernels' place, where the package calls
+    them."""
     monkeypatch.setattr(kernels, "run", _run_python)
     monkeypatch.setattr(kernels, "day_hours", day_hours)
+    monkeypatch.setattr(kernels, "day_score", day_score)
 
 
 # ---------------------------------------------------------------------------
@@ -263,74 +268,27 @@ def test_compiled_day_hours_equals_the_python_twin_bit_for_bit(contexts, data):
     assert compiled_rows.tobytes() == twin_rows.tobytes()
 
 
-# Thresholds of the search's compare: any float, NaN and the infinities
-# included, the signed zeros, and values at and next to the candidate's own.
-THRESHOLD = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
-
-
 @settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_rejecting_a_candidate_on_its_penalty_is_sound(contexts, data):
-    """The search value is weighted + penalty, bit for bit, and never below
-    the penalty, so no threshold rejects on the penalty a candidate whose
-    search value it would accept; on the kernel and on its oracle."""
-    ctx, schedule = data.draw(scored_days(contexts))
-    kernel = data.draw(st.sampled_from([kernels.day_hours, day_hours]))
-    h = kernel(schedule._address, ctx.day_inputs, None)
-    ev = evaluate_schedule(schedule, ctx, h)
-    assert bits(ev.search_value) == bits(ev.weighted + h.penalty)
-    assert ev.search_value >= h.penalty
-    near = [ev.search_value, h.penalty,
-            np.nextafter(ev.search_value, np.inf) + 1e-12,
-            np.nextafter(h.penalty, -np.inf) + 1e-12]
-    for b in data.draw(st.lists(THRESHOLD, max_size=4)) + near:
-        bar = b - 1e-12
-        assert not (h.penalty >= bar and ev.search_value < bar)
-
-
-def scored_bits(ev):
-    return (bits(ev.weighted), bits(ev.search_value), bits(ev.c_daily),
-            ev.feasible, [bits(v) for v in ev.objectives],
-            [bits(v) for v in ev.residuals])
-
-
-@pytest.mark.parametrize("kernel", ["c", "python"])
-def test_the_price_memo_is_never_stale(contexts, monkeypatch, kernel):
-    """Schedules whose (energy, online hours, starts) repeat the last one's,
-    and schedules whose key differs, scored in turn on one context: each
-    scores as on a fresh context, bit for bit."""
-    if kernel == "python":
-        use_the_oracles(monkeypatch)
-    ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 51, W4)
-    rule = rule_based_schedule(ctx)
-    p_dg, p_bs = rule.p_dg.copy(), rule.p_bs.copy()
-    on = np.flatnonzero(p_dg > CONSTRAINT_TOL)
-    assert on.size >= 2
-    moved_bs = p_bs.copy()
-    moved_bs[3] += 0.5                  # same key, other lost load and dump
-    more = p_dg.copy()
-    more[on[0]] += 0.25                 # other energy
-    # Hours t and t + 8 are added first in np.sum's lane t, so swapping
-    # them keeps the energy's bits and moves the hours online.
-    t = next(t for t in range(8) if (p_dg[t] > 0) != (p_dg[t + 8] > 0))
-    shifted = p_dg.copy()
-    shifted[[t, t + 8]] = p_dg[[t + 8, t]]
-    off = p_dg.copy()
-    off[on[1]] = 0.0                    # fewer hours online and other starts
-    schedules = [DispatchSchedule(*rows) for rows in (
-        (p_dg, p_bs), (p_dg, moved_bs), (more, p_bs), (p_dg, p_bs),
-        (shifted, p_bs), (p_dg, moved_bs), (off, moved_bs), (off, p_bs),
-        (p_dg, p_bs))]
-    keys = []
-    for schedule in schedules:
-        ev = evaluate_schedule(schedule, ctx)
-        fresh = evaluate_schedule(schedule, dataclasses.replace(ctx))
-        assert scored_bits(ev) == scored_bits(fresh)
-        h = _day_hours(ctx.day_inputs, schedule._rows)
-        keys.append((h.energy, h.online, h.starts))
-    assert keys[0] == keys[1] == keys[3] == keys[8]
-    assert keys[4][0] == keys[0][0] and keys[4] != keys[0]
-    assert len(set(keys)) == 4
+def test_compiled_day_score_equals_the_oracle_bit_for_bit(contexts, data):
+    """``day_score`` prices a schedule as ``economics`` does, bit for bit:
+    diesel and microturbine days, random weights, infeasible schedules,
+    days without a battery, and days whose DC-side generation
+    ``res_kwh + eta_rec * E`` is zero, where REPG and REF are 0."""
+    ctx, schedule = data.draw(scored_days(contexts, HOUR_DG | SIGNED_ZERO,
+                                          HOUR_BS | SIGNED_ZERO))
+    day = ctx.day_inputs
+    if data.draw(st.booleans()):
+        # no feed-in and no generator output: nothing is generated
+        day = DayInputs.from_buffer_copy(day)
+        day.res_kwh = data.draw(SIGNED_ZERO)
+        schedule = DispatchSchedule(data.draw(ZERO_DAY), schedule.p_bs)
+    compiled, oracle = DayEvaluation(), DayEvaluation()
+    value = kernels.day_score(schedule._address, day, compiled)
+    assert bits(value) == bits(day_score(schedule._address, day, oracle))
+    assert bits(value) == bits(kernels.day_score(schedule._address, day, None))
+    assert bytes(compiled) == bytes(oracle)
+    assert bits(compiled.search_value) == bits(value)
 
 
 @pytest.mark.parametrize("kernel", ["c", "python"])
@@ -391,7 +349,7 @@ def test_a_schedule_s_rows_are_read_only(contexts, row):
     scored = evaluate_schedule(schedule, ctx)
     with pytest.raises(ValueError, match="read-only"):
         getattr(schedule, row)[5] = np.nan
-    assert evaluate_schedule(schedule, ctx) == scored
+    assert bytes(evaluate_schedule(schedule, ctx)) == bytes(scored)
 
 
 def test_a_copied_schedule_has_a_block_of_its_own(contexts):
@@ -400,7 +358,8 @@ def test_a_copied_schedule_has_a_block_of_its_own(contexts):
     for twin in (schedule.copy(), copy.deepcopy(schedule),
                  pickle.loads(pickle.dumps(schedule))):
         assert twin._address != schedule._address
-        assert evaluate_schedule(twin, ctx) == evaluate_schedule(schedule, ctx)
+        assert (bytes(evaluate_schedule(twin, ctx))
+                == bytes(evaluate_schedule(schedule, ctx)))
         twin._rows[0] = 0.0
         assert schedule.p_dg.any()
 
@@ -426,63 +385,54 @@ def test_day_sum_keeps_the_sum_order_of_np_sum():
 # Pinned optimize_day results
 # ---------------------------------------------------------------------------
 
-# weighted.hex(), feasible, the SHA-256 of p_dg.tobytes() + p_bs.tobytes(),
-# the number of hours passes and the number of candidates priced by
-# optimize_day on design 100,8,45.45 at run seed 42, as the dispatch command
-# runs it.  The hours passes (one per candidate, and one per evaluate_schedule
-# call made without the search's own pass) hold the search to the candidates
-# it scores; the priced count holds the rejection on the penalty to what it
-# skips.
+# weighted.hex(), feasible, the SHA-256 of p_dg.tobytes() + p_bs.tobytes()
+# and the number of day_score calls of optimize_day on design 100,8,45.45 at
+# run seed 42, as the dispatch command runs it.  The calls (one per
+# candidate, one at the start and one at the end of each pattern refined,
+# and one for the rule-based schedule) hold the search to the candidates it
+# scores.
 PINNED = {
     ("LI-DE", 0): ("0x1.3f27e4c384852p-4", True,
                    "440b2a855a5c0a33809893b1bb917df62b81911b7468cdee4ac8ab95a5ff52c4",
-                   4126, 1404),
+                   4157),
     ("LI-DE", 51): ("0x1.08bed63441d98p-2", True,
                     "1290905ef298e88f1a55497adea9547c972b32965f8ce0181e5bbdc4e575ee63",
-                    12182, 6074),
+                    12209),
     ("LI-DE", 150): ("0x1.ebe15e5ce23f5p-5", True,
                      "525f19bd939fb00d27cf02708660f919a345d804cf18eb7b6c1bd95ef0e9e9f6",
-                     6542, 4258),
+                     6569),
     ("LI-DE", 300): ("0x1.bb2b34460a282p-4", True,
                      "59dc56ec500b5a7f600d9c86c6c8468f2a07f90a11a40d6a4dac1ee5f8e5712c",
-                     2787, 1488),
+                     2813),
     ("LA-MT-no-charge", 0): (
         "0x1.4eaae0358bbc8p-2", True,
         "c9722b20031bbd1fad1f8c3bc3de66b25ac73169552fa3cd1b31aab7fec66f22",
-        27212, 14179),
+        27305),
     ("LA-MT-no-charge", 51): (
         "0x1.af10ab01c4262p-2", True,
         "479761ec680df9f29f3d0302802c026b95591a9c976647066c03140b7366d9bb",
-        29703, 18211),
+        29757),
     ("LA-MT-no-charge", 150): (
         "0x1.05a29f5d712e0p-2", True,
         "23e2cf30aeb26cdaff14545c31844cb5b034dc3fec148734fa5c779ffa2f914b",
-        15295, 9206),
+        15337),
     ("LA-MT-no-charge", 300): (
         "0x1.0560ed880bd30p-2", True,
         "c4c298892f2f55040e53faf3a27509ace6611c76e09c4e1d6997f7b974208fa2",
-        2787, 1485),
+        2813),
 }
 
 
 def pinned_result(contexts, monkeypatch, variant, day):
-    """The pinned numbers of a day, counting the hours passes of the day
-    kernel in place and the scorer's calls given the search's own hours,
-    through the module attributes the search calls them by."""
-    passes, priced = [], []
-    hours_pass, score = kernels.day_hours, dispatch.evaluate_schedule
+    """The pinned numbers of a day, counting the calls of the day kernel in
+    place through the module attribute the package calls it by."""
+    calls, score = [], kernels.day_score
 
-    def counted_pass(*args):
-        passes.append(None)
-        return hours_pass(*args)
+    def counted_score(*args):
+        calls.append(None)
+        return score(*args)
 
-    def counted_score(s, ctx, hours=None):
-        if hours is not None:
-            priced.append(None)
-        return score(s, ctx, hours)
-
-    monkeypatch.setattr(kernels, "day_hours", counted_pass)
-    monkeypatch.setattr(dispatch, "evaluate_schedule", counted_score)
+    monkeypatch.setattr(kernels, "day_score", counted_score)
     config = build_config(VARIANTS[variant])
     ctx = day_context(contexts[variant], Design(100, 8, 45.45), day,
                       Weights(tuple(config.dispatch["weights"])),
@@ -493,7 +443,7 @@ def pinned_result(contexts, monkeypatch, variant, day):
     schedule = hashlib.sha256(result.schedule.p_dg.tobytes()
                               + result.schedule.p_bs.tobytes()).hexdigest()
     return (result.evaluation.weighted.hex(), result.feasible, schedule,
-            len(passes), len(priced))
+            len(calls))
 
 
 @pytest.mark.parametrize("variant, day", sorted(PINNED))

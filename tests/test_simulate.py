@@ -157,6 +157,27 @@ def test_nan_input_rejected(flat_year_ctx):
         simulate_year(Design(10, 2, 20), broken)
 
 
+@pytest.mark.parametrize("column, field", [
+    ("ghi_kw_m2", "irradiance"), ("wind_ms", "wind_speed_ref"),
+    ("temp_c", "temp_ambient")])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_an_infinite_climate_hour_built_in_code_is_rejected(annual_ctx, column,
+                                                             field, value):
+    """A series built in code skips the CSV reader's check: an infinite
+    irradiance hour made REPG and 1 - REF NaN, with no error."""
+    hours = getattr(annual_ctx.climate, field).copy()
+    hours[12] = value
+    if field != "temp_ambient" and value < 0:
+        # the series itself rejects a negative irradiance or wind speed
+        with pytest.raises(InputDataError, match="negative"):
+            dataclasses.replace(annual_ctx.climate, **{field: hours})
+        return
+    broken = dataclasses.replace(annual_ctx, climate=dataclasses.replace(
+        annual_ctx.climate, **{field: hours}))
+    with pytest.raises(InputDataError, match=f"{column} is {value} at hour 12"):
+        simulate_year(Design(100, 8, 45.45), broken)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts the process's minor page faults (Linux)")
 def test_simulate_year_does_not_regrow_the_heap(run_python):
