@@ -8,15 +8,19 @@
  *   day_hours  the pass over the 24 hours of a dispatch schedule and the
  *              constraint residuals and penalty it leaves;
  *   day_score  day_hours, then the schedule's price, objectives and search
- *              value: one call scores a dispatch candidate.
+ *              value: one call scores a dispatch candidate;
+ *   day_hour   one hour of a sweep of the dispatch search's coordinate
+ *              descent: it steps that hour's setpoints, scores each
+ *              candidate with day_score and keeps the ones that improve.
  *
  * day_score transcribes the pricing of economics.py (operating_cost,
  * emissions_total, objective_vector, weighted_objective), as cascade
  * transcribes simulate.renewable_feed_in.  Each kernel has a Python oracle
  * in tests/reference.py, which the tests compare with it bit for bit:
  * _run_python for cascade, _day_hours (with dispatch.propagate_soc and
- * day_sum) for day_hours, and day_score, which prices with economics
- * itself, for day_score.  Every operation the C code performs is the one
+ * day_sum) for day_hours, day_score, which prices with economics itself,
+ * for day_score, and day_hour, the hour of the Python search loop it
+ * replaced, for day_hour.  Every operation the C code performs is the one
  * the oracle performs, with the same IEEE double operands in the same
  * order.  The C code skips an operation only where a comment next to it
  * shows that the result cannot change any output.  That holds only when
@@ -593,4 +597,57 @@ double day_score(const double *schedule, const day_inputs *day,
         out->search_value = value;
     }
     return value;
+}
+
+
+/* The steps of the setpoint *x, an hour of the schedule's block, within
+ * [lower, upper]: d * scale for d in (-4, -1, 1, 4), in that order, each
+ * clamped to the bounds as min(max(*x + step, lower), upper) clamps it.
+ * A step that does not move the setpoint is skipped; any other is written
+ * into the block and scored, kept when its search value is below *bar,
+ * which then becomes that value - 1e-12, and undone otherwise.  Returns
+ * the number of candidates scored. */
+static int hour_steps(double *schedule, const day_inputs *day, double *x,
+                      double lower, double upper, double scale, double *bar)
+{
+    static const double d[4] = {-4.0, -1.0, 1.0, 4.0};
+    int scored = 0;
+    for (int i = 0; i < 4; i++) {
+        const double old = *x;
+        double cand = old + d[i] * scale;
+        cand = lower > cand ? lower : cand;
+        cand = upper < cand ? upper : cand;
+        if (cand == old)
+            continue;
+        *x = cand;
+        const double value = day_score(schedule, day, NULL);
+        scored++;
+        if (value < *bar)
+            *bar = value - 1e-12;
+        else
+            *x = old;
+    }
+    return scored;
+}
+
+/* Hour t of one sweep of the dispatch search's projected coordinate
+ * descent (dispatch._refine_continuous), in place on the schedule's
+ * (2, 24) block: the generator's steps within [p_min, p_rated] when the
+ * hour is online (p_dg > 0), then the battery's within [-p_lim, p_lim]
+ * when it can move (p_lim > 0), each step as hour_steps makes it, with
+ * scale = 0.5**sweep.  Every step, clamp and compare is the IEEE
+ * operation of the Python loop it replaced (day_hour in
+ * tests/reference.py), in the same order.  Returns the number of
+ * candidates scored. */
+int day_hour(double *schedule, const day_inputs *day, int t, double scale,
+             double *bar)
+{
+    int scored = 0;
+    if (schedule[t] > 0.0)
+        scored += hour_steps(schedule, day, schedule + t, day->p_min,
+                             day->p_rated, scale, bar);
+    if (day->p_lim > 0.0)
+        scored += hour_steps(schedule, day, schedule + 24 + t, -day->p_lim,
+                             day->p_lim, scale, bar);
+    return scored;
 }

@@ -19,15 +19,17 @@ order of ``economics``.  The package needs a C compiler to build it (see
 ``kernels``).  Its Python oracle, ``day_score`` in ``tests/reference.py``,
 runs ``_day_hours``, which takes its SOC knots from ``propagate_soc``, and
 prices with ``economics`` itself; the tests compare the two bit for bit.
-The search loops, over the setpoints and over the ON patterns, stay in
-Python.
+A sweep of the coordinate descent runs the kernel ``kernels.day_hour``
+once per hour, which steps that hour's setpoints and scores each candidate
+with ``day_score``; its oracle, ``day_hour`` in ``tests/reference.py``, is
+the Python loop it replaced.  The sweep loop and the hill-climb over the ON
+patterns stay in Python.
 """
 
 from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -295,43 +297,21 @@ def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
 def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
                        ) -> tuple[DispatchSchedule, DispatchEvaluation]:
     """Projected coordinate descent over the hourly setpoints of ``s``, in
-    place, with the ON pattern held fixed.  The setpoints are held as
-    Python floats, whose steps and clamps round as numpy's do, and each
-    candidate is written into the schedule's block and scored by one call
-    of the day kernel, which returns its search value.  The refined
-    schedule is evaluated once, at the end."""
-    gen = ctx.sim.generator
-    dg_row, bs_row = s._rows
-    dg, bs = s._rows.tolist()
-    score = partial(kernels.day_score, s._address, ctx.day_inputs, None)
-    bar = score() - 1e-12
-    p_lim = ctx.day_inputs.p_lim
+    place in the schedule's block, with the ON pattern held fixed.  Each
+    sweep halves the steps and runs the day kernel ``kernels.day_hour``
+    once per hour, which tries that hour's steps, scores each candidate and
+    keeps it when its search value is below the bar.  The sweeps stop when
+    one keeps no step, and the refined schedule is evaluated once, at the
+    end."""
+    day, address, hour = ctx.day_inputs, s._address, kernels.day_hour
+    bar = ctypes.c_double(kernels.day_score(address, day, None) - 1e-12)
     for sweep in range(REFINE_SWEEPS):
-        scale = 0.5 ** sweep
-        steps = [d * scale for d in (-4.0, -1.0, 1.0, 4.0)]
-        improved = False
+        scale, start = 0.5 ** sweep, bar.value
         for t in range(24):
-            # generator steps in an ON hour, then battery steps if it can move
-            moves = ([(dg, dg_row, gen.min_power, gen.rated_power)]
-                     if dg[t] > 0 else [])
-            if p_lim > 0:
-                moves.append((bs, bs_row, -p_lim, p_lim))
-            for x, row, lower, upper in moves:
-                for d in steps:
-                    # min(max(x[t] + d, lower), upper), written out
-                    cand = x[t] + d
-                    cand = lower if lower > cand else cand
-                    cand = upper if upper < cand else cand
-                    if cand == x[t]:
-                        continue
-                    row[t] = cand
-                    value = score()
-                    if value < bar:
-                        bar, improved = value - 1e-12, True
-                        x[t] = cand
-                    else:
-                        row[t] = x[t]
-        if not improved:
+            hour(address, day, t, scale, bar)
+        # A kept step lowers the bar to its value - 1e-12 <= value < bar,
+        # so the sweep kept one exactly when the bar went down.
+        if not bar.value < start:
             break
     return s, evaluate_schedule(s, ctx)
 
@@ -393,11 +373,7 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
     with ``feasible=False`` and its residuals.
     """
     gen = ctx.sim.generator
-    if gen.rated_power <= 0:
-        raise InputDataError("dispatch needs a generator with positive rating")
-    if max_patterns < 3:
-        raise InputDataError(
-            f"max_patterns must be >= 3 (the seed schedules), got {max_patterns}")
+    _require_search(ctx, max_patterns)
     rng = np.random.default_rng(seed)
 
     rb = rule_based_schedule(ctx)
@@ -454,6 +430,16 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
         best_s._rows.tobytes() + bytes(best_ev) + bytes(rb_ev))
 
 
+def _require_search(ctx: DispatchContext, max_patterns: int):
+    """Reject what no day can be searched with: a generator without a
+    positive rating, or fewer patterns than the three seed schedules."""
+    if ctx.sim.generator.rated_power <= 0:
+        raise InputDataError("dispatch needs a generator with positive rating")
+    if max_patterns < 3:
+        raise InputDataError(
+            f"max_patterns must be >= 3 (the seed schedules), got {max_patterns}")
+
+
 def _better(ev: DispatchEvaluation, incumbent: DispatchEvaluation | None) -> bool:
     if incumbent is None:
         return True
@@ -499,9 +485,12 @@ def robustness_suite(ctx: DispatchContext, scenarios: list[Scenario],
                      seed: int = 0, max_patterns: int = 120) -> list[dict]:
     """Re-optimize the day under each scenario.  A scenario whose inputs are
     invalid (``InputDataError``) is recorded as a failed row and the suite
-    continues; any other exception propagates."""
+    continues; any other exception propagates.  Settings that no scenario
+    changes, ``max_patterns`` and the generator's rating, are checked once,
+    before the first scenario, and raise."""
     if not scenarios:
         raise InputDataError("at least one scenario required")
+    _require_search(ctx, max_patterns)
     rows = []
     for sc in scenarios:
         row = {"scenario": sc.name}

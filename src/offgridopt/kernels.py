@@ -1,8 +1,11 @@
 """The compiled kernels of ``_cascade.c`` and the records they exchange:
 ``run``, the load-following cascade over any horizon, which also forms
 the renewable feed-in and sums the hours, ``day_hours``, the pass over the
-hours of a dispatch schedule, and ``day_score``, that pass and the
-schedule's price, objectives and search value in one call.
+hours of a dispatch schedule, ``day_score``, that pass and the
+schedule's price, objectives and search value in one call, and
+``day_hour``, one hour of a sweep of the dispatch search's coordinate
+descent, which steps that hour's setpoints and scores each candidate with
+``day_score``.
 
 They are the package's only implementation of these computations, so the
 package needs a C compiler: the library is built with ``cc`` and loaded
@@ -193,8 +196,8 @@ def _cascade_library() -> Path:
 
 def _load_cascade() -> ctypes.CDLL:
     """The compiled kernels' library with the signatures of ``cascade``,
-    ``day_hours`` and ``day_score`` set.  Raises ``KernelUnavailableError``
-    when it cannot be built or loaded."""
+    ``day_hours``, ``day_score`` and ``day_hour`` set.  Raises
+    ``KernelUnavailableError`` when it cannot be built or loaded."""
     lib = _cascade_library()
     try:
         lib = ctypes.CDLL(str(lib))
@@ -213,6 +216,10 @@ def _load_cascade() -> ctypes.CDLL:
     lib.day_score.argtypes = [address, ctypes.POINTER(DayInputs),
                               ctypes.POINTER(DayEvaluation)]
     lib.day_score.restype = c_double
+    # the bar goes in as a ctypes.c_double, which the kernel updates
+    lib.day_hour.argtypes = [address, ctypes.POINTER(DayInputs), ctypes.c_int,
+                             c_double, ctypes.POINTER(c_double)]
+    lib.day_hour.restype = ctypes.c_int
     return lib
 
 
@@ -236,6 +243,7 @@ except KernelUnavailableError as exc:
 # Called unwrapped: a Python wrapper would cost more than the C function.
 day_hours = _LIBRARY.day_hours
 day_score = _LIBRARY.day_score
+day_hour = _LIBRARY.day_hour
 
 
 def run(inputs: CascadeInputs, pv_units: float, wt_units: float,

@@ -40,7 +40,8 @@ from .economics import (BaselineMetrics, CostTable, FinancialParams,
                         ObjectiveVector, Weights, weighted_objective)
 from .errors import InputDataError
 from .kernels import CascadeState
-from .solvers import SOLVERS, SearchSpace, SolverReport
+from .solvers import (GA_POPULATION, SOLVERS, SearchSpace, SolverReport,
+                      require_budget)
 from .timeseries import (ClimateSeries, LoadSeries, require_complete,
                          write_csv)
 
@@ -357,6 +358,12 @@ class SizingProblem:
         if self.solver not in SOLVERS:
             raise InputDataError(f"unknown solver {self.solver!r}; "
                                  f"pick from {sorted(SOLVERS)}")
+        # Every solve takes these settings, so a budget that cannot pay for
+        # the solver's first generation is rejected here: a sweep then
+        # fails before its first point runs, as ``size`` fails.
+        require_budget(self.solver, self.max_evals,
+                       self.swarm_size if self.solver == "pso"
+                       else GA_POPULATION)
 
     def design(self, x) -> Design:
         """The design of search point ``x``: an integer PV or wind dimension

@@ -25,7 +25,9 @@ STALL_TOL = 1e-6
 # PSO inertia weight and acceleration coefficients (constriction values)
 PSO_OMEGA = 0.729
 PSO_C1 = PSO_C2 = 1.49445
-# GA crossover and per-dimension mutation probabilities
+# GA population when none is given, and its crossover and per-dimension
+# mutation probabilities
+GA_POPULATION = 50
 GA_CROSSOVER_RATE = 0.8
 GA_MUTATION_RATE = 0.1
 # SA geometric cooling: start temperature, factor and steps per temperature
@@ -119,6 +121,21 @@ class _Evaluator:
         return self.generation(np.asarray(x, dtype=float)[None])[0]
 
 
+# what the budget must cover, of the solvers that evaluate a first
+# generation whole before they can report a point
+_FIRST_GENERATION = {"pso": "at least one swarm sweep",
+                     "ga": "the initial population"}
+
+
+def require_budget(solver: str, max_evals: int, first_generation: int):
+    """Raise ``InputDataError`` unless ``max_evals`` covers the
+    ``first_generation`` evaluations of ``solver``: PSO's swarm or the GA's
+    population.  The other solvers take any budget."""
+    if solver in _FIRST_GENERATION and max_evals < first_generation:
+        raise InputDataError(
+            f"max_evals must cover {_FIRST_GENERATION[solver]}")
+
+
 def _report(name, ev: _Evaluator, best_x, t0) -> SolverReport:
     best_x = ev.space.round_point(np.asarray(best_x, dtype=float))
     value = float(ev.objective(best_x))  # re-evaluate: no stale caching
@@ -129,8 +146,7 @@ def pso_minimize(objective, space: SearchSpace, swarm_size: int = 30,
                  max_evals: int = 2000, seed: int = 0) -> SolverReport:
     """Particle swarm with inertia-weight velocity update
     v <- w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x)."""
-    if max_evals < swarm_size:
-        raise InputDataError("max_evals must cover at least one swarm sweep")
+    require_budget("pso", max_evals, swarm_size)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     ev = _Evaluator(objective, space, max_evals)
@@ -165,13 +181,13 @@ def pso_minimize(objective, space: SearchSpace, swarm_size: int = 30,
     return _report("pso", ev, gbest, t0)
 
 
-def ga_minimize(objective, space: SearchSpace, population: int = 50,
-                max_evals: int = 2000, seed: int = 0) -> SolverReport:
+def ga_minimize(objective, space: SearchSpace,
+                population: int = GA_POPULATION, max_evals: int = 2000,
+                seed: int = 0) -> SolverReport:
     """Genetic algorithm: tournament selection, blend crossover, gaussian
     mutation.  Fitness is the objective itself: every candidate lies inside
     the bounds, so no bound-violation penalty is needed."""
-    if max_evals < population:
-        raise InputDataError("max_evals must cover the initial population")
+    require_budget("ga", max_evals, population)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     ev = _Evaluator(objective, space, max_evals)

@@ -14,10 +14,14 @@ here so that the tests can compare the two bit for bit:
   ``day_sum``;
 - ``day_score``, ``kernels.day_score``: ``day_hours``, then the price,
   objectives and search value computed by ``economics`` itself;
+- ``day_hour``, ``kernels.day_hour``: one hour of a sweep of the dispatch
+  search's coordinate descent, the Python loop the kernel replaced, which
+  scores each candidate with ``day_score``;
 - ``count_transitions``, how the kernels count a generator's starts.
 
-``_run_python``, ``day_hours`` and ``day_score`` take the arguments of the
-compiled calls, so that a test can put an oracle in a kernel's place.
+``_run_python``, ``day_hours``, ``day_score`` and ``day_hour`` take the
+arguments of the compiled calls, so that a test can put an oracle in a
+kernel's place.
 """
 
 import ctypes
@@ -331,3 +335,41 @@ def day_score(address: int, day: kernels.DayInputs,
                  h.soc, h.over, value)):
             setattr(out, name, v)
     return value
+
+
+def day_hour(address: int, day: kernels.DayInputs, t: int, scale: float,
+             bar: ctypes.c_double) -> int:
+    """The oracle of ``kernels.day_hour``, with its arguments: hour ``t`` of
+    a sweep of ``dispatch._refine_continuous``, in place on the schedule's
+    block at ``address``.  The generator's steps come first, in an online
+    hour (``p_dg > 0``), within ``[p_min, p_rated]``; the battery's follow
+    when it can move (``p_lim > 0``), within ``[-p_lim, p_lim]``.  Each step
+    ``d * scale``, for ``d`` in (-4, -1, 1, 4), is clamped to the bounds; a
+    step that moves the setpoint is written into the block and scored by
+    ``day_score``, kept when its value is below ``bar``, which becomes that
+    value - 1e-12, and undone otherwise.  Returns the number of candidates
+    scored."""
+    dg_row, bs_row = _doubles(address, 48).reshape(2, 24)
+    steps = [d * scale for d in (-4.0, -1.0, 1.0, 4.0)]
+    moves = [(dg_row, day.p_min, day.p_rated)] if dg_row[t] > 0 else []
+    if day.p_lim > 0:
+        moves.append((bs_row, -day.p_lim, day.p_lim))
+    scored = 0
+    for row, lower, upper in moves:
+        x = float(row[t])
+        for d in steps:
+            # min(max(x + d, lower), upper), written out
+            cand = x + d
+            cand = lower if lower > cand else cand
+            cand = upper if upper < cand else cand
+            if cand == x:
+                continue
+            row[t] = cand
+            value = day_score(address, day, None)
+            scored += 1
+            if value < bar.value:
+                bar.value = value - 1e-12
+                x = cand
+            else:
+                row[t] = x
+    return scored

@@ -529,7 +529,8 @@ def test_kernel_load_reports_a_library_that_does_not_load(tmp_path,
 def test_every_kernel_of_an_unavailable_library_raises_its_reason():
     """What the package binds when the library cannot be built or loaded."""
     library = kernels._Unavailable("no compiler here")
-    for kernel in (library.cascade, library.day_hours, library.day_score):
+    for kernel in (library.cascade, library.day_hours, library.day_score,
+                   library.day_hour):
         with pytest.raises(KernelUnavailableError, match="no compiler here"):
             kernel(None, None, None)
     assert issubclass(KernelUnavailableError, OSError)

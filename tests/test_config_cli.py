@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -351,6 +352,38 @@ def test_cli_dispatch_writes_schedule(tmp_path):
     assert len(lines) == 25
 
 
+# The SHA-256 of the dispatch command's files at --design 100,8,45.45
+# --seed 42: the config, the search, the evaluation and the CSV formatting
+# end to end, which the per-day pins of tests/test_scorer.py do not cover.
+DISPATCH_FILES = {
+    "default": ("", {
+        "result.json":
+            "9e8e4dca5c15608012e3fbae0643d47d79ade6c6b604f5c768d9403b2bcba864",
+        "schedule.csv":
+            "299f5a72aac725897cb744f455573a5598ace770a75c9f424bd21d000513415f"}),
+    "pareto-variants": (
+        "battery: {chemistry: LA}\ngenerator: {kind: MT}\n"
+        "strategy: {cycle_counting: throughput, dg_may_charge_battery: false}\n",
+        {"result.json":
+            "ddf855787ab5e4d5a49a11603199e0cf68af23eae4e0b8d30c331da5e9a46d01",
+         "schedule.csv":
+            "2cd82e4631e7e4530353c86770500021aa024c376dcb062a4fd097920dd35ed9"}),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(DISPATCH_FILES))
+def test_cli_dispatch_files_are_pinned(tmp_path, variant):
+    text, pinned = DISPATCH_FILES[variant]
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["dispatch", "--seed", 42, "--design", "100,8,45.45",
+                    "--config", cfg, "--out", out]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in pinned} == pinned
+
+
 def test_result_records_the_run_arguments_outside_the_config(tmp_path):
     """result.json alone reruns a run: the arguments that are no config key
     are in its results."""
@@ -401,6 +434,21 @@ def test_cli_sweep_writes_table(tmp_path):
     assert doc["results"]["statuses"] == ["ok", "ok"]
     lines = (tmp_path / "sweep_bs_price.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_cli_sweep_rejects_a_budget_below_the_swarm_before_any_point(tmp_path):
+    """The solver settings are the same at every point, so a budget that
+    cannot pay for one swarm sweep is the error ``size`` reports, not a
+    sweep of failed rows."""
+    cfg = tmp_path / "small_budget.yaml"
+    cfg.write_text("sizing: {max_evals: 10}\n")
+    for command in (["size"],
+                    ["sweep", "--parameter", "bs_price", "--values", "100,300"]):
+        assert run_cli([*command, "--seed", 42, "--config", cfg,
+                        "--out", tmp_path]) == 2
+        doc = json.loads((tmp_path / "result.json").read_text())
+        assert doc["status"] == "error"
+        assert doc["message"] == "max_evals must cover at least one swarm sweep"
 
 
 def test_cli_error_path_writes_error_document(tmp_path):

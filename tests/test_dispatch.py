@@ -378,6 +378,23 @@ def test_suite_records_a_zero_load_scenario_as_failed(day_8kw):
     assert "load sums to zero" in rows[0]["error"]
 
 
+@pytest.mark.parametrize("setting, match", [
+    ({"max_patterns": 2}, "max_patterns must be >= 3"),
+    ({"rated_power": 0.0}, "generator with positive rating"),
+])
+def test_suite_rejects_settings_no_scenario_changes(day_8kw, setting, match):
+    """Too few patterns or a generator without a rating fail every
+    scenario alike: the suite raises before the first one runs, rather than
+    returning a failed row per scenario."""
+    ctx = day_8kw
+    if "rated_power" in setting:
+        ctx = dataclasses.replace(ctx, sim=dataclasses.replace(
+            ctx.sim, generator=GeneratorSpec(rated_power=0.0)))
+    with pytest.raises(InputDataError, match=match):
+        robustness_suite(ctx, [Scenario("baseline"), Scenario("same")], seed=7,
+                         max_patterns=setting.get("max_patterns", 120))
+
+
 def test_suite_programming_error_propagates(day_8kw, monkeypatch):
     """Only invalid scenario inputs become failed rows; a bug inside a
     scenario is raised."""

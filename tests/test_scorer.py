@@ -4,6 +4,7 @@ against their Python oracles, and pinned ``optimize_day`` results on fixed
 days, on the kernels and on their oracles in the kernels' place."""
 
 import copy
+import ctypes
 import dataclasses
 import hashlib
 import pickle
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import _day_hours, _run_python, day_hours, day_score, day_sum
+from reference import (_day_hours, _run_python, day_hour, day_hours,
+                       day_score, day_sum)
 
 from offgridopt import dispatch, economics, kernels
 from offgridopt.config import build_config, build_context
@@ -138,12 +140,13 @@ def bits(x: float) -> str:
 
 
 def use_the_oracles(monkeypatch):
-    """Put the Python oracles of the cascade run, of the day pass and of the
-    day's score in the compiled kernels' place, where the package calls
-    them."""
+    """Put the Python oracles of the cascade run, of the day pass, of the
+    day's score and of an hour of the dispatch search in the compiled
+    kernels' place, where the package calls them."""
     monkeypatch.setattr(kernels, "run", _run_python)
     monkeypatch.setattr(kernels, "day_hours", day_hours)
     monkeypatch.setattr(kernels, "day_score", day_score)
+    monkeypatch.setattr(kernels, "day_hour", day_hour)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +294,34 @@ def test_compiled_day_score_equals_the_oracle_bit_for_bit(contexts, data):
     assert bits(compiled.search_value) == bits(value)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_compiled_day_hour_equals_the_oracle_bit_for_bit(contexts, data):
+    """``day_hour`` makes the moves of the Python hour it replaced, bit for
+    bit: the schedule's block after the call, the bar and the number of
+    candidates scored, in ON and OFF hours, from setpoints at and beyond
+    their bounds, on days with and without a battery (``p_lim`` 0), at
+    every hour and at the step scale of every sweep."""
+    ctx, schedule = data.draw(scored_days(contexts))
+    day, t = ctx.day_inputs, data.draw(st.integers(0, 23))
+    p_dg, p_bs = schedule.p_dg.copy(), schedule.p_bs.copy()
+    p_dg[t] = data.draw(HOUR_DG | st.sampled_from(
+        [0.0, day.p_min, day.p_min / 2, day.p_rated, day.p_rated + 3.0]))
+    p_bs[t] = data.draw(HOUR_BS | st.sampled_from(
+        [-day.p_lim, day.p_lim, -day.p_lim - 3.0, day.p_lim + 3.0]))
+    compiled, oracle = DispatchSchedule(p_dg, p_bs), DispatchSchedule(p_dg, p_bs)
+    scale = 0.5 ** data.draw(st.integers(0, dispatch.REFINE_SWEEPS - 1))
+    value = kernels.day_score(compiled._address, day, None)
+    # the bar of a sweep's first hour, and bars no candidate or any beats
+    start = data.draw(st.sampled_from([value - 1e-12, value, -np.inf, np.inf])
+                      | st.floats(value - 1.0, value + 1.0))
+    compiled_bar, oracle_bar = ctypes.c_double(start), ctypes.c_double(start)
+    scored = kernels.day_hour(compiled._address, day, t, scale, compiled_bar)
+    assert scored == day_hour(oracle._address, day, t, scale, oracle_bar)
+    assert bits(compiled_bar.value) == bits(oracle_bar.value)
+    assert compiled._rows.tobytes() == oracle._rows.tobytes()
+
+
 @pytest.mark.parametrize("kernel", ["c", "python"])
 @pytest.mark.parametrize("hours", [23, 25])
 def test_scoring_rejects_a_schedule_of_other_than_24_hours(contexts, monkeypatch,
@@ -386,11 +417,12 @@ def test_day_sum_keeps_the_sum_order_of_np_sum():
 # ---------------------------------------------------------------------------
 
 # weighted.hex(), feasible, the SHA-256 of p_dg.tobytes() + p_bs.tobytes()
-# and the number of day_score calls of optimize_day on design 100,8,45.45 at
-# run seed 42, as the dispatch command runs it.  The calls (one per
+# and the number of schedules optimize_day scores on design 100,8,45.45 at
+# run seed 42, as the dispatch command runs it.  The count (one per
 # candidate, one at the start and one at the end of each pattern refined,
-# and one for the rule-based schedule) hold the search to the candidates it
-# scores.
+# and one for the rule-based schedule) holds the search to the candidates
+# it scores: the calls of day_score, plus the candidates day_hour reports
+# having scored.
 PINNED = {
     ("LI-DE", 0): ("0x1.3f27e4c384852p-4", True,
                    "440b2a855a5c0a33809893b1bb917df62b81911b7468cdee4ac8ab95a5ff52c4",
@@ -424,15 +456,21 @@ PINNED = {
 
 
 def pinned_result(contexts, monkeypatch, variant, day):
-    """The pinned numbers of a day, counting the calls of the day kernel in
-    place through the module attribute the package calls it by."""
-    calls, score = [], kernels.day_score
+    """The pinned numbers of a day, counting the schedules scored in
+    place through the module attributes the package calls the day kernels
+    by: each call of ``day_score`` and the count each ``day_hour`` returns."""
+    scored, score, hour = [], kernels.day_score, kernels.day_hour
 
     def counted_score(*args):
-        calls.append(None)
+        scored.append(1)
         return score(*args)
 
+    def counted_hour(*args):
+        scored.append(hour(*args))
+        return scored[-1]
+
     monkeypatch.setattr(kernels, "day_score", counted_score)
+    monkeypatch.setattr(kernels, "day_hour", counted_hour)
     config = build_config(VARIANTS[variant])
     ctx = day_context(contexts[variant], Design(100, 8, 45.45), day,
                       Weights(tuple(config.dispatch["weights"])),
@@ -443,7 +481,7 @@ def pinned_result(contexts, monkeypatch, variant, day):
     schedule = hashlib.sha256(result.schedule.p_dg.tobytes()
                               + result.schedule.p_bs.tobytes()).hexdigest()
     return (result.evaluation.weighted.hex(), result.feasible, schedule,
-            len(calls))
+            sum(scored))
 
 
 @pytest.mark.parametrize("variant, day", sorted(PINNED))

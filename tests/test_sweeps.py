@@ -106,6 +106,17 @@ def test_sweep_keeps_row_count_with_failures(annual_ctx, default_config, tmp_pat
     assert lines[0].startswith("value,n_s,n_w,e_b,")
 
 
+@pytest.mark.parametrize("solver, max_evals, match", [
+    ("pso", 29, "at least one swarm sweep"), ("ga", 49, "the initial population")])
+def test_a_budget_below_the_first_generation_is_rejected_with_the_problem(
+        annual_ctx, default_config, solver, max_evals, match):
+    """Every point of a sweep solves with the problem's settings, so the
+    problem itself rejects a budget its solver cannot start with."""
+    with pytest.raises(InputDataError, match=match):
+        SizingProblem(annual_ctx, default_config.search_space(), W, solver,
+                      max_evals, 30)
+
+
 def test_sweep_point_programming_error_propagates(annual_ctx, default_config,
                                                   monkeypatch):
     """Only invalid inputs become failed rows; a bug inside a point is
