@@ -5,6 +5,9 @@
  *   cascade    the load-following priority cascade over any horizon, a
  *              year or a dispatch day: it forms the renewable feed-in from
  *              the design and the hourly profile and sums the hours;
+ *   price      the lifecycle price of a horizon's totals, a design's year
+ *              or the annual generator-only baseline;
+ *   day_prices a dispatch day's share of the fixed O&M and its baseline;
  *   day_hours  the pass over the 24 hours of a dispatch schedule and the
  *              constraint residuals and penalty it leaves;
  *   day_score  day_hours, then the schedule's price, objectives and search
@@ -13,19 +16,19 @@
  *              descent: it steps that hour's setpoints, scores each
  *              candidate with day_score and keeps the ones that improve.
  *
- * day_score transcribes the pricing of economics.py (operating_cost,
- * emissions_total, objective_vector, weighted_objective), as cascade
- * transcribes simulate.renewable_feed_in.  Each kernel has a Python oracle
- * in tests/reference.py, which the tests compare with it bit for bit:
- * _run_python for cascade, _day_hours (with dispatch.propagate_soc and
- * day_sum) for day_hours, day_score, which prices with economics itself,
- * for day_score, and day_hour, the hour of the Python search loop it
- * replaced, for day_hour.  Every operation the C code performs is the one
- * the oracle performs, with the same IEEE double operands in the same
- * order.  The C code skips an operation only where a comment next to it
- * shows that the result cannot change any output.  That holds only when
- * the compiler neither fuses a multiply and an add nor reassociates: build
- * with -ffp-contract=off and without -ffast-math.
+ * This file is the one definition of the pricing: each law (fuel, O&M,
+ * switching, capital, the present worths, the objective vector) is one
+ * static helper, which price, day_prices and day_score share.  Each kernel
+ * has a Python oracle of the same name in tests/reference.py, which the
+ * tests compare with it bit for bit (_run_python for cascade, with
+ * _day_hours for day_hours).  Every operation
+ * the C code performs is the one the oracle performs, with the same IEEE
+ * double operands in the same order; pow, log1p and exp are libm's, which
+ * Python's float ** and math.log1p and math.exp call.  The C code skips an
+ * operation only where a comment next to it shows that the result cannot
+ * change any output.  That holds only when the compiler neither fuses a
+ * multiply and an add nor reassociates: build with -ffp-contract=off and
+ * without -ffast-math.
  */
 
 #include <math.h>
@@ -395,8 +398,210 @@ cascade_totals cascade(const cascade_inputs *in, double pv_units,
 }
 
 
+/* The design-independent constants that price a horizon, which
+ * economics.prices fills from the specs: the financial parameters and
+ * their CRF, the cost table and the generator. */
+typedef struct {
+    double crf, nominal_rate, inflation, years;  /* CRF; i, f per year; T */
+    /* capital [$/kW, $/kWh], the converter's [$] and the share of the
+     * capital a replacement costs */
+    double pv_capital, wt_capital, bs_capital, dg_capital, converter;
+    double bs_replacement, dg_replacement;
+    double om_pv, om_wt, om_bs, om_dg;  /* fixed O&M [capital share / yr] */
+    double om_hour, om_kwh;  /* variable O&M: DE [$/h online], MT [$/kWh] */
+    double startup, shutdown;  /* [$] per start, per stop */
+    double p_rated;          /* generator rated output [kW] */
+    double fuel_price;       /* [$/gal diesel] or [$/MMBtu gas] */
+    double fuel_a, fuel_b;   /* diesel burn on output, on rating [L/kWh] */
+    double gallon;           /* litres per US gallon */
+    double mt_slope;         /* microturbine burn on output [MMBtu/kWh] */
+    double emission;         /* kg of pollutants per kWh of generator output */
+    double lifetime_hours;   /* online hours between generator replacements */
+    int diesel;              /* a diesel engine (DE), else a microturbine */
+} prices;
+
+/* The fuel bill of e [kWh] over `online` hours: the diesel engine burns
+ * a * e + b * P_rated * online litres, the microturbine mt_slope * e MMBtu. */
+static inline double fuel(const prices *p, double e, double online)
+{
+    if (p->diesel)
+        return p->fuel_price * (p->fuel_a * e + p->fuel_b * p->p_rated * online)
+               / p->gallon;
+    return p->fuel_price * p->mt_slope * e;
+}
+
+/* Variable O&M: per online hour for diesel, per kWh for a microturbine. */
+static inline double variable_om(const prices *p, double e, double online)
+{
+    return p->diesel ? p->om_hour * online : p->om_kwh * e;
+}
+
+/* c + startup * starts + shutdown * starts: every start has its stop. */
+static inline double plus_switching(double c, const prices *p, double starts)
+{
+    return c + p->startup * starts + p->shutdown * starts;
+}
+
+/* The generator's operating cost over a horizon: fuel, variable O&M and
+ * switching, added in that order. */
+static inline double operating_cost(const prices *p, double e, double online,
+                                    double starts)
+{
+    return plus_switching(fuel(p, e, online) + variable_om(p, e, online), p,
+                          starts);
+}
+
+/* Installed capital [$] of each component; the baseline has no converter. */
+typedef struct { double pv, wt, bs, dg, converter; } capital;
+
+static inline capital capital_of(const prices *p, double pv_kw, double wt_kw,
+                                 double bs_kwh, int converter)
+{
+    return (capital){p->pv_capital * pv_kw, p->wt_capital * wt_kw,
+                     p->bs_capital * bs_kwh, p->dg_capital * p->p_rated,
+                     converter ? p->converter : 0.0};
+}
+
+/* Annual fixed O&M as capital fractions; the converter has none. */
+static inline double fixed_om(const prices *p, const capital *c)
+{
+    return p->om_pv * c->pv + p->om_wt * c->wt + p->om_bs * c->bs
+           + p->om_dg * c->dg;
+}
+
+/* cost * sum_{t=1..terms} ratio^t, with the ratio -> 1 limit cost * terms.
+ * When the power is +inf, so is the present worth, the limit of the
+ * closed form: the power overflows only for a ratio > 1, and at a ratio of
+ * +inf the IEEE quotient would be inf / inf = NaN. */
+static double geometric_pw(double cost, double ratio, double terms)
+{
+    if (terms <= 0.0 || cost == 0.0)
+        return 0.0;
+    if (fabs(ratio - 1.0) < 1e-12)
+        return cost * terms;
+    const double power = pow(ratio, terms);
+    if (isinf(power))
+        return INFINITY;
+    return cost * ratio * (power - 1.0) / (ratio - 1.0);
+}
+
+/* Present worth of an annual cost repeating, with inflation, every year of
+ * the system lifetime, discounted at the nominal rate. */
+static double pw_recurring(const prices *p, double cost)
+{
+    return geometric_pw(cost, (1.0 + p->inflation) / (1.0 + p->nominal_rate),
+                        p->years);
+}
+
+/* The adjusted rate (1 + i)^L / (1 + f)^(L - 1) - 1 of a cost recurring
+ * every L years, +inf when 1 + i_adj overflows a double. */
+static double adjusted_rate(const prices *p, double L)
+{
+    const double log_ratio = L * log1p(p->nominal_rate)
+                             - (L - 1.0) * log1p(p->inflation);
+    if (log_ratio > 700.0)
+        return INFINITY;
+    return exp(log_ratio) - 1.0;
+}
+
+/* Present worth of a replacement every `period` years: pw_recurring's form
+ * at the adjusted rate, summed over the whole system lifetime.  An
+ * infinite period or adjusted rate books nothing.  When exp underflows,
+ * 1 + i_adj is 0 and the ratio (1 + f) / 0 is +inf, whose present worth
+ * geometric_pw makes +inf (a real rate below zero). */
+static double pw_nonrecurring(const prices *p, double cost, double period)
+{
+    if (isinf(period))
+        return 0.0;
+    const double i_adj = adjusted_rate(p, period);
+    if (isinf(i_adj))
+        return 0.0;
+    return geometric_pw(cost, (1.0 + p->inflation) / (1.0 + i_adj), p->years);
+}
+
+/* The five objectives of a horizon, each nominally in [0, 1]. */
+typedef struct {
+    double lcoe_norm, em_norm;  /* cost of energy, emissions / baseline's */
+    double dpsp;         /* lost-load share */
+    double repg;         /* dump share of the DC-side generation */
+    double one_minus_ref;
+} objectives;
+
+/* The objectives of a horizon's cost of energy coe, emissions and totals:
+ * of the DC-side generation res + eta_rec * dg, REPG and REF are 0 when it
+ * is <= 0 (a NaN generation divides). */
+static inline objectives objective_vector(
+    double coe, double emissions, double base_coe, double base_em,
+    double lost, double load, double dump, double res, double dg,
+    double eta_rec)
+{
+    const double generated = res + eta_rec * dg;
+    return (objectives){coe / base_coe, emissions / base_em, lost / load,
+                        generated <= 0.0 ? 0.0 : dump / generated,
+                        1.0 - (generated <= 0.0 ? 0.0 : res / generated)};
+}
+
+/* What pricing a horizon reads besides its prices and the run's totals. */
+typedef struct {
+    double pv_kw, wt_kw, bs_kwh;  /* the design's capacities */
+    double bs_period;    /* years between battery replacements; inf: none */
+    double load;         /* the horizon's load [kWh], > 0 */
+    double eta_rec;      /* rectifier efficiency of the generator output */
+    double base_lcoe, base_em;  /* the baseline's, which normalize */
+    int converter;       /* a converter is installed (not in the baseline) */
+} horizon;
+
+/* The price of a horizon: its capital, lifecycle cost, emissions and
+ * objectives. */
+typedef struct {
+    capital cap;
+    double annual_recurring;  /* year-1 recurring cost */
+    /* present worths of the recurring costs and of the replacements */
+    double pw_recurring, pw_nonrecurring;
+    double tnpc, tac;         /* total net present, annualized cost */
+    double lcoe;              /* levelized cost of energy [$/kWh] */
+    double emissions;         /* [kg] */
+    objectives obj;
+} priced;
+
+/* Price the totals t of a horizon: the capital of h's capacities; the
+ * year-1 recurring cost, fixed O&M + variable O&M + fuel + switching in
+ * that order (unlike operating_cost); its present worth; the replacements
+ * of the battery every h->bs_period years and of the generator after its
+ * lifetime hours (never when it is not online); TNPC, TAC = TNPC * CRF and
+ * LCOE = TNPC * CRF / load; the emissions and the objective vector.  The
+ * generator-only baseline is priced here too, from its own totals, and
+ * its objectives are not read. */
+void price(const prices *p, const cascade_totals *t, const horizon *h,
+           priced *out)
+{
+    /* Python multiplies and divides by its int counts as doubles, exactly. */
+    const double e = t->energy, online = (double)t->online;
+    const capital c = out->cap = capital_of(p, h->pv_kw, h->wt_kw, h->bs_kwh,
+                                            h->converter);
+    out->annual_recurring = plus_switching(
+        fixed_om(p, &c) + variable_om(p, e, online) + fuel(p, e, online), p,
+        (double)t->starts);
+    const double dg_period = t->online > 0 ? p->lifetime_hours / online
+                                           : INFINITY;
+    out->pw_recurring = pw_recurring(p, out->annual_recurring);
+    out->pw_nonrecurring =
+        pw_nonrecurring(p, p->bs_replacement * c.bs, h->bs_period)
+        + pw_nonrecurring(p, p->dg_replacement * c.dg, dg_period);
+    out->tnpc = c.pv + c.wt + c.bs + c.dg + c.converter + out->pw_recurring
+                + out->pw_nonrecurring;
+    out->tac = out->tnpc * p->crf;
+    out->lcoe = out->tac / h->load;
+    out->emissions = p->emission * e;
+    out->obj = objective_vector(out->lcoe, out->emissions, h->base_lcoe,
+                                h->base_em, t->lost, h->load, t->dump, t->res,
+                                e, h->eta_rec);
+}
+
+
 /* The inputs that every schedule of one dispatch day shares: its hours,
- * its constraint limits and the constants that price a schedule. */
+ * its constraint limits and the constants that price a schedule, its
+ * generator's prices and what day_prices derives from them. */
 typedef struct {
     double res[24];      /* DC-bus renewable feed-in [kW] */
     double dem[24];      /* DC-bus demand [kW] */
@@ -415,23 +620,29 @@ typedef struct {
     double load_kwh;     /* the day's load [kWh], > 0 */
     double dpsp_max;     /* the largest lost-load share allowed */
     double mu;           /* weight of the residuals in the search value */
-    double fuel_price;   /* [$/gal diesel] or [$/MMBtu gas] */
-    double fuel_a;       /* diesel burn on output [L/kWh] */
-    double fuel_b;       /* diesel burn on rated power [L/kWh] */
-    double gallon;       /* litres per US gallon */
-    double mt_slope;     /* microturbine burn on output [MMBtu/kWh] */
-    double om_hour;      /* diesel variable O&M [$/h online] */
-    double om_kwh;       /* microturbine variable O&M [$/kWh] */
-    double startup;      /* [$] per start */
-    double shutdown;     /* [$] per stop; every start has its stop */
+    prices price;        /* the day's generator, costs and finance */
     double fixed_om;     /* the day's share of the annual fixed O&M [$] */
-    double emission;     /* kg of pollutants per kWh of generator output */
     double base_coe;     /* the daily baseline's cost of energy [$/kWh] */
     double base_em;      /* the daily baseline's emissions [kg] */
     double res_kwh;      /* the day's DC-bus renewable feed-in [kWh] */
     double w[4];         /* weights of COE, emissions, REPG and 1 - REF */
-    int diesel;          /* a diesel engine (DE), else a microturbine (MT) */
 } day_inputs;
+
+/* Fill day's fixed_om, the fixed O&M / 365 of the design's capital (its
+ * PV and wind capacities and its battery day->cap), and its baseline: the
+ * generator of base serves the day's load by itself, online 24 h with one
+ * start, at its operating cost plus om_dg * dg_capital * P_rated / 365. */
+void day_prices(day_inputs *day, const prices *base, double pv_kw,
+                double wt_kw)
+{
+    const capital c = capital_of(&day->price, pv_kw, wt_kw, day->cap, 1);
+    const double e = day->load_kwh;
+    day->fixed_om = fixed_om(&day->price, &c) / 365.0;
+    day->base_coe = (operating_cost(base, e, 24.0, 1.0)
+                     + base->om_dg * base->dg_capital * base->p_rated / 365.0)
+                    / e;
+    day->base_em = base->emission * e;
+}
 
 /* What the hours of a schedule add up to, and the constraint residuals
  * they leave, each max(0, excess) and 0 when the excess is NaN. */
@@ -513,7 +724,7 @@ day_totals day_hours(const double *schedule, const day_inputs *day,
     out.soc = excess(day->soc_min - soc_lo);
     if (high > out.soc)
         out.soc = high;
-    /* the DPSP, lost / load as economics.metrics_dpsp divides */
+    /* the DPSP, lost / load as objective_vector divides */
     out.over = excess(out.lost / day->load_kwh - day->dpsp_max);
     out.penalty = day->mu * (out.semi + out.rated + out.power
                              + 10.0 * out.soc + out.over);
@@ -530,11 +741,7 @@ day_totals day_hours(const double *schedule, const day_inputs *day,
  * sum of four, the day's cost, the five residuals of day_totals and the
  * search value. */
 typedef struct {
-    double lcoe_norm;    /* cost of energy / the baseline's */
-    double em_norm;      /* emissions / the baseline's */
-    double dpsp;         /* lost-load share */
-    double repg;         /* dump share of the DC-side generation */
-    double one_minus_ref;
+    objectives obj;      /* normalized by the daily baseline's */
     double weighted;     /* weighted sum of COE, emissions, REPG, 1 - REF */
     double c_daily;      /* operating cost plus the daily fixed O&M [$] */
     double semi, rated, power, soc, over;
@@ -542,51 +749,32 @@ typedef struct {
 } day_evaluation;
 
 /* The search value of a schedule (see day_hours): its hours pass, then its
- * price in economics.py's operand order.  When out is not NULL it also
- * receives the evaluation.
- *   c_daily    operating_cost + fixed_om: fuel, variable O&M, startup *
- *              starts and shutdown * starts, added in that order;
- *   objectives objective_vector, with 0 for REPG and REF when the DC-side
- *              generation is <= 0 (a NaN generation divides);
- *   weighted   weighted_objective: 0.0, then += w[i] * v[i] left to right. */
+ * price with the helpers of price.  When out is not NULL it also receives
+ * the evaluation.
+ *   c_daily    operating_cost + the day's fixed O&M;
+ *   objectives objective_vector of the cost of energy c_daily / load;
+ *   weighted   0.0, then += w[i] * v[i] left to right, as
+ *              economics.weighted_objective adds. */
 double day_score(const double *schedule, const day_inputs *day,
                  day_evaluation *out)
 {
     const day_totals h = day_hours(schedule, day, NULL);
+    const prices *p = &day->price;
     /* Python multiplies its int counts as doubles, exactly. */
     const double e = h.energy, online = (double)h.online;
     const double starts = (double)h.starts;
-    double fuel, vom;
-    if (day->diesel) {
-        fuel = day->fuel_price * (day->fuel_a * e
-                                  + day->fuel_b * day->p_rated * online)
-               / day->gallon;
-        vom = day->om_hour * online;
-    } else {
-        fuel = day->fuel_price * day->mt_slope * e;
-        vom = day->om_kwh * e;
-    }
-    const double c_daily = fuel + vom + day->startup * starts
-                           + day->shutdown * starts + day->fixed_om;
-    const double emissions = day->emission * e;
-    const double generated = day->res_kwh + day->eta_rec * e;
-    const double lcoe_norm = c_daily / day->load_kwh / day->base_coe;
-    const double em_norm = emissions / day->base_em;
-    const double repg = generated <= 0.0 ? 0.0 : h.dump / generated;
-    const double one_minus_ref =
-        1.0 - (generated <= 0.0 ? 0.0 : day->res_kwh / generated);
+    const double c_daily = operating_cost(p, e, online, starts) + day->fixed_om;
+    const objectives o = objective_vector(
+        c_daily / day->load_kwh, p->emission * e, day->base_coe, day->base_em,
+        h.lost, day->load_kwh, h.dump, day->res_kwh, e, day->eta_rec);
     double weighted = 0.0;
-    weighted += day->w[0] * lcoe_norm;
-    weighted += day->w[1] * em_norm;
-    weighted += day->w[2] * repg;
-    weighted += day->w[3] * one_minus_ref;
+    weighted += day->w[0] * o.lcoe_norm;
+    weighted += day->w[1] * o.em_norm;
+    weighted += day->w[2] * o.repg;
+    weighted += day->w[3] * o.one_minus_ref;
     const double value = weighted + h.penalty;
     if (out) {
-        out->lcoe_norm = lcoe_norm;
-        out->em_norm = em_norm;
-        out->dpsp = h.lost / day->load_kwh;
-        out->repg = repg;
-        out->one_minus_ref = one_minus_ref;
+        out->obj = o;
         out->weighted = weighted;
         out->c_daily = c_daily;
         out->semi = h.semi;

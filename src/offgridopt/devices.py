@@ -167,9 +167,8 @@ class GeneratorSpec:
 
     The diesel fuel law is Fuel = a*P_out + b*P_rated [L/h]; the microturbine
     burns gas proportionally to output at ``mt_fuel_slope`` [MMBtu/kWh].
-    ``economics.fuel_cost`` defines these laws.  The dispatch day kernel
-    (``day_score`` in ``_cascade.c``) transcribes them with the same
-    operands in the same order, and a test compares the two bit for bit.
+    ``fuel`` in ``_cascade.c`` defines these laws, and the kernels that
+    price a year, a baseline and a dispatch day share it.
 
     ``emission_factors`` is a read-only copy of the mapping given, so the
     sum derived from it once (``emission_factor_total``) cannot go stale.
@@ -209,10 +208,9 @@ class GeneratorSpec:
 
     @cached_property
     def emission_factor_total(self) -> float:
-        """``economics.emission_factor_sum`` of this generator, derived on
-        first use and kept."""
-        from .economics import emission_factor_sum  # economics imports devices
-        return emission_factor_sum(self)
+        """Total kg of pollutants per kWh of output (all species), derived
+        on first use and kept."""
+        return sum(self.emission_factors.values())
 
     def __getstate__(self):
         # A mappingproxy does not pickle: the factors travel as a dict and
@@ -268,13 +266,6 @@ def pv_efficiency(irr, temp_amb, spec: PvSpec):
     return float(eta) if eta.ndim == 0 else eta
 
 
-def pv_power(n_modules, irr, temp_amb, spec: PvSpec):
-    """DC output [kW] of ``n_modules`` at the given irradiance/temperature."""
-    if np.any(np.asarray(n_modules) < 0):
-        raise InputDataError("n_modules must be >= 0")
-    return n_modules * pv_efficiency(irr, temp_amb, spec) * spec.collector_area * np.asarray(irr, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Wind turbine
 # ---------------------------------------------------------------------------
@@ -328,15 +319,6 @@ def wt_power_fraction(v_hub, spec: WindSpec, printed_form: bool = False):
         v < spec.cut_in, 0.0,
         np.where(v <= spec.rated_speed, quad,
                  np.where(v <= spec.cut_out, 1.0, 0.0)))
-
-
-def wt_power(n_turbines, v_hub, spec: WindSpec, printed_form: bool = False):
-    """AC output [kW] of ``n_turbines`` at hub wind speed ``v_hub``: the
-    count times the rated power times ``wt_power_fraction``."""
-    if np.any(np.asarray(n_turbines) < 0):
-        raise InputDataError("n_turbines must be >= 0")
-    out = n_turbines * spec.rated_power * wt_power_fraction(v_hub, spec, printed_form)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

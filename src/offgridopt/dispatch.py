@@ -14,11 +14,13 @@ compiled call of the cascade that ``simulate_year`` also makes.
 
 A candidate costs one call of the C day kernel ``kernels.day_score``: the
 pass over its hours (``kernels.day_hours``), which gives the residuals and
-the penalty, then its price, objectives and search value, in the operand
-order of ``economics``.  The package needs a C compiler to build it (see
-``kernels``).  Its Python oracle, ``day_score`` in ``tests/reference.py``,
-runs ``_day_hours``, which takes its SOC knots from ``propagate_soc``, and
-prices with ``economics`` itself; the tests compare the two bit for bit.
+the penalty, then its price, objectives and search value, with the pricing
+helpers of ``_cascade.c`` that also price a year.  ``kernels.day_prices``
+derives the day's fixed O&M and daily baseline once per day.  The package
+needs a C compiler to build them (see ``kernels``).  The Python oracle of
+``day_score``, in ``tests/reference.py``, runs ``_day_hours``, which takes
+its SOC knots from ``propagate_soc``, and prices with the reference
+formulas there; the tests compare the two bit for bit.
 A sweep of the coordinate descent runs the kernel ``kernels.day_hour``
 once per hour, which steps that hour's setpoints and scores each candidate
 with ``day_score``; its oracle, ``day_hour`` in ``tests/reference.py``, is
@@ -39,7 +41,7 @@ from . import economics, kernels
 # name stays; ``propagate_soc`` is its hourly form.
 from .devices import battery_power_limit, battery_step  # noqa: F401
 from .devices import self_discharge_hourly
-from .economics import BaselineMetrics, ObjectiveVector, Weights
+from .economics import ObjectiveVector, Weights
 from .errors import InputDataError
 from .simulate import (CascadeState, Design, SimulationContext,
                        dispatch_cascade, renewable_feed_in)
@@ -84,11 +86,7 @@ class DispatchContext:
         feed_in, demand_dc, load_kwh = sim.hourly_inputs
         _, _, res_dc = renewable_feed_in(design, feed_in, sim.pv, sim.wind,
                                          sim.converter)
-        gen, costs = sim.generator, sim.costs
-        capital = economics.initial_capital(
-            design.pv_kw(sim.pv), design.wt_kw(sim.wind), design.e_b_init,
-            gen.rated_power, costs)
-        baseline = _daily_baseline(sim, load_kwh)
+        gen = sim.generator
         day_inputs = kernels.DayInputs(
             tuple(res_dc.tolist()), tuple(demand_dc.tolist()),
             eta_rec=sim.converter.eta_rec, eta_inv=sim.converter.eta_inv,
@@ -99,30 +97,19 @@ class DispatchContext:
                    if design.e_b_init > 0 else 0.0),
             soc_min=battery.soc_min, soc_max=battery.soc_max,
             load_kwh=load_kwh, dpsp_max=self.dpsp_max, mu=PENALTY_MU,
-            fuel_price=gen.fuel_price, fuel_a=gen.fuel_coeff_a,
-            fuel_b=gen.fuel_coeff_b, gallon=economics.LITERS_PER_GALLON,
-            mt_slope=gen.mt_fuel_slope, om_hour=costs.om_var_dg_per_hour,
-            om_kwh=costs.om_var_dg_per_kwh, startup=costs.startup_cost,
-            shutdown=costs.shutdown_cost,
-            fixed_om=economics.fixed_om(capital, costs) / 365.0,
-            emission=gen.emission_factor_total, base_coe=baseline.lcoe,
-            base_em=baseline.emissions, res_kwh=float(res_dc.sum()),
-            w=self.weights.values, diesel=gen.kind == "DE")
+            price=sim.prices, res_kwh=float(res_dc.sum()),
+            w=self.weights.values)
+        # the fixed O&M and the baseline of the day, whose cost of energy
+        # and emissions the objectives divide by
+        kernels.day_prices(
+            day_inputs,
+            economics.prices(sim.baseline_generator, sim.costs, sim.fin),
+            design.pv_kw(sim.pv), design.wt_kw(sim.wind))
+        economics.positive_baseline("daily", day_inputs.base_coe,
+                                    day_inputs.base_em)
         # As the fields are set: updating vars(self) slowed every later read.
         object.__setattr__(self, "res_dc", res_dc)
         object.__setattr__(self, "day_inputs", day_inputs)
-
-
-def _daily_baseline(sim: SimulationContext, energy: float) -> BaselineMetrics:
-    """COE and emissions of the baseline generator serving the whole day
-    (``energy`` [kWh]) by itself: online 24 h, one startup and one
-    shutdown.  Both must be > 0, as the objectives divide by them."""
-    gen, costs = sim.baseline_generator, sim.costs
-    c = (economics.operating_cost(gen, costs, energy, 24.0, 1)
-         + costs.om_fix_dg * costs.dg_capital_per_kw
-         * gen.rated_power / 365.0)
-    return economics.positive_baseline(
-        "daily", c / energy, economics.emissions_total(energy, gen))
 
 
 def day_context(ctx: SimulationContext, design: Design, day: int,
@@ -266,10 +253,11 @@ def evaluate_schedule(s: DispatchSchedule,
     One call of the C kernel ``kernels.day_score``.  It reduces the hours
     with the float operations of the numpy formulation that
     ``tests/test_scorer.py`` keeps as reference, and prices them with those
-    of ``economics`` (``operating_cost`` plus the daily fixed O&M,
-    ``emissions_total``, ``objective_vector`` and ``weighted_objective``),
-    so every value equals the one numpy and ``economics`` give, bit for
-    bit.  The search value is ``weighted + penalty``.
+    of the reference formulas in ``tests/reference.py`` (the operating cost
+    plus the daily fixed O&M, the emissions, the objective vector and
+    ``economics.weighted_objective``'s order), so every value equals the
+    one numpy and those formulas give, bit for bit.  The search value is
+    ``weighted + penalty``.
     """
     ev = DispatchEvaluation()
     kernels.day_score(s._address, ctx.day_inputs, ev)

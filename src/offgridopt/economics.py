@@ -1,15 +1,12 @@
-"""Lifecycle cost, discounting, emissions and objective metrics.
+"""The economic specs and what surrounds the pricing.
 
-Conventions
------------
-* All cash flows are plain decimal dollars; energies are kWh.
-* Recurring costs incurred in year 1 are assumed to repeat (inflating) every
-  year of the system lifetime; their present worth uses the nominal rate.
-* Non-recurring (replacement) present worth uses the adjusted rate for the
-  component's replacement period.  The closed form annualizes the
-  replacement stream over the system lifetime; see ``pw_nonrecurring``.
-* Normalized LCOE and emissions divide by a generator-only baseline where
-  a single backup unit carries the whole load around the clock.
+The pricing itself, capital, O&M, fuel, the present worths, TNPC, TAC,
+LCOE, emissions and the objective vector, is defined once, in
+``_cascade.c`` (the kernels ``price``, ``day_prices`` and ``day_score``),
+in plain decimal dollars and kWh.  This module holds the cost table, the
+financial parameters and their capital recovery factor, the ``prices``
+record built from them, the one weighting of the objectives, the
+generator-only baseline that normalizes them and the break-even distance.
 """
 
 from __future__ import annotations
@@ -20,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .devices import GeneratorSpec, require_finite
 from .errors import InfeasibleBaselineError, InputDataError
 
@@ -139,235 +137,21 @@ def system_crf(fin: FinancialParams) -> float:
     return crf(real_rate(fin), fin.system_lifetime)
 
 
-def _geometric_pw(cost: float, ratio: float, terms: float) -> float:
-    """Present worth of `terms` payments growing/discounting by `ratio`:
-    cost * sum_{t=1..terms} ratio^t, with the ratio -> 1 limit cost*terms."""
-    if terms <= 0 or cost == 0:
-        return 0.0
-    if abs(ratio - 1.0) < 1e-12:
-        return cost * terms
-    return cost * ratio * (ratio ** terms - 1.0) / (ratio - 1.0)
-
-
-def pw_recurring(annual_cost: float, fin: FinancialParams) -> float:
-    """Present worth of an annual cost repeating (with inflation) every year
-    of the system lifetime, discounted at the nominal rate."""
-    if annual_cost < 0:
-        raise InputDataError("annual_cost must be >= 0")
-    x = (1.0 + fin.inflation) / (1.0 + fin.nominal_rate)
-    return _geometric_pw(annual_cost, x, fin.system_lifetime)
-
-
-def adjusted_rate(fin: FinancialParams, replacement_period: float) -> float:
-    """Adjusted rate i_adj = (1+i)^L / (1+f)^(L-1) - 1 used when discounting
-    a cost recurring every L years instead of annually."""
-    if replacement_period <= 0:
-        raise InputDataError("replacement_period must be positive")
-    L = replacement_period
-    log_ratio = L * math.log1p(fin.nominal_rate) - (L - 1.0) * math.log1p(fin.inflation)
-    if log_ratio > 700.0:  # (1+i_adj) overflows a double; treat as infinite
-        return math.inf
-    return math.exp(log_ratio) - 1.0
-
-
-def pw_nonrecurring(replacement_cost: float, fin: FinancialParams,
-                    replacement_period: float) -> float:
-    """Present worth of periodic replacements.
-
-    Same geometric form as ``pw_recurring`` with the nominal rate replaced by
-    the adjusted rate for the replacement period.  Because the sum still runs
-    over the full system lifetime, the closed form smears the replacement
-    stream across every year (each year weighted by the L-year discount
-    ratio); it therefore over-weights sparse replacement schedules relative
-    to an explicit per-event sum unless discounting is strong.  An infinite
-    replacement period contributes nothing.
-    """
-    if replacement_cost < 0:
-        raise InputDataError("replacement_cost must be >= 0")
-    if math.isinf(replacement_period):
-        return 0.0
-    i_adj = adjusted_rate(fin, replacement_period)
-    if math.isinf(i_adj):
-        return 0.0
-    y = (1.0 + fin.inflation) / (1.0 + i_adj)
-    return _geometric_pw(replacement_cost, y, fin.system_lifetime)
-
-
-# ---------------------------------------------------------------------------
-# Cost aggregation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CapitalBreakdown:
-    pv: float
-    wt: float
-    bs: float
-    dg: float
-    converter: float
-
-    @property
-    def total(self) -> float:
-        return self.pv + self.wt + self.bs + self.dg + self.converter
-
-
-def initial_capital(pv_kw: float, wt_kw: float, bs_kwh: float, dg_kw: float,
-                    costs: CostTable, include_converter: bool = True) -> CapitalBreakdown:
-    """Installed capital cost of every component plus the converter."""
-    return CapitalBreakdown(
-        pv=costs.pv_capital_per_kw * pv_kw,
-        wt=costs.wt_capital_per_kw * wt_kw,
-        bs=costs.bs_capital_per_kwh * bs_kwh,
-        dg=costs.dg_capital_per_kw * dg_kw,
-        converter=costs.converter_capital if include_converter else 0.0,
-    )
-
-
-def fuel_cost(gen: GeneratorSpec, dg_energy_kwh: float, online_hours: float) -> float:
-    """Fuel bill over a horizon: output-proportional burn plus, for the
-    diesel engine, the rated-power standing term accrued while the unit is
-    online.  An offline generator burns nothing.
-
-    Diesel burns a*E + b*P_rated*hours litres, priced per US gallon; the
-    microturbine burns ``mt_fuel_slope``*E MMBtu, priced per MMBtu.
-    """
-    if dg_energy_kwh < 0 or online_hours < 0:
-        raise InputDataError("energies and hours must be >= 0")
-    if gen.kind == "DE":
-        liters = gen.fuel_coeff_a * dg_energy_kwh + gen.fuel_coeff_b * gen.rated_power * online_hours
-        return gen.fuel_price * liters / LITERS_PER_GALLON
-    return gen.fuel_price * gen.mt_fuel_slope * dg_energy_kwh
-
-
-def variable_om(gen: GeneratorSpec, costs: CostTable, online_hours: float,
-                dg_energy_kwh: float) -> float:
-    """Variable O&M: per online hour for diesel, per kWh for microturbines."""
-    if gen.kind == "DE":
-        return costs.om_var_dg_per_hour * online_hours
-    return costs.om_var_dg_per_kwh * dg_energy_kwh
-
-
-def fixed_om(capital: CapitalBreakdown, costs: CostTable) -> float:
-    """Annual fixed O&M as capital-cost fractions (converter has none)."""
-    return (costs.om_fix_pv * capital.pv + costs.om_fix_wt * capital.wt
-            + costs.om_fix_bs * capital.bs + costs.om_fix_dg * capital.dg)
-
-
-def operating_cost(gen: GeneratorSpec, costs: CostTable, dg_energy_kwh: float,
-                   online_hours: float, starts: int) -> float:
-    """Generator operating cost over a horizon: fuel + variable O&M +
-    switching, summed in that order.  Every start has its shutdown."""
-    return (fuel_cost(gen, dg_energy_kwh, online_hours)
-            + variable_om(gen, costs, online_hours, dg_energy_kwh)
-            + costs.startup_cost * starts + costs.shutdown_cost * starts)
-
-
-def annual_recurring(capital: CapitalBreakdown, gen: GeneratorSpec,
-                     costs: CostTable, dg_energy_kwh: float,
-                     dg_online_hours: float, dg_starts: int) -> float:
-    """Year-1 recurring cost: fixed O&M + variable O&M + fuel + switching,
-    in this order (``size``'s output bytes depend on it).  Every start has
-    its shutdown: the cascade kernel counts a unit that starts and ends the
-    horizon off (``count_transitions``, its oracle, is in
-    ``tests/reference.py``)."""
-    return (fixed_om(capital, costs)
-            + variable_om(gen, costs, dg_online_hours, dg_energy_kwh)
-            + fuel_cost(gen, dg_energy_kwh, dg_online_hours)
-            + costs.startup_cost * dg_starts
-            + costs.shutdown_cost * dg_starts)
-
-
-def lcoe(tnpc: float, crf_value: float, annual_load_kwh: float) -> float:
-    """Levelized cost of energy: TNPC * CRF / annual load served."""
-    if annual_load_kwh <= 0:
-        raise InputDataError("annual_load_kwh must be positive")
-    return tnpc * crf_value / annual_load_kwh
-
-
-class LifecycleCost(NamedTuple):
-    """The lifecycle cost of a system over its lifetime [$]."""
-
-    annual_recurring: float   # year-1 recurring cost
-    pw_recurring: float       # present worth of the recurring costs
-    pw_nonrecurring: float    # present worth of the replacements
-    tnpc: float               # total net present cost
-    tac: float                # total annualized cost
-    lcoe: float               # levelized cost of energy [$/kWh]
-
-
-def lifecycle_cost(capital: CapitalBreakdown, gen: GeneratorSpec,
-                   costs: CostTable, fin: FinancialParams,
-                   dg_energy_kwh: float, dg_online_hours: float,
-                   dg_starts: int, bs_period: float,
-                   annual_load_kwh: float) -> LifecycleCost:
-    """Year-1 recurring cost through replacements, TNPC and TAC to LCOE.
-
-    The battery is replaced every ``bs_period`` years and the generator
-    after its lifetime hours; an infinite period books no replacement.
-    """
-    c_rec = annual_recurring(capital, gen, costs, dg_energy_kwh,
-                             dg_online_hours, dg_starts)
-    dg_period = (gen.lifetime_hours / dg_online_hours
-                 if dg_online_hours > 0 else math.inf)
-    pw_rec = pw_recurring(c_rec, fin)
-    pw_nonrec = (
-        pw_nonrecurring(costs.bs_replacement_fraction * capital.bs, fin, bs_period)
-        + pw_nonrecurring(costs.dg_replacement_fraction * capital.dg, fin, dg_period))
-    tnpc = capital.total + pw_rec + pw_nonrec
-    crf_value = system_crf(fin)
-    return LifecycleCost(c_rec, pw_rec, pw_nonrec, tnpc, tnpc * crf_value,
-                         lcoe(tnpc, crf_value, annual_load_kwh))
-
-
-def emission_factor_sum(gen: GeneratorSpec) -> float:
-    """Total kg of pollutants per kWh of generator output (all species)."""
-    return sum(gen.emission_factors.values())
-
-
-def emissions_total(dg_energy_kwh: float, gen: GeneratorSpec) -> float:
-    """Total emissions [kg] from the generator's energy over a horizon."""
-    if dg_energy_kwh < 0:
-        raise InputDataError("dg_energy_kwh must be >= 0")
-    return gen.emission_factor_total * dg_energy_kwh
-
-
-# ---------------------------------------------------------------------------
-# Reliability / efficiency metrics
-# ---------------------------------------------------------------------------
-
-def metrics_dpsp(lost_kwh: float, load_kwh: float) -> float:
-    """Deficiency of power supply probability: unserved / demanded energy."""
-    if load_kwh <= 0:
-        raise InputDataError("load must be positive to define DPSP")
-    return lost_kwh / load_kwh
-
-
-def metrics_repg(dump_kwh: float, generated_kwh: float) -> float:
-    """Relative excess power generated: dumped / total generated (DC side);
-    defined as 0 when nothing is generated."""
-    if generated_kwh <= 0:
-        return 0.0
-    return dump_kwh / generated_kwh
-
-
-def metrics_ref(renewable_kwh: float, generated_kwh: float) -> float:
-    """Renewable energy fraction of total generation (DC side); 0 when
-    nothing is generated."""
-    if generated_kwh <= 0:
-        return 0.0
-    return renewable_kwh / generated_kwh
-
-
-def objective_vector(coe: float, emissions: float, baseline: BaselineMetrics,
-                     lost_kwh: float, load_kwh: float, dump_kwh: float,
-                     res_kwh: float, dg_kwh: float, eta_rec: float) -> ObjectiveVector:
-    """The five objectives from a horizon's totals: the cost per kWh and the
-    emissions relative to the baseline's, and the lost load, dump and
-    renewable shares, of the DC-side generation res + eta_rec * E_dg."""
-    generated = res_kwh + eta_rec * dg_kwh
-    return ObjectiveVector(
-        coe / baseline.lcoe, emissions / baseline.emissions,
-        metrics_dpsp(lost_kwh, load_kwh), metrics_repg(dump_kwh, generated),
-        1.0 - metrics_ref(res_kwh, generated))
+def prices(gen: GeneratorSpec, costs: CostTable,
+           fin: FinancialParams) -> kernels.Prices:
+    """The record the kernels price a horizon with: the CRF and the rates of
+    ``fin``, ``costs`` and the generator ``gen``, as they are."""
+    return kernels.Prices(
+        system_crf(fin), fin.nominal_rate, fin.inflation, fin.system_lifetime,
+        costs.pv_capital_per_kw, costs.wt_capital_per_kw,
+        costs.bs_capital_per_kwh, costs.dg_capital_per_kw,
+        costs.converter_capital, costs.bs_replacement_fraction,
+        costs.dg_replacement_fraction, costs.om_fix_pv, costs.om_fix_wt,
+        costs.om_fix_bs, costs.om_fix_dg, costs.om_var_dg_per_hour,
+        costs.om_var_dg_per_kwh, costs.startup_cost, costs.shutdown_cost,
+        gen.rated_power, gen.fuel_price, gen.fuel_coeff_a, gen.fuel_coeff_b,
+        LITERS_PER_GALLON, gen.mt_fuel_slope, gen.emission_factor_total,
+        gen.lifetime_hours, gen.kind == "DE")
 
 
 def weighted_objective(values, weights: Weights) -> float:
@@ -375,8 +159,8 @@ def weighted_objective(values, weights: Weights) -> float:
     objectives: ``total = 0.0``, then ``total += w_i * v_i`` from left to
     right in Python, each product rounded on its own: no fused multiply-add,
     no BLAS dot, and not ``sum``, which compensates from Python 3.12.  The
-    dispatch day kernel (``day_score`` in ``_cascade.c``) transcribes this
-    order, as it transcribes ``operating_cost`` and ``objective_vector``."""
+    dispatch day kernel (``day_score`` in ``_cascade.c``) adds its four
+    objectives in this order."""
     if len(weights) != len(values):
         raise InputDataError(
             f"expected {len(values)} weights, got {len(weights)}")
@@ -423,11 +207,13 @@ def baseline_metrics(load, gen: GeneratorSpec, costs: CostTable,
         raise InfeasibleBaselineError(
             f"baseline generator {gen.rated_power} kW cannot cover peak load {peak:.2f} kW")
     energy = load.total_kwh
-    capital = initial_capital(0.0, 0.0, 0.0, gen.rated_power, costs,
-                              include_converter=False)
-    cost = lifecycle_cost(capital, gen, costs, fin, energy, len(load), 1,
-                          math.inf, energy)
-    return positive_baseline("annual", cost.lcoe, emissions_total(energy, gen))
+    # a baseline of its own, 1.0, for objectives that are not read
+    cost = kernels.price(
+        prices(gen, costs, fin),
+        kernels.CascadeTotals(energy=energy, online=len(load), starts=1),
+        kernels.Horizon(bs_period=math.inf, load=energy, base_lcoe=1.0,
+                        base_em=1.0))
+    return positive_baseline("annual", cost.lcoe, cost.emissions)
 
 
 def break_even_distance(tac: float, crf_value: float, annual_load_kwh: float,

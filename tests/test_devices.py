@@ -3,15 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from reference import battery_capacity
+from reference import battery_capacity, fuel_cost, pv_power, wt_power
 
 from offgridopt.devices import (DE_EMISSION_FACTORS, BatterySpec,
                                 GeneratorSpec, PvSpec, WindSpec,
                                 battery_power_limit, battery_step,
                                 hub_wind_speed, microturbine_spec,
-                                pv_efficiency, pv_power,
-                                wt_curve_coefficients, wt_power)
-from offgridopt.economics import LITERS_PER_GALLON, CostTable, fuel_cost
+                                pv_efficiency, wt_curve_coefficients)
+from offgridopt.economics import LITERS_PER_GALLON, CostTable
 from offgridopt.errors import InputDataError
 
 
@@ -205,7 +204,7 @@ def test_battery_power_limit_modes():
 
 
 # ---------------------------------------------------------------------------
-# Backup generator fuel law (priced by economics.fuel_cost)
+# Backup generator fuel law (the oracle of the kernels' fuel law)
 # ---------------------------------------------------------------------------
 
 def de_fuel_liters(p_gen, hours=1.0, rated=16.0):

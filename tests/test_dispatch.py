@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import _cascade_python, cascade
+from reference import _cascade_python, cascade, fixed_om, initial_capital
 
 from offgridopt import dispatch
 from offgridopt.config import build_config, build_context
@@ -15,8 +15,7 @@ from offgridopt.dispatch import (DispatchContext, DispatchSchedule, Scenario,
                                  evaluate_schedule, optimize_day,
                                  robustness_suite, rule_based_schedule,
                                  scenario_scale_climate, suite_to_csv)
-from offgridopt.economics import (CostTable, FinancialParams, Weights,
-                                  fixed_om, initial_capital)
+from offgridopt.economics import CostTable, FinancialParams, Weights
 from offgridopt.errors import InfeasibleBaselineError, InputDataError
 from offgridopt.simulate import (CascadeState, Design, SimulationContext,
                                  StrategyConfig, renewable_feed_in)

@@ -5,24 +5,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import (adjusted_rate, annual_recurring, day_prices,
+                       emissions_total, fixed_om, initial_capital, lcoe,
+                       lifecycle_cost, metrics_dpsp, metrics_ref, metrics_repg,
+                       price, pw_nonrecurring, pw_recurring)
 
-from offgridopt import economics
+from offgridopt import economics, kernels
 from offgridopt.config import build_config, build_context
 from offgridopt.devices import GeneratorSpec, microturbine_spec
 from offgridopt.dispatch import (day_context, evaluate_schedule, optimize_day,
                                  rule_based_schedule)
 from offgridopt.economics import (CostTable, FinancialParams, ObjectiveVector,
-                                  Weights, adjusted_rate, annual_recurring,
-                                  baseline_metrics, break_even_distance, crf,
-                                  emission_factor_sum, emissions_total,
-                                  fixed_om, initial_capital,
-                                  lcoe, metrics_dpsp, metrics_ref,
-                                  metrics_repg, pw_nonrecurring, pw_recurring,
-                                  real_rate, weighted_objective)
+                                  Weights, baseline_metrics,
+                                  break_even_distance, crf, real_rate,
+                                  weighted_objective)
 from offgridopt.errors import InfeasibleBaselineError, InputDataError
 from offgridopt.simulate import Design, simulate_year
+from offgridopt.timeseries import LoadSeries
 
 FIN = FinancialParams()  # i = 9 %, f = 5.7 %, 25 years
 EQUAL = Weights((0.2,) * 5)
@@ -89,6 +90,18 @@ def test_pw_nonrecurring_zero_and_limits():
     assert pw_nonrecurring(5000.0, FIN, math.inf) == 0.0
     same = FinancialParams(nominal_rate=0.06, inflation=0.06)
     assert pw_nonrecurring(100.0, same, 4.0) == pytest.approx(2500.0)
+
+
+def test_pw_nonrecurring_diverges_to_inf_at_a_negative_real_rate():
+    """Where the closed form diverges, its present worth is +inf: when
+    1 + i_adj underflows to 0 and when the ratio's power overflows (IEEE
+    arithmetic gives NaN and Python raises)."""
+    negative = FinancialParams(nominal_rate=0.0, inflation=0.06)
+    assert 1.0 + adjusted_rate(negative, 20000.0) == 0.0
+    assert pw_nonrecurring(100.0, negative, 20000.0) == math.inf
+    steep = FinancialParams(nominal_rate=0.04, inflation=0.12)
+    assert pw_nonrecurring(100.0, steep, 500.0) == math.inf
+    assert pw_nonrecurring(0.0, steep, 500.0) == 0.0
 
 
 def test_pw_nonrecurring_against_explicit_schedule_strong_discounting():
@@ -177,13 +190,14 @@ def test_emission_factors_cannot_change_after_construction():
         with pytest.raises(TypeError):
             spec.emission_factors["CO2"] = 10.0
         assert spec == gen
-        assert spec.emission_factor_total == total == emission_factor_sum(spec)
+        assert spec.emission_factor_total == total == sum(
+            spec.emission_factors.values())
         assert emissions_total(3.0, spec) == total * 3.0
 
 
 def test_emission_factor_sums():
-    de = emission_factor_sum(GeneratorSpec())
-    mt = emission_factor_sum(microturbine_spec())
+    de = GeneratorSpec().emission_factor_total
+    mt = microturbine_spec().emission_factor_total
     # exact species sums, and the published rounded totals
     assert de == pytest.approx(0.677510, abs=1e-9)
     assert mt == pytest.approx(0.655483, abs=1e-9)
@@ -324,7 +338,7 @@ def test_baseline_reference_lcoe(annual_ctx):
                             CostTable(), FIN)
     assert base.lcoe == pytest.approx(0.4968, rel=0.10)
     assert base.emissions == pytest.approx(
-        emission_factor_sum(GeneratorSpec()) * annual_ctx.load.total_kwh, rel=1e-12)
+        GeneratorSpec().emission_factor_total * annual_ctx.load.total_kwh, rel=1e-12)
 
 
 def test_baseline_microturbine_emits_less_per_kwh(annual_ctx):
@@ -390,6 +404,96 @@ def test_baseline_and_annual_lifecycle_cost_are_pinned(name):
     got = (ctx.baseline.lcoe, ctx.baseline.emissions, cost.tnpc, cost.tac,
            cost.lcoe)
     assert tuple(v.hex() for v in got) == pinned
+
+
+# ---------------------------------------------------------------------------
+# The pricing kernels against their oracles
+# ---------------------------------------------------------------------------
+
+RATES = st.one_of(st.sampled_from([-0.5, 0.0, 0.057, 0.09, 1.0]),
+                  st.floats(-0.5, 1.0))
+KWH = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+
+
+@st.composite
+def pricing_specs(draw):
+    """A generator (DE or MT), its cost table (LI or LA battery prices) and
+    financial parameters: nominal equal to inflation, negative real rates
+    and rates at both ends of [-0.5, 1]."""
+    nominal = draw(RATES)
+    inflation = nominal if draw(st.booleans()) else draw(RATES)
+    fin = FinancialParams(nominal, inflation, draw(st.integers(1, 60)))
+    diesel = draw(st.booleans())
+    overrides = dict(rated_power=draw(st.floats(1.0, 100.0)),
+                     lifetime_hours=draw(st.floats(1.0, 1e5)))
+    gen = (GeneratorSpec(**overrides) if diesel
+           else microturbine_spec(**overrides))
+    costs = (CostTable() if diesel else economics.microturbine_costs())
+    if draw(st.booleans()):
+        costs = dataclasses.replace(costs, bs_capital_per_kwh=255.0)
+    return gen, costs, fin
+
+
+@settings(max_examples=400, deadline=None)
+@given(specs=pricing_specs(), energy=KWH, online=st.integers(0, 8760),
+       starts=st.integers(0, 4380), res=KWH, dump=KWH, lost=KWH,
+       load=st.floats(1.0, 1e6), capacities=st.tuples(KWH, KWH, KWH),
+       bs_period=st.one_of(st.just(math.inf), st.integers(1, 30),
+                           st.floats(0.01, 1e5)),
+       converter=st.booleans(), eta_rec=st.floats(0.5, 1.0),
+       base=st.tuples(st.floats(1e-3, 10.0), st.floats(1.0, 1e6)))
+# log_ratio = 1015 * log(2) is above 700 while exp(log_ratio) is finite, and
+# the generator never runs, so the battery alone makes pw_nonrecurring
+@example(specs=(GeneratorSpec(), CostTable(), FinancialParams(1.0, -0.5)),
+         energy=0.0, online=0, starts=0, res=5e4, dump=1e3, lost=10.0,
+         load=6e4, capacities=(100.0, 8.0, 45.45), bs_period=508,
+         converter=True, eta_rec=0.95, base=(0.5, 4e4))
+def test_compiled_price_equals_the_oracle_bit_for_bit(
+        specs, energy, online, starts, res, dump, lost, load, capacities,
+        bs_period, converter, eta_rec, base):
+    """Every field of ``kernels.price``, the capital, the lifecycle cost,
+    the emissions and the objectives, against ``price`` of
+    ``tests/reference.py``, for fixed (whole years) and cycle-based battery
+    replacement, no replacement, a generator never online, zero generation
+    and adjusted rates whose ``log_ratio`` is above 700 or whose ``exp``
+    underflows."""
+    p = economics.prices(*specs)
+    totals = kernels.CascadeTotals(energy=energy, dump=dump, lost=lost,
+                                   res=res, online=online, starts=starts)
+    horizon = kernels.Horizon(*capacities, float(bs_period), load, eta_rec,
+                              *base, converter=converter)
+    assert bytes(kernels.price(p, totals, horizon)) == bytes(
+        price(p, totals, horizon))
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=pricing_specs(), base=pricing_specs(),
+       demand=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=48),
+       capacities=st.tuples(KWH, KWH, KWH))
+def test_compiled_baselines_equal_the_oracle_bit_for_bit(specs, base, demand,
+                                                         capacities):
+    """Both baselines: ``baseline_metrics``, which prices the generator
+    alone through ``kernels.price``, against ``lifecycle_cost`` and
+    ``emissions_total`` of a generator-only system online every hour with
+    one start; and ``kernels.day_prices``, the daily baseline and the day's
+    fixed O&M, against its oracle, on every byte of the day's record."""
+    gen, costs, fin = base
+    load = LoadSeries(np.array(demand) * gen.rated_power)
+    energy = load.total_kwh
+    life = lifecycle_cost(
+        initial_capital(0.0, 0.0, 0.0, gen.rated_power, costs,
+                        include_converter=False),
+        gen, costs, fin, energy, len(load), 1, math.inf, energy)
+    got = baseline_metrics(load, gen, costs, fin)
+    assert (got.lcoe.hex(), got.emissions.hex()) == (
+        life.lcoe.hex(), emissions_total(energy, gen).hex())
+
+    pv_kw, wt_kw, bs_kwh = capacities
+    days = [kernels.DayInputs(price=economics.prices(*specs), cap=bs_kwh,
+                              load_kwh=energy) for _ in range(2)]
+    kernels.day_prices(days[0], economics.prices(*base), pv_kw, wt_kw)
+    day_prices(days[1], economics.prices(*base), pv_kw, wt_kw)
+    assert bytes(days[0]) == bytes(days[1])
 
 
 # ---------------------------------------------------------------------------

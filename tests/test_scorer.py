@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import (_day_hours, _run_python, day_hour, day_hours,
-                       day_score, day_sum)
+from reference import (_day_hours, _run_python, daily_baseline, day_hour,
+                       day_hours, day_prices, day_score, day_sum,
+                       emissions_total, fixed_om, fuel_cost, initial_capital,
+                       metrics_ref, metrics_repg, price, variable_om)
 
-from offgridopt import dispatch, economics, kernels
+from offgridopt import dispatch, kernels
 from offgridopt.config import build_config, build_context
 from offgridopt.devices import battery_power_limit, battery_step
 from offgridopt.dispatch import (CONSTRAINT_TOL, DispatchSchedule,
@@ -82,22 +84,22 @@ def reference_evaluate(s, ctx):
     stops = int(np.count_nonzero(~online[1:] & online[:-1])) + int(online[-1])
 
     design, sim = ctx.design, ctx.sim
-    capital = economics.initial_capital(
+    capital = initial_capital(
         design.pv_kw(sim.pv), design.wt_kw(sim.wind), design.e_b_init,
         gen.rated_power, costs)
-    c_daily = (economics.fuel_cost(gen, energy, on_hours)
-               + economics.variable_om(gen, costs, on_hours, energy)
+    c_daily = (fuel_cost(gen, energy, on_hours)
+               + variable_om(gen, costs, on_hours, energy)
                + costs.startup_cost * starts + costs.shutdown_cost * stops
-               + economics.fixed_om(capital, costs) / 365.0)
+               + fixed_om(capital, costs) / 365.0)
 
     load_kwh = ctx.sim.load.total_kwh
     coe = c_daily / load_kwh
-    coe_base, em_base = dispatch._daily_baseline(sim, load_kwh)
-    emissions = economics.emissions_total(energy, gen)
+    coe_base, em_base = daily_baseline(sim.baseline_generator, costs, load_kwh)
+    emissions = emissions_total(energy, gen)
     gen_dc = float(ctx.res_dc.sum()) + converter.eta_rec * energy
     dpsp = float(lost.sum()) / load_kwh
-    repg = economics.metrics_repg(float(dump.sum()), gen_dc)
-    ref = economics.metrics_ref(float(ctx.res_dc.sum()), gen_dc)
+    repg = metrics_repg(float(dump.sum()), gen_dc)
+    ref = metrics_ref(float(ctx.res_dc.sum()), gen_dc)
 
     objectives = ObjectiveVector(
         lcoe_norm=coe / coe_base, em_norm=emissions / em_base,
@@ -140,10 +142,12 @@ def bits(x: float) -> str:
 
 
 def use_the_oracles(monkeypatch):
-    """Put the Python oracles of the cascade run, of the day pass, of the
-    day's score and of an hour of the dispatch search in the compiled
-    kernels' place, where the package calls them."""
+    """Put the Python oracles of the cascade run, of the pricing, of the day
+    pass, of the day's score and of an hour of the dispatch search in the
+    compiled kernels' place, where the package calls them."""
     monkeypatch.setattr(kernels, "run", _run_python)
+    monkeypatch.setattr(kernels, "price", price)
+    monkeypatch.setattr(kernels, "day_prices", day_prices)
     monkeypatch.setattr(kernels, "day_hours", day_hours)
     monkeypatch.setattr(kernels, "day_score", day_score)
     monkeypatch.setattr(kernels, "day_hour", day_hour)

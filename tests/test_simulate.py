@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from reference import _run_python, count_transitions
+from reference import _run_python, count_transitions, pv_power, wt_power
 
 from offgridopt import kernels
 from offgridopt.config import build_config, build_context
 from offgridopt.datasets import (WIND_CORRECTION_FACTOR, load_bundled_climate,
                                  reference_daily_load)
 from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
-                                PvSpec, WindSpec, hub_wind_speed, pv_power,
-                                wt_power)
+                                PvSpec, WindSpec, hub_wind_speed)
 from offgridopt.economics import (CostTable, FinancialParams, Weights,
                                   weighted_objective)
 from offgridopt.errors import InputDataError

@@ -12,9 +12,6 @@ EXEMPT = {
     # command needs them, since every run writes its resolved config into
     # result.json.
     "load_config", "save_config",
-    # The reference forms of the feed-in: tests/test_devices.py and
-    # tests/test_simulate.py compare ``renewable_feed_in`` against them.
-    "pv_power", "wt_power",
     # The day kernel's SOC step in Python: perfbench/run.py binds it by name
     # (a string, which does not count here), and the day kernel's oracle in
     # tests/reference.py takes its SOC knots from it.
