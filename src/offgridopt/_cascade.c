@@ -14,7 +14,10 @@
  *              value: one call scores a dispatch candidate;
  *   day_hour   one hour of a sweep of the dispatch search's coordinate
  *              descent: it steps that hour's setpoints, scores each
- *              candidate with day_score and keeps the ones that improve.
+ *              candidate with day_score and keeps the ones that improve;
+ *   day_refine the coordinate descent over one ON pattern: its sweeps of
+ *              day_hour, the early stop and the refined schedule's
+ *              evaluation, one call per pattern.
  *
  * This file is the one definition of the pricing: each law (fuel, O&M,
  * switching, capital, the present worths, the objective vector) is one
@@ -184,6 +187,20 @@ static inline double np_sum(const double *a, long n)
     return 0.0 + (n <= 128 ? block_sum(a, n) : pairwise(a, n));
 }
 
+/* The faded capacity *e_c of a bank of e_b_init [kWh] after `cycles`
+ * cycles, floored at fade_floor * e_b_init, and its power limit *p_lim. */
+static inline void fade_to(double cycles, double e_b_init, double fade,
+                           double fade_floor, int fixed_power_limit,
+                           double unit_power, double unit_energy, double *e_c,
+                           double *p_lim)
+{
+    double e = e_b_init * (1.0 - cycles * fade);
+    if (e < fade_floor * e_b_init)
+        e = fade_floor * e_b_init;
+    *e_c = e;
+    *p_lim = fixed_power_limit ? unit_power : unit_power * e / unit_energy;
+}
+
 /* Run in->n hours from *state, leave the final state there and return the
  * totals.  The feed-in is formed from the design's unit counts, as
  * renewable_feed_in forms it, and out is a row-major (8, n) block that
@@ -230,16 +247,17 @@ cascade_totals cascade(const cascade_inputs *in, double pv_units,
     int was_on = 0;
     /* See min3_by_eta. */
     const int eta_exact = eta > 0.0 && eta <= 1.0;
-    /* The faded capacity e_c and the power limit p_lim, and the bits of
-     * the cycle count they were computed from, which start as the
-     * complement of the start count's bits, so the first hour computes
-     * them.  Both are functions of the cycle count and of this call's
-     * constants, so a count with the same bits gives the same e_c and
-     * p_lim, bit for bit, and they are computed again only when the bits
-     * of the count change.  Counting reversals, the count moves only in
-     * the hour a discharge starts. */
-    uint64_t faded_at = ~bits(cycles);
+    /* The faded capacity e_c and the power limit p_lim.  Both are
+     * functions of the cycle count and of this call's constants, so they
+     * are computed where the count is set, from the start count here and
+     * after each change below, and an hour reads the ones its count gave.
+     * Counting reversals, the count moves only in the hour a discharge
+     * starts; counting throughput, only in an hour the count is computed
+     * again. */
     double e_c = 0.0, p_lim = 0.0;
+    if (has_battery)
+        fade_to(cycles, e_b_init, fade, fade_floor, fixed_power_limit,
+                unit_power, unit_energy, &e_c, &p_lim);
     /* The inputs (s, p_bs, e_c) of the last SOC update computed, and its
      * result, which starts as the update of (soc_max, 0, 1).  soc_after is
      * a function of its inputs and of this call's constants, so inputs with
@@ -255,16 +273,16 @@ cascade_totals cascade(const cascade_inputs *in, double pv_units,
     uint64_t memo_s = bits(soc_max), memo_p = bits(0.0), memo_e = bits(1.0);
     double memo_soc = soc_after(soc_max, 0.0, 1.0, eta, soc_min, soc_max);
     /* The inputs (throughput, e_c) of the last throughput cycle count
-     * computed, and its result, which starts as the count of (0, 1).  The
-     * count throughput * eta / e_c is a function of its inputs and of this
-     * call's eta, so inputs with the same bits give the same count, bit for
-     * bit, and the memo may stand in for it.  The throughput moves only in
-     * a discharging hour and e_c only in the hour after the count moved,
+     * computed, which the first hour always computes.  The count
+     * throughput * eta / e_c is a function of its inputs and of this call's
+     * eta, so inputs with the same bits give the same count, bit for bit:
+     * an hour whose inputs repeat the last ones keeps the count, which
+     * every hour after the first left in cycles.  The throughput moves only
+     * in a discharging hour and e_c only in the hour after the count moved,
      * so in the other hours a predicted compare takes the place of a
      * multiply and a division on the chain from one hour's cycles to the
-     * next hour's e_c. */
-    uint64_t count_t = bits(0.0), count_e = bits(1.0);
-    double count = 0.0 * eta / 1.0;
+     * next hour's e_c, and of the capacity's fade. */
+    uint64_t count_t = 0, count_e = 0;
 
     for (long t = 0; t < n; t++) {
         /* renewable_feed_in: ((n_s * eta) * area) * irr,
@@ -283,14 +301,6 @@ cascade_totals cascade(const cascade_inputs *in, double pv_units,
         double s;
 
         if (has_battery) {
-            if (bits(cycles) != faded_at) {
-                e_c = e_b_init * (1.0 - cycles * fade);
-                if (e_c < fade_floor * e_b_init)
-                    e_c = fade_floor * e_b_init;
-                p_lim = fixed_power_limit ? unit_power
-                                          : unit_power * e_c / unit_energy;
-                faded_at = bits(cycles);
-            }
             s = (1.0 - leak) * soc;
             if (s < soc_min)
                 s = soc_min;
@@ -359,19 +369,23 @@ cascade_totals cascade(const cascade_inputs *in, double pv_units,
             }
             if (p_bs > 1e-9) {
                 throughput += p_bs;
-                if (last_dir < 0 && !by_throughput)
+                if (last_dir < 0 && !by_throughput) {
                     cycles += 1.0;
+                    fade_to(cycles, e_b_init, fade, fade_floor,
+                            fixed_power_limit, unit_power, unit_energy, &e_c,
+                            &p_lim);
+                }
                 last_dir = 1;
             } else if (p_bs < -1e-9) {
                 last_dir = -1;
             }
-            if (by_throughput) {
-                if (bits(throughput) != count_t || bits(e_c) != count_e) {
-                    count = throughput * eta / e_c;
-                    count_t = bits(throughput);
-                    count_e = bits(e_c);
-                }
-                cycles = count;
+            if (by_throughput && (bits(throughput) != count_t
+                                  || bits(e_c) != count_e || t == 0)) {
+                cycles = throughput * eta / e_c;
+                count_t = bits(throughput);
+                count_e = bits(e_c);
+                fade_to(cycles, e_b_init, fade, fade_floor, fixed_power_limit,
+                        unit_power, unit_energy, &e_c, &p_lim);
             }
         }
 
@@ -613,14 +627,14 @@ typedef struct {
     double cap;          /* battery capacity [kWh]; none when <= 0 */
     double keep;         /* 1 - hourly self-discharge */
     double eta;          /* battery round-trip efficiency */
-    double p_rated;      /* generator rated output [kW] */
     double p_lim;        /* battery power limit [kW]; 0 without a battery */
     double soc_min;      /* the SOC window */
     double soc_max;
     double load_kwh;     /* the day's load [kWh], > 0 */
     double dpsp_max;     /* the largest lost-load share allowed */
     double mu;           /* weight of the residuals in the search value */
-    prices price;        /* the day's generator, costs and finance */
+    prices price;        /* the day's generator (its rating p_rated bounds
+                          * p_dg), costs and finance */
     double fixed_om;     /* the day's share of the annual fixed O&M [$] */
     double base_coe;     /* the daily baseline's cost of energy [$/kWh] */
     double base_em;      /* the daily baseline's emissions [kg] */
@@ -718,7 +732,7 @@ day_totals day_hours(const double *schedule, const day_inputs *day,
     out.dump = np_sum(dump, 24);
     out.lost = np_sum(lost, 24);
 
-    out.rated = excess(p_dg_max - day->p_rated);
+    out.rated = excess(p_dg_max - day->price.p_rated);
     out.power = excess(p_bs_max - day->p_lim);
     const double high = soc_hi - day->soc_max;
     out.soc = excess(day->soc_min - soc_lo);
@@ -819,23 +833,52 @@ static int hour_steps(double *schedule, const day_inputs *day, double *x,
 }
 
 /* Hour t of one sweep of the dispatch search's projected coordinate
- * descent (dispatch._refine_continuous), in place on the schedule's
- * (2, 24) block: the generator's steps within [p_min, p_rated] when the
- * hour is online (p_dg > 0), then the battery's within [-p_lim, p_lim]
- * when it can move (p_lim > 0), each step as hour_steps makes it, with
- * scale = 0.5**sweep.  Every step, clamp and compare is the IEEE
- * operation of the Python loop it replaced (day_hour in
- * tests/reference.py), in the same order.  Returns the number of
- * candidates scored. */
+ * descent (day_refine), in place on the schedule's (2, 24) block: the
+ * generator's steps within [p_min, p_rated] when the hour is online
+ * (p_dg > 0), then the battery's within [-p_lim, p_lim] when it can move
+ * (p_lim > 0), each step as hour_steps makes it, with scale = 0.5**sweep.
+ * Every step, clamp and compare is the IEEE operation of the Python loop
+ * it replaced (day_hour in tests/reference.py), in the same order.
+ * Returns the number of candidates scored. */
 int day_hour(double *schedule, const day_inputs *day, int t, double scale,
              double *bar)
 {
     int scored = 0;
     if (schedule[t] > 0.0)
         scored += hour_steps(schedule, day, schedule + t, day->p_min,
-                             day->p_rated, scale, bar);
+                             day->price.p_rated, scale, bar);
     if (day->p_lim > 0.0)
         scored += hour_steps(schedule, day, schedule + 24 + t, -day->p_lim,
                              day->p_lim, scale, bar);
     return scored;
+}
+
+/* The sweeps of day_refine at most; each halves the steps. */
+#define REFINE_SWEEPS 6
+
+/* The dispatch search's projected coordinate descent over the setpoints of
+ * one ON pattern, in place on the schedule's (2, 24) block: the bar starts
+ * at the schedule's search value - 1e-12, and sweep k runs day_hour over
+ * the 24 hours at scale 0.5**k (exact halvings from 1.0).  The sweeps stop
+ * after REFINE_SWEEPS, or after one that leaves the bar where it was: a
+ * kept step sets the bar to its value - 1e-12 < bar, so a sweep kept one
+ * exactly when the bar went down (a NaN bar stops them too).  The refined
+ * schedule's evaluation goes into out.  Every operation is the one of the
+ * Python loop it replaced (day_refine in tests/reference.py), in the same
+ * order.  Returns the number of schedules scored: the first, every
+ * candidate and the refined one. */
+int day_refine(double *schedule, const day_inputs *day, day_evaluation *out)
+{
+    double bar = day_score(schedule, day, NULL) - 1e-12;
+    int scored = 1;
+    double scale = 1.0;
+    for (int sweep = 0; sweep < REFINE_SWEEPS; sweep++, scale *= 0.5) {
+        const double start = bar;
+        for (int t = 0; t < 24; t++)
+            scored += day_hour(schedule, day, t, scale, &bar);
+        if (!(bar < start))
+            break;
+    }
+    day_score(schedule, day, out);
+    return scored + 1;
 }

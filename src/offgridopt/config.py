@@ -14,8 +14,6 @@ import dataclasses
 import sys
 from dataclasses import dataclass
 
-import yaml
-
 from . import datasets
 from .devices import (BatterySpec, ConverterSpec, GeneratorSpec, PvSpec,
                       WindSpec, lead_acid_spec, microturbine_spec)
@@ -346,6 +344,10 @@ def build_config(raw: dict | None) -> RunConfig:
 def read_mapping(path) -> dict:
     """The top-level mapping of the YAML file at ``path``, not yet
     validated; an empty file is an empty mapping."""
+    # Imported here, not at the top: yaml adds about 0.9 MB to a process,
+    # and a config built from a mapping never reads YAML.
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)
@@ -363,6 +365,8 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(config: RunConfig, path) -> None:
+    import yaml
+
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(config.resolved(), fh, sort_keys=False)
 

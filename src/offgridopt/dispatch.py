@@ -21,16 +21,17 @@ needs a C compiler to build them (see ``kernels``).  The Python oracle of
 ``day_score``, in ``tests/reference.py``, runs ``_day_hours``, which takes
 its SOC knots from ``propagate_soc``, and prices with the reference
 formulas there; the tests compare the two bit for bit.
-A sweep of the coordinate descent runs the kernel ``kernels.day_hour``
-once per hour, which steps that hour's setpoints and scores each candidate
-with ``day_score``; its oracle, ``day_hour`` in ``tests/reference.py``, is
-the Python loop it replaced.  The sweep loop and the hill-climb over the ON
-patterns stay in Python.
+The coordinate descent over one ON pattern is one call of the kernel
+``kernels.day_refine``: its sweeps run ``day_hour`` once per hour, which
+steps that hour's setpoints and scores each candidate with ``day_score``,
+and the refined schedule's evaluation fills the pattern's record.  Their
+oracles in ``tests/reference.py``, ``day_refine`` and ``day_hour``, are the
+Python loops they replaced.  The hill-climb over the ON patterns stays in
+Python.
 """
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -49,7 +50,6 @@ from .timeseries import ClimateSeries, LoadSeries, write_csv
 
 SCHEDULE_HEADER = ["hour", "p_dg", "p_bs", "soc", "p_res", "load", "dump", "lost"]
 CONSTRAINT_TOL = 1e-6
-REFINE_SWEEPS = 6   # coordinate-descent sweeps, each halving the step sizes
 PENALTY_MU = 200.0  # weight of the constraint residuals in the search value
 VIOLATIONS = ("dg_semicontinuous", "dg_rated", "battery_power", "soc_bounds",
               "dpsp")
@@ -92,7 +92,7 @@ class DispatchContext:
             eta_rec=sim.converter.eta_rec, eta_inv=sim.converter.eta_inv,
             p_min=gen.min_power, tol=CONSTRAINT_TOL, soc_start=self.soc_start,
             cap=design.e_b_init, keep=1.0 - self_discharge_hourly(battery),
-            eta=battery.round_trip_eff, p_rated=gen.rated_power,
+            eta=battery.round_trip_eff,
             p_lim=(battery_power_limit(design.e_b_init, battery)
                    if design.e_b_init > 0 else 0.0),
             soc_min=battery.soc_min, soc_max=battery.soc_max,
@@ -282,28 +282,6 @@ def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
     return DispatchSchedule(rows[3], rows[4])
 
 
-def _refine_continuous(s: DispatchSchedule, ctx: DispatchContext
-                       ) -> tuple[DispatchSchedule, DispatchEvaluation]:
-    """Projected coordinate descent over the hourly setpoints of ``s``, in
-    place in the schedule's block, with the ON pattern held fixed.  Each
-    sweep halves the steps and runs the day kernel ``kernels.day_hour``
-    once per hour, which tries that hour's steps, scores each candidate and
-    keeps it when its search value is below the bar.  The sweeps stop when
-    one keeps no step, and the refined schedule is evaluated once, at the
-    end."""
-    day, address, hour = ctx.day_inputs, s._address, kernels.day_hour
-    bar = ctypes.c_double(kernels.day_score(address, day, None) - 1e-12)
-    for sweep in range(REFINE_SWEEPS):
-        scale, start = 0.5 ** sweep, bar.value
-        for t in range(24):
-            hour(address, day, t, scale, bar)
-        # A kept step lowers the bar to its value - 1e-12 <= value < bar,
-        # so the sweep kept one exactly when the bar went down.
-        if not bar.value < start:
-            break
-    return s, evaluate_schedule(s, ctx)
-
-
 def _apply_pattern(s: DispatchSchedule, pattern: np.ndarray,
                    ctx: DispatchContext) -> DispatchSchedule:
     gen = ctx.sim.generator
@@ -318,22 +296,32 @@ def _apply_pattern(s: DispatchSchedule, pattern: np.ndarray,
     return DispatchSchedule(p_dg, s.p_bs)
 
 
-class DispatchResult(ctypes.Structure):
-    """What ``optimize_day`` returns, one flat record: the chosen schedule's
-    2 x 24 hours (``p_dg``, then ``p_bs``), its evaluation and the
-    rule-based schedule's.  ``optimize_day`` copies their bytes in; a
-    record assigned to a field would also leave a keep-alive dict on the
-    result, which a caller that keeps many days pays for."""
+class DispatchResult(bytes):
+    """What ``optimize_day`` returns, one immutable object: the 592 bytes of
+    the chosen schedule's 2 x 24 hours (``p_dg``, then ``p_bs``), its
+    ``DispatchEvaluation`` and the rule-based schedule's.  ``bytes(result)``
+    is that record.  Each read of ``schedule``, ``evaluation`` or
+    ``rule_based_evaluation`` builds a fresh copy, so writing into one
+    leaves the result as it was.  A ``bytes`` subclass with empty
+    ``__slots__`` holds its header and the record in one allocation, with
+    no ``__dict__``; a ctypes record would be an object plus a separate
+    buffer, which a caller that keeps many days pays for."""
 
-    _fields_ = [("hours", ctypes.c_double * 48),
-                ("evaluation", DispatchEvaluation),
-                ("rule_based_evaluation", DispatchEvaluation)]
+    __slots__ = ()
 
     @property
     def schedule(self) -> DispatchSchedule:
         """The chosen schedule, rebuilt from the record's hours."""
-        p_dg, p_bs = np.frombuffer(self.hours).reshape(2, 24)
+        p_dg, p_bs = np.frombuffer(self, count=48).reshape(2, 24)
         return DispatchSchedule(p_dg, p_bs)
+
+    @property
+    def evaluation(self) -> DispatchEvaluation:
+        return DispatchEvaluation.from_buffer_copy(self, 384)
+
+    @property
+    def rule_based_evaluation(self) -> DispatchEvaluation:
+        return DispatchEvaluation.from_buffer_copy(self, 488)
 
     @property
     def feasible(self) -> bool:
@@ -379,7 +367,9 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
         key = tuple(int(b) for b in pattern)
         if key in evaluated:
             return evaluated[key]
-        refined, ev = _refine_continuous(_apply_pattern(base, pattern, ctx), ctx)
+        # the coordinate descent, in place on the pattern's schedule
+        refined, ev = _apply_pattern(base, pattern, ctx), DispatchEvaluation()
+        kernels.day_refine(refined._address, ctx.day_inputs, ev)
         evaluated[key] = (refined, ev)
         return refined, ev
 
@@ -414,8 +404,8 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
     # started from.  It stays out of the search so as not to change its path.
     if _better(rb_ev, best_ev):
         best_s, best_ev = rb, rb_ev
-    return DispatchResult.from_buffer_copy(
-        best_s._rows.tobytes() + bytes(best_ev) + bytes(rb_ev))
+    return DispatchResult(best_s._rows.tobytes() + bytes(best_ev)
+                          + bytes(rb_ev))
 
 
 def _require_search(ctx: DispatchContext, max_patterns: int):

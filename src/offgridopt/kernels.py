@@ -1,8 +1,9 @@
 """The compiled kernels of ``_cascade.c``, whose header describes each, and
 the records they exchange: ``run`` (the cascade over any horizon),
 ``price`` (the lifecycle price of a horizon's totals), ``day_prices``,
-``day_hours``, ``day_score`` and ``day_hour`` (a dispatch day's pricing
-constants, pass, score and search hour).
+``day_hours``, ``day_score``, ``day_hour`` and ``day_refine`` (a dispatch
+day's pricing constants, pass, score, search hour and the search's
+refinement of one ON pattern).
 
 They are the package's only implementation of these computations, the
 pricing included, so the package needs a C compiler: the library is built
@@ -140,16 +141,17 @@ class Priced(ctypes.Structure):
 class DayInputs(ctypes.Structure):
     """``day_inputs`` of ``_cascade.c``: what every schedule of a dispatch
     day shares, which ``DispatchContext`` fills once.  It is the one home
-    of the day's constants: its constraint limits (generator rating,
-    battery power limit, SOC window, ``dpsp_max``), its load, the penalty
-    weight ``mu``, and what prices a schedule (the generator's ``Prices``,
-    the daily fixed O&M and baseline that ``day_prices`` derives, the day's
-    feed-in ``res_kwh`` and the four weights)."""
+    of the day's constants: its constraint limits (generator rating, in
+    ``price.p_rated``, battery power limit, SOC window, ``dpsp_max``), its
+    load, the penalty weight ``mu``, and what prices a schedule (the
+    generator's ``Prices``, the daily fixed O&M and baseline that
+    ``day_prices`` derives, the day's feed-in ``res_kwh`` and the four
+    weights)."""
 
     _fields_ = ([("res", ctypes.c_double * 24), ("dem", ctypes.c_double * 24)]
                 + [(name, ctypes.c_double) for name in (
                     "eta_rec", "eta_inv", "p_min", "tol", "soc_start", "cap",
-                    "keep", "eta", "p_rated", "p_lim", "soc_min", "soc_max",
+                    "keep", "eta", "p_lim", "soc_min", "soc_max",
                     "load_kwh", "dpsp_max", "mu")]
                 + [("price", Prices)]
                 + [(name, ctypes.c_double) for name in (
@@ -234,8 +236,8 @@ def _cascade_library() -> Path:
 
 def _load_cascade() -> ctypes.CDLL:
     """The compiled kernels' library with the signatures of ``cascade``,
-    ``price``, ``day_prices``, ``day_hours``, ``day_score`` and
-    ``day_hour`` set.  Raises
+    ``price``, ``day_prices``, ``day_hours``, ``day_score``, ``day_hour``
+    and ``day_refine`` set.  Raises
     ``KernelUnavailableError`` when it cannot be built or loaded."""
     lib = _cascade_library()
     try:
@@ -265,6 +267,9 @@ def _load_cascade() -> ctypes.CDLL:
     lib.day_hour.argtypes = [address, ctypes.POINTER(DayInputs), ctypes.c_int,
                              c_double, ctypes.POINTER(c_double)]
     lib.day_hour.restype = ctypes.c_int
+    lib.day_refine.argtypes = [address, ctypes.POINTER(DayInputs),
+                               ctypes.POINTER(DayEvaluation)]
+    lib.day_refine.restype = ctypes.c_int
     return lib
 
 
@@ -289,7 +294,8 @@ except KernelUnavailableError as exc:
 day_prices = _LIBRARY.day_prices
 day_hours = _LIBRARY.day_hours
 day_score = _LIBRARY.day_score
-day_hour = _LIBRARY.day_hour
+day_hour = _LIBRARY.day_hour   # day_refine's hour, which the tests pin alone
+day_refine = _LIBRARY.day_refine
 
 
 def run(inputs: CascadeInputs, pv_units: float, wt_units: float,

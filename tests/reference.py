@@ -23,13 +23,16 @@ replaced, kept here so that the tests can compare the two bit for bit:
 - ``day_hour``, ``kernels.day_hour``: one hour of a sweep of the dispatch
   search's coordinate descent, the Python loop the kernel replaced, which
   scores each candidate with ``day_score``;
+- ``day_refine``, ``kernels.day_refine``: that coordinate descent over one
+  ON pattern, the sweep loop ``dispatch._refine_continuous`` ran around
+  ``day_hour``, with its ``REFINE_SWEEPS``;
 - ``count_transitions``, how the kernels count a generator's starts;
 - ``pv_power`` and ``wt_power``, the feed-in of a PV array and of a wind
   farm, whose operand order ``renewable_feed_in`` keeps.
 
-``_run_python``, ``price``, ``day_prices``, ``day_hours``, ``day_score``
-and ``day_hour`` take the arguments of the compiled calls, so that a test
-can put an oracle in a kernel's place.  The pricing formulas take the specs
+``_run_python``, ``price``, ``day_prices``, ``day_hours``, ``day_score``,
+``day_hour`` and ``day_refine`` take the arguments of the compiled calls,
+so that a test can put an oracle in a kernel's place.  The pricing formulas take the specs
 (``GeneratorSpec``, ``CostTable``, ``FinancialParams``) or any object with
 their attributes, such as ``_specs`` of a ``kernels.Prices`` record.
 """
@@ -615,7 +618,7 @@ def _day_hours(day: kernels.DayInputs, block: np.ndarray,
     # first of the largest, so 0.0 unless an excess is above it (a NaN
     # excess is not).  x -> x - c rounds monotonically, so each excess is
     # the extreme value's.
-    rated = max(p_dg) - day.p_rated
+    rated = max(p_dg) - day.price.p_rated
     rated = rated if rated > 0.0 else 0.0
     power = max(map(abs, p_bs)) - day.p_lim
     power = power if power > 0.0 else 0.0
@@ -677,9 +680,9 @@ def day_score(address: int, day: kernels.DayInputs,
 def day_hour(address: int, day: kernels.DayInputs, t: int, scale: float,
              bar: ctypes.c_double) -> int:
     """The oracle of ``kernels.day_hour``, with its arguments: hour ``t`` of
-    a sweep of ``dispatch._refine_continuous``, in place on the schedule's
-    block at ``address``.  The generator's steps come first, in an online
-    hour (``p_dg > 0``), within ``[p_min, p_rated]``; the battery's follow
+    a sweep of ``day_refine``, in place on the schedule's block at
+    ``address``.  The generator's steps come first, in an online hour
+    (``p_dg > 0``), within ``[p_min, price.p_rated]``; the battery's follow
     when it can move (``p_lim > 0``), within ``[-p_lim, p_lim]``.  Each step
     ``d * scale``, for ``d`` in (-4, -1, 1, 4), is clamped to the bounds; a
     step that moves the setpoint is written into the block and scored by
@@ -688,7 +691,7 @@ def day_hour(address: int, day: kernels.DayInputs, t: int, scale: float,
     scored."""
     dg_row, bs_row = _doubles(address, 48).reshape(2, 24)
     steps = [d * scale for d in (-4.0, -1.0, 1.0, 4.0)]
-    moves = [(dg_row, day.p_min, day.p_rated)] if dg_row[t] > 0 else []
+    moves = [(dg_row, day.p_min, day.price.p_rated)] if dg_row[t] > 0 else []
     if day.p_lim > 0:
         moves.append((bs_row, -day.p_lim, day.p_lim))
     scored = 0
@@ -710,3 +713,30 @@ def day_hour(address: int, day: kernels.DayInputs, t: int, scale: float,
             else:
                 row[t] = x
     return scored
+
+
+REFINE_SWEEPS = 6   # the sweeps of day_refine at most, as in _cascade.c
+
+
+def day_refine(address: int, day: kernels.DayInputs,
+               out: kernels.DayEvaluation) -> int:
+    """The oracle of ``kernels.day_refine``, with its arguments: the
+    projected coordinate descent over the setpoints of the schedule whose
+    block is at ``address``, with its ON pattern held fixed, in place.  The
+    bar starts at the schedule's search value - 1e-12; sweep ``k`` runs
+    ``day_hour`` over the 24 hours at scale ``0.5 ** k``.  The sweeps stop
+    after ``REFINE_SWEEPS``, or after one that kept no step: a kept step
+    lowers the bar to its value - 1e-12 <= value < bar, so a sweep kept one
+    exactly when the bar went down.  ``out`` receives the refined
+    schedule's evaluation.  Returns the number of schedules scored: the
+    first, every candidate and the refined one."""
+    bar = ctypes.c_double(day_score(address, day, None) - 1e-12)
+    scored = 1
+    for sweep in range(REFINE_SWEEPS):
+        scale, start = 0.5 ** sweep, bar.value
+        for t in range(24):
+            scored += day_hour(address, day, t, scale, bar)
+        if not bar.value < start:
+            break
+    day_score(address, day, out)
+    return scored + 1

@@ -532,7 +532,8 @@ def test_every_kernel_of_an_unavailable_library_raises_its_reason():
     """What the package binds when the library cannot be built or loaded."""
     library = kernels._Unavailable("no compiler here")
     for kernel in (library.cascade, library.price, library.day_prices,
-                   library.day_hours, library.day_score, library.day_hour):
+                   library.day_hours, library.day_score, library.day_hour,
+                   library.day_refine):
         with pytest.raises(KernelUnavailableError, match="no compiler here"):
             kernel(None, None, None)
     assert issubclass(KernelUnavailableError, OSError)

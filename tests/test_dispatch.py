@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from offgridopt import dispatch
 from offgridopt.config import build_config, build_context
 from offgridopt.devices import (BatterySpec, ConverterSpec, GeneratorSpec,
                                 PvSpec, WindSpec)
-from offgridopt.dispatch import (DispatchContext, DispatchSchedule, Scenario,
+from offgridopt.dispatch import (DispatchContext, DispatchResult,
+                                 DispatchSchedule, Scenario,
                                  SCHEDULE_HEADER, day_context, day_trace,
                                  evaluate_schedule, optimize_day,
                                  robustness_suite, rule_based_schedule,
@@ -307,6 +310,31 @@ def test_optimizer_is_deterministic(baseline_day):
     b = optimize_day(baseline_day, seed=3)
     np.testing.assert_array_equal(a.schedule.p_dg, b.schedule.p_dg)
     np.testing.assert_array_equal(a.schedule.p_bs, b.schedule.p_bs)
+
+
+def test_a_dispatch_result_is_its_record(baseline_day):
+    """A result is the 592 bytes of its hours and both evaluations: bytes()
+    round-trips, a pickled or copied result is the same type with the same
+    bytes, and what a read returns is a copy."""
+    result = optimize_day(baseline_day, max_patterns=3)
+    record = bytes(result)
+    assert len(record) == 592
+    assert record == (result.schedule.p_dg.tobytes()
+                      + result.schedule.p_bs.tobytes()
+                      + bytes(result.evaluation)
+                      + bytes(result.rule_based_evaluation))
+    for twin in (DispatchResult(record), pickle.loads(pickle.dumps(result)),
+                 copy.deepcopy(result), copy.copy(result)):
+        assert type(twin) is DispatchResult
+        assert bytes(twin) == record
+    assert not hasattr(result, "__dict__")
+    evaluation = result.evaluation
+    evaluation.weighted = -1.0
+    rule_based = result.rule_based_evaluation
+    rule_based.search_value = -1.0
+    result.schedule._rows[:] = 99.0
+    assert bytes(result) == record
+    assert result.evaluation.weighted != -1.0
 
 
 def test_small_generator_day_keeps_renewable_share(day_8kw):

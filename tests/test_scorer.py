@@ -13,17 +13,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import (_day_hours, _run_python, daily_baseline, day_hour,
-                       day_hours, day_prices, day_score, day_sum,
-                       emissions_total, fixed_om, fuel_cost, initial_capital,
-                       metrics_ref, metrics_repg, price, variable_om)
+from reference import (REFINE_SWEEPS, _day_hours, _run_python,
+                       daily_baseline, day_hour, day_hours, day_prices,
+                       day_refine, day_score, day_sum, emissions_total,
+                       fixed_om, fuel_cost, initial_capital, metrics_ref,
+                       metrics_repg, price, variable_om)
 
-from offgridopt import dispatch, kernels
+from offgridopt import kernels
 from offgridopt.config import build_config, build_context
 from offgridopt.devices import battery_power_limit, battery_step
-from offgridopt.dispatch import (CONSTRAINT_TOL, DispatchSchedule,
-                                 day_context, day_trace, evaluate_schedule,
-                                 optimize_day, rule_based_schedule)
+from offgridopt.dispatch import (CONSTRAINT_TOL, DispatchEvaluation,
+                                 DispatchSchedule, day_context, day_trace,
+                                 evaluate_schedule, optimize_day,
+                                 rule_based_schedule)
 from offgridopt.economics import ObjectiveVector, Weights
 from offgridopt.errors import InputDataError
 from offgridopt.kernels import DayEvaluation, DayInputs, DayTotals
@@ -143,14 +145,14 @@ def bits(x: float) -> str:
 
 def use_the_oracles(monkeypatch):
     """Put the Python oracles of the cascade run, of the pricing, of the day
-    pass, of the day's score and of an hour of the dispatch search in the
-    compiled kernels' place, where the package calls them."""
+    pass, of the day's score and of the dispatch search's refinement of a
+    pattern in the compiled kernels' place, where the package calls them."""
     monkeypatch.setattr(kernels, "run", _run_python)
     monkeypatch.setattr(kernels, "price", price)
     monkeypatch.setattr(kernels, "day_prices", day_prices)
     monkeypatch.setattr(kernels, "day_hours", day_hours)
     monkeypatch.setattr(kernels, "day_score", day_score)
-    monkeypatch.setattr(kernels, "day_hour", day_hour)
+    monkeypatch.setattr(kernels, "day_refine", day_refine)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +300,14 @@ def test_compiled_day_score_equals_the_oracle_bit_for_bit(contexts, data):
     assert bits(compiled.search_value) == bits(value)
 
 
+def at_and_beyond_the_bounds(day: DayInputs):
+    """Setpoints of ``p_dg`` and of ``p_bs`` on the bounds of the day's
+    search, between them and 3 kW beyond them (an OFF hour among them)."""
+    p_rated = day.price.p_rated
+    return ([0.0, day.p_min, day.p_min / 2, p_rated, p_rated + 3.0],
+            [-day.p_lim, day.p_lim, -day.p_lim - 3.0, day.p_lim + 3.0])
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_compiled_day_hour_equals_the_oracle_bit_for_bit(contexts, data):
@@ -310,11 +320,11 @@ def test_compiled_day_hour_equals_the_oracle_bit_for_bit(contexts, data):
     day, t = ctx.day_inputs, data.draw(st.integers(0, 23))
     p_dg, p_bs = schedule.p_dg.copy(), schedule.p_bs.copy()
     p_dg[t] = data.draw(HOUR_DG | st.sampled_from(
-        [0.0, day.p_min, day.p_min / 2, day.p_rated, day.p_rated + 3.0]))
+        at_and_beyond_the_bounds(day)[0]))
     p_bs[t] = data.draw(HOUR_BS | st.sampled_from(
-        [-day.p_lim, day.p_lim, -day.p_lim - 3.0, day.p_lim + 3.0]))
+        at_and_beyond_the_bounds(day)[1]))
     compiled, oracle = DispatchSchedule(p_dg, p_bs), DispatchSchedule(p_dg, p_bs)
-    scale = 0.5 ** data.draw(st.integers(0, dispatch.REFINE_SWEEPS - 1))
+    scale = 0.5 ** data.draw(st.integers(0, REFINE_SWEEPS - 1))
     value = kernels.day_score(compiled._address, day, None)
     # the bar of a sweep's first hour, and bars no candidate or any beats
     start = data.draw(st.sampled_from([value - 1e-12, value, -np.inf, np.inf])
@@ -324,6 +334,32 @@ def test_compiled_day_hour_equals_the_oracle_bit_for_bit(contexts, data):
     assert scored == day_hour(oracle._address, day, t, scale, oracle_bar)
     assert bits(compiled_bar.value) == bits(oracle_bar.value)
     assert compiled._rows.tobytes() == oracle._rows.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compiled_day_refine_equals_the_oracle_bit_for_bit(contexts, data):
+    """``day_refine`` runs the sweeps of the Python loop it replaced, bit
+    for bit: the schedule's block after the call, the refined schedule's
+    evaluation and the number of schedules scored, on ON and OFF patterns
+    (all-off days among them), from setpoints at and beyond their bounds,
+    on days with and without a battery (``p_lim`` 0), in the five
+    configurations."""
+    ctx, schedule = data.draw(scored_days(contexts))
+    day = ctx.day_inputs
+    p_dg, p_bs = schedule.p_dg.copy(), schedule.p_bs.copy()
+    if data.draw(st.booleans()):
+        p_dg[:] = 0.0
+    dg_bounds, bs_bounds = at_and_beyond_the_bounds(day)
+    for t in data.draw(st.lists(st.integers(0, 23), max_size=4)):
+        p_dg[t] = data.draw(st.sampled_from(dg_bounds))
+        p_bs[t] = data.draw(st.sampled_from(bs_bounds))
+    compiled, oracle = DispatchSchedule(p_dg, p_bs), DispatchSchedule(p_dg, p_bs)
+    compiled_ev, oracle_ev = DispatchEvaluation(), DispatchEvaluation()
+    scored = kernels.day_refine(compiled._address, day, compiled_ev)
+    assert scored == day_refine(oracle._address, day, oracle_ev)
+    assert compiled._rows.tobytes() == oracle._rows.tobytes()
+    assert bytes(compiled_ev) == bytes(oracle_ev)
 
 
 @pytest.mark.parametrize("kernel", ["c", "python"])
@@ -425,7 +461,7 @@ def test_day_sum_keeps_the_sum_order_of_np_sum():
 # run seed 42, as the dispatch command runs it.  The count (one per
 # candidate, one at the start and one at the end of each pattern refined,
 # and one for the rule-based schedule) holds the search to the candidates
-# it scores: the calls of day_score, plus the candidates day_hour reports
+# it scores: the calls of day_score, plus the schedules day_refine reports
 # having scored.
 PINNED = {
     ("LI-DE", 0): ("0x1.3f27e4c384852p-4", True,
@@ -462,19 +498,20 @@ PINNED = {
 def pinned_result(contexts, monkeypatch, variant, day):
     """The pinned numbers of a day, counting the schedules scored in
     place through the module attributes the package calls the day kernels
-    by: each call of ``day_score`` and the count each ``day_hour`` returns."""
-    scored, score, hour = [], kernels.day_score, kernels.day_hour
+    by: each call of ``day_score`` and the count each ``day_refine``
+    returns."""
+    scored, score, refine = [], kernels.day_score, kernels.day_refine
 
     def counted_score(*args):
         scored.append(1)
         return score(*args)
 
-    def counted_hour(*args):
-        scored.append(hour(*args))
+    def counted_refine(*args):
+        scored.append(refine(*args))
         return scored[-1]
 
     monkeypatch.setattr(kernels, "day_score", counted_score)
-    monkeypatch.setattr(kernels, "day_hour", counted_hour)
+    monkeypatch.setattr(kernels, "day_refine", counted_refine)
     config = build_config(VARIANTS[variant])
     ctx = day_context(contexts[variant], Design(100, 8, 45.45), day,
                       Weights(tuple(config.dispatch["weights"])),
