@@ -12,12 +12,10 @@
  *              constraint residuals and penalty it leaves;
  *   day_score  day_hours, then the schedule's price, objectives and search
  *              value: one call scores a dispatch candidate;
- *   day_hour   one hour of a sweep of the dispatch search's coordinate
- *              descent: it steps that hour's setpoints, scores each
- *              candidate with day_score and keeps the ones that improve;
- *   day_refine the coordinate descent over one ON pattern: its sweeps of
- *              day_hour, the early stop and the refined schedule's
- *              evaluation, one call per pattern.
+ *   day_refine the dispatch search's coordinate descent over one ON
+ *              pattern: its sweeps, which step each hour's setpoints and
+ *              score each candidate with day_score, the early stop and the
+ *              refined schedule's evaluation, one call per pattern.
  *
  * This file is the one definition of the pricing: each law (fuel, O&M,
  * switching, capital, the present worths, the objective vector) is one
@@ -832,41 +830,21 @@ static int hour_steps(double *schedule, const day_inputs *day, double *x,
     return scored;
 }
 
-/* Hour t of one sweep of the dispatch search's projected coordinate
- * descent (day_refine), in place on the schedule's (2, 24) block: the
- * generator's steps within [p_min, p_rated] when the hour is online
- * (p_dg > 0), then the battery's within [-p_lim, p_lim] when it can move
- * (p_lim > 0), each step as hour_steps makes it, with scale = 0.5**sweep.
- * Every step, clamp and compare is the IEEE operation of the Python loop
- * it replaced (day_hour in tests/reference.py), in the same order.
- * Returns the number of candidates scored. */
-int day_hour(double *schedule, const day_inputs *day, int t, double scale,
-             double *bar)
-{
-    int scored = 0;
-    if (schedule[t] > 0.0)
-        scored += hour_steps(schedule, day, schedule + t, day->p_min,
-                             day->price.p_rated, scale, bar);
-    if (day->p_lim > 0.0)
-        scored += hour_steps(schedule, day, schedule + 24 + t, -day->p_lim,
-                             day->p_lim, scale, bar);
-    return scored;
-}
-
 /* The sweeps of day_refine at most; each halves the steps. */
 #define REFINE_SWEEPS 6
 
 /* The dispatch search's projected coordinate descent over the setpoints of
  * one ON pattern, in place on the schedule's (2, 24) block: the bar starts
- * at the schedule's search value - 1e-12, and sweep k runs day_hour over
- * the 24 hours at scale 0.5**k (exact halvings from 1.0).  The sweeps stop
+ * at the schedule's search value - 1e-12, and sweep k steps hour by hour,
+ * at scale 0.5**k (exact halvings from 1.0), the generator's setpoint
+ * within [p_min, p_rated] in an online hour (p_dg > 0), then the battery's
+ * within [-p_lim, p_lim] when it can move (p_lim > 0).  The sweeps stop
  * after REFINE_SWEEPS, or after one that leaves the bar where it was: a
- * kept step sets the bar to its value - 1e-12 < bar, so a sweep kept one
- * exactly when the bar went down (a NaN bar stops them too).  The refined
- * schedule's evaluation goes into out.  Every operation is the one of the
- * Python loop it replaced (day_refine in tests/reference.py), in the same
- * order.  Returns the number of schedules scored: the first, every
- * candidate and the refined one. */
+ * kept step sets the bar to its value - 1e-12 < bar (a NaN bar stops them
+ * too).  The refined schedule's evaluation goes into out.  Every operation
+ * is the one of the Python loop it replaced (day_refine in
+ * tests/reference.py), in the same order.  Returns the number of schedules
+ * scored: the first, every candidate and the refined one. */
 int day_refine(double *schedule, const day_inputs *day, day_evaluation *out)
 {
     double bar = day_score(schedule, day, NULL) - 1e-12;
@@ -874,8 +852,14 @@ int day_refine(double *schedule, const day_inputs *day, day_evaluation *out)
     double scale = 1.0;
     for (int sweep = 0; sweep < REFINE_SWEEPS; sweep++, scale *= 0.5) {
         const double start = bar;
-        for (int t = 0; t < 24; t++)
-            scored += day_hour(schedule, day, t, scale, &bar);
+        for (int t = 0; t < 24; t++) {
+            if (schedule[t] > 0.0)
+                scored += hour_steps(schedule, day, schedule + t, day->p_min,
+                                     day->price.p_rated, scale, &bar);
+            if (day->p_lim > 0.0)
+                scored += hour_steps(schedule, day, schedule + 24 + t,
+                                     -day->p_lim, day->p_lim, scale, &bar);
+        }
         if (!(bar < start))
             break;
     }

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from . import datasets
 from .devices import (BatterySpec, ConverterSpec, GeneratorSpec, PvSpec,
                       WindSpec, lead_acid_spec, microturbine_spec)
-from .economics import CostTable, FinancialParams, Weights, microturbine_costs
+from .dispatch import require_settings
+from .economics import (CostTable, FinancialParams, Weights,
+                        microturbine_costs, require_extension_cost)
 from .errors import ConfigError, InputDataError
 from .seeding import substream_seed
 from .simulate import SimulationContext, SizingProblem, StrategyConfig
@@ -244,12 +246,16 @@ def _build(section: str, factory, kwargs: dict):
 
 
 def build_config(raw: dict | None) -> RunConfig:
-    """Validate a parsed YAML mapping and fill defaults for omitted keys."""
+    """Validate a parsed YAML mapping and fill defaults for omitted keys;
+    a setting is checked whatever the command, even one that ignores it."""
     raw = dict(raw or {})
     for key in raw:
         if key not in _TOP_LEVEL:
             raise ConfigError(f"unknown key {key!r}")
-    _check_type("seed", raw.get("seed", 0), "int")
+    seed = raw.get("seed", 0)
+    _check_type("seed", seed, "int")
+    if seed < 0:   # numpy's seed sequences take no negative entropy
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     data = _section(raw, "data", _DATA_KEYS)
     data.setdefault("climate_csv", None)
@@ -332,13 +338,22 @@ def build_config(raw: dict | None) -> RunConfig:
     breakeven.setdefault("grid_lcoe_usd_per_kwh", 0.125)
     breakeven.setdefault("extension_cost_usd_per_km", 157470.0)
 
-    return RunConfig(
-        seed=int(raw.get("seed", 0)),
+    config = RunConfig(
+        seed=int(seed),
         data=data, pv=pv, wind=wind, battery=battery, generator=generator,
         converter=converter, fin=fin, costs=costs, strategy=strategy,
         weights=weights, sizing=sizing, dispatch=dispatch,
         baseline_dg_rated=baseline_dg, breakeven=breakeven,
     )
+    # The checks of the code that reads these settings, by that code; a
+    # sizing problem checks its search space and solver without its context.
+    _build("sizing", config.sizing_problem, {"ctx": None})
+    _build("dispatch", require_settings, {
+        "max_patterns": dispatch["max_patterns"],
+        "dpsp_max": dispatch["dpsp_max"]})
+    _build("breakeven", require_extension_cost,
+           {"ext_cost_per_km": breakeven["extension_cost_usd_per_km"]})
+    return config
 
 
 def read_mapping(path) -> dict:

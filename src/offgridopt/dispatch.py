@@ -22,12 +22,12 @@ needs a C compiler to build them (see ``kernels``).  The Python oracle of
 its SOC knots from ``propagate_soc``, and prices with the reference
 formulas there; the tests compare the two bit for bit.
 The coordinate descent over one ON pattern is one call of the kernel
-``kernels.day_refine``: its sweeps run ``day_hour`` once per hour, which
-steps that hour's setpoints and scores each candidate with ``day_score``,
-and the refined schedule's evaluation fills the pattern's record.  Their
-oracles in ``tests/reference.py``, ``day_refine`` and ``day_hour``, are the
-Python loops they replaced.  The hill-climb over the ON patterns stays in
-Python.
+``kernels.day_refine``: its sweeps step each hour's setpoints and score each
+candidate with ``day_score``, and the refined schedule's evaluation fills
+the pattern's record.  Its oracle, ``day_refine`` in ``tests/reference.py``,
+is the Python loop it replaced.  The hill-climb over the ON patterns stays
+in Python, with a pattern as a 24-bit ``int``: bit t is set when hour t is
+online.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ class DispatchContext:
         sim, design, battery = self.sim, self.design, self.sim.battery
         if len(sim.load) != 24:
             raise InputDataError("dispatch context needs 24-hour series")
-        if not 0 <= self.dpsp_max <= 1:
-            raise InputDataError("dpsp_max must be in [0, 1]")
+        require_settings(dpsp_max=self.dpsp_max)
         if len(self.weights) != 4:
             raise InputDataError("dispatch uses 4 objective weights")
         if self.soc_start is None:
@@ -175,9 +174,6 @@ class DispatchSchedule:
     def __reduce__(self):
         # A copy or an unpickled schedule gets a block, and address, of its own.
         return DispatchSchedule, (self.p_dg, self.p_bs)
-
-    def copy(self) -> "DispatchSchedule":
-        return DispatchSchedule(self.p_dg, self.p_bs)
 
     def write_csv(self, path, ctx: DispatchContext):
         trace = day_trace(self, ctx)
@@ -282,12 +278,17 @@ def rule_based_schedule(ctx: DispatchContext) -> DispatchSchedule:
     return DispatchSchedule(rows[3], rows[4])
 
 
-def _apply_pattern(s: DispatchSchedule, pattern: np.ndarray,
+def _pattern(s: DispatchSchedule) -> int:
+    """The schedule's ON pattern: bit t is set when hour t is online."""
+    return int((s.p_dg > CONSTRAINT_TOL) @ (1 << np.arange(24)))
+
+
+def _apply_pattern(s: DispatchSchedule, pattern: int,
                    ctx: DispatchContext) -> DispatchSchedule:
     gen = ctx.sim.generator
     p_dg = s.p_dg.tolist()
     for t in range(24):
-        if pattern[t]:
+        if pattern >> t & 1:
             if p_dg[t] <= 0:
                 p_dg[t] = gen.min_power if gen.min_power > 0 else min(1.0, gen.rated_power)
             p_dg[t] = min(max(p_dg[t], gen.min_power), gen.rated_power)
@@ -342,7 +343,9 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
 
     ``max_patterns`` caps the ON/OFF patterns refined.  The three seed
     schedules (rule-based, a constant guess and all-off) are always
-    refined, so the cap must be at least 3.  The rule-based schedule is
+    refined, so the cap must be at least 3; the rest goes to a hill-climb
+    that flips one hour of the best pattern at a time, in a random order,
+    and a pattern met again spends budget too.  The rule-based schedule is
     always a candidate, so the returned schedule is never worse than it
     (when the rule-based day is feasible).  When no candidate satisfies
     every hard constraint the best-found infeasible schedule is returned
@@ -359,45 +362,34 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
         p_dg=np.full(24, min(max(7.0, gen.min_power), gen.rated_power)),
         p_bs=np.full(24, min(1.0, ctx.day_inputs.p_lim)))
     zero = DispatchSchedule(np.zeros(24), np.zeros(24))
-    seeds = [rb, guess, zero]
 
-    evaluated = {}
+    evaluated = {}   # pattern -> its refined schedule and evaluation
 
-    def solve_pattern(pattern: np.ndarray, base: DispatchSchedule):
-        key = tuple(int(b) for b in pattern)
-        if key in evaluated:
-            return evaluated[key]
-        # the coordinate descent, in place on the pattern's schedule
-        refined, ev = _apply_pattern(base, pattern, ctx), DispatchEvaluation()
-        kernels.day_refine(refined._address, ctx.day_inputs, ev)
-        evaluated[key] = (refined, ev)
-        return refined, ev
+    def solve_pattern(pattern: int, base: DispatchSchedule):
+        if pattern not in evaluated:
+            # the coordinate descent, in place on the pattern's schedule
+            refined, ev = _apply_pattern(base, pattern, ctx), DispatchEvaluation()
+            kernels.day_refine(refined._address, ctx.day_inputs, ev)
+            evaluated[pattern] = refined, ev
+        return evaluated[pattern]
 
     best_s, best_ev = None, None
-    budget = max_patterns
-    for cand in seeds:
-        pattern = (cand.p_dg > CONSTRAINT_TOL).astype(int)
-        s, ev = solve_pattern(pattern, cand)
-        budget -= 1
+    for cand in (rb, guess, zero):
+        s, ev = solve_pattern(_pattern(cand), cand)
         if _better(ev, best_ev):
             best_s, best_ev = s, ev
 
-    # hill-climb on the ON/OFF pattern from the incumbent
+    budget = max_patterns - 3
     improved = True
     while improved and budget > 0:
-        improved = False
-        base_pattern = (best_s.p_dg > CONSTRAINT_TOL).astype(int)
-        for t in rng.permutation(24):
-            if budget <= 0:
-                break
-            flipped = base_pattern.copy()
-            flipped[t] = 1 - flipped[t]
+        improved, pattern = False, _pattern(best_s)
+        hours = rng.permutation(24)[:budget].tolist()
+        budget -= len(hours)
+        for t in hours:
+            flipped = pattern ^ 1 << t
             s, ev = solve_pattern(flipped, best_s)
-            budget -= 1
             if _better(ev, best_ev):
-                best_s, best_ev = s, ev
-                base_pattern = flipped
-                improved = True
+                best_s, best_ev, pattern, improved = s, ev, flipped, True
 
     # Refining the rule-based seed can trade feasibility for a lower
     # penalized value, so the search may end worse than the schedule it
@@ -408,14 +400,22 @@ def optimize_day(ctx: DispatchContext, max_patterns: int = 120,
                           + bytes(rb_ev))
 
 
-def _require_search(ctx: DispatchContext, max_patterns: int):
-    """Reject what no day can be searched with: a generator without a
-    positive rating, or fewer patterns than the three seed schedules."""
-    if ctx.sim.generator.rated_power <= 0:
-        raise InputDataError("dispatch needs a generator with positive rating")
+def require_settings(max_patterns: int = 3, dpsp_max: float = 0.0):
+    """Reject fewer patterns than the three seed schedules, or a daily
+    lost-load cap outside [0, 1]; the defaults pass."""
     if max_patterns < 3:
         raise InputDataError(
             f"max_patterns must be >= 3 (the seed schedules), got {max_patterns}")
+    if not 0 <= dpsp_max <= 1:
+        raise InputDataError("dpsp_max must be in [0, 1]")
+
+
+def _require_search(ctx: DispatchContext, max_patterns: int):
+    """Reject what no day can be searched with: a generator without a
+    positive rating, or too few patterns."""
+    if ctx.sim.generator.rated_power <= 0:
+        raise InputDataError("dispatch needs a generator with positive rating")
+    require_settings(max_patterns)
 
 
 def _better(ev: DispatchEvaluation, incumbent: DispatchEvaluation | None) -> bool:

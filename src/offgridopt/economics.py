@@ -216,13 +216,18 @@ def baseline_metrics(load, gen: GeneratorSpec, costs: CostTable,
     return positive_baseline("annual", cost.lcoe, cost.emissions)
 
 
+def require_extension_cost(ext_cost_per_km: float):
+    """Reject a grid extension that costs nothing, or less, per km."""
+    if ext_cost_per_km <= 0:
+        raise InputDataError("ext_cost_per_km must be positive")
+
+
 def break_even_distance(tac: float, crf_value: float, annual_load_kwh: float,
                         grid_lcoe: float, ext_cost_per_km: float) -> float:
     """Grid-extension distance [km] at which the islanded system's annualized
     cost equals buying the same energy from the utility.  Negative values
     mean the grid wins at any distance."""
-    if ext_cost_per_km <= 0:
-        raise InputDataError("ext_cost_per_km must be positive")
+    require_extension_cost(ext_cost_per_km)
     if annual_load_kwh <= 0:
         raise InputDataError("annual_load_kwh must be positive")
     if tac < 0:

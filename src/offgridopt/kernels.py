@@ -1,9 +1,9 @@
 """The compiled kernels of ``_cascade.c``, whose header describes each, and
 the records they exchange: ``run`` (the cascade over any horizon),
 ``price`` (the lifecycle price of a horizon's totals), ``day_prices``,
-``day_hours``, ``day_score``, ``day_hour`` and ``day_refine`` (a dispatch
-day's pricing constants, pass, score, search hour and the search's
-refinement of one ON pattern).
+``day_hours``, ``day_score`` and ``day_refine`` (a dispatch day's pricing
+constants, pass, score and the search's refinement of one ON pattern).
+These six are all the library exports.
 
 They are the package's only implementation of these computations, the
 pricing included, so the package needs a C compiler: the library is built
@@ -236,9 +236,9 @@ def _cascade_library() -> Path:
 
 def _load_cascade() -> ctypes.CDLL:
     """The compiled kernels' library with the signatures of ``cascade``,
-    ``price``, ``day_prices``, ``day_hours``, ``day_score``, ``day_hour``
-    and ``day_refine`` set.  Raises
-    ``KernelUnavailableError`` when it cannot be built or loaded."""
+    ``price``, ``day_prices``, ``day_hours``, ``day_score`` and
+    ``day_refine`` set.  Raises ``KernelUnavailableError`` when it cannot be
+    built or loaded."""
     lib = _cascade_library()
     try:
         lib = ctypes.CDLL(str(lib))
@@ -263,10 +263,6 @@ def _load_cascade() -> ctypes.CDLL:
     lib.day_score.argtypes = [address, ctypes.POINTER(DayInputs),
                               ctypes.POINTER(DayEvaluation)]
     lib.day_score.restype = c_double
-    # the bar goes in as a ctypes.c_double, which the kernel updates
-    lib.day_hour.argtypes = [address, ctypes.POINTER(DayInputs), ctypes.c_int,
-                             c_double, ctypes.POINTER(c_double)]
-    lib.day_hour.restype = ctypes.c_int
     lib.day_refine.argtypes = [address, ctypes.POINTER(DayInputs),
                                ctypes.POINTER(DayEvaluation)]
     lib.day_refine.restype = ctypes.c_int
@@ -294,7 +290,6 @@ except KernelUnavailableError as exc:
 day_prices = _LIBRARY.day_prices
 day_hours = _LIBRARY.day_hours
 day_score = _LIBRARY.day_score
-day_hour = _LIBRARY.day_hour   # day_refine's hour, which the tests pin alone
 day_refine = _LIBRARY.day_refine
 
 

@@ -20,19 +20,17 @@ replaced, kept here so that the tests can compare the two bit for bit:
   ``day_sum``;
 - ``day_score``, ``kernels.day_score``: ``day_hours``, then the price
   (``operating_cost``), objectives and search value;
-- ``day_hour``, ``kernels.day_hour``: one hour of a sweep of the dispatch
-  search's coordinate descent, the Python loop the kernel replaced, which
-  scores each candidate with ``day_score``;
-- ``day_refine``, ``kernels.day_refine``: that coordinate descent over one
-  ON pattern, the sweep loop ``dispatch._refine_continuous`` ran around
-  ``day_hour``, with its ``REFINE_SWEEPS``;
+- ``day_refine``, ``kernels.day_refine``: the dispatch search's coordinate
+  descent over one ON pattern, the Python loop the kernel replaced, with
+  its ``REFINE_SWEEPS`` and the steps of one hour (``_hour_steps``), which
+  score each candidate with ``day_score``;
 - ``count_transitions``, how the kernels count a generator's starts;
 - ``pv_power`` and ``wt_power``, the feed-in of a PV array and of a wind
   farm, whose operand order ``renewable_feed_in`` keeps.
 
-``_run_python``, ``price``, ``day_prices``, ``day_hours``, ``day_score``,
-``day_hour`` and ``day_refine`` take the arguments of the compiled calls,
-so that a test can put an oracle in a kernel's place.  The pricing formulas take the specs
+``_run_python``, ``price``, ``day_prices``, ``day_hours``, ``day_score``
+and ``day_refine`` take the arguments of the compiled calls, so that a test
+can put an oracle in a kernel's place.  The pricing formulas take the specs
 (``GeneratorSpec``, ``CostTable``, ``FinancialParams``) or any object with
 their attributes, such as ``_specs`` of a ``kernels.Prices`` record.
 """
@@ -677,42 +675,32 @@ def day_score(address: int, day: kernels.DayInputs,
     return value
 
 
-def day_hour(address: int, day: kernels.DayInputs, t: int, scale: float,
-             bar: ctypes.c_double) -> int:
-    """The oracle of ``kernels.day_hour``, with its arguments: hour ``t`` of
-    a sweep of ``day_refine``, in place on the schedule's block at
-    ``address``.  The generator's steps come first, in an online hour
-    (``p_dg > 0``), within ``[p_min, price.p_rated]``; the battery's follow
-    when it can move (``p_lim > 0``), within ``[-p_lim, p_lim]``.  Each step
-    ``d * scale``, for ``d`` in (-4, -1, 1, 4), is clamped to the bounds; a
-    step that moves the setpoint is written into the block and scored by
-    ``day_score``, kept when its value is below ``bar``, which becomes that
-    value - 1e-12, and undone otherwise.  Returns the number of candidates
-    scored."""
-    dg_row, bs_row = _doubles(address, 48).reshape(2, 24)
-    steps = [d * scale for d in (-4.0, -1.0, 1.0, 4.0)]
-    moves = [(dg_row, day.p_min, day.price.p_rated)] if dg_row[t] > 0 else []
-    if day.p_lim > 0:
-        moves.append((bs_row, -day.p_lim, day.p_lim))
-    scored = 0
-    for row, lower, upper in moves:
-        x = float(row[t])
-        for d in steps:
-            # min(max(x + d, lower), upper), written out
-            cand = x + d
-            cand = lower if lower > cand else cand
-            cand = upper if upper < cand else cand
-            if cand == x:
-                continue
-            row[t] = cand
-            value = day_score(address, day, None)
-            scored += 1
-            if value < bar.value:
-                bar.value = value - 1e-12
-                x = cand
-            else:
-                row[t] = x
-    return scored
+def _hour_steps(address: int, day: kernels.DayInputs, row: np.ndarray,
+                t: int, lower: float, upper: float, scale: float,
+                bar: float) -> tuple[int, float]:
+    """The steps of hour ``t`` of ``row``, a row of the schedule's block at
+    ``address``, within ``[lower, upper]``: ``d * scale`` for ``d`` in
+    (-4, -1, 1, 4), each clamped to the bounds.  A step that moves the
+    setpoint is written into the block and scored by ``day_score``, kept
+    when its value is below ``bar``, which becomes that value - 1e-12, and
+    undone otherwise.  Returns the number of candidates scored and the
+    bar."""
+    x, scored = float(row[t]), 0
+    for d in (-4.0, -1.0, 1.0, 4.0):
+        # min(max(x + d * scale, lower), upper), written out
+        cand = x + d * scale
+        cand = lower if lower > cand else cand
+        cand = upper if upper < cand else cand
+        if cand == x:
+            continue
+        row[t] = cand
+        value = day_score(address, day, None)
+        scored += 1
+        if value < bar:
+            bar, x = value - 1e-12, cand
+        else:
+            row[t] = x
+    return scored, bar
 
 
 REFINE_SWEEPS = 6   # the sweeps of day_refine at most, as in _cascade.c
@@ -723,20 +711,31 @@ def day_refine(address: int, day: kernels.DayInputs,
     """The oracle of ``kernels.day_refine``, with its arguments: the
     projected coordinate descent over the setpoints of the schedule whose
     block is at ``address``, with its ON pattern held fixed, in place.  The
-    bar starts at the schedule's search value - 1e-12; sweep ``k`` runs
-    ``day_hour`` over the 24 hours at scale ``0.5 ** k``.  The sweeps stop
-    after ``REFINE_SWEEPS``, or after one that kept no step: a kept step
-    lowers the bar to its value - 1e-12 <= value < bar, so a sweep kept one
-    exactly when the bar went down.  ``out`` receives the refined
-    schedule's evaluation.  Returns the number of schedules scored: the
-    first, every candidate and the refined one."""
-    bar = ctypes.c_double(day_score(address, day, None) - 1e-12)
+    bar starts at the schedule's search value - 1e-12; sweep ``k`` steps
+    each of the 24 hours in turn at scale ``0.5 ** k`` with ``_hour_steps``:
+    the generator's setpoint within ``[p_min, price.p_rated]`` in an online
+    hour (``p_dg > 0``), then the battery's within ``[-p_lim, p_lim]`` when
+    it can move (``p_lim > 0``).  The sweeps stop after ``REFINE_SWEEPS``,
+    or after one that kept no step: a kept step lowers the bar to its
+    value - 1e-12 <= value < bar, so a sweep kept one exactly when the bar
+    went down.  ``out`` receives the refined schedule's evaluation.
+    Returns the number of schedules scored: the first, every candidate and
+    the refined one."""
+    dg_row, bs_row = _doubles(address, 48).reshape(2, 24)
+    bar = day_score(address, day, None) - 1e-12
     scored = 1
     for sweep in range(REFINE_SWEEPS):
-        scale, start = 0.5 ** sweep, bar.value
+        scale, start = 0.5 ** sweep, bar
         for t in range(24):
-            scored += day_hour(address, day, t, scale, bar)
-        if not bar.value < start:
+            if dg_row[t] > 0:
+                n, bar = _hour_steps(address, day, dg_row, t, day.p_min,
+                                     day.price.p_rated, scale, bar)
+                scored += n
+            if day.p_lim > 0:
+                n, bar = _hour_steps(address, day, bs_row, t, -day.p_lim,
+                                     day.p_lim, scale, bar)
+                scored += n
+        if not bar < start:
             break
     day_score(address, day, out)
     return scored + 1

@@ -502,7 +502,8 @@ def test_cli_sweep_rejects_a_budget_below_the_swarm_before_any_point(tmp_path):
                         "--out", tmp_path]) == 2
         doc = json.loads((tmp_path / "result.json").read_text())
         assert doc["status"] == "error"
-        assert doc["message"] == "max_evals must cover at least one swarm sweep"
+        assert doc["message"] == ("sizing: max_evals must cover at least one "
+                                  "swarm sweep")
 
 
 def test_cli_error_path_writes_error_document(tmp_path):
@@ -828,6 +829,53 @@ def test_cli_dispatch_rejects_max_patterns_below_the_seed_schedules(tmp_path):
     assert doc["status"] == "error"
     assert "max_patterns" in doc["message"]
     assert not (tmp_path / "schedule.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    (["size"], ["--seed", "-1"], ""),
+    (["dispatch", "--design", "100,8,45.45"], [], "seed: -1\n"),
+], ids=["flag", "key"])
+def test_cli_rejects_a_negative_seed(tmp_path, command, flag, text):
+    """A negative seed raised numpy's ValueError in ``substream_seed``: exit
+    1 with a traceback, and no result document."""
+    cfg = tmp_path / "seed.yaml"
+    cfg.write_text(text)
+    code = run_cli([*command, *flag, "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert doc["message"] == "seed must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--design", "100,8,45.45"],
+    ["dispatch", "--design", "100,8,45.45"],
+    ["breakeven", "--tac", "17097", "--load-kwh", "74251"],
+    ["size"],
+], ids=["simulate", "dispatch", "breakeven", "size"])
+@pytest.mark.parametrize("text, message", [
+    ("sizing: {solver: zz}\n", "sizing: unknown solver 'zz'"),
+    ("sizing: {max_evals: 20, swarm_size: 30}\n",
+     "sizing: max_evals must cover at least one swarm sweep"),
+    ("sizing: {bounds_lower: [10, 0, 0], bounds_upper: [0, 30, 200]}\n",
+     "sizing: lower bounds exceed upper bounds"),
+    ("dispatch: {max_patterns: 1}\n", "dispatch: max_patterns must be >= 3"),
+    ("dispatch: {dpsp_max: 1.5}\n", "dispatch: dpsp_max must be in [0, 1]"),
+    ("breakeven: {extension_cost_usd_per_km: -5}\n",
+     "breakeven: ext_cost_per_km must be positive"),
+], ids=["solver", "budget", "bounds", "max_patterns", "dpsp_max",
+        "extension_cost"])
+def test_a_config_is_invalid_whatever_the_command(tmp_path, command, text,
+                                                  message):
+    """Each value was an error only for the command that reads it: the
+    others ran with it and exited 0."""
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    code = run_cli([*command, "--seed", 42, "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert doc["message"].startswith(message)
 
 
 @pytest.mark.parametrize("design, message", [

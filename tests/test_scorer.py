@@ -4,7 +4,6 @@ against their Python oracles, and pinned ``optimize_day`` results on fixed
 days, on the kernels and on their oracles in the kernels' place."""
 
 import copy
-import ctypes
 import dataclasses
 import hashlib
 import pickle
@@ -13,11 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import (REFINE_SWEEPS, _day_hours, _run_python,
-                       daily_baseline, day_hour, day_hours, day_prices,
-                       day_refine, day_score, day_sum, emissions_total,
-                       fixed_om, fuel_cost, initial_capital, metrics_ref,
-                       metrics_repg, price, variable_om)
+from reference import (_day_hours, _run_python, daily_baseline, day_hours,
+                       day_prices, day_refine, day_score, day_sum,
+                       emissions_total, fixed_om, fuel_cost, initial_capital,
+                       metrics_ref, metrics_repg, price, variable_om)
 
 from offgridopt import kernels
 from offgridopt.config import build_config, build_context
@@ -308,34 +306,6 @@ def at_and_beyond_the_bounds(day: DayInputs):
             [-day.p_lim, day.p_lim, -day.p_lim - 3.0, day.p_lim + 3.0])
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_compiled_day_hour_equals_the_oracle_bit_for_bit(contexts, data):
-    """``day_hour`` makes the moves of the Python hour it replaced, bit for
-    bit: the schedule's block after the call, the bar and the number of
-    candidates scored, in ON and OFF hours, from setpoints at and beyond
-    their bounds, on days with and without a battery (``p_lim`` 0), at
-    every hour and at the step scale of every sweep."""
-    ctx, schedule = data.draw(scored_days(contexts))
-    day, t = ctx.day_inputs, data.draw(st.integers(0, 23))
-    p_dg, p_bs = schedule.p_dg.copy(), schedule.p_bs.copy()
-    p_dg[t] = data.draw(HOUR_DG | st.sampled_from(
-        at_and_beyond_the_bounds(day)[0]))
-    p_bs[t] = data.draw(HOUR_BS | st.sampled_from(
-        at_and_beyond_the_bounds(day)[1]))
-    compiled, oracle = DispatchSchedule(p_dg, p_bs), DispatchSchedule(p_dg, p_bs)
-    scale = 0.5 ** data.draw(st.integers(0, REFINE_SWEEPS - 1))
-    value = kernels.day_score(compiled._address, day, None)
-    # the bar of a sweep's first hour, and bars no candidate or any beats
-    start = data.draw(st.sampled_from([value - 1e-12, value, -np.inf, np.inf])
-                      | st.floats(value - 1.0, value + 1.0))
-    compiled_bar, oracle_bar = ctypes.c_double(start), ctypes.c_double(start)
-    scored = kernels.day_hour(compiled._address, day, t, scale, compiled_bar)
-    assert scored == day_hour(oracle._address, day, t, scale, oracle_bar)
-    assert bits(compiled_bar.value) == bits(oracle_bar.value)
-    assert compiled._rows.tobytes() == oracle._rows.tobytes()
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_compiled_day_refine_equals_the_oracle_bit_for_bit(contexts, data):
@@ -426,7 +396,7 @@ def test_a_schedule_s_rows_are_read_only(contexts, row):
 def test_a_copied_schedule_has_a_block_of_its_own(contexts):
     ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 51, W4)
     schedule = rule_based_schedule(ctx)
-    for twin in (schedule.copy(), copy.deepcopy(schedule),
+    for twin in (copy.copy(schedule), copy.deepcopy(schedule),
                  pickle.loads(pickle.dumps(schedule))):
         assert twin._address != schedule._address
         assert (bytes(evaluate_schedule(twin, ctx))

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import textwrap
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from offgridopt.config import build_config
-from offgridopt.errors import InputDataError
+from offgridopt.errors import ConfigError, InputDataError
 from offgridopt.solvers import (SearchSpace, _crowding_distance,
                                 _Evaluator, _nondominated_sort,
                                 benchmark_to_csv,
@@ -298,5 +299,10 @@ def test_benchmark_same_solver_twice_gives_identical_solutions():
 
 
 def test_benchmark_rejects_unknown_solver(annual_ctx):
-    with pytest.raises(InputDataError, match="unknown solver"):
-        build_config({"sizing": {"solver": "nope"}}).sizing_problem(annual_ctx)
+    """The config rejects the name for every command, and a sizing problem
+    made without a config rejects it too."""
+    with pytest.raises(ConfigError, match="sizing: unknown solver 'nope'"):
+        build_config({"sizing": {"solver": "nope"}})
+    problem = build_config({}).sizing_problem(annual_ctx)
+    with pytest.raises(InputDataError, match="unknown solver 'nope'"):
+        dataclasses.replace(problem, solver="nope")

@@ -1,7 +1,8 @@
 """The package defines only what its commands, demos, benchmark and tools
-use."""
+use, and its compiled library exports only the kernels the package calls."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -49,3 +50,28 @@ def test_every_module_level_definition_is_named_elsewhere():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
     assert sorted(name for name in defined
                   if name not in EXEMPT and not used[name]) == []
+
+
+def called_names(tree: ast.AST) -> set:
+    """Names that code calls, as ``f(...)`` or ``obj.f(...)``."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_every_exported_kernel_is_called_by_the_package():
+    """A function of ``_cascade.c`` that is not ``static`` is a kernel the
+    library exports.  Each must be called by the package's own code, not
+    only by the tests: setting its signature or binding it to a name is not
+    a call."""
+    source = (PACKAGE / "_cascade.c").read_text(encoding="utf-8")
+    # a definition starts at the line's first column with its return type
+    exported = set(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(",
+                              source, re.MULTILINE))
+    called = set()
+    for path in PACKAGE.glob("*.py"):
+        called |= called_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert exported == {"cascade", "price", "day_prices", "day_hours",
+                        "day_score", "day_refine"}
+    assert sorted(exported - called) == []
