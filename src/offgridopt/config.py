@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import datasets
 from .devices import (BatterySpec, ConverterSpec, GeneratorSpec, PvSpec,
                       WindSpec, lead_acid_spec, microturbine_spec)
-from .dispatch import require_settings
+from .dispatch import require_day, require_rating, require_settings
 from .economics import (CostTable, FinancialParams, Weights,
                         microturbine_costs, require_extension_cost)
 from .errors import ConfigError, InputDataError
@@ -351,6 +351,9 @@ def build_config(raw: dict | None) -> RunConfig:
     _build("dispatch", require_settings, {
         "max_patterns": dispatch["max_patterns"],
         "dpsp_max": dispatch["dpsp_max"]})
+    if dispatch["dg_rated_kw"] is not None:
+        _build("dispatch", require_rating,
+               {"rated_power": dispatch["dg_rated_kw"]})
     _build("breakeven", require_extension_cost,
            {"ext_cost_per_km": breakeven["extension_cost_usd_per_km"]})
     return config
@@ -403,13 +406,17 @@ def load_dataset(config: RunConfig, seed: int):
 
 
 def build_context(config: RunConfig, seed: int | None = None) -> SimulationContext:
-    """Simulation context for the configured system on the configured data."""
+    """Simulation context for the configured system on the configured data;
+    a dispatch day that the data does not hold is a ``ConfigError``."""
     seed = config.seed if seed is None else seed
     climate, load = load_dataset(config, seed)
-    return SimulationContext(
+    ctx = SimulationContext(
         climate=climate, load=load, pv=config.pv, wind=config.wind,
         battery=config.battery, generator=config.generator,
         converter=config.converter, costs=config.costs, fin=config.fin,
         strategy=config.strategy,
         baseline_generator=config.baseline_generator(),
     )
+    # The dispatch day is checked here, where the data's length is known.
+    _build("dispatch", require_day, {"ctx": ctx, "day": config.dispatch["day"]})
+    return ctx

@@ -116,9 +116,7 @@ def day_context(ctx: SimulationContext, design: Design, day: int,
                 generator=None) -> DispatchContext:
     """Slice day ``day`` out of an annual simulation context, optionally
     with another dispatch generator; the baseline generator stays."""
-    n_days = len(ctx.load) // 24
-    if not 0 <= day < n_days:
-        raise InputDataError(f"day {day} is outside [0, {n_days})")
+    require_day(ctx, day)
     sim = replace(ctx, climate=ctx.climate.slice(24 * day, 24 * (day + 1)),
                   load=ctx.load.day(day), generator=generator or ctx.generator)
     return DispatchContext(design, sim, weights, dpsp_max)
@@ -410,11 +408,23 @@ def require_settings(max_patterns: int = 3, dpsp_max: float = 0.0):
         raise InputDataError("dpsp_max must be in [0, 1]")
 
 
+def require_rating(rated_power: float):
+    """Reject a dispatch generator without a positive rating."""
+    if rated_power <= 0:
+        raise InputDataError("dispatch needs a generator with positive rating")
+
+
+def require_day(ctx: SimulationContext, day: int):
+    """Reject a day that the context's hours do not hold."""
+    n_days = len(ctx.load) // 24
+    if not 0 <= day < n_days:
+        raise InputDataError(f"day {day} is outside [0, {n_days})")
+
+
 def _require_search(ctx: DispatchContext, max_patterns: int):
     """Reject what no day can be searched with: a generator without a
     positive rating, or too few patterns."""
-    if ctx.sim.generator.rated_power <= 0:
-        raise InputDataError("dispatch needs a generator with positive rating")
+    require_rating(ctx.sim.generator.rated_power)
     require_settings(max_patterns)
 
 

@@ -1,37 +1,36 @@
 """The Python oracles of the compiled kernels in ``_cascade.c``.
 
 The package runs the kernels only; these are the loops and formulas they
-replaced, kept here so that the tests can compare the two bit for bit:
+replaced, kept here so that the tests can compare the two bit for bit.
+Each kernel has one oracle, which takes the kernel's arguments, so that
+``use_the_oracles`` can put it in the kernel's place, and one hypothesis
+test that checks the kernel against every reference it has on one draw.
+Kernel -> oracle -> its test (``<file>::<test>`` under ``tests/``):
 
-- ``_run_python``, ``kernels.run`` over any horizon, with its arguments
-  and results: ``renewable_feed_in``, the cascade hour by hour, with
-  ``battery_capacity`` for its capacity fade, and numpy's sums;
-- ``cascade`` and ``_cascade_python``, ``kernels.run`` and its oracle over
-  a given DC-bus feed-in (``_given_feed_in``), with the arguments of the
-  cascade's hypothesis cases;
-- ``price``, ``kernels.price``: the lifecycle pricing of a horizon's
-  totals, ``initial_capital``, ``lifecycle_cost`` (``annual_recurring``,
-  ``pw_recurring``, ``adjusted_rate`` and ``pw_nonrecurring``),
-  ``emissions_total`` and ``objective_vector``;
-- ``day_prices``, ``kernels.day_prices``: ``fixed_om`` of the design's
-  capital per day and ``daily_baseline``;
-- ``_day_hours``, ``kernels.day_hours`` over a schedule's (2, 24) block,
-  with its SOC knots from ``dispatch.propagate_soc`` and its sums from
-  ``day_sum``;
-- ``day_score``, ``kernels.day_score``: ``day_hours``, then the price
-  (``operating_cost``), objectives and search value;
-- ``day_refine``, ``kernels.day_refine``: the dispatch search's coordinate
-  descent over one ON pattern, the Python loop the kernel replaced, with
-  its ``REFINE_SWEEPS`` and the steps of one hour (``_hour_steps``), which
-  score each candidate with ``day_score``;
-- ``count_transitions``, how the kernels count a generator's starts;
-- ``pv_power`` and ``wt_power``, the feed-in of a PV array and of a wind
-  farm, whose operand order ``renewable_feed_in`` keeps.
+- ``cascade`` -> ``_run_python`` ->
+  ``test_cascade.py::test_compiled_kernel_equals_python_loop_and_keeps_invariants``
+  over a given feed-in (``cascade`` against ``_cascade_python``); the
+  year's composition of feed-in, hours and sums is
+  ``test_cascade.py::test_compiled_year_equals_its_python_composition``;
+- ``price`` -> ``price`` ->
+  ``test_economics.py::test_compiled_price_equals_the_oracle_bit_for_bit``;
+- ``day_prices`` -> ``day_prices`` ->
+  ``test_economics.py::test_compiled_baselines_equal_the_oracle_bit_for_bit``;
+- ``day_hours`` -> ``day_hours`` (``_day_hours`` over a block) ->
+  ``test_scorer.py::test_day_kernels_equal_their_oracles_bit_for_bit``,
+  which also checks both day kernels against the scorer's numpy
+  formulation;
+- ``day_score`` -> ``day_score`` -> the same test;
+- ``day_refine`` -> ``day_refine`` ->
+  ``test_scorer.py::test_compiled_day_refine_equals_the_oracle_bit_for_bit``.
 
-``_run_python``, ``price``, ``day_prices``, ``day_hours``, ``day_score``
-and ``day_refine`` take the arguments of the compiled calls, so that a test
-can put an oracle in a kernel's place.  The pricing formulas take the specs
-(``GeneratorSpec``, ``CostTable``, ``FinancialParams``) or any object with
+The oracles are built from the formulas the kernels replaced, which the
+other tests also read: the feed-in (``pv_power``, ``wt_power``), the
+capacity fade (``battery_capacity``), the start count
+(``count_transitions``), the pricing (``initial_capital``,
+``lifecycle_cost`` and its parts, ``operating_cost``, ``emissions_total``,
+``objective_vector``, ``daily_baseline``) and ``np.sum`` of a day
+(``day_sum``).  The pricing formulas take the specs or any object with
 their attributes, such as ``_specs`` of a ``kernels.Prices`` record.
 """
 
@@ -739,3 +738,17 @@ def day_refine(address: int, day: kernels.DayInputs,
             break
     day_score(address, day, out)
     return scored + 1
+
+
+# the binding of ``kernels`` through which the package calls each kernel,
+# and the kernel's oracle
+ORACLES = {"run": _run_python, "price": price, "day_prices": day_prices,
+           "day_hours": day_hours, "day_score": day_score,
+           "day_refine": day_refine}
+
+
+def use_the_oracles(monkeypatch):
+    """Put the oracle of every kernel in the compiled kernel's place, where
+    the package calls it."""
+    for binding, oracle in ORACLES.items():
+        monkeypatch.setattr(kernels, binding, oracle)

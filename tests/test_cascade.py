@@ -1,9 +1,20 @@
-"""The load-following cascade kernel: the compiled run against its Python
-oracle on random specs, over a given feed-in and over random climates
-(feed-in, cascade and sums in one call), the record a context fills, the
-kernel's sums against ``np.sum``, the cascade's invariants, chaining
-through the carried battery state, and building and loading the
-library."""
+"""The load-following cascade kernel, ``kernels.run``, against its oracle
+``_run_python`` in ``tests/reference.py``, bit for bit:
+
+- ``test_compiled_kernel_equals_python_loop_and_keeps_invariants``, the
+  kernel's test over a given feed-in, on random specs and hours and on
+  stretches that hold the bank full or empty: the run against the oracle,
+  the cascade's invariants, the generator's online hours and starts
+  against ``count_transitions``, and the run split at a random hour and
+  chained through the carried battery state;
+- the edges of the divisions the kernel skips, on the same strategies (a
+  tie of an hour's surplus or deficit with the room, an efficiency above
+  one) and on fixed cases (a tie with the power limit, the sign of a zero
+  SOC, a fresh bank);
+- ``test_compiled_year_equals_its_python_composition``: feed-in, cascade
+  and sums in one call, over random climates;
+- the kernel's sums against ``np.sum``, the record a context fills, and
+  building and loading the library."""
 
 import ctypes
 import dataclasses
@@ -19,7 +30,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from reference import (_cascade_python, _run_python, battery_capacity,
-                       cascade, count_transitions, price)
+                       cascade, count_transitions)
 
 from offgridopt import kernels
 from offgridopt.config import build_config, build_context
@@ -30,8 +41,7 @@ from offgridopt.devices import (CAPACITY_FADE_FLOOR, BatterySpec,
 from offgridopt.economics import CostTable, FinancialParams
 from offgridopt.errors import InputDataError, KernelUnavailableError
 from offgridopt.simulate import (CascadeState, Design, FeedInProfile,
-                                 SimulationContext, StrategyConfig,
-                                 renewable_feed_in, simulate_year)
+                                 SimulationContext, StrategyConfig)
 from offgridopt.timeseries import ClimateSeries, LoadSeries
 
 POWER = st.floats(0.0, 40.0)  # kW on the DC bus
@@ -142,14 +152,31 @@ def assert_invariants(case, out):
 
 
 @settings(max_examples=500, deadline=None)
-@given(cascade_cases() | HELD_BANKS | HELD_THROUGHPUT)
-def test_compiled_kernel_equals_python_loop_and_keeps_invariants(case):
+@given(cascade_cases() | HELD_BANKS | HELD_THROUGHPUT, st.data())
+def test_compiled_kernel_equals_python_loop_and_keeps_invariants(case, data):
     """Random hours, and stretches that pin the bank at ``soc_max`` and at
     ``soc_min``, where the compiled kernel reuses its last SOC update and
-    throughput cycle count and skips the divisions that cannot bind."""
-    compiled = cascade(**case)
-    assert_same_run(compiled, _cascade_python(**case))
+    throughput cycle count and skips the divisions that cannot bind.  The
+    compiled run equals its oracle bit for bit, keeps the cascade's
+    invariants, counts (online hours, starts) of ``p_dg > 0`` as
+    ``count_transitions`` does, and equals itself split at a random hour
+    and chained through the carried battery state."""
+    compiled, oracle = cascade(**case), _cascade_python(**case)
+    assert_same_run(compiled, oracle)
     assert_invariants(case, compiled)
+    for run in (compiled, oracle):
+        online = run[0] > 0
+        assert run[6] == (int(online.sum()), count_transitions(online))
+        assert all(type(n) is int for n in run[6])
+
+    split = data.draw(st.integers(0, len(case["res_dc"])))
+    first = cascade(**{**case, "res_dc": case["res_dc"][:split],
+                       "demand_dc": case["demand_dc"][:split]})
+    second = cascade(**{**case, "res_dc": case["res_dc"][split:],
+                        "demand_dc": case["demand_dc"][split:],
+                        "start": first[5]})
+    joined = [np.concatenate([a, b]) for a, b in zip(first[:5], second[:5])]
+    assert_same_run(compiled[:6], (*joined, second[5]))
 
 
 def hour_energies(case, state):
@@ -232,36 +259,6 @@ def test_compiled_kernel_keeps_the_sign_of_a_zero_soc(soc_min):
         assert struct.pack("d", compiled[2][0]) == struct.pack("d", start)
 
 
-ANNUAL_VARIANTS = {
-    "default": {},
-    "LA": {"battery": {"chemistry": "LA"}},
-    "MT": {"generator": {"kind": "MT"}},
-    "throughput, no generator charging": {
-        "strategy": {"cycle_counting": "throughput",
-                     "dg_may_charge_battery": False}},
-}
-
-
-@pytest.mark.parametrize("variant", ANNUAL_VARIANTS)
-def test_compiled_kernel_equals_python_loop_over_a_year(variant):
-    """Random designs of the sizing box, a whole year each."""
-    ctx = build_context(build_config(ANNUAL_VARIANTS[variant]), seed=42)
-    feed_in, demand_dc, _ = ctx.hourly_inputs
-    rng = np.random.default_rng(sum(map(ord, variant)))
-    for pv, wt, e_b in zip(rng.integers(0, 101, 6), rng.integers(0, 31, 6),
-                           [0.0, *rng.uniform(0.0, 200.0, 5)]):
-        design = Design(int(pv), int(wt), float(e_b))
-        res_dc = renewable_feed_in(design, feed_in, ctx.pv, ctx.wind,
-                                   ctx.converter)[2]
-        case = dict(res_dc=res_dc, demand_dc=demand_dc, battery=ctx.battery,
-                    e_b_init=design.e_b_init, generator=ctx.generator,
-                    dg_may_charge=ctx.strategy.dg_may_charge_battery,
-                    eta_rec=ctx.converter.eta_rec,
-                    start=CascadeState(ctx.battery.soc_max),
-                    cycle_counting=ctx.strategy.cycle_counting)
-        assert_same_run(cascade(**case), _cascade_python(**case))
-
-
 @st.composite
 def year_cases(draw, hours=random_hours() | stretched_hours()):
     """A context over random climate hours, whose load is the demand of a
@@ -292,31 +289,20 @@ def year_cases(draw, hours=random_hours() | stretched_hours()):
     return ctx, Design(draw(units), draw(units), case["e_b_init"])
 
 
-def totals_bits(totals):
-    return struct.pack("4d2q", totals.energy, totals.dump, totals.lost,
-                       totals.res, totals.online, totals.starts)
-
-
-def assert_same_year(ctx, design):
-    """The compiled run of a design over the context's hours equals its
-    Python composition bit for bit: the eight rows, the final state and
-    the totals."""
+@settings(max_examples=300, deadline=None)
+@given(year_cases())
+def test_compiled_year_equals_its_python_composition(case):
+    """Feed-in, cascade, lost load on the AC side and the sums in one
+    compiled call against ``renewable_feed_in``, the oracle's hour loop and
+    numpy, bit for bit: the eight rows, the final state and the totals."""
+    ctx, design = case
     args = (ctx.year_inputs, design.pv_units, design.wt_units,
             design.e_b_init, CascadeState(ctx.battery.soc_max))
     rows, end, totals = kernels.run(*args)
     py_rows, py_end, py_totals = _run_python(*args)
     assert rows.tobytes() == py_rows.tobytes()
     assert struct.pack("3d?", *end) == struct.pack("3d?", *py_end)
-    assert totals_bits(totals) == totals_bits(py_totals)
-
-
-@settings(max_examples=300, deadline=None)
-@given(year_cases())
-def test_compiled_year_equals_its_python_composition(case):
-    """Feed-in, cascade, lost load on the AC side and the sums in one
-    compiled call against ``renewable_feed_in``, the oracle's hour loop and
-    numpy."""
-    assert_same_year(*case)
+    assert bytes(totals) == bytes(py_totals)
 
 
 def sum_in_kernel(values):
@@ -363,46 +349,6 @@ def test_kernel_sum_is_np_sum():
             assert same_double(sum_in_kernel(values), expected), n
 
 
-@pytest.mark.parametrize("variant", ANNUAL_VARIANTS)
-def test_compiled_year_equals_its_python_composition_over_a_year(variant):
-    """Random designs of the sizing box, with and without PV, wind or a
-    battery, a whole year each."""
-    ctx = build_context(build_config(ANNUAL_VARIANTS[variant]), seed=7919)
-    rng = np.random.default_rng(sum(map(ord, variant)))
-    for pv, wt, e_b in zip([0, *rng.integers(0, 101, 3)],
-                           [*rng.integers(0, 31, 2), 0, 5],
-                           [*rng.uniform(0.0, 200.0, 3), 0.0]):
-        assert_same_year(ctx, Design(int(pv), int(wt), float(e_b)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(cascade_cases())
-def test_kernels_count_generator_online_hours_and_starts(case):
-    """The kernel and its oracle count (online hours, starts) of
-    ``p_dg > 0`` as ``count_transitions`` does."""
-    runs = [_cascade_python(**case), cascade(**case)]
-    for run in runs:
-        online = run[0] > 0
-        assert run[6] == (int(online.sum()), count_transitions(online))
-        assert all(type(n) is int for n in run[6])
-    assert runs[-1][6] == runs[0][6]
-
-
-@settings(max_examples=100, deadline=None)
-@given(cascade_cases(), st.data())
-def test_active_kernel_keeps_invariants_and_chains_exactly(case, data):
-    whole = cascade(**case)
-    assert_invariants(case, whole)
-    split = data.draw(st.integers(0, len(case["res_dc"])))
-    first = cascade(**{**case, "res_dc": case["res_dc"][:split],
-                       "demand_dc": case["demand_dc"][:split]})
-    second = cascade(**{**case, "res_dc": case["res_dc"][split:],
-                        "demand_dc": case["demand_dc"][split:],
-                        "start": first[5]})
-    joined = [np.concatenate([a, b]) for a, b in zip(first[:5], second[:5])]
-    assert_same_run(whole[:6], (*joined, second[5]))
-
-
 def test_default_start_is_a_fresh_full_bank():
     """A ``CascadeState`` of an SOC alone, the start ``simulate_year`` runs
     a year from, is a bank that has neither cycled nor discharged: its
@@ -427,6 +373,16 @@ def test_cascade_rejects_bad_inputs():
             pv_area=1.0, wt_rated=1.0, eta_inv=1.0)
     with pytest.raises(InputDataError, match="cycle_counting"):
         StrategyConfig(cycle_counting="rainflow")
+
+
+ANNUAL_VARIANTS = {
+    "default": {},
+    "LA": {"battery": {"chemistry": "LA"}},
+    "MT": {"generator": {"kind": "MT"}},
+    "throughput, no generator charging": {
+        "strategy": {"cycle_counting": "throughput",
+                     "dg_may_charge_battery": False}},
+}
 
 
 @pytest.mark.parametrize("variant", ANNUAL_VARIANTS)
@@ -454,33 +410,6 @@ def test_a_context_s_record_holds_its_devices_constants(variant):
         dg_may_charge=strategy.dg_may_charge_battery,
         by_throughput=strategy.cycle_counting == "throughput")
     assert {name: getattr(record, name) for name in expected} == expected
-
-
-def _same_sim(a, b):
-    for field in dataclasses.fields(a):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
-            assert np.array_equal(x, y), field.name
-        else:
-            assert x == y, field.name
-
-
-@pytest.mark.parametrize("strategy", [
-    {},
-    {"cycle_counting": "throughput", "dg_may_charge_battery": False},
-])
-def test_simulate_year_is_identical_on_the_python_fallback(annual_ctx, monkeypatch,
-                                                           strategy):
-    """The whole ``SimResult`` of the compiled year against the one built on
-    the oracles of the year's run and of its pricing in the kernels'
-    place."""
-    ctx = dataclasses.replace(
-        annual_ctx, strategy=dataclasses.replace(annual_ctx.strategy, **strategy))
-    design = Design(60, 6, 60)
-    compiled = simulate_year(design, ctx)
-    monkeypatch.setattr(kernels, "run", _run_python)
-    monkeypatch.setattr(kernels, "price", price)
-    _same_sim(compiled, simulate_year(design, ctx))
 
 
 def copied_source(tmp_path, monkeypatch, text=None):

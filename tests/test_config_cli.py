@@ -861,10 +861,14 @@ def test_cli_rejects_a_negative_seed(tmp_path, command, flag, text):
      "sizing: lower bounds exceed upper bounds"),
     ("dispatch: {max_patterns: 1}\n", "dispatch: max_patterns must be >= 3"),
     ("dispatch: {dpsp_max: 1.5}\n", "dispatch: dpsp_max must be in [0, 1]"),
+    ("dispatch: {dg_rated_kw: 0}\n",
+     "dispatch: dispatch needs a generator with positive rating"),
+    ("dispatch: {dg_rated_kw: -3}\n",
+     "dispatch: dispatch needs a generator with positive rating"),
     ("breakeven: {extension_cost_usd_per_km: -5}\n",
      "breakeven: ext_cost_per_km must be positive"),
 ], ids=["solver", "budget", "bounds", "max_patterns", "dpsp_max",
-        "extension_cost"])
+        "dg_rated_zero", "dg_rated_negative", "extension_cost"])
 def test_a_config_is_invalid_whatever_the_command(tmp_path, command, text,
                                                   message):
     """Each value was an error only for the command that reads it: the
@@ -876,6 +880,23 @@ def test_a_config_is_invalid_whatever_the_command(tmp_path, command, text,
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["status"] == "error"
     assert doc["message"].startswith(message)
+
+
+@pytest.mark.parametrize("command", ["simulate", "dispatch", "breakeven"])
+@pytest.mark.parametrize("day", [400, -1])
+def test_a_dispatch_day_outside_the_data_is_invalid_for_every_design_command(
+        tmp_path, command, day):
+    """Only the data tells how many days there are, so the context that
+    loads it rejects the day, whatever the command: ``simulate`` and
+    ``breakeven`` ran with it and exited 0."""
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"dispatch: {{day: {day}}}\n")
+    code = run_cli([command, "--design", "100,8,45.45", "--seed", 42,
+                    "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["status"] == "error"
+    assert doc["message"] == f"dispatch: day {day} is outside [0, 365)"
 
 
 @pytest.mark.parametrize("design, message", [

@@ -1,7 +1,15 @@
-"""The day-schedule scorer: bit for bit against the numpy formulation it
-replaced, on random and infeasible schedules, the C day kernels bit for bit
-against their Python oracles, and pinned ``optimize_day`` results on fixed
-days, on the kernels and on their oracles in the kernels' place."""
+"""The day kernels and the dispatch search that runs on them:
+
+- ``test_day_kernels_equal_their_oracles_bit_for_bit``, the one test of
+  ``day_hours`` and ``day_score``: a drawn day and schedule against the
+  numpy formulation the scorer replaced (``reference_evaluate``), and
+  each kernel against its oracle;
+- ``test_compiled_day_refine_equals_the_oracle_bit_for_bit``, the one test
+  of ``day_refine``;
+- what a schedule accepts and keeps (24 finite hours, read-only rows,
+  signed zeros, copies of its own), and ``day_sum`` against ``np.sum``;
+- ``optimize_day`` pinned on fixed days (``PINNED``) on the kernels, and
+  on one of them with the oracles in the kernels' place."""
 
 import copy
 import dataclasses
@@ -12,10 +20,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import (_day_hours, _run_python, daily_baseline, day_hours,
-                       day_prices, day_refine, day_score, day_sum,
-                       emissions_total, fixed_om, fuel_cost, initial_capital,
-                       metrics_ref, metrics_repg, price, variable_om)
+from reference import (_day_hours, daily_baseline, day_refine, day_score,
+                       day_sum, emissions_total, fixed_om, fuel_cost,
+                       initial_capital, metrics_ref, metrics_repg,
+                       use_the_oracles, variable_om)
 
 from offgridopt import kernels
 from offgridopt.config import build_config, build_context
@@ -141,18 +149,6 @@ def bits(x: float) -> str:
     return float(x).hex()
 
 
-def use_the_oracles(monkeypatch):
-    """Put the Python oracles of the cascade run, of the pricing, of the day
-    pass, of the day's score and of the dispatch search's refinement of a
-    pattern in the compiled kernels' place, where the package calls them."""
-    monkeypatch.setattr(kernels, "run", _run_python)
-    monkeypatch.setattr(kernels, "price", price)
-    monkeypatch.setattr(kernels, "day_prices", day_prices)
-    monkeypatch.setattr(kernels, "day_hours", day_hours)
-    monkeypatch.setattr(kernels, "day_score", day_score)
-    monkeypatch.setattr(kernels, "day_refine", day_refine)
-
-
 # ---------------------------------------------------------------------------
 # Scorer against the reference
 # ---------------------------------------------------------------------------
@@ -191,28 +187,6 @@ def scored_days(draw, contexts, hour_dg=HOUR_DG, hour_bs=HOUR_BS):
             p_dg[h] = draw(hour_dg)
             p_bs[h] = draw(hour_bs)
     return ctx, DispatchSchedule(np.array(p_dg), np.array(p_bs))
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_scorer_equals_the_numpy_reference_bit_for_bit(contexts, data):
-    ctx, schedule = data.draw(scored_days(contexts))
-    ev = evaluate_schedule(schedule, ctx)
-    ref = reference_evaluate(schedule, ctx)
-    assert bits(ev.weighted) == bits(ref["weighted"])
-    assert bits(ev.search_value) == bits(ref["search_value"])
-    assert bits(ev.summary5) == bits(ref["summary5"])
-    assert bits(ev.c_daily) == bits(ref["c_daily"])
-    for name in ("lcoe_norm", "em_norm", "dpsp", "repg", "one_minus_ref"):
-        assert bits(getattr(ev.objectives, name)) == bits(getattr(ref["objectives"], name))
-    assert list(ev.violations) == list(ref["violations"])
-    assert {k: bits(v) for k, v in ev.violations.items()} == \
-        {k: bits(v) for k, v in ref["violations"].items()}
-    assert ev.feasible is ref["feasible"]
-
-    trace = day_trace(schedule, ctx)
-    for name in ("soc", "dump", "lost"):
-        assert getattr(trace, name).tobytes() == ref[name].tobytes()
 
 
 def test_a_dispatch_day_cannot_be_changed_in_place(contexts):
@@ -260,11 +234,49 @@ def exact(value):
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_compiled_day_hours_equals_the_python_twin_bit_for_bit(contexts, data):
+def test_day_kernels_equal_their_oracles_bit_for_bit(contexts, data):
+    """One drawn day and schedule against every reference of the day's
+    pass and score: random and rule-based schedules, signed zeros, all-zero
+    days, diesel and microturbine days, random weights, infeasible
+    schedules, days without a battery, and days whose DC-side generation
+    ``res_kwh + eta_rec * E`` is zero, where REPG and REF are 0.
+
+    - ``evaluate_schedule`` and ``day_trace`` against the numpy
+      formulation: objectives, residuals, search value, ``summary5``,
+      ``c_daily``, feasibility and the trace's rows;
+    - ``kernels.day_hours`` against ``_day_hours``: the totals and the 73
+      rows;
+    - ``kernels.day_score`` against ``day_score``: the search value, with
+      and without a record, and the record."""
     ctx, schedule = data.draw(scored_days(contexts, HOUR_DG | SIGNED_ZERO,
                                           HOUR_BS | SIGNED_ZERO))
-    if data.draw(st.booleans()):
+    day = ctx.day_inputs
+    family = data.draw(st.sampled_from(["drawn", "zero day", "no generation"]))
+    if family == "zero day":
         schedule = DispatchSchedule(data.draw(ZERO_DAY), data.draw(ZERO_DAY))
+    elif family == "no generation":
+        # no generator output, and a record without feed-in: nothing is
+        # generated (the day itself keeps its feed-in)
+        schedule = DispatchSchedule(data.draw(ZERO_DAY), schedule.p_bs)
+        day = DayInputs.from_buffer_copy(day)
+        day.res_kwh = data.draw(SIGNED_ZERO)
+
+    ev = evaluate_schedule(schedule, ctx)
+    ref = reference_evaluate(schedule, ctx)
+    assert bits(ev.weighted) == bits(ref["weighted"])
+    assert bits(ev.search_value) == bits(ref["search_value"])
+    assert bits(ev.summary5) == bits(ref["summary5"])
+    assert bits(ev.c_daily) == bits(ref["c_daily"])
+    for name in ("lcoe_norm", "em_norm", "dpsp", "repg", "one_minus_ref"):
+        assert bits(getattr(ev.objectives, name)) == bits(getattr(ref["objectives"], name))
+    assert list(ev.violations) == list(ref["violations"])
+    assert {k: bits(v) for k, v in ev.violations.items()} == \
+        {k: bits(v) for k, v in ref["violations"].items()}
+    assert ev.feasible is ref["feasible"]
+    trace = day_trace(schedule, ctx)
+    for name in ("soc", "dump", "lost"):
+        assert getattr(trace, name).tobytes() == ref[name].tobytes()
+
     compiled_rows, twin_rows = np.empty(73), np.empty(73)
     compiled = kernels.day_hours(schedule._address, ctx.day_inputs,
                                  compiled_rows.ctypes.data)
@@ -274,22 +286,6 @@ def test_compiled_day_hours_equals_the_python_twin_bit_for_bit(contexts, data):
         [exact(getattr(twin, name)) for name in fields]
     assert compiled_rows.tobytes() == twin_rows.tobytes()
 
-
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_compiled_day_score_equals_the_oracle_bit_for_bit(contexts, data):
-    """``day_score`` prices a schedule as ``economics`` does, bit for bit:
-    diesel and microturbine days, random weights, infeasible schedules,
-    days without a battery, and days whose DC-side generation
-    ``res_kwh + eta_rec * E`` is zero, where REPG and REF are 0."""
-    ctx, schedule = data.draw(scored_days(contexts, HOUR_DG | SIGNED_ZERO,
-                                          HOUR_BS | SIGNED_ZERO))
-    day = ctx.day_inputs
-    if data.draw(st.booleans()):
-        # no feed-in and no generator output: nothing is generated
-        day = DayInputs.from_buffer_copy(day)
-        day.res_kwh = data.draw(SIGNED_ZERO)
-        schedule = DispatchSchedule(data.draw(ZERO_DAY), schedule.p_bs)
     compiled, oracle = DayEvaluation(), DayEvaluation()
     value = kernels.day_score(schedule._address, day, compiled)
     assert bits(value) == bits(day_score(schedule._address, day, oracle))
@@ -332,15 +328,11 @@ def test_compiled_day_refine_equals_the_oracle_bit_for_bit(contexts, data):
     assert bytes(compiled_ev) == bytes(oracle_ev)
 
 
-@pytest.mark.parametrize("kernel", ["c", "python"])
 @pytest.mark.parametrize("hours", [23, 25])
-def test_scoring_rejects_a_schedule_of_other_than_24_hours(contexts, monkeypatch,
-                                                           kernel, hours):
+def test_scoring_rejects_a_schedule_of_other_than_24_hours(contexts, hours):
     """The C kernel reads 2 x 24 numbers from a schedule's block: a schedule
     of another length cannot be made, and its rows cannot be rebound, so
     neither the kernel nor its oracle is reached."""
-    if kernel == "python":
-        use_the_oracles(monkeypatch)
     ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 0, W4)
     for p_dg, p_bs in ((np.ones(hours), np.ones(24)), (np.ones(24), np.ones(hours))):
         with pytest.raises(InputDataError, match="must hold 24 hours"):
@@ -500,9 +492,10 @@ def test_optimize_day_is_pinned(contexts, monkeypatch, variant, day):
     assert pinned_result(contexts, monkeypatch, variant, day) == PINNED[variant, day]
 
 
-@pytest.mark.parametrize("variant, day", sorted(PINNED))
+@pytest.mark.parametrize("variant, day", [("LI-DE", 0)])
 def test_optimize_day_is_pinned_on_the_python_fallback(contexts, monkeypatch,
                                                        variant, day):
-    """The same numbers with the oracles in the kernels' place."""
+    """The same numbers with the oracles in the kernels' place, on one
+    day: the oracles compose as the package calls the kernels."""
     use_the_oracles(monkeypatch)
     assert pinned_result(contexts, monkeypatch, variant, day) == PINNED[variant, day]

@@ -1,10 +1,15 @@
 """The package defines only what its commands, demos, benchmark and tools
-use, and its compiled library exports only the kernels the package calls."""
+use, and its compiled library exports only the kernels the package calls,
+each with an oracle that the tests can put in its place."""
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+from reference import use_the_oracles
+
+from offgridopt import kernels
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "offgridopt"
@@ -60,18 +65,39 @@ def called_names(tree: ast.AST) -> set:
             and isinstance(node.func, (ast.Name, ast.Attribute))}
 
 
-def test_every_exported_kernel_is_called_by_the_package():
+def exported_kernels() -> set:
     """A function of ``_cascade.c`` that is not ``static`` is a kernel the
-    library exports.  Each must be called by the package's own code, not
-    only by the tests: setting its signature or binding it to a name is not
-    a call."""
+    library exports."""
     source = (PACKAGE / "_cascade.c").read_text(encoding="utf-8")
     # a definition starts at the line's first column with its return type
-    exported = set(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(",
-                              source, re.MULTILINE))
+    return set(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(",
+                          source, re.MULTILINE))
+
+
+def test_every_exported_kernel_is_called_by_the_package():
+    """Each exported kernel must be called by the package's own code, not
+    only by the tests: setting its signature or binding it to a name is not
+    a call."""
+    exported = exported_kernels()
     called = set()
     for path in PACKAGE.glob("*.py"):
         called |= called_names(ast.parse(path.read_text(encoding="utf-8")))
     assert exported == {"cascade", "price", "day_prices", "day_hours",
                         "day_score", "day_refine"}
     assert sorted(exported - called) == []
+
+
+def test_every_kernel_has_its_oracle_in_the_fallback_runs(monkeypatch):
+    """``use_the_oracles`` puts an oracle of ``tests/reference.py`` in the
+    place of every kernel the library exports, in the binding the package
+    calls it through (``kernels.run`` for ``cascade``, the kernel's name
+    for the others): a kernel cannot ship without an oracle."""
+    bindings = {kernel: "run" if kernel == "cascade" else kernel
+                for kernel in exported_kernels()}
+    compiled = {kernel: getattr(kernels, name)
+                for kernel, name in bindings.items()}
+    use_the_oracles(monkeypatch)
+    for kernel, name in bindings.items():
+        oracle = getattr(kernels, name)
+        assert oracle is not compiled[kernel], kernel
+        assert oracle.__module__ == "reference", kernel
