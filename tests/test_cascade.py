@@ -13,6 +13,9 @@
   SOC, a fresh bank);
 - ``test_compiled_year_equals_its_python_composition``: feed-in, cascade
   and sums in one call, over random climates;
+- both comparisons again over a whole year of four device and strategy
+  variants, and the whole ``SimResult`` of a year with the oracles in the
+  kernels' place;
 - the kernel's sums against ``np.sum``, the record a context fills, and
   building and loading the library."""
 
@@ -30,7 +33,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from reference import (_cascade_python, _run_python, battery_capacity,
-                       cascade, count_transitions)
+                       cascade, count_transitions, use_the_oracles)
 
 from offgridopt import kernels
 from offgridopt.config import build_config, build_context
@@ -41,7 +44,8 @@ from offgridopt.devices import (CAPACITY_FADE_FLOOR, BatterySpec,
 from offgridopt.economics import CostTable, FinancialParams
 from offgridopt.errors import InputDataError, KernelUnavailableError
 from offgridopt.simulate import (CascadeState, Design, FeedInProfile,
-                                 SimulationContext, StrategyConfig)
+                                 SimulationContext, StrategyConfig,
+                                 renewable_feed_in, simulate_year)
 from offgridopt.timeseries import ClimateSeries, LoadSeries
 
 POWER = st.floats(0.0, 40.0)  # kW on the DC bus
@@ -289,13 +293,10 @@ def year_cases(draw, hours=random_hours() | stretched_hours()):
     return ctx, Design(draw(units), draw(units), case["e_b_init"])
 
 
-@settings(max_examples=300, deadline=None)
-@given(year_cases())
-def test_compiled_year_equals_its_python_composition(case):
-    """Feed-in, cascade, lost load on the AC side and the sums in one
-    compiled call against ``renewable_feed_in``, the oracle's hour loop and
-    numpy, bit for bit: the eight rows, the final state and the totals."""
-    ctx, design = case
+def assert_same_year(ctx, design):
+    """The compiled run of a design over the context's hours equals its
+    Python composition bit for bit: the eight rows, the final state and
+    the totals."""
     args = (ctx.year_inputs, design.pv_units, design.wt_units,
             design.e_b_init, CascadeState(ctx.battery.soc_max))
     rows, end, totals = kernels.run(*args)
@@ -303,6 +304,15 @@ def test_compiled_year_equals_its_python_composition(case):
     assert rows.tobytes() == py_rows.tobytes()
     assert struct.pack("3d?", *end) == struct.pack("3d?", *py_end)
     assert bytes(totals) == bytes(py_totals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(year_cases())
+def test_compiled_year_equals_its_python_composition(case):
+    """Feed-in, cascade, lost load on the AC side and the sums in one
+    compiled call against ``renewable_feed_in``, the oracle's hour loop and
+    numpy."""
+    assert_same_year(*case)
 
 
 def sum_in_kernel(values):
@@ -410,6 +420,63 @@ def test_a_context_s_record_holds_its_devices_constants(variant):
         dg_may_charge=strategy.dg_may_charge_battery,
         by_throughput=strategy.cycle_counting == "throughput")
     assert {name: getattr(record, name) for name in expected} == expected
+
+
+@pytest.mark.parametrize("variant", ANNUAL_VARIANTS)
+def test_compiled_kernel_equals_python_loop_over_a_year(variant):
+    """Random designs of the sizing box, a whole year each."""
+    ctx = build_context(build_config(ANNUAL_VARIANTS[variant]), seed=42)
+    feed_in, demand_dc, _ = ctx.hourly_inputs
+    rng = np.random.default_rng(sum(map(ord, variant)))
+    for pv, wt, e_b in zip(rng.integers(0, 101, 6), rng.integers(0, 31, 6),
+                           [0.0, *rng.uniform(0.0, 200.0, 5)]):
+        design = Design(int(pv), int(wt), float(e_b))
+        res_dc = renewable_feed_in(design, feed_in, ctx.pv, ctx.wind,
+                                   ctx.converter)[2]
+        case = dict(res_dc=res_dc, demand_dc=demand_dc, battery=ctx.battery,
+                    e_b_init=design.e_b_init, generator=ctx.generator,
+                    dg_may_charge=ctx.strategy.dg_may_charge_battery,
+                    eta_rec=ctx.converter.eta_rec,
+                    start=CascadeState(ctx.battery.soc_max),
+                    cycle_counting=ctx.strategy.cycle_counting)
+        assert_same_run(cascade(**case), _cascade_python(**case))
+
+
+@pytest.mark.parametrize("variant", ANNUAL_VARIANTS)
+def test_compiled_year_equals_its_python_composition_over_a_year(variant):
+    """Random designs of the sizing box, with and without PV, wind or a
+    battery, a whole year each."""
+    ctx = build_context(build_config(ANNUAL_VARIANTS[variant]), seed=7919)
+    rng = np.random.default_rng(sum(map(ord, variant)))
+    for pv, wt, e_b in zip([0, *rng.integers(0, 101, 3)],
+                           [*rng.integers(0, 31, 2), 0, 5],
+                           [*rng.uniform(0.0, 200.0, 3), 0.0]):
+        assert_same_year(ctx, Design(int(pv), int(wt), float(e_b)))
+
+
+def _same_sim(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@pytest.mark.parametrize("strategy", [
+    {},
+    {"cycle_counting": "throughput", "dg_may_charge_battery": False},
+])
+def test_simulate_year_is_identical_on_the_python_fallback(annual_ctx, monkeypatch,
+                                                           strategy):
+    """The whole ``SimResult`` of the compiled year against the one built
+    with the oracles in the kernels' place."""
+    ctx = dataclasses.replace(
+        annual_ctx, strategy=dataclasses.replace(annual_ctx.strategy, **strategy))
+    design = Design(60, 6, 60)
+    compiled = simulate_year(design, ctx)
+    use_the_oracles(monkeypatch)
+    _same_sim(compiled, simulate_year(design, ctx))
 
 
 def copied_source(tmp_path, monkeypatch, text=None):

@@ -328,11 +328,15 @@ def test_compiled_day_refine_equals_the_oracle_bit_for_bit(contexts, data):
     assert bytes(compiled_ev) == bytes(oracle_ev)
 
 
+@pytest.mark.parametrize("kernel", ["c", "python"])
 @pytest.mark.parametrize("hours", [23, 25])
-def test_scoring_rejects_a_schedule_of_other_than_24_hours(contexts, hours):
+def test_scoring_rejects_a_schedule_of_other_than_24_hours(contexts, monkeypatch,
+                                                           kernel, hours):
     """The C kernel reads 2 x 24 numbers from a schedule's block: a schedule
     of another length cannot be made, and its rows cannot be rebound, so
     neither the kernel nor its oracle is reached."""
+    if kernel == "python":
+        use_the_oracles(monkeypatch)
     ctx = day_context(contexts["LI-DE"], Design(100, 8, 45.45), 0, W4)
     for p_dg, p_bs in ((np.ones(hours), np.ones(24)), (np.ones(24), np.ones(hours))):
         with pytest.raises(InputDataError, match="must hold 24 hours"):

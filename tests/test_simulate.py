@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from reference import count_transitions, pv_power, wt_power
+from reference import (count_transitions, pv_power, use_the_oracles,
+                       wt_power)
 
 from offgridopt.config import build_config, build_context
 from offgridopt.datasets import (WIND_CORRECTION_FACTOR, load_bundled_climate,
@@ -262,8 +263,13 @@ def variant_ctx():
     return build_context(build_config(VARIANT_BRANCHES), seed=42)
 
 
+@pytest.mark.parametrize("kernel", ["c", "python"])
 @pytest.mark.parametrize("design", sorted(PINNED_YEARS))
-def test_simulate_year_is_pinned_on_the_variant_branches(variant_ctx, design):
+def test_simulate_year_is_pinned_on_the_variant_branches(variant_ctx, monkeypatch,
+                                                         kernel, design):
+    """On the compiled year, and on the oracles in the kernels' place."""
+    if kernel == "python":
+        use_the_oracles(monkeypatch)
     sim = simulate_year(Design(*design), variant_ctx)
     assert (tuple(v.hex() for v in sim.objectives),
             sim.battery_cycles.hex()) == PINNED_YEARS[design]
